@@ -2,18 +2,19 @@
    bounded variant as a smoke step and uploads the artifact).
 
    One fixed-seed, fault-free stencil run per cluster size on the
-   hosts-vs-wallclock curve 256 -> 8192, timed twice: once with the
+   hosts-vs-wallclock curve 256 -> 16384, timed twice: once with the
    engine forced to a single event region (the pre-sharding layout) and
    once with the auto-sized region count [Engine.recommended_regions]
    picks. Region placement is purely structural — the two runs must
    agree on every observable (outcome, simulated time, checksums,
    backend counters) and the bench refuses to report timings otherwise,
-   making the curve double as a large-scale determinism check.
+   making the curve double as a large-scale determinism check. The
+   output records the core count and OCaml version it was measured on.
 
    Usage: scale.exe [OUT.json [MAX_HOSTS]] — CI passes a small
    MAX_HOSTS to bound the smoke run; the full curve is the default. *)
 
-let hosts_curve = [ 256; 512; 1024; 2048; 4096; 8192 ]
+let hosts_curve = [ 256; 512; 1024; 2048; 4096; 8192; 16384 ]
 
 (* Service hosts the vcl layout adds on top of the compute pool:
    coordinator, dispatcher, scheduler, 3 checkpoint servers. *)
@@ -87,8 +88,11 @@ let () =
     (Printf.sprintf
        "{\n\
        \  \"workload\": \"stencil, %d iterations, fault-free, non-blocking vcl\",\n\
+       \  \"cores\": %d, \"ocaml\": \"%s\",\n\
        \  \"curve\": [\n"
-       params.Workload.Stencil.iterations);
+       params.Workload.Stencil.iterations
+       (Domain.recommended_domain_count ())
+       Sys.ocaml_version);
   List.iteri
     (fun i hosts ->
       let auto = Simkern.Engine.recommended_regions ~hosts in

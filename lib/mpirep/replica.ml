@@ -4,6 +4,7 @@ module Net = Simnet.Net
 module Message = Mpivcl.Message
 module Config = Mpivcl.Config
 module App = Mpivcl.App
+module Matching = Mpivcl.Matching
 
 type app_request =
   | A_send of Message.app_msg
@@ -113,8 +114,7 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
           (* ---------------- protocol state ---------------- *)
           let n = cfg.Config.n_ranks in
           let peer_conns : (int * int, Rmsg.t Net.conn) Hashtbl.t = Hashtbl.create 32 in
-          let buffer : Message.app_msg list ref = ref [] in
-          let parked : (int * int * int Ivar.t) list ref = ref [] in
+          let matching : int Ivar.t Matching.t = Matching.create () in
           let seen : (int * int, unit) Hashtbl.t = Hashtbl.create 256 in
           let redelivery : Message.app_msg list ref = ref [] in
           let committed_state = ref (Array.make env.Renv.app.App.state_size 0) in
@@ -159,32 +159,18 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
               tracef ~level:Trace.Full "send-deferred" "to rank %d (no live replica connected, logged)" dst
           in
           let deliver (m : Message.app_msg) =
-            let rec split acc = function
-              | [] -> None
-              | (src, tag, reply) :: rest when src = m.Message.src && tag = m.Message.tag ->
-                  parked := List.rev_append acc rest;
-                  Some reply
-              | r :: rest -> split (r :: acc) rest
-            in
-            match split [] !parked with
+            match Matching.deliver matching m with
             | Some reply ->
                 redelivery := m :: !redelivery;
                 Ivar.fill reply m.Message.data
-            | None -> buffer := !buffer @ [ m ]
+            | None -> ()
           in
           let serve_recv src tag reply =
-            let rec split acc = function
-              | [] -> None
-              | (m : Message.app_msg) :: rest when m.Message.src = src && m.Message.tag = tag ->
-                  buffer := List.rev_append acc rest;
-                  Some m
-              | m :: rest -> split (m :: acc) rest
-            in
-            match split [] !buffer with
+            match Matching.serve matching ~dst:rank ~src ~tag reply with
             | Some m ->
                 redelivery := m :: !redelivery;
                 Ivar.fill reply m.Message.data
-            | None -> parked := !parked @ [ (src, tag, reply) ]
+            | None -> ()
           in
           let flush_log ~peer_rank ~bound conn =
             (* Re-send everything logged for [peer_rank] above the peer's
@@ -269,15 +255,16 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
             let logged =
               Hashtbl.fold (fun _ entries acc -> List.map snd entries @ acc) send_log []
             in
+            let buffer = Matching.buffered matching in
             let img_bytes =
               Message.image_bytes ~state_bytes:env.Renv.state_bytes
-                (!buffer @ !redelivery @ logged)
+                (buffer @ !redelivery @ logged)
             in
             {
               Message.img_rank = rank;
               img_wave = 0;
               img_state = Array.copy !committed_state;
-              img_buffer = !buffer;
+              img_buffer = buffer;
               img_redelivery = !redelivery;
               img_logged = [];
               img_seen = Hashtbl.fold (fun key () acc -> key :: acc) seen [];
@@ -302,7 +289,7 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
               img.Message.img_next_ssn;
             (* messages consumed since the donor's last commit are
                re-delivered to the re-executing application *)
-            buffer := img.Message.img_redelivery @ img.Message.img_buffer
+            Matching.restore matching (img.Message.img_redelivery @ img.Message.img_buffer)
           in
           let rec loop () =
             match Mailbox.recv events with

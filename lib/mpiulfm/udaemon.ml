@@ -2,6 +2,7 @@ open Simkern
 open Simos
 module Net = Simnet.Net
 module Message = Mpivcl.Message
+module Matching = Mpivcl.Matching
 module Config = Mpivcl.Config
 module App = Mpivcl.App
 
@@ -116,8 +117,7 @@ let spawn (env : Uenv.t) ~id ~incarnation =
       let apps_spawned = ref false in
 
       (* ---------------- application plumbing ---------------- *)
-      let buffer : Message.app_msg list ref = ref [] in
-      let parked : (int * int * int * int Ivar.t) list ref = ref [] in
+      let matching : int Ivar.t Matching.t = Matching.create () in
       let future : (int * Message.app_msg) list ref = ref [] in
       let done_ranks : (int, unit) Hashtbl.t = Hashtbl.create 8 in
       let last_report : Umsg.t option ref = ref None in
@@ -204,30 +204,14 @@ let spawn (env : Uenv.t) ~id ~incarnation =
         Hashtbl.reset app_procs
       in
       let deliver (m : Message.app_msg) =
-        let rec split acc = function
-          | [] -> None
-          | (dst, src, tag, reply) :: rest
-            when dst = m.Message.dst && src = m.Message.src && tag = m.Message.tag ->
-              parked := List.rev_append acc rest;
-              Some reply
-          | r :: rest -> split (r :: acc) rest
-        in
-        match split [] !parked with
+        match Matching.deliver matching m with
         | Some reply -> Ivar.fill reply m.Message.data
-        | None -> buffer := !buffer @ [ m ]
+        | None -> ()
       in
       let serve_recv dst src tag reply =
-        let rec split acc = function
-          | [] -> None
-          | (m : Message.app_msg) :: rest
-            when m.Message.dst = dst && m.Message.src = src && m.Message.tag = tag ->
-              buffer := List.rev_append acc rest;
-              Some m
-          | m :: rest -> split (m :: acc) rest
-        in
-        match split [] !buffer with
+        match Matching.serve matching ~dst ~src ~tag reply with
         | Some m -> Ivar.fill reply m.Message.data
-        | None -> parked := !parked @ [ (dst, src, tag, reply) ]
+        | None -> ()
       in
       let route_send (m : Message.app_msg) =
         match List.assoc_opt m.Message.dst !assign with
@@ -520,8 +504,7 @@ let spawn (env : Uenv.t) ~id ~incarnation =
         in
         List.iter (Hashtbl.remove sync_inbox) stale_keys;
         kill_apps ();
-        buffer := [];
-        parked := [];
+        Matching.clear matching;
         apps_spawned := false;
         sync_stage := `Idle;
         sync_value := 0;

@@ -64,12 +64,19 @@ let spawn (env : Env.t) ~host ~initial_hosts ~spare_limit =
     Array.init n (fun r ->
         { ri_host = initial_hosts.(r); ri_inc = -1; ri_conn = None; ri_st = R_launching; ri_finished = false })
   in
+  (* Counts kept in step with [ranks], so that the all-ready and
+     all-finished checks made on every Ready and Rank_done are O(1)
+     rather than a scan of every rank. *)
+  let n_ready = ref 0 and n_finished = ref 0 in
+  let set_state info st =
+    if info.ri_st = R_ready then decr n_ready;
+    if st = R_ready then incr n_ready;
+    info.ri_st <- st
+  in
   let free_hosts =
-    let used = Array.to_list initial_hosts in
-    ref
-      (List.filter
-         (fun h -> not (List.mem h used))
-         (List.init spare_limit Fun.id))
+    let used = Array.make spare_limit false in
+    Array.iter (fun h -> if h < spare_limit then used.(h) <- true) initial_hosts;
+    ref (List.filter (fun h -> not used.(h)) (List.init spare_limit Fun.id))
   in
   (* Recovering until the first Start broadcast; then Steady until a
      failure. *)
@@ -79,7 +86,7 @@ let spawn (env : Env.t) ~host ~initial_hosts ~spare_limit =
     let info = ranks.(r) in
     info.ri_inc <- info.ri_inc + 1;
     info.ri_conn <- None;
-    info.ri_st <- R_launching;
+    set_state info R_launching;
     let inc = info.ri_inc in
     let target_host = info.ri_host in
     tracef ~level:Trace.Full t "launch" "rank %d on host %d (inc %d)" r target_host inc;
@@ -116,14 +123,14 @@ let spawn (env : Env.t) ~host ~initial_hosts ~spare_limit =
           match (info.ri_st, info.ri_conn) with
           | (R_computing | R_ready | R_registered), Some conn ->
               ignore (Net.send conn Message.Terminate);
-              info.ri_st <- R_stopping
+              set_state info R_stopping
           | (R_computing | R_ready | R_registered), None | (R_launching | R_stopping | R_forgotten), _
             ->
               ())
       ranks
   in
   let maybe_start () =
-    if Array.for_all (fun info -> info.ri_st = R_ready) ranks then begin
+    if !n_ready = n then begin
       let rank_hosts = Array.map (fun info -> info.ri_host) ranks in
       let resume = t.recovery_count > 0 in
       Array.iter
@@ -131,7 +138,7 @@ let spawn (env : Env.t) ~host ~initial_hosts ~spare_limit =
           (match info.ri_conn with
           | Some conn -> ignore (Net.send conn (Message.Start { rank_hosts; resume }))
           | None -> ());
-          info.ri_st <- R_computing)
+          set_state info R_computing)
         ranks;
       steady := true;
       trace t (if resume then "recovery-complete" else "app-started") ""
@@ -168,7 +175,7 @@ let spawn (env : Env.t) ~host ~initial_hosts ~spare_limit =
                old-wave termination; the rank is forgotten and never
                relaunched — the application freezes. *)
             t.is_confused <- true;
-            info.ri_st <- R_forgotten;
+            set_state info R_forgotten;
             tracef t "dispatcher-confused" "rank %d lost while %d old-wave daemons still stopping"
               r (old_stopping ())
           end
@@ -180,7 +187,7 @@ let spawn (env : Env.t) ~host ~initial_hosts ~spare_limit =
                it takes a second, well-timed fault to reach this state. *)
             t.is_race_lost <- true;
             let was = state_name info.ri_st in
-            info.ri_st <- R_forgotten;
+            set_state info R_forgotten;
             tracef t "dispatcher-race" "rank %d (%s) lost mid-recovery, wave #%d" r was
               t.recovery_count
           end
@@ -198,7 +205,7 @@ let spawn (env : Env.t) ~host ~initial_hosts ~spare_limit =
         let info = ranks.(r) in
         if inc = info.ri_inc && info.ri_st = R_launching && not !completed then begin
           info.ri_conn <- Some conn;
-          info.ri_st <- R_registered;
+          set_state info R_registered;
           tracef ~level:Trace.Full t "rank-registered" "rank %d inc %d" r inc
         end
         else Net.close conn
@@ -216,16 +223,19 @@ let spawn (env : Env.t) ~host ~initial_hosts ~spare_limit =
                   | Some conn ->
                       ignore (Net.send conn (Message.Start { rank_hosts; resume = true }))
                   | None -> ());
-                  info.ri_st <- R_computing;
+                  set_state info R_computing;
                   tracef t "rank-resumed" "rank %d" r
                 end
                 else begin
-                  info.ri_st <- R_ready;
+                  set_state info R_ready;
                   maybe_start ()
                 end
           | Message.Rank_done _ ->
-              info.ri_finished <- true;
-              if Array.for_all (fun i -> i.ri_finished) ranks then begin
+              if not info.ri_finished then begin
+                info.ri_finished <- true;
+                incr n_finished
+              end;
+              if !n_finished = n then begin
                 completed := true;
                 Array.iter
                   (fun i ->
@@ -242,7 +252,7 @@ let spawn (env : Env.t) ~host ~initial_hosts ~spare_limit =
                  end the run decisively — a lost checkpoint must surface
                  as a verdict, never as a hang. *)
               t.is_ckpt_lost <- true;
-              info.ri_st <- R_forgotten;
+              set_state info R_forgotten;
               completed := true;
               tracef t "ckpt-lost" "rank %d: no complete checkpoint image survives" r;
               Array.iter

@@ -214,8 +214,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
           let lazy_mesh = cfg.Config.lazy_peer_mesh in
           let rank_hosts = ref [||] in
           let peer_conns : (int, Message.t Net.conn) Hashtbl.t = Hashtbl.create 16 in
-          let buffer : Message.app_msg list ref = ref [] in
-          let parked : (int * int * int Ivar.t) list ref = ref [] in
+          let matching : int Ivar.t Matching.t = Matching.create () in
           let seen : (int * int, unit) Hashtbl.t = Hashtbl.create 256 in
           let redelivery : Message.app_msg list ref = ref [] in
           let committed_state = ref [||] in
@@ -247,7 +246,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
               List.iter
                 (fun (dst, ssn) -> Hashtbl.replace next_ssn dst ssn)
                 img.Message.img_next_ssn;
-              buffer := img.Message.img_redelivery @ img.Message.img_buffer);
+              Matching.restore matching (img.Message.img_redelivery @ img.Message.img_buffer));
 
           let consumed_bounds () =
             Hashtbl.fold (fun src ssn acc -> (src, ssn) :: acc) received []
@@ -298,32 +297,18 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
             | None -> tracel "send-deferred" (fun () -> Printf.sprintf "to %d (no connection, logged)" dst)
           in
           let deliver (m : Message.app_msg) =
-            let rec split acc = function
-              | [] -> None
-              | (src, tag, reply) :: rest when src = m.Message.src && tag = m.Message.tag ->
-                  parked := List.rev_append acc rest;
-                  Some reply
-              | r :: rest -> split (r :: acc) rest
-            in
-            match split [] !parked with
+            match Matching.deliver matching m with
             | Some reply ->
                 redelivery := m :: !redelivery;
                 Ivar.fill reply m.Message.data
-            | None -> buffer := !buffer @ [ m ]
+            | None -> ()
           in
           let serve_recv src tag reply =
-            let rec split acc = function
-              | [] -> None
-              | (m : Message.app_msg) :: rest when m.Message.src = src && m.Message.tag = tag ->
-                  buffer := List.rev_append acc rest;
-                  Some m
-              | m :: rest -> split (m :: acc) rest
-            in
-            match split [] !buffer with
+            match Matching.serve matching ~dst:rank ~src ~tag reply with
             | Some m ->
                 redelivery := m :: !redelivery;
                 Ivar.fill reply m.Message.data
-            | None -> parked := !parked @ [ (src, tag, reply) ]
+            | None -> ()
           in
           let schedule_tick delay =
             incr ckpt_gen;
@@ -342,16 +327,17 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                     (fun _ entries acc -> List.map snd entries @ acc)
                     send_log []
                 in
+                let buffer = Matching.buffered matching in
                 let img_bytes =
                   Message.image_bytes ~state_bytes:env.Env.state_bytes
-                    (!buffer @ !redelivery @ logged_msgs)
+                    (buffer @ !redelivery @ logged_msgs)
                 in
                 let img =
                   {
                     Message.img_rank = rank;
                     img_wave = wave;
                     img_state = Array.copy !committed_state;
-                    img_buffer = !buffer;
+                    img_buffer = buffer;
                     img_redelivery = !redelivery;
                     img_logged = [];
                     img_seen = Hashtbl.fold (fun key () acc -> key :: acc) seen [];

@@ -249,9 +249,9 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
           let n = cfg.Config.n_ranks in
           let lazy_mesh = cfg.Config.lazy_peer_mesh in
           let peer_conns : (int, Message.t Net.conn) Hashtbl.t = Hashtbl.create 16 in
-          let buffer : Message.app_msg list ref = ref [] in
-          (* parked receive requests from the computation process *)
-          let parked : (int * int * int Ivar.t) list ref = ref [] in
+          (* unexpected messages and parked receive requests from the
+             computation process *)
+          let matching : int Ivar.t Matching.t = Matching.create () in
           let seen : (int * int, unit) Hashtbl.t = Hashtbl.create 256 in
           let redelivery : Message.app_msg list ref = ref [] in
           let committed_state = ref [||] in
@@ -272,8 +272,8 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
               List.iter
                 (fun (m : Message.app_msg) -> Hashtbl.replace seen (m.src, m.tag) ())
                 img.Message.img_logged;
-              buffer :=
-                img.Message.img_redelivery @ img.Message.img_buffer @ img.Message.img_logged);
+              Matching.restore matching
+                (img.Message.img_redelivery @ img.Message.img_buffer @ img.Message.img_logged));
 
           let send_app conn (m : Message.app_msg) =
             if not (Net.send conn ~size:m.Message.bytes (Message.App m)) then
@@ -316,32 +316,18 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                 tracel "send-failed" (fun () -> Printf.sprintf "to %d (no connection)" m.Message.dst)
           in
           let deliver (m : Message.app_msg) =
-            let rec split acc = function
-              | [] -> None
-              | (src, tag, reply) :: rest when src = m.Message.src && tag = m.Message.tag ->
-                  parked := List.rev_append acc rest;
-                  Some reply
-              | r :: rest -> split (r :: acc) rest
-            in
-            match split [] !parked with
+            match Matching.deliver matching m with
             | Some reply ->
                 redelivery := m :: !redelivery;
                 Ivar.fill reply m.Message.data
-            | None -> buffer := !buffer @ [ m ]
+            | None -> ()
           in
           let serve_recv src tag reply =
-            let rec split acc = function
-              | [] -> None
-              | (m : Message.app_msg) :: rest when m.Message.src = src && m.Message.tag = tag ->
-                  buffer := List.rev_append acc rest;
-                  Some m
-              | m :: rest -> split (m :: acc) rest
-            in
-            match split [] !buffer with
+            match Matching.serve matching ~dst:rank ~src ~tag reply with
             | Some m ->
                 redelivery := m :: !redelivery;
                 Ivar.fill reply m.Message.data
-            | None -> parked := !parked @ [ (src, tag, reply) ]
+            | None -> ()
           in
           let finish_ckpt (c : ckpt) =
             let logged = List.rev c.ck_logged in
@@ -400,7 +386,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                 ck_logged = [];
                 ck_stored = false;
                 ck_state = Array.copy !committed_state;
-                ck_buffer = !buffer;
+                ck_buffer = Matching.buffered matching;
                 ck_redelivery = !redelivery;
                 ck_seen = Hashtbl.fold (fun key () acc -> key :: acc) seen [];
               }

@@ -18,34 +18,45 @@ let grow h x =
     h.data <- data'
   end
 
-let rec sift_up h i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if h.compare h.data.(i) h.data.(parent) < 0 then begin
-      let tmp = h.data.(i) in
-      h.data.(i) <- h.data.(parent);
-      h.data.(parent) <- tmp;
-      sift_up h parent
+(* A 4-ary heap: a sift crosses half the levels of a binary heap's, and
+   the four children of a slot are adjacent. Both sifts carry [x]
+   through a hole instead of swapping: each level writes one slot, and
+   [x] is written once where it lands. *)
+let rec sift_up compare data x i =
+  if i = 0 then data.(0) <- x
+  else begin
+    let parent = (i - 1) / 4 in
+    let p = data.(parent) in
+    if compare x p < 0 then begin
+      data.(i) <- p;
+      sift_up compare data x parent
     end
+    else data.(i) <- x
   end
 
-let rec sift_down h i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < h.size && h.compare h.data.(l) h.data.(!smallest) < 0 then smallest := l;
-  if r < h.size && h.compare h.data.(r) h.data.(!smallest) < 0 then smallest := r;
-  if !smallest <> i then begin
-    let tmp = h.data.(i) in
-    h.data.(i) <- h.data.(!smallest);
-    h.data.(!smallest) <- tmp;
-    sift_down h !smallest
+(* The least of slot [c] and slots [k .. last], the earliest on ties. *)
+let rec min_child compare data c k last =
+  if k > last then c
+  else min_child compare data (if compare data.(k) data.(c) < 0 then k else c) (k + 1) last
+
+let rec sift_down compare data size x i =
+  let first = (4 * i) + 1 in
+  if first >= size then data.(i) <- x
+  else begin
+    let last = if first + 3 < size then first + 3 else size - 1 in
+    let c = min_child compare data first (first + 1) last in
+    let child = data.(c) in
+    if compare child x < 0 then begin
+      data.(i) <- child;
+      sift_down compare data size x c
+    end
+    else data.(i) <- x
   end
 
 let push h x =
   grow h x;
-  h.data.(h.size) <- x;
   h.size <- h.size + 1;
-  sift_up h (h.size - 1)
+  sift_up h.compare h.data x (h.size - 1)
 
 let peek h = if h.size = 0 then None else Some h.data.(0)
 
@@ -53,11 +64,13 @@ let pop h =
   if h.size = 0 then None
   else begin
     let top = h.data.(0) in
-    h.size <- h.size - 1;
-    if h.size > 0 then begin
-      h.data.(0) <- h.data.(h.size);
-      sift_down h 0
-    end;
+    let last = h.size - 1 in
+    h.size <- last;
+    (* A drained heap drops its array, as [filter_in_place] does, so no
+       popped element stays reachable through a stale slot. Otherwise the
+       vacated slot still holds the element sifted out of it, which is
+       live. *)
+    if last = 0 then h.data <- [||] else sift_down h.compare h.data last h.data.(last) 0;
     Some top
   end
 
@@ -80,9 +93,10 @@ let filter_in_place h ~keep =
     done
   else if h.size > 0 then h.data <- [||];
   h.size <- !kept;
-  for i = (h.size / 2) - 1 downto 0 do
-    sift_down h i
-  done
+  if h.size > 1 then
+    for i = (h.size - 2) / 4 downto 0 do
+      sift_down h.compare h.data h.size h.data.(i) i
+    done
 
 let to_list h =
   let rec collect i acc = if i < 0 then acc else collect (i - 1) (h.data.(i) :: acc) in

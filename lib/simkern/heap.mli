@@ -1,4 +1,4 @@
-(** Mutable binary min-heap, used as the simulator's event queue.
+(** Mutable 4-ary min-heap, used as the simulator's event queue.
 
     The ordering function is supplied at creation; ties are broken by
     insertion order only if the ordering function encodes them (the engine
@@ -18,7 +18,8 @@ val push : 'a t -> 'a -> unit
 (** [peek h] returns the minimum element without removing it. *)
 val peek : 'a t -> 'a option
 
-(** [pop h] removes and returns the minimum element. *)
+(** [pop h] removes and returns the minimum element. A heap drained to
+    empty holds no reference to any element it returned. *)
 val pop : 'a t -> 'a option
 
 (** [clear h] removes every element. *)

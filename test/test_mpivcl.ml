@@ -546,10 +546,145 @@ let prop_random_faults_correct =
           && Hashtbl.fold (fun _ v acc -> acc && v = run.reference) run.results true
       | Some (Dispatcher.Aborted _) | None -> false)
 
+(* ------------------------------------------------------------------ *)
+(* Matching queue *)
+
+(* The list matcher the daemons used before [Matching]: one buffer and
+   one parked list in arrival order, scanned for the first entry with the
+   envelope. It is the reference the queue must agree with. *)
+module List_matching = struct
+  type 'r t = {
+    mutable buffer : Message.app_msg list;
+    mutable parked : (int * int * int * 'r) list;
+  }
+
+  let create () = { buffer = []; parked = [] }
+
+  let deliver q (m : Message.app_msg) =
+    let rec split acc = function
+      | [] -> None
+      | (dst, src, tag, reply) :: rest
+        when dst = m.Message.dst && src = m.Message.src && tag = m.Message.tag ->
+          q.parked <- List.rev_append acc rest;
+          Some reply
+      | r :: rest -> split (r :: acc) rest
+    in
+    match split [] q.parked with
+    | Some reply -> Some reply
+    | None ->
+        q.buffer <- q.buffer @ [ m ];
+        None
+
+  let serve q ~dst ~src ~tag reply =
+    let rec split acc = function
+      | [] -> None
+      | (m : Message.app_msg) :: rest
+        when m.Message.dst = dst && m.Message.src = src && m.Message.tag = tag ->
+          q.buffer <- List.rev_append acc rest;
+          Some m
+      | m :: rest -> split (m :: acc) rest
+    in
+    match split [] q.buffer with
+    | Some m -> Some m
+    | None ->
+        q.parked <- q.parked @ [ (dst, src, tag, reply) ];
+        None
+
+  let clear q =
+    q.buffer <- [];
+    q.parked <- []
+
+  let restore q msgs = q.buffer <- msgs
+end
+
+type match_op =
+  | Deliver of int * int * int
+  | Serve of int * int * int
+  | Clear
+  | Restore of (int * int * int) list
+
+let pp_match_op = function
+  | Deliver (d, s, t) -> Printf.sprintf "deliver(%d,%d,%d)" d s t
+  | Serve (d, s, t) -> Printf.sprintf "serve(%d,%d,%d)" d s t
+  | Clear -> "clear"
+  | Restore envs ->
+      Printf.sprintf "restore[%s]"
+        (String.concat ";" (List.map (fun (d, s, t) -> Printf.sprintf "%d,%d,%d" d s t) envs))
+
+(* Few envelopes, so that keys collide and FIFO order per key matters. *)
+let match_op_gen =
+  let open QCheck.Gen in
+  let env = triple (int_bound 1) (int_bound 2) (int_bound 1) in
+  frequency
+    [
+      (8, map (fun (d, s, t) -> Deliver (d, s, t)) env);
+      (8, map (fun (d, s, t) -> Serve (d, s, t)) env);
+      (1, return Clear);
+      (1, map (fun envs -> Restore envs) (list_size (int_bound 4) env));
+    ]
+
+let prop_matching_model =
+  QCheck.Test.make ~name:"matching queue agrees with the list matcher" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat " " (List.map pp_match_op ops))
+       QCheck.Gen.(list_size (int_bound 80) match_op_gen))
+    (fun ops ->
+      let q = Matching.create () and r = List_matching.create () in
+      (* Every message and receive carries a fresh id, so a reply names
+         exactly which one matched. *)
+      let next = ref 0 in
+      let fresh () =
+        incr next;
+        !next
+      in
+      let msg (dst, src, tag) = { Message.src; dst; tag; data = fresh (); bytes = 0 } in
+      List.for_all
+        (fun op ->
+          let agree =
+            match op with
+            | Deliver (dst, src, tag) ->
+                let m = msg (dst, src, tag) in
+                Matching.deliver q m = List_matching.deliver r m
+            | Serve (dst, src, tag) ->
+                let id = fresh () in
+                Matching.serve q ~dst ~src ~tag id = List_matching.serve r ~dst ~src ~tag id
+            | Clear ->
+                Matching.clear q;
+                List_matching.clear r;
+                true
+            | Restore envs ->
+                let msgs = List.map msg envs in
+                Matching.restore q msgs;
+                List_matching.restore r msgs;
+                true
+          in
+          agree && Matching.buffered q = r.List_matching.buffer)
+        ops)
+
+(* Serving n unexpected messages newest first costs the list matcher
+   O(n) words per operation; the queue must stay O(1). *)
+let test_matching_scales () =
+  let n = 20_000 in
+  let msgs = Array.init n (fun i -> { Message.src = i mod 7; dst = 0; tag = i; data = i; bytes = 0 }) in
+  let q = Matching.create () in
+  let before = Gc.minor_words () in
+  Array.iteri
+    (fun i m -> if Matching.deliver q m <> None then Alcotest.failf "deliver %d matched" i)
+    msgs;
+  for i = n - 1 downto 0 do
+    let m = msgs.(i) in
+    match Matching.serve q ~dst:0 ~src:m.Message.src ~tag:m.Message.tag () with
+    | Some got -> if got != m then Alcotest.failf "serve %d returned the wrong message" i
+    | None -> Alcotest.failf "serve %d found nothing" i
+  done;
+  let per_op = (Gc.minor_words () -. before) /. float_of_int (2 * n) in
+  check_bool "queue drained" true (Matching.buffered q = []);
+  if per_op > 64.0 then Alcotest.failf "%.1f minor words per operation (bound 64)" per_op
+
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
-      [ prop_random_faults_correct; prop_v2_random_faults_correct ]
+      [ prop_random_faults_correct; prop_v2_random_faults_correct; prop_matching_model ]
   in
   Alcotest.run "mpivcl"
     [
@@ -601,5 +736,6 @@ let () =
             test_respawned_server_resyncs_shard;
         ] );
       ("local-disk", [ Alcotest.test_case "retention" `Quick test_local_disk_retention ]);
+      ("matching", [ Alcotest.test_case "O(1) per operation" `Quick test_matching_scales ]);
       ("properties", qsuite);
     ]

@@ -91,6 +91,87 @@ let prop_heap_sorts =
       in
       drain [] = List.sort Int.compare xs)
 
+type heap_op = Push of int | Pop | Filter of int | Clear
+
+let pp_heap_op = function
+  | Push x -> Printf.sprintf "push %d" x
+  | Pop -> "pop"
+  | Filter k -> Printf.sprintf "filter(mod %d)" k
+  | Clear -> "clear"
+
+(* Interleaved operations against a sorted-list model: every pop, peek
+   and length must agree, not only a final drain. *)
+let prop_heap_model =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map (fun x -> Push x) (int_range (-20) 20));
+          (4, return Pop);
+          (1, map (fun k -> Filter k) (int_range 2 4));
+          (1, return Clear);
+        ])
+  in
+  QCheck.Test.make ~name:"heap agrees with a sorted-list model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_heap_op ops))
+       QCheck.Gen.(list_size (int_bound 150) op))
+    (fun ops ->
+      let h = Heap.create ~compare:Int.compare in
+      let model = ref [] in
+      List.for_all
+        (fun op ->
+          let agree =
+            match op with
+            | Push x ->
+                Heap.push h x;
+                model := List.merge Int.compare [ x ] !model;
+                true
+            | Pop -> (
+                match !model with
+                | [] -> Heap.pop h = None
+                | x :: rest ->
+                    model := rest;
+                    Heap.pop h = Some x)
+            | Filter k ->
+                Heap.filter_in_place h ~keep:(fun x -> x mod k <> 0);
+                model := List.filter (fun x -> x mod k <> 0) !model;
+                true
+            | Clear ->
+                Heap.clear h;
+                model := [];
+                true
+          in
+          agree
+          && Heap.length h = List.length !model
+          && Heap.peek h = (match !model with [] -> None | x :: _ -> Some x))
+        ops)
+
+(* Fills a heap with ten boxed elements, watched through [w]; kept out of
+   line so that no local of the caller's frame holds one. *)
+let[@inline never] fill_watched h w =
+  for i = 0 to Weak.length w - 1 do
+    let x = ref ((i * 7) mod Weak.length w) in
+    Weak.set w i (Some x);
+    Heap.push h x
+  done
+
+let test_heap_pop_releases () =
+  let h = Heap.create ~compare:(fun (a : int ref) b -> Int.compare !a !b) in
+  let w = Weak.create 10 in
+  fill_watched h w;
+  while Option.is_some (Heap.pop h) do
+    ()
+  done;
+  Gc.full_major ();
+  let reachable = ref 0 in
+  for i = 0 to Weak.length w - 1 do
+    if Weak.check w i then incr reachable
+  done;
+  check_int "popped elements still reachable" 0 !reachable;
+  (* [h] must outlive the collection for its stale slots to count. *)
+  check_bool "drained" true (Heap.is_empty h)
+
 (* ------------------------------------------------------------------ *)
 (* Engine *)
 
@@ -877,7 +958,7 @@ let prop_sleep_ordering =
            (List.tl woke))
 
 let () =
-  let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_heap_sorts; prop_determinism; prop_sleep_ordering ] in
+  let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_heap_sorts; prop_heap_model; prop_determinism; prop_sleep_ordering ] in
   Alcotest.run "simkern"
     [
       ( "rng",
@@ -898,6 +979,7 @@ let () =
           Alcotest.test_case "empty" `Quick test_heap_empty;
           Alcotest.test_case "duplicates" `Quick test_heap_duplicates;
           Alcotest.test_case "filter in place" `Quick test_heap_filter_in_place;
+          Alcotest.test_case "pop releases elements" `Quick test_heap_pop_releases;
         ] );
       ( "engine",
         [
