@@ -2,14 +2,11 @@
    bounded variant as a smoke step and uploads the artifact).
 
    One fixed-seed, fault-free stencil run per cluster size on the
-   hosts-vs-wallclock curve 256 -> 16384, timed twice: once with the
-   engine forced to a single event region (the pre-sharding layout) and
-   once with the auto-sized region count [Engine.recommended_regions]
-   picks. Region placement is purely structural — the two runs must
-   agree on every observable (outcome, simulated time, checksums,
-   backend counters) and the bench refuses to report timings otherwise,
-   making the curve double as a large-scale determinism check. The
-   output records the core count and OCaml version it was measured on.
+   hosts-vs-wallclock curve 256 -> 16384, timed once. The bench refuses
+   to report a point whose run did not complete or whose rank checksums
+   differ from [Workload.Stencil.reference_checksum], so the curve
+   doubles as a large-scale correctness check. The output records the
+   core count and OCaml version it was measured on.
 
    Usage: scale.exe [OUT.json [MAX_HOSTS]] — CI passes a small
    MAX_HOSTS to bound the smoke run; the full curve is the default. *)
@@ -30,7 +27,7 @@ let isqrt n =
 let params =
   { Workload.Stencil.iterations = 10; compute_time = 0.5; msg_bytes = 10_000; jitter = 0.0 }
 
-let spec_for ~hosts ~regions =
+let spec_for ~hosts =
   let n_compute = hosts - service_hosts in
   let side = isqrt n_compute in
   let n_ranks = side * side in
@@ -53,19 +50,10 @@ let spec_for ~hosts ~regions =
       (Failmpi.Run.default_spec ~app ~cfg ~n_compute ~state_bytes:100_000) with
       Failmpi.Run.timeout = 600.0;
       trace_level = Simkern.Trace.Summary;
-      regions;
     } )
 
-let observables (r : Failmpi.Run.result) =
-  ( (match r.Failmpi.Run.outcome with
-    | Failmpi.Run.Completed t -> Printf.sprintf "completed:%.6f" t
-    | o -> Failmpi.Run.outcome_name o),
-    r.Failmpi.Run.injected_faults,
-    r.Failmpi.Run.checksums,
-    Failmpi.Backend.Metrics.counters r.Failmpi.Run.metrics )
-
-let timed ~hosts ~regions =
-  let n_ranks, spec = spec_for ~hosts ~regions in
+let timed ~hosts =
+  let n_ranks, spec = spec_for ~hosts in
   let t0 = Unix.gettimeofday () in
   let r = Failmpi.Run.execute spec in
   let wall_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
@@ -95,33 +83,24 @@ let () =
        Sys.ocaml_version);
   List.iteri
     (fun i hosts ->
-      let auto = Simkern.Engine.recommended_regions ~hosts in
-      Printf.printf "scale: %d hosts (regions 1 vs %d)...\n%!" hosts auto;
-      let n_ranks, ms_one, r_one = timed ~hosts ~regions:(Some 1) in
-      let _, ms_auto, r_auto = timed ~hosts ~regions:None in
-      if observables r_one <> observables r_auto then begin
-        Printf.eprintf
-          "scale bench: %d hosts: auto-region run diverged from single-region run\n"
-          hosts;
+      Printf.printf "scale: %d hosts...\n%!" hosts;
+      let n_ranks, wall_ms, r = timed ~hosts in
+      let fail why =
+        Printf.eprintf "scale bench: %d hosts: %s\n" hosts why;
         exit 1
-      end;
-      let sim_time =
-        match r_one.Failmpi.Run.outcome with
-        | Failmpi.Run.Completed t -> Printf.sprintf "%.1f" t
-        | _ -> "null"
       in
-      (match r_one.Failmpi.Run.outcome with
-      | Failmpi.Run.Completed _ -> ()
-      | o ->
-          Printf.eprintf "scale bench: %d hosts did not complete (%s)\n" hosts
-            (Failmpi.Run.outcome_name o);
-          exit 1);
+      let sim_time =
+        match r.Failmpi.Run.outcome with
+        | Failmpi.Run.Completed t -> t
+        | o -> fail ("did not complete (" ^ Failmpi.Run.outcome_name o ^ ")")
+      in
+      let reference = Workload.Stencil.reference_checksum params ~n_ranks in
+      if r.Failmpi.Run.checksums <> List.init n_ranks (fun rank -> (rank, reference)) then
+        fail "rank checksums differ from the fault-free reference";
       Buffer.add_string buf
         (Printf.sprintf
-           "    { \"hosts\": %d, \"ranks\": %d, \"auto_regions\": %d,\n\
-           \      \"wall_ms_regions1\": %.1f, \"wall_ms_auto\": %.1f,\n\
-           \      \"sim_time_s\": %s, \"observables_identical\": true }%s\n"
-           hosts n_ranks auto ms_one ms_auto sim_time
+           "    { \"hosts\": %d, \"ranks\": %d, \"wall_ms\": %.1f, \"sim_time_s\": %.1f }%s\n"
+           hosts n_ranks wall_ms sim_time
            (if i = List.length curve - 1 then "" else ",")))
     curve;
   Buffer.add_string buf "  ]\n}\n";

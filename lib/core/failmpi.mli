@@ -58,16 +58,15 @@ module Run : sig
             allocation-light setting quantitative campaigns use. Never
             affects the simulation itself, only what is recorded. *)
     regions : int option;
-        (** engine event-region (shard) count; [None] (the default)
-            derives it from the cluster size via
-            {!Simkern.Engine.recommended_regions}. Purely a scheduling
-            data-structure knob — outcomes, traces and checksums are
-            identical for every value. *)
+        (** validated ([Some r] with [r < 1] is rejected) and otherwise
+            ignored: the engine keeps a single event heap. The field
+            stays only for existing callers and goes with the next
+            benchmark change. *)
   }
 
   (** [default_spec ~app ~cfg ~n_compute ~state_bytes] fills paper
       defaults (1500 s timeout, no scenario, seed 1, [Full] trace,
-      auto-sized regions). *)
+      [regions = None]). *)
   val default_spec :
     app:Mpivcl.App.t ->
     cfg:Mpivcl.Config.t ->

@@ -47,7 +47,7 @@ let render aggs = Harness.render_table ~title:"Figure 6: impact of scale (1 faul
 (* Figure 6 at simulation scale: the same no-fault / fault-every-period
    rows at thousands of ranks, across the paper's three protocol
    families, one seed per cell. The physical testbed stopped at BT-64;
-   the sharded core re-runs the figure at 4096 ranks. *)
+   the simulator re-runs the figure at 4096 ranks. *)
 
 type big_config = {
   big_klass : Workload.Bt_model.klass;
@@ -144,7 +144,7 @@ let render_big aggs =
 
 let big_paper_note =
   "Beyond the paper: the physical FAIL-MPI testbed topped out at BT-64 on\n\
-   Grid'5000; the sharded simulation core re-runs the Figure 6 protocol\n\
+   Grid'5000; the simulation core re-runs the Figure 6 protocol\n\
    (no-fault baseline vs one fault every few seconds) at 1024 and 4096\n\
    ranks across the non-blocking, blocking and sender-logging families.\n\
    Checksums of completed runs are verified against the sequential\n\

@@ -3,33 +3,19 @@ type event_state = Pending | Cancelled | Done
 type event = {
   time : float;
   seq : int;
-  region : int;  (* shard index, in [0, Array.length owner.shards) *)
   thunk : unit -> unit;
   mutable state : event_state;
   owner : t;
 }
 
-(* A merge-heap entry advertises that [m_shard]'s head was the event with
-   key [(m_time, m_seq)] when the entry was pushed. Entries are lazy:
-   when the shard head has moved on (the event was popped, compacted
-   away, or superseded by a smaller push that got its own entry) the
-   entry is stale and is discarded on contact. Sequence numbers are
-   globally unique, so matching [m_seq] against the head is exact. *)
-and merge_entry = { m_time : float; m_seq : int; m_shard : int }
-
-and shard = { s_heap : event Heap.t }
-
 and t = {
   mutable now : float;
-  mutable next_seq : int;  (* stamped globally, across all shards *)
+  mutable next_seq : int;
   mutable next_pid : int;
   mutable halted : bool;
-  shards : shard array;
-  merge : merge_entry Heap.t;  (* unused when there is a single shard *)
-  mutable current_region : int;  (* region of the event being executed *)
+  queue : event Heap.t;  (* keyed by [(time, seq)]; holds tombstones too *)
   mutable live : int;  (* scheduled, not yet executed or cancelled *)
-  mutable tombstones : int;  (* cancelled events still sitting in the queues *)
-  mutable total_events : int;  (* live + tombstones actually enqueued *)
+  mutable tombstones : int;  (* cancelled events still sitting in the queue *)
   rng : Rng.t;
   trace : Trace.t;
 }
@@ -40,45 +26,18 @@ let compare_events a b =
   let c = Float.compare a.time b.time in
   if c <> 0 then c else Int.compare a.seq b.seq
 
-(* Sequence numbers are globally unique, so [(time, seq)] is already a
-   total order; the shard index only documents the merge key. *)
-let compare_entries a b =
-  let c = Float.compare a.m_time b.m_time in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.m_seq b.m_seq in
-    if c <> 0 then c else Int.compare a.m_shard b.m_shard
-
-let create ?(seed = 1L) ?trace_level ?(regions = 1) () =
-  if regions < 1 then
-    invalid_arg (Printf.sprintf "Engine.create: regions must be >= 1 (got %d)" regions);
+let create ?(seed = 1L) ?trace_level () =
   {
     now = 0.0;
     next_seq = 0;
     next_pid = 0;
     halted = false;
-    shards = Array.init regions (fun _ -> { s_heap = Heap.create ~compare:compare_events });
-    merge = Heap.create ~compare:compare_entries;
-    current_region = 0;
+    queue = Heap.create ~compare:compare_events;
     live = 0;
     tombstones = 0;
-    total_events = 0;
     rng = Rng.create seed;
     trace = Trace.create ?level:trace_level ();
   }
-
-(* Shard count for a cluster of [hosts] hosts: roughly sqrt so shard
-   heaps and the merge heap grow together, capped so tiny runs keep a
-   single queue and huge ones do not fragment into thousands. *)
-let recommended_regions ~hosts =
-  if hosts <= 16 then 1
-  else
-    let rec ceil_sqrt i = if i * i >= hosts then i else ceil_sqrt (i + 1) in
-    max 2 (min 128 (ceil_sqrt 1))
-
-let regions t = Array.length t.shards
-
-let current_region t = t.current_region
 
 let now t = t.now
 let rng t = t.rng
@@ -98,95 +57,28 @@ let fresh_pid t =
   t.next_pid <- t.next_pid + 1;
   pid
 
-let entry_of ev = { m_time = ev.time; m_seq = ev.seq; m_shard = ev.region }
-
-let push_event t ev =
-  let sh = t.shards.(ev.region) in
-  Heap.push sh.s_heap ev;
-  t.total_events <- t.total_events + 1;
-  if Array.length t.shards > 1 then
-    (* Only a new shard minimum needs advertising; otherwise the entry
-       already covering the head also covers this deeper event. *)
-    match Heap.peek sh.s_heap with
-    | Some head when head == ev -> Heap.push t.merge (entry_of ev)
-    | Some _ | None -> ()
-
-(* Discard stale merge entries until the top matches some shard's head;
-   that head is then the global minimum (every non-empty shard keeps an
-   entry matching its head, and the merge heap returns the least). *)
-let rec peek_min t =
-  if Array.length t.shards = 1 then Heap.peek t.shards.(0).s_heap
-  else
-    match Heap.peek t.merge with
-    | None -> None
-    | Some m -> (
-        match Heap.peek t.shards.(m.m_shard).s_heap with
-        | Some head when head.seq = m.m_seq -> Some head
-        | Some _ | None ->
-            ignore (Heap.pop t.merge);
-            peek_min t)
-
-let pop_min t =
-  match peek_min t with
-  | None -> None
-  | Some _ when Array.length t.shards = 1 ->
-      t.total_events <- t.total_events - 1;
-      Heap.pop t.shards.(0).s_heap
-  | Some _ ->
-      let m = Option.get (Heap.pop t.merge) in
-      let sh = t.shards.(m.m_shard) in
-      let ev = Option.get (Heap.pop sh.s_heap) in
-      t.total_events <- t.total_events - 1;
-      (match Heap.peek sh.s_heap with
-      | Some head -> Heap.push t.merge (entry_of head)
-      | None -> ());
-      Some ev
-
-let schedule_at ?region t ~time f =
+let schedule_at t ~time f =
   if time < t.now then
     invalid_arg
       (Printf.sprintf "Engine.schedule_at: time %g is in the past (now %g)" time t.now);
-  let region =
-    match region with
-    | None -> t.current_region
-    | Some r ->
-        if r < 0 then
-          invalid_arg
-            (Printf.sprintf "Engine.schedule: region must be >= 0 (got %d)" r);
-        r mod Array.length t.shards
-  in
-  let ev = { time; seq = t.next_seq; region; thunk = f; state = Pending; owner = t } in
+  let ev = { time; seq = t.next_seq; thunk = f; state = Pending; owner = t } in
   t.next_seq <- t.next_seq + 1;
-  push_event t ev;
+  Heap.push t.queue ev;
   t.live <- t.live + 1;
   ev
 
-let schedule ?region t ?(delay = 0.0) f =
+let schedule t ?(delay = 0.0) f =
   if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
-  schedule_at ?region t ~time:(t.now +. delay) f
+  schedule_at t ~time:(t.now +. delay) f
 
 (* Long runs cancel many timeouts (every satisfied [recv_timeout] leaves
    one behind); tombstones degrade push/pop, so once they are the
-   majority of a non-trivial queue we rebuild the shards without them.
-   The merge heap is rebuilt from the surviving heads, which also drops
-   any stale entries it accumulated. *)
+   majority of a non-trivial queue we rebuild it without them. *)
 let compact_threshold = 64
 
 let compact t =
-  Array.iter
-    (fun sh -> Heap.filter_in_place sh.s_heap ~keep:(fun ev -> ev.state = Pending))
-    t.shards;
-  t.total_events <- t.live;
-  t.tombstones <- 0;
-  if Array.length t.shards > 1 then begin
-    Heap.clear t.merge;
-    Array.iter
-      (fun sh ->
-        match Heap.peek sh.s_heap with
-        | Some head -> Heap.push t.merge (entry_of head)
-        | None -> ())
-      t.shards
-  end
+  Heap.filter_in_place t.queue ~keep:(fun ev -> ev.state = Pending);
+  t.tombstones <- 0
 
 let cancel ev =
   match ev.state with
@@ -196,7 +88,7 @@ let cancel ev =
       let t = ev.owner in
       t.live <- t.live - 1;
       t.tombstones <- t.tombstones + 1;
-      let size = t.total_events in
+      let size = Heap.length t.queue in
       if size >= compact_threshold && t.tombstones > size / 2 then compact t
 
 (* Move a pending event to a new time, reusing its sequence number: the
@@ -204,9 +96,8 @@ let cancel ev =
    had if it had been scheduled at [time] in the first place, so a
    retimed run stays byte-identical to one that scheduled the new time
    from scratch (same-instant ties break on seq). The original is left
-   behind as a tombstone; sharing its seq is harmless — the merge heap's
-   lazy entries resolve against whichever physical event heads the shard,
-   and both resolutions are handled (tombstone pop, or actual run). *)
+   behind as a tombstone under the same seq; the queue orders by the
+   full [(time, seq)] key, so the two never stand in for each other. *)
 let retime h ~time =
   let t = h.owner in
   (match h.state with
@@ -219,23 +110,21 @@ let retime h ~time =
   else begin
     h.state <- Cancelled;
     t.tombstones <- t.tombstones + 1;
-    let ev =
-      { time; seq = h.seq; region = h.region; thunk = h.thunk; state = Pending; owner = t }
-    in
-    push_event t ev;
+    let ev = { time; seq = h.seq; thunk = h.thunk; state = Pending; owner = t } in
+    Heap.push t.queue ev;
     ev
   end
 
 let pending t = t.live
 
-let queue_size t = t.total_events
+let queue_size t = Heap.length t.queue
 
 let run ?(until = infinity) ?stop_before t =
   t.halted <- false;
   let rec loop () =
     if t.halted then `Halted
     else
-      match peek_min t with
+      match Heap.peek t.queue with
       | None -> `Quiescent
       | Some ev when ev.time > until ->
           t.now <- until;
@@ -247,7 +136,7 @@ let run ?(until = infinity) ?stop_before t =
              fork the process, or step over it with [run_one]. *)
           `Breakpoint
       | Some _ ->
-          let ev = Option.get (pop_min t) in
+          let ev = Option.get (Heap.pop t.queue) in
           (match ev.state with
           | Cancelled -> t.tombstones <- t.tombstones - 1
           | Done -> ()
@@ -255,7 +144,6 @@ let run ?(until = infinity) ?stop_before t =
               ev.state <- Done;
               t.live <- t.live - 1;
               t.now <- ev.time;
-              t.current_region <- ev.region;
               ev.thunk ());
           loop ()
   in
@@ -263,7 +151,7 @@ let run ?(until = infinity) ?stop_before t =
 
 let run_one t =
   let rec go () =
-    match pop_min t with
+    match Heap.pop t.queue with
     | None -> false
     | Some ev -> (
         match ev.state with
@@ -275,7 +163,6 @@ let run_one t =
             ev.state <- Done;
             t.live <- t.live - 1;
             t.now <- ev.time;
-            t.current_region <- ev.region;
             ev.thunk ();
             true)
   in
@@ -288,7 +175,7 @@ let halt t = t.halted <- true
 
    A snapshot captures the engine's own bookkeeping: clock, counters,
    RNG state, trace position, and every queued event together with the
-   state it had at capture. [restore] rebuilds the shard heaps from that
+   state it had at capture. [restore] rebuilds the queue from that
    set and rewinds the scalars. Event thunks are shared, not copied —
    the engine cannot rewind what a thunk's closure points at (process
    continuations, protocol state), so restore is only sound when that
@@ -303,43 +190,36 @@ type snapshot = {
   snap_seq : int;
   snap_pid : int;
   snap_halted : bool;
-  snap_region : int;
   snap_rng : Rng.t;
   snap_events : (event * event_state) array;
   snap_trace : int;
 }
 
 let snapshot t =
-  let evs = ref [] in
-  Array.iter
-    (fun sh -> List.iter (fun ev -> evs := (ev, ev.state) :: !evs) (Heap.to_list sh.s_heap))
-    t.shards;
   {
     snap_now = t.now;
     snap_seq = t.next_seq;
     snap_pid = t.next_pid;
     snap_halted = t.halted;
-    snap_region = t.current_region;
     snap_rng = Rng.copy t.rng;
-    snap_events = Array.of_list !evs;
+    snap_events =
+      Array.of_list (List.rev_map (fun ev -> (ev, ev.state)) (Heap.to_list t.queue));
     snap_trace = Trace.length t.trace;
   }
 
 let restore t s =
-  Array.iter (fun sh -> Heap.clear sh.s_heap) t.shards;
-  Heap.clear t.merge;
+  Heap.clear t.queue;
   t.live <- 0;
   t.tombstones <- 0;
-  t.total_events <- 0;
   Array.iter
     (fun (ev, st) ->
       ev.state <- st;
       match st with
       | Pending ->
-          push_event t ev;
+          Heap.push t.queue ev;
           t.live <- t.live + 1
       | Cancelled ->
-          push_event t ev;
+          Heap.push t.queue ev;
           t.tombstones <- t.tombstones + 1
       | Done -> ())
     s.snap_events;
@@ -347,7 +227,6 @@ let restore t s =
   t.next_seq <- s.snap_seq;
   t.next_pid <- s.snap_pid;
   t.halted <- s.snap_halted;
-  t.current_region <- s.snap_region;
   Rng.assign t.rng s.snap_rng;
   Trace.truncate t.trace s.snap_trace
 

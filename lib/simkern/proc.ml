@@ -120,7 +120,7 @@ let handler p =
         | _ -> None);
   }
 
-let spawn eng ?region ?name body =
+let spawn eng ?name body =
   let pid = Engine.fresh_pid eng in
   let name = match name with Some n -> n | None -> Printf.sprintf "proc-%d" pid in
   let p =
@@ -146,10 +146,7 @@ let spawn eng ?region ?name body =
           Effect.Deep.match_with body () (handler p)
         end
   in
-  (* Only the start event is pinned; later resumptions inherit the region
-     of whichever event wakes the process, which keeps a process's events
-     in its spawn region as long as it wakes itself (sleeps, timers). *)
-  Engine.schedule ?region eng (fun () -> run_step p start) |> ignore;
+  Engine.schedule eng (fun () -> run_step p start) |> ignore;
   p
 
 let kill p =

@@ -3,8 +3,7 @@
     Mirrors the paper's Grid Explorer setup: an experiment devotes more
     machines than application processes (e.g. 53 hosts for BT-49) so that
     spare processors are always available after failures. Host identifiers
-    double as network addresses in {!Simnet.Net} and as event-queue
-    regions in {!Simkern.Engine}.
+    double as network addresses in {!Simnet.Net}.
 
     Task tracking is flat state: slots in preallocated parallel arrays
     recycled through a free-list, with an intrusive per-host list over
@@ -37,8 +36,7 @@ val host : t -> int -> host
 
 val hosts : t -> host list
 
-(** [spawn_on t ~host ?name body] starts a task on [host]; the task's
-    start event lives in host [host]'s engine region. The task is
+(** [spawn_on t ~host ?name body] starts a task on [host]. The task is
     tracked in the host's slot list until it exits. *)
 val spawn_on : t -> host:int -> ?name:string -> (unit -> unit) -> Proc.t
 

@@ -241,7 +241,7 @@ let goldens =
       ] );
   ]
 
-let run_golden ?regions ~protocol g =
+let run_golden ~protocol g =
   let n_machines =
     match protocol with Mpivcl.Config.Replication _ -> 10 | _ -> 8
   in
@@ -250,11 +250,10 @@ let run_golden ?regions ~protocol g =
     {
       (golden_spec ~protocol ~n_ranks:4 ~n_machines ~scenario) with
       Failmpi.Run.seed = g.g_seed;
-      regions;
     }
 
-let check_golden ?regions name ~protocol g =
-  let r = run_golden ?regions ~protocol g in
+let check_golden name ~protocol g =
+  let r = run_golden ~protocol g in
   let ctx fmt = Printf.sprintf "%s seed=%Ld %s" name g.g_seed fmt in
   check_str (ctx "outcome") g.g_outcome (Failmpi.Run.outcome_name r.Failmpi.Run.outcome);
   check_str (ctx "time") g.g_time
@@ -271,44 +270,6 @@ let check_golden ?regions name ~protocol g =
 
 let test_golden name protocol cases () =
   List.iter (fun g -> ignore (check_golden name ~protocol g)) cases
-
-(* Region placement is purely structural: with the event queue split
-   into 5 shards the same seeds must still land byte-for-byte on the
-   pre-refactor captures above. *)
-let test_golden_sharded name protocol cases () =
-  List.iter (fun g -> ignore (check_golden ~regions:5 name ~protocol g)) cases
-
-(* ULFM's pinned goldens live in test_mpiulfm (its outcomes are Degraded
-   shapes, not the table above); here pin shard-placement neutrality for
-   the fifth backend: a faulty shrink run is identical at any region
-   count, down to every counter. *)
-let test_ulfm_sharded_equivalence () =
-  let fp regions =
-    let protocol = Mpivcl.Config.Ulfm { spares = 1 } in
-    let scenario = Fail_lang.Paper_scenarios.frequency ~n_machines:8 ~period:15 in
-    let r =
-      Failmpi.Run.execute
-        {
-          (golden_spec ~protocol ~n_ranks:4 ~n_machines:8 ~scenario) with
-          Failmpi.Run.seed = 1L;
-          regions = Some regions;
-        }
-    in
-    Printf.sprintf "%s|%s|%d|%s|%s"
-      (Failmpi.Run.outcome_name r.Failmpi.Run.outcome)
-      (match r.Failmpi.Run.outcome with
-      | Failmpi.Run.Completed t | Failmpi.Run.Degraded { at = t; _ } ->
-          Printf.sprintf "%.9f" t
-      | _ -> "-")
-      r.Failmpi.Run.injected_faults
-      (String.concat ","
-         (List.map (fun (rk, c) -> Printf.sprintf "%d:%d" rk c) r.Failmpi.Run.checksums))
-      (String.concat ","
-         (List.map
-            (fun (k, v) -> Printf.sprintf "%s=%d" k v)
-            (Backend.Metrics.counters r.Failmpi.Run.metrics)))
-  in
-  check_str "ulfm: 5 regions = 1 region" (fp 1) (fp 5)
 
 let test_metrics_not_cross_wired () =
   (* The pre-refactor Run.execute hard-coded the counters of the other
@@ -352,13 +313,4 @@ let () =
           (fun (name, protocol, cases) ->
             Alcotest.test_case name `Quick (test_golden name protocol cases))
           goldens );
-      ( "golden-sharded",
-        List.map
-          (fun (name, protocol, cases) ->
-            Alcotest.test_case name `Quick (test_golden_sharded name protocol cases))
-          goldens
-        @ [
-            Alcotest.test_case "ulfm region equivalence" `Quick
-              test_ulfm_sharded_equivalence;
-          ] );
     ]

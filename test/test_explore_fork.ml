@@ -1,7 +1,9 @@
 (* Tests for the prefix-sharing fork scheduler and the coverage corpus:
 
    - fork-vs-replay byte-identical reports across all five protocol
-     backends, on a >= 3-fault sampled configuration;
+     backends, on a >= 3-fault sampled configuration, and on the CLI's
+     default 9-rank explorer campaign, whose scenario timers are
+     retimed earlier and then later across pauses;
    - --jobs invariance: fork at jobs 1 and 4 and replay at jobs 1 and 4
      all render the same JSON;
    - shrink-oracle memoization (probes_saved) on a real witness;
@@ -93,6 +95,38 @@ let backend_spec name =
 
 let other_backends = [ "blocking"; "v2"; "replication"; "ulfm" ]
 
+(* The CLI's default explorer campaign (failmpi_explore --seed 123456789
+   --max-faults 2 --budget 40): historical vcl dispatcher, NAS BT class
+   A at 9 ranks on 13 machines, kill faults aimed at every rank host. *)
+let cli_seed = 123456789
+
+let cli_default_spec () =
+  let (module B : Failmpi.Backend.S) = Option.get (Failmpi.Backend.find "vcl") in
+  let n_ranks = 9 in
+  let n_machines = B.default_machines ~n_ranks ~replicas:2 in
+  let cfg =
+    {
+      (Mpivcl.Config.default ~n_ranks) with
+      Mpivcl.Config.protocol = B.protocol ~replicas:2;
+      dispatcher_buggy = true;
+    }
+  in
+  ( {
+      (Experiments.Harness.bt_spec ~cfg ~klass:Workload.Bt_model.A ~n_ranks ~n_machines
+         ~scenario:None ())
+      with
+      Failmpi.Run.seed = Int64.of_int cli_seed;
+      timeout = 600.0;
+    },
+    {
+      (Explore.default_config ~n_machines ~targets:(List.init n_ranks Fun.id)
+         ~buckets:[ 25; 10; 3 ])
+      with
+      Explore.max_faults = 2;
+      budget = 40;
+      sample_seed = cli_seed;
+    } )
+
 (* ------------------------------------------------------------------ *)
 (* Phase 1 — every fork campaign, before any domain exists. *)
 
@@ -105,6 +139,10 @@ let backend_forked =
       let spec, cfg = backend_spec name in
       (name, fst (Explore.run_spec ~jobs:4 ~fork:true cfg ~spec)))
     other_backends
+
+let cli_forked =
+  let spec, cfg = cli_default_spec () in
+  fst (Explore.run_spec ~jobs:2 ~fork:true cfg ~spec)
 
 (* Corpus round-trip (fork mode, so it also belongs to phase 1). *)
 
@@ -135,6 +173,10 @@ let backend_replayed =
       (name, fst (Explore.run_spec ~jobs:4 ~fork:false cfg ~spec)))
     other_backends
 
+let cli_replayed =
+  let spec, cfg = cli_default_spec () in
+  fst (Explore.run_spec ~jobs:2 ~fork:false cfg ~spec)
+
 (* ------------------------------------------------------------------ *)
 (* Fork-vs-replay equivalence *)
 
@@ -163,6 +205,11 @@ let test_backends_fork_equals_replay () =
       check_str "same backend" name name';
       check_str (name ^ ": fork = replay") (Explore.to_json replayed) (Explore.to_json forked))
     backend_forked backend_replayed
+
+let test_cli_default_fork_equals_replay () =
+  check_int "full campaign ran" 40 (List.length cli_forked.Explore.records);
+  check_str "fork = replay, byte for byte" (Explore.to_json cli_replayed)
+    (Explore.to_json cli_forked)
 
 (* ------------------------------------------------------------------ *)
 (* Shrink memo *)
@@ -294,6 +341,8 @@ let () =
           Alcotest.test_case "jobs invariance" `Quick test_jobs_invariance;
           Alcotest.test_case ">= 3-fault sampled campaign" `Quick test_sampled_faults_present;
           Alcotest.test_case "all backends fork = replay" `Quick test_backends_fork_equals_replay;
+          Alcotest.test_case "CLI default campaign fork = replay" `Quick
+            test_cli_default_fork_equals_replay;
         ] );
       ("memo", [ Alcotest.test_case "shrink probes memoized" `Quick test_shrink_memo ]);
       ( "corpus",

@@ -210,6 +210,20 @@ let test_engine_cancel () =
   ignore (Engine.run eng);
   check_bool "cancelled" false !fired
 
+let test_engine_cancel_queue_head () =
+  (* Cancelling the head of the event queue must not starve or reorder
+     what follows it. The queue used to be split into per-region shards;
+     it is now one heap, and this is the case that survives. *)
+  let eng = Engine.create () in
+  let log = ref [] in
+  let a = Engine.schedule eng ~delay:1.0 (fun () -> log := "a" :: !log) in
+  Engine.schedule eng ~delay:2.0 (fun () -> log := "b" :: !log) |> ignore;
+  Engine.schedule eng ~delay:3.0 (fun () -> log := "c" :: !log) |> ignore;
+  Engine.cancel a;
+  ignore (Engine.run eng);
+  check (Alcotest.list Alcotest.string) "survivors in order" [ "b"; "c" ] (List.rev !log);
+  check_float "ran to last event" 3.0 (Engine.now eng)
+
 let test_engine_halt () =
   let eng = Engine.create () in
   Engine.schedule eng ~delay:1.0 (fun () -> Engine.halt eng) |> ignore;
@@ -294,7 +308,36 @@ let test_engine_retime_keeps_slot () =
   check (Alcotest.list Alcotest.string) "sequence slot kept" [ "c"; "a"; "b" ] (List.rev !log);
   Alcotest.check_raises "stale handle refused"
     (Invalid_argument "Engine.retime: event is no longer pending") (fun () ->
-      ignore (Engine.retime c' ~time:20.0))
+      ignore (Engine.retime c' ~time:20.0));
+  (* The explorer's pattern: re-aim a timer earlier, pause before it,
+     then re-aim it later, past other pending events. Both retimes leave
+     a tombstone under the timer's sequence number; the run must still
+     equal one that scheduled the final time from scratch, with the
+     clock never going backwards. *)
+  let trial ~retimed =
+    let eng = Engine.create () in
+    let log = ref [] in
+    let note name () = log := Printf.sprintf "%s@%g" name (Engine.now eng) :: !log in
+    let timer = Engine.schedule eng ~delay:(if retimed then 35.0 else 50.0) (note "timer") in
+    List.iter
+      (fun (name, delay) -> Engine.schedule eng ~delay (note name) |> ignore)
+      [ ("e1", 10.0); ("e2", 35.285); ("e3", 50.0); ("e4", 60.0) ];
+    if retimed then begin
+      let early = Engine.retime timer ~time:20.0 in
+      check_bool "paused before the timer" true
+        (Engine.run ~stop_before:early eng = `Breakpoint);
+      check_float "clock at the pause" 10.0 (Engine.now eng);
+      ignore (Engine.retime early ~time:50.0)
+    end;
+    ignore (Engine.run eng);
+    List.rev !log
+  in
+  let scratch = trial ~retimed:false in
+  check (Alcotest.list Alcotest.string) "from-scratch order"
+    [ "e1@10"; "e2@35.285"; "timer@50"; "e3@50"; "e4@60" ]
+    scratch;
+  check (Alcotest.list Alcotest.string) "retimed twice = from scratch" scratch
+    (trial ~retimed:true)
 
 let test_engine_snapshot_restore () =
   let eng = Engine.create ~seed:5L () in
@@ -611,143 +654,6 @@ let test_engine_tombstone_compaction () =
   check_int "only live events ran" 40 !executed;
   check_int "drained" 0 (Engine.pending eng)
 
-(* Event regions: sharding is structural only — placement must never
-   change execution order, and cross-region merge must stay exactly the
-   single-queue schedule order. *)
-
-(* Full-stack fingerprint (fibers, mailbox, RNG-driven sleeps); also
-   used by the same-seed determinism property below. Workers land in
-   distinct regions when [regions > 1]. *)
-let sim_fingerprint ?(regions = 1) seed =
-  let eng = Engine.create ~seed ~regions () in
-  let mb = Mailbox.create () in
-  let log = Buffer.create 64 in
-  let rng = Rng.split (Engine.rng eng) in
-  for i = 1 to 5 do
-    ignore
-      (Proc.spawn eng ~region:(i mod regions) ~name:(Printf.sprintf "w%d" i) (fun () ->
-           Proc.sleep (Rng.float rng 10.0);
-           Mailbox.send mb i))
-  done;
-  ignore
-    (Proc.spawn eng ~name:"collector" (fun () ->
-         for _ = 1 to 5 do
-           let v = Mailbox.recv mb in
-           Buffer.add_string log (Printf.sprintf "%d@%.6f;" v (Engine.now eng))
-         done));
-  ignore (Engine.run eng);
-  Buffer.contents log
-
-let test_engine_regions_same_instant_order () =
-  (* Events scheduled for the same instant from different regions run in
-     global schedule (sequence) order, not grouped by region. *)
-  let eng = Engine.create ~regions:4 () in
-  check_int "four regions" 4 (Engine.regions eng);
-  let log = ref [] in
-  for i = 1 to 12 do
-    Engine.schedule ~region:(i mod 4) eng (fun () -> log := i :: !log) |> ignore
-  done;
-  ignore (Engine.run eng);
-  check (Alcotest.list Alcotest.int) "global fifo across regions"
-    (List.init 12 (fun i -> i + 1))
-    (List.rev !log)
-
-let test_engine_regions_interleaved_times () =
-  (* Timestamps interleaved across regions pop in time order with the
-     schedule order breaking ties — same as one flat queue. *)
-  let eng = Engine.create ~regions:3 () in
-  let log = ref [] in
-  List.iteri
-    (fun i (region, delay) ->
-      Engine.schedule ~region eng ~delay (fun () -> log := i :: !log) |> ignore)
-    [ (0, 3.0); (1, 1.0); (2, 2.0); (0, 1.0); (2, 1.0); (1, 3.0) ];
-  ignore (Engine.run eng);
-  check (Alcotest.list Alcotest.int) "time order, then schedule order"
-    [ 1; 3; 4; 2; 0; 5 ] (List.rev !log)
-
-let test_engine_regions_inherited () =
-  (* A nested schedule without an explicit region inherits the region of
-     the event that scheduled it. *)
-  let eng = Engine.create ~regions:4 () in
-  let seen = ref (-1) in
-  Engine.schedule ~region:2 eng (fun () ->
-      check_int "ambient region" 2 (Engine.current_region eng);
-      Engine.schedule eng ~delay:1.0 (fun () -> seen := Engine.current_region eng)
-      |> ignore)
-  |> ignore;
-  ignore (Engine.run eng);
-  check_int "inherited region" 2 !seen
-
-let test_engine_regions_fingerprint_identical () =
-  (* The full fiber/mailbox fingerprint is byte-identical whatever the
-     region count: sharding never leaks into scheduling decisions. *)
-  let fp regions = sim_fingerprint ~regions 99L in
-  let reference = fp 1 in
-  List.iter
-    (fun regions ->
-      check Alcotest.string
-        (Printf.sprintf "regions=%d identical" regions)
-        reference (fp regions))
-    [ 2; 7; 128 ]
-
-let test_engine_regions_compaction () =
-  (* Tombstone compaction with populated shards: cancelled events are
-     reclaimed and the cross-shard merge stays correct afterwards. *)
-  let eng = Engine.create ~regions:4 () in
-  let executed = ref 0 in
-  let handles =
-    List.init 100 (fun i ->
-        Engine.schedule ~region:(i mod 4) eng ~delay:(float_of_int (i + 1)) (fun () ->
-            incr executed))
-  in
-  check_int "queue holds all" 100 (Engine.queue_size eng);
-  List.iteri (fun i h -> if i < 60 then Engine.cancel h) handles;
-  check_int "pending is live count" 40 (Engine.pending eng);
-  check_bool "compaction shrank the queue" true (Engine.queue_size eng < 100);
-  ignore (Engine.run eng);
-  check_int "only live events ran" 40 !executed;
-  check_int "drained" 0 (Engine.pending eng)
-
-let test_engine_regions_cancel_shard_head () =
-  (* Cancelling the head of one shard must not starve or reorder the
-     others. *)
-  let eng = Engine.create ~regions:2 () in
-  let log = ref [] in
-  let a = Engine.schedule ~region:0 eng ~delay:1.0 (fun () -> log := "a" :: !log) in
-  Engine.schedule ~region:1 eng ~delay:2.0 (fun () -> log := "b" :: !log) |> ignore;
-  Engine.schedule ~region:0 eng ~delay:3.0 (fun () -> log := "c" :: !log) |> ignore;
-  Engine.cancel a;
-  ignore (Engine.run eng);
-  check (Alcotest.list Alcotest.string) "survivors in order" [ "b"; "c" ]
-    (List.rev !log);
-  check_float "ran to last event" 3.0 (Engine.now eng)
-
-let test_engine_regions_validation () =
-  Alcotest.check_raises "zero regions rejected"
-    (Invalid_argument "Engine.create: regions must be >= 1 (got 0)") (fun () ->
-      ignore (Engine.create ~regions:0 ()));
-  let eng = Engine.create ~regions:3 () in
-  Alcotest.check_raises "negative region rejected"
-    (Invalid_argument "Engine.schedule: region must be >= 0 (got -1)") (fun () ->
-      ignore (Engine.schedule ~region:(-1) eng (fun () -> ())));
-  (* Host ids beyond the shard count are folded in, so callers can pass
-     host ids directly. *)
-  let ran = ref false in
-  Engine.schedule ~region:1001 eng (fun () -> ran := true) |> ignore;
-  ignore (Engine.run eng);
-  check_bool "large region folded" true !ran
-
-let test_recommended_regions () =
-  check_int "small clusters stay unsharded" 1 (Engine.recommended_regions ~hosts:16);
-  check_int "one host" 1 (Engine.recommended_regions ~hosts:1);
-  check_bool "mid-size cluster shards" true (Engine.recommended_regions ~hosts:256 > 1);
-  check_bool "capped" true (Engine.recommended_regions ~hosts:10_000_000 <= 128);
-  List.iter
-    (fun hosts ->
-      let r = Engine.recommended_regions ~hosts in
-      check_bool (Printf.sprintf "sane at %d hosts" hosts) true (r >= 1 && r <= 128))
-    [ 17; 100; 1024; 8192; 100_000 ]
-
 let test_trace_level_gate () =
   let t = Trace.create ~level:Trace.Summary () in
   check_bool "summary enabled" true (Trace.enabled t Trace.Summary);
@@ -931,8 +837,28 @@ let test_ivar_read_after_fill () =
   check_int "immediate read" 5 !got
 
 (* ------------------------------------------------------------------ *)
-(* Determinism property: same seed, same trace ([sim_fingerprint] is
-   defined with the region tests above). *)
+(* Determinism property: same seed, same trace. *)
+
+(* Full-stack fingerprint: fibers, mailbox, RNG-driven sleeps. *)
+let sim_fingerprint seed =
+  let eng = Engine.create ~seed () in
+  let mb = Mailbox.create () in
+  let log = Buffer.create 64 in
+  let rng = Rng.split (Engine.rng eng) in
+  for i = 1 to 5 do
+    ignore
+      (Proc.spawn eng ~name:(Printf.sprintf "w%d" i) (fun () ->
+           Proc.sleep (Rng.float rng 10.0);
+           Mailbox.send mb i))
+  done;
+  ignore
+    (Proc.spawn eng ~name:"collector" (fun () ->
+         for _ = 1 to 5 do
+           let v = Mailbox.recv mb in
+           Buffer.add_string log (Printf.sprintf "%d@%.6f;" v (Engine.now eng))
+         done));
+  ignore (Engine.run eng);
+  Buffer.contents log
 
 let prop_determinism =
   QCheck.Test.make ~name:"same seed gives identical execution" ~count:50
@@ -1003,18 +929,8 @@ let () =
         ] );
       ( "regions",
         [
-          Alcotest.test_case "same instant global order" `Quick
-            test_engine_regions_same_instant_order;
-          Alcotest.test_case "interleaved times" `Quick
-            test_engine_regions_interleaved_times;
-          Alcotest.test_case "region inherited" `Quick test_engine_regions_inherited;
-          Alcotest.test_case "fingerprint identical" `Quick
-            test_engine_regions_fingerprint_identical;
-          Alcotest.test_case "sharded compaction" `Quick test_engine_regions_compaction;
           Alcotest.test_case "cancel shard head" `Quick
-            test_engine_regions_cancel_shard_head;
-          Alcotest.test_case "validation" `Quick test_engine_regions_validation;
-          Alcotest.test_case "recommended regions" `Quick test_recommended_regions;
+            test_engine_cancel_queue_head;
         ] );
       ( "proc",
         [
