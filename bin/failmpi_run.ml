@@ -183,6 +183,16 @@ let run scenario_file paper params ranks klass protocol replicas ckpt_servers
           exit 1
       | None, None -> None
     in
+    (* Same compilation Run.execute performs, so a scenario error
+       (unbound parameter, bad syntax) is a clean CLI error too. *)
+    (match scenario with
+    | Some src -> (
+        match Fail_lang.Compile.compile_source ~params src with
+        | Ok _ -> ()
+        | Error msg ->
+            prerr_endline (Printf.sprintf "failmpi_run: scenario error: %s" msg);
+            exit 1)
+    | None -> ());
     let cfg =
       {
         (Mpivcl.Config.default ~n_ranks:ranks) with

@@ -1,20 +1,10 @@
 open Mpivcl
 
-(* Fabric counters, appended to a backend's metrics only when the
-   perturbation layer was ever touched — the §5 classifier reads
-   [net_dropped]/[net_conn_timeouts] to tell a network-explained wedge
-   ([Net_hung]) from a protocol bug. *)
-let net_extra net =
+(* Fabric counters, reported only when the perturbation layer was ever
+   touched. *)
+let net_stats net =
   let p = Simnet.Net.perturb net in
-  if not (Simnet.Net.Perturb.touched p) then []
-  else
-    let s = Simnet.Net.Perturb.stats p in
-    [
-      ("net_dropped", s.Simnet.Net.Perturb.dropped);
-      ("net_delayed", s.Simnet.Net.Perturb.delayed);
-      ("net_retransmits", s.Simnet.Net.Perturb.retransmits);
-      ("net_conn_timeouts", s.Simnet.Net.Perturb.conn_timeouts);
-    ]
+  if Simnet.Net.Perturb.touched p then Some (Simnet.Net.Perturb.stats p) else None
 
 (* The three rollback-recovery protocols share the MPICH-Vcl deployment
    (dispatcher, daemons, checkpoint servers) and differ only in the
@@ -35,14 +25,13 @@ module Rollback (P : ROLLBACK_SPEC) : Intf.S = struct
   let doc = P.doc
   let family_label ~replicas:_ = P.label
   let protocol ~replicas:_ = P.proto
-  let handles proto = proto = P.proto
 
   (* The paper's allocation: one host per rank plus four spares
      (53 machines for BT-49); services live beyond the compute range. *)
   let default_machines ~n_ranks ~replicas:_ = n_ranks + 4
 
   let launch eng ?fci ~cfg ~app ~state_bytes ~n_compute () =
-    if not (handles cfg.Config.protocol) then
+    if cfg.Config.protocol <> P.proto then
       invalid_arg
         (Printf.sprintf "%s backend cannot run protocol %s" name
            (Config.protocol_name cfg.Config.protocol));
@@ -50,13 +39,19 @@ module Rollback (P : ROLLBACK_SPEC) : Intf.S = struct
 
   let await h = ignore (Dispatcher.outcome h.Deploy.dispatcher)
 
-  let peek_completed h =
-    match Dispatcher.peek_outcome h.Deploy.dispatcher with
-    | Some (Dispatcher.Completed t) -> Some t
-    | Some (Dispatcher.Aborted _) | None -> None
-
-  let frozen h =
-    Dispatcher.confused h.Deploy.dispatcher || Dispatcher.race_lost h.Deploy.dispatcher
+  (* Rollback recovery restores the original membership, so a run never
+     ends degraded. A lost checkpoint beats a frozen dispatcher: the
+     dispatcher also records it as a clean abort, but the verdict must
+     indict the storage plane's replication degree, not the recovery
+     protocol. *)
+  let status h =
+    let d = h.Deploy.dispatcher in
+    match Dispatcher.peek_outcome d with
+    | Some (Dispatcher.Completed t) -> Intf.Completed t
+    | Some (Dispatcher.Aborted _) | None ->
+        if Dispatcher.ckpt_lost d then Intf.Ckpt_lost
+        else if Dispatcher.confused d || Dispatcher.race_lost d then Intf.Frozen
+        else Intf.Running
 
   let metrics h =
     {
@@ -67,14 +62,9 @@ module Rollback (P : ROLLBACK_SPEC) : Intf.S = struct
         | Some scheduler -> Scheduler.committed_count scheduler
         | None -> 0);
       confused = Dispatcher.confused h.Deploy.dispatcher;
-      extra = net_extra (Deploy.net h);
+      net = net_stats (Deploy.net h);
     }
 
-  (* Rollback recovery restores the original membership; terminal failure
-     is [frozen], never a shrink or a clean abort. *)
-  let survivors _ = None
-  let aborted _ = None
-  let ckpt_lost h = Dispatcher.ckpt_lost h.Deploy.dispatcher
   let teardown = Deploy.teardown
 end
 
@@ -126,11 +116,6 @@ module Replication : Intf.S = struct
   let family_label ~replicas = Printf.sprintf "replication x%d" replicas
   let protocol ~replicas = Config.Replication { degree = replicas }
 
-  let handles = function
-    | Config.Replication _ -> true
-    | Config.Non_blocking | Config.Blocking | Config.Sender_logging | Config.Ulfm _ ->
-        false
-
   (* degree x ranks replicas plus two spare hosts for respawns (so e.g.
      --ranks 4 --replicas 2 matches scenarios/replica_split.fail's
      machines 0..9). *)
@@ -138,12 +123,15 @@ module Replication : Intf.S = struct
   let launch = Mpirep.Deploy.launch
   let await h = ignore (Mpirep.Rdispatcher.outcome h.Mpirep.Deploy.rdispatcher)
 
-  let peek_completed h =
-    match Mpirep.Rdispatcher.peek_outcome h.Mpirep.Deploy.rdispatcher with
-    | Some (Mpirep.Rdispatcher.Completed t) -> Some t
-    | Some (Mpirep.Rdispatcher.Aborted _) | None -> None
-
-  let frozen h = Mpirep.Rdispatcher.exhausted h.Mpirep.Deploy.rdispatcher
+  (* Failover restores the full logical membership (every rank keeps
+     computing somewhere); exhaustion is [Frozen], preserving the §5
+     [Buggy] classification of the historical goldens. *)
+  let status h =
+    let rd = h.Mpirep.Deploy.rdispatcher in
+    match Mpirep.Rdispatcher.peek_outcome rd with
+    | Some (Mpirep.Rdispatcher.Completed t) -> Intf.Completed t
+    | Some (Mpirep.Rdispatcher.Aborted _) | None ->
+        if Mpirep.Rdispatcher.exhausted rd then Intf.Frozen else Intf.Running
 
   let metrics h =
     let rd = h.Mpirep.Deploy.rdispatcher in
@@ -151,17 +139,10 @@ module Replication : Intf.S = struct
       Metrics.zero with
       Metrics.failovers = Mpirep.Rdispatcher.failovers rd;
       respawns = Mpirep.Rdispatcher.respawns rd;
-      extra =
-        (("exhausted", if Mpirep.Rdispatcher.exhausted rd then 1 else 0)
-        :: net_extra (Mpirep.Deploy.net h));
+      extra = [ ("exhausted", if Mpirep.Rdispatcher.exhausted rd then 1 else 0) ];
+      net = net_stats (Mpirep.Deploy.net h);
     }
 
-  (* Failover restores the full logical membership (every rank keeps
-     computing somewhere); exhaustion is [frozen], preserving the §5
-     [Buggy] classification of the historical goldens. *)
-  let survivors _ = None
-  let aborted _ = None
-  let ckpt_lost _ = false
   let teardown = Mpirep.Deploy.teardown
 end
 
@@ -180,29 +161,29 @@ module Ulfm : Intf.S = struct
   let family_label ~replicas:_ = "ULFM (shrink)"
   let protocol ~replicas:_ = Config.Ulfm { spares = 0 }
 
-  let handles = function
-    | Config.Ulfm _ -> true
-    | Config.Non_blocking | Config.Blocking | Config.Sender_logging | Config.Replication _
-      ->
-        false
-
   (* One host per daemon; the paper-style four extra hosts double as the
      warm-spare pool when [--spares] asks for one. *)
   let default_machines ~n_ranks ~replicas:_ = n_ranks + 4
   let launch = Mpiulfm.Deploy.launch
   let await h = ignore (Mpiulfm.Udispatcher.outcome h.Mpiulfm.Deploy.udispatcher)
 
-  let peek_completed h =
-    match Mpiulfm.Udispatcher.peek_outcome h.Mpiulfm.Deploy.udispatcher with
-    | Some (Mpiulfm.Udispatcher.Completed t) -> Some t
-    | Some (Mpiulfm.Udispatcher.Aborted _) | None -> None
-
-  (* A ulfm run never freezes by protocol design — it completes, aborts
-     cleanly, or is still detecting/agreeing at the timeout — except for
-     a split-brain (two daemons deciding the same epoch differently),
-     which the dispatcher cross-checks for and which is a genuine
-     protocol bug. *)
-  let frozen h = Mpiulfm.Udispatcher.divergent h.Mpiulfm.Deploy.udispatcher
+  (* A run that finished on a shrunken communicator is [Degraded], never
+     plain [Completed]. A ulfm run never freezes by protocol design — it
+     completes, aborts cleanly, or is still detecting/agreeing at the
+     timeout — except for a split-brain (two daemons deciding the same
+     epoch differently), which the dispatcher cross-checks for and which
+     is a genuine protocol bug. *)
+  let status h =
+    let ud = h.Mpiulfm.Deploy.udispatcher in
+    match Mpiulfm.Udispatcher.peek_outcome ud with
+    | Some (Mpiulfm.Udispatcher.Completed t) -> (
+        match Mpiulfm.Udispatcher.survivors ud with
+        | Some survivors -> Intf.Degraded { at = t; survivors }
+        | None -> Intf.Completed t)
+    | Some (Mpiulfm.Udispatcher.Aborted _) | None -> (
+        match Mpiulfm.Udispatcher.abort_reason ud with
+        | Some reason -> Intf.Aborted reason
+        | None -> if Mpiulfm.Udispatcher.divergent ud then Intf.Frozen else Intf.Running)
 
   let metrics h =
     let ud = h.Mpiulfm.Deploy.udispatcher in
@@ -214,23 +195,12 @@ module Ulfm : Intf.S = struct
           ("agree_ballots", Mpiulfm.Udispatcher.ballots ud);
           ("ranks_adopted", Mpiulfm.Udispatcher.adopted ud);
           ("spares_promoted", Mpiulfm.Udispatcher.promoted ud);
-        ]
-        @ net_extra (Mpiulfm.Deploy.net h);
+        ];
+      net = net_stats (Mpiulfm.Deploy.net h);
     }
 
-  let survivors h = Mpiulfm.Udispatcher.survivors h.Mpiulfm.Deploy.udispatcher
-  let aborted h = Mpiulfm.Udispatcher.abort_reason h.Mpiulfm.Deploy.udispatcher
-  let ckpt_lost _ = false
   let teardown = Mpiulfm.Deploy.teardown
 end
 
 let all : Intf.t list =
   [ (module Vcl); (module Blocking); (module V2); (module Replication); (module Ulfm) ]
-
-let init =
-  let once = ref false in
-  fun () ->
-    if not !once then begin
-      once := true;
-      List.iter Registry.register all
-    end

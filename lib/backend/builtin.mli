@@ -7,10 +7,6 @@ module V2 : Intf.S
 module Replication : Intf.S
 module Ulfm : Intf.S
 
-(** [vcl], [blocking], [v2], [replication], [ulfm] — in registration
-    order. *)
+(** [vcl], [blocking], [v2], [replication], [ulfm] — the order every
+    experiment reports families in. *)
 val all : Intf.t list
-
-(** Registers {!all} into {!Registry}; idempotent. Runs automatically
-    when the [Backend] umbrella module is linked. *)
-val init : unit -> unit

@@ -1,19 +1,40 @@
 (** The protocol-backend contract.
 
     A backend packages one fault-tolerance protocol family behind the
-    launch / await / metrics lifecycle that {!Failmpi.Run.execute}
-    drives: deploy the runtime on a simulated cluster, block a watchdog
-    until the application finishes, expose the terminal state and the
-    uniform {!Metrics.t}, and tear everything down. Implementations are
-    first-class modules registered in {!Registry}; the core run loop is
-    protocol-agnostic and resolves the backend from
-    [Mpivcl.Config.protocol]. *)
+    launch / await / status / metrics lifecycle that
+    {!Failmpi.Run.execute} drives: deploy the runtime on a simulated
+    cluster, block a watchdog until the application finishes, report the
+    terminal state and the uniform {!Metrics.t}, and tear everything
+    down. Implementations are first-class modules listed in
+    {!Builtin.all}; the core run loop is protocol-agnostic and resolves
+    the backend from [Mpivcl.Config.protocol]. *)
+
+(** Where a run stands, as the backend sees it. Each backend decides the
+    precedence between its own signals (a completed run is never
+    [Frozen], a lost checkpoint beats a frozen dispatcher, ...); the §5
+    classifier maps the result onto a verdict in one [match]. *)
+type status =
+  | Running  (** no terminal signal yet: still computing or recovering *)
+  | Completed of float  (** the application finished at this simulated time *)
+  | Degraded of { at : float; survivors : int }
+      (** finished at [at] on a communicator rebuilt over [survivors]
+          daemons (shrink-and-continue backends) *)
+  | Aborted of string
+      (** the backend gave up cleanly and said why, e.g. a survivor
+          agreement that refuses to decide without a quorum *)
+  | Ckpt_lost
+      (** a restarting rank needed a checkpoint image and no storage
+          replica could produce a complete one (rollback families) *)
+  | Frozen
+      (** the protocol wedged the run (corrupted dispatcher bookkeeping,
+          exhausted replication, split-brain): §5 classifies this as
+          [Buggy] even before the event queue drains *)
 
 module type S = sig
   (** Opaque per-run deployment state (cluster, network, dispatcher). *)
   type handle
 
-  (** Canonical registry name (CLI: [--protocol <name>]). *)
+  (** Canonical name (CLI: [--protocol <name>]). *)
   val name : string
 
   (** Alternative CLI spellings, e.g. ["non-blocking"] for [vcl]. *)
@@ -30,16 +51,13 @@ module type S = sig
       [Replication { degree = replicas }]. *)
   val protocol : replicas:int -> Mpivcl.Config.protocol
 
-  (** [handles p] is true iff this backend deploys protocol [p]. *)
-  val handles : Mpivcl.Config.protocol -> bool
-
   (** Default compute-host allocation (ranks + protocol services +
       spares) for CLI runs, mirroring the paper's 53-for-49 style. *)
   val default_machines : n_ranks:int -> replicas:int -> int
 
   (** Deploy the protocol runtime. Returns immediately; progress happens
       as the engine runs. Raises [Invalid_argument] if [cfg.protocol] is
-      not one this backend {!handles} or the cluster is too small. *)
+      not one this backend runs or the cluster is too small. *)
   val launch :
     Simkern.Engine.t ->
     ?fci:Fci.Runtime.t ->
@@ -54,36 +72,11 @@ module type S = sig
       (completed or aborted). Spawned as the experiment watchdog. *)
   val await : handle -> unit
 
-  (** [Some t] once the application completed at simulated time [t]. *)
-  val peek_completed : handle -> float option
-
-  (** The protocol froze the run (corrupted dispatcher bookkeeping,
-      exhausted replication, ...): §5 classifies this as [Buggy] even
-      before the event queue drains. *)
-  val frozen : handle -> bool
+  (** The run's current {!status}; read once, before {!teardown}. *)
+  val status : handle -> status
 
   (** Uniform counter snapshot; see {!Metrics}. *)
   val metrics : handle -> Metrics.t
-
-  (** For shrink-and-continue backends: [Some n] when the run completed
-      on a communicator rebuilt over [n] surviving daemons — the signal
-      behind the [Degraded] verdict. [None] for every backend whose
-      protocol restores the original membership (the four rollback /
-      replication families), and for runs that never shrank. *)
-  val survivors : handle -> int option
-
-  (** For backends that can give up cleanly (e.g. a survivor agreement
-      that refuses to decide without a quorum): the reported reason.
-      [None] elsewhere; rollback families express terminal failure as
-      {!frozen} instead, preserving the paper's §5 [Buggy]
-      classification. *)
-  val aborted : handle -> string option
-
-  (** True when a restarting rank needed a checkpoint image and no
-      storage replica could produce a complete one — the signal behind
-      the [Ckpt_lost] verdict. Only the rollback families (which own a
-      checkpoint storage plane) can report it; [false] elsewhere. *)
-  val ckpt_lost : handle -> bool
 
   (** Kill every deployed task (experiment timeout). *)
   val teardown : handle -> unit

@@ -5,6 +5,7 @@ type t = {
   failovers : int;
   respawns : int;
   extra : (string * int) list;
+  net : Simnet.Net.Perturb.stats option;
 }
 
 let zero =
@@ -15,6 +16,7 @@ let zero =
     failovers = 0;
     respawns = 0;
     extra = [];
+    net = None;
   }
 
 let counters t =
@@ -26,12 +28,15 @@ let counters t =
     ("respawns", t.respawns);
   ]
   @ t.extra
+  @
+  match t.net with
+  | None -> []
+  | Some s ->
+      [
+        ("net_dropped", s.Simnet.Net.Perturb.dropped);
+        ("net_delayed", s.delayed);
+        ("net_retransmits", s.retransmits);
+        ("net_conn_timeouts", s.conn_timeouts);
+      ]
 
 let find t name = List.assoc_opt name (counters t)
-
-let pp ppf t =
-  Format.fprintf ppf "@[<h>%a@]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf "@ ")
-       (fun ppf (name, v) -> Format.fprintf ppf "%s=%d" name v))
-    (counters t)

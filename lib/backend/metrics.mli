@@ -15,17 +15,22 @@ type t = {
   failovers : int;  (** replica failures absorbed with zero rollback *)
   respawns : int;  (** replicas respawned via state transfer *)
   extra : (string * int) list;  (** backend-specific extension counters *)
+  net : Simnet.Net.Perturb.stats option;
+      (** fabric counters; [None] when no network perturbation was ever
+          installed. The §5 classifier reads [dropped] and
+          [conn_timeouts] to tell a network-explained wedge ([Net_hung])
+          from a protocol bug. *)
 }
 
-(** All counters zero / false, no extras. *)
+(** All counters zero / false, no extras, [net = None]. *)
 val zero : t
 
 (** [counters t] is the uniform counter list — the five named slots
-    (with [confused] rendered as 0/1) followed by [extra] — for generic
-    consumers such as {!Experiments.Harness.aggregate}. *)
+    (with [confused] rendered as 0/1), then [extra], then, when [net] is
+    [Some], [net_dropped], [net_delayed], [net_retransmits] and
+    [net_conn_timeouts] — for generic consumers such as
+    {!Experiments.Harness.aggregate}. *)
 val counters : t -> (string * int) list
 
 (** [find t name] looks a counter up by its {!counters} key. *)
 val find : t -> string -> int option
-
-val pp : Format.formatter -> t -> unit

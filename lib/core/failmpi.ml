@@ -1,25 +1,3 @@
-module Lang = struct
-  module Ast = Fail_lang.Ast
-  module Parser = Fail_lang.Parser
-  module Pp = Fail_lang.Pp
-  module Sema = Fail_lang.Sema
-  module Automaton = Fail_lang.Automaton
-  module Compile = Fail_lang.Compile
-  module Codegen = Fail_lang.Codegen
-  module Paper_scenarios = Fail_lang.Paper_scenarios
-  module Tool_comparison = Fail_lang.Tool_comparison
-end
-
-module Inject = struct
-  module Control = Fci.Control
-  module Runtime = Fci.Runtime
-end
-
-module Mpi = struct
-  module Config = Mpivcl.Config
-  module App = Mpivcl.App
-end
-
 module Backend = Backend
 
 module Run = struct
@@ -143,16 +121,13 @@ module Run = struct
             Hashtbl.replace finals ctx.Mpivcl.App.rank ctx.Mpivcl.App.state.(2));
       }
     in
-    (* One protocol-agnostic path: the backend registered for
-       [cfg.protocol] deploys the runtime; a single watchdog stops the
-       clock as soon as the application completes; otherwise the engine
-       runs to quiescence (a freeze drains the event queue) or to the
-       experiment timeout, after which every component is killed and the
-       run is classified exactly as the paper's §5 does — a frozen run
-       (quiescent event queue, corrupted dispatcher, or exhausted
-       replication) is a bug; a run still making failure / recovery
-       noise at the timeout is non-terminating. *)
-    let (module B : Backend.S) = Backend.of_config spec.cfg in
+    (* One protocol-agnostic path: the backend for [cfg.protocol]
+       deploys the runtime; a single watchdog stops the clock as soon as
+       the application completes; otherwise the engine runs to quiescence
+       (a freeze drains the event queue) or to the experiment timeout,
+       after which every component is killed and the run is classified
+       as the paper's §5 does. *)
+    let (module B : Backend.S) = Backend.of_protocol spec.cfg.Mpivcl.Config.protocol in
     let handle =
       B.launch eng ?fci ~cfg:spec.cfg ~app ~state_bytes:spec.state_bytes
         ~n_compute:spec.n_compute ()
@@ -162,75 +137,53 @@ module Run = struct
            B.await handle;
            Engine.halt eng));
     let classify stop_reason =
-      let completed = B.peek_completed handle in
-    let frozen = B.frozen handle in
-    let metrics = B.metrics handle in
-    let survivors = B.survivors handle in
-    let aborted = B.aborted handle in
-    let ckpt_lost = B.ckpt_lost handle in
-    B.teardown handle;
-    (match fci with Some rt -> Fci.Runtime.shutdown rt | None -> ());
-    Engine.halt eng;
-    (* Distinguish a wedge the network explains from a protocol bug: a run
-       that neither completed nor kept making progress, while the fabric
-       was actively losing messages or tearing connections down, is
-       [Net_hung] — a latency-only degradation cannot mask a genuine
-       [Buggy] verdict because it drops nothing. *)
-    let net_interference =
-      let count name =
-        match List.assoc_opt name metrics.Backend.Metrics.extra with
-        | Some n -> n
-        | None -> 0
+      let status = B.status handle in
+      let metrics = B.metrics handle in
+      B.teardown handle;
+      (match fci with Some rt -> Fci.Runtime.shutdown rt | None -> ());
+      Engine.halt eng;
+      (* A frozen run (or one whose event queue drained without an
+         answer) is a bug — unless the fabric was actively losing
+         messages or tearing connections down, which explains the wedge
+         ([Net_hung]); a latency-only degradation drops nothing, so it
+         cannot mask a genuine [Buggy]. A run still making failure /
+         recovery noise at the timeout is non-terminating. *)
+      let wedged () =
+        match metrics.Backend.Metrics.net with
+        | Some s when s.Simnet.Net.Perturb.dropped + s.conn_timeouts > 0 -> Net_hung
+        | Some _ | None -> Buggy
       in
-      count "net_dropped" + count "net_conn_timeouts" > 0
-    in
-    (* A run that finished on a shrunken communicator is never [Ok]-plain:
-       the answer may be right, but the machine is smaller — report
-       [Degraded n] so harnesses keep answer quality and capacity loss
-       apart. A backend-reported clean abort (e.g. survivor agreement
-       refusing to decide without a quorum) beats the frozen/quiescent
-       heuristics: giving up loudly is a protocol outcome, not a wedge. *)
-    let outcome =
-      match completed with
-      | Some t -> (
-          match survivors with
-          | Some n -> Degraded { at = t; survivors = n }
-          | None -> Completed t)
-      | None ->
-          (* A lost checkpoint beats every other classification: the
-             dispatcher also records it as a clean abort, but the verdict
-             must stay distinguishable — it indicts the storage plane's
-             replication degree, not the recovery protocol. *)
-          if ckpt_lost then Ckpt_lost
-          else (
-            match aborted with
-            | Some reason -> Aborted reason
-            | None ->
-                if frozen || stop_reason = `Quiescent then
-                  if net_interference then Net_hung else Buggy
-                else Non_terminating)
-    in
-    let checksums =
-      Hashtbl.fold (fun rank v acc -> (rank, v) :: acc) finals []
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-    in
-    let checksum_ok =
-      match (completed, expected_checksum) with
-      | Some _, Some expected ->
-          Some
-            (List.length checksums = spec.cfg.Mpivcl.Config.n_ranks
-            && List.for_all (fun (_, v) -> v = expected) checksums)
-      | _ -> None
-    in
-    {
-      outcome;
-      injected_faults =
-        (match fci with Some rt -> Fci.Runtime.injected_faults rt | None -> 0);
-      metrics;
-      checksums;
-      checksum_ok;
-      trace = Engine.trace eng;
-    }
+      let outcome =
+        match status with
+        | Backend.Completed t -> Completed t
+        | Backend.Degraded { at; survivors } -> Degraded { at; survivors }
+        | Backend.Aborted reason -> Aborted reason
+        | Backend.Ckpt_lost -> Ckpt_lost
+        | Backend.Frozen -> wedged ()
+        | Backend.Running when stop_reason = `Quiescent -> wedged ()
+        | Backend.Running -> Non_terminating
+      in
+      let checksums =
+        Hashtbl.fold (fun rank v acc -> (rank, v) :: acc) finals []
+        |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+      in
+      let checksum_ok =
+        match (status, expected_checksum) with
+        | (Backend.Completed _ | Backend.Degraded _), Some expected ->
+            Some
+              (List.length checksums = spec.cfg.Mpivcl.Config.n_ranks
+              && List.for_all (fun (_, v) -> v = expected) checksums)
+        | _ -> None
+      in
+      {
+        outcome;
+        injected_faults =
+          (match fci with Some rt -> Fci.Runtime.injected_faults rt | None -> 0);
+        metrics;
+        checksums;
+        checksum_ok;
+        trace = Engine.trace eng;
+      }
     in
     {
       cp_spec = spec;

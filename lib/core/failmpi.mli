@@ -3,40 +3,21 @@
     The one-stop public API. A fault-injection campaign is described by a
     {!Run.spec}: a FAIL scenario (source text), the application under
     test, and the protocol configuration. {!Run.execute} compiles the
-    scenario, resolves the protocol backend for [cfg.protocol] from the
-    {!Backend.Registry}, deploys the FAIL-MPI daemons and the protocol
+    scenario, resolves the protocol backend for [cfg.protocol] with
+    {!Backend.of_protocol}, deploys the FAIL-MPI daemons and the protocol
     runtime on a simulated cluster, runs to completion or to the
-    experiment timeout, and classifies the outcome exactly as the paper's
-    §5 does: completed, non-terminating (failure frequency too high for
-    progress), or buggy (frozen by a fault-tolerance bug) — refined to
-    net-hung when the wedge is explained by an actively lossy or
-    partitioned network fabric.
+    experiment timeout, and classifies the outcome from the backend's
+    {!Backend.S.status} into one of seven verdicts. The paper's §5 has
+    three — completed, non-terminating (failure frequency too high for
+    progress) and buggy (frozen by a fault-tolerance bug) — and the
+    newer backends and fault kinds add four: degraded (completed on a
+    shrunken communicator), aborted (the backend gave up cleanly),
+    ckpt-lost (no complete checkpoint image left) and net-hung (a wedge
+    explained by an actively lossy or partitioned network fabric). See
+    {!Run.outcome}.
 
-    Re-exports: {!Lang} (the FAIL language front end), {!Inject} (the FCI
-    runtime), {!Mpi} (configuration and application types), {!Backend}
-    (the protocol-backend registry — see [docs/ARCHITECTURE.md]). *)
-
-module Lang : sig
-  module Ast = Fail_lang.Ast
-  module Parser = Fail_lang.Parser
-  module Pp = Fail_lang.Pp
-  module Sema = Fail_lang.Sema
-  module Automaton = Fail_lang.Automaton
-  module Compile = Fail_lang.Compile
-  module Codegen = Fail_lang.Codegen
-  module Paper_scenarios = Fail_lang.Paper_scenarios
-  module Tool_comparison = Fail_lang.Tool_comparison
-end
-
-module Inject : sig
-  module Control = Fci.Control
-  module Runtime = Fci.Runtime
-end
-
-module Mpi : sig
-  module Config = Mpivcl.Config
-  module App = Mpivcl.App
-end
+    Re-exports {!Backend} (the protocol-backend table — see
+    [docs/ARCHITECTURE.md]). *)
 
 module Backend = Backend
 

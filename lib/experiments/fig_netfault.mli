@@ -1,5 +1,5 @@
-(** Network-fault campaign: message loss swept against every registered
-    protocol backend on one cluster, all through the launch-time
+(** Network-fault campaign: message loss swept against every protocol
+    backend on one cluster, all through the launch-time
     perturbation profile ([Config.net]) and the reliable transport.
 
     One {!run} produces, per (loss level x family), the completed-run

@@ -78,8 +78,8 @@ let scenario_of config = function
 
 type row = { family : string; case : case; agg : Harness.agg }
 
-(* Every registered backend joins the grid; the shrink family runs with
-   the configured warm-spare pool instead of the registry default of 0. *)
+(* Every backend joins the grid; the shrink family runs with the
+   configured warm-spare pool instead of its default of 0. *)
 let families config =
   let base = Mpivcl.Config.default ~n_ranks:config.n_ranks in
   List.map

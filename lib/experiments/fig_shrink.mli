@@ -1,5 +1,5 @@
 (** Shrink-and-continue campaign: the same kill / partition scenarios
-    swept against every registered protocol backend on one cluster —
+    swept against every protocol backend on one cluster —
     the recovery-time vs answer-quality comparison of the headline
     [failmpi_experiments shrink] table.
 

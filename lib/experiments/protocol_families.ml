@@ -26,8 +26,8 @@ let quick_config = { default_config with periods = [ None; Some 50 ]; reps = 2 }
 
 type row = { family : string; agg : Harness.agg }
 
-(* Every registered backend, not a hard-coded family list: a new backend
-   joins the comparison by registering in Backend.Registry. *)
+(* Every backend, not a hard-coded family list: a new backend joins the
+   comparison by being listed in Backend.Builtin.all. *)
 let families config =
   let base = Mpivcl.Config.default ~n_ranks:config.n_ranks in
   List.map

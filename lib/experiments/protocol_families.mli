@@ -1,7 +1,8 @@
 (** Protocol-family comparison under the fault-frequency scenario
-    (Figure 5's harness), one row per backend registered in
-    {!Failmpi.Backend.Registry} — coordinated rollback (Vcl, blocking),
-    sender-based message logging (V2) and active replication (mpirep) —
+    (Figure 5's harness), one row per backend in
+    {!Failmpi.Backend.all} — coordinated rollback (Vcl, blocking),
+    sender-based message logging (V2), active replication (mpirep) and
+    shrink-and-continue (ulfm) —
     all driven by the same FAIL scenario text on the same cluster.
 
     One {!run} produces, per fault period and family, the completed-run

@@ -31,7 +31,7 @@
    simulations burn CPU at once no matter how bushy the trie is. *)
 
 module Run = Failmpi.Run
-module Runtime = Failmpi.Inject.Runtime
+module Runtime = Fci.Runtime
 module Engine = Simkern.Engine
 
 type stats = {

@@ -47,7 +47,7 @@ val abort_reason : t -> string option
 
 (** Two daemons reported the same epoch with different memberships or
     restart points — a split-brain the agreement must make impossible.
-    Surfaced as [frozen] (§5 buggy) by the backend. *)
+    Surfaced as [Frozen] (§5 buggy) by the backend's status. *)
 val divergent : t -> bool
 
 val halt : t -> unit

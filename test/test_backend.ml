@@ -1,10 +1,10 @@
 (* Tests for the protocol-backend layer (lib/backend):
 
-   - registry: builtin registration, name/alias resolution, every
-     Config.protocol constructor resolves, duplicate registration
-     rejected;
+   - registry: the fixed backend table, name/alias resolution, every
+     Config.protocol constructor resolves, no spelling shared by two
+     backends;
    - metrics: uniform counter set, generic aggregation in the harness;
-   - golden equivalence: for each registered backend a fixed-seed run
+   - golden equivalence: for each backend a fixed-seed run
      must reproduce the outcome, completion time, injected-fault count
      and checksum set captured from the pre-refactor per-protocol
      Run.execute (devtools/golden_capture.exe regenerates the table). *)
@@ -17,12 +17,12 @@ let check_str = check Alcotest.string
 module Backend = Failmpi.Backend
 
 (* ------------------------------------------------------------------ *)
-(* Registry *)
+(* Backend table *)
 
 let backend_name (module B : Backend.S) = B.name
 
 let test_builtin_names () =
-  check (Alcotest.list Alcotest.string) "registration order"
+  check (Alcotest.list Alcotest.string) "table order"
     [ "vcl"; "blocking"; "v2"; "replication"; "ulfm" ]
     (Backend.names ())
 
@@ -48,9 +48,8 @@ let test_aliases_resolve () =
 let test_every_protocol_resolves () =
   List.iter
     (fun (proto, expected) ->
-      let (module B : Backend.S) = Backend.Registry.of_protocol proto in
-      check_str (Mpivcl.Config.protocol_name proto) expected B.name;
-      check_bool "handles its own protocol" true (B.handles proto))
+      let (module B : Backend.S) = Backend.of_protocol proto in
+      check_str (Mpivcl.Config.protocol_name proto) expected B.name)
     [
       (Mpivcl.Config.Non_blocking, "vcl");
       (Mpivcl.Config.Blocking, "blocking");
@@ -67,32 +66,19 @@ let test_protocol_roundtrip () =
     (fun ((module B : Backend.S) as b) ->
       let proto = B.protocol ~replicas:3 in
       check_str "roundtrip" (backend_name b)
-        (backend_name (Backend.Registry.of_protocol proto)))
+        (backend_name (Backend.of_protocol proto)))
     (Backend.all ())
 
-let test_duplicate_registration_rejected () =
-  let reject b =
-    try
-      Backend.Registry.register b;
-      Alcotest.fail "expected Invalid_argument"
-    with Invalid_argument msg ->
-      check_bool "mentions registration" true
-        (String.length msg > 0
-        && Str.string_match (Str.regexp ".*already registered") msg 0)
+(* Every name and alias resolves to exactly one backend: a spelling
+   shared by two entries would make [find] silently pick the first. *)
+let test_spellings_unique () =
+  let spellings =
+    List.concat_map (fun (module B : Backend.S) -> B.name :: B.aliases) (Backend.all ())
   in
-  (* Same module again... *)
-  reject (module Backend.Builtin.Vcl : Backend.S);
-  (* ...and a fresh module whose alias collides with a canonical name. *)
-  let module Imposter = struct
-    include Backend.Builtin.Replication
-
-    let name = "partial-replication"
-    let aliases = [ "v2" ]
-  end in
-  reject (module Imposter : Backend.S);
-  check (Alcotest.list Alcotest.string) "registry unchanged"
-    [ "vcl"; "blocking"; "v2"; "replication"; "ulfm" ]
-    (Backend.names ())
+  List.iter
+    (fun n ->
+      check_int n 1 (List.length (List.filter (String.equal n) spellings)))
+    spellings
 
 let test_default_machines () =
   let machines name ~replicas =
@@ -130,7 +116,36 @@ let test_metrics_counters () =
     ]
     (Backend.Metrics.counters m);
   check_bool "find extra" true (Backend.Metrics.find m "exhausted" = Some 1);
-  check_bool "find missing" true (Backend.Metrics.find m "nope" = None)
+  check_bool "find missing" true (Backend.Metrics.find m "nope" = None);
+  (* Fabric counters come last, after the backend's extras. *)
+  let m =
+    {
+      m with
+      Backend.Metrics.net =
+        Some
+          {
+            Simnet.Net.Perturb.dropped = 7;
+            delayed = 3;
+            retransmits = 11;
+            conn_timeouts = 2;
+          };
+    }
+  in
+  check (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int)) "counters with net"
+    [
+      ("recoveries", 2);
+      ("committed_waves", 5);
+      ("confused", 1);
+      ("failovers", 0);
+      ("respawns", 0);
+      ("exhausted", 1);
+      ("net_dropped", 7);
+      ("net_delayed", 3);
+      ("net_retransmits", 11);
+      ("net_conn_timeouts", 2);
+    ]
+    (Backend.Metrics.counters m);
+  check_bool "find net" true (Backend.Metrics.find m "net_conn_timeouts" = Some 2)
 
 let fake_result metrics =
   {
@@ -298,8 +313,7 @@ let () =
           Alcotest.test_case "aliases resolve" `Quick test_aliases_resolve;
           Alcotest.test_case "every protocol resolves" `Quick test_every_protocol_resolves;
           Alcotest.test_case "protocol roundtrip" `Quick test_protocol_roundtrip;
-          Alcotest.test_case "duplicate registration rejected" `Quick
-            test_duplicate_registration_rejected;
+          Alcotest.test_case "no spelling names two backends" `Quick test_spellings_unique;
           Alcotest.test_case "default machines" `Quick test_default_machines;
         ] );
       ( "metrics",

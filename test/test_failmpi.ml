@@ -436,6 +436,77 @@ let test_scenario_wave_sniper () =
     (match r.Failmpi.Run.outcome with Failmpi.Run.Completed _ -> true | _ -> false);
   check_bool "checksum" true (r.Failmpi.Run.checksum_ok = Some true)
 
+(* ------------------------------------------------------------------ *)
+(* Verdict pins: end-to-end runs that land on the verdicts no other test
+   reaches through a full run. *)
+
+let outcome_testable =
+  Alcotest.testable
+    (fun ppf o ->
+      Format.pp_print_string ppf
+        (match o with
+        | Failmpi.Run.Aborted reason -> Printf.sprintf "aborted (%s)" reason
+        | o -> Failmpi.Run.outcome_name o))
+    (fun a b ->
+      match (a, b) with
+      | Failmpi.Run.Completed _, Failmpi.Run.Completed _ -> true
+      | a, b -> a = b)
+
+(* The CI ckpt-sniper run: a checkpoint server dies mid-commit, then a
+   rank that needs the torn image is killed. Without a mirror the
+   restart finds no complete image; with one it fails over. *)
+let test_ckpt_sniper_verdicts () =
+  let run ckpt_replicas =
+    let n_ranks = 9 and klass = Workload.Bt_model.B in
+    let cfg = { (Mpivcl.Config.default ~n_ranks) with Mpivcl.Config.ckpt_replicas } in
+    let spec =
+      {
+        (Experiments.Harness.bt_spec ~cfg ~klass ~n_ranks ~n_machines:13
+           ~scenario:(Some (read_scenario "ckpt_sniper.fail"))
+           ())
+        with
+        Failmpi.Run.params = [ ("SERVER", 0); ("START", 32); ("RANK", 3); ("GAP", 6) ];
+        seed = 1L;
+      }
+    in
+    Failmpi.Run.execute
+      ~expected_checksum:(Workload.Bt_model.reference_checksum klass ~n_ranks)
+      spec
+  in
+  let lost = run 1 in
+  check outcome_testable "1 replica" Failmpi.Run.Ckpt_lost lost.Failmpi.Run.outcome;
+  check_bool "no checksum verdict" true (lost.Failmpi.Run.checksum_ok = None);
+  let mirrored = run 2 in
+  check outcome_testable "2 replicas" (Failmpi.Run.Completed 0.0)
+    mirrored.Failmpi.Run.outcome;
+  check_bool "checksum" true (mirrored.Failmpi.Run.checksum_ok = Some true)
+
+(* The quorum-loss cell of the quick shrink grid: the shrink backend's
+   agreement gives up cleanly; coordinated rollback keeps detecting and
+   recovering until the timeout. *)
+let test_quorum_loss_verdicts () =
+  let config = Experiments.Fig_shrink.quick_config in
+  let scenario = Experiments.Fig_shrink.scenario_of config Experiments.Fig_shrink.Quorum_loss in
+  let run protocol seed =
+    let cfg =
+      { (Mpivcl.Config.default ~n_ranks:config.n_ranks) with Mpivcl.Config.protocol }
+    in
+    (Experiments.Harness.run_bt ~cfg ~klass:config.klass ~n_ranks:config.n_ranks
+       ~n_machines:config.n_machines ~scenario ~seed ())
+      .Failmpi.Run.outcome
+  in
+  List.iter
+    (fun seed ->
+      check outcome_testable
+        (Printf.sprintf "ulfm seed %Ld" seed)
+        (Failmpi.Run.Aborted "agreement exhausted after 25 ballots at epoch 0")
+        (run (Mpivcl.Config.Ulfm { spares = 2 }) seed);
+      check outcome_testable
+        (Printf.sprintf "vcl seed %Ld" seed)
+        Failmpi.Run.Non_terminating
+        (run Mpivcl.Config.Non_blocking seed))
+    [ 2100L; 2101L ]
+
 let test_delay_scenario_compiles () =
   let src = Experiments.Delay_experiment.scenario ~n_machines:10 ~delay:7 in
   match Fail_lang.Compile.compile_source src with
@@ -482,5 +553,11 @@ let () =
           Alcotest.test_case "cascade" `Quick test_scenario_cascade;
           Alcotest.test_case "freeze/thaw" `Quick test_scenario_freeze_thaw;
           Alcotest.test_case "wave sniper" `Quick test_scenario_wave_sniper;
+        ] );
+      ( "verdicts",
+        [
+          Alcotest.test_case "ckpt sniper lost vs mirrored" `Quick test_ckpt_sniper_verdicts;
+          Alcotest.test_case "quorum loss aborted vs non-terminating" `Quick
+            test_quorum_loss_verdicts;
         ] );
     ]

@@ -6,7 +6,7 @@
      real BT runs (outcome, completion time, fault count, checksums);
    - the vcl golden fixed-seed runs of test_backend must reproduce
      exactly when executed on a 4-domain pool;
-   - Backend.Registry lookups are safe under concurrent domains. *)
+   - backend lookups are safe under concurrent domains. *)
 
 let check = Alcotest.check
 let check_int = check Alcotest.int
@@ -240,7 +240,7 @@ let test_trace_lazy_concurrent_render () =
     runs
 
 (* ------------------------------------------------------------------ *)
-(* Registry under concurrent lookups *)
+(* Backend lookups under concurrent domains *)
 
 let test_registry_concurrent_lookups () =
   let errors = Atomic.make 0 in
@@ -251,7 +251,7 @@ let test_registry_concurrent_lookups () =
           if B.name <> "vcl" then Atomic.incr errors
       | None -> Atomic.incr errors);
       if List.length (Failmpi.Backend.all ()) < 4 then Atomic.incr errors;
-      match Failmpi.Backend.Registry.of_protocol Mpivcl.Config.Blocking with
+      match Failmpi.Backend.of_protocol Mpivcl.Config.Blocking with
       | (module B : Failmpi.Backend.S) ->
           if B.name <> "blocking" then Atomic.incr errors
     done
