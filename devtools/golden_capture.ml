@@ -26,19 +26,20 @@ let spec ~protocol ~n_ranks ~n_machines ~scenario =
   }
 
 let cases =
-  let rollback protocol =
+  let eight_machines protocol =
     spec ~protocol ~n_ranks:4 ~n_machines:8
       ~scenario:(Fail_lang.Paper_scenarios.frequency ~n_machines:8 ~period:15)
   in
   [
-    ("vcl", rollback Mpivcl.Config.Non_blocking);
-    ("blocking", rollback Mpivcl.Config.Blocking);
-    ("v2", rollback Mpivcl.Config.Sender_logging);
+    ("vcl", eight_machines Mpivcl.Config.Non_blocking);
+    ("blocking", eight_machines Mpivcl.Config.Blocking);
+    ("v2", eight_machines Mpivcl.Config.Sender_logging);
     ( "replication",
       spec
         ~protocol:(Mpivcl.Config.Replication { degree = 2 })
         ~n_ranks:4 ~n_machines:10
         ~scenario:(Fail_lang.Paper_scenarios.frequency ~n_machines:10 ~period:15) );
+    ("ulfm", eight_machines (Mpivcl.Config.Ulfm { spares = 1 }));
   ]
 
 let () =

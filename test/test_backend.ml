@@ -7,7 +7,10 @@
    - golden equivalence: for each backend a fixed-seed run
      must reproduce the outcome, completion time, injected-fault count
      and checksum set captured from the pre-refactor per-protocol
-     Run.execute (devtools/golden_capture.exe regenerates the table). *)
+     Run.execute (devtools/golden_capture.exe regenerates the table);
+   - control surface: on every backend the FAIL [stop], [continue] and
+     [halt] actions reach both the daemon and the application process of
+     the targeted machine. *)
 
 let check = Alcotest.check
 let check_bool = check Alcotest.bool
@@ -254,6 +257,14 @@ let goldens =
         { g_seed = 7L; g_outcome = "completed"; g_time = "31.164741"; g_faults = 2;
           g_checksums = all_ranks_4 };
       ] );
+    ( "ulfm",
+      Mpivcl.Config.Ulfm { spares = 1 },
+      [
+        { g_seed = 1L; g_outcome = "degraded"; g_time = "32.141415"; g_faults = 2;
+          g_checksums = all_ranks_4 };
+        { g_seed = 7L; g_outcome = "degraded"; g_time = "35.902115"; g_faults = 2;
+          g_checksums = all_ranks_4 };
+      ] );
   ]
 
 let run_golden ~protocol g =
@@ -304,6 +315,83 @@ let test_metrics_not_cross_wired () =
   check_bool "replication reports exhaustion counter" true
     (Backend.Metrics.find r.Failmpi.Run.metrics "exhausted" = Some 0)
 
+(* ------------------------------------------------------------------ *)
+(* Control surface: the FCI target each backend's daemon registers must
+   stop, continue and halt the whole MPI task on its machine, daemon and
+   computation process alike. *)
+
+let control_plan =
+  {|
+Daemon CTRL {
+  node 1:
+    onload -> continue, goto 2;
+  node 2:
+    time t = 10;
+    timer -> stop, goto 3;
+  node 3:
+    time t = 5;
+    timer -> continue, goto 4;
+  node 4:
+    time t = 10;
+    timer -> halt, goto 5;
+  node 5:
+}
+G1[1] : CTRL on machines 1 .. 1;
+|}
+
+(* Long enough that the application on machine 1 outlives the halt. *)
+let control_params =
+  { Workload.Stencil.iterations = 120; compute_time = 0.5; msg_bytes = 5_000; jitter = 0.0 }
+
+let test_control_surface protocol () =
+  let n_ranks = 4 in
+  let eng = Simkern.Engine.create ~seed:3L () in
+  let fci =
+    match Fail_lang.Compile.compile_source control_plan with
+    | Ok plan -> Fci.Runtime.create eng plan
+    | Error msg -> Alcotest.failf "control plan: %s" msg
+  in
+  let app = Workload.Stencil.app control_params ~n_ranks in
+  let cfg = { (Mpivcl.Config.default ~n_ranks) with Mpivcl.Config.protocol } in
+  let launch n_compute =
+    (* the daemon and application task names on machine 1 *)
+    match protocol with
+    | Mpivcl.Config.Replication _ ->
+        let h = Mpirep.Deploy.launch eng ~fci ~cfg ~app ~state_bytes:1_000_000 ~n_compute () in
+        (Mpirep.Deploy.cluster h, "rdaemon-1.0", "rmpi-1.0")
+    | Mpivcl.Config.Ulfm _ ->
+        let h = Mpiulfm.Deploy.launch eng ~fci ~cfg ~app ~state_bytes:1_000_000 ~n_compute () in
+        (Mpiulfm.Deploy.cluster h, "udaemon-1", "umpi-1")
+    | Mpivcl.Config.Non_blocking | Mpivcl.Config.Blocking | Mpivcl.Config.Sender_logging ->
+        let h = Mpivcl.Deploy.launch eng ~fci ~cfg ~app ~state_bytes:1_000_000 ~n_compute () in
+        (Mpivcl.Deploy.cluster h, "vdaemon-1", "mpi-1")
+  in
+  let cluster, daemon_name, app_name =
+    launch (match protocol with Mpivcl.Config.Replication _ -> 10 | _ -> 8)
+  in
+  let task name =
+    match Simos.Cluster.find_task cluster ~host:1 ~name with
+    | Some p -> p
+    | None -> Alcotest.failf "no live %s on host 1 at %.1f" name (Simkern.Engine.now eng)
+  in
+  (* onload comes within the first seconds, so the timers fire at about
+     10-13 s (stop), 15-18 s (continue) and 25-28 s (halt). The freeze
+     stays below ulfm's 8 s suspicion timeout, so no backend reacts to
+     it by excluding the frozen machine. *)
+  ignore (Simkern.Engine.run ~until:14.0 eng);
+  let daemon = task daemon_name and app_proc = task app_name in
+  check_bool "daemon frozen after stop" true (Simkern.Proc.is_frozen daemon);
+  check_bool "app frozen after stop" true (Simkern.Proc.is_frozen app_proc);
+  ignore (Simkern.Engine.run ~until:19.5 eng);
+  List.iter
+    (fun (what, p) ->
+      check_bool (what ^ " alive after continue") true (Simkern.Proc.is_alive p);
+      check_bool (what ^ " running after continue") false (Simkern.Proc.is_frozen p))
+    [ ("daemon", daemon); ("app", app_proc) ];
+  ignore (Simkern.Engine.run ~until:30.0 eng);
+  check_bool "daemon dead after halt" false (Simkern.Proc.is_alive daemon);
+  check_bool "app dead after halt" false (Simkern.Proc.is_alive app_proc)
+
 let () =
   Alcotest.run "backend"
     [
@@ -326,5 +414,10 @@ let () =
         List.map
           (fun (name, protocol, cases) ->
             Alcotest.test_case name `Quick (test_golden name protocol cases))
+          goldens );
+      ( "control-surface",
+        List.map
+          (fun (name, protocol, _) ->
+            Alcotest.test_case name `Quick (test_control_surface protocol))
           goldens );
     ]
