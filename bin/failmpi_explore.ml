@@ -39,6 +39,11 @@ let run protocol replicas ranks klass max_faults budget jobs seed targets bucket
       prerr_endline (Printf.sprintf "failmpi_explore: --jobs must be >= 1 (got %d)" n);
       exit 1
   | _ -> ());
+  if not (Workload.Stencil.valid_ranks ranks) then begin
+    prerr_endline
+      (Printf.sprintf "failmpi_explore: --ranks must be a positive square number (got %d)" ranks);
+    exit 1
+  end;
   if budget <= 0 then begin
     prerr_endline (Printf.sprintf "failmpi_explore: --budget must be >= 1 (got %d)" budget);
     exit 1
@@ -210,7 +215,9 @@ let cmd =
       value & opt int 2
       & info [ "replicas" ] ~docv:"N" ~doc:"Replicas per rank (with --protocol replication).")
   in
-  let ranks = Arg.(value & opt int 9 & info [ "ranks"; "n" ] ~docv:"N" ~doc:"MPI ranks.") in
+  let ranks =
+    Arg.(value & opt int 9 & info [ "ranks"; "n" ] ~docv:"N" ~doc:"MPI ranks (square number).")
+  in
   let klass =
     Arg.(value & opt string "A" & info [ "class"; "c" ] ~docv:"CLASS" ~doc:"NAS class: A, B or C.")
   in

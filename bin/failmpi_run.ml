@@ -99,6 +99,11 @@ let run scenario_file paper params ranks klass protocol replicas ckpt_servers
     show_protocols net topology =
   if show_protocols then list_protocols ()
   else begin
+    if not (Workload.Stencil.valid_ranks ranks) then begin
+      prerr_endline
+        (Printf.sprintf "failmpi_run: --ranks must be a positive square number (got %d)" ranks);
+      exit 1
+    end;
     (match net with
     | Some profile -> (
         try Simnet.Net.Perturb.check_profile profile

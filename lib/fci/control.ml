@@ -11,20 +11,23 @@ type target = {
   subscribe_var : (string -> unit) -> unit;
 }
 
-let of_procs ~name ~main others =
-  let all = main :: others in
+let of_procs ~name ~main ~children =
+  let all f =
+    children f;
+    f main
+  in
   {
     target_name = name;
     proc = main;
-    kill = (fun () -> List.iter Proc.kill all);
-    freeze = (fun () -> List.iter Proc.freeze all);
-    unfreeze = (fun () -> List.iter Proc.unfreeze all);
+    kill = (fun () -> all Proc.kill);
+    freeze = (fun () -> all Proc.freeze);
+    unfreeze = (fun () -> all Proc.unfreeze);
     read_var = (fun _ -> None);
     write_var = (fun _ _ -> false);
     subscribe_var = (fun _ -> ());
   }
 
-let of_proc p = of_procs ~name:(Proc.name p) ~main:p []
+let of_proc p = of_procs ~name:(Proc.name p) ~main:p ~children:ignore
 
 type vars = {
   table : (string, int) Hashtbl.t;

@@ -24,10 +24,14 @@ type target = {
     variables (reads yield [None]). Used by the attach-by-pid path. *)
 val of_proc : Proc.t -> target
 
-(** [of_procs ~name ~main others] builds a target whose [kill] also kills
-    [others] (the paper kills the whole MPI task: computation process and
-    communication daemon). [freeze]/[unfreeze] apply to all. *)
-val of_procs : name:string -> main:Proc.t -> Proc.t list -> target
+(** [of_procs ~name ~main ~children] builds a target for a whole MPI
+    task: [kill], [freeze] and [unfreeze] act on every process [children]
+    yields, then on [main] (the paper halts the whole task: computation
+    process and communication daemon). [children f] is called at each
+    action, so it sees the processes the task has at that moment, such as
+    an application process started after registration. *)
+val of_procs :
+  name:string -> main:Proc.t -> children:((Proc.t -> unit) -> unit) -> target
 
 (** {2 Program variables}
 

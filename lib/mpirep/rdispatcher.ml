@@ -5,6 +5,11 @@ module Config = Mpivcl.Config
 
 type outcome = Completed of float | Aborted of string
 
+(* How long the membership layer waits for an in-flight respawn to come
+   back live once a rank has {e zero} computing replicas before
+   declaring replication exhausted. *)
+let failover_window = 30.0
+
 type ev =
   | E_hello of int * int * int * Rmsg.t Net.conn
   | E_msg of int * int * int * Rmsg.t
@@ -82,9 +87,9 @@ let spawn (env : Renv.t) ~host ~host_of ~spare_hosts =
     window_token.(rank) <- window_token.(rank) + 1;
     let tok = window_token.(rank) in
     tracef t "rank-at-risk" "rank %d has no live replica; failover window %.1fs" rank
-      cfg.Config.rep_failover_window;
+      failover_window;
     ignore
-      (Engine.schedule eng ~delay:cfg.Config.rep_failover_window (fun () ->
+      (Engine.schedule eng ~delay:failover_window (fun () ->
            Mailbox.send events (E_window (rank, tok))))
   in
   let broadcast msg =
@@ -222,7 +227,7 @@ let spawn (env : Renv.t) ~host ~host_of ~spare_hosts =
                 tracef t "replica-failover" "replica %d.%d down, %d live sibling%s" rank slot
                   (List.length live)
                   (if List.length live = 1 then "" else "s");
-                if cfg.Config.rep_respawn then respawn ~rank ~slot
+                respawn ~rank ~slot
             | [] -> rank_uncovered ~rank
           end
       | Member.Registered | Member.Ready ->
@@ -237,7 +242,7 @@ let spawn (env : Renv.t) ~host ~host_of ~spare_hosts =
           else begin
             tracef ~level:Trace.Full t "respawn-interrupted" "replica %d.%d" rank slot;
             match Member.live_slots members ~rank with
-            | _ :: _ -> if cfg.Config.rep_respawn then respawn ~rank ~slot
+            | _ :: _ -> respawn ~rank ~slot
             | [] -> rank_uncovered ~rank
           end
       | Member.Computing | Member.Launching | Member.Dead ->

@@ -2,11 +2,11 @@
     dispatcher-equivalent, but with no recovery waves: when a computing
     replica's control connection closes it is declared dead; if live
     siblings remain this is a {e failover} (nothing rolls back, the
-    siblings simply keep computing) and, when [Config.rep_respawn] is
-    set, a fresh replica is launched on a spare host to restore the
-    replication degree via state transfer from a live sibling. A rank
-    whose last live replica dies while a respawn is still in flight is
-    {e at risk} for [Config.rep_failover_window] simulated seconds; if no
+    siblings simply keep computing) and a fresh replica is launched on a
+    spare host to restore the replication degree via state transfer from
+    a live sibling. A rank whose last live replica dies while a respawn
+    is still in flight is {e at risk} for a 30 s failover window of
+    simulated time; if no
     replica of the rank comes back live within the window — or none is in
     flight at all — the run is declared {e replication-exhausted}
     (the Buggy-equivalent terminal verdict).

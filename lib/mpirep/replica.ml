@@ -5,31 +5,14 @@ module Message = Mpivcl.Message
 module Config = Mpivcl.Config
 module App = Mpivcl.App
 module Matching = Mpivcl.Matching
-
-type app_request =
-  | A_send of Message.app_msg
-  | A_recv of { src : int; tag : int; reply : int Ivar.t }
-  | A_commit of int array
-  | A_finalize
+module Daemon = Mpivcl.Daemon
 
 type dev =
   | D_ctrl of Rmsg.t option
   | D_peer of (int * int) * Rmsg.t option
   | D_peer_joined of int * int * Rmsg.t Net.conn * (int * int) list
   | D_state_req of Rmsg.t Net.conn
-  | D_app of app_request
-
-let pump cluster ~host ~name conn wrap events =
-  ignore
-    (Cluster.spawn_on cluster ~host ~name (fun () ->
-         let rec run () =
-           match Net.recv conn with
-           | Net.Data m ->
-               Mailbox.send events (wrap (Some m));
-               run ()
-           | Net.Closed -> Mailbox.send events (wrap None)
-         in
-         run ()))
+  | D_app of Daemon.app_request
 
 let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
   let eng = env.Renv.eng in
@@ -42,39 +25,16 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
      storage (record_fmt defers formatting until the gate passes). *)
   let tracef ?level event fmt = Engine.record_fmt ?level eng ~source:name ~event fmt in
   Cluster.spawn_on cluster ~host ~name (fun () ->
-      let self = Proc.self () in
       let app_proc = ref None in
-      let vars = Fci.Control.make_vars () in
-      let base_target =
-        {
-          Fci.Control.target_name = Printf.sprintf "rank%d.%d@%d" rank slot host;
-          proc = self;
-          kill =
-            (fun () ->
-              Option.iter Proc.kill !app_proc;
-              Proc.kill self);
-          freeze =
-            (fun () ->
-              Option.iter Proc.freeze !app_proc;
-              Proc.freeze self);
-          unfreeze =
-            (fun () ->
-              Option.iter Proc.unfreeze !app_proc;
-              Proc.unfreeze self);
-          read_var = (fun _ -> None);
-          write_var = (fun _ _ -> false);
-          subscribe_var = (fun _ -> ());
-        }
+      let vars =
+        Daemon.register env.Renv.fci ~host
+          ~name:(Printf.sprintf "rank%d.%d@%d" rank slot host)
+          ~main:(Proc.self ())
+          ~children:(fun f -> Option.iter f !app_proc)
       in
-      let target = Fci.Control.with_vars base_target vars in
-      (match env.Renv.fci with
-      | Some rt -> Fci.Runtime.register rt ~machine:host target
-      | None -> ());
       tracef ~level:Trace.Full "daemon-start" "host %d incarnation %d%s" host incarnation
         (if resume then " (respawn)" else "");
-      Proc.sleep
-        (cfg.Config.init_delay_min
-        +. Rng.float env.Renv.rng (cfg.Config.init_delay_max -. cfg.Config.init_delay_min));
+      Daemon.startup_delay cfg env.Renv.rng;
       match
         Net.connect env.Renv.net ~host ~to_host:env.Renv.dispatcher_host
           ~to_port:Config.dispatcher_port
@@ -82,29 +42,19 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
       | Error `Refused -> trace "daemon-abort" "dispatcher unreachable"
       | Ok dconn -> (
           ignore (Net.send dconn (Rmsg.Hello { rank; slot; incarnation }));
-          Proc.sleep cfg.Config.handshake_delay;
-          (match env.Renv.fci with
-          | Some rt -> Fci.Runtime.breakpoint rt ~machine:host `Before "localMPI_setCommand"
-          | None -> ());
+          Daemon.handshake env.Renv.fci ~host;
           let listener = Net.listen env.Renv.net ~host ~port:Config.daemon_port in
           Fun.protect ~finally:(fun () -> Net.close_listener listener) @@ fun () ->
           let events : dev Mailbox.t = Mailbox.create () in
           ignore
-            (Cluster.spawn_on cluster ~host ~name:(name ^ "-accept") (fun () ->
-                 let rec accept_loop () =
-                   match Net.accept listener with
-                   | None -> ()
-                   | Some conn ->
-                       (match Net.recv conn with
-                       | Net.Data (Rmsg.Peer_hello { rank = pr; slot = ps; consumed }) ->
-                           Mailbox.send events (D_peer_joined (pr, ps, conn, consumed))
-                       | Net.Data (Rmsg.State_req _) ->
-                           Mailbox.send events (D_state_req conn)
-                       | Net.Data _ | Net.Closed -> Net.close conn);
-                       accept_loop ()
-                 in
-                 accept_loop ()));
-          pump cluster ~host ~name:(name ^ "-ctrl") dconn (fun m -> D_ctrl m) events;
+            (Daemon.accept cluster ~host ~name listener
+               (fun conn -> function
+                 | Rmsg.Peer_hello { rank = pr; slot = ps; consumed } ->
+                     Some (D_peer_joined (pr, ps, conn, consumed))
+                 | Rmsg.State_req _ -> Some (D_state_req conn)
+                 | _ -> None)
+               events);
+          ignore (Daemon.pump cluster ~host ~name:(name ^ "-ctrl") dconn (fun m -> D_ctrl m) events);
           (* A fresh replica reports Ready now and waits for the all-ready
              Start; a respawned one gets its Start (with a donor)
              immediately after Hello and reports Ready only once the
@@ -158,20 +108,6 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
             if !sent = 0 then
               tracef ~level:Trace.Full "send-deferred" "to rank %d (no live replica connected, logged)" dst
           in
-          let deliver (m : Message.app_msg) =
-            match Matching.deliver matching m with
-            | Some reply ->
-                redelivery := m :: !redelivery;
-                Ivar.fill reply m.Message.data
-            | None -> ()
-          in
-          let serve_recv src tag reply =
-            match Matching.serve matching ~dst:rank ~src ~tag reply with
-            | Some m ->
-                redelivery := m :: !redelivery;
-                Ivar.fill reply m.Message.data
-            | None -> ()
-          in
           let flush_log ~peer_rank ~bound conn =
             (* Re-send everything logged for [peer_rank] above the peer's
                reception bound; the receiver's dedup drops overlaps. *)
@@ -192,34 +128,8 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
             if Option.is_none !app_proc then begin
               let state = Array.copy !committed_state in
               let ctx =
-                {
-                  App.rank;
-                  size = n;
-                  state;
-                  send =
-                    (fun ~dst ~tag ?(bytes = 1024) data ->
-                      Mailbox.send events
-                        (D_app (A_send { Message.src = rank; dst; tag; data; bytes })));
-                  recv =
-                    (fun ~src ~tag ->
-                      let reply = Ivar.create () in
-                      Mailbox.send events (D_app (A_recv { src; tag; reply }));
-                      Ivar.read reply);
-                  commit =
-                    (fun () -> Mailbox.send events (D_app (A_commit (Array.copy state))));
-                  finalize = (fun () -> Mailbox.send events (D_app A_finalize));
-                  set_app_var = (fun var v -> Fci.Control.set_var vars var v);
-                  noise =
-                    (let salt = Rng.int64 env.Renv.rng in
-                     fun k ->
-                       let x =
-                         Int64.to_int
-                           (Int64.logand
-                              (Rng.int64 (Rng.create (Int64.add salt (Int64.of_int k))))
-                              0xFFFFFL)
-                       in
-                       (float_of_int x /. 524287.5) -. 1.0);
-                }
+                Daemon.app_ctx env.Renv.rng ~rank ~size:n ~state
+                  ~set_app_var:(Fci.Control.set_var vars) (fun r -> Mailbox.send events (D_app r))
               in
               let p =
                 Cluster.spawn_on cluster ~host ~name:(Printf.sprintf "rmpi-%d.%d" rank slot)
@@ -235,9 +145,10 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
           in
           let register_peer pr ps conn =
             Hashtbl.replace peer_conns (pr, ps) conn;
-            pump cluster ~host ~name:(Printf.sprintf "%s-peer%d.%d" name pr ps) conn
-              (fun m -> D_peer ((pr, ps), m))
-              events
+            ignore
+              (Daemon.pump cluster ~host ~name:(Printf.sprintf "%s-peer%d.%d" name pr ps) conn
+                 (fun m -> D_peer ((pr, ps), m))
+                 events)
           in
           let connect_peer pr ps phost =
             if not (Hashtbl.mem peer_conns (pr, ps)) then
@@ -330,7 +241,7 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
                         | Net.Data (Rmsg.State_xfer { image }) ->
                             Net.close sc;
                             install_image image;
-                            Proc.sleep cfg.Config.restart_settle;
+                            Proc.sleep Daemon.restart_settle;
                             tracef ~level:Trace.Full "restored" "from slot %d (%d bytes)" d.Rmsg.mb_slot
                               image.Message.img_bytes;
                             ignore (Net.send dconn (Rmsg.Ready { rank; slot }));
@@ -376,7 +287,7 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
                     m.Message.tag ssn
                 else begin
                   Hashtbl.replace seen (src, m.Message.tag) ();
-                  deliver m
+                  Daemon.deliver matching ~redelivery m
                 end;
                 loop ()
             | D_peer ((pr, ps), None) ->
@@ -399,11 +310,11 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
                 ignore (Net.send conn ~size:img.Message.img_bytes (Rmsg.State_xfer { image = img }));
                 tracef ~level:Trace.Full "state-serve" "%d bytes" img.Message.img_bytes;
                 loop ()
-            | D_app (A_send m) ->
+            | D_app (Daemon.A_send m) ->
                 forward_send m;
                 loop ()
             | D_app (A_recv { src; tag; reply }) ->
-                serve_recv src tag reply;
+                Daemon.serve matching ~redelivery ~dst:rank ~src ~tag reply;
                 loop ()
             | D_app (A_commit snapshot) ->
                 committed_state := snapshot;

@@ -5,6 +5,7 @@ module Message = Mpivcl.Message
 module Matching = Mpivcl.Matching
 module Config = Mpivcl.Config
 module App = Mpivcl.App
+module Daemon = Mpivcl.Daemon
 
 (* One ulfm daemon per host. Unlike the rollback families there is no
    recovery wave and no relaunch: every daemon watches its peers with
@@ -16,12 +17,6 @@ module App = Mpivcl.App
    ranks from the agreed iteration. A daemon that finds itself outside
    the decided survivor set fences itself off and exits. *)
 
-type app_request =
-  | A_send of Message.app_msg
-  | A_recv of { dst : int; src : int; tag : int; reply : int Ivar.t }
-  | A_commit of { rank : int; state : int array }
-  | A_finalize of { rank : int }
-
 type ev =
   | E_ctrl of Umsg.t option
   | E_peer of int * Umsg.t option
@@ -29,7 +24,7 @@ type ev =
   | E_tick
   | E_propose of int
   | E_ballot_timeout of int
-  | E_app of int * app_request
+  | E_app of int * int * Daemon.app_request  (* epoch, hosted rank, request *)
 
 (* In-flight ballot bookkeeping for the candidate role. *)
 type ballot_state = {
@@ -44,6 +39,23 @@ type ballot_state = {
    backups). Old entries are pruned; the agreement recomputes a common
    restart point from whatever survives, down to the initial state. *)
 let snap_history = 12
+
+(* Period of the all-to-all daemon heartbeat that drives failure
+   suspicion. *)
+let heartbeat_period = 2.0
+
+(* Silence (no heartbeat, no app traffic) after which a peer is locally
+   suspected and a revoke is raised into any running collective. *)
+let suspicion_timeout = 8.0
+
+(* Per-ballot agreement round timeout before the candidate abandons the
+   ballot and retries with a higher one. *)
+let agree_timeout = 3.0
+
+(* Agreement attempts before a daemon concludes it is on the wrong side
+   of a partition and aborts cleanly rather than risk a split-brain
+   shrink. *)
+let max_ballots = 25
 
 let index_of x xs =
   let rec go i = function
@@ -64,7 +76,6 @@ let spawn (env : Uenv.t) ~id ~incarnation =
   let trace ?level event detail = Engine.record ?level eng ~source:name ~event detail in
   let tracef ?level event fmt = Engine.record_fmt ?level eng ~source:name ~event fmt in
   Cluster.spawn_on cluster ~host ~name (fun () ->
-      let self = Proc.self () in
       let events : ev Mailbox.t = Mailbox.create () in
       let alive = ref true in
       let started = ref false in
@@ -144,7 +155,7 @@ let spawn (env : Uenv.t) ~id ~incarnation =
             && (Hashtbl.mem suspected_extra p
                ||
                match Hashtbl.find_opt last_seen p with
-               | Some t -> now () -. t > cfg.Config.ulfm_suspicion_timeout
+               | Some t -> now () -. t > suspicion_timeout
                | None -> true))
           !members
       in
@@ -222,35 +233,9 @@ let spawn (env : Uenv.t) ~id ~incarnation =
       let spawn_rank r state =
         let e = !epoch in
         let ctx =
-          {
-            App.rank = r;
-            size = n;
-            state;
-            send =
-              (fun ~dst ~tag ?(bytes = 1024) data ->
-                Mailbox.send events
-                  (E_app (e, A_send { Message.src = r; dst; tag; data; bytes })));
-            recv =
-              (fun ~src ~tag ->
-                let reply = Ivar.create () in
-                Mailbox.send events (E_app (e, A_recv { dst = r; src; tag; reply }));
-                Ivar.read reply);
-            commit =
-              (fun () ->
-                Mailbox.send events (E_app (e, A_commit { rank = r; state = Array.copy state })));
-            finalize = (fun () -> Mailbox.send events (E_app (e, A_finalize { rank = r })));
-            set_app_var = (fun _ _ -> ());
-            noise =
-              (let salt = Rng.int64 env.Uenv.rng in
-               fun k ->
-                 let x =
-                   Int64.to_int
-                     (Int64.logand
-                        (Rng.int64 (Rng.create (Int64.add salt (Int64.of_int k))))
-                        0xFFFFFL)
-                 in
-                 (float_of_int x /. 524287.5) -. 1.0);
-          }
+          Daemon.app_ctx env.Uenv.rng ~rank:r ~size:n ~state
+            ~set_app_var:(fun _ _ -> ())
+            (fun req -> Mailbox.send events (E_app (e, r, req)))
         in
         let p =
           Cluster.spawn_on cluster ~host ~name:(Printf.sprintf "umpi-%d" r) (fun () ->
@@ -410,7 +395,7 @@ let spawn (env : Uenv.t) ~id ~incarnation =
         incr ballot_token;
         let tok = !ballot_token in
         ignore
-          (Engine.schedule eng ~delay:cfg.Config.ulfm_agree_timeout (fun () ->
+          (Engine.schedule eng ~delay:agree_timeout (fun () ->
                if !alive then Mailbox.send events (E_ballot_timeout tok)))
       in
       let arm_propose delay =
@@ -432,18 +417,19 @@ let spawn (env : Uenv.t) ~id ~incarnation =
           arm_propose (0.05 +. (0.3 *. float_of_int idx))
         end
       in
-      let do_abort reason =
-        trace "abort" reason;
-        dsend (Umsg.Abort { id; reason });
+      let stop_task () =
         kill_apps ();
         List.iter Proc.kill !aux_procs;
         alive := false
       in
+      let do_abort reason =
+        trace "abort" reason;
+        dsend (Umsg.Abort { id; reason });
+        stop_task ()
+      in
       let fence () =
         tracef "fenced" "excluded from epoch %d, shutting down" !epoch;
-        kill_apps ();
-        List.iter Proc.kill !aux_procs;
-        alive := false
+        stop_task ()
       in
       let rec ensure_mesh () =
         if !started then
@@ -465,19 +451,11 @@ let spawn (env : Uenv.t) ~id ~incarnation =
         Hashtbl.replace peer_conns p conn;
         Hashtbl.replace last_seen p (now ());
         Hashtbl.remove suspected_extra p;
-        let pump =
-          Cluster.spawn_on cluster ~host ~name:(Printf.sprintf "%s-peer%d" name p)
-            (fun () ->
-              let rec run () =
-                match Net.recv conn with
-                | Net.Data m ->
-                    Mailbox.send events (E_peer (p, Some m));
-                    run ()
-                | Net.Closed -> Mailbox.send events (E_peer (p, None))
-              in
-              run ())
-        in
-        aux_procs := pump :: !aux_procs;
+        aux_procs :=
+          Daemon.pump cluster ~host ~name:(Printf.sprintf "%s-peer%d" name p) conn
+            (fun m -> E_peer (p, m))
+            events
+          :: !aux_procs;
         sync_resend p;
         Hashtbl.iter (fun r () -> if donor_of r = Some p then request_fetch r) pending_fetch;
         maybe_sync ()
@@ -603,17 +581,17 @@ let spawn (env : Uenv.t) ~id ~incarnation =
               (List.length bs.bs_proposed) (List.length !members)
               (Shrinkc.quorum !members);
             proposing := None;
-            arm_propose cfg.Config.ulfm_agree_timeout
+            arm_propose agree_timeout
           end
       in
       let start_ballot () =
         incr attempt;
         incr ballots_used;
         incr ballots_total;
-        if !ballots_used > cfg.Config.ulfm_max_ballots then
+        if !ballots_used > max_ballots then
           do_abort
             (Printf.sprintf "agreement exhausted after %d ballots at epoch %d"
-               cfg.Config.ulfm_max_ballots !epoch)
+               max_ballots !epoch)
         else begin
           let sus = suspected_now () in
           let proposed = List.filter (fun p -> not (List.mem p sus)) !members in
@@ -644,20 +622,6 @@ let spawn (env : Uenv.t) ~id ~incarnation =
       in
 
       (* ---------------- dispatcher link ---------------- *)
-      let pump_ctrl conn =
-        let pump =
-          Cluster.spawn_on cluster ~host ~name:(name ^ "-ctrl") (fun () ->
-              let rec run () =
-                match Net.recv conn with
-                | Net.Data m ->
-                    Mailbox.send events (E_ctrl (Some m));
-                    run ()
-                | Net.Closed -> Mailbox.send events (E_ctrl None)
-              in
-              run ())
-        in
-        aux_procs := pump :: !aux_procs
-      in
       let ensure_dconn () =
         if !dconn = None then
           match
@@ -667,7 +631,9 @@ let spawn (env : Uenv.t) ~id ~incarnation =
           | Error `Refused -> ()
           | Ok conn ->
               dconn := Some conn;
-              pump_ctrl conn;
+              aux_procs :=
+                Daemon.pump cluster ~host ~name:(name ^ "-ctrl") conn (fun m -> E_ctrl m) events
+                :: !aux_procs;
               ignore (Net.send conn (Umsg.Hello { id; inc = incarnation }));
               if !ready_sent then ignore (Net.send conn (Umsg.Ready { id }));
               Hashtbl.iter (fun r () -> ignore (Net.send conn (Umsg.Rank_done { rank = r }))) done_ranks;
@@ -677,7 +643,7 @@ let spawn (env : Uenv.t) ~id ~incarnation =
       (* ---------------- event handlers ---------------- *)
       let arm_tick () =
         ignore
-          (Engine.schedule eng ~delay:cfg.Config.ulfm_heartbeat_period (fun () ->
+          (Engine.schedule eng ~delay:heartbeat_period (fun () ->
                if !alive then Mailbox.send events E_tick))
       in
       let handle_tick () =
@@ -757,7 +723,7 @@ let spawn (env : Uenv.t) ~id ~incarnation =
             | Some bs when bs.bs_ballot = b ->
                 proposing := None;
                 attempt := max !attempt (Shrinkc.ballot_attempt ~population prom);
-                arm_propose cfg.Config.ulfm_agree_timeout
+                arm_propose agree_timeout
             | _ -> ())
         | Umsg.Accept { id = from; ballot = b; decision } ->
             let inst = decision.Shrinkc.d_epoch in
@@ -813,19 +779,19 @@ let spawn (env : Uenv.t) ~id ~incarnation =
             else if e > !epoch then future := !future @ [ (e, msg) ]
         | msg -> trace "protocol-error" (Format.asprintf "from peer %d: %a" p Umsg.pp msg)
       in
-      let handle_app e req =
+      let handle_app e rank (req : Daemon.app_request) =
         if e = !epoch then
           match req with
           | A_send m -> route_send m
-          | A_recv { dst; src; tag; reply } -> serve_recv dst src tag reply
-          | A_commit { rank; state } -> (
+          | A_recv { src; tag; reply } -> serve_recv rank src tag reply
+          | A_commit state -> (
               store_snap rank state.(0) state;
               match buddy () with
               | Some b when b <> id ->
                   psend_sized b ~size:env.Uenv.state_bytes
                     (Umsg.Backup { rank; iter = state.(0); state })
               | _ -> ())
-          | A_finalize { rank } ->
+          | A_finalize ->
               if not (Hashtbl.mem done_ranks rank) then
                 tracef ~level:Trace.Full "rank-done" "rank %d (epoch %d)" rank !epoch;
               Hashtbl.replace done_ranks rank ();
@@ -833,59 +799,25 @@ let spawn (env : Uenv.t) ~id ~incarnation =
       in
 
       (* ---------------- FCI wiring ---------------- *)
-      let vars = Fci.Control.make_vars () in
-      let base_target =
-        {
-          Fci.Control.target_name = Printf.sprintf "udaemon%d@%d" id host;
-          proc = self;
-          kill =
-            (fun () ->
-              Hashtbl.iter (fun _ p -> Proc.kill p) app_procs;
-              List.iter Proc.kill !aux_procs;
-              Proc.kill self);
-          freeze =
-            (fun () ->
-              Hashtbl.iter (fun _ p -> Proc.freeze p) app_procs;
-              List.iter Proc.freeze !aux_procs;
-              Proc.freeze self);
-          unfreeze =
-            (fun () ->
-              Hashtbl.iter (fun _ p -> Proc.unfreeze p) app_procs;
-              List.iter Proc.unfreeze !aux_procs;
-              Proc.unfreeze self);
-          read_var = (fun _ -> None);
-          write_var = (fun _ _ -> false);
-          subscribe_var = (fun _ -> ());
-        }
-      in
-      let target = Fci.Control.with_vars base_target vars in
-      (match env.Uenv.fci with
-      | Some rt -> Fci.Runtime.register rt ~machine:host target
-      | None -> ());
+      ignore
+        (Daemon.register env.Uenv.fci ~host
+           ~name:(Printf.sprintf "udaemon%d@%d" id host)
+           ~main:(Proc.self ())
+           ~children:(fun f ->
+             Hashtbl.iter (fun _ p -> f p) app_procs;
+             List.iter f !aux_procs));
       tracef ~level:Trace.Full "daemon-start" "host %d incarnation %d" host incarnation;
-      Proc.sleep
-        (cfg.Config.init_delay_min
-        +. Rng.float env.Uenv.rng (cfg.Config.init_delay_max -. cfg.Config.init_delay_min));
+      Daemon.startup_delay cfg env.Uenv.rng;
       ensure_dconn ();
-      Proc.sleep cfg.Config.handshake_delay;
-      (match env.Uenv.fci with
-      | Some rt -> Fci.Runtime.breakpoint rt ~machine:host `Before "localMPI_setCommand"
-      | None -> ());
+      Daemon.handshake env.Uenv.fci ~host;
       let listener = Net.listen env.Uenv.net ~host ~port:Config.daemon_port in
       Fun.protect ~finally:(fun () -> Net.close_listener listener) @@ fun () ->
       let acceptor =
-        Cluster.spawn_on cluster ~host ~name:(name ^ "-accept") (fun () ->
-            let rec accept_loop () =
-              match Net.accept listener with
-              | None -> ()
-              | Some conn ->
-                  (match Net.recv conn with
-                  | Net.Data (Umsg.Peer_hello { id = p }) ->
-                      Mailbox.send events (E_peer_joined (p, conn))
-                  | Net.Data _ | Net.Closed -> Net.close conn);
-                  accept_loop ()
-            in
-            accept_loop ())
+        Daemon.accept cluster ~host ~name listener
+          (fun conn -> function
+            | Umsg.Peer_hello { id = p } -> Some (E_peer_joined (p, conn))
+            | _ -> None)
+          events
       in
       aux_procs := acceptor :: !aux_procs;
       ready_sent := true;
@@ -908,9 +840,7 @@ let spawn (env : Uenv.t) ~id ~incarnation =
                 maybe_sync ()
               end
           | E_ctrl (Some Umsg.Shutdown) ->
-              kill_apps ();
-              List.iter Proc.kill !aux_procs;
-              alive := false;
+              stop_task ();
               trace ~level:Trace.Full "daemon-exit" "shutdown"
           | E_ctrl (Some msg) ->
               trace "protocol-error" (Format.asprintf "from dispatcher: %a" Umsg.pp msg)
@@ -948,7 +878,7 @@ let spawn (env : Uenv.t) ~id ~incarnation =
                     proposing := None;
                     ensure_propose ()
                 | None -> ())
-          | E_app (e, req) -> handle_app e req);
+          | E_app (e, rank, req) -> handle_app e rank req);
           loop ()
         end
       in

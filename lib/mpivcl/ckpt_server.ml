@@ -8,6 +8,12 @@ open Simos
    image instead of ever serving it. *)
 type slot = { s_image : Message.image; s_complete : bool }
 
+let respawn_delay = 45.0
+
+(* Bound on the waits for a mirror's ack and for a resync reply, the
+   same 20 s the scheduler gives a wave's store acks. *)
+let ack_timeout = 20.0
+
 type t = {
   eng : Engine.t;
   cluster : Cluster.t;
@@ -17,7 +23,6 @@ type t = {
   server_hosts : int array;
   replicas : int;
   respawn : float option;
-  ack_timeout : float;
   transfer_time : int -> float;
   (* The two tables model the host's disk: they survive the server
      *process* dying (FAIL kills tasks, not file systems), which is what
@@ -82,7 +87,7 @@ let mirror_push t (image : Message.image) =
       if not (Simnet.Net.send c ~size:image.Message.img_bytes (Message.Mirror_store { image }))
       then skip "mirror connection lost"
       else (
-        match Simnet.Net.recv_timeout c ~timeout:t.ack_timeout with
+        match Simnet.Net.recv_timeout c ~timeout:ack_timeout with
         | Some (Simnet.Net.Data (Message.Mirror_ack { rank = r; wave = w }))
           when r = rank && w = wave ->
             tracel t "mirror-ack" (fun () -> Printf.sprintf "rank %d wave %d" rank wave)
@@ -245,7 +250,7 @@ let recover t =
               if not (Simnet.Net.send c (Message.Sync_pull { shard })) then
                 trace t "resync-skip" (Printf.sprintf "shard %d: connection lost" shard)
               else
-                match Simnet.Net.recv_timeout c ~timeout:t.ack_timeout with
+                match Simnet.Net.recv_timeout c ~timeout:ack_timeout with
                 | Some (Simnet.Net.Data (Message.Sync_images { images })) ->
                     let installed = ref 0 in
                     List.iter
@@ -325,7 +330,7 @@ let rec start t ~first =
           end)
 
 let spawn eng cluster net ~host ~bandwidth ?(jitter = 0.0) ?(index = 0) ?server_hosts
-    ?(replicas = 1) ?respawn ?(ack_timeout = 20.0) () =
+    ?(replicas = 1) ?respawn () =
   let server_hosts = match server_hosts with Some a -> a | None -> [| host |] in
   let rng = Rng.split (Engine.rng eng) in
   let transfer_time bytes =
@@ -342,7 +347,6 @@ let spawn eng cluster net ~host ~bandwidth ?(jitter = 0.0) ?(index = 0) ?server_
       server_hosts;
       replicas;
       respawn;
-      ack_timeout;
       transfer_time;
       pending = Hashtbl.create 64;
       committed_tbl = Hashtbl.create 64;

@@ -22,8 +22,15 @@ open Simos
 
 type t
 
+(** How long after a checkpoint-server death the storage plane respawns
+    it (the paper's operator restart), 45 s. The respawned server
+    discards torn images and, with [replicas >= 2], re-syncs its shard
+    from its neighbours before serving. {!Deploy} passes it as
+    [respawn]. *)
+val respawn_delay : float
+
 (** [spawn engine cluster net ~host ~bandwidth ?jitter ?index
-    ?server_hosts ?replicas ?respawn ?ack_timeout ()] starts a server
+    ?server_hosts ?replicas ?respawn ()] starts a server
     listening on [Config.server_port] at [host]; each transfer's service
     time gets a relative uniform jitter of amplitude [jitter] (default 0).
 
@@ -31,8 +38,8 @@ type t
     hosts of the whole plane in ring order (default [[| host |]]);
     [replicas >= 2] arms mirroring (default 1: primary only, the
     historical behaviour). [respawn] restarts the server that long after
-    its process dies (default: never); [ack_timeout] bounds mirror-ack
-    and resync waits (default 20 s). *)
+    its process dies (default: never). Mirror-ack and resync waits give
+    up after 20 s. *)
 val spawn :
   Engine.t ->
   Cluster.t ->
@@ -44,7 +51,6 @@ val spawn :
   ?server_hosts:int array ->
   ?replicas:int ->
   ?respawn:float ->
-  ?ack_timeout:float ->
   unit ->
   t
 

@@ -11,32 +11,18 @@ type t = {
   wave_interval : float;
   n_ckpt_servers : int;
   server_bandwidth : float;
-  local_restore_time : float;
   ssh_delay : float;
   relaunch_delay : float;
   init_delay_min : float;
   init_delay_max : float;
-  handshake_delay : float;
   term_lag_min : float;
   term_lag_max : float;
   term_straggler_prob : float;
-  term_straggler_extra : float;
   store_jitter : float;
   ckpt_replicas : int;  (** 1 = primary only (historical behaviour), 2 = primary + mirror *)
-  store_ack_timeout : float;  (** scheduler abandons a wave whose acks never arrive *)
-  fetch_retries : int;  (** per-replica fetch connection attempts before failing over *)
-  fetch_backoff : float;  (** initial fetch retry backoff, doubled per attempt *)
-  ckpt_respawn_delay : float;  (** dead server restart delay; resyncs from mirror first *)
   dispatcher_buggy : bool;
   vcl_seeded_race : bool;
-  restart_settle : float;
   lazy_peer_mesh : bool;
-  rep_respawn : bool;
-  rep_failover_window : float;
-  ulfm_heartbeat_period : float;
-  ulfm_suspicion_timeout : float;
-  ulfm_agree_timeout : float;
-  ulfm_max_ballots : int;
   net : Simnet.Net.Perturb.profile option;
   topology : Simtopo.Topo.spec option;
 }
@@ -48,32 +34,18 @@ let default ~n_ranks =
     wave_interval = 30.0;
     n_ckpt_servers = 3;
     server_bandwidth = 1e8;
-    local_restore_time = 0.2;
     ssh_delay = 0.5;
     relaunch_delay = 0.2;
     init_delay_min = 0.1;
     init_delay_max = 0.6;
-    handshake_delay = 0.1;
     term_lag_min = 0.2;
     term_lag_max = 4.0;
     term_straggler_prob = 0.065;
-    term_straggler_extra = 14.0;
     store_jitter = 0.25;
     ckpt_replicas = 1;
-    store_ack_timeout = 20.0;
-    fetch_retries = 3;
-    fetch_backoff = 0.5;
-    ckpt_respawn_delay = 45.0;
     dispatcher_buggy = true;
     vcl_seeded_race = false;
-    restart_settle = 0.1;
     lazy_peer_mesh = false;
-    rep_respawn = true;
-    rep_failover_window = 30.0;
-    ulfm_heartbeat_period = 2.0;
-    ulfm_suspicion_timeout = 8.0;
-    ulfm_agree_timeout = 3.0;
-    ulfm_max_ballots = 25;
     net = None;
     topology = None;
   }

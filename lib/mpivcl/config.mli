@@ -34,7 +34,6 @@ type t = {
   wave_interval : float;  (** checkpoint scheduler period (paper: 30 s) *)
   n_ckpt_servers : int;
   server_bandwidth : float;  (** per-server store/restore throughput *)
-  local_restore_time : float;  (** reload image from local disk *)
   ssh_delay : float;  (** remote process launch latency *)
   relaunch_delay : float;
       (** dispatcher-side resource allocation before relaunching a rank
@@ -45,18 +44,16 @@ type t = {
           spawn and the dispatcher Hello — the window in which a fault
           kills an {e unregistered} daemon and the dispatcher retries
           cleanly (Figure 9's non-buggy cases); uniform jitter *)
-  handshake_delay : float;
-      (** daemon/dispatcher argument exchange before [localMPI_setCommand] *)
   term_lag_min : float;
   term_lag_max : float;
       (** an old-wave daemon takes uniform [term_lag_min, term_lag_max] to
           honour a termination order (cleanup, flushing) — the spread that
           opens the recovery race window *)
   term_straggler_prob : float;
-  term_straggler_extra : float;
-      (** with this probability a daemon adds uniform [0, extra] seconds
-          to its termination (e.g. it was mid-transfer) — the run-to-run
-          recovery variance behind the paper's "chaotic" times (§5.2) *)
+      (** with this probability a daemon adds uniform [0, 14] seconds
+          ({!Vdaemon}'s [term_straggler_extra]) to its termination (e.g.
+          it was mid-transfer) — the run-to-run recovery variance behind
+          the paper's "chaotic" times (§5.2) *)
   store_jitter : float;
       (** relative jitter on checkpoint-server transfer times (disk and
           NFS contention) *)
@@ -67,23 +64,6 @@ type t = {
           every store to the rank's mirror server (the next server in
           the ring) before acking, and restores fail over to the mirror
           when the primary is unreachable. *)
-  store_ack_timeout : float;
-      (** how long the checkpoint scheduler waits for the wave's store
-          acks after broadcasting markers before abandoning the wave
-          (traced [wave-abandoned]) — a dead or frozen checkpoint server
-          degrades the wave instead of wedging the scheduler. Also
-          bounds the primary's wait for a mirror ack. *)
-  fetch_retries : int;
-      (** restore-time connection attempts per storage replica before
-          the daemon moves down the failover ladder *)
-  fetch_backoff : float;
-      (** initial retry backoff for restore fetches, doubled per attempt
-          (exponential, jitter-free to stay deterministic) *)
-  ckpt_respawn_delay : float;
-      (** how long after a checkpoint-server death the storage plane
-          respawns it (the paper's operator restart). The respawned
-          server discards torn images and, with [ckpt_replicas >= 2],
-          re-syncs its shard from its neighbours before serving. *)
   dispatcher_buggy : bool;
       (** historical dispatcher with the recovery-wave confusion the paper
           found; [false] = the corrected dispatcher *)
@@ -95,7 +75,6 @@ type t = {
           the deployment wedges. [lib/explore] must rediscover this from
           a bounded fault-space search and shrink the witness to two
           faults; it is never enabled by any experiment. *)
-  restart_settle : float;  (** daemon-side setup after image load *)
   lazy_peer_mesh : bool;
       (** open daemon-to-daemon connections on first send instead of
           eagerly building the full [n*(n-1)/2] mesh at start-up. The
@@ -106,28 +85,6 @@ type t = {
           the channels that exist, and a channel opened mid-wave exchanges
           markers on establishment. [false] (the default) keeps the eager
           mesh and stays byte-identical to the historical simulator. *)
-  rep_respawn : bool;
-      (** replication only: respawn a fresh replica (state transfer from a
-          live sibling) after a replica failure, restoring the replication
-          degree; [false] = run degraded until the last replica dies *)
-  rep_failover_window : float;
-      (** replication only: how long the membership layer waits for an
-          in-flight respawn to come back live once a rank has {e zero}
-          computing replicas before declaring replication exhausted *)
-  ulfm_heartbeat_period : float;
-      (** ulfm only: period of the all-to-all daemon heartbeat that
-          drives failure suspicion *)
-  ulfm_suspicion_timeout : float;
-      (** ulfm only: silence (no heartbeat, no app traffic) after which
-          a peer is locally suspected and a revoke is raised into any
-          running collective *)
-  ulfm_agree_timeout : float;
-      (** ulfm only: per-ballot agreement round timeout before the
-          candidate abandons the ballot and retries with a higher one *)
-  ulfm_max_ballots : int;
-      (** ulfm only: agreement attempts before a daemon concludes it is
-          on the wrong side of a partition and aborts cleanly rather
-          than risk a split-brain shrink *)
   net : Simnet.Net.Perturb.profile option;
       (** launch-time network perturbation ([failmpi_run --net-*]):
           applied to the deployment's fabric before any process starts

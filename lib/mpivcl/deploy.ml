@@ -87,8 +87,7 @@ let launch eng ?fci ~cfg ~app ~state_bytes ~n_compute () =
       (fun i host ->
         Ckpt_server.spawn eng cluster net ~host ~bandwidth:cfg.Config.server_bandwidth
           ~jitter:cfg.Config.store_jitter ~index:i ~server_hosts:env.Env.server_hosts
-          ~replicas:cfg.Config.ckpt_replicas ~respawn:cfg.Config.ckpt_respawn_delay
-          ~ack_timeout:cfg.Config.store_ack_timeout ())
+          ~replicas:cfg.Config.ckpt_replicas ~respawn:Ckpt_server.respawn_delay ())
       lay.server_hosts
   in
   let scheduler =
@@ -97,8 +96,7 @@ let launch eng ?fci ~cfg ~app ~state_bytes ~n_compute () =
     if Config.restarts_all_ranks cfg then
       Some
         (Scheduler.spawn eng cluster net ~host:lay.scheduler_host ~n_ranks:cfg.Config.n_ranks
-           ~wave_interval:cfg.Config.wave_interval
-           ~store_ack_timeout:cfg.Config.store_ack_timeout ~server_hosts:lay.server_hosts ())
+           ~wave_interval:cfg.Config.wave_interval ~server_hosts:lay.server_hosts)
     else None
   in
   let dispatcher =

@@ -16,14 +16,9 @@ type t = {
   rng : Rng.t;
 }
 
-let server_index t ~rank = rank mod Array.length t.server_hosts
-let server_for t ~rank = t.server_hosts.(server_index t ~rank)
-
-let mirror_index t ~rank =
+let storage_hosts t ~rank =
   let n = Array.length t.server_hosts in
+  let primary = rank mod n in
   if t.cfg.Config.ckpt_replicas >= 2 && n >= 2 then
-    Some ((server_index t ~rank + 1) mod n)
-  else None
-
-let mirror_for t ~rank =
-  Option.map (fun i -> t.server_hosts.(i)) (mirror_index t ~rank)
+    [ t.server_hosts.(primary); t.server_hosts.((primary + 1) mod n) ]
+  else [ t.server_hosts.(primary) ]

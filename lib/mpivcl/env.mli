@@ -18,18 +18,8 @@ type t = {
   rng : Rng.t;  (** service-time jitter (termination lags) *)
 }
 
-(** [server_index t ~rank] is the index (shard) of the rank's primary
-    checkpoint server, [rank mod n_servers]. *)
-val server_index : t -> rank:int -> int
-
-(** [server_for t ~rank] is the checkpoint-server host assigned to a rank
-    (round-robin). *)
-val server_for : t -> rank:int -> int
-
-(** [mirror_index t ~rank] is the index of the rank's mirror server (the
-    next server in the ring), or [None] when replication is off
+(** [storage_hosts t ~rank] are the rank's checkpoint-server hosts in
+    failover order: its primary, server [rank mod n_servers], then its
+    mirror, the next server in the ring, unless replication is off
     ([ckpt_replicas < 2]) or there is only one server. *)
-val mirror_index : t -> rank:int -> int option
-
-(** [mirror_for t ~rank] is the mirror server's host, if any. *)
-val mirror_for : t -> rank:int -> int option
+val storage_hosts : t -> rank:int -> int list

@@ -12,8 +12,13 @@ type t = {
 let trace ?level t event detail =
   Engine.record ?level t.eng ~source:"ckpt-scheduler" ~event detail
 
-let spawn eng cluster net ~host ~n_ranks ~wave_interval ?(store_ack_timeout = 20.0)
-    ~server_hosts () =
+(* How long the scheduler waits for the wave's store acks after
+   broadcasting markers before abandoning the wave (traced
+   [wave-abandoned]): a dead or frozen checkpoint server degrades the
+   wave instead of wedging the scheduler. *)
+let store_ack_timeout = 20.0
+
+let spawn eng cluster net ~host ~n_ranks ~wave_interval ~server_hosts =
   let t = { eng; cluster; host; last_committed = None; committed_count = 0 } in
   let conns : (int, Message.t Simnet.Net.conn) Hashtbl.t = Hashtbl.create 64 in
   let acks : (int, unit) Hashtbl.t = Hashtbl.create 64 in

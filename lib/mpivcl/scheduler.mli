@@ -7,7 +7,8 @@
     starts only after the previous one ended; a wave is aborted if any
     daemon connection breaks while it is in progress.
 
-    The ack wait is bounded: after [store_ack_timeout] seconds without
+    The ack wait is bounded: after 20 s (the bound {!Ckpt_server} also
+    puts on mirror acks) without
     the full ack set the scheduler re-sends markers to the stragglers
     once, then abandons the wave (traced [wave-abandoned]) — a dead or
     frozen checkpoint server degrades the wave instead of wedging the
@@ -25,9 +26,7 @@ val spawn :
   host:int ->
   n_ranks:int ->
   wave_interval:float ->
-  ?store_ack_timeout:float ->
   server_hosts:int list ->
-  unit ->
   t
 
 (** [last_committed t] is the newest globally committed wave. *)

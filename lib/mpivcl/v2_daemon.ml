@@ -3,31 +3,13 @@ open Simos
 module Net = Simnet.Net
 module IntSet = Set.Make (Int)
 
-type app_request =
-  | A_send of Message.app_msg
-  | A_recv of { src : int; tag : int; reply : int Ivar.t }
-  | A_commit of int array
-  | A_finalize
-
 type dev =
   | D_ctrl of Message.t option
   | D_server of Message.t option
   | D_peer of int * Message.t option
   | D_peer_joined of int * Message.t Net.conn
-  | D_app of app_request
+  | D_app of Daemon.app_request
   | D_ckpt_tick of int  (* generation, to ignore stale timers *)
-
-let pump cluster ~host ~name conn wrap events =
-  ignore
-    (Cluster.spawn_on cluster ~host ~name (fun () ->
-         let rec run () =
-           match Net.recv conn with
-           | Net.Data m ->
-               Mailbox.send events (wrap (Some m));
-               run ()
-           | Net.Closed -> Mailbox.send events (wrap None)
-         in
-         run ()))
 
 let spawn (env : Env.t) ~rank ~host ~incarnation =
   let eng = env.Env.eng in
@@ -39,38 +21,15 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
   (* Chatty per-message / per-wave events: Full-gated, lazily formatted. *)
   let tracel event f = Engine.record_lazy ~level:Trace.Full eng ~source:src ~event f in
   Cluster.spawn_on cluster ~host ~name (fun () ->
-      let self = Proc.self () in
       let app_proc = ref None in
-      let vars = Fci.Control.make_vars () in
-      let base_target =
-        {
-          Fci.Control.target_name = Printf.sprintf "rank%d@%d" rank host;
-          proc = self;
-          kill =
-            (fun () ->
-              Option.iter Proc.kill !app_proc;
-              Proc.kill self);
-          freeze =
-            (fun () ->
-              Option.iter Proc.freeze !app_proc;
-              Proc.freeze self);
-          unfreeze =
-            (fun () ->
-              Option.iter Proc.unfreeze !app_proc;
-              Proc.unfreeze self);
-          read_var = (fun _ -> None);
-          write_var = (fun _ _ -> false);
-          subscribe_var = (fun _ -> ());
-        }
+      let vars =
+        Daemon.register env.Env.fci ~host
+          ~name:(Printf.sprintf "rank%d@%d" rank host)
+          ~main:(Proc.self ())
+          ~children:(fun f -> Option.iter f !app_proc)
       in
-      let target = Fci.Control.with_vars base_target vars in
-      (match env.Env.fci with
-      | Some rt -> Fci.Runtime.register rt ~machine:host target
-      | None -> ());
       tracel "daemon-start" (fun () -> Printf.sprintf "host %d incarnation %d" host incarnation);
-      Proc.sleep
-        (cfg.Config.init_delay_min
-        +. Rng.float env.Env.rng (cfg.Config.init_delay_max -. cfg.Config.init_delay_min));
+      Daemon.startup_delay cfg env.Env.rng;
       match
         Net.connect env.Env.net ~host ~to_host:env.Env.dispatcher_host
           ~to_port:Config.dispatcher_port
@@ -78,76 +37,18 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
       | Error `Refused -> trace "daemon-abort" "dispatcher unreachable"
       | Ok dconn -> (
           ignore (Net.send dconn (Message.Hello { rank; incarnation }));
-          Proc.sleep cfg.Config.handshake_delay;
-          (match env.Env.fci with
-          | Some rt -> Fci.Runtime.breakpoint rt ~machine:host `Before "localMPI_setCommand"
-          | None -> ());
-          (* Restore walks the same failover ladder as the vcl daemon:
-             primary with bounded exponential backoff, then the mirror;
+          Daemon.handshake env.Env.fci ~host;
+          (* Restore walks the same failover ladder as the vcl daemon;
              only when no replica is reachable at all is the checkpoint
              declared lost. *)
-          let server_host = Env.server_for env ~rank in
-          let fetch_from to_host =
-            match
-              Net.connect env.Env.net ~host ~to_host ~to_port:Config.server_port
-            with
-            | Error `Refused -> `Unreachable
-            | Ok fconn ->
-                let local_wave = Local_disk.newest_wave env.Env.disk ~host ~rank in
-                ignore (Net.send fconn (Message.Fetch { rank; local_wave }));
-                let result =
-                  match Net.recv fconn with
-                  | Net.Data (Message.Fetch_use_local { wave }) ->
-                      Proc.sleep cfg.Config.local_restore_time;
-                      `Image (Local_disk.lookup env.Env.disk ~host ~rank ~wave)
-                  | Net.Data (Message.Fetch_image { image }) -> `Image image
-                  | Net.Data _ -> `Image None
-                  | Net.Closed -> `Unreachable
-                in
-                Net.close fconn;
-                result
-          in
-          let fetch_ladder () =
-            let replicas =
-              server_host
-              :: (match Env.mirror_for env ~rank with Some h -> [ h ] | None -> [])
-            in
-            let with_backoff to_host =
-              let rec attempt k =
-                match fetch_from to_host with
-                | `Image _ as r -> r
-                | `Unreachable ->
-                    if k + 1 < cfg.Config.fetch_retries then begin
-                      Proc.sleep
-                        (Net.Perturb.backoff ~rto_initial:cfg.Config.fetch_backoff
-                           ~rto_max:(8.0 *. cfg.Config.fetch_backoff) ~attempt:k);
-                      attempt (k + 1)
-                    end
-                    else `Unreachable
-              in
-              attempt 0
-            in
-            let rec walk = function
-              | [] -> `Lost
-              | to_host :: rest -> (
-                  match with_backoff to_host with
-                  | `Image img -> `Image img
-                  | `Unreachable ->
-                      if rest <> [] then
-                        trace "fetch-failover"
-                          (Printf.sprintf "server host %d unreachable, trying mirror" to_host);
-                      walk rest)
-            in
-            walk replicas
-          in
-          match (if incarnation = 0 then `Image None else fetch_ladder ()) with
+          match Daemon.restore env ~trace ~host ~rank ~incarnation with
           | `Lost ->
               trace "ckpt-lost"
                 (Printf.sprintf "rank %d: no storage replica reachable" rank);
               ignore (Net.send dconn (Message.Ckpt_lost_report { rank }));
               trace "daemon-abort" "checkpoint storage lost"
           | `Image image ->
-          Proc.sleep cfg.Config.restart_settle;
+          Proc.sleep Daemon.restart_settle;
           (match image with
           | Some img -> tracel "restored" (fun () -> Printf.sprintf "wave %d" img.Message.img_wave)
           | None -> trace ~level:Trace.Full "restored" "fresh");
@@ -155,58 +56,17 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
           Fun.protect ~finally:(fun () -> Net.close_listener listener) @@ fun () ->
           let events : dev Mailbox.t = Mailbox.create () in
           ignore
-            (Cluster.spawn_on cluster ~host ~name:(name ^ "-accept") (fun () ->
-                 let rec accept_loop () =
-                   match Net.accept listener with
-                   | None -> ()
-                   | Some conn ->
-                       (match Net.recv conn with
-                       | Net.Data (Message.Peer_hello { rank = peer }) ->
-                           Mailbox.send events (D_peer_joined (peer, conn))
-                       | Net.Data _ | Net.Closed -> Net.close conn);
-                       accept_loop ()
-                 in
-                 accept_loop ()));
-          let server_conn =
-            ref
-              (match
-                 Net.connect env.Env.net ~host ~to_host:server_host ~to_port:Config.server_port
-               with
-              | Ok c ->
-                  pump cluster ~host ~name:(name ^ "-server") c (fun m -> D_server m) events;
-                  Some c
-              | Error `Refused -> None)
-          in
+            (Daemon.accept cluster ~host ~name listener
+               (fun conn -> function
+                 | Message.Peer_hello { rank = peer } -> Some (D_peer_joined (peer, conn))
+                 | _ -> None)
+               events);
           (* Stores ride the failover ladder too: reconnect to the
              primary if it came back, else to the mirror. *)
-          let ensure_server_conn () =
-            (match !server_conn with
-            | Some c when Net.is_open c -> ()
-            | Some _ | None ->
-                server_conn := None;
-                let candidates =
-                  server_host
-                  :: (match Env.mirror_for env ~rank with Some h -> [ h ] | None -> [])
-                in
-                List.iter
-                  (fun to_host ->
-                    if !server_conn = None then
-                      match
-                        Net.connect env.Env.net ~host ~to_host ~to_port:Config.server_port
-                      with
-                      | Ok c ->
-                          trace "server-reconnect"
-                            (Printf.sprintf "storage host %d%s" to_host
-                               (if to_host = server_host then "" else " (mirror)"));
-                          pump cluster ~host ~name:(name ^ "-server") c
-                            (fun m -> D_server m)
-                            events;
-                          server_conn := Some c
-                      | Error `Refused -> ())
-                  candidates);
-            !server_conn
+          let storage =
+            Daemon.storage env ~trace ~host ~rank ~name (fun m -> D_server m) events
           in
-          pump cluster ~host ~name:(name ^ "-ctrl") dconn (fun m -> D_ctrl m) events;
+          ignore (Daemon.pump cluster ~host ~name:(name ^ "-ctrl") dconn (fun m -> D_ctrl m) events);
           ignore (Net.send dconn (Message.Ready { rank }));
 
           (* ---------------- protocol state ---------------- *)
@@ -258,9 +118,10 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                ssns stay contiguous on a single FIFO channel. *)
             if not (lazy_mesh && Hashtbl.mem peer_conns peer) then
               Hashtbl.replace peer_conns peer conn;
-            pump cluster ~host ~name:(Printf.sprintf "%s-peer%d" name peer) conn
-              (fun m -> D_peer (peer, m))
-              events;
+            ignore
+              (Daemon.pump cluster ~host ~name:(Printf.sprintf "%s-peer%d" name peer) conn
+                 (fun m -> D_peer (peer, m))
+                 events);
             if IntSet.mem peer !resend_pending then begin
               resend_pending := IntSet.remove peer !resend_pending;
               ignore (Net.send conn (Message.Resend { rank; consumed = consumed_bounds () }))
@@ -295,20 +156,6 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                 if not (Net.send conn ~size:m.Message.bytes (Message.App_logged { msg = m; ssn }))
                 then tracel "send-deferred" (fun () -> Printf.sprintf "to %d (closed, logged)" dst)
             | None -> tracel "send-deferred" (fun () -> Printf.sprintf "to %d (no connection, logged)" dst)
-          in
-          let deliver (m : Message.app_msg) =
-            match Matching.deliver matching m with
-            | Some reply ->
-                redelivery := m :: !redelivery;
-                Ivar.fill reply m.Message.data
-            | None -> ()
-          in
-          let serve_recv src tag reply =
-            match Matching.serve matching ~dst:rank ~src ~tag reply with
-            | Some m ->
-                redelivery := m :: !redelivery;
-                Ivar.fill reply m.Message.data
-            | None -> ()
           in
           let schedule_tick delay =
             incr ckpt_gen;
@@ -351,7 +198,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                 in
                 Local_disk.store env.Env.disk ~host img;
                 ckpt_in_flight := Some (wave, img.Message.img_received);
-                (match ensure_server_conn () with
+                (match Daemon.ensure_storage storage with
                 | Some conn -> ignore (Net.send conn (Message.Store { image = img }))
                 | None -> ckpt_in_flight := None);
                 tracel "local-checkpoint" (fun () -> Printf.sprintf "wave %d" wave)
@@ -364,34 +211,8 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
             in
             committed_state := Array.copy state;
             let ctx =
-              {
-                App.rank;
-                size = n;
-                state;
-                send =
-                  (fun ~dst ~tag ?(bytes = 1024) data ->
-                    Mailbox.send events
-                      (D_app (A_send { Message.src = rank; dst; tag; data; bytes })));
-                recv =
-                  (fun ~src ~tag ->
-                    let reply = Ivar.create () in
-                    Mailbox.send events (D_app (A_recv { src; tag; reply }));
-                    Ivar.read reply);
-                commit =
-                  (fun () -> Mailbox.send events (D_app (A_commit (Array.copy state))));
-                finalize = (fun () -> Mailbox.send events (D_app A_finalize));
-                set_app_var = (fun var v -> Fci.Control.set_var vars var v);
-                noise =
-                  (let salt = Rng.int64 env.Env.rng in
-                   fun k ->
-                     let x =
-                       Int64.to_int
-                         (Int64.logand
-                            (Rng.int64 (Rng.create (Int64.add salt (Int64.of_int k))))
-                            0xFFFFFL)
-                     in
-                     (float_of_int x /. 524287.5) -. 1.0);
-              }
+              Daemon.app_ctx env.Env.rng ~rank ~size:n ~state
+                ~set_app_var:(Fci.Control.set_var vars) (fun r -> Mailbox.send events (D_app r))
             in
             let p =
               Cluster.spawn_on cluster ~host ~name:(Printf.sprintf "mpi-%d" rank) (fun () ->
@@ -483,7 +304,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                     (Printf.sprintf "%d->%d tag %d" src m.Message.dst m.Message.tag)
                 else begin
                   Hashtbl.replace seen (src, m.Message.tag) ();
-                  deliver m
+                  Daemon.deliver matching ~redelivery m
                 end;
                 loop ()
             | D_peer (peer, Some (Message.Log_gc { rank = _; consumed })) ->
@@ -518,7 +339,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                 (match !ckpt_in_flight with
                 | Some (w, snapshot_bounds) when w = wave ->
                     ckpt_in_flight := None;
-                    (match !server_conn with
+                    (match Daemon.storage_link storage with
                     | Some conn -> ignore (Net.send conn (Message.Commit_rank { rank; wave }))
                     | None -> ());
                     (* Senders may prune their logs of everything this
@@ -539,11 +360,11 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                   schedule_tick cfg.Config.wave_interval
                 end;
                 loop ()
-            | D_app (A_send m) ->
+            | D_app (Daemon.A_send m) ->
                 forward_send m;
                 loop ()
             | D_app (A_recv { src; tag; reply }) ->
-                serve_recv src tag reply;
+                Daemon.serve matching ~redelivery ~dst:rank ~src ~tag reply;
                 loop ()
             | D_app (A_commit snapshot) ->
                 committed_state := snapshot;

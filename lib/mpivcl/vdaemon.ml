@@ -3,11 +3,11 @@ open Simos
 module Net = Simnet.Net
 module IntSet = Set.Make (Int)
 
-type app_request =
-  | A_send of Message.app_msg
-  | A_recv of { src : int; tag : int; reply : int Ivar.t }
-  | A_commit of int array
-  | A_finalize
+(* With probability [term_straggler_prob] a daemon adds uniform
+   [0, term_straggler_extra] seconds to its termination (e.g. it was
+   mid-transfer) — the run-to-run recovery variance behind the paper's
+   "chaotic" times (§5.2). *)
+let term_straggler_extra = 14.0
 
 type dev =
   | D_ctrl of Message.t option  (* dispatcher connection; None = closed *)
@@ -15,7 +15,7 @@ type dev =
   | D_server of Message.t option
   | D_peer of int * Message.t option
   | D_peer_joined of int * Message.t Net.conn
-  | D_app of app_request
+  | D_app of Daemon.app_request
 
 (* In-progress local checkpoint. *)
 type ckpt = {
@@ -29,18 +29,6 @@ type ckpt = {
   ck_seen : (int * int) list;
 }
 
-let pump cluster ~host ~name conn wrap events =
-  ignore
-    (Cluster.spawn_on cluster ~host ~name (fun () ->
-         let rec run () =
-           match Net.recv conn with
-           | Net.Data m ->
-               Mailbox.send events (wrap (Some m));
-               run ()
-           | Net.Closed -> Mailbox.send events (wrap None)
-         in
-         run ()))
-
 let spawn (env : Env.t) ~rank ~host ~incarnation =
   let eng = env.Env.eng in
   let cluster = env.Env.cluster in
@@ -52,41 +40,18 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
      formatting nor the retention. *)
   let tracel event f = Engine.record_lazy ~level:Trace.Full eng ~source:name ~event f in
   Cluster.spawn_on cluster ~host ~name (fun () ->
-      let self = Proc.self () in
       let app_proc = ref None in
-      let vars = Fci.Control.make_vars () in
       (* The FAIL-MPI "task": halting kills both unix processes of the
          rank, exactly like the paper's experiments. *)
-      let base_target =
-        {
-          Fci.Control.target_name = Printf.sprintf "rank%d@%d" rank host;
-          proc = self;
-          kill =
-            (fun () ->
-              Option.iter Proc.kill !app_proc;
-              Proc.kill self);
-          freeze =
-            (fun () ->
-              Option.iter Proc.freeze !app_proc;
-              Proc.freeze self);
-          unfreeze =
-            (fun () ->
-              Option.iter Proc.unfreeze !app_proc;
-              Proc.unfreeze self);
-          read_var = (fun _ -> None);
-          write_var = (fun _ _ -> false);
-          subscribe_var = (fun _ -> ());
-        }
+      let vars =
+        Daemon.register env.Env.fci ~host
+          ~name:(Printf.sprintf "rank%d@%d" rank host)
+          ~main:(Proc.self ())
+          ~children:(fun f -> Option.iter f !app_proc)
       in
-      let target = Fci.Control.with_vars base_target vars in
-      (match env.Env.fci with
-      | Some rt -> Fci.Runtime.register rt ~machine:host target
-      | None -> ());
       tracel "daemon-start" (fun () -> Printf.sprintf "host %d incarnation %d" host incarnation);
       (* Process restore and socket setup before the dispatcher sees us. *)
-      Proc.sleep
-        (cfg.Config.init_delay_min
-        +. Rng.float env.Env.rng (cfg.Config.init_delay_max -. cfg.Config.init_delay_min));
+      Daemon.startup_delay cfg env.Env.rng;
       match
         Net.connect env.Env.net ~host ~to_host:env.Env.dispatcher_host
           ~to_port:Config.dispatcher_port
@@ -96,79 +61,19 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
           ignore (Net.send dconn (Message.Hello { rank; incarnation }));
           (* Initial argument exchange with the dispatcher, then the
              localMPI_setCommand hook (Figure 10's injection point). *)
-          Proc.sleep cfg.Config.handshake_delay;
-          (match env.Env.fci with
-          | Some rt -> Fci.Runtime.breakpoint rt ~machine:host `Before "localMPI_setCommand"
-          | None -> ());
-          (* Restore the last committed image, if any. The fetch walks
-             the failover ladder: the rank's primary server with bounded
-             exponential backoff, then its mirror. A live server that
-             holds nothing is an authoritative fresh start; only when
-             every replica is unreachable is the checkpoint declared
+          Daemon.handshake env.Env.fci ~host;
+          (* Restore the last committed image, if any. Only when every
+             storage replica is unreachable is the checkpoint declared
              lost (reported to the dispatcher — recovery was needed and
              no complete image survives). *)
-          let server_host = Env.server_for env ~rank in
-          let fetch_from to_host =
-            match
-              Net.connect env.Env.net ~host ~to_host ~to_port:Config.server_port
-            with
-            | Error `Refused -> `Unreachable
-            | Ok fconn ->
-                let local_wave = Local_disk.newest_wave env.Env.disk ~host ~rank in
-                ignore (Net.send fconn (Message.Fetch { rank; local_wave }));
-                let result =
-                  match Net.recv fconn with
-                  | Net.Data (Message.Fetch_use_local { wave }) ->
-                      Proc.sleep cfg.Config.local_restore_time;
-                      `Image (Local_disk.lookup env.Env.disk ~host ~rank ~wave)
-                  | Net.Data (Message.Fetch_image { image }) -> `Image image
-                  | Net.Data _ -> `Image None
-                  | Net.Closed -> `Unreachable
-                in
-                Net.close fconn;
-                result
-          in
-          let fetch_ladder () =
-            let replicas =
-              server_host
-              :: (match Env.mirror_for env ~rank with Some h -> [ h ] | None -> [])
-            in
-            let with_backoff to_host =
-              let rec attempt k =
-                match fetch_from to_host with
-                | `Image _ as r -> r
-                | `Unreachable ->
-                    if k + 1 < cfg.Config.fetch_retries then begin
-                      Proc.sleep
-                        (Net.Perturb.backoff ~rto_initial:cfg.Config.fetch_backoff
-                           ~rto_max:(8.0 *. cfg.Config.fetch_backoff) ~attempt:k);
-                      attempt (k + 1)
-                    end
-                    else `Unreachable
-              in
-              attempt 0
-            in
-            let rec walk = function
-              | [] -> `Lost
-              | to_host :: rest -> (
-                  match with_backoff to_host with
-                  | `Image img -> `Image img
-                  | `Unreachable ->
-                      if rest <> [] then
-                        trace "fetch-failover"
-                          (Printf.sprintf "server host %d unreachable, trying mirror" to_host);
-                      walk rest)
-            in
-            walk replicas
-          in
-          match (if incarnation = 0 then `Image None else fetch_ladder ()) with
+          match Daemon.restore env ~trace ~host ~rank ~incarnation with
           | `Lost ->
               trace "ckpt-lost"
                 (Printf.sprintf "rank %d: no storage replica reachable" rank);
               ignore (Net.send dconn (Message.Ckpt_lost_report { rank }));
               trace "daemon-abort" "checkpoint storage lost"
           | `Image image ->
-          Proc.sleep cfg.Config.restart_settle;
+          Proc.sleep Daemon.restart_settle;
           (match image with
           | Some img -> tracel "restored" (fun () -> Printf.sprintf "wave %d" img.Message.img_wave)
           | None -> trace ~level:Trace.Full "restored" "fresh");
@@ -178,18 +83,12 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
           (* Accept peer connections; each identifies itself with
              Peer_hello before joining the event stream. *)
           ignore
-            (Cluster.spawn_on cluster ~host ~name:(name ^ "-accept") (fun () ->
-                 let rec accept_loop () =
-                   match Net.accept listener with
-                   | None -> ()
-                   | Some conn ->
-                       (match Net.recv conn with
-                       | Net.Data (Message.Peer_hello { rank = peer }) ->
-                           Mailbox.send events (D_peer_joined (peer, conn))
-                       | Net.Data _ | Net.Closed -> Net.close conn);
-                       accept_loop ()
-                 in
-                 accept_loop ()));
+            (Daemon.accept cluster ~host ~name listener
+               (fun conn -> function
+                 | Message.Peer_hello { rank = peer } -> Some (D_peer_joined (peer, conn))
+                 | _ -> None)
+               events);
+          let relay ~name conn wrap = ignore (Daemon.pump cluster ~host ~name conn wrap events) in
           let sconn =
             match
               Net.connect env.Env.net ~host ~to_host:env.Env.scheduler_host
@@ -197,52 +96,16 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
             with
             | Ok c ->
                 ignore (Net.send c (Message.Sched_hello { rank }));
-                pump cluster ~host ~name:(name ^ "-sched") c (fun m -> D_sched m) events;
+                relay ~name:(name ^ "-sched") c (fun m -> D_sched m);
                 Some c
             | Error `Refused -> None
           in
-          let server_conn =
-            ref
-              (match
-                 Net.connect env.Env.net ~host ~to_host:server_host ~to_port:Config.server_port
-               with
-              | Ok c ->
-                  pump cluster ~host ~name:(name ^ "-server") c (fun m -> D_server m) events;
-                  Some c
-              | Error `Refused -> None)
+          (* Stores ride the failover ladder too, so later waves keep
+             landing on storage instead of silently going nowhere. *)
+          let storage =
+            Daemon.storage env ~trace ~host ~rank ~name (fun m -> D_server m) events
           in
-          (* Stores ride the failover ladder too: when the connection to
-             the primary died, reconnect — to the primary if it came
-             back, else to the mirror — so later waves keep landing on
-             storage instead of silently going nowhere. *)
-          let ensure_server_conn () =
-            (match !server_conn with
-            | Some c when Net.is_open c -> ()
-            | Some _ | None ->
-                server_conn := None;
-                let candidates =
-                  server_host
-                  :: (match Env.mirror_for env ~rank with Some h -> [ h ] | None -> [])
-                in
-                List.iter
-                  (fun to_host ->
-                    if !server_conn = None then
-                      match
-                        Net.connect env.Env.net ~host ~to_host ~to_port:Config.server_port
-                      with
-                      | Ok c ->
-                          trace "server-reconnect"
-                            (Printf.sprintf "storage host %d%s" to_host
-                               (if to_host = server_host then "" else " (mirror)"));
-                          pump cluster ~host ~name:(name ^ "-server") c
-                            (fun m -> D_server m)
-                            events;
-                          server_conn := Some c
-                      | Error `Refused -> ())
-                  candidates);
-            !server_conn
-          in
-          pump cluster ~host ~name:(name ^ "-ctrl") dconn (fun m -> D_ctrl m) events;
+          relay ~name:(name ^ "-ctrl") dconn (fun m -> D_ctrl m);
           ignore (Net.send dconn (Message.Ready { rank }));
 
           (* ---------------- protocol state ---------------- *)
@@ -295,9 +158,8 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
             | Ok conn ->
                 ignore (Net.send conn (Message.Peer_hello { rank }));
                 Hashtbl.replace peer_conns dst conn;
-                pump cluster ~host ~name:(Printf.sprintf "%s-peer%d" name dst) conn
-                  (fun m -> D_peer (dst, m))
-                  events;
+                relay ~name:(Printf.sprintf "%s-peer%d" name dst) conn
+                  (fun m -> D_peer (dst, m));
                 (match !ckpt with
                 | Some c when not c.ck_stored ->
                     ignore (Net.send conn (Message.Marker { wave = c.ck_wave }));
@@ -314,20 +176,6 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                 | None -> ())
             | None ->
                 tracel "send-failed" (fun () -> Printf.sprintf "to %d (no connection)" m.Message.dst)
-          in
-          let deliver (m : Message.app_msg) =
-            match Matching.deliver matching m with
-            | Some reply ->
-                redelivery := m :: !redelivery;
-                Ivar.fill reply m.Message.data
-            | None -> ()
-          in
-          let serve_recv src tag reply =
-            match Matching.serve matching ~dst:rank ~src ~tag reply with
-            | Some m ->
-                redelivery := m :: !redelivery;
-                Ivar.fill reply m.Message.data
-            | None -> ()
           in
           let finish_ckpt (c : ckpt) =
             let logged = List.rev c.ck_logged in
@@ -351,7 +199,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
               }
             in
             Local_disk.store env.Env.disk ~host img;
-            (match ensure_server_conn () with
+            (match Daemon.ensure_storage storage with
             | Some conn -> ignore (Net.send conn (Message.Store { image = img }))
             | None -> tracel "store-skipped" (fun () -> Printf.sprintf "wave %d: no storage" c.ck_wave));
             tracel "local-checkpoint" (fun () ->
@@ -436,33 +284,8 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
             in
             committed_state := Array.copy state;
             let ctx =
-              {
-                App.rank;
-                size = n;
-                state;
-                send =
-                  (fun ~dst ~tag ?(bytes = 1024) data ->
-                    Mailbox.send events
-                      (D_app (A_send { Message.src = rank; dst; tag; data; bytes })));
-                recv =
-                  (fun ~src ~tag ->
-                    let reply = Ivar.create () in
-                    Mailbox.send events (D_app (A_recv { src; tag; reply }));
-                    Ivar.read reply);
-                commit =
-                  (fun () ->
-                    Mailbox.send events (D_app (A_commit (Array.copy state))));
-                finalize = (fun () -> Mailbox.send events (D_app A_finalize));
-                set_app_var = (fun var v -> Fci.Control.set_var vars var v);
-                noise =
-                  (let salt = Rng.int64 env.Env.rng in
-                   fun k ->
-                     let x =
-                       Int64.to_int
-                         (Int64.logand (Rng.int64 (Rng.create (Int64.add salt (Int64.of_int k)))) 0xFFFFFL)
-                     in
-                     (float_of_int x /. 524287.5) -. 1.0);
-              }
+              Daemon.app_ctx env.Env.rng ~rank ~size:n ~state
+                ~set_app_var:(Fci.Control.set_var vars) (fun r -> Mailbox.send events (D_app r))
             in
             let p =
               Cluster.spawn_on cluster ~host ~name:(Printf.sprintf "mpi-%d" rank) (fun () ->
@@ -488,9 +311,8 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                 | Ok conn ->
                     ignore (Net.send conn (Message.Peer_hello { rank }));
                     Hashtbl.replace peer_conns peer conn;
-                    pump cluster ~host ~name:(Printf.sprintf "%s-peer%d" name peer) conn
+                    relay ~name:(Printf.sprintf "%s-peer%d" name peer) conn
                       (fun m -> D_peer (peer, m))
-                      events
                 | Error `Refused ->
                     trace ~level:Trace.Full "peer-connect-failed" (string_of_int peer)
               done;
@@ -508,7 +330,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                        (cfg.Config.term_lag_max -. cfg.Config.term_lag_min)
                   +.
                   if Rng.float env.Env.rng 1.0 < cfg.Config.term_straggler_prob then
-                    Rng.float env.Env.rng cfg.Config.term_straggler_extra
+                    Rng.float env.Env.rng term_straggler_extra
                   else 0.0
                 in
                 trace "terminate-order" (Printf.sprintf "lag %.2f" lag);
@@ -536,9 +358,8 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                    second connection is still pumped for receives. *)
                 let fresh = not (Hashtbl.mem peer_conns peer) in
                 if fresh || not lazy_mesh then Hashtbl.replace peer_conns peer conn;
-                pump cluster ~host ~name:(Printf.sprintf "%s-peer%d" name peer) conn
-                  (fun m -> D_peer (peer, m))
-                  events;
+                relay ~name:(Printf.sprintf "%s-peer%d" name peer) conn
+                  (fun m -> D_peer (peer, m));
                 (* A wave may already be in progress: this channel's marker
                    is still expected through the new connection. With a
                    lazy mesh the cut did not count unconnected peers, so a
@@ -567,7 +388,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                    | Some c when IntSet.mem m.Message.src c.ck_channels ->
                        c.ck_logged <- m :: c.ck_logged
                    | Some _ | None -> ());
-                   deliver m
+                   Daemon.deliver matching ~redelivery m
                  end);
                 loop ()
             | D_peer (peer, Some (Message.Marker { wave })) ->
@@ -603,12 +424,12 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
             | D_server (Some msg) ->
                 trace "protocol-error" (Format.asprintf "from server: %a" Message.pp msg);
                 loop ()
-            | D_app (A_send m) ->
+            | D_app (Daemon.A_send m) ->
                 if blocking && !ckpt <> None then held_sends := m :: !held_sends
                 else forward_send m;
                 loop ()
             | D_app (A_recv { src; tag; reply }) ->
-                serve_recv src tag reply;
+                Daemon.serve matching ~redelivery ~dst:rank ~src ~tag reply;
                 loop ()
             | D_app (A_commit snapshot) ->
                 committed_state := snapshot;

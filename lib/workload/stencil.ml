@@ -28,11 +28,14 @@ let neighbour ~side rank dir =
   in
   (row' * side) + col'
 
-let check_square n =
+let valid_ranks n =
   let side = isqrt n in
-  if side * side <> n then
+  n > 0 && side * side = n
+
+let check_square n =
+  if not (valid_ranks n) then
     invalid_arg (Printf.sprintf "Stencil: %d ranks is not a perfect square" n);
-  side
+  isqrt n
 
 let app params ~n_ranks =
   let side = check_square n_ranks in

@@ -23,6 +23,10 @@ type params = {
     [Invalid_argument] if [n_ranks] is not a perfect square. *)
 val app : params -> n_ranks:int -> Mpivcl.App.t
 
+(** [valid_ranks n] holds when [n] is a positive perfect square, the rank
+    counts {!app} accepts. *)
+val valid_ranks : int -> bool
+
 (** [reference_checksum params ~n_ranks] is the checksum a fault-free
     execution produces (computed functionally, without the simulator). *)
 val reference_checksum : params -> n_ranks:int -> int

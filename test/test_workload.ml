@@ -36,6 +36,11 @@ let test_non_square_rejected () =
   Alcotest.check_raises "7 ranks" (Invalid_argument "Stencil: 7 ranks is not a perfect square")
     (fun () -> ignore (Stencil.app (params ()) ~n_ranks:7))
 
+let test_valid_ranks () =
+  List.iter
+    (fun (n, ok) -> check_bool (Printf.sprintf "valid_ranks %d" n) ok (Stencil.valid_ranks n))
+    [ (-4, false); (0, false); (1, true); (4, true); (5, false); (9, true); (49, true); (50, false) ]
+
 let test_mix_range () =
   for i = 0 to 1000 do
     let v = Stencil.mix i (i * 7919) in
@@ -182,6 +187,7 @@ let () =
           Alcotest.test_case "reference varies" `Quick test_reference_varies;
           Alcotest.test_case "reference nonzero" `Quick test_reference_nonzero;
           Alcotest.test_case "non-square rejected" `Quick test_non_square_rejected;
+          Alcotest.test_case "valid ranks" `Quick test_valid_ranks;
           Alcotest.test_case "mix range" `Quick test_mix_range;
           Alcotest.test_case "reference matches simulation" `Quick
             test_reference_matches_simulation;
