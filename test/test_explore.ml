@@ -189,6 +189,166 @@ let test_ckpt_sniper_file () =
   check plan_testable "paper scenario" expected (parse_back registered);
   check plan_testable "generated source" expected (parse_back (Plan.to_scenario expected))
 
+(* Every fault kind, all three services, all three tiers, both anchors
+   and non-zero parameters in one plan.  The four outputs below are the
+   fault vocabulary as the outside world sees it (plan keys, corpus
+   fingerprints, explorer reports, generated FAIL source); they must not
+   move by one byte. *)
+let vocabulary_plan =
+  let f machine anchor kind = { Plan.machine; anchor; kind } in
+  let after d = Plan.After d and reload nth delay = Plan.On_reload { nth; delay } in
+  {
+    Plan.n_machines = 13;
+    faults =
+      [
+        f 0 (reload 2 0) Plan.Kill;
+        f 1 (after 3) (Plan.Freeze { thaw = 8 });
+        f 2 (after 6) Plan.Partition;
+        f 3 (reload 5 3) (Plan.Degrade { loss = 50; latency = 2 });
+        f 0 (after 12) Plan.Heal;
+        f 0 (after 15) (Plan.Switch_kill { tier = Fail_lang.Ast.Tier_edge });
+        f 1 (reload 8 6) (Plan.Switch_kill { tier = Fail_lang.Ast.Tier_agg });
+        f 2 (after 21) (Plan.Switch_kill { tier = Fail_lang.Ast.Tier_core });
+        f 3 (after 24) (Plan.Pod_degrade { loss = 300; latency = 5 });
+        f 4 (reload 11 9) (Plan.Service_kill { service = Plan.S_ckpt 4 });
+        f 0 (after 30) (Plan.Service_kill { service = Plan.S_sched });
+        f 0 (after 33) (Plan.Service_kill { service = Plan.S_disp });
+        f 2 (reload 14 12) (Plan.Service_freeze { service = Plan.S_ckpt 2; thaw = 20 });
+        f 0 (after 39) (Plan.Service_freeze { service = Plan.S_sched; thaw = 7 });
+        f 0 (after 42) (Plan.Service_freeze { service = Plan.S_disp; thaw = 3 });
+      ];
+  }
+
+let test_vocabulary_pin () =
+  let p = vocabulary_plan in
+  let kinds = List.map (fun f -> f.Plan.kind) p.Plan.faults in
+  check_str "key"
+    "kill@0@reload2+0;freeze8@1+3;part@2+6;deg50l2@3@reload5+3;heal@0+12;swedge@0+15;\
+     swagg@1@reload8+6;swcore@2+21;pdeg300l5@3+24;skckpt@4@reload11+9;sksched@0+30;\
+     skdisp@0+33;sfckpt20@2@reload14+12;sfsched7@0+39;sfdisp3@0+42"
+    (Plan.key p);
+  check_str "corpus fingerprint"
+    "n_machines=13 targets=0,1,2,3 buckets=3,6,12 kinds=kill,freeze8,part,deg50l2,heal,\
+     swedge,swagg,swcore,pdeg300l5,skckpt,sksched,skdisp,sfckpt20,sfsched7,sfdisp3 \
+     max_faults=15 sample_seed=7"
+    (Explore.Corpus.space_fingerprint
+       {
+         Explore.Corpus.n_machines = 13;
+         targets = [ 0; 1; 2; 3 ];
+         buckets = [ 3; 6; 12 ];
+         kinds;
+         max_faults = 15;
+         sample_seed = 7;
+       });
+  let sig_hash = "0123456789abcdef" in
+  let report =
+    {
+      Explore.config =
+        {
+          (Explore.default_config ~n_machines:13 ~targets:[ 0; 1; 2; 3 ] ~buckets:[ 3; 6; 12 ])
+          with
+          Explore.kinds;
+          max_faults = 15;
+          budget = 1;
+          sample_seed = 7;
+        };
+      records =
+        [
+          {
+            Explore.plan = p;
+            verdict = Explore.Buggy;
+            completion = Some 61.25;
+            injected = 15;
+            sig_hash;
+          };
+        ];
+      coverage = [ (sig_hash, Explore.Buggy, 1) ];
+      minimized =
+        [
+          {
+            Explore.found = p;
+            min_plan = p;
+            min_verdict = Explore.Buggy;
+            probes = 4;
+            probes_saved = 2;
+            scenario = Plan.to_scenario p;
+          };
+        ];
+    }
+  in
+  let json = Explore.to_json report in
+  let contains sub =
+    try
+      ignore (Str.search_forward (Str.regexp_string sub) json 0);
+      true
+    with Not_found -> false
+  in
+  check_bool "report kind names" true
+    (contains
+       {|"kinds": ["kill", "freeze8", "partition", "degrade50l2", "heal", "switch-kill-edge", "switch-kill-agg", "switch-kill-core", "pod-degrade300l5", "service-kill-ckpt", "service-kill-sched", "service-kill-disp", "service-freeze-ckpt20", "service-freeze-sched7", "service-freeze-disp3"]|});
+  check_str "report digest" "a5ab69d655f78c6a70defe5845aec3cb" (Digest.to_hex (Digest.string json));
+  check_str "scenario digest" "f447213f37bd9f3f2fbf82b7be66b9f7"
+    (Digest.to_hex (Digest.string (Plan.to_scenario p)));
+  (match Plan.of_key ~n_machines:13 (Plan.key p) with
+  | Ok q -> check plan_testable "key round-trip" p q
+  | Error e -> Alcotest.failf "of_key failed: %s" e);
+  check plan_testable "scenario round-trip" p (parse_back (Plan.to_scenario p))
+
+(* Random aligned plans over every kind and both anchors.  Service
+   faults go through [align_service] (the ckpt index is the machine;
+   sched/disp sit at machine 0) and heals at machine 0, the shapes
+   every plan constructor produces. *)
+let gen_plan =
+  let open QCheck.Gen in
+  let param = 0 -- 60 in
+  let service = oneof [ return (Plan.S_ckpt 0); return Plan.S_sched; return Plan.S_disp ] in
+  let kind =
+    oneof
+      [
+        return Plan.Kill;
+        map (fun thaw -> Plan.Freeze { thaw }) param;
+        return Plan.Partition;
+        map2 (fun loss latency -> Plan.Degrade { loss; latency }) (0 -- 1000) param;
+        return Plan.Heal;
+        map
+          (fun tier -> Plan.Switch_kill { tier })
+          (oneofl Fail_lang.Ast.[ Tier_edge; Tier_agg; Tier_core ]);
+        map2 (fun loss latency -> Plan.Pod_degrade { loss; latency }) (0 -- 1000) param;
+        map (fun service -> Plan.Service_kill { service }) service;
+        map2 (fun service thaw -> Plan.Service_freeze { service; thaw }) service param;
+      ]
+  in
+  let anchor =
+    oneof
+      [
+        map (fun d -> Plan.After d) param;
+        map2 (fun nth delay -> Plan.On_reload { nth; delay }) (1 -- 30) param;
+      ]
+  in
+  let fault =
+    map3
+      (fun machine anchor kind ->
+        let f = Plan.align_service { Plan.machine; anchor; kind } in
+        if f.Plan.kind = Plan.Heal then { f with Plan.machine = 0 } else f)
+      (0 -- 12) anchor kind
+  in
+  map (fun faults -> { Plan.n_machines = 13; faults }) (list_size (1 -- 4) fault)
+
+let arb_plan = QCheck.make ~print:Plan.key gen_plan
+
+let prop_key_roundtrip =
+  QCheck.Test.make ~name:"of_key inverts key on every kind" ~count:300 arb_plan (fun p ->
+      match Plan.of_key ~n_machines:p.Plan.n_machines (Plan.key p) with
+      | Ok q -> Plan.equal p q
+      | Error e -> QCheck.Test.fail_reportf "of_key failed: %s" e)
+
+let prop_scenario_roundtrip =
+  QCheck.Test.make ~name:"of_scenario inverts to_scenario on every kind" ~count:300 arb_plan
+    (fun p ->
+      match Plan.of_scenario (Plan.to_scenario p) with
+      | Ok q -> Plan.equal p q
+      | Error e -> QCheck.Test.fail_reportf "of_scenario failed: %s" e)
+
 (* ------------------------------------------------------------------ *)
 (* Shrinker on synthetic oracles *)
 
@@ -356,7 +516,11 @@ let () =
           Alcotest.test_case "service plan round-trip" `Quick test_service_plan_roundtrip;
           Alcotest.test_case "align_service" `Quick test_align_service;
           Alcotest.test_case "ckpt_sniper.fail" `Quick test_ckpt_sniper_file;
-        ] );
+          Alcotest.test_case "vocabulary pin" `Quick test_vocabulary_pin;
+        ]
+        @ List.map
+            (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 18 |]))
+            [ prop_key_roundtrip; prop_scenario_roundtrip ] );
       ( "shrink",
         [
           Alcotest.test_case "ddmin singleton" `Quick test_ddmin_singleton;
