@@ -48,6 +48,17 @@ let run protocol replicas ranks klass max_faults budget jobs seed targets bucket
     prerr_endline (Printf.sprintf "failmpi_explore: --budget must be >= 1 (got %d)" budget);
     exit 1
   end;
+  (* A negative delay or target reaches the explorer as a plan whose
+     scenario does not compile, or one that shoots nothing. *)
+  let non_negative flag v =
+    if v < 0 then begin
+      prerr_endline (Printf.sprintf "failmpi_explore: --%s must be >= 0 (got %d)" flag v);
+      exit 1
+    end
+  in
+  Option.iter (non_negative "freeze") freeze;
+  List.iter (non_negative "buckets") buckets;
+  Option.iter (List.iter (non_negative "targets")) targets;
   (match corpus with
   | Some dir ->
       let parent = Filename.dirname dir in
@@ -109,44 +120,8 @@ let run protocol replicas ranks klass max_faults budget jobs seed targets bucket
       budget;
       sample_seed = seed;
       kinds =
-        (Explore.Plan.Kill
-        :: ((match freeze with Some thaw -> [ Explore.Plan.Freeze { thaw } ] | None -> [])
-           @
-           (* --net: mix network faults into the search space — isolate a
-              machine, degrade its links (5% loss + 2 ms), and the heal
-              that lets partitioned plans recover. *)
-           (if net then
-              [
-                Explore.Plan.Partition;
-                Explore.Plan.Degrade { loss = 50; latency = 2 };
-                Explore.Plan.Heal;
-              ]
-            else [])
-           @
-           (* --services: shoot the storage/control plane too. The plan's
-              machine index doubles as the ckpt replica index
-              (Plan.align_service); one beyond the deployed servers is a
-              traced no-op, like shooting a spare. *)
-           (if services then
-              [
-                Explore.Plan.Service_kill { service = Explore.Plan.S_ckpt 0 };
-                Explore.Plan.Service_freeze { service = Explore.Plan.S_ckpt 0; thaw = 20 };
-                Explore.Plan.Service_kill { service = Explore.Plan.S_sched };
-                Explore.Plan.Service_freeze { service = Explore.Plan.S_sched; thaw = 20 };
-              ]
-            else [])
-           @
-           (* --topo fat-tree:K: draw component faults too. The plan's
-              machine index doubles as the component index; one that lands
-              out of range is a validated no-op, like shooting a spare. *)
-           match topo with
-           | Some (Simtopo.Topo.Fat_tree _) ->
-               [
-                 Explore.Plan.Switch_kill { tier = Fail_lang.Ast.Tier_edge };
-                 Explore.Plan.Switch_kill { tier = Fail_lang.Ast.Tier_agg };
-                 Explore.Plan.Pod_degrade { loss = 50; latency = 2 };
-               ]
-           | Some _ | None -> []));
+        Fail_lang.Fault.explorer_kinds ~freeze ~net ~services
+          ~topo:(match topo with Some (Simtopo.Topo.Fat_tree _) -> true | Some _ | None -> false);
       shrink_hangs;
     }
   in

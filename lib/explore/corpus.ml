@@ -26,19 +26,6 @@ type space = {
   sample_seed : int;
 }
 
-let svc_tag = function Plan.S_ckpt _ -> "ckpt" | Plan.S_sched -> "sched" | Plan.S_disp -> "disp"
-
-let kind_tag = function
-  | Plan.Kill -> "kill"
-  | Plan.Freeze { thaw } -> Printf.sprintf "freeze%d" thaw
-  | Plan.Partition -> "part"
-  | Plan.Degrade { loss; latency } -> Printf.sprintf "deg%dl%d" loss latency
-  | Plan.Heal -> "heal"
-  | Plan.Switch_kill { tier } -> "sw" ^ Fail_lang.Ast.tier_name tier
-  | Plan.Pod_degrade { loss; latency } -> Printf.sprintf "pdeg%dl%d" loss latency
-  | Plan.Service_kill { service } -> "sk" ^ svc_tag service
-  | Plan.Service_freeze { service; thaw } -> Printf.sprintf "sf%s%d" (svc_tag service) thaw
-
 let ints xs = String.concat "," (List.map string_of_int xs)
 
 (* The fingerprint covers everything that gives plan keys and mutation
@@ -48,7 +35,7 @@ let space_fingerprint s =
   Printf.sprintf
     "n_machines=%d targets=%s buckets=%s kinds=%s max_faults=%d sample_seed=%d"
     s.n_machines (ints s.targets) (ints s.buckets)
-    (String.concat "," (List.map kind_tag s.kinds))
+    (String.concat "," (List.map Fail_lang.Fault.tag s.kinds))
     s.max_faults s.sample_seed
 
 let magic = "failmpi-explore-corpus v1"

@@ -413,23 +413,6 @@ let json_escape s =
 
 let json_ints xs = "[" ^ String.concat ", " (List.map string_of_int xs) ^ "]"
 
-let service_name = function
-  | Plan.S_ckpt _ -> "ckpt"
-  | Plan.S_sched -> "sched"
-  | Plan.S_disp -> "disp"
-
-let kind_name = function
-  | Plan.Kill -> "kill"
-  | Plan.Freeze { thaw } -> Printf.sprintf "freeze%d" thaw
-  | Plan.Partition -> "partition"
-  | Plan.Degrade { loss; latency } -> Printf.sprintf "degrade%dl%d" loss latency
-  | Plan.Heal -> "heal"
-  | Plan.Switch_kill { tier } -> Printf.sprintf "switch-kill-%s" (Fail_lang.Ast.tier_name tier)
-  | Plan.Pod_degrade { loss; latency } -> Printf.sprintf "pod-degrade%dl%d" loss latency
-  | Plan.Service_kill { service } -> Printf.sprintf "service-kill-%s" (service_name service)
-  | Plan.Service_freeze { service; thaw } ->
-      Printf.sprintf "service-freeze-%s%d" (service_name service) thaw
-
 let fault_json (f : Plan.fault) =
   let anchor =
     match f.Plan.anchor with
@@ -438,7 +421,7 @@ let fault_json (f : Plan.fault) =
         Printf.sprintf {|"on-reload", "nth": %d, "delay": %d|} nth delay
   in
   Printf.sprintf {|{"machine": %d, "kind": "%s", "anchor": %s}|} f.Plan.machine
-    (kind_name f.Plan.kind) anchor
+    (Fail_lang.Fault.name f.Plan.kind) anchor
 
 let plan_json (p : Plan.t) =
   Printf.sprintf {|{"key": "%s", "faults": [%s]}|} (json_escape (Plan.key p))
@@ -453,7 +436,7 @@ let to_json rp =
        \"max_faults\": %d, \"budget\": %d, \"sample_seed\": %d},\n"
     rp.config.n_machines (json_ints rp.config.targets) (json_ints rp.config.buckets)
     (String.concat ", "
-       (List.map (fun k -> Printf.sprintf "\"%s\"" (kind_name k)) rp.config.kinds))
+       (List.map (fun k -> Printf.sprintf "\"%s\"" (Fail_lang.Fault.name k)) rp.config.kinds))
     rp.config.max_faults rp.config.budget rp.config.sample_seed;
   add "  \"explored\": %d,\n" (List.length rp.records);
   add

@@ -1,17 +1,6 @@
 module S = Fail_lang.Codegen.Scenario
-
-type service = S.service = S_ckpt of int | S_sched | S_disp
-
-type kind = S.kind =
-  | Kill
-  | Freeze of { thaw : int }
-  | Partition
-  | Degrade of { loss : int; latency : int }
-  | Heal
-  | Switch_kill of { tier : Fail_lang.Ast.tier }
-  | Pod_degrade of { loss : int; latency : int }
-  | Service_kill of { service : service }
-  | Service_freeze of { service : service; thaw : int }
+module Fault = Fail_lang.Fault
+include Fault.Types
 
 type anchor = S.anchor = After of int | On_reload of { nth : int; delay : int }
 
@@ -22,141 +11,53 @@ type t = { n_machines : int; faults : fault list }
 let equal a b = a = b
 let compare = Stdlib.compare
 
-(* Canonical service faults keep [machine] and the service selector in
-   lock-step — the codegen invariant is [machine =
-   machine_of_service service] (ckpt replica index; 0 for sched/disp).
-   Plan constructors that draw (machine, kind) independently (the
-   explorer's grid and sampler, corpus mutation) pipe faults through
-   here so keys, scenarios and plan equality all agree. *)
 let align_service f =
-  match f.kind with
-  | Service_kill { service = S_ckpt _ } ->
-      { f with kind = Service_kill { service = S_ckpt f.machine } }
-  | Service_freeze { service = S_ckpt _; thaw } ->
-      { f with kind = Service_freeze { service = S_ckpt f.machine; thaw } }
-  | Service_kill { service = S_sched | S_disp }
-  | Service_freeze { service = S_sched | S_disp; _ } ->
-      { f with machine = 0 }
-  | Kill | Freeze _ | Partition | Degrade _ | Heal | Switch_kill _ | Pod_degrade _ -> f
-
-(* Service names in keys; the ckpt replica index is the fault's
-   [machine], so it is not repeated here. *)
-let svc_key = function S_ckpt _ -> "ckpt" | S_sched -> "sched" | S_disp -> "disp"
+  let machine, kind = Fault.align f.machine f.kind in
+  { f with machine; kind }
 
 let fault_key f =
-  let kind =
-    match f.kind with
-    | Kill -> "kill"
-    | Freeze { thaw } -> Printf.sprintf "freeze%d" thaw
-    | Partition -> "part"
-    | Degrade { loss; latency } -> Printf.sprintf "deg%dl%d" loss latency
-    | Heal -> "heal"
-    | Switch_kill { tier } -> "sw" ^ Fail_lang.Ast.tier_name tier
-    | Pod_degrade { loss; latency } -> Printf.sprintf "pdeg%dl%d" loss latency
-    | Service_kill { service } -> "sk" ^ svc_key service
-    | Service_freeze { service; thaw } -> Printf.sprintf "sf%s%d" (svc_key service) thaw
-  in
   match f.anchor with
-  | After d -> Printf.sprintf "%s@%d+%d" kind f.machine d
-  | On_reload { nth; delay } -> Printf.sprintf "%s@%d@reload%d+%d" kind f.machine nth delay
+  | After d -> Printf.sprintf "%s@%d+%d" (Fault.tag f.kind) f.machine d
+  | On_reload { nth; delay } ->
+      Printf.sprintf "%s@%d@reload%d+%d" (Fault.tag f.kind) f.machine nth delay
 
 let key p = String.concat ";" (List.map fault_key p.faults)
 
-(* Inverse of [fault_key]: "kind@machine+delay" or
-   "kind@machine@reloadN+delay".  Total — every malformed shape comes
-   back as [Error] — because keys flow in from corpus files on disk. *)
+(* Unsigned decimal: [int_of_string] alone also takes a sign, [0x] and [_]. *)
+let nat s =
+  if s <> "" && String.for_all (fun c -> c >= '0' && c <= '9') s then int_of_string_opt s
+  else None
+
+(* Inverse of [fault_key]: "tag@machine+delay" or
+   "tag@machine@reloadN+delay".  Total — every malformed shape comes
+   back as [Error] — because keys flow in from corpus files on disk, and
+   it accepts only what [fault_key] prints for an aligned fault. *)
 let fault_of_key s =
-  let fail () = Error (Printf.sprintf "malformed fault key %S" s) in
-  (* An empty tail is legal: "skckpt" strips to "ckpt" strips to "". *)
-  let strip prefix k =
-    let pl = String.length prefix in
-    if String.length k >= pl && String.sub k 0 pl = prefix then
-      Some (String.sub k pl (String.length k - pl))
-    else None
+  let ( let* ) = Option.bind in
+  let fault tag m anchor =
+    let* kind = Fault.of_tag tag in
+    let* machine = nat m in
+    let f = align_service { machine; anchor; kind } in
+    if String.equal (fault_key f) s then Some f else None
   in
-  (* The ckpt placeholder index 0 is overwritten with the fault's
-     [machine] once it is known (see [resolve_service] below). *)
-  let parse_svc rest ~mk =
-    match strip "ckpt" rest with
-    | Some tail -> mk (S_ckpt 0) tail
-    | None -> (
-        match strip "sched" rest with
-        | Some tail -> mk S_sched tail
-        | None -> Option.bind (strip "disp" rest) (mk S_disp))
+  let parsed =
+    match String.split_on_char '@' s with
+    | [ tag; rest ] -> (
+        match String.split_on_char '+' rest with
+        | [ m; d ] ->
+            let* delay = nat d in
+            fault tag m (After delay)
+        | _ -> None)
+    | [ tag; m; rest ] -> (
+        match String.split_on_char '+' rest with
+        | [ reload; d ] when String.starts_with ~prefix:"reload" reload ->
+            let* nth = nat (String.sub reload 6 (String.length reload - 6)) in
+            let* delay = nat d in
+            fault tag m (On_reload { nth; delay })
+        | _ -> None)
+    | _ -> None
   in
-  let parse_kind k =
-    if k = "kill" then Some Kill
-    else if k = "part" then Some Partition
-    else if k = "heal" then Some Heal
-    else if String.length k > 6 && String.sub k 0 6 = "freeze" then
-      Option.map (fun thaw -> Freeze { thaw })
-        (int_of_string_opt (String.sub k 6 (String.length k - 6)))
-    else
-      match strip "sk" k with
-      | Some rest ->
-          parse_svc rest ~mk:(fun service tail ->
-              if tail = "" then Some (Service_kill { service }) else None)
-      | None -> (
-          match strip "sf" k with
-          | Some rest ->
-              parse_svc rest ~mk:(fun service tail ->
-                  Option.map
-                    (fun thaw -> Service_freeze { service; thaw })
-                    (int_of_string_opt tail))
-          | None ->
-              if String.length k > 2 && String.sub k 0 2 = "sw" then
-                Option.map
-                  (fun tier -> Switch_kill { tier })
-                  (Fail_lang.Ast.tier_of_name (String.sub k 2 (String.length k - 2)))
-              else
-                let scan fmt f =
-                  try Scanf.sscanf k fmt f
-                  with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
-                in
-                (match
-                   scan "pdeg%dl%d%!" (fun loss latency ->
-                       Some (Pod_degrade { loss; latency }))
-                 with
-                | Some _ as r -> r
-                | None ->
-                    scan "deg%dl%d%!" (fun loss latency ->
-                        Some (Degrade { loss; latency }))))
-  in
-  (* The key stores the ckpt replica index as the fault's machine. *)
-  let resolve_service machine = function
-    | Service_kill { service = S_ckpt _ } -> Service_kill { service = S_ckpt machine }
-    | Service_freeze { service = S_ckpt _; thaw } ->
-        Service_freeze { service = S_ckpt machine; thaw }
-    | k -> k
-  in
-  let parse_int s = int_of_string_opt s in
-  match String.split_on_char '@' s with
-  | [ kind; rest ] -> (
-      match (parse_kind kind, String.split_on_char '+' rest) with
-      | Some kind, [ m; d ] -> (
-          match (parse_int m, parse_int d) with
-          | Some machine, Some delay ->
-              Ok { machine; anchor = After delay; kind = resolve_service machine kind }
-          | _ -> fail ())
-      | _ -> fail ())
-  | [ kind; m; reload ] -> (
-      match (parse_kind kind, parse_int m, String.split_on_char '+' reload) with
-      | Some kind, Some machine, [ nth_s; d ] when String.length nth_s > 6 -> (
-          match
-            ( String.sub nth_s 0 6,
-              parse_int (String.sub nth_s 6 (String.length nth_s - 6)),
-              parse_int d )
-          with
-          | "reload", Some nth, Some delay ->
-              Ok
-                {
-                  machine;
-                  anchor = On_reload { nth; delay };
-                  kind = resolve_service machine kind;
-                }
-          | _ -> fail ())
-      | _ -> fail ())
-  | _ -> fail ()
+  Option.to_result ~none:(Printf.sprintf "malformed fault key %S" s) parsed
 
 let of_key ~n_machines s =
   if s = "" then Error "empty plan key"

@@ -6,29 +6,11 @@
     FAIL source, so every plan the explorer runs, and every minimized
     witness it emits, is replayable with [failmpi_run --scenario]. *)
 
-type service = Fail_lang.Codegen.Scenario.service =
-  | S_ckpt of int  (** checkpoint server replica [i] *)
-  | S_sched  (** the checkpoint scheduler *)
-  | S_disp  (** the dispatcher *)
-
-type kind = Fail_lang.Codegen.Scenario.kind =
-  | Kill
-  | Freeze of { thaw : int }
-  | Partition  (** isolate the target machine from every other host *)
-  | Degrade of { loss : int; latency : int }
-      (** worsen every link touching the target ([loss] permille,
-          [latency] ms) *)
-  | Heal  (** clear every installed network fault (machine ignored) *)
-  | Switch_kill of { tier : Fail_lang.Ast.tier }
-      (** kill fabric switch [machine] of the tier (machine = switch
-          index; needs a configured topology) *)
-  | Pod_degrade of { loss : int; latency : int }
-      (** degrade every intra-pod link of pod [machine] *)
-  | Service_kill of { service : service }
-      (** halt an infrastructure service (for [S_ckpt] the fault's
-          [machine] is the replica index, mirrored into [service]) *)
-  | Service_freeze of { service : service; thaw : int }
-      (** stop an infrastructure service, continue it [thaw] s later *)
+(** The fault kinds, re-exported from {!Fail_lang.Fault}, which defines
+    each kind's key tag, report name and coordinator actions once. *)
+include module type of struct
+  include Fail_lang.Fault.Types
+end
 
 type anchor = Fail_lang.Codegen.Scenario.anchor =
   | After of int  (** seconds after the previous fault fired (scenario start for the first) *)
@@ -47,10 +29,10 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 
 (** [align_service f] restores the codegen invariant for service faults
-    — [machine] mirrors the ckpt replica index ([S_ckpt]) or is 0
-    (sched/disp) — and is the identity on every other kind. Plan
-    constructors that draw machine and kind independently must pipe
-    faults through this before keying or rendering them. *)
+    ({!Fail_lang.Fault.align}): [machine] mirrors the ckpt replica index
+    ([S_ckpt]) or is 0 (sched/disp); the identity on every other kind.
+    Plan constructors that draw machine and kind independently must
+    pipe faults through this before keying or rendering them. *)
 val align_service : fault -> fault
 
 (** [key p] is a compact, human-readable identifier, e.g.
@@ -60,8 +42,11 @@ val key : t -> string
 
 (** [of_key ~n_machines s] parses a {!key} back into a plan
     ([of_key ~n_machines (key p) = Ok p] whenever [p.n_machines =
-    n_machines]).  Total: corpus files come from disk, so malformed
-    keys return [Error] rather than raising. *)
+    n_machines] and every fault of [p] is aligned).  It accepts only
+    what {!key} prints: every number an unsigned decimal, every fault
+    aligned, and [key] of the result equal to [s].  Total: corpus files
+    come from disk, so anything else returns [Error] rather than
+    raising. *)
 val of_key : n_machines:int -> string -> (t, string) result
 
 (** [to_scenario p] renders the plan as FAIL source (no parameters). *)

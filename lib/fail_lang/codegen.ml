@@ -61,62 +61,20 @@ let to_dot (a : Automaton.t) =
 (* ------------------------------------------------------------------ *)
 (* Fault-plan scenario generation (the explorer's replay format). *)
 
-module Scenario = struct
-  (* Process faults go through a controller message ([kill]/[freezeN]);
-     network faults are executed directly by the coordinator via the
-     first-class FAIL network actions, so they need no controller
-     cooperation. [Partition] isolates the target machine; [Degrade]
-     worsens every link touching it ([loss] permille, [latency] ms);
-     [Heal] clears all installed network faults (its machine is
-     canonically 0 and otherwise ignored). *)
-  (* Infrastructure service faults are executed by the coordinator via
-     the first-class [halt service ...] actions, like network faults —
-     services are not members of the controller group. The [machine] of
-     such an injection is the ckpt replica index (0 for sched/disp). *)
-  type service = S_ckpt of int | S_sched | S_disp
+(* ------------------------------------------------------------------ *)
+(* Fault-plan scenario generation (the explorer's replay format). *)
 
-  type kind =
-    | Kill
-    | Freeze of { thaw : int }
-    | Partition
-    | Degrade of { loss : int; latency : int }
-    | Heal
-    | Switch_kill of { tier : Ast.tier }  (* machine = switch index *)
-    | Pod_degrade of { loss : int; latency : int }  (* machine = pod index *)
-    | Service_kill of { service : service }
-    | Service_freeze of { service : service; thaw : int }
+module Scenario = struct
+  (* The fault kinds, their actions and their inverse live in [Fault];
+     this module lays injections out as coordinator and controller
+     automata and reads them back. *)
+  include Fault.Types
 
   type anchor = After of int | On_reload of { nth : int; delay : int }
 
   type injection = { machine : int; anchor : anchor; kind : kind }
 
   let loc = Loc.dummy
-
-  let msg_of_kind = function
-    | Kill -> "kill"
-    | Freeze { thaw } -> Printf.sprintf "freeze%d" thaw
-    | Partition | Degrade _ | Heal | Switch_kill _ | Pod_degrade _ | Service_kill _
-    | Service_freeze _ ->
-        invalid_arg
-          "Scenario.msg_of_kind: network and service faults have no controller message"
-
-  let sel_of_service = function
-    | S_ckpt i -> Ast.Svc_ckpt (Ast.Int i)
-    | S_sched -> Ast.Svc_sched
-    | S_disp -> Ast.Svc_disp
-
-  let machine_of_service = function S_ckpt i -> i | S_sched | S_disp -> 0
-
-  let kind_of_msg msg =
-    if String.equal msg "kill" then Some Kill
-    else
-      let p = "freeze" in
-      let pl = String.length p in
-      if String.length msg > pl && String.equal (String.sub msg 0 pl) p then
-        Option.map
-          (fun thaw -> Freeze { thaw })
-          (int_of_string_opt (String.sub msg pl (String.length msg - pl)))
-      else None
 
   let needs_reload injections =
     List.exists
@@ -126,15 +84,7 @@ module Scenario = struct
   (* Controller thaw durations: service freezes thaw from a coordinator
      timer node instead, so they contribute none. *)
   let thaws injections =
-    List.sort_uniq compare
-      (List.filter_map
-         (fun i ->
-           match i.kind with
-           | Freeze { thaw } -> Some thaw
-           | Kill | Partition | Degrade _ | Heal | Switch_kill _ | Pod_degrade _
-           | Service_kill _ | Service_freeze _ ->
-               None)
-         injections)
+    List.sort_uniq compare (List.filter_map (fun i -> Fault.thaw i.kind) injections)
 
   (* Every controller registration is forwarded to the coordinator as a
      [reg] message; [regs] counts them so [On_reload { nth; _ }] can wait
@@ -166,45 +116,13 @@ module Scenario = struct
       List.concat
         (List.mapi
            (fun i inj ->
-             (* The fire node's actions plus any follow-up nodes. A
-                service freeze splits in two: the fire node stops the
-                service and moves to a thaw node whose timer resumes it
-                — the structural analogue of the controller's frozen
-                state, lifted into the coordinator. *)
+             (* The fire node's actions plus any follow-up node: a kind
+                the coordinator undoes itself moves to a thaw node whose
+                timer runs the undo action. *)
              let fire_actions, extra_nodes =
-               let target = Ast.D_indexed ("G1", Ast.Int inj.machine) in
-               let simple a = ([ a; Ast.A_goto (next_entry i) ], []) in
-               match inj.kind with
-               | Kill | Freeze _ -> simple (Ast.A_send (msg_of_kind inj.kind, target))
-               | Partition -> simple (Ast.A_partition (target, None))
-               | Degrade { loss; latency } ->
-                   simple
-                     (Ast.A_degrade
-                        {
-                          Ast.deg_target = target;
-                          deg_loss = Some (Ast.Int loss);
-                          deg_latency = Some (Ast.Int latency);
-                          deg_jitter = None;
-                        })
-               | Heal -> simple Ast.A_heal
-               | Switch_kill { tier } ->
-                   (* [machine] is the per-tier switch index, not a host. *)
-                   simple
-                     (Ast.A_partition
-                        (Ast.D_topo (Ast.Sel_switch (tier, Ast.Int inj.machine)), None))
-               | Pod_degrade { loss; latency } ->
-                   simple
-                     (Ast.A_degrade
-                        {
-                          Ast.deg_target = Ast.D_topo (Ast.Sel_pod (Ast.Int inj.machine));
-                          deg_loss = Some (Ast.Int loss);
-                          deg_latency = Some (Ast.Int latency);
-                          deg_jitter = None;
-                        })
-               | Service_kill { service } ->
-                   simple (Ast.A_halt (Some (sel_of_service service)))
-               | Service_freeze { service; thaw } ->
-                   let sel = sel_of_service service in
+               match Fault.inject ~group:"G1" ~machine:inj.machine inj.kind with
+               | action, None -> ([ action; Ast.A_goto (next_entry i) ], [])
+               | action, Some (thaw, undo) ->
                    let thaw_id = Printf.sprintf "s%d" (i + 1) in
                    let thaw_node =
                      {
@@ -216,13 +134,12 @@ module Scenario = struct
                          {
                            Ast.t_loc = loc;
                            guard = { Ast.trigger = Some Ast.T_timer; conds = [] };
-                           actions =
-                             [ Ast.A_continue (Some sel); Ast.A_goto (next_entry i) ];
+                           actions = [ undo; Ast.A_goto (next_entry i) ];
                          }
                          :: counting;
                      }
                    in
-                   ([ Ast.A_stop (Some sel); Ast.A_goto thaw_id ], [ thaw_node ])
+                   ([ action; Ast.A_goto thaw_id ], [ thaw_node ])
              in
              let fire delay =
                {
@@ -302,7 +219,7 @@ module Scenario = struct
     let on_kill =
       {
         Ast.t_loc = loc;
-        guard = { Ast.trigger = Some (Ast.T_recv "kill"); conds = [] };
+        guard = { Ast.trigger = Some (Ast.T_recv (Fault.tag Kill)); conds = [] };
         actions = [ Ast.A_halt None; Ast.A_goto "idle" ];
       }
     in
@@ -311,7 +228,7 @@ module Scenario = struct
         (fun thaw ->
           {
             Ast.t_loc = loc;
-            guard = { Ast.trigger = Some (Ast.T_recv (Printf.sprintf "freeze%d" thaw)); conds = [] };
+            guard = { Ast.trigger = Some (Ast.T_recv (Fault.tag (Freeze { thaw }))); conds = [] };
             actions = [ Ast.A_stop None; Ast.A_goto (Printf.sprintf "frozen%d" thaw) ];
           })
         thaws
@@ -374,21 +291,8 @@ module Scenario = struct
 
   let source ~n_machines injections = Pp.program_to_string (program ~n_machines injections)
 
-  (* ---- parse-back ------------------------------------------------- *)
 
-  let rec fold_const = function
-    | Ast.Int n -> Some n
-    | Ast.Binop (op, a, b) -> (
-        match (fold_const a, fold_const b) with
-        | Some a, Some b -> (
-            match op with
-            | Ast.Add -> Some (a + b)
-            | Ast.Sub -> Some (a - b)
-            | Ast.Mul -> Some (a * b)
-            | Ast.Div -> if b = 0 then None else Some (a / b)
-            | Ast.Mod -> if b = 0 then None else Some (a mod b))
-        | _ -> None)
-    | Ast.Var _ | Ast.App_var _ | Ast.Random _ -> None
+  (* ---- parse-back ------------------------------------------------- *)
 
   let injections_of_program (p : Ast.program) =
     let ( let* ) = Result.bind in
@@ -418,64 +322,19 @@ module Scenario = struct
     in
     (* Structural walk over the coordinator's nodes, in declaration
        order: a reload-wait node carries the [nth] threshold of the fire
-       node that follows it; any other shape is rejected. *)
-    (* The structural inverse of [fault_action] above: recover (machine,
-       kind) from the leading action of a timer transition. *)
-    let service_of_sel = function
-      | Ast.Svc_ckpt e -> Option.map (fun i -> S_ckpt i) (fold_const e)
-      | Ast.Svc_sched -> Some S_sched
-      | Ast.Svc_disp -> Some S_disp
-    in
-    let kind_of_actions = function
-      | Ast.A_send (msg, Ast.D_indexed (_, machine_e)) :: _ -> (
-          match (fold_const machine_e, kind_of_msg msg) with
-          | Some machine, Some kind -> Some (machine, kind)
-          | _ -> None)
-      | Ast.A_halt (Some sel) :: _ ->
-          Option.map
-            (fun service -> (machine_of_service service, Service_kill { service }))
-            (service_of_sel sel)
-      | Ast.A_stop (Some sel) :: _ ->
-          (* Freeze begin: the thaw duration lives in the following
-             coordinator node; [walk] fills it in after consuming it. *)
-          Option.map
-            (fun service ->
-              (machine_of_service service, Service_freeze { service; thaw = 0 }))
-            (service_of_sel sel)
-      | Ast.A_partition (Ast.D_indexed (_, machine_e), None) :: _ ->
-          Option.map (fun machine -> (machine, Partition)) (fold_const machine_e)
-      | Ast.A_partition (Ast.D_topo (Ast.Sel_switch (tier, idx_e)), None) :: _ ->
-          Option.map (fun idx -> (idx, Switch_kill { tier })) (fold_const idx_e)
-      | Ast.A_degrade
-          { Ast.deg_target = Ast.D_indexed (_, machine_e); deg_loss; deg_latency; _ }
-        :: _ -> (
-          let dim = function None -> Some 0 | Some e -> fold_const e in
-          match (fold_const machine_e, dim deg_loss, dim deg_latency) with
-          | Some machine, Some loss, Some latency ->
-              Some (machine, Degrade { loss; latency })
-          | _ -> None)
-      | Ast.A_degrade
-          { Ast.deg_target = Ast.D_topo (Ast.Sel_pod idx_e); deg_loss; deg_latency; _ }
-        :: _ -> (
-          let dim = function None -> Some 0 | Some e -> fold_const e in
-          match (fold_const idx_e, dim deg_loss, dim deg_latency) with
-          | Some idx, Some loss, Some latency ->
-              Some (idx, Pod_degrade { loss; latency })
-          | _ -> None)
-      | Ast.A_heal :: _ -> Some (0, Heal)
-      | _ -> None
-    in
+       node that follows it; any other shape is rejected.  A fire node's
+       leading timer action is inverted by [Fault.of_inject]. *)
     let fire_of_node node =
       match node.Ast.n_timer with
       | None -> None
       | Some (_, delay_e) ->
           List.find_map
             (fun t ->
-              match (t.Ast.guard.Ast.trigger, kind_of_actions t.Ast.actions) with
-              | Some Ast.T_timer, Some (machine, kind) -> (
-                  match fold_const delay_e with
-                  | Some delay -> Some (machine, delay, kind)
-                  | None -> None)
+              match (t.Ast.guard.Ast.trigger, t.Ast.actions) with
+              | Some Ast.T_timer, action :: _ -> (
+                  match (Fault.of_inject action, Fault.const delay_e) with
+                  | Some injected, Some delay -> Some (injected, delay)
+                  | _ -> None)
               | _ -> None)
             node.Ast.n_transitions
     in
@@ -487,7 +346,7 @@ module Scenario = struct
             match (t.Ast.guard.Ast.trigger, t.Ast.guard.Ast.conds, t.Ast.actions) with
             | Some (Ast.T_recv _), [ (Ast.Ge, _, nth_e) ], actions
               when List.exists (function Ast.A_goto _ -> true | _ -> false) actions ->
-                Option.map (fun k -> k + 1) (fold_const nth_e)
+                Option.map (fun k -> k + 1) (Fault.const nth_e)
             | _ -> None)
           node.Ast.n_transitions
     in
@@ -510,7 +369,7 @@ module Scenario = struct
                 | Some Ast.T_timer, Ast.A_continue (Some _) :: _ -> true
                 | _ -> false)
               node.Ast.n_transitions
-          then fold_const delay_e
+          then Fault.const delay_e
           else None
     in
     let* injections =
@@ -521,29 +380,22 @@ module Scenario = struct
             | Some _ -> Error "reload-wait node not followed by a fault node")
         | node :: rest -> (
             match fire_of_node node with
-            | Some (machine, delay, kind) -> (
+            | Some (injected, delay) -> (
                 let anchor =
                   match pending with
                   | Some nth -> On_reload { nth; delay }
                   | None -> After delay
                 in
-                match kind with
-                | Service_freeze { service; _ } -> (
+                match (injected, rest) with
+                | Fault.Injected (machine, kind), _ ->
+                    walk None ({ machine; anchor; kind } :: acc) rest
+                | Fault.Until_thaw (machine, kind_of_thaw), next :: rest' -> (
                     (* Consume the paired thaw node that follows. *)
-                    match rest with
-                    | next :: rest' -> (
-                        match thaw_of_node next with
-                        | Some thaw ->
-                            walk None
-                              ({ machine; anchor; kind = Service_freeze { service; thaw } }
-                              :: acc)
-                              rest'
-                        | None ->
-                            Error "service stop not followed by a thaw node")
-                    | [] -> Error "service stop not followed by a thaw node")
-                | Kill | Freeze _ | Partition | Degrade _ | Heal | Switch_kill _
-                | Pod_degrade _ | Service_kill _ ->
-                    walk None ({ machine; anchor; kind } :: acc) rest)
+                    match thaw_of_node next with
+                    | Some thaw ->
+                        walk None ({ machine; anchor; kind = kind_of_thaw thaw } :: acc) rest'
+                    | None -> Error "service stop not followed by a thaw node")
+                | Fault.Until_thaw _, [] -> Error "service stop not followed by a thaw node")
             | None -> (
                 match wait_of_node node with
                 | Some nth ->

@@ -35,39 +35,11 @@ val to_dot : Automaton.t -> string
     ({!injections_of_program} is its structural inverse), can be saved
     as a [.fail] file and replayed with [failmpi_run]. *)
 module Scenario : sig
-  (** Process faults ([Kill], [Freeze]) are delivered as controller
-      messages; network faults compile to the first-class FAIL network
-      actions executed by the coordinator itself. [Partition] isolates
-      the target machine from every other host; [Degrade] worsens all
-      links touching it ([loss] in permille, [latency] in ms); [Heal]
-      clears every installed network fault (its [machine] is canonically
-      0 and otherwise ignored).
-
-      Topology faults reinterpret [machine] as the component index:
-      [Switch_kill] compiles to [partition switch <tier>\[machine\]]
-      (one dead switch, every route through it cut), [Pod_degrade] to
-      [degrade pod machine ...] (the spec lands on all intra-pod
-      links). Both need the run to declare a {!Mpivcl.Config.topology}.
-
-      Service faults target the infrastructure plane by registered name
-      instead of the controller group: [Service_kill] compiles to
-      [halt service ...] executed by the coordinator, [Service_freeze]
-      to a [stop service ...] fire node paired with a thaw node whose
-      timer issues [continue service ...]. For [S_ckpt i] the
-      injection's [machine] is the replica index [i]; for
-      [S_sched]/[S_disp] it is canonically 0 and otherwise ignored. *)
-  type service = S_ckpt of int | S_sched | S_disp
-
-  type kind =
-    | Kill
-    | Freeze of { thaw : int }  (** [stop] then [continue] after [thaw] s *)
-    | Partition
-    | Degrade of { loss : int; latency : int }
-    | Heal
-    | Switch_kill of { tier : Ast.tier }
-    | Pod_degrade of { loss : int; latency : int }
-    | Service_kill of { service : service }
-    | Service_freeze of { service : service; thaw : int }
+  (** The fault kinds, re-exported from {!Fault}, which defines each
+      kind's key tag, report name and coordinator actions once. *)
+  include module type of struct
+    include Fault.Types
+  end
 
   type anchor = After of int | On_reload of { nth : int; delay : int }
 

@@ -328,9 +328,29 @@ let test_of_key_errors () =
   (match Plan.of_key ~n_machines:8 "" with
   | Error e -> check_str "empty" "empty plan key" e
   | Ok _ -> Alcotest.fail "empty key accepted");
-  match Plan.of_key ~n_machines:8 "warp@3+12" with
+  (match Plan.of_key ~n_machines:8 "warp@3+12" with
   | Error e -> check_str "bad kind" "malformed fault key \"warp@3+12\"" e
-  | Ok _ -> Alcotest.fail "malformed key accepted"
+  | Ok _ -> Alcotest.fail "malformed key accepted");
+  (* Keys [Plan.key] never prints: a negative or non-decimal number, a
+     non-canonical spelling, an unaligned service fault.  The first one's
+     scenario does not even parse. *)
+  List.iter
+    (fun k ->
+      match Plan.of_key ~n_machines:8 ("kill@0+1;" ^ k) with
+      | Error e -> check_str k (Printf.sprintf "malformed fault key %S" k) e
+      | Ok p -> Alcotest.failf "%s accepted as %s" k (Plan.key p))
+    [
+      "freeze-5@1+2";
+      "kill@1+-5";
+      "kill@-1+5";
+      "deg-5l-2@1+3";
+      "kill@1@reload-2+3";
+      "freeze0x14@1+2";
+      "deg+5l2@1+3";
+      "kill@1_0+5";
+      "kill@01+5";
+      "sksched@3+5";
+    ]
 
 let () =
   Alcotest.run "explore_fork"
