@@ -2,9 +2,7 @@ module S = Fail_lang.Codegen.Scenario
 module Fault = Fail_lang.Fault
 include Fault.Types
 
-type anchor = S.anchor = After of int | On_reload of { nth : int; delay : int }
-
-type fault = S.injection = { machine : int; anchor : anchor; kind : kind }
+type fault = injection
 
 type t = { n_machines : int; faults : fault list }
 

@@ -6,22 +6,13 @@
     FAIL source, so every plan the explorer runs, and every minimized
     witness it emits, is replayable with [failmpi_run --scenario]. *)
 
-(** The fault kinds, re-exported from {!Fail_lang.Fault}, which defines
-    each kind's key tag, report name and coordinator actions once. *)
+(** Kinds, anchors and injections, re-exported from {!Fail_lang.Fault},
+    which defines each kind's key tag, report name and actions once. *)
 include module type of struct
   include Fail_lang.Fault.Types
 end
 
-type anchor = Fail_lang.Codegen.Scenario.anchor =
-  | After of int  (** seconds after the previous fault fired (scenario start for the first) *)
-  | On_reload of { nth : int; delay : int }
-      (** [delay] seconds after the [nth] cumulative daemon registration *)
-
-type fault = Fail_lang.Codegen.Scenario.injection = {
-  machine : int;
-  anchor : anchor;
-  kind : kind;
-}
+type fault = injection
 
 type t = { n_machines : int; faults : fault list }
 

@@ -70,10 +70,6 @@ module Scenario = struct
      automata and reads them back. *)
   include Fault.Types
 
-  type anchor = After of int | On_reload of { nth : int; delay : int }
-
-  type injection = { machine : int; anchor : anchor; kind : kind }
-
   let loc = Loc.dummy
 
   let needs_reload injections =
@@ -386,16 +382,15 @@ module Scenario = struct
                   | Some nth -> On_reload { nth; delay }
                   | None -> After delay
                 in
-                match (injected, rest) with
-                | Fault.Injected (machine, kind), _ ->
+                match injected with
+                | Fault.Injected (machine, kind) ->
                     walk None ({ machine; anchor; kind } :: acc) rest
-                | Fault.Until_thaw (machine, kind_of_thaw), next :: rest' -> (
+                | Fault.Until_thaw (machine, kind_of_thaw) -> (
                     (* Consume the paired thaw node that follows. *)
-                    match thaw_of_node next with
+                    match Option.bind (List.nth_opt rest 0) thaw_of_node with
                     | Some thaw ->
-                        walk None ({ machine; anchor; kind = kind_of_thaw thaw } :: acc) rest'
-                    | None -> Error "service stop not followed by a thaw node")
-                | Fault.Until_thaw _, [] -> Error "service stop not followed by a thaw node")
+                        walk None ({ machine; anchor; kind = kind_of_thaw thaw } :: acc) (List.tl rest)
+                    | None -> Error "service stop not followed by a thaw node"))
             | None -> (
                 match wait_of_node node with
                 | Some nth ->

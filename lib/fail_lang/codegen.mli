@@ -35,15 +35,10 @@ val to_dot : Automaton.t -> string
     ({!injections_of_program} is its structural inverse), can be saved
     as a [.fail] file and replayed with [failmpi_run]. *)
 module Scenario : sig
-  (** The fault kinds, re-exported from {!Fault}, which defines each
-      kind's key tag, report name and coordinator actions once. *)
+  (** Kinds, anchors and injections, re-exported from {!Fault}. *)
   include module type of struct
     include Fault.Types
   end
-
-  type anchor = After of int | On_reload of { nth : int; delay : int }
-
-  type injection = { machine : int; anchor : anchor; kind : kind }
 
   (** [program ~n_machines injections] builds the scenario AST (already
       in checked form: no parameters, no bare group destinations). *)

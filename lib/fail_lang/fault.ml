@@ -11,6 +11,10 @@ module Types = struct
     | Pod_degrade of { loss : int; latency : int }
     | Service_kill of { service : service }
     | Service_freeze of { service : service; thaw : int }
+
+  type anchor = After of int | On_reload of { nth : int; delay : int }
+
+  type injection = { machine : int; anchor : anchor; kind : kind }
 end
 
 include Types
@@ -19,7 +23,7 @@ let service_word = function S_ckpt _ -> "ckpt" | S_sched -> "sched" | S_disp -> 
 
 (* How a kind prints: its key-tag words and its report-name words, each
    word followed in turn by one integer parameter.  Words hold no
-   digits, so a tag splits back into words and parameters. *)
+   digits, so the digit runs of a tag are its parameters. *)
 type words = { key : string list; report : string list; params : int list }
 
 let words = function
@@ -68,7 +72,9 @@ let with_params k params =
       _ ) ->
       None
 
-(* One kind per key-tag word list: every constructor, tier and service. *)
+(* Every constructor, tier and service, with placeholder parameters: the
+   candidates [of_tag] reprints.  The compiler cannot check this list is
+   complete; the key round-trip test over every kind does. *)
 let shapes =
   [ Kill; Freeze { thaw = 0 }; Partition; Degrade { loss = 0; latency = 0 }; Heal ]
   @ List.map (fun tier -> Switch_kill { tier }) [ Ast.Tier_edge; Ast.Tier_agg; Ast.Tier_core ]
@@ -77,31 +83,14 @@ let shapes =
       (fun service -> [ Service_kill { service }; Service_freeze { service; thaw = 0 } ])
       [ S_ckpt 0; S_sched; S_disp ]
 
+(* Accept only what [tag] prints: a sign, a leading zero or a number
+   too large for [int] makes the reprinted tag differ. *)
 let of_tag s =
-  let digit c = c >= '0' && c <= '9' in
-  let n = String.length s in
-  let rec runs i =
-    if i >= n then []
-    else begin
-      let j = ref i in
-      while !j < n && digit s.[!j] = digit s.[i] do
-        incr j
-      done;
-      String.sub s i (!j - i) :: runs !j
-    end
-  in
-  let nums, key = List.partition (fun r -> digit r.[0]) (runs 0) in
-  let params = List.filter_map int_of_string_opt nums in
-  if List.length params <> List.length nums then None
-  else
-    List.find_map
-      (fun shape ->
-        if (words shape).key <> key then None
-        else
-          match with_params shape params with
-          | Some k when String.equal (tag k) s -> Some k
-          | Some _ | None -> None)
-      shapes
+  let digits = String.map (fun c -> if c >= '0' && c <= '9' then c else ' ') s in
+  let params = List.filter_map int_of_string_opt (String.split_on_char ' ' digits) in
+  List.find_opt
+    (fun k -> String.equal (tag k) s)
+    (List.filter_map (fun shape -> with_params shape params) shapes)
 
 let thaw = function
   | Freeze { thaw } -> Some thaw
@@ -174,76 +163,68 @@ let rec const = function
 
 let of_inject action =
   let ( let* ) = Option.bind in
-  let injected machine kind = Some (Injected (machine, kind)) in
-  let dim = function None -> Some 0 | Some e -> const e in
-  let service_of_sel = function
+  let at e kind = Option.map (fun machine -> Injected (machine, kind)) (const e) in
+  let dims loss latency =
+    let dim = function None -> Some 0 | Some e -> const e in
+    let* loss = dim loss in
+    Option.map (fun latency -> (loss, latency)) (dim latency)
+  in
+  let service = function
     | Ast.Svc_ckpt e -> Option.map (fun i -> S_ckpt i) (const e)
     | Ast.Svc_sched -> Some S_sched
     | Ast.Svc_disp -> Some S_disp
   in
-  (* The machine [align] gives the service. *)
+  (* The machine [align] gives a service fault. *)
   let service_machine = function S_ckpt i -> i | S_sched | S_disp -> 0 in
   match action with
-  | Ast.A_send (msg, Ast.D_indexed (_, machine)) -> (
-      let* machine = const machine in
-      match of_tag msg with
-      | Some ((Kill | Freeze _) as kind) -> injected machine kind
-      | Some _ | None -> None)
-  | Ast.A_partition (Ast.D_indexed (_, machine), None) ->
-      let* machine = const machine in
-      injected machine Partition
-  | Ast.A_partition (Ast.D_topo (Ast.Sel_switch (tier, idx)), None) ->
-      let* idx = const idx in
-      injected idx (Switch_kill { tier })
-  | Ast.A_degrade { Ast.deg_target = Ast.D_indexed (_, machine); deg_loss; deg_latency; _ } ->
-      let* machine = const machine in
-      let* loss = dim deg_loss in
-      let* latency = dim deg_latency in
-      injected machine (Degrade { loss; latency })
-  | Ast.A_degrade { Ast.deg_target = Ast.D_topo (Ast.Sel_pod idx); deg_loss; deg_latency; _ } ->
-      let* idx = const idx in
-      let* loss = dim deg_loss in
-      let* latency = dim deg_latency in
-      injected idx (Pod_degrade { loss; latency })
-  | Ast.A_heal -> injected 0 Heal
+  | Ast.A_send (msg, Ast.D_indexed (_, e)) -> (
+      match of_tag msg with Some ((Kill | Freeze _) as kind) -> at e kind | Some _ | None -> None)
+  | Ast.A_partition (Ast.D_indexed (_, e), None) -> at e Partition
+  | Ast.A_partition (Ast.D_topo (Ast.Sel_switch (tier, e)), None) -> at e (Switch_kill { tier })
+  | Ast.A_degrade { Ast.deg_target = Ast.D_indexed (_, e); deg_loss; deg_latency; _ } ->
+      let* loss, latency = dims deg_loss deg_latency in
+      at e (Degrade { loss; latency })
+  | Ast.A_degrade { Ast.deg_target = Ast.D_topo (Ast.Sel_pod e); deg_loss; deg_latency; _ } ->
+      let* loss, latency = dims deg_loss deg_latency in
+      at e (Pod_degrade { loss; latency })
+  | Ast.A_heal -> Some (Injected (0, Heal))
   | Ast.A_halt (Some sel) ->
-      let* service = service_of_sel sel in
-      injected (service_machine service) (Service_kill { service })
+      let* service = service sel in
+      Some (Injected (service_machine service, Service_kill { service }))
   | Ast.A_stop (Some sel) ->
-      let* service = service_of_sel sel in
+      let* service = service sel in
       Some (Until_thaw (service_machine service, fun thaw -> Service_freeze { service; thaw }))
   | _ -> None
 
 (* ---- explorer axes ----------------------------------------------- *)
 
 let explorer_kinds ~freeze ~net ~services ~topo =
+  let axis on kinds = if on then kinds else [] in
   List.concat
     [
       [ Kill ];
       (match freeze with Some thaw -> [ Freeze { thaw } ] | None -> []);
       (* --net: isolate a machine, degrade its links (5% loss + 2 ms),
          and the heal that lets partitioned plans recover. *)
-      (if net then [ Partition; Degrade { loss = 50; latency = 2 }; Heal ] else []);
+      axis net [ Partition; Degrade { loss = 50; latency = 2 }; Heal ];
       (* --services: shoot the storage/control plane too.  The plan's
          machine index doubles as the ckpt replica index ([align]); one
          beyond the deployed servers is a traced no-op, like shooting a
          spare. *)
-      (if services then
-         [
-           Service_kill { service = S_ckpt 0 };
-           Service_freeze { service = S_ckpt 0; thaw = 20 };
-           Service_kill { service = S_sched };
-           Service_freeze { service = S_sched; thaw = 20 };
-         ]
-       else []);
+      axis services
+        [
+          Service_kill { service = S_ckpt 0 };
+          Service_freeze { service = S_ckpt 0; thaw = 20 };
+          Service_kill { service = S_sched };
+          Service_freeze { service = S_sched; thaw = 20 };
+        ];
       (* --topo fat-tree:K: component faults.  The plan's machine index
          doubles as the component index; one that lands out of range is
          a validated no-op, like shooting a spare. *)
-      (if topo then
-         [
-           Switch_kill { tier = Ast.Tier_edge };
-           Switch_kill { tier = Ast.Tier_agg };
-           Pod_degrade { loss = 50; latency = 2 };
-         ]
-       else []);
+      axis topo
+        [
+          Switch_kill { tier = Ast.Tier_edge };
+          Switch_kill { tier = Ast.Tier_agg };
+          Pod_degrade { loss = 50; latency = 2 };
+        ];
     ]
