@@ -193,13 +193,3 @@ let equal_program p1 p2 =
   List.equal equal_daemon p1.daemons p2.daemons
   && List.equal equal_deployment p1.deployments p2.deployments
 
-let program_size p =
-  let node_size n =
-    1 + List.length n.n_always
-    + (match n.n_timer with Some _ -> 1 | None -> 0)
-    + List.fold_left (fun acc t -> acc + 1 + List.length t.actions) 0 n.n_transitions
-  in
-  let daemon_size d =
-    1 + List.length d.d_vars + List.fold_left (fun acc n -> acc + node_size n) 0 d.d_nodes
-  in
-  List.fold_left (fun acc d -> acc + daemon_size d) 0 p.daemons + List.length p.deployments

@@ -140,7 +140,3 @@ type program = { daemons : daemon list; deployments : deployment list }
 
 val equal_expr : expr -> expr -> bool
 val equal_program : program -> program -> bool
-
-(** Number of syntactic nodes, transitions and actions — used by the
-    bench harness to report scenario complexity. *)
-val program_size : program -> int

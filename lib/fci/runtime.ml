@@ -805,7 +805,6 @@ let instances t = t.all
 
 let find_instance t id = Hashtbl.find_opt t.by_name id
 
-let instance_id inst = inst.id
 let instance_machine inst = inst.machine
 let instance_node inst = (current_node inst).Automaton.node_id
 let controlled inst = inst.ctl

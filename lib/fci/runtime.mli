@@ -88,7 +88,6 @@ type instance
 
 val instances : t -> instance list
 val find_instance : t -> string -> instance option
-val instance_id : instance -> string
 val instance_machine : instance -> int
 
 (** [instance_node i] is the source id of the instance's current node. *)

@@ -25,4 +25,3 @@ let read iv =
 
 let peek iv = match iv.state with Filled v -> Some v | Empty _ -> None
 
-let is_filled iv = match iv.state with Filled _ -> true | Empty _ -> false

@@ -20,5 +20,3 @@ val read : 'a t -> 'a
 
 (** [peek iv] returns the value if filled. *)
 val peek : 'a t -> 'a option
-
-val is_filled : 'a t -> bool

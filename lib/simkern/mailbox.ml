@@ -17,8 +17,6 @@ let send mb v =
   in
   offer mb.waiters
 
-let try_recv mb = Queue.take_opt mb.messages
-
 let recv mb =
   match Queue.take_opt mb.messages with
   | Some v -> v

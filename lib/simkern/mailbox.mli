@@ -16,8 +16,6 @@ val send : 'a t -> 'a -> unit
     process. *)
 val recv : 'a t -> 'a
 
-(** [try_recv mb] pops the oldest queued message without blocking. *)
-val try_recv : 'a t -> 'a option
 
 (** [recv_timeout mb ~timeout] waits at most [timeout] simulated seconds;
     [None] on expiry. *)

@@ -24,12 +24,6 @@ let pp_exit_reason ppf = function
   | Exit_killed -> Format.pp_print_string ppf "killed"
   | Exit_crashed exn -> Format.fprintf ppf "crashed(%s)" (Printexc.to_string exn)
 
-let pp_state ppf = function
-  | Embryo -> Format.pp_print_string ppf "embryo"
-  | Running -> Format.pp_print_string ppf "running"
-  | Waiting -> Format.pp_print_string ppf "waiting"
-  | Exited r -> Format.fprintf ppf "exited(%a)" pp_exit_reason r
-
 let pid p = p.pid
 let name p = p.name
 let engine p = p.engine

@@ -37,7 +37,6 @@ type state =
   | Exited of exit_reason
 
 val pp_exit_reason : Format.formatter -> exit_reason -> unit
-val pp_state : Format.formatter -> state -> unit
 
 (** [spawn engine ?name body] creates a process whose first step runs
     at the current instant (after already-scheduled events). *)

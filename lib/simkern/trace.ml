@@ -1,13 +1,5 @@
 type level = Summary | Full
 
-let level_name = function Summary -> "summary" | Full -> "full"
-
-let level_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "summary" -> Some Summary
-  | "full" -> Some Full
-  | _ -> None
-
 type entry = { time : float; source : string; event : string; detail : string }
 
 (* Detail payloads are rendered lazily: the hot path stores the closure,

@@ -31,11 +31,6 @@
     [~level:Full] is dropped by a [Summary] trace. *)
 type level = Summary | Full
 
-val level_name : level -> string
-
-(** [level_of_string s] parses ["summary"] / ["full"]. *)
-val level_of_string : string -> level option
-
 type entry = {
   time : float;  (** simulated time of the event *)
   source : string;  (** component that recorded it, e.g. ["dispatcher"] *)

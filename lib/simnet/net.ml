@@ -83,7 +83,7 @@ module Perturb = struct
     Float.min rto_max (rto_initial *. (2.0 ** float_of_int attempt))
 
   (* Perturbation state is kept O(active perturbations), never O(links):
-     membership in a cut or flap is a per-host byte map built once when
+     membership in a cut is a per-host byte map built once when
      the rule is installed (O(1) lookup per message, no list scans), and
      per-host degradations live in a host-indexed array with a dense
      "touched hosts" list so installing, querying and healing walk only
@@ -99,8 +99,6 @@ module Perturb = struct
     | Cut_sets of Bytes.t
     | Cut_isolate of Bytes.t
     | Cut_pairs of (int * int, unit) Hashtbl.t
-
-  type flap = { f_member : Bytes.t; f_period : float; f_downtime : float; f_start : float }
 
   (* Pair-level degradation (e.g. every intra-pod link of a fat tree):
      one immutable rule per [degrade_pairs] call, folded into [spec_for]
@@ -118,7 +116,6 @@ module Perturb = struct
     mutable p_degraded : spec array;  (* indexed by host; [zero] = untouched *)
     mutable p_deg_hosts : int list;  (* dense set of hosts with an entry *)
     mutable p_cuts : cut list;
-    mutable p_flaps : flap list;
     mutable p_pair_rules : pair_rule list;
     mutable p_touched : bool;
     mutable p_reliable : bool;
@@ -140,7 +137,6 @@ module Perturb = struct
       p_degraded = [||];
       p_deg_hosts = [];
       p_cuts = [];
-      p_flaps = [];
       p_pair_rules = [];
       p_touched = false;
       p_reliable = default_profile.reliable;
@@ -201,7 +197,6 @@ module Perturb = struct
 
   let touched p = p.p_touched
   let reliable p = p.p_touched && p.p_reliable
-  let set_reliable p b = p.p_reliable <- b
   let rto_initial p = p.p_rto_initial
   let rto_max p = p.p_rto_max
   let max_attempts p = p.p_max_attempts
@@ -280,29 +275,12 @@ module Perturb = struct
     touch p;
     p.p_pair_rules <- { pr_pairs = tbl; pr_spec = spec } :: p.p_pair_rules
 
-  let flap p ~hosts ~period ~downtime =
-    if not (period > 0.0 && downtime > 0.0 && downtime < period) then
-      invalid_arg
-        (Printf.sprintf
-           "Net.Perturb.flap: need 0 < downtime < period (got downtime %g, period %g)"
-           downtime period);
-    touch p;
-    p.p_flaps <-
-      {
-        f_member = member_map [ (hosts, 1) ];
-        f_period = period;
-        f_downtime = downtime;
-        f_start = Engine.now p.p_eng;
-      }
-      :: p.p_flaps
-
-  (* [heal] removes every rule (partitions, flapping, degradations) but
+  (* [heal] removes every rule (partitions, degradations) but
      leaves the transport hardening armed so in-flight retransmissions can
      drain over the now-clean links. Cost is O(hosts actually degraded),
      not O(cluster). *)
   let heal p =
     p.p_cuts <- [];
-    p.p_flaps <- [];
     p.p_pair_rules <- [];
     List.iter (fun h -> p.p_degraded.(h) <- zero) p.p_deg_hosts;
     p.p_deg_hosts <- [];
@@ -316,21 +294,7 @@ module Perturb = struct
     | Cut_isolate m -> member_bits m a <> member_bits m b
     | Cut_pairs tbl -> Hashtbl.mem tbl (min a b, max a b)
 
-  let flap_down now f =
-    let phase = Float.rem (Float.max 0.0 (now -. f.f_start)) f.f_period in
-    phase < f.f_downtime
-
-  let cut p ~src ~dst =
-    src <> dst
-    && (List.exists (fun c -> crosses_cut c src dst) p.p_cuts
-       || (p.p_flaps <> []
-          &&
-          let now = Engine.now p.p_eng in
-          List.exists
-            (fun f ->
-              member_bits f.f_member src <> member_bits f.f_member dst
-              && flap_down now f)
-            p.p_flaps))
+  let cut p ~src ~dst = src <> dst && List.exists (fun c -> crosses_cut c src dst) p.p_cuts
 
   let spec_for p ~src ~dst =
     let n = Array.length p.p_degraded in
@@ -402,7 +366,7 @@ module Perturb = struct
         Engine.schedule_at p.p_eng ~time:t (fun () -> heal p) |> ignore
     | None -> ()
 
-  (* Snapshot: every mutable field. Cut/flap byte maps and spec records
+  (* Snapshot: every mutable field. Cut byte maps and spec records
      are immutable after construction, so sharing the lists is safe; the
      RNG state is copied both ways so one snapshot restores any number
      of times. *)
@@ -413,7 +377,6 @@ module Perturb = struct
     sn_degraded : spec array;
     sn_deg_hosts : int list;
     sn_cuts : cut list;
-    sn_flaps : flap list;
     sn_pair_rules : pair_rule list;
     sn_touched : bool;
     sn_reliable : bool;
@@ -434,7 +397,6 @@ module Perturb = struct
       sn_degraded = Array.copy p.p_degraded;
       sn_deg_hosts = p.p_deg_hosts;
       sn_cuts = p.p_cuts;
-      sn_flaps = p.p_flaps;
       sn_pair_rules = p.p_pair_rules;
       sn_touched = p.p_touched;
       sn_reliable = p.p_reliable;
@@ -454,7 +416,6 @@ module Perturb = struct
     p.p_degraded <- Array.copy s.sn_degraded;
     p.p_deg_hosts <- s.sn_deg_hosts;
     p.p_cuts <- s.sn_cuts;
-    p.p_flaps <- s.sn_flaps;
     p.p_pair_rules <- s.sn_pair_rules;
     p.p_touched <- s.sn_touched;
     p.p_reliable <- s.sn_reliable;
@@ -713,7 +674,6 @@ let close conn =
 
 let is_open conn = not (conn.c_closed_local || conn.c_closed_remote)
 
-let local_host conn = conn.c_local_host
 let peer_host conn = conn.c_peer_host
 
 (* The calling process owns the endpoint: its death closes the socket,

@@ -16,8 +16,7 @@
 
     {!Perturb} relaxes the perfect-network assumption: per-link loss,
     added latency and jitter, bidirectional partitions between host sets
-    with heal, and link flapping — all deterministic functions of the run
-    seed. While the network is perturbed, inter-host connections switch to
+    with heal — all deterministic functions of the run seed. While the network is perturbed, inter-host connections switch to
     a reliable transport (sequence numbers, cumulative acks, bounded
     exponential-backoff retransmission) so degraded links behave like slow
     TCP rather than UDP; a connection that exhausts its retransmission
@@ -115,7 +114,7 @@ module Perturb : sig
     [ `Deliver of float | `Drop ]
 
   (** [cut t ~src ~dst] is true when the [src -> dst] link is currently
-      severed by a partition, an isolation or a down flap. A host listed
+      severed by a partition or an isolation. A host listed
       on both sides of a partition cuts against both sides; same-host
       links are never cut. O(active cuts), O(1) per membership probe. *)
   val cut : t -> src:int -> dst:int -> bool
@@ -166,24 +165,15 @@ module Perturb : sig
       [Invalid_argument] on an empty pair list. *)
   val degrade_pairs : t -> pairs:(int * int) list -> spec -> unit
 
-  (** [flap t ~hosts ~period ~downtime] makes the links between [hosts]
-      and the rest of the cluster go down for the first [downtime] seconds
-      of every [period], starting now. *)
-  val flap : t -> hosts:int list -> period:float -> downtime:float -> unit
-
-  (** [heal t] removes every rule (partitions, flapping, degradations).
+  (** [heal t] removes every rule (partitions, degradations).
       The reliable transport stays armed so in-flight retransmissions
       drain over the healed links. *)
   val heal : t -> unit
 
-  (** [set_reliable t b] arms or disarms the retransmitting transport
-      (tests use [false] to expose raw loss to the protocols). *)
-  val set_reliable : t -> bool -> unit
-
   (** {2 Snapshot / restore}
 
       Captures every mutable field — RNG state, base/per-host specs,
-      cuts, flaps, counters. Restore is exact and reusable: the layer's
+      cuts, counters. Restore is exact and reusable: the layer's
       state is plain data, so this round-trips even inside a live
       process. *)
 
@@ -264,5 +254,4 @@ val close : 'a conn -> unit
     closure has been observed. *)
 val is_open : 'a conn -> bool
 
-val local_host : 'a conn -> int
 val peer_host : 'a conn -> int
