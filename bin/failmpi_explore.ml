@@ -48,8 +48,9 @@ let run protocol replicas ranks klass max_faults budget jobs seed targets bucket
     prerr_endline (Printf.sprintf "failmpi_explore: --budget must be >= 1 (got %d)" budget);
     exit 1
   end;
-  (* A negative delay or target reaches the explorer as a plan whose
-     scenario does not compile, or one that shoots nothing. *)
+  (* Past the explorer, a negative thaw is a scenario that does not
+     parse, a negative bucket a timer in the past, and a negative target
+     a fault that shoots nothing. *)
   let non_negative flag v =
     if v < 0 then begin
       prerr_endline (Printf.sprintf "failmpi_explore: --%s must be >= 0 (got %d)" flag v);
