@@ -9,9 +9,7 @@ type t = { n_machines : int; faults : fault list }
 let equal a b = a = b
 let compare = Stdlib.compare
 
-let align_service f =
-  let machine, kind = Fault.align f.machine f.kind in
-  { f with machine; kind }
+let align_service = Fault.align
 
 let fault_key f =
   match f.anchor with

@@ -98,16 +98,16 @@ let thaw = function
   | Service_freeze _ ->
       None
 
-let align machine kind =
-  match kind with
-  | Service_kill { service = S_ckpt _ } -> (machine, Service_kill { service = S_ckpt machine })
+let align f =
+  match f.kind with
+  | Service_kill { service = S_ckpt _ } ->
+      { f with kind = Service_kill { service = S_ckpt f.machine } }
   | Service_freeze { service = S_ckpt _; thaw } ->
-      (machine, Service_freeze { service = S_ckpt machine; thaw })
+      { f with kind = Service_freeze { service = S_ckpt f.machine; thaw } }
   | Service_kill { service = S_sched | S_disp } | Service_freeze { service = S_sched | S_disp; _ }
     ->
-      (0, kind)
-  | Kill | Freeze _ | Partition | Degrade _ | Heal | Switch_kill _ | Pod_degrade _ ->
-      (machine, kind)
+      { f with machine = 0 }
+  | Kill | Freeze _ | Partition | Degrade _ | Heal | Switch_kill _ | Pod_degrade _ -> f
 
 (* ---- coordinator actions and their inverse ----------------------- *)
 

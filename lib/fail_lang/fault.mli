@@ -66,10 +66,10 @@ val name : kind -> string
     every other kind (a service freeze thaws from a coordinator node). *)
 val thaw : kind -> int option
 
-(** [align machine k] is the canonical [(machine, kind)]: a ckpt service
-    fault takes [machine] as its replica index, a sched/disp fault moves
-    to machine 0, every other kind is unchanged. *)
-val align : int -> kind -> int * kind
+(** [align i] is the canonical form of [i]: a ckpt service fault takes
+    its [machine] as its replica index, a sched/disp fault moves to
+    machine 0, and any other injection is [i] itself. *)
+val align : injection -> injection
 
 (** [inject ~group ~machine k] is the coordinator action that fires [k]
     (host faults address [group\[machine\]]) and, for a kind the
