@@ -61,9 +61,6 @@ let to_dot (a : Automaton.t) =
 (* ------------------------------------------------------------------ *)
 (* Fault-plan scenario generation (the explorer's replay format). *)
 
-(* ------------------------------------------------------------------ *)
-(* Fault-plan scenario generation (the explorer's replay format). *)
-
 module Scenario = struct
   (* The fault kinds, their actions and their inverse live in [Fault];
      this module lays injections out as coordinator and controller
@@ -287,7 +284,6 @@ module Scenario = struct
 
   let source ~n_machines injections = Pp.program_to_string (program ~n_machines injections)
 
-
   (* ---- parse-back ------------------------------------------------- *)
 
   let injections_of_program (p : Ast.program) =
@@ -389,7 +385,9 @@ module Scenario = struct
                     (* Consume the paired thaw node that follows. *)
                     match Option.bind (List.nth_opt rest 0) thaw_of_node with
                     | Some thaw ->
-                        walk None ({ machine; anchor; kind = kind_of_thaw thaw } :: acc) (List.tl rest)
+                        walk None
+                          ({ machine; anchor; kind = kind_of_thaw thaw } :: acc)
+                          (List.tl rest)
                     | None -> Error "service stop not followed by a thaw node"))
             | None -> (
                 match wait_of_node node with

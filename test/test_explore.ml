@@ -285,7 +285,10 @@ let test_vocabulary_pin () =
   in
   check_bool "report kind names" true
     (contains
-       {|"kinds": ["kill", "freeze8", "partition", "degrade50l2", "heal", "switch-kill-edge", "switch-kill-agg", "switch-kill-core", "pod-degrade300l5", "service-kill-ckpt", "service-kill-sched", "service-kill-disp", "service-freeze-ckpt20", "service-freeze-sched7", "service-freeze-disp3"]|});
+       "\"kinds\": [\"kill\", \"freeze8\", \"partition\", \"degrade50l2\", \"heal\", \
+        \"switch-kill-edge\", \"switch-kill-agg\", \"switch-kill-core\", \"pod-degrade300l5\", \
+        \"service-kill-ckpt\", \"service-kill-sched\", \"service-kill-disp\", \
+        \"service-freeze-ckpt20\", \"service-freeze-sched7\", \"service-freeze-disp3\"]");
   check_str "report digest" "a5ab69d655f78c6a70defe5845aec3cb" (Digest.to_hex (Digest.string json));
   check_str "scenario digest" "f447213f37bd9f3f2fbf82b7be66b9f7"
     (Digest.to_hex (Digest.string (Plan.to_scenario p)));
