@@ -10,7 +10,11 @@
      Run.execute (devtools/golden_capture.exe regenerates the table);
    - control surface: on every backend the FAIL [stop], [continue] and
      [halt] actions reach both the daemon and the application process of
-     the targeted machine. *)
+     the targeted machine;
+   - trace pins: the MD5 of each golden run's Full-level trace, and of
+     one start-up-fault run per dispatcher family, so a refactor of the
+     launch and registration code must keep every event byte for
+     byte. *)
 
 let check = Alcotest.check
 let check_bool = check Alcotest.bool
@@ -316,6 +320,89 @@ let test_metrics_not_cross_wired () =
     (Backend.Metrics.find r.Failmpi.Run.metrics "exhausted" = Some 0)
 
 (* ------------------------------------------------------------------ *)
+(* Trace pins: the whole Full-level trace of a run, not just its
+   outcome. The golden runs never lose a daemon before the start
+   broadcast, so a start-up-fault scenario pins the dispatchers' launch
+   retries as well: machine 1's daemon dies at load, before its Hello
+   (spawn-failed in vcl and replication), machine 2's right after its
+   Hello (spawn-retry in replication), and machine 3 is cut off after its
+   Hello for 20 s. A halted ulfm daemon is relaunched untraced, so only
+   the cut, which drops the link of a live daemon, reaches ulfm's
+   spawn-retry. That relaunch lands on machine 3 while the cut-off daemon
+   still holds its port, and the relaunches repeat until the timeout: the
+   pin keeps this open defect as it is. *)
+
+let trace_digest (r : Failmpi.Run.result) =
+  Digest.to_hex (Digest.string (Format.asprintf "%a" Simkern.Trace.pp r.Failmpi.Run.trace))
+
+(* one digest per golden case, in the order of [goldens] (seeds 1, 7) *)
+let golden_trace_digests =
+  [
+    ("vcl", [ "db701425792c4f6a34139e5ab15e70fc"; "93f73864dd3912effe1aaac9ff0e031b" ]);
+    ("blocking", [ "db701425792c4f6a34139e5ab15e70fc"; "93f73864dd3912effe1aaac9ff0e031b" ]);
+    ("v2", [ "95de9d6296b70dd483ceea15d679eb16"; "dfa233030126de6db7d3d3577edaa206" ]);
+    ("replication", [ "33d93288c32a485f732372447e393d6e"; "e4e08a0aa55b8143f0bcbdf09c805829" ]);
+    ("ulfm", [ "66ebb5d7c2847b590275de28ccb694b6"; "67c09502c052c257bb5f8d7507f31ab4" ]);
+  ]
+
+let test_golden_trace name protocol cases () =
+  List.iter2
+    (fun g digest ->
+      check_str (Printf.sprintf "%s seed=%Ld trace digest" name g.g_seed) digest
+        (trace_digest (run_golden ~protocol g)))
+    cases
+    (List.assoc name golden_trace_digests)
+
+let startup_scenario =
+  {|
+Daemon HALT {
+  node 1:
+    onload -> halt, goto 2;
+  node 2:
+}
+Daemon LATE {
+  node 1:
+    before(localMPI_setCommand) -> halt, goto 2;
+  node 2:
+}
+Daemon CUT {
+  node 1:
+    before(localMPI_setCommand) -> partition G3[0], goto 2;
+  node 2:
+    time t = 20;
+    timer -> heal, goto 3;
+  node 3:
+}
+G1[1] : HALT on machines 1 .. 1;
+G2[1] : LATE on machines 2 .. 2;
+G3[1] : CUT on machines 3 .. 3;
+|}
+
+(* family, protocol, start-up events its trace must contain, digest *)
+let startup_pins =
+  [
+    ("vcl", Mpivcl.Config.Non_blocking, [ "spawn-failed" ], "b3123d4f0791f7f85ad21513e019f760");
+    ( "replication",
+      Mpivcl.Config.Replication { degree = 2 },
+      [ "spawn-failed"; "spawn-retry" ],
+      "d3f3bbac4df5706fffc29d0eea31efcd" );
+    ("ulfm", Mpivcl.Config.Ulfm { spares = 1 }, [ "spawn-retry" ], "c8b78e03f8b1ccb8e0c93b076220f44d");
+  ]
+
+let test_startup_trace (name, protocol, events, digest) () =
+  let n_machines = match protocol with Mpivcl.Config.Replication _ -> 10 | _ -> 8 in
+  let r =
+    Failmpi.Run.execute (golden_spec ~protocol ~n_ranks:4 ~n_machines ~scenario:startup_scenario)
+  in
+  let seen = Failmpi.Run.trace_events r in
+  List.iter
+    (fun ev ->
+      check_bool (Printf.sprintf "%s traces %s" name ev) true
+        (List.exists (fun (_, e) -> e = ev) seen))
+    events;
+  check_str (name ^ " start-up trace digest") digest (trace_digest r)
+
+(* ------------------------------------------------------------------ *)
 (* Control surface: the FCI target each backend's daemon registers must
    stop, continue and halt the whole MPI task on its machine, daemon and
    computation process alike. *)
@@ -420,4 +507,13 @@ let () =
           (fun (name, protocol, _) ->
             Alcotest.test_case name `Quick (test_control_surface protocol))
           goldens );
+      ( "trace-pins",
+        List.map
+          (fun (name, protocol, cases) ->
+            Alcotest.test_case name `Quick (test_golden_trace name protocol cases))
+          goldens
+        @ List.map
+            (fun ((name, _, _, _) as pin) ->
+              Alcotest.test_case ("start-up " ^ name) `Quick (test_startup_trace pin))
+            startup_pins );
     ]
