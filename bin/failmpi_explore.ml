@@ -39,6 +39,12 @@ let run protocol replicas ranks klass max_faults budget jobs seed targets bucket
       prerr_endline (Printf.sprintf "failmpi_explore: --jobs must be >= 1 (got %d)" n);
       exit 1
   | _ -> ());
+  (* A timeout of zero or less reports every plan non-terminating, and
+     a NaN one never fires. *)
+  if not (timeout > 0.0) then begin
+    prerr_endline (Printf.sprintf "failmpi_explore: --timeout must be > 0 (got %g)" timeout);
+    exit 1
+  end;
   if not (Workload.Stencil.valid_ranks ranks) then begin
     prerr_endline
       (Printf.sprintf "failmpi_explore: --ranks must be a positive square number (got %d)" ranks);

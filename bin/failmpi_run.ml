@@ -104,6 +104,12 @@ let run scenario_file paper params ranks klass protocol replicas ckpt_servers
         (Printf.sprintf "failmpi_run: --ranks must be a positive square number (got %d)" ranks);
       exit 1
     end;
+    (* A timeout of zero or less reports every run non-terminating, and
+       a NaN one never fires. *)
+    if not (timeout > 0.0) then begin
+      prerr_endline (Printf.sprintf "failmpi_run: --timeout must be > 0 (got %g)" timeout);
+      exit 1
+    end;
     (match net with
     | Some profile -> (
         try Simnet.Net.Perturb.check_profile profile

@@ -2,27 +2,7 @@ open Simkern
 open Simos
 module Config = Mpivcl.Config
 
-type layout = {
-  n_compute : int;
-  coordinator_host : int;
-  dispatcher_host : int;
-  total_hosts : int;
-}
-
-(* One service host: the failover dispatcher. No checkpoint scheduler
-   and no checkpoint servers exist in this family. *)
-let base_layout ~n_compute = Layout.make ~n_compute ~n_services:1
-
-let make_layout ~n_compute =
-  let base = base_layout ~n_compute in
-  {
-    n_compute = base.Layout.n_compute;
-    coordinator_host = base.Layout.coordinator_host;
-    dispatcher_host = Layout.service base 0;
-    total_hosts = base.Layout.total_hosts;
-  }
-
-type handle = { env : Renv.t; lay : layout; rdispatcher : Rdispatcher.t }
+type handle = { env : Renv.t; rdispatcher : Rdispatcher.t }
 
 let launch eng ?fci ~cfg ~app ~state_bytes ~n_compute () =
   let degree =
@@ -37,27 +17,11 @@ let launch eng ?fci ~cfg ~app ~state_bytes ~n_compute () =
       (Printf.sprintf
          "Mpirep.Deploy.launch: %d replicas (degree %d x %d ranks) need more than %d compute hosts"
          (degree * n_ranks) degree n_ranks n_compute);
-  let base = base_layout ~n_compute in
-  let lay = make_layout ~n_compute in
-  let cluster, net = Layout.fabric eng base in
-  (* Perturb the fabric before any process starts, then hand it to the
-     FCI control plane so daemon traffic rides the same links. *)
-  (match cfg.Config.net with
-  | Some profile -> Simnet.Net.Perturb.apply (Simnet.Net.perturb net) profile
-  | None -> ());
-  (match fci with
-  | Some rt -> Fci.Runtime.set_fabric rt (Simnet.Net.perturb net)
-  | None -> ());
-  (* Validate the declared topology against the compute pool at launch —
-     a fabric too small for the job is a configuration error, not a
-     mid-run trace. Unperturbed runs never consult the geometry. *)
-  (match cfg.Config.topology with
-  | Some spec -> (
-      let topo = Simtopo.Topo.for_cluster spec ~n_compute in
-      match fci with
-      | Some rt -> Fci.Runtime.set_topology rt topo
-      | None -> ())
-  | None -> ());
+  (* One service host: the failover dispatcher. No checkpoint scheduler
+     and no checkpoint servers exist in this family. *)
+  let base = Layout.make ~n_compute ~n_services:1 in
+  let dispatcher_host = Layout.service base 0 in
+  let cluster, net = Mpivcl.Dispatch.fabric eng ?fci cfg base in
   let env =
     {
       Renv.eng;
@@ -68,7 +32,7 @@ let launch eng ?fci ~cfg ~app ~state_bytes ~n_compute () =
       degree;
       app;
       state_bytes;
-      dispatcher_host = lay.dispatcher_host;
+      dispatcher_host;
       rng = Rng.split (Engine.rng eng);
     }
   in
@@ -78,11 +42,11 @@ let launch eng ?fci ~cfg ~app ~state_bytes ~n_compute () =
      same logical ranks. *)
   let spare_hosts = List.init (n_compute - (degree * n_ranks)) (fun i -> (degree * n_ranks) + i) in
   let rdispatcher =
-    Rdispatcher.spawn env ~host:lay.dispatcher_host
+    Rdispatcher.spawn env ~host:dispatcher_host
       ~host_of:(fun ~rank ~slot -> (slot * n_ranks) + rank)
       ~spare_hosts
   in
-  { env; lay; rdispatcher }
+  { env; rdispatcher }
 
 let cluster h = h.env.Renv.cluster
 let net h = h.env.Renv.net

@@ -9,16 +9,7 @@
     host and the dispatcher host. No checkpoint scheduler and no
     checkpoint servers exist in this family. *)
 
-type layout = {
-  n_compute : int;
-  coordinator_host : int;
-  dispatcher_host : int;
-  total_hosts : int;
-}
-
-val make_layout : n_compute:int -> layout
-
-type handle = { env : Renv.t; lay : layout; rdispatcher : Rdispatcher.t }
+type handle = { env : Renv.t; rdispatcher : Rdispatcher.t }
 
 (** Requires [cfg.protocol = Replication { degree }] with
     [degree * n_ranks <= n_compute]; raises [Invalid_argument]

@@ -1,9 +1,8 @@
 open Simkern
-open Simos
 module Net = Simnet.Net
 module Config = Mpivcl.Config
 
-type outcome = Completed of float | Aborted of string
+type outcome = Mpivcl.Dispatch.outcome = Completed of float | Aborted of string
 
 (* How long the membership layer waits for an in-flight respawn to come
    back live once a rank has {e zero} computing replicas before
@@ -19,7 +18,6 @@ type ev =
 
 type t = {
   env : Renv.t;
-  host : int;
   result : outcome Ivar.t;
   mutable failover_count : int;
   mutable respawn_count : int;
@@ -40,7 +38,6 @@ let spawn (env : Renv.t) ~host ~host_of ~spare_hosts =
   let t =
     {
       env;
-      host;
       result = Ivar.create ();
       failover_count = 0;
       respawn_count = 0;
@@ -65,13 +62,9 @@ let spawn (env : Renv.t) ~host ~host_of ~spare_hosts =
     let resume = info.Member.m_resume in
     tracef ~level:Trace.Full t "launch" "replica %d.%d on host %d (inc %d%s)" rank slot target_host inc
       (if resume then ", respawn" else "");
-    ignore
-      (Cluster.spawn_on cluster ~host ~name:(Printf.sprintf "ssh-replica%d.%d" rank slot)
-         (fun () ->
-           if inc > 0 then Proc.sleep cfg.Config.relaunch_delay;
-           Proc.sleep cfg.Config.ssh_delay;
-           let daemon = Replica.spawn env ~rank ~slot ~host:target_host ~incarnation:inc ~resume in
-           Proc.on_exit daemon (fun _ -> Mailbox.send events (E_spawn_died (rank, slot, inc)))))
+    Mpivcl.Dispatch.ssh cluster ~host ~name:(Printf.sprintf "ssh-replica%d.%d" rank slot) cfg ~inc
+      (fun () -> Replica.spawn env ~rank ~slot ~host:target_host ~incarnation:inc ~resume)
+      (E_spawn_died (rank, slot, inc)) events
   in
   let move_to_spare ~rank ~slot =
     let info = Member.get members ~rank ~slot in
@@ -288,44 +281,20 @@ let spawn (env : Renv.t) ~host ~host_of ~spare_hosts =
           && Member.live_slots members ~rank = []
         then exhaust ~rank
   in
-  ignore
-    (Cluster.spawn_on cluster ~host ~name:"rdispatcher" (fun () ->
-         let listener = Net.listen env.Renv.net ~host ~port:Config.dispatcher_port in
-         Fun.protect ~finally:(fun () -> Net.close_listener listener) @@ fun () ->
-         ignore
-           (Cluster.spawn_on cluster ~host ~name:"rdispatcher-accept" (fun () ->
-                let rec accept_loop () =
-                  match Net.accept listener with
-                  | None -> ()
-                  | Some conn ->
-                      ignore
-                        (Cluster.spawn_on cluster ~host ~name:"rdispatcher-conn" (fun () ->
-                             match Net.recv conn with
-                             | Net.Data (Rmsg.Hello { rank; slot; incarnation }) ->
-                                 Mailbox.send events (E_hello (rank, slot, incarnation, conn));
-                                 let rec pump_loop () =
-                                   match Net.recv conn with
-                                   | Net.Data msg ->
-                                       Mailbox.send events (E_msg (rank, slot, incarnation, msg));
-                                       pump_loop ()
-                                   | Net.Closed ->
-                                       Mailbox.send events (E_closed (rank, slot, incarnation))
-                                 in
-                                 pump_loop ()
-                             | Net.Data _ | Net.Closed -> Net.close conn));
-                      accept_loop ()
-                in
-                accept_loop ()));
-         for rank = 0 to n - 1 do
-           for slot = 0 to degree - 1 do
-             launch ~rank ~slot
-           done
-         done;
-         let rec main_loop () =
-           handle_event (Mailbox.recv events);
-           main_loop ()
-         in
-         main_loop ()));
+  Mpivcl.Dispatch.serve cluster ~host ~name:"rdispatcher" env.Renv.net
+    ~hello:(function
+      | Rmsg.Hello { rank; slot; incarnation } -> Some (rank, slot, incarnation) | _ -> None)
+    ~registered:(fun (rank, slot, inc) conn -> E_hello (rank, slot, inc, conn))
+    ~msg:(fun (rank, slot, inc) msg -> E_msg (rank, slot, inc, msg))
+    ~closed:(fun (rank, slot, inc) -> E_closed (rank, slot, inc))
+    events
+    ~start:(fun () ->
+      for rank = 0 to n - 1 do
+        for slot = 0 to degree - 1 do
+          launch ~rank ~slot
+        done
+      done)
+    handle_event;
   t
 
 let outcome t = Ivar.read t.result
@@ -333,4 +302,3 @@ let peek_outcome t = Ivar.peek t.result
 let failovers t = t.failover_count
 let respawns t = t.respawn_count
 let exhausted t = t.is_exhausted
-let halt t = Cluster.kill_all t.env.Renv.cluster ~host:t.host

@@ -17,7 +17,7 @@
     bookkeeping events shared with the Vcl dispatcher ([reallocate],
     [no-spare], [spawn-failed], [closure-ignored]). *)
 
-type outcome = Completed of float | Aborted of string
+type outcome = Mpivcl.Dispatch.outcome = Completed of float | Aborted of string
 
 type t
 
@@ -40,4 +40,3 @@ val failovers : t -> int
 val respawns : t -> int
 
 val exhausted : t -> bool
-val halt : t -> unit

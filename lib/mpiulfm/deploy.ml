@@ -2,28 +2,7 @@ open Simkern
 open Simos
 module Config = Mpivcl.Config
 
-type layout = {
-  n_compute : int;
-  coordinator_host : int;
-  dispatcher_host : int;
-  total_hosts : int;
-}
-
-(* One service host: the ulfm dispatcher. No checkpoint servers — state
-   survives in the daemons themselves (buddy backups), and failed hosts
-   are never reused. *)
-let base_layout ~n_compute = Layout.make ~n_compute ~n_services:1
-
-let make_layout ~n_compute =
-  let base = base_layout ~n_compute in
-  {
-    n_compute = base.Layout.n_compute;
-    coordinator_host = base.Layout.coordinator_host;
-    dispatcher_host = Layout.service base 0;
-    total_hosts = base.Layout.total_hosts;
-  }
-
-type handle = { env : Uenv.t; lay : layout; udispatcher : Udispatcher.t }
+type handle = { env : Uenv.t; udispatcher : Udispatcher.t }
 
 let launch eng ?fci ~cfg ~app ~state_bytes ~n_compute () =
   let spares =
@@ -40,27 +19,12 @@ let launch eng ?fci ~cfg ~app ~state_bytes ~n_compute () =
          "Mpiulfm.Deploy.launch: %d daemons (%d ranks + %d spares) need more than %d compute \
           hosts"
          population n_ranks spares n_compute);
-  let base = base_layout ~n_compute in
-  let lay = make_layout ~n_compute in
-  let cluster, net = Layout.fabric eng base in
-  (* Perturb the fabric before any process starts, then hand it to the
-     FCI control plane so daemon traffic rides the same links. *)
-  (match cfg.Config.net with
-  | Some profile -> Simnet.Net.Perturb.apply (Simnet.Net.perturb net) profile
-  | None -> ());
-  (match fci with
-  | Some rt -> Fci.Runtime.set_fabric rt (Simnet.Net.perturb net)
-  | None -> ());
-  (* Validate the declared topology against the compute pool at launch —
-     a fabric too small for the job is a configuration error, not a
-     mid-run trace. Unperturbed runs never consult the geometry. *)
-  (match cfg.Config.topology with
-  | Some spec -> (
-      let topo = Simtopo.Topo.for_cluster spec ~n_compute in
-      match fci with
-      | Some rt -> Fci.Runtime.set_topology rt topo
-      | None -> ())
-  | None -> ());
+  (* One service host: the ulfm dispatcher. No checkpoint servers — state
+     survives in the daemons themselves (buddy backups), and failed hosts
+     are never reused. *)
+  let base = Layout.make ~n_compute ~n_services:1 in
+  let dispatcher_host = Layout.service base 0 in
+  let cluster, net = Mpivcl.Dispatch.fabric eng ?fci cfg base in
   let env =
     {
       Uenv.eng;
@@ -70,7 +34,7 @@ let launch eng ?fci ~cfg ~app ~state_bytes ~n_compute () =
       cfg;
       app;
       state_bytes;
-      dispatcher_host = lay.dispatcher_host;
+      dispatcher_host;
       population;
       rng = Rng.split (Engine.rng eng);
     }
@@ -78,8 +42,8 @@ let launch eng ?fci ~cfg ~app ~state_bytes ~n_compute () =
   (* Daemon d starts on host d: ranks occupy the same hosts the rollback
      backends use (machine-indexed FAIL scenarios hit the same logical
      ranks), spares sit on the hosts just above them. *)
-  let udispatcher = Udispatcher.spawn env ~host:lay.dispatcher_host in
-  { env; lay; udispatcher }
+  let udispatcher = Udispatcher.spawn env ~host:dispatcher_host in
+  { env; udispatcher }
 
 let cluster h = h.env.Uenv.cluster
 let net h = h.env.Uenv.net

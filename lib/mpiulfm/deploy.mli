@@ -9,16 +9,7 @@
     checkpoint servers exist in this family: committed state survives as
     buddy backups inside the daemon population. *)
 
-type layout = {
-  n_compute : int;
-  coordinator_host : int;
-  dispatcher_host : int;
-  total_hosts : int;
-}
-
-val make_layout : n_compute:int -> layout
-
-type handle = { env : Uenv.t; lay : layout; udispatcher : Udispatcher.t }
+type handle = { env : Uenv.t; udispatcher : Udispatcher.t }
 
 (** Requires [cfg.protocol = Ulfm { spares }] with
     [n_ranks + spares <= n_compute]; raises [Invalid_argument]

@@ -1,5 +1,4 @@
 open Simkern
-open Simos
 module Net = Simnet.Net
 module Config = Mpivcl.Config
 
@@ -12,7 +11,7 @@ module Config = Mpivcl.Config
    somewhere, and aborts only when the whole population is gone (each
    daemon's own abort reason, if any, is kept for the verdict). *)
 
-type outcome = Completed of float | Aborted of string
+type outcome = Mpivcl.Dispatch.outcome = Completed of float | Aborted of string
 
 type ev =
   | E_hello of int * int * Umsg.t Net.conn
@@ -22,7 +21,6 @@ type ev =
 
 type t = {
   env : Uenv.t;
-  host : int;
   result : outcome Ivar.t;
   mutable latest_epoch : int;
   mutable survivors_latest : int;
@@ -48,7 +46,6 @@ let spawn (env : Uenv.t) ~host =
   let t =
     {
       env;
-      host;
       result = Ivar.create ();
       latest_epoch = 0;
       survivors_latest = 0;
@@ -72,13 +69,9 @@ let spawn (env : Uenv.t) ~host =
     incs.(id) <- incs.(id) + 1;
     let inc = incs.(id) in
     tracef ~level:Trace.Full t "launch" "daemon %d on host %d (inc %d)" id id inc;
-    ignore
-      (Cluster.spawn_on cluster ~host ~name:(Printf.sprintf "ssh-udaemon%d" id)
-         (fun () ->
-           if inc > 0 then Proc.sleep cfg.Config.relaunch_delay;
-           Proc.sleep cfg.Config.ssh_delay;
-           let daemon = Udaemon.spawn env ~id ~incarnation:inc in
-           Proc.on_exit daemon (fun _ -> Mailbox.send events (E_spawn_died (id, inc)))))
+    Mpivcl.Dispatch.ssh cluster ~host ~name:(Printf.sprintf "ssh-udaemon%d" id) cfg ~inc
+      (fun () -> Udaemon.spawn env ~id ~incarnation:inc)
+      (E_spawn_died (id, inc)) events
   in
   let broadcast msg =
     Array.iter (function Some conn -> ignore (Net.send conn msg) | None -> ()) conns
@@ -188,42 +181,18 @@ let spawn (env : Uenv.t) ~host =
             launch ~id
           end
   in
-  ignore
-    (Cluster.spawn_on cluster ~host ~name:"udispatcher" (fun () ->
-         let listener = Net.listen env.Uenv.net ~host ~port:Config.dispatcher_port in
-         Fun.protect ~finally:(fun () -> Net.close_listener listener) @@ fun () ->
-         ignore
-           (Cluster.spawn_on cluster ~host ~name:"udispatcher-accept" (fun () ->
-                let rec accept_loop () =
-                  match Net.accept listener with
-                  | None -> ()
-                  | Some conn ->
-                      ignore
-                        (Cluster.spawn_on cluster ~host ~name:"udispatcher-conn" (fun () ->
-                             match Net.recv conn with
-                             | Net.Data (Umsg.Hello { id; inc }) when id >= 0 && id < population
-                               ->
-                                 Mailbox.send events (E_hello (id, inc, conn));
-                                 let rec pump_loop () =
-                                   match Net.recv conn with
-                                   | Net.Data msg ->
-                                       Mailbox.send events (E_msg (id, inc, msg));
-                                       pump_loop ()
-                                   | Net.Closed -> Mailbox.send events (E_closed (id, inc))
-                                 in
-                                 pump_loop ()
-                             | Net.Data _ | Net.Closed -> Net.close conn));
-                      accept_loop ()
-                in
-                accept_loop ()));
-         for id = 0 to population - 1 do
-           launch ~id
-         done;
-         let rec main_loop () =
-           handle_event (Mailbox.recv events);
-           main_loop ()
-         in
-         main_loop ()));
+  Mpivcl.Dispatch.serve cluster ~host ~name:"udispatcher" env.Uenv.net
+    ~hello:(function
+      | Umsg.Hello { id; inc } when id >= 0 && id < population -> Some (id, inc) | _ -> None)
+    ~registered:(fun (id, inc) conn -> E_hello (id, inc, conn))
+    ~msg:(fun (id, inc) msg -> E_msg (id, inc, msg))
+    ~closed:(fun (id, inc) -> E_closed (id, inc))
+    events
+    ~start:(fun () ->
+      for id = 0 to population - 1 do
+        launch ~id
+      done)
+    handle_event;
   t
 
 let outcome t = Ivar.read t.result
@@ -235,4 +204,3 @@ let promoted t = t.promoted_sum
 let adopted t = t.adopted_sum
 let abort_reason t = t.abort_reason
 let divergent t = t.divergent
-let halt t = Cluster.kill_all t.env.Uenv.cluster ~host:t.host

@@ -16,7 +16,7 @@
     [shrink], [daemon-abort], [daemon-dead], [rank-finished],
     [app-completed], [app-aborted], [spawn-retry]. *)
 
-type outcome = Completed of float | Aborted of string
+type outcome = Mpivcl.Dispatch.outcome = Completed of float | Aborted of string
 
 type t
 
@@ -49,5 +49,3 @@ val abort_reason : t -> string option
     restart points — a split-brain the agreement must make impossible.
     Surfaced as [Frozen] (§5 buggy) by the backend's status. *)
 val divergent : t -> bool
-
-val halt : t -> unit

@@ -11,21 +11,8 @@
 open Simkern
 open Simos
 
-type layout = {
-  n_compute : int;
-  coordinator_host : int;  (** P1's machine *)
-  dispatcher_host : int;
-  scheduler_host : int;
-  server_hosts : int list;
-  total_hosts : int;
-}
-
-(** [layout ~n_compute ~n_servers] computes the host map. *)
-val make_layout : n_compute:int -> n_servers:int -> layout
-
 type handle = {
   env : Env.t;
-  lay : layout;
   dispatcher : Dispatcher.t;
   scheduler : Scheduler.t option;  (** absent for [Sender_logging] *)
   servers : Ckpt_server.t list;

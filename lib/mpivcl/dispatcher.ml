@@ -1,8 +1,7 @@
 open Simkern
-open Simos
 module Net = Simnet.Net
 
-type outcome = Completed of float | Aborted of string
+type outcome = Dispatch.outcome = Completed of float | Aborted of string
 
 type rstate =
   | R_launching
@@ -28,7 +27,6 @@ type ev =
 
 type t = {
   env : Env.t;
-  host : int;
   result : outcome Ivar.t;
   mutable recovery_count : int;
   mutable is_confused : bool;
@@ -56,7 +54,7 @@ let spawn (env : Env.t) ~host ~initial_hosts ~spare_limit =
   let cfg = env.Env.cfg in
   let n = cfg.Config.n_ranks in
   let t =
-    { env; host; result = Ivar.create (); recovery_count = 0; is_confused = false;
+    { env; result = Ivar.create (); recovery_count = 0; is_confused = false;
       is_race_lost = false; is_ckpt_lost = false }
   in
   let events : ev Mailbox.t = Mailbox.create () in
@@ -90,16 +88,12 @@ let spawn (env : Env.t) ~host ~initial_hosts ~spare_limit =
     let inc = info.ri_inc in
     let target_host = info.ri_host in
     tracef ~level:Trace.Full t "launch" "rank %d on host %d (inc %d)" r target_host inc;
-    ignore
-      (Cluster.spawn_on cluster ~host ~name:(Printf.sprintf "ssh-rank%d" r) (fun () ->
-           if inc > 0 then Proc.sleep cfg.Config.relaunch_delay;
-           Proc.sleep cfg.Config.ssh_delay;
-           let daemon =
-             if Config.restarts_all_ranks cfg then
-               Vdaemon.spawn env ~rank:r ~host:target_host ~incarnation:inc
-             else V2_daemon.spawn env ~rank:r ~host:target_host ~incarnation:inc
-           in
-           Proc.on_exit daemon (fun _ -> Mailbox.send events (E_spawn_died (r, inc)))))
+    Dispatch.ssh cluster ~host ~name:(Printf.sprintf "ssh-rank%d" r) cfg ~inc
+      (fun () ->
+        if Config.restarts_all_ranks cfg then
+          Vdaemon.spawn env ~rank:r ~host:target_host ~incarnation:inc
+        else V2_daemon.spawn env ~rank:r ~host:target_host ~incarnation:inc)
+      (E_spawn_died (r, inc)) events
   in
   let move_to_spare r =
     let info = ranks.(r) in
@@ -280,45 +274,19 @@ let spawn (env : Env.t) ~host ~initial_hosts ~spare_limit =
           launch r
         end
   in
-  ignore
-    (Cluster.spawn_on cluster ~host ~name:"dispatcher" (fun () ->
-         let listener = Net.listen env.Env.net ~host ~port:Config.dispatcher_port in
-         Fun.protect ~finally:(fun () -> Net.close_listener listener) @@ fun () ->
-         (* Accept daemon connections; each starts with Hello and is then
-            pumped into the event mailbox tagged by (rank, incarnation). *)
-         ignore
-           (Cluster.spawn_on cluster ~host ~name:"dispatcher-accept" (fun () ->
-                let rec accept_loop () =
-                  match Net.accept listener with
-                  | None -> ()
-                  | Some conn ->
-                      ignore
-                        (Cluster.spawn_on cluster ~host ~name:"dispatcher-conn" (fun () ->
-                             match Net.recv conn with
-                             | Net.Data (Message.Hello { rank; incarnation }) ->
-                                 Mailbox.send events (E_hello (rank, incarnation, conn));
-                                 let rec pump_loop () =
-                                   match Net.recv conn with
-                                   | Net.Data msg ->
-                                       Mailbox.send events (E_msg (rank, incarnation, msg));
-                                       pump_loop ()
-                                   | Net.Closed ->
-                                       Mailbox.send events (E_closed (rank, incarnation))
-                                 in
-                                 pump_loop ()
-                             | Net.Data _ | Net.Closed -> Net.close conn));
-                      accept_loop ()
-                in
-                accept_loop ()));
-         (* Initial launch of every rank. *)
-         for r = 0 to n - 1 do
-           launch r
-         done;
-         let rec main_loop () =
-           handle_event (Mailbox.recv events);
-           main_loop ()
-         in
-         main_loop ()));
+  Dispatch.serve cluster ~host ~name:"dispatcher" env.Env.net
+    ~hello:(function
+      | Message.Hello { rank; incarnation } -> Some (rank, incarnation) | _ -> None)
+    ~registered:(fun (r, inc) conn -> E_hello (r, inc, conn))
+    ~msg:(fun (r, inc) msg -> E_msg (r, inc, msg))
+    ~closed:(fun (r, inc) -> E_closed (r, inc))
+    events
+    ~start:(fun () ->
+      (* Initial launch of every rank. *)
+      for r = 0 to n - 1 do
+        launch r
+      done)
+    handle_event;
   t
 
 let outcome t = Ivar.read t.result
@@ -327,4 +295,3 @@ let recoveries t = t.recovery_count
 let confused t = t.is_confused
 let race_lost t = t.is_race_lost
 let ckpt_lost t = t.is_ckpt_lost
-let halt t = Cluster.kill_all t.env.Env.cluster ~host:t.host

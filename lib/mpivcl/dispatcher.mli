@@ -26,9 +26,7 @@
 
 type t
 
-type outcome =
-  | Completed of float  (** the application finalized at this time *)
-  | Aborted of string  (** infrastructure failure (should not happen) *)
+type outcome = Dispatch.outcome = Completed of float | Aborted of string
 
 (** [spawn env ~host ~initial_hosts] starts the dispatcher on [host];
     rank [r] is first launched on [initial_hosts.(r)]; remaining cluster
@@ -58,6 +56,3 @@ val race_lost : t -> bool
     complete image survives. The dispatcher ends the run immediately
     (the [Ckpt_lost] verdict) instead of relaunching forever. *)
 val ckpt_lost : t -> bool
-
-(** [halt t] tears the dispatcher down (experiment timeout). *)
-val halt : t -> unit

@@ -19,11 +19,6 @@ type t = {
 type _ Effect.t += Suspend : (('a -> bool) -> unit) -> 'a Effect.t
 type _ Effect.t += Self : t Effect.t
 
-let pp_exit_reason ppf = function
-  | Exit_normal -> Format.pp_print_string ppf "normal"
-  | Exit_killed -> Format.pp_print_string ppf "killed"
-  | Exit_crashed exn -> Format.fprintf ppf "crashed(%s)" (Printexc.to_string exn)
-
 let pid p = p.pid
 let name p = p.name
 let engine p = p.engine

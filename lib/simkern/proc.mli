@@ -36,8 +36,6 @@ type state =
   | Waiting  (** blocked on a suspension *)
   | Exited of exit_reason
 
-val pp_exit_reason : Format.formatter -> exit_reason -> unit
-
 (** [spawn engine ?name body] creates a process whose first step runs
     at the current instant (after already-scheduled events). *)
 val spawn : Engine.t -> ?name:string -> (unit -> unit) -> t

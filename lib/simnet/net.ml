@@ -65,6 +65,10 @@ module Perturb = struct
     | Some ([], _) | Some (_, []) ->
         invalid_arg "Net.Perturb profile: partition sides must be non-empty"
     | _ -> ());
+    (match p.heal_at with
+    | Some t when not (t >= 0.0) ->
+        invalid_arg (Printf.sprintf "Net.Perturb profile: heal_at must be non-negative (got %g)" t)
+    | _ -> ());
     if not (p.rto_initial > 0.0) then
       invalid_arg
         (Printf.sprintf "Net.Perturb profile: rto_initial must be positive (got %g)"

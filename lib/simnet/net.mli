@@ -76,6 +76,8 @@ module Perturb : sig
       outside [\[0,1\]], negative delays, non-positive backoff). *)
   val check_spec : ?what:string -> spec -> unit
 
+  (** [check_profile p] also rejects empty partition sides and a NaN or
+      negative [heal_at]. *)
   val check_profile : profile -> unit
 
   (** [backoff ~rto_initial ~rto_max ~attempt] is the retransmission delay

@@ -71,7 +71,18 @@ let test_profile_validation () =
         {
           Perturb.default_profile with
           Perturb.base = { Perturb.loss = 2.0; latency = 0.0; jitter = 0.0 };
-        })
+        });
+  (* A negative heal is a timer in the past, and a NaN one fires at once. *)
+  List.iter
+    (fun (heal, got) ->
+      match Perturb.check_profile { Perturb.default_profile with Perturb.heal_at = Some heal } with
+      | () -> Alcotest.failf "heal_at %s: expected Invalid_argument" got
+      | exception Invalid_argument msg ->
+          check Alcotest.string ("heal_at " ^ got)
+            (Printf.sprintf "Net.Perturb profile: heal_at must be non-negative (got %s)" got)
+            msg)
+    [ (-5.0, "-5"); (Float.nan, "nan") ];
+  Perturb.check_profile { Perturb.default_profile with Perturb.heal_at = Some 0.0 }
 
 (* An empty host set is a caller bug, not a no-op to paper over: the
    complaint is pinned, and the failed call must not mark the layer
