@@ -14,7 +14,8 @@
    - trace pins: the MD5 of each golden run's Full-level trace, and of
      one start-up-fault run per dispatcher family, so a refactor of the
      launch and registration code must keep every event byte for
-     byte. *)
+     byte; and one 225-rank stencil run whose deep event queue pins the
+     engine's same-instant pop order. *)
 
 let check = Alcotest.check
 let check_bool = check Alcotest.bool
@@ -402,6 +403,59 @@ let test_startup_trace (name, protocol, events, digest) () =
     events;
   check_str (name ^ " start-up trace digest") digest (trace_digest r)
 
+(* Scale-order pin: the goldens keep the event queue a few entries deep,
+   so they never exercise multi-level sifts. The first point of the
+   hosts-vs-wallclock curve (bench/scale.ml: 256 hosts, 250 of them
+   compute, 225 ranks, a 10-iteration stencil) keeps thousands of events
+   queued with many same-instant ties. Its Full-level trace, per-rank
+   checksums and completion time are pinned together as one MD5. *)
+
+let scale_order_digest = "0c455ed2b323e19ac22927af3a78d85f"
+
+let test_scale_order () =
+  let n_ranks = 225 in
+  let params =
+    { Workload.Stencil.iterations = 10; compute_time = 0.5; msg_bytes = 10_000; jitter = 0.0 }
+  in
+  let cfg =
+    {
+      (Mpivcl.Config.default ~n_ranks) with
+      Mpivcl.Config.wave_interval = 20.0;
+      init_delay_min = 0.1;
+      init_delay_max = 0.1;
+      term_straggler_prob = 0.0;
+      store_jitter = 0.0;
+      lazy_peer_mesh = true;
+    }
+  in
+  let app = Workload.Stencil.app params ~n_ranks in
+  let r =
+    Failmpi.Run.execute
+      {
+        (Failmpi.Run.default_spec ~app ~cfg ~n_compute:250 ~state_bytes:100_000) with
+        Failmpi.Run.timeout = 600.0;
+      }
+  in
+  let time =
+    match r.Failmpi.Run.outcome with
+    | Failmpi.Run.Completed t -> Printf.sprintf "%.6f" t
+    | o -> Alcotest.failf "scale run did not complete (%s)" (Failmpi.Run.outcome_name o)
+  in
+  let reference = Workload.Stencil.reference_checksum params ~n_ranks in
+  check (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int)) "checksums"
+    (List.init n_ranks (fun rank -> (rank, reference)))
+    r.Failmpi.Run.checksums;
+  let checksums =
+    String.concat ";"
+      (List.map (fun (rank, c) -> Printf.sprintf "%d:%d" rank c) r.Failmpi.Run.checksums)
+  in
+  let text =
+    String.concat "\n"
+      [ Format.asprintf "%a" Simkern.Trace.pp r.Failmpi.Run.trace; checksums; time ]
+  in
+  check_str "trace, checksums and time digest" scale_order_digest
+    (Digest.to_hex (Digest.string text))
+
 (* ------------------------------------------------------------------ *)
 (* Control surface: the FCI target each backend's daemon registers must
    stop, continue and halt the whole MPI task on its machine, daemon and
@@ -515,5 +569,6 @@ let () =
         @ List.map
             (fun ((name, _, _, _) as pin) ->
               Alcotest.test_case ("start-up " ^ name) `Quick (test_startup_trace pin))
-            startup_pins );
+            startup_pins
+        @ [ Alcotest.test_case "scale order" `Quick test_scale_order ] );
     ]
