@@ -149,19 +149,6 @@ let write_all fd b =
   in
   go 0
 
-let read_all fd =
-  let buf = Buffer.create 4096 in
-  let chunk = Bytes.create 65536 in
-  let rec go () =
-    let n = retry (fun () -> Unix.read fd chunk 0 65536) in
-    if n > 0 then begin
-      Buffer.add_subbytes buf chunk 0 n;
-      go ()
-    end
-  in
-  go ();
-  Buffer.to_bytes buf
-
 type 'a payload = P_ok of (int * 'a) list * stats | P_err of string
 
 type 'a ctx = {
@@ -184,20 +171,22 @@ let fail ctx msg = if ctx.failed = None then ctx.failed <- Some msg
 
 (* Drain every forked child: payloads merge into [ctx.emitted]/[ctx.st],
    the first error (or silent death) is kept.  Always reaps, so no
-   zombies survive an error path. *)
+   zombies survive an error path.  Payloads are read through a channel,
+   whose buffer lives outside the OCaml heap: a fresh 64 KiB read chunk
+   per child was garbage that set the main process's peak heap. *)
 let collect ctx =
   List.iter
     (fun (pid, fd) ->
-      let bytes = read_all fd in
-      Unix.close fd;
+      let ic = Unix.in_channel_of_descr fd in
+      let payload = try Some (Marshal.from_channel ic : _ payload) with End_of_file -> None in
+      close_in ic;
       ignore (retry (fun () -> Unix.waitpid [] pid));
-      if Bytes.length bytes = 0 then fail ctx "Prefix: forked child died without reporting"
-      else
-        match (Marshal.from_bytes bytes 0 : _ payload) with
-        | P_ok (results, st) ->
-            ctx.emitted <- results @ ctx.emitted;
-            ctx.st <- merge_stats ctx.st st
-        | P_err msg -> fail ctx msg)
+      match payload with
+      | None -> fail ctx "Prefix: forked child died without reporting"
+      | Some (P_ok (results, st)) ->
+          ctx.emitted <- results @ ctx.emitted;
+          ctx.st <- merge_stats ctx.st st
+      | Some (P_err msg) -> fail ctx msg)
     (List.rev ctx.children);
   ctx.children <- []
 

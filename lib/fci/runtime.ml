@@ -534,9 +534,8 @@ and send t inst msg dest ~sender =
         deliver_hardened t p inst target_inst msg
     | Some _ | None ->
         trace t inst "send" (Printf.sprintf "%s -> %s" msg target_inst.id);
-        Engine.schedule t.eng ~delay:t.cfg.msg_latency (fun () ->
+        Engine.post t.eng ~delay:t.cfg.msg_latency (fun () ->
             dispatch t target_inst (Ev_msg (msg, inst.id)))
-        |> ignore
   in
   match dest with
   | Automaton.CD_instance name -> (
@@ -591,7 +590,7 @@ and deliver_hardened t p inst target_inst msg =
     else begin
       (match Perturb.sample p ~src:inst.machine ~dst:target_inst.machine ~kind:`Data with
       | `Deliver extra ->
-          Engine.schedule t.eng ~delay:(t.cfg.msg_latency +. extra) (fun () ->
+          Engine.post t.eng ~delay:(t.cfg.msg_latency +. extra) (fun () ->
               if not (Hashtbl.mem t.seen key) then begin
                 Hashtbl.replace t.seen key ();
                 (* Ack travels the reverse link; losing it only provokes a
@@ -601,18 +600,15 @@ and deliver_hardened t p inst target_inst msg =
                      ~kind:`Data
                  with
                 | `Deliver ack_extra ->
-                    Engine.schedule t.eng ~delay:(t.cfg.msg_latency +. ack_extra)
-                      (fun () ->
+                    Engine.post t.eng ~delay:(t.cfg.msg_latency +. ack_extra) (fun () ->
                         match Hashtbl.find_opt t.retries seq with
                         | Some h ->
                             Engine.cancel h;
                             Hashtbl.remove t.retries seq
                         | None -> ())
-                    |> ignore
                 | `Drop -> ());
                 dispatch t target_inst (Ev_msg (msg, inst.id))
               end)
-          |> ignore
       | `Drop -> ());
       if k < t.cfg.max_retries then begin
         let delay =

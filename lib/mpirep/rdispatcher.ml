@@ -81,9 +81,8 @@ let spawn (env : Renv.t) ~host ~host_of ~spare_hosts =
     let tok = window_token.(rank) in
     tracef t "rank-at-risk" "rank %d has no live replica; failover window %.1fs" rank
       failover_window;
-    ignore
-      (Engine.schedule eng ~delay:failover_window (fun () ->
-           Mailbox.send events (E_window (rank, tok))))
+    Engine.post eng ~delay:failover_window (fun () ->
+        Mailbox.send events (E_window (rank, tok)))
   in
   let broadcast msg =
     Member.iter

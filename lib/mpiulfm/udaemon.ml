@@ -394,17 +394,15 @@ let spawn (env : Uenv.t) ~id ~incarnation =
       let arm_ballot_timeout () =
         incr ballot_token;
         let tok = !ballot_token in
-        ignore
-          (Engine.schedule eng ~delay:agree_timeout (fun () ->
-               if !alive then Mailbox.send events (E_ballot_timeout tok)))
+        Engine.post eng ~delay:agree_timeout (fun () ->
+            if !alive then Mailbox.send events (E_ballot_timeout tok))
       in
       let arm_propose delay =
         incr propose_token;
         let tok = !propose_token in
         propose_armed := true;
-        ignore
-          (Engine.schedule eng ~delay (fun () ->
-               if !alive then Mailbox.send events (E_propose tok)))
+        Engine.post eng ~delay (fun () ->
+            if !alive then Mailbox.send events (E_propose tok))
       in
       let ensure_propose () =
         if !alive && agreement_needed () && !proposing = None && not !propose_armed
@@ -642,9 +640,8 @@ let spawn (env : Uenv.t) ~id ~incarnation =
 
       (* ---------------- event handlers ---------------- *)
       let arm_tick () =
-        ignore
-          (Engine.schedule eng ~delay:heartbeat_period (fun () ->
-               if !alive then Mailbox.send events E_tick))
+        Engine.post eng ~delay:heartbeat_period (fun () ->
+            if !alive then Mailbox.send events E_tick)
       in
       let handle_tick () =
         if !started then begin

@@ -319,14 +319,13 @@ let rec start t ~first =
           if not t.halted then begin
             close_listener t;
             t.mirror_conn <- None;
-            ignore
-              (Engine.schedule t.eng ~delay (fun () ->
-                   if not t.halted then begin
-                     t.respawn_count <- t.respawn_count + 1;
-                     trace t "respawn"
-                       (Printf.sprintf "server %d (host %d) restarting" t.index t.host);
-                     start t ~first:false
-                   end))
+            Engine.post t.eng ~delay (fun () ->
+                if not t.halted then begin
+                  t.respawn_count <- t.respawn_count + 1;
+                  trace t "respawn"
+                    (Printf.sprintf "server %d (host %d) restarting" t.index t.host);
+                  start t ~first:false
+                end)
           end)
 
 let spawn eng cluster net ~host ~bandwidth ?(jitter = 0.0) ?(index = 0) ?server_hosts

@@ -160,8 +160,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
           let schedule_tick delay =
             incr ckpt_gen;
             let gen = !ckpt_gen in
-            Engine.schedule eng ~delay (fun () -> Mailbox.send events (D_ckpt_tick gen))
-            |> ignore
+            Engine.post eng ~delay (fun () -> Mailbox.send events (D_ckpt_tick gen))
           in
           let take_checkpoint () =
             match !ckpt_in_flight with

@@ -1,6 +1,89 @@
 type event_state = Pending | Cancelled | Done
 
-type event = {
+(* Events posted with no delay: all at one instant, [time.now], and in
+   seq order, so a FIFO keeps them sorted and pushing or popping one
+   costs O(1) instead of two heap sifts. Most events of a run are of
+   this kind (process resumptions, mailbox wake-ups). *)
+module Lane = struct
+  type t = {
+    time : Heap.clock;
+    mutable seqs : int array;
+    mutable thunks : (unit -> unit) array;
+    mutable head : int;
+    mutable tail : int;  (* slots [head, tail) are occupied *)
+  }
+
+  let nop () = ()
+  let create () = { time = { Heap.now = 0.0 }; seqs = [||]; thunks = [||]; head = 0; tail = 0 }
+  let length l = l.tail - l.head
+  let is_empty l = l.head = l.tail
+
+  (* An event at [clock.now] may join unless the lane still holds an
+     earlier instant (a deadline moved the clock back). *)
+  let accepts l (clock : Heap.clock) = is_empty l || l.time.now = clock.now
+
+  (* Room for one more slot at the tail: slide the occupied slots to the
+     front, or double the arrays when they are at least half full. *)
+  let make_room l =
+    let n = length l and capacity = Array.length l.thunks in
+    if 2 * n < capacity then begin
+      Array.blit l.seqs l.head l.seqs 0 n;
+      Array.blit l.thunks l.head l.thunks 0 n;
+      Array.fill l.thunks n (capacity - n) nop
+    end
+    else begin
+      let capacity = max 16 (2 * capacity) in
+      let seqs = Array.make capacity 0 and thunks = Array.make capacity nop in
+      Array.blit l.seqs l.head seqs 0 n;
+      Array.blit l.thunks l.head thunks 0 n;
+      l.seqs <- seqs;
+      l.thunks <- thunks
+    end;
+    l.head <- 0;
+    l.tail <- n
+
+  let push l (clock : Heap.clock) ~seq f =
+    if l.tail = Array.length l.thunks then make_room l;
+    l.time.now <- clock.now;
+    l.seqs.(l.tail) <- seq;
+    l.thunks.(l.tail) <- f;
+    l.tail <- l.tail + 1
+
+  let head_seq l = l.seqs.(l.head)
+
+  (* Pops the head and moves [clock] to the lane's instant. The popped
+     slot is cleared, so the lane keeps no thunk it returned. *)
+  let pop_into l (clock : Heap.clock) =
+    let f = l.thunks.(l.head) in
+    l.thunks.(l.head) <- nop;
+    l.head <- l.head + 1;
+    if l.head = l.tail then begin
+      l.head <- 0;
+      l.tail <- 0
+    end;
+    clock.now <- l.time.now;
+    f
+
+  type slice = { s_time : float; s_seqs : int array; s_thunks : (unit -> unit) array }
+
+  let slice l =
+    {
+      s_time = l.time.now;
+      s_seqs = Array.sub l.seqs l.head (length l);
+      s_thunks = Array.sub l.thunks l.head (length l);
+    }
+
+  let restore l s =
+    l.time.now <- s.s_time;
+    l.seqs <- Array.copy s.s_seqs;
+    l.thunks <- Array.copy s.s_thunks;
+    l.head <- 0;
+    l.tail <- Array.length s.s_seqs
+
+  let slice_length s = Array.length s.s_seqs
+end
+
+type handle = {
   time : float;
   seq : int;
   thunk : unit -> unit;
@@ -8,87 +91,121 @@ type event = {
   owner : t;
 }
 
+(* The queue is three sources sorted on one [(time, seq)] order, sharing
+   the seq counter: the lane; a heap of the other posted events, whose
+   thunk is all it holds; and a heap of handle events, which may be
+   cancelled or retimed and so carry a record. The next event is the
+   least of the three minima, so the pop order is the one a single heap
+   would give. Tombstones only ever sit in [handles]. *)
 and t = {
-  mutable now : float;
+  clock : Heap.clock;  (* all-float, so the pop loop sets it unboxed *)
+  lane : Lane.t;
+  posted : (unit -> unit) Heap.t;
+  handles : handle Heap.t;
   mutable next_seq : int;
   mutable next_pid : int;
   mutable halted : bool;
-  queue : event Heap.t;  (* keyed by [(time, seq)]; holds tombstones too *)
   mutable live : int;  (* scheduled, not yet executed or cancelled *)
-  mutable tombstones : int;  (* cancelled events still sitting in the queue *)
+  mutable tombstones : int;  (* cancelled events still sitting in [handles] *)
   rng : Rng.t;
   trace : Trace.t;
 }
 
-type handle = event
-
-let compare_events a b =
-  let c = Float.compare a.time b.time in
-  if c <> 0 then c else Int.compare a.seq b.seq
-
 let create ?(seed = 1L) ?trace_level () =
   {
-    now = 0.0;
+    clock = { Heap.now = 0.0 };
+    lane = Lane.create ();
+    posted = Heap.create ();
+    handles = Heap.create ();
     next_seq = 0;
     next_pid = 0;
     halted = false;
-    queue = Heap.create ~compare:compare_events;
     live = 0;
     tombstones = 0;
     rng = Rng.create seed;
     trace = Trace.create ?level:trace_level ();
   }
 
-let now t = t.now
+let now t = t.clock.now
 let rng t = t.rng
 let trace t = t.trace
 
 let record ?level t ~source ~event detail =
-  Trace.record ?level t.trace ~time:t.now ~source ~event detail
+  Trace.record ?level t.trace ~time:t.clock.now ~source ~event detail
 
 let record_lazy ?level t ~source ~event f =
-  Trace.record_lazy ?level t.trace ~time:t.now ~source ~event f
+  Trace.record_lazy ?level t.trace ~time:t.clock.now ~source ~event f
 
 let record_fmt ?level t ~source ~event fmt =
-  Trace.record_fmt ?level t.trace ~time:t.now ~source ~event fmt
+  Trace.record_fmt ?level t.trace ~time:t.clock.now ~source ~event fmt
 
 let fresh_pid t =
   let pid = t.next_pid in
   t.next_pid <- t.next_pid + 1;
   pid
 
-let schedule_at t ~time f =
-  if time < t.now then
+(* NaN compares false against everything, so it would slip past the
+   past-time checks and reorder the queue; every entry point refuses it. *)
+let check_time t ~fn time =
+  if Float.is_nan time then invalid_arg (fn ^ ": time is NaN");
+  if time < t.clock.now then
     invalid_arg
-      (Printf.sprintf "Engine.schedule_at: time %g is in the past (now %g)" time t.now);
-  let ev = { time; seq = t.next_seq; thunk = f; state = Pending; owner = t } in
-  t.next_seq <- t.next_seq + 1;
-  Heap.push t.queue ev;
+      (Printf.sprintf "%s: time %g is in the past (now %g)" fn time t.clock.now)
+
+let check_delay ~fn delay =
+  if Float.is_nan delay then invalid_arg (fn ^ ": delay is NaN");
+  if delay < 0.0 then invalid_arg (fn ^ ": negative delay")
+
+let next_seq t =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  seq
+
+let post_at t ~time f =
+  check_time t ~fn:"Engine.post_at" time;
+  Heap.push t.posted ~time ~seq:(next_seq t) f;
+  t.live <- t.live + 1
+
+let post t ?(delay = 0.0) f =
+  check_delay ~fn:"Engine.post" delay;
+  if delay = 0.0 && Lane.accepts t.lane t.clock then Lane.push t.lane t.clock ~seq:(next_seq t) f
+  else Heap.push_after t.posted t.clock ~delay ~seq:(next_seq t) f;
+  t.live <- t.live + 1
+
+let push_handle t ~time f =
+  let h = { time; seq = next_seq t; thunk = f; state = Pending; owner = t } in
+  Heap.push t.handles ~time ~seq:h.seq h;
   t.live <- t.live + 1;
-  ev
+  h
+
+let schedule_at t ~time f =
+  check_time t ~fn:"Engine.schedule_at" time;
+  push_handle t ~time f
 
 let schedule t ?(delay = 0.0) f =
-  if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
-  schedule_at t ~time:(t.now +. delay) f
+  check_delay ~fn:"Engine.schedule" delay;
+  push_handle t ~time:(t.clock.now +. delay) f
 
 (* Long runs cancel many timeouts (every satisfied [recv_timeout] leaves
    one behind); tombstones degrade push/pop, so once they are the
    majority of a non-trivial queue we rebuild it without them. *)
 let compact_threshold = 64
 
+let queue_size t = Lane.length t.lane + Heap.length t.posted + Heap.length t.handles
+
 let compact t =
-  Heap.filter_in_place t.queue ~keep:(fun ev -> ev.state = Pending);
+  Heap.filter_in_place t.handles ~keep:(fun h -> h.state = Pending);
   t.tombstones <- 0
 
-let cancel ev =
-  match ev.state with
+let cancel h =
+  match h.state with
   | Cancelled | Done -> ()
   | Pending ->
-      ev.state <- Cancelled;
-      let t = ev.owner in
+      h.state <- Cancelled;
+      let t = h.owner in
       t.live <- t.live - 1;
       t.tombstones <- t.tombstones + 1;
-      let size = Heap.length t.queue in
+      let size = queue_size t in
       if size >= compact_threshold && t.tombstones > size / 2 then compact t
 
 (* Move a pending event to a new time, reusing its sequence number: the
@@ -103,70 +220,119 @@ let retime h ~time =
   (match h.state with
   | Pending -> ()
   | Cancelled | Done -> invalid_arg "Engine.retime: event is no longer pending");
-  if time < t.now then
-    invalid_arg
-      (Printf.sprintf "Engine.retime: time %g is in the past (now %g)" time t.now);
+  check_time t ~fn:"Engine.retime" time;
   if time = h.time then h
   else begin
     h.state <- Cancelled;
     t.tombstones <- t.tombstones + 1;
-    let ev = { time; seq = h.seq; thunk = h.thunk; state = Pending; owner = t } in
-    Heap.push t.queue ev;
-    ev
+    let h' = { time; seq = h.seq; thunk = h.thunk; state = Pending; owner = t } in
+    Heap.push t.handles ~time ~seq:h.seq h';
+    h'
   end
 
 let pending t = t.live
 
-let queue_size t = Heap.length t.queue
+type source = Lane | Posted | Handles
+
+(* Which source holds the next event, tombstones included. The queue
+   must not be empty. *)
+let next t =
+  let heap =
+    if Heap.is_empty t.posted then Handles
+    else if Heap.is_empty t.handles then Posted
+    else if Heap.precedes t.handles t.posted then Handles
+    else Posted
+  in
+  let l = t.lane in
+  if Lane.is_empty l then heap
+  else
+    let seq = Lane.head_seq l in
+    match heap with
+    | Posted when Heap.min_before t.posted l.Lane.time seq -> Posted
+    | Handles when (not (Heap.is_empty t.handles)) && Heap.min_before t.handles l.Lane.time seq
+      ->
+        Handles
+    | Posted | Handles | Lane -> Lane
+
+let is_empty t = Lane.is_empty t.lane && Heap.is_empty t.posted && Heap.is_empty t.handles
+
+(* Pop and execute the next event of the lane. *)
+let step_lane t =
+  let f = Lane.pop_into t.lane t.clock in
+  t.live <- t.live - 1;
+  f ()
+
+(* Pop and execute the next posted event. *)
+let step_posted t =
+  let f = Heap.pop_into t.posted t.clock in
+  t.live <- t.live - 1;
+  f ()
+
+(* Pop the next handle event and execute it unless it is a tombstone;
+   popping a tombstone does not move the clock. Returns whether an event
+   ran. *)
+let step_handle t =
+  let h = Heap.pop t.handles in
+  match h.state with
+  | Cancelled ->
+      t.tombstones <- t.tombstones - 1;
+      false
+  | Done -> false
+  | Pending ->
+      h.state <- Done;
+      t.live <- t.live - 1;
+      t.clock.now <- h.time;
+      h.thunk ();
+      true
 
 let run ?(until = infinity) ?stop_before t =
   t.halted <- false;
+  let deadline () =
+    t.clock.now <- until;
+    `Deadline
+  in
   let rec loop () =
     if t.halted then `Halted
+    else if is_empty t then `Quiescent
     else
-      match Heap.peek t.queue with
-      | None -> `Quiescent
-      | Some ev when ev.time > until ->
-          t.now <- until;
-          `Deadline
-      | Some ev
-        when (match stop_before with Some h -> ev == h | None -> false)
-             && ev.state = Pending ->
-          (* The breakpoint event stays queued: the caller can retime it,
-             fork the process, or step over it with [run_one]. *)
-          `Breakpoint
-      | Some _ ->
-          let ev = Option.get (Heap.pop t.queue) in
-          (match ev.state with
-          | Cancelled -> t.tombstones <- t.tombstones - 1
-          | Done -> ()
-          | Pending ->
-              ev.state <- Done;
-              t.live <- t.live - 1;
-              t.now <- ev.time;
-              ev.thunk ());
-          loop ()
+      match next t with
+      | Lane ->
+          if t.lane.Lane.time.now > until then deadline ()
+          else begin
+            step_lane t;
+            loop ()
+          end
+      | Posted ->
+          if Heap.min_after t.posted until then deadline ()
+          else begin
+            step_posted t;
+            loop ()
+          end
+      | Handles -> (
+          if Heap.min_after t.handles until then deadline ()
+          else
+            match stop_before with
+            | Some h when Heap.min t.handles == h && h.state = Pending ->
+                (* The breakpoint event stays queued: the caller can retime
+                   it, fork the process, or step over it with [run_one]. *)
+                `Breakpoint
+            | Some _ | None ->
+                ignore (step_handle t);
+                loop ())
   in
   loop ()
 
-let run_one t =
-  let rec go () =
-    match Heap.pop t.queue with
-    | None -> false
-    | Some ev -> (
-        match ev.state with
-        | Cancelled ->
-            t.tombstones <- t.tombstones - 1;
-            go ()
-        | Done -> go ()
-        | Pending ->
-            ev.state <- Done;
-            t.live <- t.live - 1;
-            t.now <- ev.time;
-            ev.thunk ();
-            true)
-  in
-  go ()
+let rec run_one t =
+  if is_empty t then false
+  else
+    match next t with
+    | Lane ->
+        step_lane t;
+        true
+    | Posted ->
+        step_posted t;
+        true
+    | Handles -> step_handle t || run_one t
 
 let halt t = t.halted <- true
 
@@ -174,15 +340,16 @@ let halt t = t.halted <- true
 (* Snapshot / restore
 
    A snapshot captures the engine's own bookkeeping: clock, counters,
-   RNG state, trace position, and every queued event together with the
-   state it had at capture. [restore] rebuilds the queue from that
-   set and rewinds the scalars. Event thunks are shared, not copied —
-   the engine cannot rewind what a thunk's closure points at (process
-   continuations, protocol state), so restore is only sound when that
-   external state is itself back at the capture point: either the events
-   are self-contained, or the whole process was forked at the snapshot
-   (the explorer's scheme — fork gives copy-on-write of everything else,
-   and the snapshot contract documents exactly what the engine half
+   RNG state, trace position, and a copy of the lane's and both heaps'
+   slots together with the state each handle event had at capture
+   (posted events are always pending). [restore] copies the slots back and rewinds the
+   scalars. Event thunks are shared, not copied — the engine cannot
+   rewind what a thunk's closure points at (process continuations,
+   protocol state), so restore is only sound when that external state is
+   itself back at the capture point: either the events are
+   self-contained, or the whole process was forked at the snapshot (the
+   explorer's scheme — fork gives copy-on-write of everything else, and
+   the snapshot contract documents exactly what the engine half
    covers). *)
 
 type snapshot = {
@@ -191,45 +358,52 @@ type snapshot = {
   snap_pid : int;
   snap_halted : bool;
   snap_rng : Rng.t;
-  snap_events : (event * event_state) array;
+  snap_lane : Lane.slice;
+  snap_posted : (unit -> unit) Heap.slice;
+  snap_handles : handle Heap.slice;
+  snap_states : event_state array;  (* of [snap_handles], slot by slot *)
   snap_trace : int;
 }
 
 let snapshot t =
+  let handles = Heap.slice t.handles in
   {
-    snap_now = t.now;
+    snap_now = t.clock.now;
     snap_seq = t.next_seq;
     snap_pid = t.next_pid;
     snap_halted = t.halted;
     snap_rng = Rng.copy t.rng;
-    snap_events =
-      Array.of_list (List.rev_map (fun ev -> (ev, ev.state)) (Heap.to_list t.queue));
+    snap_lane = Lane.slice t.lane;
+    snap_posted = Heap.slice t.posted;
+    snap_handles = handles;
+    snap_states =
+      Array.init (Heap.slice_length handles) (fun i -> (Heap.slice_get handles i).state);
     snap_trace = Trace.length t.trace;
   }
 
 let restore t s =
-  Heap.clear t.queue;
-  t.live <- 0;
+  Lane.restore t.lane s.snap_lane;
+  Heap.restore t.posted s.snap_posted;
+  Heap.restore t.handles s.snap_handles;
+  t.live <- Lane.length t.lane + Heap.slice_length s.snap_posted;
   t.tombstones <- 0;
-  Array.iter
-    (fun (ev, st) ->
-      ev.state <- st;
+  Array.iteri
+    (fun i st ->
+      (Heap.slice_get s.snap_handles i).state <- st;
       match st with
-      | Pending ->
-          Heap.push t.queue ev;
-          t.live <- t.live + 1
-      | Cancelled ->
-          Heap.push t.queue ev;
-          t.tombstones <- t.tombstones + 1
+      | Pending -> t.live <- t.live + 1
+      | Cancelled -> t.tombstones <- t.tombstones + 1
       | Done -> ())
-    s.snap_events;
-  t.now <- s.snap_now;
+    s.snap_states;
+  t.clock.now <- s.snap_now;
   t.next_seq <- s.snap_seq;
   t.next_pid <- s.snap_pid;
   t.halted <- s.snap_halted;
   Rng.assign t.rng s.snap_rng;
   Trace.truncate t.trace s.snap_trace
 
-let snapshot_events s = Array.length s.snap_events
+let snapshot_events s =
+  Lane.slice_length s.snap_lane + Heap.slice_length s.snap_posted
+  + Heap.slice_length s.snap_handles
 
 let snapshot_words s = Obj.reachable_words (Obj.repr s)

@@ -1,8 +1,8 @@
 (** Discrete-event simulation engine.
 
     The engine owns the virtual clock, a deterministic event queue and the
-    experiment-wide RNG and trace. Events scheduled for the same instant
-    execute in scheduling order (the queue is one heap keyed by
+    experiment-wide RNG and trace. Events queued for the same instant
+    execute in queueing order (every event is keyed by
     [(time, sequence)]), so a run is a pure function of the seed. *)
 
 type t
@@ -49,13 +49,39 @@ val record_fmt :
 (** [fresh_pid t] returns a process identifier unique within this engine. *)
 val fresh_pid : t -> int
 
-(** [schedule t ?delay f] schedules [f] to run at [now t +. delay]
-    (default [0.], i.e. after all previously scheduled events for the
-    current instant). Raises [Invalid_argument] on negative delay. *)
+(** {2 Scheduling}
+
+    Two ways to queue an event, on one [(time, sequence)] order: events
+    queued either way at the same instant run in the order they were
+    queued.
+    - {!post} / {!post_at} return nothing and allocate nothing beyond
+      the thunk: the thunk goes straight into the queue. Use them
+      whenever the caller never touches the event again — message
+      arrivals, process resumptions, fire-and-forget timers. An event
+      posted with no delay joins a FIFO of the current instant, which
+      costs O(1) instead of a heap push and pop.
+    - {!schedule} / {!schedule_at} return a {!handle}, at the cost of
+      one record per event. Use them only when the caller keeps the
+      handle, to {!cancel} or {!retime} the event or to pause before it
+      ([run ~stop_before]).
+
+    Every entry point raises [Invalid_argument] on a NaN delay or time
+    (["Engine.post: delay is NaN"], ["Engine.schedule_at: time is NaN"],
+    and so on), on a negative delay, and on a time in the past. *)
+
+(** [post t ?delay f] queues [f] to run at [now t +. delay] (default
+    [0.], i.e. after all previously queued events for the current
+    instant). *)
+val post : t -> ?delay:float -> (unit -> unit) -> unit
+
+(** [post_at t ~time f] queues [f] at absolute [time]. *)
+val post_at : t -> time:float -> (unit -> unit) -> unit
+
+(** [schedule t ?delay f] is {!post} returning a handle on the event. *)
 val schedule : t -> ?delay:float -> (unit -> unit) -> handle
 
-(** [schedule_at t ~time f] schedules [f] at absolute [time].
-    Raises [Invalid_argument] if [time] is in the past. *)
+(** [schedule_at t ~time f] is {!post_at} returning a handle on the
+    event. *)
 val schedule_at : t -> time:float -> (unit -> unit) -> handle
 
 (** [cancel h] prevents the event from running if it has not run yet.
@@ -98,7 +124,7 @@ val run_one : t -> bool
     at a sibling plan's injection delay. Returns the replacement handle
     (or [h] itself when [time] is unchanged); the old handle becomes a
     tombstone. Raises [Invalid_argument] if [h] is no longer pending or
-    [time] is in the past. *)
+    [time] is NaN or in the past. *)
 val retime : handle -> time:float -> handle
 
 (** [halt t] stops a [run] in progress after the current event. *)
@@ -107,9 +133,9 @@ val halt : t -> unit
 (** {2 Snapshot / restore}
 
     A {!snapshot} captures the engine's own bookkeeping — clock, seq and
-    pid counters, RNG state, trace position, and every queued event with
-    its capture-time state. {!restore} rebuilds the queue and rewinds the
-    scalars. Event thunks are {e shared}, not copied: the engine cannot
+    pid counters, RNG state, trace position, and a copy of the queue's
+    slots with the capture-time state of every handle event. {!restore}
+    copies the queue back and rewinds the scalars. Event thunks are {e shared}, not copied: the engine cannot
     rewind what a closure points at (process continuations, protocol
     state), so restoring inside a live process is only sound when that
     external state is itself back at the capture point — either the

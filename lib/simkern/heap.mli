@@ -1,36 +1,85 @@
-(** Mutable 4-ary min-heap, used as the simulator's event queue.
+(** Mutable 4-ary min-heap keyed by [(time, seq)], used as the
+    simulator's event queue.
 
-    The ordering function is supplied at creation; ties are broken by
-    insertion order only if the ordering function encodes them (the engine
-    keys events by [(time, sequence)] for a deterministic total order). *)
+    The heap is a structure of arrays: times in a [Float.Array.t]
+    (unboxed), sequence numbers in an [int array], and payloads in a
+    third array, slot [i] of each describing one entry. Entries pop in
+    increasing [time], ties broken by increasing [seq]; the engine gives
+    every event a distinct [seq], which makes the order total. A
+    comparison reads two unboxed keys and no payload, and pushing or
+    popping allocates nothing once the arrays have grown. Times must not
+    be NaN (the engine rejects them before they reach the heap). *)
 
 type 'a t
 
-(** [create ~compare] returns an empty heap ordered by [compare]. *)
-val create : compare:('a -> 'a -> int) -> 'a t
+(** An all-float record, stored flat: {!pop_into} moves a popped time
+    into it without boxing. The engine keeps its clock in one. *)
+type clock = { mutable now : float }
+
+(** [create ()] returns an empty heap. *)
+val create : unit -> 'a t
 
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 
-(** [push h x] inserts [x]. *)
-val push : 'a t -> 'a -> unit
+(** [push h ~time ~seq x] inserts [x] under the key [(time, seq)]. *)
+val push : 'a t -> time:float -> seq:int -> 'a -> unit
 
-(** [peek h] returns the minimum element without removing it. *)
-val peek : 'a t -> 'a option
+(** [push_after h clock ~delay ~seq x] is [push h ~time:(clock.now +.
+    delay) ~seq x] without boxing the sum. *)
+val push_after : 'a t -> clock -> delay:float -> seq:int -> 'a -> unit
 
-(** [pop h] removes and returns the minimum element. A heap drained to
-    empty holds no reference to any element it returned. *)
-val pop : 'a t -> 'a option
+(** [min_time h], [min_seq h] and [min h] are the key and payload of the
+    minimum entry. Raise [Invalid_argument] on an empty heap. *)
+val min_time : 'a t -> float
 
-(** [clear h] removes every element. *)
+val min_seq : 'a t -> int
+val min : 'a t -> 'a
+
+(** [min_after h time] is true when the minimum entry's time is later
+    than [time]. Raises [Invalid_argument] on an empty heap. *)
+val min_after : 'a t -> float -> bool
+
+(** [min_before h cell seq] is true when the minimum key of [h] is less
+    than [(cell.now, seq)]. Raises [Invalid_argument] on an empty heap. *)
+val min_before : 'a t -> clock -> int -> bool
+
+(** [precedes a b] is true when the minimum key of [a] is less than the
+    minimum key of [b]. Raises [Invalid_argument] if either is empty. *)
+val precedes : 'a t -> 'b t -> bool
+
+(** [pop h] removes the minimum entry and returns its payload; [pop_into
+    h clock] does the same and stores its time in [clock.now]. A heap
+    drained to empty drops its arrays, so it holds no reference to any
+    payload it returned. Raise [Invalid_argument] on an empty heap. *)
+val pop : 'a t -> 'a
+
+val pop_into : 'a t -> clock -> 'a
+
+(** [clear h] removes every entry. *)
 val clear : 'a t -> unit
 
-(** [filter_in_place h ~keep] drops every element for which [keep] is
-    false and restores the heap invariant in O(n) (Floyd heapify). The
-    pop order of the survivors is unchanged (the ordering function is a
-    total order). Used by the engine to compact cancelled-event
-    tombstones. *)
+(** [filter_in_place h ~keep] drops every entry whose payload fails
+    [keep] and restores the heap invariant in O(n) (Floyd heapify). The
+    pop order of the survivors is unchanged. Used by the engine to
+    compact cancelled-event tombstones. *)
 val filter_in_place : 'a t -> keep:('a -> bool) -> unit
 
-(** [to_list h] returns the elements in unspecified order. *)
-val to_list : 'a t -> 'a list
+(** {2 Slices}
+
+    A slice is a copy of the heap's occupied slots, arrays in heap
+    order, so {!restore} rebuilds the same heap without re-sifting. *)
+
+type 'a slice
+
+(** [slice h] copies the occupied slots of [h]. *)
+val slice : 'a t -> 'a slice
+
+(** [restore h s] replaces the contents of [h] with a copy of [s]. [s]
+    is not consumed. *)
+val restore : 'a t -> 'a slice -> unit
+
+val slice_length : 'a slice -> int
+
+(** [slice_get s i] is the payload of slot [i] of [s]. *)
+val slice_get : 'a slice -> int -> 'a

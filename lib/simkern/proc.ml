@@ -40,13 +40,12 @@ let finish p reason =
       p.exit_hooks <- [];
       List.iter (fun hook -> hook reason) hooks
 
-(* Deliver a resumption step for [p]. Flags are re-checked at execution
-   time, so a kill or freeze issued between scheduling and delivery is
-   honoured. *)
-let rec deliver p step =
-  Engine.schedule p.engine (fun () -> run_step p step) |> ignore
-
-and run_step p step =
+(* Run a step of [p]. Flags are re-checked when the step runs, not when
+   it was posted, so a kill or freeze issued in between is honoured; a
+   frozen process buffers the step, oldest first, until it is unfrozen.
+   [resume] is the same for the continuation of a suspension, fused so
+   that a wake-up posts one closure. *)
+let rec run_step p step =
   match p.state with
   | Exited _ -> ()
   | Embryo | Running | Waiting ->
@@ -54,6 +53,17 @@ and run_step p step =
       else begin
         p.state <- Running;
         step ()
+      end
+
+let rec resume : type a. t -> (a, unit) Effect.Deep.continuation -> a -> unit =
+ fun p k v ->
+  match p.state with
+  | Exited _ -> ()
+  | Embryo | Running | Waiting ->
+      if p.frozen then p.pending <- p.pending @ [ (fun () -> resume p k v) ]
+      else begin
+        p.state <- Running;
+        Effect.Deep.continue k v
       end
 
 let handler p =
@@ -83,13 +93,12 @@ let handler p =
                           decided := true;
                           p.canceller <- None;
                           (* Kill overrides freeze: discontinue directly. *)
-                          Engine.schedule p.engine (fun () ->
+                          Engine.post p.engine (fun () ->
                               match p.state with
                               | Exited _ -> ()
                               | Embryo | Running | Waiting ->
                                   p.state <- Running;
                                   discontinue k Killed)
-                          |> ignore
                         end);
                   let waker v =
                     if !decided then false
@@ -101,7 +110,7 @@ let handler p =
                       | Embryo | Running | Waiting ->
                           decided := true;
                           p.canceller <- None;
-                          deliver p (fun () -> continue k v);
+                          Engine.post p.engine (fun () -> resume p k v);
                           true
                   in
                   register waker
@@ -135,7 +144,7 @@ let spawn eng ?name body =
           Effect.Deep.match_with body () (handler p)
         end
   in
-  Engine.schedule eng (fun () -> run_step p start) |> ignore;
+  Engine.post eng (fun () -> run_step p start);
   p
 
 let kill p =
@@ -159,7 +168,7 @@ let unfreeze p =
     p.frozen <- false;
     let buffered = p.pending in
     p.pending <- [];
-    List.iter (fun thunk -> Engine.schedule p.engine thunk |> ignore) buffered
+    List.iter (fun thunk -> Engine.post p.engine thunk) buffered
   end
 
 let on_exit p hook =
@@ -172,10 +181,10 @@ let self () = Effect.perform Self
 let suspend register = Effect.perform (Suspend register)
 
 let sleep dt =
+  if Float.is_nan dt then invalid_arg "Proc.sleep: duration is NaN";
   if dt < 0.0 then invalid_arg "Proc.sleep: negative duration";
   let p = self () in
-  suspend (fun waker ->
-      Engine.schedule p.engine ~delay:dt (fun () -> ignore (waker ())) |> ignore)
+  suspend (fun waker -> Engine.post p.engine ~delay:dt (fun () -> ignore (waker ())))
 
 let yield () = sleep 0.0
 

@@ -72,7 +72,8 @@ val on_exit : t -> (exit_reason -> unit) -> unit
 (** [self ()] is the current process. *)
 val self : unit -> t
 
-(** [sleep dt] blocks for [dt] simulated seconds. *)
+(** [sleep dt] blocks for [dt] simulated seconds. Raises
+    [Invalid_argument] if [dt] is NaN or negative. *)
 val sleep : float -> unit
 
 (** [yield ()] reschedules the current process behind pending same-instant

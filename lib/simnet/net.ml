@@ -367,7 +367,7 @@ module Perturb = struct
     match profile.heal_at with
     | Some t ->
         touch p;
-        Engine.schedule_at p.p_eng ~time:t (fun () -> heal p) |> ignore
+        Engine.post_at p.p_eng ~time:t (fun () -> heal p)
     | None -> ()
 
   (* Snapshot: every mutable field. Cut byte maps and spec records
@@ -623,8 +623,7 @@ and conn_timeout conn =
   deliver conn Closed;
   match conn.c_peer with
   | Some peer ->
-      Engine.schedule conn.c_net.eng ~delay:(Perturb.rto_max p) (fun () -> deliver peer Closed)
-      |> ignore
+      Engine.post conn.c_net.eng ~delay:(Perturb.rto_max p) (fun () -> deliver peer Closed)
   | None -> ()
 
 (* Queue a wire message from [conn] to its peer, honouring per-direction
@@ -657,7 +656,7 @@ and transmit conn ~size item =
             Float.max (start +. tx_time +. latency +. extra) conn.c_last_arrival
           in
           conn.c_last_arrival <- arrival;
-          Engine.schedule_at eng ~time:arrival (fun () -> arrive peer item) |> ignore)
+          Engine.post_at eng ~time:arrival (fun () -> arrive peer item))
 
 let close conn =
   if not conn.c_closed_local then begin
@@ -731,12 +730,12 @@ let connect net ~host ~to_host ~to_port =
   let attempt_once () =
     let result = Ivar.create () in
     let finish ~extra v =
-      Engine.schedule eng ~delay:(latency +. extra) (fun () -> Ivar.fill result v) |> ignore
+      Engine.post eng ~delay:(latency +. extra) (fun () -> Ivar.fill result v)
     in
     (match sample () with
     | `Drop -> finish ~extra:0.0 (Error `Lost)
     | `Deliver extra1 ->
-        Engine.schedule eng ~delay:(latency +. extra1) (fun () ->
+        Engine.post eng ~delay:(latency +. extra1) (fun () ->
             match Hashtbl.find_opt net.listeners (to_host, to_port) with
             | Some l when l.l_open -> (
                 match sample () with
@@ -745,8 +744,7 @@ let connect net ~host ~to_host ~to_port =
                     let a, b = make_pair net ~host_a:host ~host_b:to_host in
                     Mailbox.send l.l_pending (Some b);
                     finish ~extra:extra2 (Ok a))
-            | Some _ | None -> finish ~extra:0.0 (Error `Refused))
-        |> ignore);
+            | Some _ | None -> finish ~extra:0.0 (Error `Refused)));
     Ivar.read result
   in
   let retrying = host <> to_host && Perturb.reliable p in

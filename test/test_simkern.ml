@@ -62,34 +62,64 @@ let test_rng_shuffle_permutation () =
 (* ------------------------------------------------------------------ *)
 (* Heap *)
 
+(* Each payload is its own [(time, seq)] key, so a drain can be compared
+   with a sorted list of keys. *)
+let push_key h (time, seq) = Heap.push h ~time ~seq (time, seq)
+
+let rec drain h acc = if Heap.is_empty h then List.rev acc else drain h (Heap.pop h :: acc)
+
+let key = Alcotest.(pair (float 0.0) int)
+
 let test_heap_ordering () =
-  let h = Heap.create ~compare:Int.compare in
-  List.iter (Heap.push h) [ 5; 3; 8; 1; 9; 2; 7 ];
-  let rec drain acc = match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc) in
-  check (Alcotest.list Alcotest.int) "sorted" [ 1; 2; 3; 5; 7; 8; 9 ] (drain [])
+  let h = Heap.create () in
+  let keys = [ (5., 0); (3., 1); (8., 2); (1., 3); (9., 4); (3., 5); (7., 6); (1., 7) ] in
+  List.iter (push_key h) keys;
+  check (Alcotest.list key) "sorted by time, then seq" (List.sort compare keys) (drain h [])
 
 let test_heap_empty () =
-  let h = Heap.create ~compare:Int.compare in
+  let h = Heap.create () in
   check_bool "empty" true (Heap.is_empty h);
-  check_bool "peek none" true (Heap.peek h = None);
-  check_bool "pop none" true (Heap.pop h = None)
+  Alcotest.check_raises "min raises" (Invalid_argument "Heap.min: empty heap") (fun () ->
+      ignore (Heap.min h));
+  Alcotest.check_raises "pop raises" (Invalid_argument "Heap.pop: empty heap") (fun () ->
+      ignore (Heap.pop h))
 
 let test_heap_duplicates () =
-  let h = Heap.create ~compare:Int.compare in
-  List.iter (Heap.push h) [ 4; 4; 4; 1; 1 ];
+  let h = Heap.create () in
+  List.iter (push_key h) [ (4., 0); (4., 1); (4., 2); (1., 3); (1., 4) ];
   check_int "length" 5 (Heap.length h);
-  check_bool "min" true (Heap.pop h = Some 1)
+  check_bool "min time" true (Heap.min_time h = 1.);
+  check_int "equal times break on seq" 3 (Heap.min_seq h);
+  check (Alcotest.list key) "drain"
+    [ (1., 3); (1., 4); (4., 0); (4., 1); (4., 2) ]
+    (drain h [])
 
+(* The engine picks the next event across its queues with these. *)
+let test_heap_min_comparisons () =
+  let a = Heap.create () and b = Heap.create () in
+  push_key a (2., 5);
+  push_key b (2., 7);
+  check_bool "equal times: lower seq precedes" true (Heap.precedes a b);
+  check_bool "and not the reverse" false (Heap.precedes b a);
+  let cell = { Heap.now = 2. } in
+  check_bool "before (2, 6)" true (Heap.min_before a cell 6);
+  check_bool "not before (2, 5)" false (Heap.min_before a cell 5);
+  cell.Heap.now <- 1.5;
+  check_bool "not before an earlier time" false (Heap.min_before a cell 99);
+  check_bool "after 1.5" true (Heap.min_after a 1.5);
+  check_bool "not after 2" false (Heap.min_after a 2.);
+  check_float "pop_into sets the cell" 2. (ignore (Heap.pop_into a cell); cell.Heap.now)
+
+(* Times drawn from a narrow range so that equal times are common; the
+   seq of each key is its insertion index, as the engine assigns it. *)
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap drains sorted" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create ~compare:Int.compare in
-      List.iter (Heap.push h) xs;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort Int.compare xs)
+    QCheck.(list (int_range 0 10))
+    (fun times ->
+      let h = Heap.create () in
+      let keys = List.mapi (fun seq t -> (float_of_int t, seq)) times in
+      List.iter (push_key h) keys;
+      drain h [] = List.sort compare keys)
 
 type heap_op = Push of int | Pop | Filter of int | Clear
 
@@ -99,14 +129,15 @@ let pp_heap_op = function
   | Filter k -> Printf.sprintf "filter(mod %d)" k
   | Clear -> "clear"
 
-(* Interleaved operations against a sorted-list model: every pop, peek
-   and length must agree, not only a final drain. *)
+(* Interleaved operations against a sorted-list model: every pop, every
+   minimum key and every length must agree, not only a final drain.
+   Pushed times repeat; seqs are distinct and increasing. *)
 let prop_heap_model =
   let op =
     QCheck.Gen.(
       frequency
         [
-          (6, map (fun x -> Push x) (int_range (-20) 20));
+          (6, map (fun x -> Push x) (int_range (-5) 5));
           (4, return Pop);
           (1, map (fun k -> Filter k) (int_range 2 4));
           (1, return Clear);
@@ -117,25 +148,28 @@ let prop_heap_model =
        ~print:(fun ops -> String.concat "; " (List.map pp_heap_op ops))
        QCheck.Gen.(list_size (int_bound 150) op))
     (fun ops ->
-      let h = Heap.create ~compare:Int.compare in
-      let model = ref [] in
+      let h = Heap.create () in
+      let model = ref [] and next_seq = ref 0 in
       List.for_all
         (fun op ->
           let agree =
             match op with
             | Push x ->
-                Heap.push h x;
-                model := List.merge Int.compare [ x ] !model;
+                let k = (float_of_int x, !next_seq) in
+                incr next_seq;
+                push_key h k;
+                model := List.merge compare [ k ] !model;
                 true
             | Pop -> (
                 match !model with
-                | [] -> Heap.pop h = None
-                | x :: rest ->
+                | [] -> Heap.is_empty h
+                | k :: rest ->
                     model := rest;
-                    Heap.pop h = Some x)
+                    Heap.pop h = k)
             | Filter k ->
-                Heap.filter_in_place h ~keep:(fun x -> x mod k <> 0);
-                model := List.filter (fun x -> x mod k <> 0) !model;
+                let keep (_, seq) = seq mod k <> 0 in
+                Heap.filter_in_place h ~keep;
+                model := List.filter keep !model;
                 true
             | Clear ->
                 Heap.clear h;
@@ -144,31 +178,35 @@ let prop_heap_model =
           in
           agree
           && Heap.length h = List.length !model
-          && Heap.peek h = (match !model with [] -> None | x :: _ -> Some x))
+          &&
+          match !model with
+          | [] -> Heap.is_empty h
+          | ((time, seq) as k) :: _ ->
+              Heap.min_time h = time && Heap.min_seq h = seq && Heap.min h = k)
         ops)
 
-(* Fills a heap with ten boxed elements, watched through [w]; kept out of
+(* Fills a heap with ten boxed payloads, watched through [w]; kept out of
    line so that no local of the caller's frame holds one. *)
 let[@inline never] fill_watched h w =
   for i = 0 to Weak.length w - 1 do
-    let x = ref ((i * 7) mod Weak.length w) in
+    let x = ref i in
     Weak.set w i (Some x);
-    Heap.push h x
+    Heap.push h ~time:(float_of_int ((i * 7) mod Weak.length w)) ~seq:i x
   done
 
 let test_heap_pop_releases () =
-  let h = Heap.create ~compare:(fun (a : int ref) b -> Int.compare !a !b) in
+  let h = Heap.create () in
   let w = Weak.create 10 in
   fill_watched h w;
-  while Option.is_some (Heap.pop h) do
-    ()
+  while not (Heap.is_empty h) do
+    ignore (Heap.pop h)
   done;
   Gc.full_major ();
   let reachable = ref 0 in
   for i = 0 to Weak.length w - 1 do
     if Weak.check w i then incr reachable
   done;
-  check_int "popped elements still reachable" 0 !reachable;
+  check_int "popped payloads still reachable" 0 !reachable;
   (* [h] must outlive the collection for its stale slots to count. *)
   check_bool "drained" true (Heap.is_empty h)
 
@@ -371,6 +409,168 @@ let test_engine_snapshot_restore () =
   log := [];
   ignore (Engine.run eng);
   check (Alcotest.list Alcotest.int) "replayed twice" [ 2; 3; 4 ] (List.rev !log)
+
+(* Posted events share the handle events' sequence counter, so the two
+   kinds interleave in queueing order at one instant. *)
+let test_engine_post_schedule_order () =
+  let eng = Engine.create () in
+  let log = ref [] in
+  let note name () = log := name :: !log in
+  Engine.post eng ~delay:1.0 (note "p1");
+  ignore (Engine.schedule eng ~delay:1.0 (note "s1"));
+  Engine.post_at eng ~time:1.0 (note "p2");
+  ignore (Engine.schedule_at eng ~time:1.0 (note "s2"));
+  Engine.post eng ~delay:1.0 (fun () ->
+      note "p3" ();
+      Engine.post eng (note "p5");
+      ignore (Engine.schedule eng (note "s4")));
+  ignore (Engine.schedule eng ~delay:1.0 (note "s3"));
+  ignore (Engine.run eng);
+  check (Alcotest.list Alcotest.string) "queueing order"
+    [ "p1"; "s1"; "p2"; "s2"; "p3"; "s3"; "p5"; "s4" ]
+    (List.rev !log);
+  check_float "one instant" 1.0 (Engine.now eng)
+
+let test_engine_pending_posted () =
+  let eng = Engine.create () in
+  Engine.post eng ~delay:1.0 ignore;
+  Engine.post_at eng ~time:2.0 ignore;
+  let h = Engine.schedule eng ~delay:3.0 ignore in
+  check_int "posted events count" 3 (Engine.pending eng);
+  Engine.cancel h;
+  check_int "cancel leaves the posted" 2 (Engine.pending eng);
+  check_bool "one ran" true (Engine.run_one eng);
+  check_int "one left" 1 (Engine.pending eng);
+  ignore (Engine.run eng);
+  check_int "none after run" 0 (Engine.pending eng)
+
+(* Restore must give back posted events, zero-delay events of the
+   current instant, tombstones and retimed handle events exactly as
+   captured: every replay from the snapshot runs the same events in the
+   same order at the same times. The snapshot is taken at a breakpoint
+   in the middle of an instant, so zero-delay events are queued. *)
+let test_engine_snapshot_mixed () =
+  let eng = Engine.create () in
+  let log = ref [] in
+  let note name () = log := Printf.sprintf "%s@%g" name (Engine.now eng) :: !log in
+  Engine.post eng ~delay:1.0 (note "p1");
+  let cancelled = Engine.schedule eng ~delay:4.0 (note "cancelled") in
+  let timer = Engine.schedule eng ~delay:2.0 (note "timer") in
+  Engine.post eng ~delay:2.0 (fun () ->
+      note "p2" ();
+      Engine.post eng (note "p2-now");
+      Engine.post eng ~delay:0.5 (note "p2-later"));
+  let bp = Engine.schedule eng ~delay:2.0 (note "bp") in
+  Engine.post_at eng ~time:3.0 (note "p3");
+  ignore (Engine.run ~until:1.5 eng);
+  Engine.cancel cancelled;
+  let timer = Engine.retime timer ~time:3.0 in
+  check_bool "paused mid-instant" true (Engine.run ~stop_before:bp eng = `Breakpoint);
+  let snap = Engine.snapshot eng in
+  check_int "captured every queued event" 6 (Engine.snapshot_events snap);
+  let replay () =
+    log := [];
+    ignore (Engine.run eng);
+    List.rev !log
+  in
+  let first = replay () in
+  check (Alcotest.list Alcotest.string) "first pass"
+    [ "bp@2"; "p2-now@2"; "p2-later@2.5"; "timer@3"; "p3@3" ]
+    first;
+  Engine.restore eng snap;
+  check_int "live events back" 5 (Engine.pending eng);
+  check_int "tombstones back" 6 (Engine.queue_size eng);
+  check_float "clock back" 2.0 (Engine.now eng);
+  check (Alcotest.list Alcotest.string) "replay" first (replay ());
+  (* The retimed handle is pending again after a restore, so it can be
+     cancelled in a replay without disturbing the rest. *)
+  Engine.restore eng snap;
+  Engine.cancel timer;
+  check (Alcotest.list Alcotest.string) "replay without the timer"
+    [ "bp@2"; "p2-now@2"; "p2-later@2.5"; "p3@3" ]
+    (replay ())
+
+(* A deadline earlier than the clock moves it back while zero-delay
+   events of the later instant are still queued; events posted at the
+   earlier instant must still run first. *)
+let test_engine_post_after_deadline () =
+  let eng = Engine.create () in
+  let log = ref [] in
+  let note name () = log := Printf.sprintf "%s@%g" name (Engine.now eng) :: !log in
+  Engine.post eng ~delay:5.0 (fun () ->
+      Engine.post eng (note "a");
+      Engine.halt eng);
+  check_bool "halted" true (Engine.run eng = `Halted);
+  check_bool "deadline" true (Engine.run ~until:3.0 eng = `Deadline);
+  check_float "clock moved back" 3.0 (Engine.now eng);
+  Engine.post eng (note "b");
+  ignore (Engine.run eng);
+  check (Alcotest.list Alcotest.string) "time order" [ "b@3"; "a@5" ] (List.rev !log)
+
+(* The posting paths allocate nothing per event once the queue's arrays
+   have grown. A far-future event keeps the queue from draining (a
+   drained heap drops its arrays); each round posts one preallocated
+   closure at a preallocated time, or with no delay, and pops it. *)
+let test_engine_post_allocation () =
+  let eng = Engine.create () in
+  Engine.post_at eng ~time:1e9 ignore;
+  let time = 1.0 and f () = () in
+  let rounds = 100_000 in
+  let words_per_event post =
+    let loop () =
+      for _ = 1 to rounds do
+        post ();
+        ignore (Engine.run_one eng)
+      done
+    in
+    loop ();
+    let before = Gc.minor_words () in
+    loop ();
+    (Gc.minor_words () -. before) /. float_of_int rounds
+  in
+  List.iter
+    (fun (name, post) ->
+      let words = words_per_event post in
+      check_bool (Printf.sprintf "%s: at most 1 minor word per event (%.2f)" name words) true
+        (words <= 1.0))
+    [ ("post_at", fun () -> Engine.post_at eng ~time f); ("post", fun () -> Engine.post eng f) ]
+
+(* A NaN compares false against everything: accepted, it would run ahead
+   of earlier events and leave the clock at NaN. *)
+let test_engine_nan_rejected () =
+  let eng = Engine.create () in
+  let ran = ref false in
+  ignore (Engine.schedule eng ~delay:1.0 ignore);
+  ignore (Engine.schedule eng ~delay:2.0 ignore);
+  ignore (Engine.run_one eng);
+  let refuses name msg f =
+    Alcotest.check_raises name (Invalid_argument msg) (fun () -> f (fun () -> ran := true))
+  in
+  refuses "schedule" "Engine.schedule: delay is NaN" (fun f ->
+      ignore (Engine.schedule eng ~delay:Float.nan f));
+  refuses "schedule_at" "Engine.schedule_at: time is NaN" (fun f ->
+      ignore (Engine.schedule_at eng ~time:Float.nan f));
+  refuses "post" "Engine.post: delay is NaN" (fun f -> Engine.post eng ~delay:Float.nan f);
+  refuses "post_at" "Engine.post_at: time is NaN" (fun f ->
+      Engine.post_at eng ~time:Float.nan f);
+  let h = Engine.schedule eng ~delay:5.0 (fun () -> ran := true) in
+  Alcotest.check_raises "retime" (Invalid_argument "Engine.retime: time is NaN") (fun () ->
+      ignore (Engine.retime h ~time:Float.nan));
+  Engine.cancel h;
+  ignore (Engine.run eng);
+  check_bool "no refused event ran" false !ran;
+  check_float "clock on the last real event" 2.0 (Engine.now eng)
+
+let test_proc_sleep_nan_rejected () =
+  let eng = Engine.create () in
+  let refused = ref "" in
+  ignore
+    (Proc.spawn eng (fun () ->
+         Proc.sleep 1.0;
+         try Proc.sleep Float.nan with Invalid_argument msg -> refused := msg));
+  ignore (Engine.run eng);
+  check Alcotest.string "refused" "Proc.sleep: duration is NaN" !refused;
+  check_float "clock untouched" 1.0 (Engine.now eng)
 
 (* ------------------------------------------------------------------ *)
 (* Proc *)
@@ -623,17 +823,14 @@ let test_trace_queries () =
   check_int "cleared" 0 (Trace.length t)
 
 let test_heap_filter_in_place () =
-  let h = Heap.create ~compare:Int.compare in
-  List.iter (Heap.push h) (List.init 20 (fun i -> 20 - i));
-  Heap.filter_in_place h ~keep:(fun x -> x mod 2 = 0);
+  let h = Heap.create () in
+  List.iter (fun i -> push_key h (float_of_int (i / 2), i)) (List.init 20 (fun i -> 19 - i));
+  Heap.filter_in_place h ~keep:(fun (_, seq) -> seq mod 2 = 0);
   check_int "half survive" 10 (Heap.length h);
-  let rec drain acc =
-    match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
   check (Alcotest.list Alcotest.int) "pop order intact"
-    [ 2; 4; 6; 8; 10; 12; 14; 16; 18; 20 ]
-    (drain []);
-  List.iter (Heap.push h) [ 3; 1; 2 ];
+    [ 0; 2; 4; 6; 8; 10; 12; 14; 16; 18 ]
+    (List.map snd (drain h []));
+  List.iter (push_key h) [ (3., 0); (1., 1); (2., 2) ];
   Heap.filter_in_place h ~keep:(fun _ -> false);
   check_bool "drop all" true (Heap.is_empty h)
 
@@ -904,6 +1101,7 @@ let () =
           Alcotest.test_case "ordering" `Quick test_heap_ordering;
           Alcotest.test_case "empty" `Quick test_heap_empty;
           Alcotest.test_case "duplicates" `Quick test_heap_duplicates;
+          Alcotest.test_case "min comparisons" `Quick test_heap_min_comparisons;
           Alcotest.test_case "filter in place" `Quick test_heap_filter_in_place;
           Alcotest.test_case "pop releases elements" `Quick test_heap_pop_releases;
         ] );
@@ -926,6 +1124,12 @@ let () =
           Alcotest.test_case "run one" `Quick test_engine_run_one;
           Alcotest.test_case "retime keeps slot" `Quick test_engine_retime_keeps_slot;
           Alcotest.test_case "snapshot restore" `Quick test_engine_snapshot_restore;
+          Alcotest.test_case "post and schedule order" `Quick test_engine_post_schedule_order;
+          Alcotest.test_case "pending counts posted" `Quick test_engine_pending_posted;
+          Alcotest.test_case "snapshot mixed queue" `Quick test_engine_snapshot_mixed;
+          Alcotest.test_case "post after deadline" `Quick test_engine_post_after_deadline;
+          Alcotest.test_case "post allocation" `Quick test_engine_post_allocation;
+          Alcotest.test_case "nan rejected" `Quick test_engine_nan_rejected;
         ] );
       ( "regions",
         [
@@ -950,6 +1154,7 @@ let () =
           Alcotest.test_case "freeze running" `Quick
             test_proc_freeze_running_takes_effect_at_suspension;
           Alcotest.test_case "double freeze" `Quick test_proc_double_freeze_single_unfreeze;
+          Alcotest.test_case "sleep nan rejected" `Quick test_proc_sleep_nan_rejected;
         ] );
       ( "mailbox",
         [
