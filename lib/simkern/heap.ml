@@ -111,14 +111,6 @@ let[@inline] push_key h time seq x =
 let push h ~time ~seq x = push_key h time seq x
 let push_after h clock ~delay ~seq x = push_key h (clock.now +. delay) seq x
 
-let min_time h =
-  check_nonempty h "min_time";
-  Float.Array.get h.times 0
-
-let min_seq h =
-  check_nonempty h "min_seq";
-  h.seqs.(0)
-
 let min h =
   check_nonempty h "min";
   h.data.(0)

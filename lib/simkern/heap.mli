@@ -29,11 +29,8 @@ val push : 'a t -> time:float -> seq:int -> 'a -> unit
     delay) ~seq x] without boxing the sum. *)
 val push_after : 'a t -> clock -> delay:float -> seq:int -> 'a -> unit
 
-(** [min_time h], [min_seq h] and [min h] are the key and payload of the
-    minimum entry. Raise [Invalid_argument] on an empty heap. *)
-val min_time : 'a t -> float
-
-val min_seq : 'a t -> int
+(** [min h] is the payload of the minimum entry. Raises
+    [Invalid_argument] on an empty heap. *)
 val min : 'a t -> 'a
 
 (** [min_after h time] is true when the minimum entry's time is later

@@ -88,8 +88,7 @@ let test_heap_duplicates () =
   let h = Heap.create () in
   List.iter (push_key h) [ (4., 0); (4., 1); (4., 2); (1., 3); (1., 4) ];
   check_int "length" 5 (Heap.length h);
-  check_bool "min time" true (Heap.min_time h = 1.);
-  check_int "equal times break on seq" 3 (Heap.min_seq h);
+  check key "equal times break on seq" (1., 3) (Heap.min h);
   check (Alcotest.list key) "drain"
     [ (1., 3); (1., 4); (4., 0); (4., 1); (4., 2) ]
     (drain h [])
@@ -181,8 +180,7 @@ let prop_heap_model =
           &&
           match !model with
           | [] -> Heap.is_empty h
-          | ((time, seq) as k) :: _ ->
-              Heap.min_time h = time && Heap.min_seq h = seq && Heap.min h = k)
+          | k :: _ -> Heap.min h = k)
         ops)
 
 (* Fills a heap with ten boxed payloads, watched through [w]; kept out of
