@@ -14,8 +14,10 @@
    - trace pins: the MD5 of each golden run's Full-level trace, and of
      one start-up-fault run per dispatcher family, so a refactor of the
      launch and registration code must keep every event byte for
-     byte; and one 225-rank stencil run whose deep event queue pins the
-     engine's same-instant pop order. *)
+     byte; runs that stop, continue and halt a machine or a service,
+     which pin the order in which held messages are released; and one
+     225-rank stencil run whose deep event queue pins the engine's
+     same-instant pop order. *)
 
 let check = Alcotest.check
 let check_bool = check Alcotest.bool
@@ -533,6 +535,108 @@ let test_control_surface protocol () =
   check_bool "daemon dead after halt" false (Simkern.Proc.is_alive daemon);
   check_bool "app dead after halt" false (Simkern.Proc.is_alive app_proc)
 
+(* Freeze pins: the Full-level trace MD5 of runs whose processes are
+   frozen, so the order in which held messages are released is pinned
+   byte for byte. The control plan above on every backend; the same
+   machine halted while still frozen; and a vcl run that stops and
+   continues each service in turn. *)
+
+let frozen_halt_plan =
+  {|
+Daemon FROZEN {
+  node 1:
+    onload -> continue, goto 2;
+  node 2:
+    time t = 10;
+    timer -> stop, goto 3;
+  node 3:
+    time t = 5;
+    timer -> halt, goto 4;
+  node 4:
+}
+G1[1] : FROZEN on machines 1 .. 1;
+|}
+
+(* The control plan with a 7 s stop: long enough that withholding a
+   ulfm daemon's links while it is stopped, rather than delivering them
+   into its mailbox, changes the trace. *)
+let long_stop_plan =
+  {|
+Daemon CTRL {
+  node 1:
+    onload -> continue, goto 2;
+  node 2:
+    time t = 10;
+    timer -> stop, goto 3;
+  node 3:
+    time t = 7;
+    timer -> continue, goto 4;
+  node 4:
+    time t = 10;
+    timer -> halt, goto 5;
+  node 5:
+}
+G1[1] : CTRL on machines 1 .. 1;
+|}
+
+(* Wave 2 starts at about 21.1 s. Its stores to ckpt[0] are held
+   until 24 s, so their acks reach the scheduler while it is stopped
+   (23-26 s); every rank's rank-done reaches the dispatcher while it is
+   stopped (28-33 s). The coordinator runs on the spare machine 7. *)
+let services_plan =
+  {|
+Daemon SVC {
+  node 1:
+    time t = 21;
+    timer -> stop service ckpt[0], goto 2;
+  node 2:
+    time t = 2;
+    timer -> stop service sched, goto 3;
+  node 3:
+    time t = 1;
+    timer -> continue service ckpt[0], goto 4;
+  node 4:
+    time t = 2;
+    timer -> continue service sched, goto 5;
+  node 5:
+    time t = 2;
+    timer -> stop service disp, goto 6;
+  node 6:
+    time t = 5;
+    timer -> continue service disp, goto 7;
+  node 7:
+}
+P1 : SVC on machine 7;
+|}
+
+(* pin name, protocol, plan, digest *)
+let freeze_pins =
+  [
+    ( "control vcl", Mpivcl.Config.Non_blocking, control_plan,
+      "c8ac52e515b06b38057e774306526c58" );
+    ( "control blocking", Mpivcl.Config.Blocking, control_plan,
+      "5f0accf1db68dabef2bb9fda4a7beb39" );
+    ( "control v2", Mpivcl.Config.Sender_logging, control_plan,
+      "9fe5bf96188dae04d09e56e8c0213cbf" );
+    ( "control replication", Mpivcl.Config.Replication { degree = 2 }, control_plan,
+      "c737f54c4108fb301f6f1e43a434c93d" );
+    ( "control ulfm", Mpivcl.Config.Ulfm { spares = 1 }, control_plan,
+      "0a608856d602d007f0c2601c14fd7853" );
+    ( "long stop ulfm", Mpivcl.Config.Ulfm { spares = 1 }, long_stop_plan,
+      "d426593099413e3d4127c75d957e9fb4" );
+    ( "halted frozen vcl", Mpivcl.Config.Non_blocking, frozen_halt_plan,
+      "4db7e979ede2d546faab272eeed060a0" );
+    ( "halted frozen ulfm", Mpivcl.Config.Ulfm { spares = 1 }, frozen_halt_plan,
+      "b89f8974ecdc48421f00cc73006ac97f" );
+    ( "services vcl", Mpivcl.Config.Non_blocking, services_plan,
+      "933b07f48475d82b7894316a193e6c2a" );
+  ]
+
+let test_freeze_trace (name, protocol, plan, digest) () =
+  let n_machines = match protocol with Mpivcl.Config.Replication _ -> 10 | _ -> 8 in
+  let r = Failmpi.Run.execute (golden_spec ~protocol ~n_ranks:4 ~n_machines ~scenario:plan) in
+  check_str (name ^ " trace digest") digest (trace_digest r)
+
 let () =
   Alcotest.run "backend"
     [
@@ -570,5 +674,9 @@ let () =
             (fun ((name, _, _, _) as pin) ->
               Alcotest.test_case ("start-up " ^ name) `Quick (test_startup_trace pin))
             startup_pins
+        @ List.map
+            (fun ((name, _, _, _) as pin) ->
+              Alcotest.test_case name `Quick (test_freeze_trace pin))
+            freeze_pins
         @ [ Alcotest.test_case "scale order" `Quick test_scale_order ] );
     ]
