@@ -54,7 +54,7 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
                  | Rmsg.State_req _ -> Some (D_state_req conn)
                  | _ -> None)
                events);
-          ignore (Daemon.pump cluster ~host ~name:(name ^ "-ctrl") dconn (fun m -> D_ctrl m) events);
+          Net.forward dconn (fun m -> Mailbox.send events (D_ctrl m));
           (* A fresh replica reports Ready now and waits for the all-ready
              Start; a respawned one gets its Start (with a donor)
              immediately after Hello and reports Ready only once the
@@ -145,10 +145,7 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
           in
           let register_peer pr ps conn =
             Hashtbl.replace peer_conns (pr, ps) conn;
-            ignore
-              (Daemon.pump cluster ~host ~name:(Printf.sprintf "%s-peer%d.%d" name pr ps) conn
-                 (fun m -> D_peer ((pr, ps), m))
-                 events)
+            Net.forward conn (fun m -> Mailbox.send events (D_peer ((pr, ps), m)))
           in
           let connect_peer pr ps phost =
             if not (Hashtbl.mem peer_conns (pr, ps)) then

@@ -81,11 +81,16 @@ let spawn (env : Uenv.t) ~id ~incarnation =
       let started = ref false in
       let ready_sent = ref false in
 
-      (* every helper process we spawn (accept loop, pumps) and every
-         hosted application rank; the FCI kill/freeze closures and the
-         fence path act on all of them *)
-      let aux_procs : Proc.t list ref = ref [] in
+      (* the accept loop and every hosted application rank; the FCI
+         kill/freeze closures and the fence path act on all of them *)
+      let self = Proc.self () in
+      let acceptor : Proc.t option ref = ref None in
       let app_procs : (int, Proc.t) Hashtbl.t = Hashtbl.create 8 in
+      (* Links are forwarded on behalf of this process: they stop,
+         continue and die with it, and [stop_task] drops them. *)
+      let forward conn wrap =
+        Net.forward ~owner:self conn (fun m -> if !alive then Mailbox.send events (wrap m))
+      in
 
       (* ---------------- epoch state ---------------- *)
       let epoch = ref 0 in
@@ -417,7 +422,7 @@ let spawn (env : Uenv.t) ~id ~incarnation =
       in
       let stop_task () =
         kill_apps ();
-        List.iter Proc.kill !aux_procs;
+        Option.iter Proc.kill !acceptor;
         alive := false
       in
       let do_abort reason =
@@ -449,11 +454,7 @@ let spawn (env : Uenv.t) ~id ~incarnation =
         Hashtbl.replace peer_conns p conn;
         Hashtbl.replace last_seen p (now ());
         Hashtbl.remove suspected_extra p;
-        aux_procs :=
-          Daemon.pump cluster ~host ~name:(Printf.sprintf "%s-peer%d" name p) conn
-            (fun m -> E_peer (p, m))
-            events
-          :: !aux_procs;
+        forward conn (fun m -> E_peer (p, m));
         sync_resend p;
         Hashtbl.iter (fun r () -> if donor_of r = Some p then request_fetch r) pending_fetch;
         maybe_sync ()
@@ -629,9 +630,7 @@ let spawn (env : Uenv.t) ~id ~incarnation =
           | Error `Refused -> ()
           | Ok conn ->
               dconn := Some conn;
-              aux_procs :=
-                Daemon.pump cluster ~host ~name:(name ^ "-ctrl") conn (fun m -> E_ctrl m) events
-                :: !aux_procs;
+              forward conn (fun m -> E_ctrl m);
               ignore (Net.send conn (Umsg.Hello { id; inc = incarnation }));
               if !ready_sent then ignore (Net.send conn (Umsg.Ready { id }));
               Hashtbl.iter (fun r () -> ignore (Net.send conn (Umsg.Rank_done { rank = r }))) done_ranks;
@@ -799,24 +798,23 @@ let spawn (env : Uenv.t) ~id ~incarnation =
       ignore
         (Daemon.register env.Uenv.fci ~host
            ~name:(Printf.sprintf "udaemon%d@%d" id host)
-           ~main:(Proc.self ())
+           ~main:self
            ~children:(fun f ->
              Hashtbl.iter (fun _ p -> f p) app_procs;
-             List.iter f !aux_procs));
+             Option.iter f !acceptor));
       tracef ~level:Trace.Full "daemon-start" "host %d incarnation %d" host incarnation;
       Daemon.startup_delay cfg env.Uenv.rng;
       ensure_dconn ();
       Daemon.handshake env.Uenv.fci ~host;
       let listener = Net.listen env.Uenv.net ~host ~port:Config.daemon_port in
       Fun.protect ~finally:(fun () -> Net.close_listener listener) @@ fun () ->
-      let acceptor =
-        Daemon.accept cluster ~host ~name listener
-          (fun conn -> function
-            | Umsg.Peer_hello { id = p } -> Some (E_peer_joined (p, conn))
-            | _ -> None)
-          events
-      in
-      aux_procs := acceptor :: !aux_procs;
+      acceptor :=
+        Some
+          (Daemon.accept cluster ~host ~name listener
+             (fun conn -> function
+               | Umsg.Peer_hello { id = p } -> Some (E_peer_joined (p, conn))
+               | _ -> None)
+             events);
       ready_sent := true;
       dsend (Umsg.Ready { id });
       arm_tick ();

@@ -26,17 +26,6 @@ let handshake fci ~host =
   | Some rt -> Fci.Runtime.breakpoint rt ~machine:host `Before "localMPI_setCommand"
   | None -> ()
 
-let pump cluster ~host ~name conn wrap events =
-  Cluster.spawn_on cluster ~host ~name (fun () ->
-      let rec run () =
-        match Net.recv conn with
-        | Net.Data m ->
-            Mailbox.send events (wrap (Some m));
-            run ()
-        | Net.Closed -> Mailbox.send events (wrap None)
-      in
-      run ())
-
 let accept cluster ~host ~name listener classify events =
   Cluster.spawn_on cluster ~host ~name:(name ^ "-accept") (fun () ->
       let rec loop () =
@@ -149,16 +138,16 @@ let restore env ~trace ~host ~rank ~incarnation =
 type storage = {
   mutable conn : Message.t Net.conn option;
   replicas : int list;
-  connect : int -> Message.t Net.conn option;  (* pumps the new link *)
+  connect : int -> Message.t Net.conn option;  (* forwards the new link *)
   trace : string -> string -> unit;
 }
 
-let storage (env : Env.t) ~trace ~host ~rank ~name wrap events =
+let storage (env : Env.t) ~trace ~host ~rank wrap events =
   let replicas = Env.storage_hosts env ~rank in
   let connect to_host =
     match Net.connect env.net ~host ~to_host ~to_port:Config.server_port with
     | Ok c ->
-        ignore (pump env.cluster ~host ~name:(name ^ "-server") c wrap events);
+        Net.forward c (fun m -> Mailbox.send events (wrap m));
         Some c
     | Error `Refused -> None
   in

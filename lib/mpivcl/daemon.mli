@@ -7,8 +7,9 @@
     the FAIL-MPI daemon of its machine, waits out its start-up jitter,
     exchanges arguments with its dispatcher and crosses the
     [localMPI_setCommand] breakpoint, the injection point of the paper's
-    Figure 10. It then pumps each connection into one event mailbox and
-    accepts peer connections on a helper process. The two checkpointing
+    Figure 10. It then forwards each connection into one event mailbox
+    with {!Simnet.Net.forward} and accepts peer connections on a helper
+    process. The two checkpointing
     daemons also share the restore failover ladder and the storage link.
 
     Only the protocol logic stays in the daemons. *)
@@ -62,18 +63,6 @@ val startup_delay : Config.t -> Rng.t -> unit
 val handshake : Fci.Runtime.t option -> host:int -> unit
 
 (** {2 Connections} *)
-
-(** [pump cluster ~host ~name conn wrap events] spawns [name] on [host],
-    which posts every message of [conn] to [events] as [wrap (Some m)],
-    then [wrap None] once the connection closes. *)
-val pump :
-  Cluster.t ->
-  host:int ->
-  name:string ->
-  'm Simnet.Net.conn ->
-  ('m option -> 'ev) ->
-  'ev Mailbox.t ->
-  Proc.t
 
 (** [accept cluster ~host ~name listener classify events] spawns
     [name ^ "-accept"] on [host], which accepts connections on [listener]
@@ -152,15 +141,14 @@ val restore :
 (** The daemon's link to checkpoint storage. *)
 type storage
 
-(** [storage env ~trace ~host ~rank ~name wrap events] connects to the
-    rank's primary server. Each link it opens is pumped to [events]
-    through [wrap] by a process named [name ^ "-server"]. *)
+(** [storage env ~trace ~host ~rank wrap events] connects to the rank's
+    primary server. Each link it opens is forwarded to [events] through
+    [wrap]. *)
 val storage :
   Env.t ->
   trace:(string -> string -> unit) ->
   host:int ->
   rank:int ->
-  name:string ->
   (Message.t option -> 'ev) ->
   'ev Mailbox.t ->
   storage

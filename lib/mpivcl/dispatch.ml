@@ -32,30 +32,30 @@ let serve cluster ~host ~name net ~hello ~registered ~msg ~closed events ~start 
          let listener = Net.listen net ~host ~port:Config.dispatcher_port in
          Fun.protect ~finally:(fun () -> Net.close_listener listener) @@ fun () ->
          (* Accept daemon connections; each starts with Hello and is then
-            pumped into the event mailbox tagged by the daemon's key. *)
+            forwarded into the event mailbox tagged by the daemon's key,
+            on behalf of the accept loop, which owns the endpoints. *)
          ignore
            (Cluster.spawn_on cluster ~host ~name:(name ^ "-accept") (fun () ->
+                let owner = Proc.self () in
                 let rec accept_loop () =
                   match Net.accept listener with
                   | None -> ()
                   | Some conn ->
-                      ignore
-                        (Cluster.spawn_on cluster ~host ~name:(name ^ "-conn") (fun () ->
-                             match Net.recv conn with
-                             | Net.Data m -> (
-                                 match hello m with
-                                 | Some key ->
-                                     Mailbox.send events (registered key conn);
-                                     let rec pump_loop () =
-                                       match Net.recv conn with
-                                       | Net.Data m ->
-                                           Mailbox.send events (msg key m);
-                                           pump_loop ()
-                                       | Net.Closed -> Mailbox.send events (closed key)
-                                     in
-                                     pump_loop ()
-                                 | None -> Net.close conn)
-                             | Net.Closed -> Net.close conn));
+                      let key = ref `Hello in
+                      Net.forward ~owner conn (fun m ->
+                          match (!key, m) with
+                          | `Hello, Some m -> (
+                              match hello m with
+                              | Some k ->
+                                  key := `Key k;
+                                  Mailbox.send events (registered k conn)
+                              | None ->
+                                  key := `Refused;
+                                  Net.close conn)
+                          | `Hello, None -> Net.close conn
+                          | `Key k, Some m -> Mailbox.send events (msg k m)
+                          | `Key k, None -> Mailbox.send events (closed k)
+                          | `Refused, _ -> ());
                       accept_loop ()
                 in
                 accept_loop ()));

@@ -26,9 +26,11 @@ val fabric :
 (** [serve cluster ~host ~name net ~hello ~registered ~msg ~closed events
     ~start handle] spawns the dispatcher process [name] on [host]. It
     listens on {!Config.dispatcher_port} and spawns [name ^ "-accept"],
-    which spawns a [name ^ "-conn"] process per connection. The first
-    message [m] of a connection [c] decides its fate: [hello m = Some k]
-    posts [registered k c] to [events], then [msg k m'] for every later
+    which accepts connections and forwards each one
+    ({!Simnet.Net.forward}) on its own behalf, so a stopped or halted
+    dispatcher host holds or drops them. The first message [m] of a
+    connection [c] decides its fate: [hello m = Some k] posts
+    [registered k c] to [events], then [msg k m'] for every later
     message and [closed k] once [c] closes; [None] closes [c]. The
     dispatcher process then runs [start ()], the initial launch, and
     hands every event of [events] to [handle], forever. *)

@@ -5,7 +5,6 @@ type t = {
   eng : Engine.t;
   cluster : Cluster.t;
   host : int;
-  mutable last_committed : int option;
   mutable committed_count : int;
 }
 
@@ -19,7 +18,7 @@ let trace ?level t event detail =
 let store_ack_timeout = 20.0
 
 let spawn eng cluster net ~host ~n_ranks ~wave_interval ~server_hosts =
-  let t = { eng; cluster; host; last_committed = None; committed_count = 0 } in
+  let t = { eng; cluster; host; committed_count = 0 } in
   let conns : (int, Message.t Simnet.Net.conn) Hashtbl.t = Hashtbl.create 64 in
   let acks : (int, unit) Hashtbl.t = Hashtbl.create 64 in
   let current_wave = ref 0 in
@@ -38,38 +37,38 @@ let spawn eng cluster net ~host ~n_ranks ~wave_interval ~server_hosts =
      condition on each ping, so no wake-up is ever lost. *)
   let signal = Mailbox.create () in
   let ping () = Mailbox.send signal () in
+  (* The messages of one daemon connection: [Sched_hello] first, then
+     store acks until it closes. *)
   let handle_daemon conn =
-    match Simnet.Net.recv conn with
-    | Simnet.Net.Closed -> ()
-    | Simnet.Net.Data (Message.Sched_hello { rank }) ->
-        Hashtbl.replace conns rank conn;
-        last_change := Engine.now eng;
-        trace ~level:Trace.Full t "daemon-connected" (string_of_int rank);
-        ping ();
-        let rec run () =
-          match Simnet.Net.recv conn with
-          | Simnet.Net.Closed ->
-              (* Only forget the rank if this connection is still the
-                 registered one (a new incarnation may have replaced it). *)
-              (match Hashtbl.find_opt conns rank with
-              | Some c when c == conn ->
-                  Hashtbl.remove conns rank;
-                  last_change := Engine.now eng;
-                  trace ~level:Trace.Full t "daemon-lost" (string_of_int rank);
-                  ping ()
-              | Some _ | None -> ())
-          | Simnet.Net.Data (Message.Sched_ack { rank = r; wave }) ->
-              last_ack := Engine.now eng;
-              if wave = !current_wave then Hashtbl.replace acks r ();
-              ping ();
-              run ()
-          | Simnet.Net.Data msg ->
-              trace t "protocol-error" (Format.asprintf "unexpected %a" Message.pp msg);
-              run ()
-        in
-        run ()
-    | Simnet.Net.Data msg ->
-        trace t "protocol-error" (Format.asprintf "expected Sched_hello, got %a" Message.pp msg)
+    let rank = ref `Hello in
+    fun m ->
+      match (!rank, m) with
+      | `Hello, None | `Refused, _ -> ()
+      | `Hello, Some (Message.Sched_hello { rank = r }) ->
+          rank := `Rank r;
+          Hashtbl.replace conns r conn;
+          last_change := Engine.now eng;
+          trace ~level:Trace.Full t "daemon-connected" (string_of_int r);
+          ping ()
+      | `Hello, Some msg ->
+          rank := `Refused;
+          trace t "protocol-error" (Format.asprintf "expected Sched_hello, got %a" Message.pp msg)
+      | `Rank r, None -> (
+          (* Only forget the rank if this connection is still the
+             registered one (a new incarnation may have replaced it). *)
+          match Hashtbl.find_opt conns r with
+          | Some c when c == conn ->
+              Hashtbl.remove conns r;
+              last_change := Engine.now eng;
+              trace ~level:Trace.Full t "daemon-lost" (string_of_int r);
+              ping ()
+          | Some _ | None -> ())
+      | `Rank _, Some (Message.Sched_ack { rank = r; wave }) ->
+          last_ack := Engine.now eng;
+          if wave = !current_wave then Hashtbl.replace acks r ();
+          ping ()
+      | `Rank _, Some msg ->
+          trace t "protocol-error" (Format.asprintf "unexpected %a" Message.pp msg)
   in
   ignore
     (Cluster.spawn_on cluster ~host ~name:"ckpt-scheduler" (fun () ->
@@ -91,13 +90,14 @@ let spawn eng cluster net ~host ~n_ranks ~wave_interval ~server_hosts =
              in
              ignore
                (Cluster.spawn_on cluster ~host ~name:"ckpt-scheduler-accept" (fun () ->
+                    (* Connections are forwarded on behalf of the accept
+                       loop, which owns the endpoints. *)
+                    let owner = Proc.self () in
                     let rec accept_loop () =
                       match Simnet.Net.accept listener with
                       | None -> ()
                       | Some conn ->
-                          ignore
-                            (Cluster.spawn_on cluster ~host ~name:"ckpt-scheduler-conn"
-                               (fun () -> handle_daemon conn));
+                          Simnet.Net.forward ~owner conn (handle_daemon conn);
                           accept_loop ()
                     in
                     accept_loop ()));
@@ -171,7 +171,6 @@ let spawn eng cluster net ~host ~n_ranks ~wave_interval ~server_hosts =
                      List.iter
                        (fun conn -> ignore (Simnet.Net.send conn (Message.Commit { wave })))
                        server_conns;
-                     t.last_committed <- Some wave;
                      t.committed_count <- t.committed_count + 1;
                      trace t "wave-commit" (string_of_int wave)
                  | `Membership ->
@@ -206,6 +205,5 @@ let spawn eng cluster net ~host ~n_ranks ~wave_interval ~server_hosts =
              wave_loop ())));
   t
 
-let last_committed t = t.last_committed
 let committed_count t = t.committed_count
 let halt t = Cluster.kill_all t.cluster ~host:t.host

@@ -29,9 +29,6 @@ val spawn :
   server_hosts:int list ->
   t
 
-(** [last_committed t] is the newest globally committed wave. *)
-val last_committed : t -> int option
-
 (** [committed_count t] counts committed waves (analysis). *)
 val committed_count : t -> int
 

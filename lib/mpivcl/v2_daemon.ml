@@ -64,9 +64,9 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
           (* Stores ride the failover ladder too: reconnect to the
              primary if it came back, else to the mirror. *)
           let storage =
-            Daemon.storage env ~trace ~host ~rank ~name (fun m -> D_server m) events
+            Daemon.storage env ~trace ~host ~rank (fun m -> D_server m) events
           in
-          ignore (Daemon.pump cluster ~host ~name:(name ^ "-ctrl") dconn (fun m -> D_ctrl m) events);
+          Net.forward dconn (fun m -> Mailbox.send events (D_ctrl m));
           ignore (Net.send dconn (Message.Ready { rank }));
 
           (* ---------------- protocol state ---------------- *)
@@ -118,10 +118,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                ssns stay contiguous on a single FIFO channel. *)
             if not (lazy_mesh && Hashtbl.mem peer_conns peer) then
               Hashtbl.replace peer_conns peer conn;
-            ignore
-              (Daemon.pump cluster ~host ~name:(Printf.sprintf "%s-peer%d" name peer) conn
-                 (fun m -> D_peer (peer, m))
-                 events);
+            Net.forward conn (fun m -> Mailbox.send events (D_peer (peer, m)));
             if IntSet.mem peer !resend_pending then begin
               resend_pending := IntSet.remove peer !resend_pending;
               ignore (Net.send conn (Message.Resend { rank; consumed = consumed_bounds () }))

@@ -88,7 +88,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                  | Message.Peer_hello { rank = peer } -> Some (D_peer_joined (peer, conn))
                  | _ -> None)
                events);
-          let relay ~name conn wrap = ignore (Daemon.pump cluster ~host ~name conn wrap events) in
+          let relay conn wrap = Net.forward conn (fun m -> Mailbox.send events (wrap m)) in
           let sconn =
             match
               Net.connect env.Env.net ~host ~to_host:env.Env.scheduler_host
@@ -96,16 +96,16 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
             with
             | Ok c ->
                 ignore (Net.send c (Message.Sched_hello { rank }));
-                relay ~name:(name ^ "-sched") c (fun m -> D_sched m);
+                relay c (fun m -> D_sched m);
                 Some c
             | Error `Refused -> None
           in
           (* Stores ride the failover ladder too, so later waves keep
              landing on storage instead of silently going nowhere. *)
           let storage =
-            Daemon.storage env ~trace ~host ~rank ~name (fun m -> D_server m) events
+            Daemon.storage env ~trace ~host ~rank (fun m -> D_server m) events
           in
-          relay ~name:(name ^ "-ctrl") dconn (fun m -> D_ctrl m);
+          relay dconn (fun m -> D_ctrl m);
           ignore (Net.send dconn (Message.Ready { rank }));
 
           (* ---------------- protocol state ---------------- *)
@@ -158,8 +158,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
             | Ok conn ->
                 ignore (Net.send conn (Message.Peer_hello { rank }));
                 Hashtbl.replace peer_conns dst conn;
-                relay ~name:(Printf.sprintf "%s-peer%d" name dst) conn
-                  (fun m -> D_peer (dst, m));
+                relay conn (fun m -> D_peer (dst, m));
                 (match !ckpt with
                 | Some c when not c.ck_stored ->
                     ignore (Net.send conn (Message.Marker { wave = c.ck_wave }));
@@ -311,8 +310,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                 | Ok conn ->
                     ignore (Net.send conn (Message.Peer_hello { rank }));
                     Hashtbl.replace peer_conns peer conn;
-                    relay ~name:(Printf.sprintf "%s-peer%d" name peer) conn
-                      (fun m -> D_peer (peer, m))
+                    relay conn (fun m -> D_peer (peer, m))
                 | Error `Refused ->
                     trace ~level:Trace.Full "peer-connect-failed" (string_of_int peer)
               done;
@@ -355,11 +353,10 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                    keeps the first connection it obtained for its sends,
                    so every direction stays FIFO on a single channel
                    (markers order correctly against app messages). The
-                   second connection is still pumped for receives. *)
+                   second connection is still forwarded for receives. *)
                 let fresh = not (Hashtbl.mem peer_conns peer) in
                 if fresh || not lazy_mesh then Hashtbl.replace peer_conns peer conn;
-                relay ~name:(Printf.sprintf "%s-peer%d" name peer) conn
-                  (fun m -> D_peer (peer, m));
+                relay conn (fun m -> D_peer (peer, m));
                 (* A wave may already be in progress: this channel's marker
                    is still expected through the new connection. With a
                    lazy mesh the cut did not count unconnected peers, so a

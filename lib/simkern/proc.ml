@@ -40,20 +40,16 @@ let finish p reason =
       p.exit_hooks <- [];
       List.iter (fun hook -> hook reason) hooks
 
-(* Run a step of [p]. Flags are re-checked when the step runs, not when
+(* Run [f] on behalf of [p]. Flags are re-checked when [f] runs, not when
    it was posted, so a kill or freeze issued in between is honoured; a
-   frozen process buffers the step, oldest first, until it is unfrozen.
+   frozen process buffers [f], oldest first, until it is unfrozen.
    [resume] is the same for the continuation of a suspension, fused so
    that a wake-up posts one closure. *)
-let rec run_step p step =
+let rec guard p f =
   match p.state with
   | Exited _ -> ()
   | Embryo | Running | Waiting ->
-      if p.frozen then p.pending <- p.pending @ [ (fun () -> run_step p step) ]
-      else begin
-        p.state <- Running;
-        step ()
-      end
+      if p.frozen then p.pending <- p.pending @ [ (fun () -> guard p f) ] else f ()
 
 let rec resume : type a. t -> (a, unit) Effect.Deep.continuation -> a -> unit =
  fun p k v ->
@@ -135,16 +131,13 @@ let spawn eng ?name body =
     }
   in
   let start () =
-    match p.state with
-    | Exited _ -> ()
-    | Embryo | Running | Waiting ->
-        if p.doomed then finish p Exit_killed
-        else begin
-          p.state <- Running;
-          Effect.Deep.match_with body () (handler p)
-        end
+    if p.doomed then finish p Exit_killed
+    else begin
+      p.state <- Running;
+      Effect.Deep.match_with body () (handler p)
+    end
   in
-  Engine.post eng (fun () -> run_step p start);
+  Engine.post eng (fun () -> guard p start);
   p
 
 let kill p =

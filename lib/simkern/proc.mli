@@ -62,6 +62,12 @@ val freeze : t -> unit
     in order. *)
 val unfreeze : t -> unit
 
+(** [guard p f] runs [f] now on behalf of [p], without resuming [p]:
+    while [p] is frozen, [f] is buffered with [p]'s own wake-ups and runs
+    when [p] is unfrozen; once [p] has exited, [f] is dropped. A killed
+    process that has not exited yet still runs [f]. *)
+val guard : t -> (unit -> unit) -> unit
+
 (** [on_exit p hook] registers [hook], called once with the exit reason
     when [p] exits. Hooks run in the scheduler context and must not block;
     if [p] has already exited the hook is called immediately. *)

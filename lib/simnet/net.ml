@@ -177,8 +177,6 @@ module Perturb = struct
   let member_bits m h =
     if h >= 0 && h < Bytes.length m then Char.code (Bytes.unsafe_get m h) else 0
 
-  let seed p s = p.p_seed <- Some s
-
   (* The perturbation RNG is derived lazily, the first time a rule is
      installed: a network that is never perturbed draws nothing from the
      engine RNG, keeping the reliable fast path byte-identical to a build
@@ -677,8 +675,6 @@ let close conn =
 
 let is_open conn = not (conn.c_closed_local || conn.c_closed_remote)
 
-let peer_host conn = conn.c_peer_host
-
 (* The calling process owns the endpoint: its death closes the socket,
    which is exactly how the paper's dispatcher detects failures. *)
 let adopt conn =
@@ -819,3 +815,29 @@ let recv_timeout conn ~timeout =
                     woke);
                 ];
             timer := Some (Engine.schedule eng ~delay:timeout (fun () -> ignore (waker None))))
+
+(* A forwarder registers a waker like the blocked [recv] of a process
+   looping on [recv] then [f], and each wake-up posts one flush where
+   that process would have resumed, so the event order is the same. *)
+let forward ?owner conn f =
+  let eng = conn.c_net.eng in
+  let guarded k = match owner with None -> k | Some p -> fun () -> Proc.guard p k in
+  let rec drain () =
+    match Queue.take_opt conn.c_inbox with
+    | Some item -> take item
+    | None ->
+        if conn.c_closed_remote || conn.c_closed_local then f None
+        else conn.c_waiters <- conn.c_waiters @ [ wake ]
+  and take = function
+    | Data m ->
+        f (Some m);
+        drain ()
+    | Closed -> f None
+  and wake item =
+    match owner with
+    | Some p when not (Proc.is_alive p) -> false
+    | Some _ | None ->
+        Engine.post eng (guarded (fun () -> take item));
+        true
+  in
+  Engine.post eng (guarded drain)

@@ -126,11 +126,6 @@ module Perturb : sig
       per-field max. O(1). *)
   val spec_for : t -> src:int -> dst:int -> spec
 
-  (** [seed t s] fixes the perturbation RNG seed ([--net-seed]); without
-      it, the RNG is split from the engine RNG on first use. Must be
-      called before the first rule is installed to take effect. *)
-  val seed : t -> int64 -> unit
-
   (** [apply t profile] installs a launch-time profile: backoff limits,
       base degradation, partition and scheduled heal. *)
   val apply : t -> profile -> unit
@@ -256,4 +251,17 @@ val close : 'a conn -> unit
     closure has been observed. *)
 val is_open : 'a conn -> bool
 
-val peer_host : 'a conn -> int
+(** [forward ?owner conn f] hands each message [m] of [conn] to [f] as
+    [f (Some m)] in arrival order, then [f None] once the connection is
+    closed, locally or by the peer, and nothing after that. It behaves
+    as a process looping on {!recv} would, without a process:
+    - an arrival that finds the forwarder idle posts one flush at the
+      current instant, where that process would have resumed; the
+      flush hands over the message and everything queued behind it.
+      [forward] posts the first flush itself. A local {!close} while
+      idle ends it at the next flush, even if messages arrive between;
+    - with [owner], flushes run under {!Simkern.Proc.guard}: held, with
+      the messages left on [conn], while [owner] is frozen, and dropped
+      once it has exited.
+    [conn] must have no other reader. *)
+val forward : ?owner:Proc.t -> 'a conn -> ('a option -> unit) -> unit

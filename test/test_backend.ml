@@ -17,7 +17,9 @@
      byte; runs that stop, continue and halt a machine or a service,
      which pin the order in which held messages are released; and one
      225-rank stencil run whose deep event queue pins the engine's
-     same-instant pop order. *)
+     same-instant pop order;
+   - census: a fault-free run of every backend has no process that only
+     reads a connection, and a pinned number of live tasks. *)
 
 let check = Alcotest.check
 let check_bool = check Alcotest.bool
@@ -637,6 +639,60 @@ let test_freeze_trace (name, protocol, plan, digest) () =
   let r = Failmpi.Run.execute (golden_spec ~protocol ~n_ranks:4 ~n_machines ~scenario:plan) in
   check_str (name ^ " trace digest") digest (trace_digest r)
 
+(* ------------------------------------------------------------------ *)
+(* Census: connections deliver into mailboxes without a process per
+   link. Ten seconds into a fault-free 9-rank run, the live tasks are
+   daemons, application processes, services, accept loops and
+   checkpoint-server connection handlers. A link reader would be named
+   after its daemon or dispatcher with a [-peer], [-ctrl], [-sched],
+   [-server] or [-conn] suffix. *)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let link_reader name =
+  let ends suffix = String.ends_with ~suffix name in
+  contains name "-peer" || ends "-ctrl" || ends "-sched"
+  || (ends "-server" && name <> "ckpt-server")
+  || (ends "-conn" && name <> "ckpt-server-conn")
+
+(* backend, live tasks at 10 s *)
+let census_pins = [ ("vcl", 49); ("blocking", 49); ("v2", 44); ("replication", 56); ("ulfm", 31) ]
+
+let test_census (name, protocol, _) () =
+  let n_ranks = 9 in
+  let eng = Simkern.Engine.create ~seed:1L () in
+  let app = Workload.Stencil.app small_params ~n_ranks in
+  let cfg = { (Mpivcl.Config.default ~n_ranks) with Mpivcl.Config.protocol } in
+  let n_compute =
+    match Backend.find name with
+    | Some (module B : Backend.S) -> B.default_machines ~n_ranks ~replicas:2
+    | None -> Alcotest.failf "%s not registered" name
+  in
+  let state_bytes = 1_000_000 in
+  let cluster =
+    match protocol with
+    | Mpivcl.Config.Replication _ ->
+        Mpirep.Deploy.cluster (Mpirep.Deploy.launch eng ~cfg ~app ~state_bytes ~n_compute ())
+    | Mpivcl.Config.Ulfm _ ->
+        Mpiulfm.Deploy.cluster (Mpiulfm.Deploy.launch eng ~cfg ~app ~state_bytes ~n_compute ())
+    | Mpivcl.Config.Non_blocking | Mpivcl.Config.Blocking | Mpivcl.Config.Sender_logging ->
+        Mpivcl.Deploy.cluster (Mpivcl.Deploy.launch eng ~cfg ~app ~state_bytes ~n_compute ())
+  in
+  ignore (Simkern.Engine.run ~until:10.0 eng);
+  let names =
+    List.concat_map
+      (fun (h : Simos.Cluster.host) ->
+        List.map Simkern.Proc.name (Simos.Cluster.tasks cluster ~host:h.Simos.Cluster.host_id))
+      (Simos.Cluster.hosts cluster)
+  in
+  check (Alcotest.list Alcotest.string) (name ^ " link readers") []
+    (List.filter link_reader names);
+  check_int (name ^ " live tasks") (List.assoc name census_pins)
+    (Simos.Cluster.live_task_count cluster)
+
 let () =
   Alcotest.run "backend"
     [
@@ -679,4 +735,8 @@ let () =
               Alcotest.test_case name `Quick (test_freeze_trace pin))
             freeze_pins
         @ [ Alcotest.test_case "scale order" `Quick test_scale_order ] );
+      ( "census",
+        List.map
+          (fun ((name, _, _) as g) -> Alcotest.test_case name `Quick (test_census g))
+          goldens );
     ]
