@@ -9,7 +9,7 @@ open Simkern
    [List.filter] on every exit — made every exit O(tasks-on-host) and
    every count O(total tasks), which dominates at 10k+ hosts. *)
 
-type host = { host_id : int; host_name : string; mutable head_slot : int; mutable task_count : int }
+type host = { host_id : int; mutable head_slot : int; mutable task_count : int }
 
 type t = {
   eng : Engine.t;
@@ -28,15 +28,7 @@ let initial_slots size = max 64 (4 * size)
 
 let create eng ~size =
   if size <= 0 then invalid_arg "Cluster.create: size must be positive";
-  let machines =
-    Array.init size (fun i ->
-        {
-          host_id = i;
-          host_name = Printf.sprintf "node%03d" i;
-          head_slot = nil;
-          task_count = 0;
-        })
-  in
+  let machines = Array.init size (fun i -> { host_id = i; head_slot = nil; task_count = 0 }) in
   let cap = initial_slots size in
   let slot_next = Array.init cap (fun i -> if i = cap - 1 then nil else i + 1) in
   {
@@ -98,7 +90,7 @@ let release_slot t slot =
 
 let spawn_on t ~host:id ?name body =
   let h = host t id in
-  let name = match name with Some n -> n | None -> Printf.sprintf "task@%s" h.host_name in
+  let name = match name with Some n -> n | None -> Printf.sprintf "task@node%03d" id in
   let p = Proc.spawn t.eng ~name body in
   let slot = alloc_slot t in
   t.slot_proc.(slot) <- Some p;

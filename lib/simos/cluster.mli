@@ -18,7 +18,6 @@ type t
 
 type host = {
   host_id : int;
-  host_name : string;
   mutable head_slot : int;  (** head of the host's slot list (internal) *)
   mutable task_count : int;  (** live tasks on this host, maintained on spawn/exit *)
 }
@@ -36,8 +35,9 @@ val host : t -> int -> host
 
 val hosts : t -> host list
 
-(** [spawn_on t ~host ?name body] starts a task on [host]. The task is
-    tracked in the host's slot list until it exits. *)
+(** [spawn_on t ~host ?name body] starts a task on [host], named
+    ["task@node%03d"] after the host by default. The task is tracked in
+    the host's slot list until it exits. *)
 val spawn_on : t -> host:int -> ?name:string -> (unit -> unit) -> Proc.t
 
 (** [tasks t ~host] returns the live tasks on [host], most recent
