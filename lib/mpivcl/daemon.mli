@@ -9,8 +9,8 @@
     [localMPI_setCommand] breakpoint, the injection point of the paper's
     Figure 10. It then forwards each connection into one event mailbox
     with {!Simnet.Net.forward} and accepts peer connections on a helper
-    process. The two checkpointing
-    daemons also share the restore failover ladder and the storage link.
+    process. The two checkpointing daemons also share the restore
+    failover ladder and the storage link.
 
     Only the protocol logic stays in the daemons. *)
 
