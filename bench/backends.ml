@@ -1,103 +1,24 @@
-(* Per-backend wall-time benchmark: one small faulty experiment cycle
-   per registered protocol backend, measured with bechamel, written to
-   BENCH_backends.json (CI runs this as a smoke step on every build).
-
-   The workload is identical across backends — a 4-rank stencil under
-   the fault-frequency scenario — so the JSON is a like-for-like
-   comparison of what each protocol costs the simulator. Only the
-   cluster size differs (each backend's own default_machines). *)
-
-open Bechamel
-open Toolkit
+(* The backends suite: one small faulty experiment cycle per registered
+   protocol backend, timed with Bechamel. The workload is the same for
+   every backend — a 4-rank stencil under the fault-frequency scenario —
+   so the records compare what each protocol costs the simulator. Only
+   the cluster size differs (each backend's own default_machines). Each
+   run is checked against the stencil's reference checksum. *)
 
 let replicas = 2
 
-let small_params =
-  { Workload.Stencil.iterations = 30; compute_time = 0.4; msg_bytes = 4_000; jitter = 0.0 }
-
-let small_run (module B : Failmpi.Backend.S) ~seed () =
-  let n_ranks = 4 in
-  let n_machines = B.default_machines ~n_ranks ~replicas in
-  let app = Workload.Stencil.app small_params ~n_ranks in
-  let cfg =
-    {
-      (Mpivcl.Config.default ~n_ranks) with
-      Mpivcl.Config.protocol = B.protocol ~replicas;
-      wave_interval = 5.0;
-      term_straggler_prob = 0.0;
-    }
-  in
-  let spec =
-    {
-      (Failmpi.Run.default_spec ~app ~cfg ~n_compute:n_machines ~state_bytes:500_000) with
-      Failmpi.Run.scenario = Some (Fail_lang.Paper_scenarios.frequency ~n_machines ~period:10);
-      seed;
-      timeout = 120.0;
-    }
-  in
-  Failmpi.Run.execute spec
-
-(* nanoseconds per run, OLS estimate over the monotonic clock *)
-let measure (module B : Failmpi.Backend.S) =
-  let test =
-    Test.make
-      ~name:(Printf.sprintf "backend:%s" B.name)
-      (Staged.stage (fun () -> ignore (small_run (module B) ~seed:1L ())))
-  in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instance = Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
-  let results = Benchmark.all cfg [ instance ] test in
-  let analysis = Analyze.all ols instance results in
-  let found = ref None in
-  Hashtbl.iter
-    (fun _name ols_result ->
-      match Analyze.OLS.estimates ols_result with
-      | Some [ estimate ] -> found := Some (estimate, Analyze.OLS.r_square ols_result)
-      | Some _ | None -> ())
-    analysis;
-  !found
-
-let json_field buf ~last (module B : Failmpi.Backend.S) =
-  let r = small_run (module B) ~seed:1L () in
-  let ns, r2 =
-    match measure (module B) with
-    | Some (ns, r2) -> (ns, r2)
-    | None -> (nan, None)
-  in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  { \"backend\": %S,\n\
-       \    \"label\": %S,\n\
-       \    \"wall_time_ms\": %.3f,\n\
-       \    \"r_square\": %s,\n\
-       \    \"outcome\": %S,\n\
-       \    \"injected_faults\": %d,\n\
-       \    \"checksum_ok\": %b }%s\n"
-       B.name
-       (B.family_label ~replicas)
-       (ns /. 1e6)
-       (match r2 with Some r2 -> Printf.sprintf "%.3f" r2 | None -> "null")
-       (Failmpi.Run.outcome_name r.Failmpi.Run.outcome)
-       r.Failmpi.Run.injected_faults
-       (r.Failmpi.Run.checksum_ok <> Some false)
-       (if last then "" else ","))
-
-let () =
-  let out =
-    match Sys.argv with [| _; path |] -> path | _ -> "BENCH_backends.json"
-  in
-  let backends = Failmpi.Backend.all () in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "[\n";
-  List.iteri
-    (fun i b ->
-      let (module B : Failmpi.Backend.S) = b in
-      Printf.printf "benchmarking %s...\n%!" B.name;
-      json_field buf ~last:(i = List.length backends - 1) b)
-    backends;
-  Buffer.add_string buf "]\n";
-  let oc = open_out out in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s (%d backends)\n" out (List.length backends)
+let run ~smoke:_ =
+  List.concat_map
+    (fun (module B : Failmpi.Backend.S) ->
+      Printf.printf "backends: %s...\n%!" B.name;
+      let n_compute = B.default_machines ~n_ranks:Fixture.n_ranks ~replicas in
+      let cycle () =
+        Fixture.stencil ~iterations:30 ~protocol:(B.protocol ~replicas)
+          ~scenario:(Fail_lang.Paper_scenarios.frequency ~n_machines:n_compute ~period:10)
+          ~n_compute ~seed:1L ()
+      in
+      let r, wall_ms = Fixture.timed cycle in
+      let test = Bechamel.Test.make ~name:B.name (Bechamel.Staged.stage cycle) in
+      Fixture.fit_records ~layer:"core" B.name (Fixture.ols test)
+      @ Fixture.verdict B.name ~wall_ms r)
+    (Failmpi.Backend.all ())

@@ -1,143 +1,77 @@
-(* Campaign parallelism + trace-overhead benchmark, written to
-   BENCH_campaign.json (CI runs this as a smoke step on every build).
+(* The campaign suite: campaign parallelism and trace overhead.
 
    Part 1 — the same mini-campaign (a BT-9 fault-frequency sweep) timed
-   at 1, 2 and 4 domains through Harness.campaign. The results of every
-   variant are checked identical to the sequential run before any
-   timing is reported: a speedup obtained by diverging is a bug, not a
-   win. The JSON records the machine's core count, so a 1-core CI
-   runner showing speedup 1.0 is honest rather than a regression.
+   at 1, 2 and 4 domains through Harness.campaign. Every variant's
+   results must equal the sequential run's before any timing is
+   recorded: a speedup obtained by diverging is a bug, not a win. The
+   header records the machine's core count, so a 1-core runner showing
+   speedup 1.0 is honest rather than a regression.
 
-   Part 2 — the simulator hot path: one fixed-seed run traced at Full
-   vs Summary level, reporting wall time, allocated bytes and retained
-   trace entries for each. Summary formats and retains strictly less
-   (the entry count drops several-fold); the simulation itself must be
-   bit-identical under both levels. *)
-
-let cores = Domain.recommended_domain_count ()
+   Part 2 — one fixed-seed run traced at Full vs Summary level, with
+   wall time, allocated bytes and retained trace entries for each.
+   Summary retains several times fewer entries; the simulation itself
+   must be the same under both levels. *)
 
 let reps = 6
-let klass = Workload.Bt_model.A
 let n_ranks = 9
 let n_machines = Experiments.Harness.machines_for n_ranks
+let scenario = Some (Fail_lang.Paper_scenarios.frequency ~n_machines ~period:25)
 
-let scenario =
-  Some (Fail_lang.Paper_scenarios.frequency ~n_machines ~period:25)
+let run_bt ~trace_level ~scenario ~seed =
+  Experiments.Harness.run_bt ~trace_level ~klass:Workload.Bt_model.A ~n_ranks ~n_machines
+    ~scenario ~seed ()
 
-let cells ~trace_level =
+let cells =
   [
-    Experiments.Harness.cell ~tag:"bt-faulty" ~reps ~base_seed:500 (fun ~seed ->
-        Experiments.Harness.run_bt ~trace_level ~klass ~n_ranks ~n_machines ~scenario
-          ~seed ());
-    Experiments.Harness.cell ~tag:"bt-clean" ~reps ~base_seed:900 (fun ~seed ->
-        Experiments.Harness.run_bt ~trace_level ~klass ~n_ranks ~n_machines
-          ~scenario:None ~seed ());
+    Experiments.Harness.cell ~tag:"bt-faulty" ~reps ~base_seed:500
+      (run_bt ~trace_level:Simkern.Trace.Summary ~scenario);
+    Experiments.Harness.cell ~tag:"bt-clean" ~reps ~base_seed:900
+      (run_bt ~trace_level:Simkern.Trace.Summary ~scenario:None);
   ]
 
-let fingerprint results =
-  List.map
-    (fun (tag, rs) ->
-      ( tag,
-        List.map
-          (fun (r : Failmpi.Run.result) ->
-            ( (match r.Failmpi.Run.outcome with
-              | Failmpi.Run.Completed t -> Printf.sprintf "completed:%.6f" t
-              | o -> Failmpi.Run.outcome_name o),
-              r.Failmpi.Run.injected_faults,
-              r.Failmpi.Run.checksums,
-              r.Failmpi.Run.checksum_ok ))
-          rs ))
-    results
-
-let time_campaign ~jobs =
-  let t0 = Unix.gettimeofday () in
-  let results = Experiments.Harness.campaign ~jobs (cells ~trace_level:Simkern.Trace.Summary) in
-  (Unix.gettimeofday () -. t0, fingerprint results)
-
-let time_one_run ~trace_level =
-  let before = Gc.allocated_bytes () in
-  let t0 = Unix.gettimeofday () in
-  let r =
-    Experiments.Harness.run_bt ~trace_level ~klass ~n_ranks ~n_machines ~scenario
-      ~seed:500L ()
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  let allocated = Gc.allocated_bytes () -. before in
-  (wall, allocated, Simkern.Trace.length r.Failmpi.Run.trace, r)
-
-let () =
-  let out =
-    match Sys.argv with [| _; path |] -> path | _ -> "BENCH_campaign.json"
-  in
-  let job_counts = [ 1; 2; 4 ] in
-  Printf.printf "campaign benchmark: %d cores available\n%!" cores;
+let run ~smoke:_ =
   let timings =
     List.map
       (fun jobs ->
-        Printf.printf "campaign at --jobs %d...\n%!" jobs;
-        let wall, fp = time_campaign ~jobs in
-        (jobs, wall, fp))
-      job_counts
+        Printf.printf "campaign: --jobs %d...\n%!" jobs;
+        let results, wall_ms = Fixture.timed (fun () -> Experiments.Harness.campaign ~jobs cells) in
+        let observed = List.map (fun (tag, rs) -> (tag, List.map Fixture.observables rs)) results in
+        (jobs, wall_ms /. 1e3, observed))
+      [ 1; 2; 4 ]
   in
-  let _, seq_wall, seq_fp = List.hd timings in
+  let _, seq_wall, seq_observed = List.hd timings in
   List.iter
-    (fun (jobs, _, fp) ->
-      if fp <> seq_fp then begin
-        Printf.eprintf "FATAL: --jobs %d diverged from the sequential campaign\n" jobs;
-        exit 1
-      end)
+    (fun (jobs, _, observed) ->
+      if observed <> seq_observed then
+        Record.refuse "campaign" "--jobs %d diverged from the sequential campaign" jobs)
     timings;
-  Printf.printf "trace overhead: Full vs Summary...\n%!";
-  let full_wall, full_alloc, full_entries, full_r =
-    time_one_run ~trace_level:Simkern.Trace.Full
+  Printf.printf "campaign: trace overhead, Full vs Summary...\n%!";
+  let traced level =
+    let before = Gc.allocated_bytes () in
+    let r, wall_ms = Fixture.timed (fun () -> run_bt ~trace_level:level ~scenario ~seed:500L) in
+    (r, wall_ms /. 1e3, (Gc.allocated_bytes () -. before) /. 1e6, Simkern.Trace.length r.Failmpi.Run.trace)
   in
-  let summ_wall, summ_alloc, summ_entries, summ_r =
-    time_one_run ~trace_level:Simkern.Trace.Summary
-  in
-  if
-    full_r.Failmpi.Run.outcome <> summ_r.Failmpi.Run.outcome
-    || full_r.Failmpi.Run.injected_faults <> summ_r.Failmpi.Run.injected_faults
-    || full_r.Failmpi.Run.checksums <> summ_r.Failmpi.Run.checksums
-  then begin
-    Printf.eprintf "FATAL: trace level changed the simulation\n";
-    exit 1
-  end;
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"cores\": %d,\n" cores);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"campaign_runs\": %d,\n" (List.length (cells ~trace_level:Simkern.Trace.Summary) * reps));
-  Buffer.add_string buf "  \"campaign\": [\n";
-  List.iteri
-    (fun i (jobs, wall, _) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"jobs\": %d, \"wall_time_s\": %.3f, \"speedup\": %.2f }%s\n" jobs wall
-           (seq_wall /. wall)
-           (if i = List.length timings - 1 then "" else ",")))
-    timings;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"trace_overhead\": {\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "    \"full\":    { \"wall_time_s\": %.3f, \"allocated_mb\": %.1f, \"trace_entries\": %d },\n"
-       full_wall (full_alloc /. 1e6) full_entries);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "    \"summary\": { \"wall_time_s\": %.3f, \"allocated_mb\": %.1f, \"trace_entries\": %d },\n"
-       summ_wall (summ_alloc /. 1e6) summ_entries);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"entry_ratio\": %.2f\n"
-       (if summ_entries > 0 then float_of_int full_entries /. float_of_int summ_entries
-        else nan));
-  Buffer.add_string buf "  }\n}\n";
-  let oc = open_out out in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  List.iter
-    (fun (jobs, wall, _) ->
-      Printf.printf "  jobs %d: %.2f s (speedup %.2fx)\n" jobs wall (seq_wall /. wall))
-    timings;
-  Printf.printf "  trace Full: %.2f s / %.0f MB / %d entries  Summary: %.2f s / %.0f MB / %d entries\n"
-    full_wall (full_alloc /. 1e6) full_entries summ_wall (summ_alloc /. 1e6) summ_entries;
-  Printf.printf "wrote %s\n" out
+  let ((full_r, _, _, full_n) as full) = traced Simkern.Trace.Full in
+  let ((summary_r, _, _, summary_n) as summary) = traced Simkern.Trace.Summary in
+  if Fixture.observables full_r <> Fixture.observables summary_r then
+    Record.refuse "campaign" "trace level changed the simulation";
+  [ Record.int ~layer:"par" "runs" "count" (List.length cells * reps) ]
+  @ List.concat_map
+      (fun (jobs, wall, _) ->
+        [
+          Record.num ~layer:"par" (Printf.sprintf "jobs/%d/wall_time_s" jobs) "s" wall;
+          Record.num ~layer:"par" (Printf.sprintf "jobs/%d/speedup" jobs) "x" (seq_wall /. wall);
+        ])
+      timings
+  @ List.concat_map
+      (fun (level, (_, wall, mb, n)) ->
+        [
+          Record.num ~layer:"core" ("trace_overhead/" ^ level ^ "/wall_time_s") "s" wall;
+          Record.num ~layer:"simkern" ("trace_overhead/" ^ level ^ "/allocated_mb") "MB" mb;
+          Record.int ~layer:"simkern" ("trace_overhead/" ^ level ^ "/trace_entries") "count" n;
+        ])
+      [ ("full", full); ("summary", summary) ]
+  @ [
+      Record.num ~layer:"simkern" "trace_overhead/entry_ratio" "x"
+        (float_of_int full_n /. float_of_int summary_n);
+    ]

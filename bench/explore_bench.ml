@@ -1,22 +1,19 @@
-(* Explorer throughput benchmark, written to BENCH_explore.json (CI
-   runs a bounded variant as a smoke step and uploads the artifact).
+(* The explore suite: explorer throughput.
 
    One campaign — a >= 3-fault sampled configuration over the demo
-   stencil deployment — run twice with the same seed: once through the
-   prefix-sharing fork scheduler, once replaying every plan from t = 0.
-   The figure of merit is plans per CPU-hour ([Unix.times], children
-   included, so every forked branch process is charged to its mode).
-   The two reports must be byte-identical — coverage, records and
-   witnesses — and the bench refuses to report throughput otherwise,
-   making the speedup double as an end-to-end equivalence check.
+   stencil deployment, 500 plans (60 with --smoke) — run twice with the
+   same seed: once through the prefix-sharing fork scheduler, once
+   replaying every plan from t = 0. The figure of merit is plans per
+   CPU-hour ([Unix.times], children included, so every forked branch
+   process is charged to its mode). The two reports must be
+   byte-identical — coverage, records and witnesses — and the suite
+   refuses to write its file otherwise, making the speedup double as an
+   end-to-end equivalence check.
 
-   The fork campaign runs first: the OCaml runtime permanently refuses
-   [Unix.fork] in a process that ever created a domain, and the replay
-   campaign's [Par.map] creates them.
-
-   Usage: explore_bench.exe [OUT.json [BUDGET]] — CI passes a small
-   BUDGET to bound the smoke run; the full 500-plan campaign is the
-   default. *)
+   The fork campaign runs first, and the driver runs this suite before
+   any other: the OCaml runtime refuses [Unix.fork] in a process that
+   ever created a domain, and the replay campaign's [Par.map] creates
+   them. *)
 
 let n_machines = 8
 
@@ -45,13 +42,6 @@ let spec () =
     seed = 1L;
   }
 
-let config ~budget =
-  {
-    (Explore.default_config ~n_machines ~targets:[ 0; 1 ] ~buckets:[ 60; 30; 15 ]) with
-    Explore.budget;
-    max_faults = 4;
-  }
-
 (* Process + reaped-children CPU seconds.  Forked branch processes are
    waited on by their parents, so their time rolls up recursively;
    domain workers are threads of this process and count directly. *)
@@ -59,74 +49,56 @@ let cpu_s () =
   let t = Unix.times () in
   t.Unix.tms_utime +. t.Unix.tms_stime +. t.Unix.tms_cutime +. t.Unix.tms_cstime
 
-let timed run =
-  let c0 = cpu_s () and t0 = Unix.gettimeofday () in
-  let r = run () in
-  (r, cpu_s () -. c0, Unix.gettimeofday () -. t0)
-
-let () =
-  let out, budget =
-    match Sys.argv with
-    | [| _; path; budget |] -> (path, int_of_string budget)
-    | [| _; path |] -> (path, 500)
-    | _ -> ("BENCH_explore.json", 500)
+let run ~smoke =
+  let budget = if smoke then 60 else 500 in
+  let cfg =
+    {
+      (Explore.default_config ~n_machines ~targets:[ 0; 1 ] ~buckets:[ 60; 30; 15 ]) with
+      Explore.budget;
+      max_faults = 4;
+    }
   in
-  if budget < 1 then begin
-    prerr_endline "explore bench: BUDGET must be >= 1";
-    exit 1
-  end;
-  let cfg = config ~budget and spec = spec () in
   let jobs = min 4 (Par.default_jobs ()) in
-  Printf.printf "explore bench: %d-plan campaign, %d jobs, fork scheduler...\n%!" budget jobs;
-  let (rep_fork, stats), fork_cpu, fork_wall =
-    timed (fun () -> Explore.run_spec ~jobs ~fork:true ~measure:true cfg ~spec)
+  let campaign ~fork =
+    Printf.printf "explore: %d plans, %d jobs, %s...\n%!" budget jobs
+      (if fork then "fork scheduler" else "replay from zero");
+    let c0 = cpu_s () in
+    let (report, stats), wall_ms =
+      Fixture.timed (fun () -> Explore.run_spec ~jobs ~fork ~measure:fork cfg ~spec:(spec ()))
+    in
+    (report, stats, cpu_s () -. c0, wall_ms /. 1e3)
   in
-  Printf.printf "explore bench: same campaign, replay from zero...\n%!";
-  let (rep_replay, _), replay_cpu, replay_wall =
-    timed (fun () -> Explore.run_spec ~jobs ~fork:false cfg ~spec)
-  in
-  let json_fork = Explore.to_json rep_fork and json_replay = Explore.to_json rep_replay in
-  if json_fork <> json_replay then begin
-    Printf.eprintf
-      "explore bench: fork and replay reports diverged — refusing to report throughput\n";
-    exit 1
-  end;
-  let explored = List.length rep_fork.Explore.records in
+  let fork_report, stats, fork_cpu, fork_wall = campaign ~fork:true in
+  let replay_report, _, replay_cpu, replay_wall = campaign ~fork:false in
+  if Explore.to_json fork_report <> Explore.to_json replay_report then
+    Record.refuse "explore" "fork and replay reports diverged; refusing to report throughput";
+  let explored = List.length fork_report.Explore.records in
   let per_hour cpu = float_of_int explored /. (Float.max cpu 1e-6 /. 3600.0) in
-  let fork_rate = per_hour fork_cpu and replay_rate = per_hour replay_cpu in
-  let f = stats.Explore.Prefix.forks in
-  let fork_latency_ms =
-    if f = 0 then 0.0 else stats.Explore.Prefix.fork_wall_s /. float_of_int f *. 1e3
+  let path m = Printf.sprintf "budget/%d/jobs/%d/%s" budget jobs m in
+  let mode name cpu wall =
+    [
+      Record.num ~layer:"explore" (path (name ^ "/cpu_s")) "s" cpu;
+      Record.num ~layer:"explore" (path (name ^ "/wall_s")) "s" wall;
+      Record.num ~layer:"explore" (path (name ^ "/plans_per_cpu_hour")) "1/h" (per_hour cpu);
+    ]
   in
-  let int_list l = "[" ^ String.concat ", " (List.map string_of_int l) ^ "]" in
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\n\
-       \  \"workload\": \"stencil, 60 iterations, non-blocking vcl, %d machines\",\n\
-       \  \"config\": { \"targets\": %s, \"buckets\": %s, \"max_faults\": %d, \
-        \"budget\": %d, \"jobs\": %d },\n\
-       \  \"explored\": %d,\n\
-       \  \"coverage_signatures\": %d,\n\
-       \  \"reports_byte_identical\": true,\n\
-       \  \"replay\": { \"cpu_s\": %.2f, \"wall_s\": %.2f, \"plans_per_cpu_hour\": %.0f },\n\
-       \  \"fork\": { \"cpu_s\": %.2f, \"wall_s\": %.2f, \"plans_per_cpu_hour\": %.0f,\n\
-       \    \"forks\": %d, \"pauses\": %d, \"fork_latency_ms\": %.3f,\n\
-       \    \"snapshot_events_max\": %d, \"snapshot_bytes_max\": %d },\n\
-       \  \"speedup_plans_per_cpu_hour\": %.2f\n\
-        }\n"
-       n_machines (int_list cfg.Explore.targets) (int_list cfg.Explore.buckets)
-       cfg.Explore.max_faults budget jobs explored
-       (List.length rep_fork.Explore.coverage)
-       replay_cpu replay_wall replay_rate fork_cpu fork_wall fork_rate f
-       stats.Explore.Prefix.pauses fork_latency_ms stats.Explore.Prefix.snapshot_events_max
-       (stats.Explore.Prefix.snapshot_words_max * (Sys.word_size / 8))
-       (fork_rate /. Float.max replay_rate 1e-6));
-  let oc = open_out out in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf
-    "wrote %s: %.0f plans/cpu-hour forked vs %.0f replayed (%.2fx), %d forks, %d pauses\n" out
-    fork_rate replay_rate
-    (fork_rate /. Float.max replay_rate 1e-6)
-    f stats.Explore.Prefix.pauses
+  let f = stats.Explore.Prefix.forks in
+  [
+    Record.int ~layer:"explore" (path "explored") "plans" explored;
+    Record.int ~layer:"explore" (path "coverage_signatures") "count"
+      (List.length fork_report.Explore.coverage);
+  ]
+  @ mode "replay" replay_cpu replay_wall
+  @ mode "fork" fork_cpu fork_wall
+  @ [
+      Record.int ~layer:"explore" (path "fork/forks") "count" f;
+      Record.int ~layer:"explore" (path "fork/pauses") "count" stats.Explore.Prefix.pauses;
+      Record.num ~layer:"explore" (path "fork/fork_latency_ms") "ms"
+        (if f = 0 then 0.0 else stats.Explore.Prefix.fork_wall_s /. float_of_int f *. 1e3);
+      Record.int ~layer:"simkern" (path "fork/snapshot_events_max") "count"
+        stats.Explore.Prefix.snapshot_events_max;
+      Record.int ~layer:"simkern" (path "fork/snapshot_bytes_max") "bytes"
+        (stats.Explore.Prefix.snapshot_words_max * (Sys.word_size / 8));
+      Record.num ~layer:"explore" (path "speedup_plans_per_cpu_hour") "x"
+        (per_hour fork_cpu /. Float.max (per_hour replay_cpu) 1e-6);
+    ]

@@ -1,12 +1,10 @@
-(* Network perturbation benchmark, written to BENCH_netfault.json (CI
-   runs this as a smoke step on every build).
+(* The netfault suite: network perturbation.
 
-   Part 1 — the pristine-path guarantee, priced: the same fixed-seed
-   BT run timed with no perturbation profile vs an applied-but-all-zero
-   profile. The two must agree on every observable (outcome, time,
-   faults, checksums, counters) — the bench refuses to report a timing
-   otherwise — and the wall-time overhead of carrying the (untouched)
-   layer is reported against a 2% budget.
+   Part 1 — the pristine-path guarantee: the same fixed-seed BT runs
+   with no perturbation profile vs an applied-but-all-zero profile. The
+   two must agree on every observable (outcome, time, faults, checksums,
+   counters), and the zero profile may allocate at most 2% more minor
+   words; the suite refuses to write its file otherwise.
 
    Part 2 — the cost of surviving loss: one fixed-seed run per
    (backend x loss level), recording wall time, simulated completion
@@ -14,41 +12,8 @@
    companion of `failmpi_experiments netfault`, which sweeps the same
    grid for simulated-time figures. *)
 
-let klass = Workload.Bt_model.A
-let n_ranks = 4
-let n_machines = Experiments.Harness.machines_for n_ranks
 let reps = 5
 let loss_levels = [ 0.0; 0.02; 0.05; 0.10 ]
-
-let run ?net ?protocol ~seed () =
-  let cfg =
-    let base = Mpivcl.Config.default ~n_ranks in
-    {
-      base with
-      Mpivcl.Config.protocol =
-        (match protocol with Some p -> p | None -> base.Mpivcl.Config.protocol);
-      net;
-    }
-  in
-  Experiments.Harness.run_bt ~cfg ~klass ~n_ranks ~n_machines ~scenario:None ~seed ()
-
-let observables (r : Failmpi.Run.result) =
-  ( (match r.Failmpi.Run.outcome with
-    | Failmpi.Run.Completed t -> Printf.sprintf "completed:%.6f" t
-    | o -> Failmpi.Run.outcome_name o),
-    r.Failmpi.Run.injected_faults,
-    r.Failmpi.Run.checksums,
-    Failmpi.Backend.Metrics.counters r.Failmpi.Run.metrics )
-
-(* Mean wall seconds of [reps] fixed-seed runs (seeds 1..reps). *)
-let time_runs ?net () =
-  let t0 = Unix.gettimeofday () in
-  let results =
-    List.init reps (fun i -> observables (run ?net ~seed:(Int64.of_int (i + 1)) ()))
-  in
-  ((Unix.gettimeofday () -. t0) /. float_of_int reps, results)
-
-let zero_profile = Simnet.Net.Perturb.default_profile
 
 let profile_of loss =
   if loss = 0.0 then None
@@ -56,68 +21,34 @@ let profile_of loss =
     Some
       {
         Simnet.Net.Perturb.default_profile with
-        Simnet.Net.Perturb.base =
-          { Simnet.Net.Perturb.loss; latency = 0.0; jitter = 0.0 };
+        Simnet.Net.Perturb.base = { Simnet.Net.Perturb.loss; latency = 0.0; jitter = 0.0 };
       }
 
-let counter r name =
-  Option.value ~default:0 (Failmpi.Backend.Metrics.find r.Failmpi.Run.metrics name)
-
-let () =
-  let out = match Sys.argv with [| _; path |] -> path | _ -> "BENCH_netfault.json" in
-  let buf = Buffer.create 2048 in
-
-  Printf.printf "perturb-off overhead: none vs zero profile (%d runs each)...\n%!" reps;
-  let t_plain, obs_plain = time_runs () in
-  let t_zero, obs_zero = time_runs ~net:zero_profile () in
-  if obs_plain <> obs_zero then (
-    prerr_endline "netfault bench: zero profile diverged from the pristine path";
-    exit 1);
-  let overhead_pct = (t_zero -. t_plain) /. t_plain *. 100.0 in
-  Buffer.add_string buf "{\n  \"perturb_off\": {\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "    \"plain_ms\": %.3f,\n\
-       \    \"zero_profile_ms\": %.3f,\n\
-       \    \"overhead_pct\": %.2f,\n\
-       \    \"within_2pct\": %b,\n\
-       \    \"observables_identical\": true\n\
-       \  },\n"
-       (t_plain *. 1e3) (t_zero *. 1e3) overhead_pct
-       (overhead_pct <= 2.0));
-
-  Buffer.add_string buf "  \"loss_curve\": [\n";
-  let backends = Failmpi.Backend.all () in
-  let cells =
-    List.concat_map
-      (fun b -> List.map (fun loss -> (b, loss)) loss_levels)
-      backends
+let run ~smoke:_ =
+  Printf.printf "netfault: no profile vs zero profile (%d runs each)...\n%!" reps;
+  let sample net = Fixture.sample ~reps (fun ~seed -> Fixture.bt4 ~seed (fun c -> { c with Mpivcl.Config.net })) in
+  let perturb_off =
+    Fixture.overheads ~suite:"netfault" ~group:"perturb_off" ~limit_pct:2.0
+      ("plain", sample None)
+      [
+        ( "zero_profile",
+          sample (Some Simnet.Net.Perturb.default_profile),
+          "zero profile diverged from the pristine path" );
+      ]
   in
-  List.iteri
-    (fun i ((module B : Failmpi.Backend.S), loss) ->
-      Printf.printf "loss curve: %s at %g%%...\n%!" B.name (loss *. 100.0);
-      let t0 = Unix.gettimeofday () in
-      let r = run ?net:(profile_of loss) ~protocol:(B.protocol ~replicas:2) ~seed:1L () in
-      let wall_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"backend\": %S, \"loss\": %.2f, \"wall_time_ms\": %.3f,\n\
-           \      \"outcome\": %S, \"sim_time_s\": %s,\n\
-           \      \"net_dropped\": %d, \"net_retransmits\": %d,\n\
-           \      \"checksum_ok\": %b }%s\n"
-           B.name loss wall_ms
-           (Failmpi.Run.outcome_name r.Failmpi.Run.outcome)
-           (match r.Failmpi.Run.outcome with
-           | Failmpi.Run.Completed t -> Printf.sprintf "%.1f" t
-           | _ -> "null")
-           (counter r "net_dropped") (counter r "net_retransmits")
-           (r.Failmpi.Run.checksum_ok <> Some false)
-           (if i = List.length cells - 1 then "" else ",")))
-    cells;
-  Buffer.add_string buf "  ]\n}\n";
-
-  let oc = open_out out in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s (overhead %.2f%%, %d loss-curve cells)\n" out overhead_pct
-    (List.length cells)
+  perturb_off
+  @ List.concat_map
+      (fun (module B : Failmpi.Backend.S) ->
+        List.concat_map
+          (fun loss ->
+            Printf.printf "netfault: %s at %g%% loss...\n%!" B.name (loss *. 100.0);
+            let r, wall_ms =
+              Fixture.timed (fun () ->
+                  Fixture.bt4 ~seed:1L (fun c ->
+                      { c with Mpivcl.Config.protocol = B.protocol ~replicas:2; net = profile_of loss }))
+            in
+            Fixture.verdict ~counters:Fixture.net_counters
+              (Printf.sprintf "loss_curve/%s/%.2f" B.name loss)
+              ~wall_ms r)
+          loss_levels)
+      (Failmpi.Backend.all ())

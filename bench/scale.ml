@@ -1,15 +1,11 @@
-(* Core-scaling benchmark, written to BENCH_scale.json (CI runs a
-   bounded variant as a smoke step and uploads the artifact).
+(* The scale suite: core scaling.
 
    One fixed-seed, fault-free stencil run per cluster size on the
-   hosts-vs-wallclock curve 256 -> 16384, timed once. The bench refuses
-   to report a point whose run did not complete or whose rank checksums
-   differ from [Workload.Stencil.reference_checksum], so the curve
-   doubles as a large-scale correctness check. The output records the
-   core count and OCaml version it was measured on.
-
-   Usage: scale.exe [OUT.json [MAX_HOSTS]] — CI passes a small
-   MAX_HOSTS to bound the smoke run; the full curve is the default. *)
+   hosts-vs-wallclock curve 256 -> 16384 (256 -> 1024 with --smoke),
+   timed once. The suite refuses to write its file if a run did not
+   complete or its rank checksums differ from
+   [Workload.Stencil.reference_checksum], so the curve doubles as a
+   large-scale correctness check. *)
 
 let hosts_curve = [ 256; 512; 1024; 2048; 4096; 8192; 16384 ]
 
@@ -52,59 +48,24 @@ let spec_for ~hosts =
       trace_level = Simkern.Trace.Summary;
     } )
 
-let timed ~hosts =
-  let n_ranks, spec = spec_for ~hosts in
-  let t0 = Unix.gettimeofday () in
-  let r = Failmpi.Run.execute spec in
-  let wall_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
-  (n_ranks, wall_ms, r)
-
-let () =
-  let out, max_hosts =
-    match Sys.argv with
-    | [| _; path; cap |] -> (path, int_of_string cap)
-    | [| _; path |] -> (path, max_int)
-    | _ -> ("BENCH_scale.json", max_int)
-  in
-  let curve = List.filter (fun h -> h <= max_hosts) hosts_curve in
-  if curve = [] then begin
-    prerr_endline "scale bench: MAX_HOSTS below the smallest curve point";
-    exit 1
-  end;
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\n\
-       \  \"workload\": \"stencil, %d iterations, fault-free, non-blocking vcl\",\n\
-       \  \"cores\": %d, \"ocaml\": \"%s\",\n\
-       \  \"curve\": [\n"
-       params.Workload.Stencil.iterations
-       (Domain.recommended_domain_count ())
-       Sys.ocaml_version);
-  List.iteri
-    (fun i hosts ->
+let run ~smoke =
+  List.concat_map
+    (fun hosts ->
       Printf.printf "scale: %d hosts...\n%!" hosts;
-      let n_ranks, wall_ms, r = timed ~hosts in
-      let fail why =
-        Printf.eprintf "scale bench: %d hosts: %s\n" hosts why;
-        exit 1
-      in
+      let n_ranks, spec = spec_for ~hosts in
+      let r, wall_ms = Fixture.timed (fun () -> Failmpi.Run.execute spec) in
       let sim_time =
         match r.Failmpi.Run.outcome with
         | Failmpi.Run.Completed t -> t
-        | o -> fail ("did not complete (" ^ Failmpi.Run.outcome_name o ^ ")")
+        | o -> Record.refuse "scale" "%d hosts: did not complete (%s)" hosts (Failmpi.Run.outcome_name o)
       in
       let reference = Workload.Stencil.reference_checksum params ~n_ranks in
       if r.Failmpi.Run.checksums <> List.init n_ranks (fun rank -> (rank, reference)) then
-        fail "rank checksums differ from the fault-free reference";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"hosts\": %d, \"ranks\": %d, \"wall_ms\": %.1f, \"sim_time_s\": %.1f }%s\n"
-           hosts n_ranks wall_ms sim_time
-           (if i = List.length curve - 1 then "" else ",")))
-    curve;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out out in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s (%d curve points)\n" out (List.length curve)
+        Record.refuse "scale" "%d hosts: rank checksums differ from the fault-free reference" hosts;
+      let path m = Printf.sprintf "hosts/%d/%s" hosts m in
+      [
+        Record.int ~layer:"core" (path "ranks") "count" n_ranks;
+        Record.num ~layer:"core" (path "wall_ms") "ms" wall_ms;
+        Record.num ~layer:"core" (path "sim_time_s") "s" sim_time;
+      ])
+    (List.filter (fun h -> h <= if smoke then 1024 else max_int) hosts_curve)
