@@ -49,7 +49,8 @@ let run ~smoke:_ =
   let traced level =
     let before = Gc.allocated_bytes () in
     let r, wall_ms = Fixture.timed (fun () -> run_bt ~trace_level:level ~scenario ~seed:500L) in
-    (r, wall_ms /. 1e3, (Gc.allocated_bytes () -. before) /. 1e6, Simkern.Trace.length r.Failmpi.Run.trace)
+    let allocated_mb = (Gc.allocated_bytes () -. before) /. 1e6 in
+    (r, wall_ms /. 1e3, allocated_mb, Simkern.Trace.length r.Failmpi.Run.trace)
   in
   let ((full_r, _, _, full_n) as full) = traced Simkern.Trace.Full in
   let ((summary_r, _, _, summary_n) as summary) = traced Simkern.Trace.Summary in

@@ -67,7 +67,11 @@ let sample ?counters ~reps run =
   let w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
   let obs = List.init reps (fun i -> observables ?counters (run ~seed:(Int64.of_int (i + 1)))) in
   let per x = x /. float_of_int reps in
-  { wall_ms = per ((Unix.gettimeofday () -. t0) *. 1e3); words = per (Gc.minor_words () -. w0); obs }
+  {
+    wall_ms = per ((Unix.gettimeofday () -. t0) *. 1e3);
+    words = per (Gc.minor_words () -. w0);
+    obs;
+  }
 
 (* Records [base] and each [(name, sample, diverged)] variant under
    [group]: wall milliseconds and minor words per run, and each
@@ -140,7 +144,8 @@ let ols test =
 (* The records of one OLS fit: time per run and r², null where missing. *)
 let fit_records ~layer name fit =
   [
-    Record.make ~layer (name ^ "/time_per_run") "ns" (Record.opt (fun (ns, _) -> Record.Num ns) fit);
+    Record.make ~layer (name ^ "/time_per_run") "ns"
+      (Record.opt (fun (ns, _) -> Record.Num ns) fit);
     Record.make ~layer (name ^ "/r_square") ""
       (Record.opt (fun r2 -> Record.Num r2) (Option.bind fit snd));
   ]

@@ -26,7 +26,9 @@ let profile_of loss =
 
 let run ~smoke:_ =
   Printf.printf "netfault: no profile vs zero profile (%d runs each)...\n%!" reps;
-  let sample net = Fixture.sample ~reps (fun ~seed -> Fixture.bt4 ~seed (fun c -> { c with Mpivcl.Config.net })) in
+  let sample net =
+    Fixture.sample ~reps (fun ~seed -> Fixture.bt4 ~seed (fun c -> { c with Mpivcl.Config.net }))
+  in
   let perturb_off =
     Fixture.overheads ~suite:"netfault" ~group:"perturb_off" ~limit_pct:2.0
       ("plain", sample None)
@@ -45,7 +47,11 @@ let run ~smoke:_ =
             let r, wall_ms =
               Fixture.timed (fun () ->
                   Fixture.bt4 ~seed:1L (fun c ->
-                      { c with Mpivcl.Config.protocol = B.protocol ~replicas:2; net = profile_of loss }))
+                      {
+                        c with
+                        Mpivcl.Config.protocol = B.protocol ~replicas:2;
+                        net = profile_of loss;
+                      }))
             in
             Fixture.verdict ~counters:Fixture.net_counters
               (Printf.sprintf "loss_curve/%s/%.2f" B.name loss)

@@ -1,9 +1,9 @@
 (* The one writer of the BENCH_<suite>.json files.
 
-   A file is a header — the commit the binary was built from, the core
-   count, the OCaml version and whether the run was a --smoke run —
-   followed by flat records {suite, metric, value, unit, layer}. A
-   metric is a path that carries the suite's parameters, such as
+   A file is a header — the commit of the checkout, the core count,
+   the OCaml version and whether the run was a --smoke run — followed
+   by flat records {suite, metric, value, unit, layer}. A metric is a
+   path that carries the suite's parameters, such as
    "loss_curve/ulfm/0.05/net_dropped"; a layer names the library the
    measured work runs in. A value is a number, a boolean (checksum_ok),
    a string (outcome names) or null (an option that is None, or a
@@ -31,7 +31,9 @@ let json_string s =
   Buffer.add_char buf '"';
   String.iter
     (function
-      | ('"' | '\\') as c -> Buffer.add_char buf '\\'; Buffer.add_char buf c
+      | ('"' | '\\') as c ->
+          Buffer.add_char buf '\\';
+          Buffer.add_char buf c
       | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char buf c)
     s;
@@ -45,21 +47,16 @@ let json_value = function
   | Bool b -> string_of_bool b
   | Str s -> json_string s
 
-(* The commit the working tree is at, with "-dirty" when tracked files
-   differ from it, or "unknown" outside a git checkout. Read once, before
-   any suite rewrites a committed BENCH file. *)
+(* The commit of the checkout the bench runs in, with "-dirty" when
+   tracked files differ from it, or "unknown" outside a git checkout.
+   Read once, before any suite rewrites a committed BENCH file. *)
 let commit () =
-  let read cmd =
-    let ic = Unix.open_process_in cmd in
-    let line = try Some (input_line ic) with End_of_file -> None in
-    match (Unix.close_process_in ic, line) with
-    | Unix.WEXITED 0, Some line -> Some line
-    | _ -> None
-  in
-  match read "git rev-parse HEAD 2>/dev/null" with
-  | None -> "unknown"
-  | Some head ->
+  let ic = Unix.open_process_in "git rev-parse HEAD 2>/dev/null" in
+  let head = In_channel.input_line ic in
+  match (Unix.close_process_in ic, head) with
+  | Unix.WEXITED 0, Some head ->
       if Sys.command "git diff --quiet HEAD -- 2>/dev/null" = 0 then head else head ^ "-dirty"
+  | _ -> "unknown"
 
 type header = { commit : string; smoke : bool }
 
@@ -72,15 +69,13 @@ let write header ~suite records =
     (json_string header.commit)
     (Domain.recommended_domain_count ())
     (json_string Sys.ocaml_version) header.smoke;
-  output_string oc "  \"records\": [\n";
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "    { \"suite\": %s, \"metric\": %s, \"value\": %s, \"unit\": %s, \"layer\": %s }%s\n"
-        (json_string suite) (json_string r.metric) (json_value r.value) (json_string r.unit)
-        (json_string r.layer)
-        (if i = List.length records - 1 then "" else ","))
-    records;
-  output_string oc "  ]\n}\n";
+  let record r =
+    Printf.sprintf
+      "    { \"suite\": %s, \"metric\": %s, \"value\": %s, \"unit\": %s, \"layer\": %s }"
+      (json_string suite) (json_string r.metric) (json_value r.value) (json_string r.unit)
+      (json_string r.layer)
+  in
+  Printf.fprintf oc "  \"records\": [\n%s\n  ]\n}\n"
+    (String.concat ",\n" (List.map record records));
   close_out oc;
   Printf.printf "wrote %s (%d records)\n%!" path (List.length records)

@@ -57,7 +57,9 @@ let run ~smoke =
       let sim_time =
         match r.Failmpi.Run.outcome with
         | Failmpi.Run.Completed t -> t
-        | o -> Record.refuse "scale" "%d hosts: did not complete (%s)" hosts (Failmpi.Run.outcome_name o)
+        | o ->
+            Record.refuse "scale" "%d hosts: did not complete (%s)" hosts
+              (Failmpi.Run.outcome_name o)
       in
       let reference = Workload.Stencil.reference_checksum params ~n_ranks in
       if r.Failmpi.Run.checksums <> List.init n_ranks (fun rank -> (rank, reference)) then
