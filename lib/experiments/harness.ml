@@ -218,8 +218,9 @@ let machines_for n_ranks =
 
 (* Campaigns only read aggregates (outcome, counters, checksums), never
    the trace, so the default trace level is Summary: per-message chatter
-   is never even formatted. Pass ~trace_level:Full to keep everything
-   (e.g. when feeding a run to Trace_analysis). *)
+   is dropped at record time, its format arguments consumed without
+   formatting. Pass ~trace_level:Full to keep everything (e.g. when
+   feeding a run to Trace_analysis). *)
 let bt_spec ?cfg ?(trace_level = Simkern.Trace.Summary) ~klass ~n_ranks ~n_machines
     ~scenario () =
   let cfg = match cfg with Some c -> c | None -> Mpivcl.Config.default ~n_ranks in

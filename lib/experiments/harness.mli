@@ -92,7 +92,8 @@ val aggs_csv : agg list -> string
     builds the standard spec used by all figures: a BT application with
     the paper's 53-machines-for-49-ranks style spare allocation.
     [trace_level] defaults to {!Simkern.Trace.Summary} — campaigns only
-    read aggregates, so per-message trace chatter is skipped; pass
+    read aggregates, so per-message trace chatter is dropped unformatted
+    (see {!Simkern.Trace.record}); pass
     [~trace_level:Full] for qualitative runs fed to {!Trace_analysis}. *)
 val bt_spec :
   ?cfg:Mpivcl.Config.t ->

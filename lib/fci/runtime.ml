@@ -75,12 +75,8 @@ type t = {
 
 let engine t = t.eng
 
-let trace ?level t inst event detail =
-  Engine.record ?level t.eng ~source:("fci:" ^ inst.id) ~event detail
-
-(* Per-transition automaton chatter: Full-gated, lazily formatted. *)
-let tracel t inst event f =
-  Engine.record_lazy ~level:Trace.Full t.eng ~source:("fci:" ^ inst.id) ~event f
+let trace ?level t inst event fmt =
+  Engine.record ?level t.eng ~source:("fci:" ^ inst.id) ~event fmt
 
 (* ------------------------------------------------------------------ *)
 (* Expression evaluation *)
@@ -95,10 +91,10 @@ let rec eval t inst expr =
           match ctl.Control.read_var name with
           | Some v -> v
           | None ->
-              trace t inst "eval-error" (Printf.sprintf "unknown app var %s" name);
+              trace t inst "eval-error" "unknown app var %s" name;
               0)
       | None ->
-          trace t inst "eval-error" (Printf.sprintf "app var %s with no controlled process" name);
+          trace t inst "eval-error" "app var %s with no controlled process" name;
           0)
   | Automaton.C_binop (op, a, b) -> (
       let va = eval t inst a and vb = eval t inst b in
@@ -121,7 +117,7 @@ let rec eval t inst expr =
   | Automaton.C_random (lo, hi) ->
       let lo = eval t inst lo and hi = eval t inst hi in
       if hi < lo then begin
-        trace t inst "eval-error" (Printf.sprintf "FAIL_RANDOM(%d, %d) with hi < lo" lo hi);
+        trace t inst "eval-error" "FAIL_RANDOM(%d, %d) with hi < lo" lo hi;
         lo
       end
       else Rng.int_in_range inst.rng ~lo ~hi
@@ -142,7 +138,7 @@ let eval_cond t inst (op, a, b) =
 let resolve_component t inst sel =
   match t.topo with
   | None ->
-      trace t inst "net-no-topology" (Automaton.topo_sel_s sel);
+      trace t inst "net-no-topology" "%s" (Automaton.topo_sel_s sel);
       None
   | Some topo -> (
       let comp =
@@ -161,7 +157,7 @@ let resolve_component t inst sel =
       match Simtopo.Topo.check_component topo comp with
       | Ok () -> Some (topo, comp)
       | Error msg ->
-          trace t inst "net-error" msg;
+          trace t inst "net-error" "%s" msg;
           None)
 
 (* ------------------------------------------------------------------ *)
@@ -179,18 +175,18 @@ let service_name t inst = function
 let exec_service t inst sel op =
   let name = service_name t inst sel in
   match (Hashtbl.find_opt t.services name, op) with
-  | None, `Kill -> trace t inst "halt-no-service" name
-  | None, `Stop -> trace t inst "stop-no-service" name
-  | None, `Continue -> trace t inst "continue-no-service" name
+  | None, `Kill -> trace t inst "halt-no-service" "%s" name
+  | None, `Stop -> trace t inst "stop-no-service" "%s" name
+  | None, `Continue -> trace t inst "continue-no-service" "%s" name
   | Some svc, `Kill ->
       t.fault_count <- t.fault_count + 1;
-      trace t inst "halt-service" name;
+      trace t inst "halt-service" "%s" name;
       svc.svc_kill ()
   | Some svc, `Stop ->
-      trace t inst "stop-service" name;
+      trace t inst "stop-service" "%s" name;
       svc.svc_freeze ()
   | Some svc, `Continue ->
-      trace t inst "continue-service" name;
+      trace t inst "continue-service" "%s" name;
       svc.svc_unfreeze ()
 
 (* ------------------------------------------------------------------ *)
@@ -215,7 +211,7 @@ let trigger_matches ev (trigger : Ast.trigger option) ~gen =
 let rec enter_node t inst idx =
   t.entry_depth <- t.entry_depth + 1;
   if t.entry_depth > 1000 then begin
-    trace ~level:Trace.Full t inst "epsilon-loop" (string_of_int idx);
+    trace ~level:Trace.Full t inst "epsilon-loop" "%d" idx;
     invalid_arg
       (Printf.sprintf "Runtime: epsilon-transition loop in %s at node index %d" inst.id idx)
   end;
@@ -225,7 +221,7 @@ let rec enter_node t inst idx =
   inst.timer_gen <- inst.timer_gen + 1;
   let gen = inst.timer_gen in
   let node = current_node inst in
-  trace ~level:Trace.Full t inst "enter-node" node.Automaton.node_id;
+  trace ~level:Trace.Full t inst "enter-node" "%s" node.Automaton.node_id;
   List.iter (fun (slot, e) -> inst.vars.(slot) <- eval t inst e) node.Automaton.always;
   (* A node change obsoletes the previous node's timer; cancelling it (the
      generation check below stays as a safety net) keeps [Engine.pending]
@@ -271,19 +267,19 @@ and exec_actions t inst actions ~sender =
           match inst.ctl with
           | Some ctl ->
               t.fault_count <- t.fault_count + 1;
-              trace t inst "halt" ctl.Control.target_name;
+              trace t inst "halt" "%s" ctl.Control.target_name;
               ctl.Control.kill ()
           | None -> trace t inst "halt-no-target" "")
       | Automaton.C_stop None -> (
           match inst.ctl with
           | Some ctl ->
-              trace t inst "stop" ctl.Control.target_name;
+              trace t inst "stop" "%s" ctl.Control.target_name;
               ctl.Control.freeze ()
           | None -> trace t inst "stop-no-target" "")
       | Automaton.C_continue None -> (
           match inst.ctl with
           | Some ctl ->
-              trace t inst "continue" ctl.Control.target_name;
+              trace t inst "continue" "%s" ctl.Control.target_name;
               ctl.Control.unfreeze ()
           | None -> trace t inst "continue-no-target" "")
       | Automaton.C_set_app (name, e) -> (
@@ -291,8 +287,8 @@ and exec_actions t inst actions ~sender =
           match inst.ctl with
           | Some ctl ->
               if not (ctl.Control.write_var name v) then
-                trace t inst "set-error" (Printf.sprintf "unknown app var %s" name)
-          | None -> trace t inst "set-no-target" name)
+                trace t inst "set-error" "unknown app var %s" name
+          | None -> trace t inst "set-no-target" "%s" name)
       | Automaton.C_partition (Automaton.CD_topo sel, None) -> (
           (* Component kill: sever the hosts whose only uplink died, cut
              every remaining host pair whose route crossed it. *)
@@ -310,15 +306,14 @@ and exec_actions t inst actions ~sender =
                   if ma <> [] && mb <> [] then begin
                     Perturb.partition p ma mb;
                     t.net_fault_count <- t.net_fault_count + 1;
-                    trace t inst "partition"
-                      (Printf.sprintf "%s | %s" (machines_s ma) (machines_s mb));
+                    trace t inst "partition" "%s | %s" (machines_s ma) (machines_s mb);
                     ensure_monitor t
                   end
               | None ->
                   if ma <> [] then begin
                     Perturb.isolate p ma;
                     t.net_fault_count <- t.net_fault_count + 1;
-                    trace t inst "partition" (Printf.sprintf "isolate %s" (machines_s ma));
+                    trace t inst "partition" "isolate %s" (machines_s ma);
                     ensure_monitor t
                   end))
       | Automaton.C_heal -> (
@@ -354,9 +349,8 @@ and exec_actions t inst actions ~sender =
                 let jitter = Float.max 0.0 (float_of_int (dim jitter_e) /. 1000.0) in
                 Perturb.degrade p ~hosts { Perturb.loss; latency; jitter };
                 t.net_fault_count <- t.net_fault_count + 1;
-                trace t inst "degrade"
-                  (Printf.sprintf "%s loss=%.3f latency=%.3fs jitter=%.3fs"
-                     (machines_s hosts) loss latency jitter);
+                trace t inst "degrade" "%s loss=%.3f latency=%.3fs jitter=%.3fs" (machines_s hosts)
+                  loss latency jitter;
                 ensure_monitor t
               end))
     actions;
@@ -370,7 +364,7 @@ and machines_of_dest t inst dest ~sender =
       match Hashtbl.find_opt t.by_name name with
       | Some i -> [ i.machine ]
       | None ->
-          trace t inst "net-error" (Printf.sprintf "unknown instance %s" name);
+          trace t inst "net-error" "unknown instance %s" name;
           [])
   | Automaton.CD_indexed (group, e) -> (
       let idx = eval t inst e in
@@ -378,17 +372,16 @@ and machines_of_dest t inst dest ~sender =
       | Some members when idx >= 0 && idx < Array.length members ->
           [ members.(idx).machine ]
       | Some members ->
-          trace t inst "net-error"
-            (Printf.sprintf "%s[%d] out of range 0..%d" group idx (Array.length members - 1));
+          trace t inst "net-error" "%s[%d] out of range 0..%d" group idx (Array.length members - 1);
           []
       | None ->
-          trace t inst "net-error" (Printf.sprintf "unknown group %s" group);
+          trace t inst "net-error" "unknown group %s" group;
           [])
   | Automaton.CD_group group -> (
       match Hashtbl.find_opt t.groups group with
       | Some members -> Array.to_list (Array.map (fun i -> i.machine) members)
       | None ->
-          trace t inst "net-error" (Printf.sprintf "unknown group %s" group);
+          trace t inst "net-error" "unknown group %s" group;
           [])
   | Automaton.CD_sender -> (
       match sender with
@@ -396,7 +389,7 @@ and machines_of_dest t inst dest ~sender =
           match Hashtbl.find_opt t.by_name name with
           | Some i -> [ i.machine ]
           | None ->
-              trace t inst "net-error" (Printf.sprintf "vanished sender %s" name);
+              trace t inst "net-error" "vanished sender %s" name;
               [])
       | None ->
           trace t inst "net-error" "FAIL_SENDER with no sender";
@@ -407,8 +400,7 @@ and machines_of_dest t inst dest ~sender =
       | Some (topo, comp) -> (
           match Simtopo.Topo.hosts_of topo comp with
           | [] ->
-              trace t inst "net-error"
-                (Printf.sprintf "%s encloses no hosts" (Simtopo.Topo.component_name comp));
+              trace t inst "net-error" "%s encloses no hosts" (Simtopo.Topo.component_name comp);
               []
           | hosts -> hosts))
 
@@ -437,16 +429,13 @@ and kill_component t p inst sel =
           (Simtopo.Topo.cut_pairs topo comp)
       in
       if severed = [] && crossing = [] then
-        trace t inst "net-error"
-          (Printf.sprintf "%s cuts no host pair" (Simtopo.Topo.component_name comp))
+        trace t inst "net-error" "%s cuts no host pair" (Simtopo.Topo.component_name comp)
       else begin
         if severed <> [] then Perturb.isolate p severed;
         if crossing <> [] then Perturb.cut_pairs p crossing;
         t.net_fault_count <- t.net_fault_count + 1;
-        trace t inst "partition"
-          (Printf.sprintf "kill %s: %d hosts severed, %d pairs cut"
-             (Simtopo.Topo.component_name comp)
-             (List.length severed) (List.length crossing));
+        trace t inst "partition" "kill %s: %d hosts severed, %d pairs cut"
+          (Simtopo.Topo.component_name comp) (List.length severed) (List.length crossing);
         ensure_monitor t
       end
 
@@ -462,15 +451,13 @@ and degrade_component t p inst sel spec =
         | Simtopo.Topo.Pod _ | Simtopo.Topo.Rack _ -> Simtopo.Topo.intra_pairs topo comp
       in
       if pairs = [] then
-        trace t inst "net-error"
-          (Printf.sprintf "%s carries no host pair" (Simtopo.Topo.component_name comp))
+        trace t inst "net-error" "%s carries no host pair" (Simtopo.Topo.component_name comp)
       else begin
         Perturb.degrade_pairs p ~pairs spec;
         t.net_fault_count <- t.net_fault_count + 1;
-        trace t inst "degrade"
-          (Printf.sprintf "%s: %d pairs loss=%.3f latency=%.3fs jitter=%.3fs"
-             (Simtopo.Topo.component_name comp) (List.length pairs) spec.Perturb.loss
-             spec.Perturb.latency spec.Perturb.jitter);
+        trace t inst "degrade" "%s: %d pairs loss=%.3f latency=%.3fs jitter=%.3fs"
+          (Simtopo.Topo.component_name comp) (List.length pairs) spec.Perturb.loss
+          spec.Perturb.latency spec.Perturb.jitter;
         ensure_monitor t
       end
 
@@ -519,8 +506,7 @@ and probe_all t p =
                 inst.hb_miss <- inst.hb_miss + 1;
                 if inst.hb_miss >= threshold && not inst.suspected then begin
                   inst.suspected <- true;
-                  trace t inst "suspect"
-                    (Printf.sprintf "%d missed heartbeats" inst.hb_miss)
+                  trace t inst "suspect" "%d missed heartbeats" inst.hb_miss
                 end
           end)
         rest
@@ -533,7 +519,7 @@ and send t inst msg dest ~sender =
     | Some p when Perturb.touched p && inst.machine <> target_inst.machine ->
         deliver_hardened t p inst target_inst msg
     | Some _ | None ->
-        trace t inst "send" (Printf.sprintf "%s -> %s" msg target_inst.id);
+        trace t inst "send" "%s -> %s" msg target_inst.id;
         Engine.post t.eng ~delay:t.cfg.msg_latency (fun () ->
             dispatch t target_inst (Ev_msg (msg, inst.id)))
   in
@@ -541,25 +527,24 @@ and send t inst msg dest ~sender =
   | Automaton.CD_instance name -> (
       match Hashtbl.find_opt t.by_name name with
       | Some target_inst -> deliver target_inst
-      | None -> trace t inst "send-error" (Printf.sprintf "unknown instance %s" name))
+      | None -> trace t inst "send-error" "unknown instance %s" name)
   | Automaton.CD_indexed (group, e) -> (
       let idx = eval t inst e in
       match Hashtbl.find_opt t.groups group with
       | Some members when idx >= 0 && idx < Array.length members -> deliver members.(idx)
       | Some members ->
-          trace t inst "send-error"
-            (Printf.sprintf "%s[%d] out of range 0..%d" group idx (Array.length members - 1))
-      | None -> trace t inst "send-error" (Printf.sprintf "unknown group %s" group))
+          trace t inst "send-error" "%s[%d] out of range 0..%d" group idx (Array.length members - 1)
+      | None -> trace t inst "send-error" "unknown group %s" group)
   | Automaton.CD_group group -> (
       match Hashtbl.find_opt t.groups group with
       | Some members -> Array.iter deliver members
-      | None -> trace t inst "send-error" (Printf.sprintf "unknown group %s" group))
+      | None -> trace t inst "send-error" "unknown group %s" group)
   | Automaton.CD_sender -> (
       match sender with
       | Some name -> (
           match Hashtbl.find_opt t.by_name name with
           | Some target_inst -> deliver target_inst
-          | None -> trace t inst "send-error" (Printf.sprintf "vanished sender %s" name))
+          | None -> trace t inst "send-error" "vanished sender %s" name)
       | None -> trace t inst "send-error" "FAIL_SENDER with no sender")
   | Automaton.CD_topo _ ->
       (* Broadcast to every daemon deployed inside the component. *)
@@ -581,12 +566,11 @@ and deliver_hardened t p inst target_inst msg =
   t.seq <- t.seq + 1;
   let seq = t.seq in
   let key = Printf.sprintf "%s#%d" inst.id seq in
-  trace t inst "send" (Printf.sprintf "%s -> %s #%d" msg target_inst.id seq);
+  trace t inst "send" "%s -> %s #%d" msg target_inst.id seq;
   let rec attempt k =
     if t.stopped then ()
     else if target_inst.suspected then
-      trace t inst "quarantine-drop"
-        (Printf.sprintf "%s -> %s #%d" msg target_inst.id seq)
+      trace t inst "quarantine-drop" "%s -> %s #%d" msg target_inst.id seq
     else begin
       (match Perturb.sample p ~src:inst.machine ~dst:target_inst.machine ~kind:`Data with
       | `Deliver extra ->
@@ -618,17 +602,15 @@ and deliver_hardened t p inst target_inst msg =
         let h =
           Engine.schedule t.eng ~delay (fun () ->
               Hashtbl.remove t.retries seq;
-              tracel t inst "retry" (fun () ->
-                  Printf.sprintf "%s -> %s #%d attempt %d" msg target_inst.id seq
-                    (k + 1));
+              trace ~level:Trace.Full t inst "retry" "%s -> %s #%d attempt %d" msg target_inst.id
+                seq (k + 1);
               attempt (k + 1))
         in
         Hashtbl.replace t.retries seq h
       end
       else begin
-        trace t inst "give-up"
-          (Printf.sprintf "%s -> %s #%d after %d attempts" msg target_inst.id seq
-             t.cfg.max_retries);
+        trace t inst "give-up" "%s -> %s #%d after %d attempts" msg target_inst.id seq
+          t.cfg.max_retries;
         if not target_inst.suspected then begin
           target_inst.suspected <- true;
           trace t target_inst "suspect" "control message exhausted retries"
@@ -655,17 +637,17 @@ and dispatch t inst ev =
   match matching with
   | Some tr ->
       (match ev with
-      | Ev_msg (m, s) -> tracel t inst "recv" (fun () -> Printf.sprintf "%s from %s" m s)
-      | Ev_timer _ -> trace ~level:Trace.Full t inst "timer-fired" node.Automaton.node_id
+      | Ev_msg (m, s) -> trace ~level:Trace.Full t inst "recv" "%s from %s" m s
+      | Ev_timer _ -> trace ~level:Trace.Full t inst "timer-fired" "%s" node.Automaton.node_id
       | Ev_onload -> trace ~level:Trace.Full t inst "onload" ""
       | Ev_onexit -> trace t inst "onexit" ""
       | Ev_onerror -> trace t inst "onerror" ""
-      | Ev_breakpoint (_, fn) -> trace ~level:Trace.Full t inst "breakpoint" fn
-      | Ev_watch v -> trace ~level:Trace.Full t inst "watch" v);
+      | Ev_breakpoint (_, fn) -> trace ~level:Trace.Full t inst "breakpoint" "%s" fn
+      | Ev_watch v -> trace ~level:Trace.Full t inst "watch" "%s" v);
       exec_actions t inst tr.Automaton.actions ~sender
   | None -> (
       match ev with
-      | Ev_msg (m, s) -> tracel t inst "drop" (fun () -> Printf.sprintf "%s from %s" m s)
+      | Ev_msg (m, s) -> trace ~level:Trace.Full t inst "drop" "%s from %s" m s
       | Ev_timer _ | Ev_onload | Ev_onexit | Ev_onerror | Ev_breakpoint _ | Ev_watch _ -> ())
 
 (* ------------------------------------------------------------------ *)
@@ -758,9 +740,8 @@ let register t ~machine (target : Control.target) =
   | Some inst ->
       (match inst.ctl with
       | Some previous ->
-          trace t inst "register-overwrite"
-            (Printf.sprintf "%s replaces %s" target.Control.target_name
-               previous.Control.target_name)
+          trace t inst "register-overwrite" "%s replaces %s" target.Control.target_name
+            previous.Control.target_name
       | None -> ());
       inst.ctl <- Some target;
       target.Control.subscribe_var (fun name -> dispatch t inst (Ev_watch name));

@@ -24,10 +24,7 @@ type t = {
   mutable is_exhausted : bool;
 }
 
-let trace ?level t event detail =
-  Engine.record ?level t.env.Renv.eng ~source:"rdispatcher" ~event detail
-let tracef ?level t event fmt =
-  Engine.record_fmt ?level t.env.Renv.eng ~source:"rdispatcher" ~event fmt
+let trace ?level t event fmt = Engine.record ?level t.env.Renv.eng ~source:"rdispatcher" ~event fmt
 
 let spawn (env : Renv.t) ~host ~host_of ~spare_hosts =
   let eng = env.Renv.eng in
@@ -60,8 +57,8 @@ let spawn (env : Renv.t) ~host ~host_of ~spare_hosts =
     let inc = info.Member.m_inc in
     let target_host = info.Member.m_host in
     let resume = info.Member.m_resume in
-    tracef ~level:Trace.Full t "launch" "replica %d.%d on host %d (inc %d%s)" rank slot target_host inc
-      (if resume then ", respawn" else "");
+    trace ~level:Trace.Full t "launch" "replica %d.%d on host %d (inc %d%s)" rank slot target_host
+      inc (if resume then ", respawn" else "");
     Mpivcl.Dispatch.ssh cluster ~host ~name:(Printf.sprintf "ssh-replica%d.%d" rank slot) cfg ~inc
       (fun () -> Replica.spawn env ~rank ~slot ~host:target_host ~incarnation:inc ~resume)
       (E_spawn_died (rank, slot, inc)) events
@@ -69,17 +66,17 @@ let spawn (env : Renv.t) ~host ~host_of ~spare_hosts =
   let move_to_spare ~rank ~slot =
     let info = Member.get members ~rank ~slot in
     match !free_hosts with
-    | [] -> tracef ~level:Trace.Full t "no-spare" "replica %d.%d relaunches in place" rank slot
+    | [] -> trace ~level:Trace.Full t "no-spare" "replica %d.%d relaunches in place" rank slot
     | spare :: rest ->
         free_hosts := rest @ [ info.Member.m_host ];
-        tracef ~level:Trace.Full t "reallocate" "replica %d.%d: host %d -> %d" rank slot
+        trace ~level:Trace.Full t "reallocate" "replica %d.%d: host %d -> %d" rank slot
           info.Member.m_host spare;
         info.Member.m_host <- spare
   in
   let arm_window ~rank =
     window_token.(rank) <- window_token.(rank) + 1;
     let tok = window_token.(rank) in
-    tracef t "rank-at-risk" "rank %d has no live replica; failover window %.1fs" rank
+    trace t "rank-at-risk" "rank %d has no live replica; failover window %.1fs" rank
       failover_window;
     Engine.post eng ~delay:failover_window (fun () ->
         Mailbox.send events (E_window (rank, tok)))
@@ -96,7 +93,7 @@ let spawn (env : Renv.t) ~host ~host_of ~spare_hosts =
     if not !finished_run then begin
       t.is_exhausted <- true;
       finished_run := true;
-      tracef t "replication-exhausted" "rank %d lost all %d replicas" rank degree;
+      trace t "replication-exhausted" "rank %d lost all %d replicas" rank degree;
       broadcast Rmsg.Shutdown;
       Ivar.fill t.result (Aborted (Printf.sprintf "replication exhausted at rank %d" rank))
     end
@@ -132,7 +129,7 @@ let spawn (env : Renv.t) ~host ~host_of ~spare_hosts =
     then begin
       info.Member.m_conn <- Some conn;
       info.Member.m_state <- Member.Registered;
-      tracef ~level:Trace.Full t "replica-registered" "replica %d.%d inc %d" rank slot inc;
+      trace ~level:Trace.Full t "replica-registered" "replica %d.%d inc %d" rank slot inc;
       if info.Member.m_resume then
         if Member.finished members ~rank then begin
           (* the rank completed while this respawn was in flight *)
@@ -152,7 +149,8 @@ let spawn (env : Renv.t) ~host ~host_of ~spare_hosts =
                           Some { Rmsg.mb_slot = donor.Member.slot; mb_host = donor.Member.m_host };
                       }))
           | [] ->
-              tracef ~level:Trace.Full t "respawn-no-donor" "replica %d.%d has no live sibling" rank slot;
+              trace ~level:Trace.Full t "respawn-no-donor" "replica %d.%d has no live sibling" rank
+                slot;
               info.Member.m_state <- Member.Dead;
               info.Member.m_conn <- None;
               Net.close conn;
@@ -168,7 +166,7 @@ let spawn (env : Renv.t) ~host ~host_of ~spare_hosts =
         info.Member.m_state <- Member.Computing;
         t.respawn_count <- t.respawn_count + 1;
         window_token.(rank) <- window_token.(rank) + 1;
-        tracef t "replica-respawn" "replica %d.%d live again on host %d" rank slot
+        trace t "replica-respawn" "replica %d.%d live again on host %d" rank slot
           info.Member.m_host;
         (* mesh repair: every computing replica of the other ranks opens a
            link to the newcomer *)
@@ -192,7 +190,7 @@ let spawn (env : Renv.t) ~host ~host_of ~spare_hosts =
     if not (Member.finished members ~rank) then begin
       Member.mark_finished members ~rank;
       window_token.(rank) <- window_token.(rank) + 1;
-      tracef ~level:Trace.Full t "rank-finished" "rank %d (replica slot %d first)" rank slot;
+      trace ~level:Trace.Full t "rank-finished" "rank %d (replica slot %d first)" rank slot;
       if Member.all_finished members then begin
         finished_run := true;
         broadcast Rmsg.Shutdown;
@@ -209,14 +207,15 @@ let spawn (env : Renv.t) ~host ~host_of ~spare_hosts =
           info.Member.m_state <- Member.Dead;
           info.Member.m_conn <- None;
           if Member.finished members ~rank then
-            tracef ~level:Trace.Full t "closure-ignored" "replica %d.%d (rank already finished)" rank slot
+            trace ~level:Trace.Full t "closure-ignored" "replica %d.%d (rank already finished)" rank
+              slot
           else begin
             match Member.live_slots members ~rank with
             | _ :: _ as live ->
                 (* Failure detection, replication-style: siblings keep
                    computing, nothing rolls back. *)
                 t.failover_count <- t.failover_count + 1;
-                tracef t "replica-failover" "replica %d.%d down, %d live sibling%s" rank slot
+                trace t "replica-failover" "replica %d.%d down, %d live sibling%s" rank slot
                   (List.length live)
                   (if List.length live = 1 then "" else "s");
                 respawn ~rank ~slot
@@ -227,25 +226,25 @@ let spawn (env : Renv.t) ~host ~host_of ~spare_hosts =
           info.Member.m_conn <- None;
           if not !steady then begin
             (* start-up failure: plain retry, no wave machinery to confuse *)
-            tracef ~level:Trace.Full t "spawn-retry" "replica %d.%d lost before start" rank slot;
+            trace ~level:Trace.Full t "spawn-retry" "replica %d.%d lost before start" rank slot;
             move_to_spare ~rank ~slot;
             launch ~rank ~slot
           end
           else begin
-            tracef ~level:Trace.Full t "respawn-interrupted" "replica %d.%d" rank slot;
+            trace ~level:Trace.Full t "respawn-interrupted" "replica %d.%d" rank slot;
             match Member.live_slots members ~rank with
             | _ :: _ -> respawn ~rank ~slot
             | [] -> rank_uncovered ~rank
           end
       | Member.Computing | Member.Launching | Member.Dead ->
-          tracef ~level:Trace.Full t "closure-ignored" "replica %d.%d in state %s" rank slot
+          trace ~level:Trace.Full t "closure-ignored" "replica %d.%d in state %s" rank slot
             (Member.state_name info.Member.m_state)
   in
   let handle_spawn_died rank slot inc =
     let info = Member.get members ~rank ~slot in
     if inc = info.Member.m_inc && info.Member.m_state = Member.Launching && not !finished_run
     then begin
-      tracef ~level:Trace.Full t "spawn-failed" "replica %d.%d inc %d" rank slot inc;
+      trace ~level:Trace.Full t "spawn-failed" "replica %d.%d inc %d" rank slot inc;
       if Member.finished members ~rank then info.Member.m_state <- Member.Dead
       else if not info.Member.m_resume then begin
         move_to_spare ~rank ~slot;
@@ -268,7 +267,7 @@ let spawn (env : Renv.t) ~host ~host_of ~spare_hosts =
           | Rmsg.Ready _ -> handle_ready rank slot
           | Rmsg.Rank_done _ -> handle_rank_done rank slot
           | msg ->
-              trace t "protocol-error"
+              trace t "protocol-error" "%s"
                 (Format.asprintf "from replica %d.%d: %a" rank slot Rmsg.pp msg))
     | E_closed (rank, slot, inc) -> handle_closed rank slot inc
     | E_spawn_died (rank, slot, inc) -> handle_spawn_died rank slot inc

@@ -19,11 +19,7 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
   let cluster = env.Renv.cluster in
   let cfg = env.Renv.cfg in
   let name = Printf.sprintf "rdaemon-%d.%d" rank slot in
-  let trace ?level event detail = Engine.record ?level eng ~source:name ~event detail in
-  (* Chatty per-message / per-state-transfer events are tagged Full so
-     the Summary traces used by campaigns skip both formatting and
-     storage (record_fmt defers formatting until the gate passes). *)
-  let tracef ?level event fmt = Engine.record_fmt ?level eng ~source:name ~event fmt in
+  let trace ?level event fmt = Engine.record ?level eng ~source:name ~event fmt in
   Cluster.spawn_on cluster ~host ~name (fun () ->
       let app_proc = ref None in
       let vars =
@@ -32,7 +28,7 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
           ~main:(Proc.self ())
           ~children:(fun f -> Option.iter f !app_proc)
       in
-      tracef ~level:Trace.Full "daemon-start" "host %d incarnation %d%s" host incarnation
+      trace ~level:Trace.Full "daemon-start" "host %d incarnation %d%s" host incarnation
         (if resume then " (respawn)" else "");
       Daemon.startup_delay cfg env.Renv.rng;
       match
@@ -106,7 +102,8 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
                     incr sent)
               peer_conns;
             if !sent = 0 then
-              tracef ~level:Trace.Full "send-deferred" "to rank %d (no live replica connected, logged)" dst
+              trace ~level:Trace.Full "send-deferred"
+                "to rank %d (no live replica connected, logged)" dst
           in
           let flush_log ~peer_rank ~bound conn =
             (* Re-send everything logged for [peer_rank] above the peer's
@@ -117,8 +114,8 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
               |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
             in
             if entries <> [] then
-              tracef ~level:Trace.Full "log-flush" "%d messages to rank %d (> ssn %d)" (List.length entries)
-                peer_rank bound;
+              trace ~level:Trace.Full "log-flush" "%d messages to rank %d (> ssn %d)"
+                (List.length entries) peer_rank bound;
             List.iter
               (fun (ssn, m) ->
                 ignore (Net.send conn ~size:m.Message.bytes (Rmsg.App { msg = m; ssn })))
@@ -157,7 +154,8 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
                     (Net.send conn
                        (Rmsg.Peer_hello { rank; slot; consumed = consumed_bounds () }));
                   register_peer pr ps conn
-              | Error `Refused -> tracef ~level:Trace.Full "peer-connect-failed" "replica %d.%d" pr ps
+              | Error `Refused ->
+                  trace ~level:Trace.Full "peer-connect-failed" "replica %d.%d" pr ps
           in
           let build_image () =
             let logged =
@@ -225,7 +223,7 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
                 match donor with
                 | None -> trace "state-transfer-failed" "no donor"
                 | Some d -> (
-                    tracef ~level:Trace.Full "state-fetch" "from slot %d on host %d" d.Rmsg.mb_slot
+                    trace ~level:Trace.Full "state-fetch" "from slot %d on host %d" d.Rmsg.mb_slot
                       d.Rmsg.mb_host;
                     match
                       Net.connect env.Renv.net ~host ~to_host:d.Rmsg.mb_host
@@ -239,8 +237,8 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
                             Net.close sc;
                             install_image image;
                             Proc.sleep Daemon.restart_settle;
-                            tracef ~level:Trace.Full "restored" "from slot %d (%d bytes)" d.Rmsg.mb_slot
-                              image.Message.img_bytes;
+                            trace ~level:Trace.Full "restored" "from slot %d (%d bytes)"
+                              d.Rmsg.mb_slot image.Message.img_bytes;
                             ignore (Net.send dconn (Rmsg.Ready { rank; slot }));
                             (* peers connect to us on the dispatcher's
                                Peer_update; until then sends are logged and
@@ -254,7 +252,7 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
                 connect_peer pr ps phost;
                 loop ()
             | D_ctrl (Some msg) ->
-                trace "protocol-error" (Format.asprintf "from dispatcher: %a" Rmsg.pp msg);
+                trace "protocol-error" "%s" (Format.asprintf "from dispatcher: %a" Rmsg.pp msg);
                 loop ()
             | D_peer_joined (pr, ps, conn, consumed) ->
                 register_peer pr ps conn;
@@ -280,8 +278,8 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
                 let bound = Option.value ~default:0 (Hashtbl.find_opt received src) in
                 if ssn > bound then Hashtbl.replace received src ssn;
                 if Hashtbl.mem seen (src, m.Message.tag) then
-                  tracef ~level:Trace.Full "duplicate-dropped" "%d->%d tag %d ssn %d" src m.Message.dst
-                    m.Message.tag ssn
+                  trace ~level:Trace.Full "duplicate-dropped" "%d->%d tag %d ssn %d" src
+                    m.Message.dst m.Message.tag ssn
                 else begin
                   Hashtbl.replace seen (src, m.Message.tag) ();
                   Daemon.deliver matching ~redelivery m
@@ -289,7 +287,7 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
                 loop ()
             | D_peer ((pr, ps), None) ->
                 Hashtbl.remove peer_conns (pr, ps);
-                tracef ~level:Trace.Full "peer-lost" "replica %d.%d" pr ps;
+                trace ~level:Trace.Full "peer-lost" "replica %d.%d" pr ps;
                 (* pre-start: a replica listed in our Start died; don't
                    wait for a link that will be re-established (or never
                    come) — the respawn reconnects via Peer_update *)
@@ -299,13 +297,13 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
                 end;
                 loop ()
             | D_peer ((pr, ps), Some msg) ->
-                trace "protocol-error"
+                trace "protocol-error" "%s"
                   (Format.asprintf "from replica %d.%d: %a" pr ps Rmsg.pp msg);
                 loop ()
             | D_state_req conn ->
                 let img = build_image () in
                 ignore (Net.send conn ~size:img.Message.img_bytes (Rmsg.State_xfer { image = img }));
-                tracef ~level:Trace.Full "state-serve" "%d bytes" img.Message.img_bytes;
+                trace ~level:Trace.Full "state-serve" "%d bytes" img.Message.img_bytes;
                 loop ()
             | D_app (Daemon.A_send m) ->
                 forward_send m;

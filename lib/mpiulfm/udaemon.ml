@@ -73,8 +73,7 @@ let spawn (env : Uenv.t) ~id ~incarnation =
   let population = env.Uenv.population in
   let host = id in
   let name = Printf.sprintf "udaemon-%d" id in
-  let trace ?level event detail = Engine.record ?level eng ~source:name ~event detail in
-  let tracef ?level event fmt = Engine.record_fmt ?level eng ~source:name ~event fmt in
+  let trace ?level event fmt = Engine.record ?level eng ~source:name ~event fmt in
   Cluster.spawn_on cluster ~host ~name (fun () ->
       let events : ev Mailbox.t = Mailbox.create () in
       let alive = ref true in
@@ -273,7 +272,7 @@ let spawn (env : Uenv.t) ~id ~incarnation =
                 spawn_rank r state)
               mine;
             if mine <> [] then
-              tracef ~level:Trace.Full "apps-started" "%d rank%s from iteration %d (epoch %d)"
+              trace ~level:Trace.Full "apps-started" "%d rank%s from iteration %d (epoch %d)"
                 (List.length mine)
                 (if List.length mine = 1 then "" else "s")
                 !restart !epoch
@@ -295,8 +294,8 @@ let spawn (env : Uenv.t) ~id ~incarnation =
         | Shrinkc.Edge _ -> ()
         | Shrinkc.Solo | Shrinkc.Core _ ->
             if !sync_value <> k then
-              tracef "sync-mismatch" "allreduce sum %d over %d members" !sync_value k);
-        tracef ~level:Trace.Full "sync-complete" "epoch %d re-knit over %d members" !epoch k;
+              trace "sync-mismatch" "allreduce sum %d over %d members" !sync_value k);
+        trace ~level:Trace.Full "sync-complete" "epoch %d re-knit over %d members" !epoch k;
         spawn_apps ()
       in
       let rec enter_round plan j =
@@ -390,7 +389,7 @@ let spawn (env : Uenv.t) ~id ~incarnation =
       let raise_revoke () =
         if !started && not !revoked then begin
           revoked := true;
-          tracef "revoke" "epoch %d (suspects: %s%s)" !epoch
+          trace "revoke" "epoch %d (suspects: %s%s)" !epoch
             (String.concat "," (List.map string_of_int (suspected_now ())))
             (if !torn then "; torn link" else "")
         end;
@@ -426,12 +425,12 @@ let spawn (env : Uenv.t) ~id ~incarnation =
         alive := false
       in
       let do_abort reason =
-        trace "abort" reason;
+        trace "abort" "%s" reason;
         dsend (Umsg.Abort { id; reason });
         stop_task ()
       in
       let fence () =
-        tracef "fenced" "excluded from epoch %d, shutting down" !epoch;
+        trace "fenced" "excluded from epoch %d, shutting down" !epoch;
         stop_task ()
       in
       let rec ensure_mesh () =
@@ -488,7 +487,7 @@ let spawn (env : Uenv.t) ~id ~incarnation =
         Hashtbl.reset pending_fetch;
         if not (List.mem id !members) then fence ()
         else begin
-          tracef "epoch-install" "epoch %d: %d members, restart iteration %d%s" !epoch
+          trace "epoch-install" "epoch %d: %d members, restart iteration %d%s" !epoch
             (List.length !members) !restart
             (if d.Shrinkc.d_promoted > 0 then
                Printf.sprintf ", %d spare%s promoted" d.Shrinkc.d_promoted
@@ -527,7 +526,7 @@ let spawn (env : Uenv.t) ~id ~incarnation =
       let check_phase2 bs =
         match bs.bs_decision with
         | Some d when List.for_all (fun p -> Hashtbl.mem bs.bs_accepts p) bs.bs_proposed ->
-            tracef ~level:Trace.Full "decide" "b%d epoch %d" bs.bs_ballot d.Shrinkc.d_epoch;
+            trace ~level:Trace.Full "decide" "b%d epoch %d" bs.bs_ballot d.Shrinkc.d_epoch;
             broadcast_peers (Umsg.Decide { decision = d });
             proposing := None;
             install d
@@ -576,7 +575,7 @@ let spawn (env : Uenv.t) ~id ~incarnation =
                not shrink (split-brain risk); retry after a beat in case
                the partition heals, abort when the ballot budget runs
                out *)
-            tracef "quorum-lost" "only %d of %d members reachable (quorum %d)"
+            trace "quorum-lost" "only %d of %d members reachable (quorum %d)"
               (List.length bs.bs_proposed) (List.length !members)
               (Shrinkc.quorum !members);
             proposing := None;
@@ -605,7 +604,7 @@ let spawn (env : Uenv.t) ~id ~incarnation =
             }
           in
           proposing := Some bs;
-          tracef ~level:Trace.Full "ballot" "b%d proposing %d of %d members" b
+          trace ~level:Trace.Full "ballot" "b%d proposing %d of %d members" b
             (List.length proposed) (List.length !members);
           (* self-grant; with a sole survivor this is already phase-1
              complete *)
@@ -760,7 +759,7 @@ let spawn (env : Uenv.t) ~id ~incarnation =
               end
             end
             else begin
-              trace "fetch-failed" (Printf.sprintf "rank %d iteration %d" rank iter);
+              trace "fetch-failed" "rank %d iteration %d" rank iter;
               torn := true;
               raise_revoke ();
               ensure_propose ()
@@ -773,7 +772,7 @@ let spawn (env : Uenv.t) ~id ~incarnation =
         | Umsg.App { epoch = e; msg } ->
             if e = !epoch then deliver msg
             else if e > !epoch then future := !future @ [ (e, msg) ]
-        | msg -> trace "protocol-error" (Format.asprintf "from peer %d: %a" p Umsg.pp msg)
+        | msg -> trace "protocol-error" "%s" (Format.asprintf "from peer %d: %a" p Umsg.pp msg)
       in
       let handle_app e rank (req : Daemon.app_request) =
         if e = !epoch then
@@ -789,7 +788,7 @@ let spawn (env : Uenv.t) ~id ~incarnation =
               | _ -> ())
           | A_finalize ->
               if not (Hashtbl.mem done_ranks rank) then
-                tracef ~level:Trace.Full "rank-done" "rank %d (epoch %d)" rank !epoch;
+                trace ~level:Trace.Full "rank-done" "rank %d (epoch %d)" rank !epoch;
               Hashtbl.replace done_ranks rank ();
               dsend (Umsg.Rank_done { rank })
       in
@@ -802,7 +801,7 @@ let spawn (env : Uenv.t) ~id ~incarnation =
            ~children:(fun f ->
              Hashtbl.iter (fun _ p -> f p) app_procs;
              Option.iter f !acceptor));
-      tracef ~level:Trace.Full "daemon-start" "host %d incarnation %d" host incarnation;
+      trace ~level:Trace.Full "daemon-start" "host %d incarnation %d" host incarnation;
       Daemon.startup_delay cfg env.Uenv.rng;
       ensure_dconn ();
       Daemon.handshake env.Uenv.fci ~host;
@@ -838,7 +837,7 @@ let spawn (env : Uenv.t) ~id ~incarnation =
               stop_task ();
               trace ~level:Trace.Full "daemon-exit" "shutdown"
           | E_ctrl (Some msg) ->
-              trace "protocol-error" (Format.asprintf "from dispatcher: %a" Umsg.pp msg)
+              trace "protocol-error" "%s" (Format.asprintf "from dispatcher: %a" Umsg.pp msg)
           | E_peer_joined (p, conn) -> register_peer p conn
           | E_peer (p, Some msg) -> handle_peer_msg p msg
           | E_peer (p, None) ->
@@ -846,7 +845,7 @@ let spawn (env : Uenv.t) ~id ~incarnation =
               | Some _ ->
                   Hashtbl.remove peer_conns p;
                   if !started && List.mem p !members then begin
-                    tracef ~level:Trace.Full "peer-lost" "daemon %d" p;
+                    trace ~level:Trace.Full "peer-lost" "daemon %d" p;
                     torn := true;
                     raise_revoke ();
                     ensure_propose ()
@@ -869,7 +868,7 @@ let spawn (env : Uenv.t) ~id ~incarnation =
                       (fun p ->
                         if p <> id && not (heard p) then Hashtbl.replace suspected_extra p ())
                       bs.bs_proposed;
-                    tracef ~level:Trace.Full "ballot-timeout" "b%d" bs.bs_ballot;
+                    trace ~level:Trace.Full "ballot-timeout" "b%d" bs.bs_ballot;
                     proposing := None;
                     ensure_propose ()
                 | None -> ())

@@ -31,11 +31,7 @@ type t = {
   mutable divergent : bool;
 }
 
-let trace ?level t event detail =
-  Engine.record ?level t.env.Uenv.eng ~source:"udispatcher" ~event detail
-
-let tracef ?level t event fmt =
-  Engine.record_fmt ?level t.env.Uenv.eng ~source:"udispatcher" ~event fmt
+let trace ?level t event fmt = Engine.record ?level t.env.Uenv.eng ~source:"udispatcher" ~event fmt
 
 let spawn (env : Uenv.t) ~host =
   let eng = env.Uenv.eng in
@@ -68,7 +64,7 @@ let spawn (env : Uenv.t) ~host =
   let launch ~id =
     incs.(id) <- incs.(id) + 1;
     let inc = incs.(id) in
-    tracef ~level:Trace.Full t "launch" "daemon %d on host %d (inc %d)" id id inc;
+    trace ~level:Trace.Full t "launch" "daemon %d on host %d (inc %d)" id id inc;
     Mpivcl.Dispatch.ssh cluster ~host ~name:(Printf.sprintf "ssh-udaemon%d" id) cfg ~inc
       (fun () -> Udaemon.spawn env ~id ~incarnation:inc)
       (E_spawn_died (id, inc)) events
@@ -81,21 +77,21 @@ let spawn (env : Uenv.t) ~host =
       started := true;
       let ids = List.init population Fun.id in
       broadcast (Umsg.Start { ids });
-      tracef t "app-started" "%d daemons (%d ranks, %d spares)" population n (population - n)
+      trace t "app-started" "%d daemons (%d ranks, %d spares)" population n (population - n)
     end
   in
   let maybe_aborted () =
     if !started && (not !finished) && Array.for_all Fun.id dead then begin
       finished := true;
       let reason = Option.value ~default:"all daemons lost" t.abort_reason in
-      trace t "app-aborted" reason;
+      trace t "app-aborted" "%s" reason;
       Ivar.fill t.result (Aborted reason)
     end
   in
   let handle_rank_done rank =
     if rank >= 0 && rank < n && not rank_done.(rank) then begin
       rank_done.(rank) <- true;
-      tracef ~level:Trace.Full t "rank-finished" "rank %d" rank;
+      trace ~level:Trace.Full t "rank-finished" "rank %d" rank;
       if (not !finished) && Array.for_all Fun.id rank_done then begin
         finished := true;
         broadcast Umsg.Shutdown;
@@ -114,7 +110,7 @@ let spawn (env : Uenv.t) ~host =
     | Some (members0, restart0) ->
         if members0 <> members || restart0 <> restart then begin
           t.divergent <- true;
-          tracef t "split-brain" "epoch %d decided twice: [%s]@%d vs [%s]@%d" epoch
+          trace t "split-brain" "epoch %d decided twice: [%s]@%d vs [%s]@%d" epoch
             (String.concat "," (List.map string_of_int members0))
             restart0
             (String.concat "," (List.map string_of_int members))
@@ -129,7 +125,7 @@ let spawn (env : Uenv.t) ~host =
           t.latest_epoch <- epoch;
           t.survivors_latest <- survivors
         end;
-        tracef t "shrink" "epoch %d: %d members, %d survivors, restart iteration %d" epoch
+        trace t "shrink" "epoch %d: %d members, %d survivors, restart iteration %d" epoch
           (List.length members) survivors restart
   in
   let handle_event = function
@@ -137,7 +133,7 @@ let spawn (env : Uenv.t) ~host =
         if inc = incs.(id) && not !finished then begin
           (match conns.(id) with Some old when old != conn -> Net.close old | _ -> ());
           conns.(id) <- Some conn;
-          tracef ~level:Trace.Full t "daemon-registered" "daemon %d inc %d" id inc;
+          trace ~level:Trace.Full t "daemon-registered" "daemon %d inc %d" id inc;
           (* a reconnecting daemon missed the start gun *)
           if !started then ignore (Net.send conn (Umsg.Start { ids = List.init population Fun.id }))
         end
@@ -153,10 +149,10 @@ let spawn (env : Uenv.t) ~host =
             ->
               handle_report ~epoch ~survivors ~promoted ~adopted ~ballots ~restart ~members
           | Umsg.Abort { id = from; reason } ->
-              tracef t "daemon-abort" "daemon %d: %s" from reason;
+              trace t "daemon-abort" "daemon %d: %s" from reason;
               if t.abort_reason = None then t.abort_reason <- Some reason
           | msg ->
-              trace t "protocol-error" (Format.asprintf "from daemon %d: %a" id Umsg.pp msg)
+              trace t "protocol-error" "%s" (Format.asprintf "from daemon %d: %a" id Umsg.pp msg)
         end
     | E_closed (id, inc) ->
         if inc = incs.(id) && not !finished then begin
@@ -165,7 +161,7 @@ let spawn (env : Uenv.t) ~host =
             (* start-up failure: plain retry, the shrink machinery only
                guards the computation *)
             ready.(id) <- false;
-            tracef ~level:Trace.Full t "spawn-retry" "daemon %d lost before start" id;
+            trace ~level:Trace.Full t "spawn-retry" "daemon %d lost before start" id;
             launch ~id
           end
         end
@@ -173,7 +169,7 @@ let spawn (env : Uenv.t) ~host =
         if inc = incs.(id) && not !finished then
           if !started then begin
             dead.(id) <- true;
-            tracef ~level:Trace.Full t "daemon-dead" "daemon %d" id;
+            trace ~level:Trace.Full t "daemon-dead" "daemon %d" id;
             maybe_aborted ()
           end
           else begin

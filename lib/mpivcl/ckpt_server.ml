@@ -37,12 +37,7 @@ type t = {
   mutable respawn_count : int;
 }
 
-let trace ?level t event detail =
-  Engine.record ?level t.eng ~source:"ckpt-server" ~event detail
-
-(* Per-image traffic is the hottest trace path in long runs: Full-gated,
-   lazily formatted. *)
-let tracel t event f = Engine.record_lazy ~level:Trace.Full t.eng ~source:"ckpt-server" ~event f
+let trace ?level t event fmt = Engine.record ?level t.eng ~source:"ckpt-server" ~event fmt
 
 let n_servers t = Array.length t.server_hosts
 let mirrored t = t.replicas >= 2 && n_servers t >= 2
@@ -66,7 +61,7 @@ let mirror_push t (image : Message.image) =
   let rank = image.Message.img_rank and wave = image.Message.img_wave in
   let skip why =
     t.mirror_conn <- None;
-    trace t "mirror-skip" (Printf.sprintf "rank %d wave %d: %s" rank wave why)
+    trace t "mirror-skip" "rank %d wave %d: %s" rank wave why
   in
   let conn =
     match t.mirror_conn with
@@ -90,7 +85,7 @@ let mirror_push t (image : Message.image) =
         match Simnet.Net.recv_timeout c ~timeout:ack_timeout with
         | Some (Simnet.Net.Data (Message.Mirror_ack { rank = r; wave = w }))
           when r = rank && w = wave ->
-            tracel t "mirror-ack" (fun () -> Printf.sprintf "rank %d wave %d" rank wave)
+            trace ~level:Trace.Full t "mirror-ack" "rank %d wave %d" rank wave
         | Some (Simnet.Net.Data _) -> skip "mirror protocol error"
         | Some Simnet.Net.Closed -> skip "mirror died"
         | None -> skip "mirror ack timeout")
@@ -110,9 +105,8 @@ let handle_conn t jobs conn =
                 Hashtbl.replace t.pending rank { s_image = image; s_complete = false };
                 Proc.sleep (transfer_time image.Message.img_bytes);
                 Hashtbl.replace t.pending rank { s_image = image; s_complete = true };
-                tracel t "store" (fun () ->
-                    Printf.sprintf "rank %d wave %d (%d bytes)" rank
-                      image.Message.img_wave image.Message.img_bytes);
+                trace ~level:Trace.Full t "store" "rank %d wave %d (%d bytes)" rank
+                  image.Message.img_wave image.Message.img_bytes;
                 if mirrored t && primary_index t ~rank = t.index then mirror_push t image;
                 ignore (Simnet.Net.send conn (Message.Store_done { wave = image.Message.img_wave })))
         | Message.Mirror_store { image } ->
@@ -123,9 +117,8 @@ let handle_conn t jobs conn =
             Hashtbl.replace t.pending rank { s_image = image; s_complete = false };
             Proc.sleep (transfer_time image.Message.img_bytes);
             Hashtbl.replace t.pending rank { s_image = image; s_complete = true };
-            tracel t "mirror-store" (fun () ->
-                Printf.sprintf "rank %d wave %d (%d bytes)" rank image.Message.img_wave
-                  image.Message.img_bytes);
+            trace ~level:Trace.Full t "mirror-store" "rank %d wave %d (%d bytes)" rank
+              image.Message.img_wave image.Message.img_bytes;
             ignore
               (Simnet.Net.send conn
                  (Message.Mirror_ack { rank; wave = image.Message.img_wave }))
@@ -145,26 +138,27 @@ let handle_conn t jobs conn =
               List.fold_left (fun acc (i : Message.image) -> acc + i.Message.img_bytes) 0 images
             in
             Proc.sleep (transfer_time total);
-            tracel t "sync-serve" (fun () ->
-                Printf.sprintf "shard %d: %d image(s), %d bytes" shard (List.length images) total);
+            trace ~level:Trace.Full t "sync-serve" "shard %d: %d image(s), %d bytes" shard
+              (List.length images) total;
             ignore (Simnet.Net.send conn ~size:(max 64 total) (Message.Sync_images { images }))
         | Message.Fetch { rank; local_wave } -> (
             match Hashtbl.find_opt t.committed_tbl rank with
             | Some image when local_wave = Some image.Message.img_wave ->
                 (* The host already has this wave on local disk: no
                    transfer needed. *)
-                tracel t "fetch-local" (fun () -> Printf.sprintf "rank %d wave %d" rank image.Message.img_wave);
+                trace ~level:Trace.Full t "fetch-local" "rank %d wave %d" rank
+                  image.Message.img_wave;
                 ignore (Simnet.Net.send conn (Message.Fetch_use_local { wave = image.Message.img_wave }))
             | Some image ->
                 Mailbox.send jobs (fun () ->
                     Proc.sleep (transfer_time image.Message.img_bytes);
-                    tracel t "fetch-remote" (fun () ->
-                        Printf.sprintf "rank %d wave %d" rank image.Message.img_wave);
+                    trace ~level:Trace.Full t "fetch-remote" "rank %d wave %d" rank
+                      image.Message.img_wave;
                     (* Transfer time is modelled by the worker sleep above;
                        the reply itself is metadata. *)
                     ignore (Simnet.Net.send conn (Message.Fetch_image { image = Some image })))
             | None ->
-                tracel t "fetch-none" (fun () -> Printf.sprintf "rank %d" rank);
+                trace ~level:Trace.Full t "fetch-none" "rank %d" rank;
                 ignore (Simnet.Net.send conn (Message.Fetch_image { image = None })))
         | Message.Commit { wave } ->
             (* Commit is the atomic slot flip: only sealed images move,
@@ -190,13 +184,13 @@ let handle_conn t jobs conn =
                 if slot.s_complete && slot.s_image.Message.img_wave <= wave then
                   Hashtbl.remove t.pending rank)
               (Hashtbl.copy t.pending);
-            tracel t "commit" (fun () -> Printf.sprintf "wave %d (%d images)" wave !moved)
+            trace ~level:Trace.Full t "commit" "wave %d (%d images)" wave !moved
         | Message.Commit_rank { rank; wave } ->
             (match Hashtbl.find_opt t.pending rank with
             | Some slot when slot.s_complete && slot.s_image.Message.img_wave = wave ->
                 Hashtbl.replace t.committed_tbl rank slot.s_image;
                 Hashtbl.remove t.pending rank;
-                trace t "commit-rank" (Printf.sprintf "rank %d wave %d" rank wave);
+                trace t "commit-rank" "rank %d wave %d" rank wave;
                 (* v2's per-rank commits bypass the scheduler, so the
                    primary forwards them to the mirror itself. *)
                 if mirrored t && primary_index t ~rank = t.index then begin
@@ -206,7 +200,7 @@ let handle_conn t jobs conn =
                   | Some _ | None -> ()
                 end
             | Some _ | None ->
-                tracel t "commit-rank-miss" (fun () -> Printf.sprintf "rank %d wave %d" rank wave))
+                trace ~level:Trace.Full t "commit-rank-miss" "rank %d wave %d" rank wave)
         | Message.Peer_hello _ | Message.App _ | Message.Marker _ | Message.Hello _
         | Message.Ready _ | Message.Start _ | Message.Terminate | Message.Rank_done _
         | Message.Shutdown | Message.Sched_hello _ | Message.Sched_marker _
@@ -214,7 +208,7 @@ let handle_conn t jobs conn =
         | Message.Fetch_image _ | Message.App_logged _ | Message.Log_gc _
         | Message.Resend _ | Message.Mirror_ack _ | Message.Sync_images _
         | Message.Ckpt_lost_report _ ->
-            trace t "protocol-error" (Format.asprintf "unexpected %a" Message.pp msg));
+            trace t "protocol-error" "%s" (Format.asprintf "unexpected %a" Message.pp msg));
         run ()
   in
   run ()
@@ -231,7 +225,7 @@ let recover t =
   List.iter (fun (rank, _) -> Hashtbl.remove t.pending rank) torn;
   if torn <> [] then begin
     t.torn_count <- t.torn_count + List.length torn;
-    trace t "torn-discarded"
+    trace t "torn-discarded" "%s"
       (String.concat ", "
          (List.map (fun (r, w) -> Printf.sprintf "rank %d wave %d" r w)
             (List.sort compare torn)))
@@ -242,13 +236,13 @@ let recover t =
       let to_host = t.server_hosts.(from_index) in
       match Simnet.Net.connect t.net ~host:t.host ~to_host ~to_port:Config.server_port with
       | Error `Refused ->
-          trace t "resync-skip" (Printf.sprintf "shard %d: server %d unreachable" shard from_index)
+          trace t "resync-skip" "shard %d: server %d unreachable" shard from_index
       | Ok c ->
           Fun.protect
             ~finally:(fun () -> Simnet.Net.close c)
             (fun () ->
               if not (Simnet.Net.send c (Message.Sync_pull { shard })) then
-                trace t "resync-skip" (Printf.sprintf "shard %d: connection lost" shard)
+                trace t "resync-skip" "shard %d: connection lost" shard
               else
                 match Simnet.Net.recv_timeout c ~timeout:ack_timeout with
                 | Some (Simnet.Net.Data (Message.Sync_images { images })) ->
@@ -266,11 +260,10 @@ let recover t =
                         end)
                       images;
                     t.resync_count <- t.resync_count + 1;
-                    trace t "resync"
-                      (Printf.sprintf "shard %d from server %d: %d image(s)" shard from_index
-                         !installed)
+                    trace t "resync" "shard %d from server %d: %d image(s)" shard from_index
+                      !installed
                 | Some (Simnet.Net.Data _) | Some Simnet.Net.Closed | None ->
-                    trace t "resync-skip" (Printf.sprintf "shard %d: no reply" shard))
+                    trace t "resync-skip" "shard %d: no reply" shard)
     in
     (* Our own shard from the mirror that replicated it, and the
        neighbour shard we mirror from that shard's primary. *)
@@ -322,8 +315,7 @@ let rec start t ~first =
             Engine.post t.eng ~delay (fun () ->
                 if not t.halted then begin
                   t.respawn_count <- t.respawn_count + 1;
-                  trace t "respawn"
-                    (Printf.sprintf "server %d (host %d) restarting" t.index t.host);
+                  trace t "respawn" "server %d (host %d) restarting" t.index t.host;
                   start t ~first:false
                 end)
           end)

@@ -106,7 +106,7 @@ let fetch_from (env : Env.t) ~host ~rank to_host =
       Net.close fconn;
       result
 
-let restore env ~trace ~host ~rank ~incarnation =
+let restore env ~source ~host ~rank ~incarnation =
   let with_backoff to_host =
     let rec attempt k =
       match fetch_from env ~host ~rank to_host with
@@ -129,8 +129,8 @@ let restore env ~trace ~host ~rank ~incarnation =
         | `Image img -> `Image img
         | `Unreachable ->
             if rest <> [] then
-              trace "fetch-failover"
-                (Printf.sprintf "server host %d unreachable, trying mirror" to_host);
+              Engine.record env.Env.eng ~source ~event:"fetch-failover"
+                "server host %d unreachable, trying mirror" to_host;
             walk rest)
   in
   if incarnation = 0 then `Image None else walk (Env.storage_hosts env ~rank)
@@ -139,10 +139,11 @@ type storage = {
   mutable conn : Message.t Net.conn option;
   replicas : int list;
   connect : int -> Message.t Net.conn option;  (* forwards the new link *)
-  trace : string -> string -> unit;
+  eng : Engine.t;
+  source : string;
 }
 
-let storage (env : Env.t) ~trace ~host ~rank wrap events =
+let storage (env : Env.t) ~source ~host ~rank wrap events =
   let replicas = Env.storage_hosts env ~rank in
   let connect to_host =
     match Net.connect env.net ~host ~to_host ~to_port:Config.server_port with
@@ -151,7 +152,7 @@ let storage (env : Env.t) ~trace ~host ~rank wrap events =
         Some c
     | Error `Refused -> None
   in
-  { conn = connect (List.hd replicas); replicas; connect; trace }
+  { conn = connect (List.hd replicas); replicas; connect; eng = env.eng; source }
 
 let storage_link s = s.conn
 
@@ -165,9 +166,9 @@ let ensure_storage s =
           if s.conn = None then
             match s.connect to_host with
             | Some c ->
-                s.trace "server-reconnect"
-                  (Printf.sprintf "storage host %d%s" to_host
-                     (if to_host = List.hd s.replicas then "" else " (mirror)"));
+                Engine.record s.eng ~source:s.source ~event:"server-reconnect"
+                  "storage host %d%s" to_host
+                  (if to_host = List.hd s.replicas then "" else " (mirror)");
                 s.conn <- Some c
             | None -> ())
         s.replicas);

@@ -123,16 +123,16 @@ val serve :
     The rank's storage replicas are {!Env.storage_hosts}: its primary
     server, then its mirror when storage is replicated. *)
 
-(** [restore env ~trace ~host ~rank ~incarnation] fetches the rank's last
+(** [restore env ~source ~host ~rank ~incarnation] fetches the rank's last
     committed image. Incarnation 0 starts fresh without asking. Otherwise
     the fetch walks the failover ladder: each replica in turn, with
     {!fetch_retries} attempts and exponential backoff. A live server that
     holds nothing is an authoritative fresh start ([`Image None]).
     [`Lost] means no replica was reachable. A failover is traced
-    [fetch-failover] through [trace event detail]. *)
+    [fetch-failover] under [source]. *)
 val restore :
   Env.t ->
-  trace:(string -> string -> unit) ->
+  source:string ->
   host:int ->
   rank:int ->
   incarnation:int ->
@@ -141,12 +141,12 @@ val restore :
 (** The daemon's link to checkpoint storage. *)
 type storage
 
-(** [storage env ~trace ~host ~rank wrap events] connects to the rank's
-    primary server. Each link it opens is forwarded to [events] through
-    [wrap]. *)
+(** [storage env ~source ~host ~rank wrap events] connects to the rank's
+    primary server; reconnections are traced under [source]. Each link
+    it opens is forwarded to [events] through [wrap]. *)
 val storage :
   Env.t ->
-  trace:(string -> string -> unit) ->
+  source:string ->
   host:int ->
   rank:int ->
   (Message.t option -> 'ev) ->

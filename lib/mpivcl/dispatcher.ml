@@ -34,11 +34,7 @@ type t = {
   mutable is_ckpt_lost : bool;
 }
 
-let trace ?level t event detail =
-  Engine.record ?level t.env.Env.eng ~source:"dispatcher" ~event detail
-
-let tracef ?level t event fmt =
-  Engine.record_fmt ?level t.env.Env.eng ~source:"dispatcher" ~event fmt
+let trace ?level t event fmt = Engine.record ?level t.env.Env.eng ~source:"dispatcher" ~event fmt
 
 let state_name = function
   | R_launching -> "launching"
@@ -87,7 +83,7 @@ let spawn (env : Env.t) ~host ~initial_hosts ~spare_limit =
     set_state info R_launching;
     let inc = info.ri_inc in
     let target_host = info.ri_host in
-    tracef ~level:Trace.Full t "launch" "rank %d on host %d (inc %d)" r target_host inc;
+    trace ~level:Trace.Full t "launch" "rank %d on host %d (inc %d)" r target_host inc;
     Dispatch.ssh cluster ~host ~name:(Printf.sprintf "ssh-rank%d" r) cfg ~inc
       (fun () ->
         if Config.restarts_all_ranks cfg then
@@ -98,10 +94,10 @@ let spawn (env : Env.t) ~host ~initial_hosts ~spare_limit =
   let move_to_spare r =
     let info = ranks.(r) in
     match !free_hosts with
-    | [] -> tracef ~level:Trace.Full t "no-spare" "rank %d restarts in place" r
+    | [] -> trace ~level:Trace.Full t "no-spare" "rank %d restarts in place" r
     | spare :: rest ->
         free_hosts := rest @ [ info.ri_host ];
-        tracef ~level:Trace.Full t "reallocate" "rank %d: host %d -> %d" r info.ri_host spare;
+        trace ~level:Trace.Full t "reallocate" "rank %d: host %d -> %d" r info.ri_host spare;
         info.ri_host <- spare
   in
   let old_stopping () =
@@ -110,7 +106,7 @@ let spawn (env : Env.t) ~host ~initial_hosts ~spare_limit =
   let begin_recovery ~failed =
     t.recovery_count <- t.recovery_count + 1;
     steady := false;
-    tracef t "recovery-start" "#%d triggered by rank %d" t.recovery_count failed;
+    trace t "recovery-start" "#%d triggered by rank %d" t.recovery_count failed;
     Array.iteri
       (fun r info ->
         if r <> failed then
@@ -145,11 +141,11 @@ let spawn (env : Env.t) ~host ~initial_hosts ~spare_limit =
       | R_stopping ->
           (* Old-wave daemon terminated as ordered: relaunch in place,
              eagerly. *)
-          tracef ~level:Trace.Full t "old-wave-stopped" "rank %d" r;
+          trace ~level:Trace.Full t "old-wave-stopped" "rank %d" r;
           launch r
       | R_computing when !steady ->
           (* Failure detection in steady state. *)
-          tracef t "failure-detected" "rank %d" r;
+          trace t "failure-detected" "rank %d" r;
           if Config.restarts_all_ranks cfg then begin
             begin_recovery ~failed:r;
             move_to_spare r;
@@ -170,7 +166,7 @@ let spawn (env : Env.t) ~host ~initial_hosts ~spare_limit =
                relaunched — the application freezes. *)
             t.is_confused <- true;
             set_state info R_forgotten;
-            tracef t "dispatcher-confused" "rank %d lost while %d old-wave daemons still stopping"
+            trace t "dispatcher-confused" "rank %d lost while %d old-wave daemons still stopping"
               r (old_stopping ())
           end
           else if cfg.Config.vcl_seeded_race && t.recovery_count > 0 && not !steady then begin
@@ -182,16 +178,17 @@ let spawn (env : Env.t) ~host ~initial_hosts ~spare_limit =
             t.is_race_lost <- true;
             let was = state_name info.ri_st in
             set_state info R_forgotten;
-            tracef t "dispatcher-race" "rank %d (%s) lost mid-recovery, wave #%d" r was
+            trace t "dispatcher-race" "rank %d (%s) lost mid-recovery, wave #%d" r was
               t.recovery_count
           end
           else begin
-            tracef ~level:Trace.Full t "new-wave-failure" "rank %d (handled)" r;
+            trace ~level:Trace.Full t "new-wave-failure" "rank %d (handled)" r;
             move_to_spare r;
             launch r
           end
       | R_launching | R_forgotten ->
-          tracef ~level:Trace.Full t "closure-ignored" "rank %d in state %s" r (state_name info.ri_st)
+          trace ~level:Trace.Full t "closure-ignored" "rank %d in state %s" r
+            (state_name info.ri_st)
     end
   in
   let handle_event = function
@@ -200,7 +197,7 @@ let spawn (env : Env.t) ~host ~initial_hosts ~spare_limit =
         if inc = info.ri_inc && info.ri_st = R_launching && not !completed then begin
           info.ri_conn <- Some conn;
           set_state info R_registered;
-          tracef ~level:Trace.Full t "rank-registered" "rank %d inc %d" r inc
+          trace ~level:Trace.Full t "rank-registered" "rank %d inc %d" r inc
         end
         else Net.close conn
     | E_msg (r, inc, msg) -> (
@@ -218,7 +215,7 @@ let spawn (env : Env.t) ~host ~initial_hosts ~spare_limit =
                       ignore (Net.send conn (Message.Start { rank_hosts; resume = true }))
                   | None -> ());
                   set_state info R_computing;
-                  tracef t "rank-resumed" "rank %d" r
+                  trace t "rank-resumed" "rank %d" r
                 end
                 else begin
                   set_state info R_ready;
@@ -248,7 +245,7 @@ let spawn (env : Env.t) ~host ~initial_hosts ~spare_limit =
               t.is_ckpt_lost <- true;
               set_state info R_forgotten;
               completed := true;
-              tracef t "ckpt-lost" "rank %d: no complete checkpoint image survives" r;
+              trace t "ckpt-lost" "rank %d: no complete checkpoint image survives" r;
               Array.iter
                 (fun i ->
                   match i.ri_conn with
@@ -256,7 +253,8 @@ let spawn (env : Env.t) ~host ~initial_hosts ~spare_limit =
                   | None -> ())
                 ranks;
               Ivar.fill t.result (Aborted "checkpoint storage lost")
-          | msg -> trace t "protocol-error" (Format.asprintf "from rank %d: %a" r Message.pp msg))
+          | msg ->
+              trace t "protocol-error" "%s" (Format.asprintf "from rank %d: %a" r Message.pp msg))
     | E_closed (r, inc) -> handle_closed r inc
     | E_spawn_died (r, inc) ->
         let info = ranks.(r) in
@@ -264,7 +262,7 @@ let spawn (env : Env.t) ~host ~initial_hosts ~spare_limit =
           (* The daemon died before registering (e.g. killed between spawn
              and Hello): the dispatcher sees a failed launch and simply
              retries — no wave confusion possible. *)
-          tracef ~level:Trace.Full t "spawn-failed" "rank %d inc %d, retrying" r inc;
+          trace ~level:Trace.Full t "spawn-failed" "rank %d inc %d, retrying" r inc;
           if !steady then begin
             (* Should not happen: launching implies a recovery or startup
                is in progress. *)

@@ -8,8 +8,7 @@ type t = {
   mutable committed_count : int;
 }
 
-let trace ?level t event detail =
-  Engine.record ?level t.eng ~source:"ckpt-scheduler" ~event detail
+let trace ?level t event fmt = Engine.record ?level t.eng ~source:"ckpt-scheduler" ~event fmt
 
 (* How long the scheduler waits for the wave's store acks after
    broadcasting markers before abandoning the wave (traced
@@ -48,11 +47,12 @@ let spawn eng cluster net ~host ~n_ranks ~wave_interval ~server_hosts =
           rank := `Rank r;
           Hashtbl.replace conns r conn;
           last_change := Engine.now eng;
-          trace ~level:Trace.Full t "daemon-connected" (string_of_int r);
+          trace ~level:Trace.Full t "daemon-connected" "%d" r;
           ping ()
       | `Hello, Some msg ->
           rank := `Refused;
-          trace t "protocol-error" (Format.asprintf "expected Sched_hello, got %a" Message.pp msg)
+          trace t "protocol-error" "%s"
+            (Format.asprintf "expected Sched_hello, got %a" Message.pp msg)
       | `Rank r, None -> (
           (* Only forget the rank if this connection is still the
              registered one (a new incarnation may have replaced it). *)
@@ -60,7 +60,7 @@ let spawn eng cluster net ~host ~n_ranks ~wave_interval ~server_hosts =
           | Some c when c == conn ->
               Hashtbl.remove conns r;
               last_change := Engine.now eng;
-              trace ~level:Trace.Full t "daemon-lost" (string_of_int r);
+              trace ~level:Trace.Full t "daemon-lost" "%d" r;
               ping ()
           | Some _ | None -> ())
       | `Rank _, Some (Message.Sched_ack { rank = r; wave }) ->
@@ -68,7 +68,7 @@ let spawn eng cluster net ~host ~n_ranks ~wave_interval ~server_hosts =
           if wave = !current_wave then Hashtbl.replace acks r ();
           ping ()
       | `Rank _, Some msg ->
-          trace t "protocol-error" (Format.asprintf "unexpected %a" Message.pp msg)
+          trace t "protocol-error" "%s" (Format.asprintf "unexpected %a" Message.pp msg)
   in
   ignore
     (Cluster.spawn_on cluster ~host ~name:"ckpt-scheduler" (fun () ->
@@ -127,7 +127,7 @@ let spawn eng cluster net ~host ~n_ranks ~wave_interval ~server_hosts =
                  incr next_wave;
                  current_wave := wave;
                  Hashtbl.reset acks;
-                 trace ~level:Trace.Full t "wave-start" (string_of_int wave);
+                 trace ~level:Trace.Full t "wave-start" "%d" wave;
                  Hashtbl.iter
                    (fun _rank conn ->
                      ignore (Simnet.Net.send conn (Message.Sched_marker { wave })))
@@ -155,7 +155,7 @@ let spawn eng cluster net ~host ~n_ranks ~wave_interval ~server_hosts =
                    if Hashtbl.length acks = n_ranks then `Committed
                    else if Hashtbl.length conns < n_ranks then `Membership
                    else if attempt < 1 then begin
-                     trace ~level:Trace.Full t "wave-retry" (string_of_int wave);
+                     trace ~level:Trace.Full t "wave-retry" "%d" wave;
                      Hashtbl.iter
                        (fun rank conn ->
                          if not (Hashtbl.mem acks rank) then
@@ -172,15 +172,14 @@ let spawn eng cluster net ~host ~n_ranks ~wave_interval ~server_hosts =
                        (fun conn -> ignore (Simnet.Net.send conn (Message.Commit { wave })))
                        server_conns;
                      t.committed_count <- t.committed_count + 1;
-                     trace t "wave-commit" (string_of_int wave)
+                     trace t "wave-commit" "%d" wave
                  | `Membership ->
                      abandoned_streak := 0;
-                     trace ~level:Trace.Full t "wave-abort" (string_of_int wave)
+                     trace ~level:Trace.Full t "wave-abort" "%d" wave
                  | `Abandoned ->
                      incr abandoned_streak;
-                     trace t "wave-abandoned"
-                       (Printf.sprintf "wave %d (%d/%d acks)" wave (Hashtbl.length acks)
-                          n_ranks);
+                     trace t "wave-abandoned" "wave %d (%d/%d acks)" wave (Hashtbl.length acks)
+                       n_ranks;
                      if !abandoned_streak >= 2 then begin
                        (* Two waves in a row timed out with a stable
                           membership: the application plane is wedged or
@@ -193,7 +192,7 @@ let spawn eng cluster net ~host ~n_ranks ~wave_interval ~server_hosts =
                           any ack seen while dormant is such a late
                           flush) shows the plane moving again. *)
                        let c0 = !last_change and a0 = !last_ack in
-                       trace t "cadence-dormant" (string_of_int wave);
+                       trace t "cadence-dormant" "%d" wave;
                        wait_until (fun () -> !last_change <> c0 || !last_ack <> a0);
                        abandoned_streak := 0
                      end);

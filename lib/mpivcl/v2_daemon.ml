@@ -17,9 +17,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
   let cfg = env.Env.cfg in
   let name = Printf.sprintf "vdaemon-%d" rank in
   let src = Printf.sprintf "v2daemon-%d" rank in
-  let trace ?level event detail = Engine.record ?level eng ~source:src ~event detail in
-  (* Chatty per-message / per-wave events: Full-gated, lazily formatted. *)
-  let tracel event f = Engine.record_lazy ~level:Trace.Full eng ~source:src ~event f in
+  let trace ?level event fmt = Engine.record ?level eng ~source:src ~event fmt in
   Cluster.spawn_on cluster ~host ~name (fun () ->
       let app_proc = ref None in
       let vars =
@@ -28,7 +26,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
           ~main:(Proc.self ())
           ~children:(fun f -> Option.iter f !app_proc)
       in
-      tracel "daemon-start" (fun () -> Printf.sprintf "host %d incarnation %d" host incarnation);
+      trace ~level:Trace.Full "daemon-start" "host %d incarnation %d" host incarnation;
       Daemon.startup_delay cfg env.Env.rng;
       match
         Net.connect env.Env.net ~host ~to_host:env.Env.dispatcher_host
@@ -41,16 +39,15 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
           (* Restore walks the same failover ladder as the vcl daemon;
              only when no replica is reachable at all is the checkpoint
              declared lost. *)
-          match Daemon.restore env ~trace ~host ~rank ~incarnation with
+          match Daemon.restore env ~source:src ~host ~rank ~incarnation with
           | `Lost ->
-              trace "ckpt-lost"
-                (Printf.sprintf "rank %d: no storage replica reachable" rank);
+              trace "ckpt-lost" "rank %d: no storage replica reachable" rank;
               ignore (Net.send dconn (Message.Ckpt_lost_report { rank }));
               trace "daemon-abort" "checkpoint storage lost"
           | `Image image ->
           Proc.sleep Daemon.restart_settle;
           (match image with
-          | Some img -> tracel "restored" (fun () -> Printf.sprintf "wave %d" img.Message.img_wave)
+          | Some img -> trace ~level:Trace.Full "restored" "wave %d" img.Message.img_wave
           | None -> trace ~level:Trace.Full "restored" "fresh");
           let listener = Net.listen env.Env.net ~host ~port:Config.daemon_port in
           Fun.protect ~finally:(fun () -> Net.close_listener listener) @@ fun () ->
@@ -64,7 +61,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
           (* Stores ride the failover ladder too: reconnect to the
              primary if it came back, else to the mirror. *)
           let storage =
-            Daemon.storage env ~trace ~host ~rank (fun m -> D_server m) events
+            Daemon.storage env ~source:src ~host ~rank (fun m -> D_server m) events
           in
           Net.forward dconn (fun m -> Mailbox.send events (D_ctrl m));
           ignore (Net.send dconn (Message.Ready { rank }));
@@ -131,7 +128,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                 join_peer peer conn;
                 true
             | Error `Refused ->
-                trace ~level:Trace.Full "peer-connect-failed" (string_of_int peer);
+                trace ~level:Trace.Full "peer-connect-failed" "%d" peer;
                 false
           in
           let forward_send (m : Message.app_msg) =
@@ -151,8 +148,8 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
             match Hashtbl.find_opt peer_conns dst with
             | Some conn ->
                 if not (Net.send conn ~size:m.Message.bytes (Message.App_logged { msg = m; ssn }))
-                then tracel "send-deferred" (fun () -> Printf.sprintf "to %d (closed, logged)" dst)
-            | None -> tracel "send-deferred" (fun () -> Printf.sprintf "to %d (no connection, logged)" dst)
+                then trace ~level:Trace.Full "send-deferred" "to %d (closed, logged)" dst
+            | None -> trace ~level:Trace.Full "send-deferred" "to %d (no connection, logged)" dst
           in
           let schedule_tick delay =
             incr ckpt_gen;
@@ -197,7 +194,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                 (match Daemon.ensure_storage storage with
                 | Some conn -> ignore (Net.send conn (Message.Store { image = img }))
                 | None -> ckpt_in_flight := None);
-                tracel "local-checkpoint" (fun () -> Printf.sprintf "wave %d" wave)
+                trace ~level:Trace.Full "local-checkpoint" "wave %d" wave
           in
           let spawn_app () =
             let state =
@@ -225,15 +222,15 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
               Option.value ~default:0 (List.assoc_opt rank consumed)
             in
             match Hashtbl.find_opt peer_conns peer with
-            | None -> trace ~level:Trace.Full "resend-no-conn" (string_of_int peer)
+            | None -> trace ~level:Trace.Full "resend-no-conn" "%d" peer
             | Some conn ->
                 let entries =
                   Option.value ~default:[] (Hashtbl.find_opt send_log peer)
                   |> List.filter (fun (ssn, _) -> ssn > bound)
                   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
                 in
-                tracel "resend" (fun () ->
-                    Printf.sprintf "%d messages to %d (> ssn %d)" (List.length entries) peer bound);
+                trace ~level:Trace.Full "resend" "%d messages to %d (> ssn %d)"
+                  (List.length entries) peer bound;
                 List.iter
                   (fun (ssn, m) ->
                     ignore
@@ -277,7 +274,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                 end;
                 loop ()
             | D_ctrl (Some msg) ->
-                trace "protocol-error" (Format.asprintf "from dispatcher: %a" Message.pp msg);
+                trace "protocol-error" "%s" (Format.asprintf "from dispatcher: %a" Message.pp msg);
                 loop ()
             | D_peer_joined (peer, conn) ->
                 join_peer peer conn;
@@ -289,15 +286,14 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                 loop ()
             | D_peer (peer, None) ->
                 Hashtbl.remove peer_conns peer;
-                trace ~level:Trace.Full "peer-lost" (string_of_int peer);
+                trace ~level:Trace.Full "peer-lost" "%d" peer;
                 loop ()
             | D_peer (_, Some (Message.App_logged { msg = m; ssn })) ->
                 let src = m.Message.src in
                 let bound = Option.value ~default:0 (Hashtbl.find_opt received src) in
                 if ssn > bound then Hashtbl.replace received src ssn;
                 if Hashtbl.mem seen (src, m.Message.tag) then
-                  trace "duplicate-dropped"
-                    (Printf.sprintf "%d->%d tag %d" src m.Message.dst m.Message.tag)
+                  trace "duplicate-dropped" "%d->%d tag %d" src m.Message.dst m.Message.tag
                 else begin
                   Hashtbl.replace seen (src, m.Message.tag) ();
                   Daemon.deliver matching ~redelivery m
@@ -317,7 +313,8 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                 handle_resend peer consumed;
                 loop ()
             | D_peer (peer, Some msg) ->
-                trace "protocol-error" (Format.asprintf "from peer %d: %a" peer Message.pp msg);
+                trace "protocol-error" "%s"
+                  (Format.asprintf "from peer %d: %a" peer Message.pp msg);
                 loop ()
             | D_server None ->
                 (* The storage connection died: an in-flight store will
@@ -327,8 +324,8 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                 (match !ckpt_in_flight with
                 | Some (w, _) ->
                     ckpt_in_flight := None;
-                    tracel "checkpoint-abandoned" (fun () ->
-                        Printf.sprintf "wave %d: storage connection lost" w)
+                    trace ~level:Trace.Full "checkpoint-abandoned"
+                      "wave %d: storage connection lost" w
                 | None -> ());
                 loop ()
             | D_server (Some (Message.Store_done { wave })) ->
@@ -344,11 +341,11 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                     let gc = Message.Log_gc { rank; consumed = snapshot_bounds } in
                     Hashtbl.iter (fun _peer conn -> ignore (Net.send conn gc)) peer_conns;
                     Fci.Control.set_var vars "wave" wave;
-                    tracel "checkpoint-committed" (fun () -> Printf.sprintf "wave %d" wave)
+                    trace ~level:Trace.Full "checkpoint-committed" "wave %d" wave
                 | Some _ | None -> ());
                 loop ()
             | D_server (Some msg) ->
-                trace "protocol-error" (Format.asprintf "from server: %a" Message.pp msg);
+                trace "protocol-error" "%s" (Format.asprintf "from server: %a" Message.pp msg);
                 loop ()
             | D_ckpt_tick gen ->
                 if gen = !ckpt_gen && Option.is_some !app_proc then begin

@@ -34,11 +34,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
   let cluster = env.Env.cluster in
   let cfg = env.Env.cfg in
   let name = Printf.sprintf "vdaemon-%d" rank in
-  let trace ?level event detail = Engine.record ?level eng ~source:name ~event detail in
-  (* Chatty per-message / per-wave events: Full-gated and lazily
-     formatted, so Summary-level campaign runs pay neither the string
-     formatting nor the retention. *)
-  let tracel event f = Engine.record_lazy ~level:Trace.Full eng ~source:name ~event f in
+  let trace ?level event fmt = Engine.record ?level eng ~source:name ~event fmt in
   Cluster.spawn_on cluster ~host ~name (fun () ->
       let app_proc = ref None in
       (* The FAIL-MPI "task": halting kills both unix processes of the
@@ -49,7 +45,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
           ~main:(Proc.self ())
           ~children:(fun f -> Option.iter f !app_proc)
       in
-      tracel "daemon-start" (fun () -> Printf.sprintf "host %d incarnation %d" host incarnation);
+      trace ~level:Trace.Full "daemon-start" "host %d incarnation %d" host incarnation;
       (* Process restore and socket setup before the dispatcher sees us. *)
       Daemon.startup_delay cfg env.Env.rng;
       match
@@ -66,16 +62,15 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
              storage replica is unreachable is the checkpoint declared
              lost (reported to the dispatcher — recovery was needed and
              no complete image survives). *)
-          match Daemon.restore env ~trace ~host ~rank ~incarnation with
+          match Daemon.restore env ~source:name ~host ~rank ~incarnation with
           | `Lost ->
-              trace "ckpt-lost"
-                (Printf.sprintf "rank %d: no storage replica reachable" rank);
+              trace "ckpt-lost" "rank %d: no storage replica reachable" rank;
               ignore (Net.send dconn (Message.Ckpt_lost_report { rank }));
               trace "daemon-abort" "checkpoint storage lost"
           | `Image image ->
           Proc.sleep Daemon.restart_settle;
           (match image with
-          | Some img -> tracel "restored" (fun () -> Printf.sprintf "wave %d" img.Message.img_wave)
+          | Some img -> trace ~level:Trace.Full "restored" "wave %d" img.Message.img_wave
           | None -> trace ~level:Trace.Full "restored" "fresh");
           let listener = Net.listen env.Env.net ~host ~port:Config.daemon_port in
           Fun.protect ~finally:(fun () -> Net.close_listener listener) @@ fun () ->
@@ -103,7 +98,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
           (* Stores ride the failover ladder too, so later waves keep
              landing on storage instead of silently going nowhere. *)
           let storage =
-            Daemon.storage env ~trace ~host ~rank (fun m -> D_server m) events
+            Daemon.storage env ~source:name ~host ~rank (fun m -> D_server m) events
           in
           relay dconn (fun m -> D_ctrl m);
           ignore (Net.send dconn (Message.Ready { rank }));
@@ -140,7 +135,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
 
           let send_app conn (m : Message.app_msg) =
             if not (Net.send conn ~size:m.Message.bytes (Message.App m)) then
-              tracel "send-failed" (fun () -> Printf.sprintf "to %d (closed)" m.Message.dst)
+              trace ~level:Trace.Full "send-failed" "to %d (closed)" m.Message.dst
           in
           (* Lazy mesh: open the channel on first send. If a wave is in
              progress, our marker must precede every message of ours on
@@ -153,7 +148,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                 ~to_port:Config.daemon_port
             with
             | Error `Refused ->
-                tracel "send-failed" (fun () -> Printf.sprintf "to %d (unreachable)" dst);
+                trace ~level:Trace.Full "send-failed" "to %d (unreachable)" dst;
                 None
             | Ok conn ->
                 ignore (Net.send conn (Message.Peer_hello { rank }));
@@ -174,7 +169,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                 | Some conn -> send_app conn m
                 | None -> ())
             | None ->
-                tracel "send-failed" (fun () -> Printf.sprintf "to %d (no connection)" m.Message.dst)
+                trace ~level:Trace.Full "send-failed" "to %d (no connection)" m.Message.dst
           in
           let finish_ckpt (c : ckpt) =
             let logged = List.rev c.ck_logged in
@@ -200,9 +195,9 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
             Local_disk.store env.Env.disk ~host img;
             (match Daemon.ensure_storage storage with
             | Some conn -> ignore (Net.send conn (Message.Store { image = img }))
-            | None -> tracel "store-skipped" (fun () -> Printf.sprintf "wave %d: no storage" c.ck_wave));
-            tracel "local-checkpoint" (fun () ->
-                Printf.sprintf "wave %d (%d logged)" c.ck_wave (List.length logged))
+            | None -> trace ~level:Trace.Full "store-skipped" "wave %d: no storage" c.ck_wave);
+            trace ~level:Trace.Full "local-checkpoint" "wave %d (%d logged)" c.ck_wave
+              (List.length logged)
           in
           let maybe_complete_channels (c : ckpt) =
             if IntSet.is_empty c.ck_channels && not c.ck_stored then begin
@@ -239,7 +234,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
               }
             in
             ckpt := Some c;
-            tracel "cut" (fun () -> Printf.sprintf "wave %d" wave);
+            trace ~level:Trace.Full "cut" "wave %d" wave;
             Hashtbl.iter
               (fun _peer conn -> ignore (Net.send conn (Message.Marker { wave })))
               peer_conns;
@@ -261,13 +256,13 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                      globally, so drop it and join the new one. Held sends
                      of the blocking variant stay held until the new wave
                      completes. *)
-                  tracel "ckpt-abandoned" (fun () ->
-                      Printf.sprintf "wave %d superseded by %d" c.ck_wave wave);
+                  trace ~level:Trace.Full "ckpt-abandoned" "wave %d superseded by %d" c.ck_wave
+                    wave;
                   ckpt := None;
                   begin_cut wave ~from_peer
               | Some c ->
-                  tracel "marker-anomaly" (fun () ->
-                      Printf.sprintf "stale wave %d while checkpointing %d" wave c.ck_wave)
+                  trace ~level:Trace.Full "marker-anomaly" "stale wave %d while checkpointing %d"
+                    wave c.ck_wave
             end
           in
           let release_held () =
@@ -312,7 +307,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                     Hashtbl.replace peer_conns peer conn;
                     relay conn (fun m -> D_peer (peer, m))
                 | Error `Refused ->
-                    trace ~level:Trace.Full "peer-connect-failed" (string_of_int peer)
+                    trace ~level:Trace.Full "peer-connect-failed" "%d" peer
               done;
             maybe_start ()
           in
@@ -331,7 +326,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                     Rng.float env.Env.rng term_straggler_extra
                   else 0.0
                 in
-                trace "terminate-order" (Printf.sprintf "lag %.2f" lag);
+                trace "terminate-order" "lag %.2f" lag;
                 Proc.sleep lag;
                 Option.iter Proc.kill !app_proc;
                 trace "daemon-exit" "terminated on order"
@@ -345,7 +340,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                 connect_lower_peers ();
                 loop ()
             | D_ctrl (Some msg) ->
-                trace "protocol-error" (Format.asprintf "from dispatcher: %a" Message.pp msg);
+                trace "protocol-error" "%s" (Format.asprintf "from dispatcher: %a" Message.pp msg);
                 loop ()
             | D_peer_joined (peer, conn) ->
                 (* Under a lazy mesh a simultaneous cross-connect can race
@@ -373,12 +368,12 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                 (match Hashtbl.find_opt peer_conns peer with
                 | Some _ -> Hashtbl.remove peer_conns peer
                 | None -> ());
-                trace ~level:Trace.Full "peer-lost" (string_of_int peer);
+                trace ~level:Trace.Full "peer-lost" "%d" peer;
                 loop ()
             | D_peer (_, Some (Message.App m)) ->
                 (if Hashtbl.mem seen (m.Message.src, m.Message.tag) then
-                   trace "duplicate-dropped"
-                     (Printf.sprintf "%d->%d tag %d" m.Message.src m.Message.dst m.Message.tag)
+                   trace "duplicate-dropped" "%d->%d tag %d" m.Message.src m.Message.dst
+                     m.Message.tag
                  else begin
                    Hashtbl.replace seen (m.Message.src, m.Message.tag) ();
                    (match !ckpt with
@@ -392,7 +387,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                 handle_marker wave ~from_peer:(Some peer);
                 loop ()
             | D_peer (peer, Some msg) ->
-                trace "protocol-error"
+                trace "protocol-error" "%s"
                   (Format.asprintf "from peer %d: %a" peer Message.pp msg);
                 loop ()
             | D_sched None -> loop ()
@@ -400,7 +395,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                 handle_marker wave ~from_peer:None;
                 loop ()
             | D_sched (Some msg) ->
-                trace "protocol-error" (Format.asprintf "from scheduler: %a" Message.pp msg);
+                trace "protocol-error" "%s" (Format.asprintf "from scheduler: %a" Message.pp msg);
                 loop ()
             | D_server None -> loop ()
             | D_server (Some (Message.Store_done { wave })) ->
@@ -415,11 +410,11 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                     (* Expose the completed wave to the fault injector
                        (the conclusion's variable-reading feature). *)
                     Fci.Control.set_var vars "wave" wave;
-                    tracel "checkpoint-acked" (fun () -> Printf.sprintf "wave %d" wave)
+                    trace ~level:Trace.Full "checkpoint-acked" "wave %d" wave
                 | Some _ | None -> ());
                 loop ()
             | D_server (Some msg) ->
-                trace "protocol-error" (Format.asprintf "from server: %a" Message.pp msg);
+                trace "protocol-error" "%s" (Format.asprintf "from server: %a" Message.pp msg);
                 loop ()
             | D_app (Daemon.A_send m) ->
                 if blocking && !ckpt <> None then held_sends := m :: !held_sends

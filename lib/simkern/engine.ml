@@ -130,14 +130,8 @@ let now t = t.clock.now
 let rng t = t.rng
 let trace t = t.trace
 
-let record ?level t ~source ~event detail =
-  Trace.record ?level t.trace ~time:t.clock.now ~source ~event detail
-
-let record_lazy ?level t ~source ~event f =
-  Trace.record_lazy ?level t.trace ~time:t.clock.now ~source ~event f
-
-let record_fmt ?level t ~source ~event fmt =
-  Trace.record_fmt ?level t.trace ~time:t.clock.now ~source ~event fmt
+let record ?level t ~source ~event fmt =
+  Trace.record ?level t.trace ~time:t.clock.now ~source ~event fmt
 
 let fresh_pid t =
   let pid = t.next_pid in

@@ -26,19 +26,10 @@ val rng : t -> Rng.t
 (** [trace t] is the engine-wide execution trace. *)
 val trace : t -> Trace.t
 
-(** [record ?level t ~source ~event detail] records a trace entry at
-    [now t] (see {!Trace.record}). *)
-val record : ?level:Trace.level -> t -> source:string -> event:string -> string -> unit
-
-(** [record_lazy ?level t ~source ~event f] records an entry whose
-    detail is rendered only if the trace is read (see
-    {!Trace.record_lazy}) — use for hot-path events. *)
-val record_lazy :
-  ?level:Trace.level -> t -> source:string -> event:string -> (unit -> string) -> unit
-
-(** [record_fmt ?level t ~source ~event fmt ...] is {!record} with a
-    printf-style detail (see {!Trace.record_fmt}). *)
-val record_fmt :
+(** [record ?level t ~source ~event fmt ...] records a trace entry at
+    [now t] with a printf-style detail (see {!Trace.record}); a gated-out
+    entry is never formatted. *)
+val record :
   ?level:Trace.level ->
   t ->
   source:string ->

@@ -851,34 +851,18 @@ let test_engine_tombstone_compaction () =
 
 let test_trace_level_gate () =
   let t = Trace.create ~level:Trace.Summary () in
-  check_bool "summary enabled" true (Trace.enabled t Trace.Summary);
-  check_bool "full gated" false (Trace.enabled t Trace.Full);
   Trace.record t ~time:1.0 ~source:"s" ~event:"milestone" "kept";
   Trace.record ~level:Trace.Full t ~time:2.0 ~source:"s" ~event:"chatter" "dropped";
-  Trace.record_fmt ~level:Trace.Full t ~time:3.0 ~source:"s" ~event:"chatter" "x %d" 5;
-  Trace.record_lazy ~level:Trace.Full t ~time:4.0 ~source:"s" ~event:"chatter" (fun () ->
-      Alcotest.fail "gated-out lazy detail must not render");
+  Trace.record ~level:Trace.Full t ~time:3.0 ~source:"s" ~event:"chatter" "x %d" 5;
+  Trace.record ~level:Trace.Full t ~time:4.0 ~source:"s" ~event:"chatter" "%a"
+    (fun () () -> Alcotest.fail "gated-out detail must not be formatted")
+    ();
   check_int "only the milestone survives" 1 (Trace.length t);
+  check_int "milestone kept" 1 (Trace.count t ~event:"milestone");
   check_int "chatter gone" 0 (Trace.count t ~event:"chatter");
   let full = Trace.create () in
   Trace.record ~level:Trace.Full full ~time:1.0 ~source:"s" ~event:"chatter" "kept";
   check_int "full trace keeps chatter" 1 (Trace.length full)
-
-let test_trace_lazy_memoized () =
-  let t = Trace.create () in
-  let calls = ref 0 in
-  Trace.record_lazy t ~time:1.0 ~source:"s" ~event:"e" (fun () ->
-      incr calls;
-      "rendered");
-  check_int "not rendered while unread" 0 !calls;
-  check_int "length does not render" 1 (Trace.length t);
-  check_int "count does not render" 1 (Trace.count t ~event:"e");
-  check_bool "first read renders" true
-    (match Trace.last t ~event:"e" with
-    | Some e -> e.Trace.detail = "rendered"
-    | None -> false);
-  ignore (Trace.entries t);
-  check_int "rendered exactly once" 1 !calls
 
 let test_rng_copy_independent () =
   let a = Rng.create 5L in
@@ -1117,7 +1101,6 @@ let () =
           Alcotest.test_case "trace queries" `Quick test_trace_queries;
           Alcotest.test_case "tombstone compaction" `Quick test_engine_tombstone_compaction;
           Alcotest.test_case "trace level gate" `Quick test_trace_level_gate;
-          Alcotest.test_case "trace lazy memoized" `Quick test_trace_lazy_memoized;
           Alcotest.test_case "stop before" `Quick test_engine_stop_before;
           Alcotest.test_case "run one" `Quick test_engine_run_one;
           Alcotest.test_case "retime keeps slot" `Quick test_engine_retime_keeps_slot;
