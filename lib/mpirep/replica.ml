@@ -64,11 +64,10 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
           let seen : (int * int, unit) Hashtbl.t = Hashtbl.create 256 in
           let redelivery : Message.app_msg list ref = ref [] in
           let committed_state = ref (Array.make env.Renv.app.App.state_size 0) in
-          (* per-destination-rank sequencing and send log; ssns are shared
-             across the rank's replicas by construction (same deterministic
-             app, and respawns inherit the donor's log) *)
-          let next_ssn : (int, int) Hashtbl.t = Hashtbl.create 16 in
-          let send_log : (int, (int * Message.app_msg) list) Hashtbl.t = Hashtbl.create 16 in
+          let send_log = Send_log.create () in
+          (* [peer_conns] by rank, in its iteration order, which is the order
+             a send goes out in; [None] once the table changes *)
+          let links : Rmsg.t Net.conn list array option ref = ref None in
           (* per-source-rank highest received ssn *)
           let received : (int, int) Hashtbl.t = Hashtbl.create 16 in
           (* peer connections expected before the initial app start; -1
@@ -84,35 +83,29 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
                deduplicate by (src, tag), and stable ssns keep every
                replica's reception bounds comparable. *)
             let dst = m.Message.dst in
-            let entries = Option.value ~default:[] (Hashtbl.find_opt send_log dst) in
-            let ssn =
-              match List.find_opt (fun (_, lm) -> lm.Message.tag = m.Message.tag) entries with
-              | Some (ssn, _) -> ssn
+            let app = Rmsg.App { msg = m; ssn = Send_log.ssn send_log m } in
+            let links_by_rank =
+              match !links with
+              | Some a -> a
               | None ->
-                  let ssn = Option.value ~default:1 (Hashtbl.find_opt next_ssn dst) in
-                  Hashtbl.replace next_ssn dst (ssn + 1);
-                  Hashtbl.replace send_log dst ((ssn, m) :: entries);
-                  ssn
+                  let a = Array.make n [] in
+                  Hashtbl.iter (fun (pr, _) conn -> a.(pr) <- a.(pr) @ [ conn ]) peer_conns;
+                  links := Some a;
+                  a
             in
             let sent = ref 0 in
-            Hashtbl.iter
-              (fun (pr, _ps) conn ->
-                if pr = dst then
-                  if Net.send conn ~size:m.Message.bytes (Rmsg.App { msg = m; ssn }) then
-                    incr sent)
-              peer_conns;
+            List.iter
+              (fun conn -> if Net.send conn ~size:m.Message.bytes app then incr sent)
+              links_by_rank.(dst);
             if !sent = 0 then
               trace ~level:Trace.Full "send-deferred"
                 "to rank %d (no live replica connected, logged)" dst
           in
-          let flush_log ~peer_rank ~bound conn =
+          let flush_log ~peer_rank ~consumed conn =
             (* Re-send everything logged for [peer_rank] above the peer's
                reception bound; the receiver's dedup drops overlaps. *)
-            let entries =
-              Option.value ~default:[] (Hashtbl.find_opt send_log peer_rank)
-              |> List.filter (fun (ssn, _) -> ssn > bound)
-              |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-            in
+            let bound = Option.value ~default:0 (List.assoc_opt rank consumed) in
+            let entries = Send_log.above send_log ~dst:peer_rank ~bound in
             if entries <> [] then
               trace ~level:Trace.Full "log-flush" "%d messages to rank %d (> ssn %d)"
                 (List.length entries) peer_rank bound;
@@ -142,6 +135,7 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
           in
           let register_peer pr ps conn =
             Hashtbl.replace peer_conns (pr, ps) conn;
+            links := None;
             Net.forward conn (fun m -> Mailbox.send events (D_peer ((pr, ps), m)))
           in
           let connect_peer pr ps phost =
@@ -158,9 +152,8 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
                   trace ~level:Trace.Full "peer-connect-failed" "replica %d.%d" pr ps
           in
           let build_image () =
-            let logged =
-              Hashtbl.fold (fun _ entries acc -> List.map snd entries @ acc) send_log []
-            in
+            let img_send_log, img_next_ssn = Send_log.export send_log in
+            let logged = List.concat_map (fun (_, entries) -> List.map snd entries) img_send_log in
             let buffer = Matching.buffered matching in
             let img_bytes =
               Message.image_bytes ~state_bytes:env.Renv.state_bytes
@@ -175,9 +168,8 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
               img_logged = [];
               img_seen = Hashtbl.fold (fun key () acc -> key :: acc) seen [];
               img_received = consumed_bounds ();
-              img_send_log =
-                Hashtbl.fold (fun dst entries acc -> (dst, entries) :: acc) send_log [];
-              img_next_ssn = Hashtbl.fold (fun dst ssn acc -> (dst, ssn) :: acc) next_ssn [];
+              img_send_log;
+              img_next_ssn;
               img_bytes;
             }
           in
@@ -187,12 +179,8 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
             List.iter
               (fun (src, ssn) -> Hashtbl.replace received src ssn)
               img.Message.img_received;
-            List.iter
-              (fun (dst, entries) -> Hashtbl.replace send_log dst entries)
-              img.Message.img_send_log;
-            List.iter
-              (fun (dst, ssn) -> Hashtbl.replace next_ssn dst ssn)
-              img.Message.img_next_ssn;
+            Send_log.import send_log ~send_log:img.Message.img_send_log
+              ~next_ssn:img.Message.img_next_ssn;
             (* messages consumed since the donor's last commit are
                re-delivered to the re-executing application *)
             Matching.restore matching (img.Message.img_redelivery @ img.Message.img_buffer)
@@ -258,19 +246,14 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
                 register_peer pr ps conn;
                 ignore
                   (Net.send conn (Rmsg.Peer_hello { rank; slot; consumed = consumed_bounds () }));
-                flush_log ~peer_rank:pr
-                  ~bound:(Option.value ~default:0 (List.assoc_opt rank consumed))
-                  conn;
+                flush_log ~peer_rank:pr ~consumed conn;
                 maybe_start_app ();
                 loop ()
             | D_peer ((pr, ps), Some (Rmsg.Peer_hello { consumed; _ })) ->
                 (* acceptor's reply on a link we initiated: flush our log
                    for its rank above its bound *)
                 (match Hashtbl.find_opt peer_conns (pr, ps) with
-                | Some conn ->
-                    flush_log ~peer_rank:pr
-                      ~bound:(Option.value ~default:0 (List.assoc_opt rank consumed))
-                      conn
+                | Some conn -> flush_log ~peer_rank:pr ~consumed conn
                 | None -> ());
                 loop ()
             | D_peer (_, Some (Rmsg.App { msg = m; ssn })) ->
@@ -287,6 +270,7 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
                 loop ()
             | D_peer ((pr, ps), None) ->
                 Hashtbl.remove peer_conns (pr, ps);
+                links := None;
                 trace ~level:Trace.Full "peer-lost" "replica %d.%d" pr ps;
                 (* pre-start: a replica listed in our Start died; don't
                    wait for a link that will be re-established (or never

@@ -2,7 +2,9 @@
    checksum parity with MPICH-Vcl, zero-rollback failover of a single
    replica, duplicate suppression under multicast redundancy and
    log-flush re-sends, replication exhaustion (both direct kills and the
-   [replica_split] FAIL scenario), and determinism by seed. *)
+   [replica_split] FAIL scenario), and determinism by seed; plus unit
+   tests of the send log's numbering of re-executed sends, which no
+   integration run here reaches. *)
 
 open Simkern
 open Simos
@@ -246,6 +248,92 @@ let test_degree_must_fit () =
         compute hosts")
     (fun () -> ignore (setup ~degree:3 ()))
 
+(* Send log: the sender-side numbering a respawned replica inherits. *)
+
+let msg ~dst ~tag = { Mpivcl.Message.src = 0; dst; tag; data = tag; bytes = 100 }
+
+(* Destination 1 gets tags 10, 11, 12; destination 2 gets tag 10. *)
+let donor_log () =
+  let log = Mpirep.Send_log.create () in
+  List.iter
+    (fun (dst, tag) -> ignore (Mpirep.Send_log.ssn log (msg ~dst ~tag)))
+    [ (1, 10); (2, 10); (1, 11); (1, 12) ];
+  log
+
+let image_lists =
+  let app_msg =
+    Alcotest.testable
+      (fun ppf (m : Mpivcl.Message.app_msg) ->
+        Format.fprintf ppf "%d->%d tag %d" m.src m.dst m.tag)
+      ( = )
+  in
+  let entry = Alcotest.(pair int app_msg) in
+  Alcotest.(pair (list (pair int (list entry))) (list (pair int int)))
+
+let imported log =
+  let send_log, next_ssn = Mpirep.Send_log.export log in
+  let copy = Mpirep.Send_log.create () in
+  Mpirep.Send_log.import copy ~send_log ~next_ssn;
+  copy
+
+let test_send_log_reexecuted_tag () =
+  let donor = donor_log () in
+  let copy = imported donor in
+  check_int "logged tag keeps the donor's ssn" 2 (Mpirep.Send_log.ssn copy (msg ~dst:1 ~tag:11));
+  check_int "first logged tag" 1 (Mpirep.Send_log.ssn copy (msg ~dst:1 ~tag:10));
+  check_int "other destination" 1 (Mpirep.Send_log.ssn copy (msg ~dst:2 ~tag:10));
+  check image_lists "re-executions do not grow the log" (Mpirep.Send_log.export donor)
+    (Mpirep.Send_log.export copy);
+  check_int "a new tag continues the donor's numbering" 4
+    (Mpirep.Send_log.ssn copy (msg ~dst:1 ~tag:13))
+
+let test_send_log_consecutive () =
+  let log = Mpirep.Send_log.create () in
+  let ssns =
+    List.map
+      (fun (dst, tag) -> Mpirep.Send_log.ssn log (msg ~dst ~tag))
+      [ (1, 10); (2, 10); (1, 11); (2, 11); (1, 12); (3, 10) ]
+  in
+  check Alcotest.(list int) "per-destination numbering from 1" [ 1; 1; 2; 2; 3; 1 ] ssns;
+  check_int "a repeated tag is not logged again" 2 (Mpirep.Send_log.ssn log (msg ~dst:2 ~tag:11));
+  check_int "and does not use up an ssn" 3 (Mpirep.Send_log.ssn log (msg ~dst:2 ~tag:12))
+
+let test_send_log_above () =
+  let log = donor_log () in
+  ignore (Mpirep.Send_log.ssn log (msg ~dst:1 ~tag:13));
+  let above bound =
+    List.map
+      (fun (ssn, (m : Mpivcl.Message.app_msg)) -> (ssn, m.tag))
+      (Mpirep.Send_log.above log ~dst:1 ~bound)
+  in
+  let pairs = Alcotest.(list (pair int int)) in
+  check pairs "everything above 0, ascending" [ (1, 10); (2, 11); (3, 12); (4, 13) ] (above 0);
+  check pairs "strictly above the bound" [ (3, 12); (4, 13) ] (above 2);
+  check pairs "nothing above the last ssn" [] (above 4);
+  check_int "unknown destination" 0 (List.length (Mpirep.Send_log.above log ~dst:7 ~bound:0))
+
+let test_send_log_round_trip () =
+  let donor = donor_log () in
+  let lists = Mpirep.Send_log.export donor in
+  let send_log, next_ssn = lists in
+  check
+    Alcotest.(list (pair int (list int)))
+    "entries highest ssn first"
+    [ (1, [ 3; 2; 1 ]); (2, [ 1 ]) ]
+    (List.sort compare (List.map (fun (dst, es) -> (dst, List.map fst es)) send_log));
+  check Alcotest.(list (pair int int)) "next ssns" [ (1, 4); (2, 2) ] (List.sort compare next_ssn);
+  check image_lists "export . import = id" lists (Mpirep.Send_log.export (imported donor));
+  check image_lists "twice" lists (Mpirep.Send_log.export (imported (imported donor)));
+  (* enough destinations for the tables to resize and share buckets *)
+  let wide = Mpirep.Send_log.create () in
+  for tag = 1 to 3 do
+    for dst = 0 to 47 do
+      ignore (Mpirep.Send_log.ssn wide (msg ~dst:((dst * 7) mod 48) ~tag))
+    done
+  done;
+  check image_lists "48 destinations" (Mpirep.Send_log.export wide)
+    (Mpirep.Send_log.export (imported wide))
+
 let () =
   Alcotest.run "mpirep"
     [
@@ -266,5 +354,14 @@ let () =
           Alcotest.test_case "determinism by seed" `Quick
             test_determinism_same_seed_same_trace;
           Alcotest.test_case "degree must fit cluster" `Quick test_degree_must_fit;
+        ] );
+      ( "send-log",
+        [
+          Alcotest.test_case "re-executed tag keeps its ssn" `Quick
+            test_send_log_reexecuted_tag;
+          Alcotest.test_case "consecutive ssns per destination" `Quick
+            test_send_log_consecutive;
+          Alcotest.test_case "above is ascending and strict" `Quick test_send_log_above;
+          Alcotest.test_case "image lists round-trip" `Quick test_send_log_round_trip;
         ] );
     ]
