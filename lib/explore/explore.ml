@@ -89,12 +89,18 @@ let singles cfg =
         cfg.buckets)
     cfg.targets
 
-let pairs cfg =
-  List.concat_map
-    (fun first ->
-      List.map (fun second -> plan cfg [ first; second ])
-        (List.concat (List.map (fun p -> p.Plan.faults) (singles cfg))))
-    (List.concat (List.map (fun p -> p.Plan.faults) (singles cfg)))
+(* The first [count] ordered pairs of [faults], first fault major: the
+   grid is built only as far as the budget reaches. *)
+let pairs cfg faults ~count =
+  let rec go count firsts seconds =
+    if count <= 0 then []
+    else
+      match (firsts, seconds) with
+      | [], _ -> []
+      | _ :: rest, [] -> go count rest faults
+      | first :: _, second :: more -> plan cfg [ first; second ] :: go (count - 1) firsts more
+  in
+  go count faults faults
 
 let sampled cfg ~count =
   if count <= 0 || cfg.max_faults < 3 then []
@@ -125,11 +131,12 @@ let plans cfg =
   if cfg.budget < 1 then invalid_arg "Explore.plans: budget must be >= 1";
   if cfg.targets = [] || cfg.buckets = [] || cfg.kinds = [] then
     invalid_arg "Explore.plans: targets, buckets and kinds must be non-empty";
-  let grid =
-    singles cfg @ (if cfg.max_faults >= 2 then pairs cfg else [])
-  in
-  let rest = cfg.budget - List.length grid in
-  take cfg.budget (grid @ sampled cfg ~count:rest)
+  let singles = singles cfg in
+  let n_singles = List.length singles in
+  let n_pairs = if cfg.max_faults >= 2 then n_singles * n_singles else 0 in
+  let faults = List.concat_map (fun p -> p.Plan.faults) singles in
+  let pairs = pairs cfg faults ~count:(min n_pairs (cfg.budget - n_singles)) in
+  take cfg.budget (singles @ pairs @ sampled cfg ~count:(cfg.budget - n_singles - n_pairs))
 
 type record = {
   plan : Plan.t;

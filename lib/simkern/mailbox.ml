@@ -5,17 +5,16 @@ type 'a t = {
 
 let create () = { messages = Queue.create (); waiters = [] }
 
-let send mb v =
-  (* Offer to waiters in arrival order; a waiter returns false if its
-     process died or was already woken, in which case the message goes to
-     the next one. *)
-  let rec offer = function
-    | [] ->
-        mb.waiters <- [];
-        Queue.push v mb.messages
-    | waker :: rest -> if waker v then mb.waiters <- rest else offer rest
-  in
-  offer mb.waiters
+(* Offer to waiters in arrival order; a waiter returns false if its
+   process died or was already woken, in which case the message goes to
+   the next one. *)
+let rec offer mb v = function
+  | [] ->
+      mb.waiters <- [];
+      Queue.push v mb.messages
+  | waker :: rest -> if waker v then mb.waiters <- rest else offer mb v rest
+
+let send mb v = offer mb v mb.waiters
 
 let recv mb =
   match Queue.take_opt mb.messages with

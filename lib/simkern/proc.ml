@@ -4,6 +4,15 @@ type exit_reason = Exit_normal | Exit_killed | Exit_crashed of exn
 
 type state = Embryo | Running | Waiting | Exited of exit_reason
 
+(* Where a process stands in its current suspension: parked on [k] (asleep
+   if its timer ends it), woken with [v] and waiting for its [step] event
+   to resume, or neither. *)
+type parked =
+  | Unparked : parked
+  | Parked : ('a, unit) Effect.Deep.continuation -> parked
+  | Asleep : (unit, unit) Effect.Deep.continuation -> parked
+  | Woken : ('a, unit) Effect.Deep.continuation * 'a -> parked
+
 type t = {
   pid : int;
   name : string;
@@ -12,11 +21,14 @@ type t = {
   mutable doomed : bool;  (* kill requested, not yet taken effect *)
   mutable frozen : bool;
   mutable pending : (unit -> unit) list;  (* wake-ups buffered while frozen, oldest first *)
-  mutable canceller : (unit -> unit) option;  (* discontinues the current suspension *)
+  mutable parked : parked;  (* a waker holds the [Parked] block of its own suspension *)
+  step : unit -> unit;  (* resumes a [Woken] process; the one event every wake-up posts *)
+  tick : unit -> unit;  (* wakes an [Asleep] process; the timer event of every sleep *)
   mutable exit_hooks : (exit_reason -> unit) list;  (* newest first *)
 }
 
 type _ Effect.t += Suspend : (('a -> bool) -> unit) -> 'a Effect.t
+type _ Effect.t += Sleep : float -> unit Effect.t
 type _ Effect.t += Self : t Effect.t
 
 let pid p = p.pid
@@ -34,7 +46,7 @@ let finish p reason =
   | Exited _ -> ()
   | Embryo | Running | Waiting ->
       p.state <- Exited reason;
-      p.canceller <- None;
+      p.parked <- Unparked;
       p.pending <- [];
       let hooks = List.rev p.exit_hooks in
       p.exit_hooks <- [];
@@ -43,24 +55,50 @@ let finish p reason =
 (* Run [f] on behalf of [p]. Flags are re-checked when [f] runs, not when
    it was posted, so a kill or freeze issued in between is honoured; a
    frozen process buffers [f], oldest first, until it is unfrozen.
-   [resume] is the same for the continuation of a suspension, fused so
-   that a wake-up posts one closure. *)
+   [resume] is the same for a woken suspension: it runs as [p.step], so
+   a wake-up posts a closure allocated once per process. *)
 let rec guard p f =
   match p.state with
   | Exited _ -> ()
   | Embryo | Running | Waiting ->
       if p.frozen then p.pending <- p.pending @ [ (fun () -> guard p f) ] else f ()
 
-let rec resume : type a. t -> (a, unit) Effect.Deep.continuation -> a -> unit =
- fun p k v ->
+let resume p =
   match p.state with
   | Exited _ -> ()
-  | Embryo | Running | Waiting ->
-      if p.frozen then p.pending <- p.pending @ [ (fun () -> resume p k v) ]
-      else begin
-        p.state <- Running;
-        Effect.Deep.continue k v
-      end
+  | Embryo | Running | Waiting -> (
+      if p.frozen then p.pending <- p.pending @ [ p.step ]
+      else
+        match p.parked with
+        | Woken (k, v) ->
+            p.parked <- Unparked;
+            p.state <- Running;
+            Effect.Deep.continue k v
+        | Parked _ | Asleep _ | Unparked -> ())
+
+(* The waker of the suspension that parked [p] as [slot]: it accepts [v]
+   only while [slot] is still [p]'s, so it is stale once [p] woke, died or
+   suspended again. *)
+let wake p slot k v =
+  p.parked == slot
+  && begin
+       p.parked <- Woken (k, v);
+       Engine.post p.engine p.step;
+       true
+     end
+
+(* Only a kill ends a sleep before its timer, and a killed process never
+   parks again, so a timer that finds no sleeper is a dead one's. *)
+let tick p =
+  match p.parked with
+  | Asleep k ->
+      p.parked <- Woken (k, ());
+      Engine.post p.engine p.step
+  | Parked _ | Woken _ | Unparked -> ()
+
+let park p parked =
+  p.state <- Waiting;
+  p.parked <- parked
 
 let handler p =
   let open Effect.Deep in
@@ -80,36 +118,17 @@ let handler p =
               (fun (k : (a, unit) continuation) ->
                 if p.doomed then discontinue k Killed
                 else begin
-                  p.state <- Waiting;
-                  let decided = ref false in
-                  p.canceller <-
-                    Some
-                      (fun () ->
-                        if not !decided then begin
-                          decided := true;
-                          p.canceller <- None;
-                          (* Kill overrides freeze: discontinue directly. *)
-                          Engine.post p.engine (fun () ->
-                              match p.state with
-                              | Exited _ -> ()
-                              | Embryo | Running | Waiting ->
-                                  p.state <- Running;
-                                  discontinue k Killed)
-                        end);
-                  let waker v =
-                    if !decided then false
-                    else
-                      match p.state with
-                      | Exited _ ->
-                          decided := true;
-                          false
-                      | Embryo | Running | Waiting ->
-                          decided := true;
-                          p.canceller <- None;
-                          Engine.post p.engine (fun () -> resume p k v);
-                          true
-                  in
-                  register waker
+                  let slot = Parked k in
+                  park p slot;
+                  register (fun v -> wake p slot k v)
+                end)
+        | Sleep dt ->
+            Some
+              (fun (k : (a, unit) continuation) ->
+                if p.doomed then discontinue k Killed
+                else begin
+                  park p (Asleep k);
+                  Engine.post p.engine ~delay:dt p.tick
                 end)
         | _ -> None);
   }
@@ -117,7 +136,7 @@ let handler p =
 let spawn eng ?name body =
   let pid = Engine.fresh_pid eng in
   let name = match name with Some n -> n | None -> Printf.sprintf "proc-%d" pid in
-  let p =
+  let rec p =
     {
       pid;
       name;
@@ -126,7 +145,9 @@ let spawn eng ?name body =
       doomed = false;
       frozen = false;
       pending = [];
-      canceller = None;
+      parked = Unparked;
+      step = (fun () -> resume p);
+      tick = (fun () -> tick p);
       exit_hooks = [];
     }
   in
@@ -140,19 +161,28 @@ let spawn eng ?name body =
   Engine.post eng (fun () -> guard p start);
   p
 
+(* Kill overrides freeze: a parked process is discontinued directly. *)
+let cancel p k =
+  p.parked <- Unparked;
+  Engine.post p.engine (fun () ->
+      match p.state with
+      | Exited _ -> ()
+      | Embryo | Running | Waiting ->
+          p.state <- Running;
+          Effect.Deep.discontinue k Killed)
+
 let kill p =
   match p.state with
   | Exited _ -> ()
   | Embryo | Running | Waiting -> (
       p.doomed <- true;
-      match p.canceller with
-      | Some cancel -> cancel ()
-      | None -> (
-          match p.state with
-          | Embryo ->
-              (* Not started yet: nothing to unwind. *)
-              finish p Exit_killed
-          | Running | Waiting | Exited _ -> ()))
+      match (p.parked, p.state) with
+      | Parked k, _ -> cancel p k
+      | Asleep k, _ -> cancel p k
+      | Unparked, Embryo ->
+          (* Not started yet: nothing to unwind. *)
+          finish p Exit_killed
+      | Woken _, _ | Unparked, (Running | Waiting | Exited _) -> ())
 
 let freeze p = if is_alive p then p.frozen <- true
 
@@ -176,8 +206,7 @@ let suspend register = Effect.perform (Suspend register)
 let sleep dt =
   if Float.is_nan dt then invalid_arg "Proc.sleep: duration is NaN";
   if dt < 0.0 then invalid_arg "Proc.sleep: negative duration";
-  let p = self () in
-  suspend (fun waker -> Engine.post p.engine ~delay:dt (fun () -> ignore (waker ())))
+  Effect.perform (Sleep dt)
 
 let yield () = sleep 0.0
 

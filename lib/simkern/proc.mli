@@ -87,10 +87,12 @@ val sleep : float -> unit
 val yield : unit -> unit
 
 (** [suspend register] blocks until the waker passed to [register] is
-    invoked with a value. The waker returns [true] iff the value was
-    accepted (a process killed or already woken rejects it), letting
-    callers re-route a rejected value. The waker may be invoked from any
-    context, at most one acceptance occurs. *)
+    invoked with a value. The waker may be invoked from any context and
+    returns [true] at most once, for the value that wakes the process;
+    it returns [false] once stale (the process was woken or killed, or
+    has suspended again since), letting callers re-route the value. A
+    kill between a wake-up and the resume it posts takes effect at the
+    process's next suspension. *)
 val suspend : (('a -> bool) -> unit) -> 'a
 
 (** [join p] blocks until [p] exits and returns its exit reason. Returns

@@ -434,8 +434,12 @@ type 'a recv_result = Data of 'a | Closed
 
 (* Wire format. The reliable transport (active only when the network is
    perturbed) wraps payloads with sequence numbers and acknowledges them
-   cumulatively; the pristine path always uses [W_plain]. *)
-type 'a wire = W_plain of 'a recv_result | W_seq of int * 'a recv_result | W_ack of int
+   cumulatively; the pristine path sends the bare payload. *)
+type 'a wire = W_seq of int * 'a recv_result | W_ack of int
+
+(* The send times of one direction of a connection. All-float, so its
+   fields are stored unboxed and updating them allocates nothing. *)
+type clock = { mutable tx_free_at : float; mutable last_arrival : float }
 
 type 'a t = {
   eng : Engine.t;
@@ -460,8 +464,7 @@ and 'a conn = {
   mutable c_waiters : ('a recv_result -> bool) list;  (* oldest first *)
   mutable c_closed_local : bool;
   mutable c_closed_remote : bool;
-  mutable c_tx_free_at : float;
-  mutable c_last_arrival : float;
+  c_clock : clock;
   mutable c_peer : 'a conn option;
   mutable c_owner_hooked : bool;
   (* Reliable-transport state (unused while the network is pristine). *)
@@ -501,10 +504,6 @@ let restore net s =
   Hashtbl.reset net.listeners;
   List.iter (fun (k, l) -> Hashtbl.replace net.listeners k l) s.ns_bindings
 
-let link_params net ~src ~dst =
-  if src = dst then (net.cfg.local_latency, net.cfg.local_bandwidth)
-  else (net.cfg.latency, net.cfg.bandwidth)
-
 let listen net ~host ~port =
   if Hashtbl.mem net.listeners (host, port) then
     invalid_arg (Printf.sprintf "Net.listen: %d:%d already bound" host port);
@@ -525,14 +524,44 @@ let close_listener l =
 let reliable_on conn =
   conn.c_local_host <> conn.c_peer_host && Perturb.reliable conn.c_net.perturb
 
-let kind_of_wire = function W_plain Closed -> `Closed | W_plain _ | W_seq _ | W_ack _ -> `Data
-
 let cancel_retx conn =
   match conn.c_retx_timer with
   | Some h ->
       Engine.cancel h;
       conn.c_retx_timer <- None
   | None -> ()
+
+(* Reserve the link for a wire message from [conn] to its peer, honouring
+   per-direction serialization (a single NIC transmits one message at a
+   time). When the network is perturbed the message is sampled for
+   loss/partition/extra latency; arrivals stay FIFO per direction
+   (degraded TCP, not UDP). Returns the peer, or [None] if the message is
+   lost; its arrival time is then [c_clock.last_arrival]. No time is ever
+   NaN, so the inline comparisons give what [Float.max] would. *)
+let depart conn ~size ~kind =
+  match conn.c_peer with
+  | None -> None
+  | Some _ as peer -> (
+      let net = conn.c_net and clock = conn.c_clock in
+      let local = conn.c_local_host = conn.c_peer_host in
+      let now = Engine.now net.eng in
+      let start = if now >= clock.tx_free_at then now else clock.tx_free_at in
+      let tx_time =
+        float_of_int size /. if local then net.cfg.local_bandwidth else net.cfg.bandwidth
+      in
+      clock.tx_free_at <- start +. tx_time;
+      let fate =
+        if Perturb.touched net.perturb then
+          Perturb.sample net.perturb ~src:conn.c_local_host ~dst:conn.c_peer_host ~kind
+        else `Deliver 0.0
+      in
+      match fate with
+      | `Drop -> None
+      | `Deliver extra ->
+          let latency = if local then net.cfg.local_latency else net.cfg.latency in
+          let arrival = start +. tx_time +. latency +. extra in
+          if arrival > clock.last_arrival then clock.last_arrival <- arrival;
+          peer)
 
 (* Deliver an item at the receiving endpoint, queue wire messages,
    acknowledge and retransmit. All of these run as engine events. *)
@@ -547,19 +576,17 @@ let rec deliver conn item =
         let waiters = conn.c_waiters in
         conn.c_waiters <- [];
         List.iter (fun waker -> ignore (waker Closed)) waiters
-    | Data _ ->
-        let rec offer = function
-          | [] ->
-              conn.c_waiters <- [];
-              Queue.push item conn.c_inbox
-          | waker :: rest -> if waker item then conn.c_waiters <- rest else offer rest
-        in
-        offer conn.c_waiters
+    | Data _ -> offer conn item conn.c_waiters
   end
+
+and offer conn item = function
+  | [] ->
+      conn.c_waiters <- [];
+      Queue.push item conn.c_inbox
+  | waker :: rest -> if waker item then conn.c_waiters <- rest else offer conn item rest
 
 and arrive conn w =
   match w with
-  | W_plain item -> if not conn.c_closed_remote then deliver conn item
   | W_ack n -> on_ack conn n
   | W_seq (seq, item) ->
       (* Endpoints whose owner died (or that closed locally) stay silent:
@@ -624,37 +651,22 @@ and conn_timeout conn =
       Engine.post conn.c_net.eng ~delay:(Perturb.rto_max p) (fun () -> deliver peer Closed)
   | None -> ()
 
-(* Queue a wire message from [conn] to its peer, honouring per-direction
-   serialization (a single NIC transmits one message at a time). When the
-   network is perturbed the message is sampled for loss/partition/extra
-   latency; arrivals stay FIFO per direction (degraded TCP, not UDP). *)
-and transmit conn ~size item =
-  match conn.c_peer with
-  | None -> ()
+(* Queue a wire message from [conn] to its peer. *)
+and transmit conn ~size w =
+  match depart conn ~size ~kind:`Data with
   | Some peer ->
-      let eng = conn.c_net.eng in
-      let latency, bandwidth =
-        link_params conn.c_net ~src:conn.c_local_host ~dst:conn.c_peer_host
-      in
-      let now = Engine.now eng in
-      let start = Float.max now conn.c_tx_free_at in
-      let tx_time = float_of_int size /. bandwidth in
-      conn.c_tx_free_at <- start +. tx_time;
-      let p = conn.c_net.perturb in
-      let fate =
-        if Perturb.touched p then
-          Perturb.sample p ~src:conn.c_local_host ~dst:conn.c_peer_host
-            ~kind:(kind_of_wire item)
-        else `Deliver 0.0
-      in
-      (match fate with
-      | `Drop -> ()
-      | `Deliver extra ->
-          let arrival =
-            Float.max (start +. tx_time +. latency +. extra) conn.c_last_arrival
-          in
-          conn.c_last_arrival <- arrival;
-          Engine.post_at eng ~time:arrival (fun () -> arrive peer item))
+      Engine.post_at conn.c_net.eng ~time:conn.c_clock.last_arrival (fun () -> arrive peer w)
+  | None -> ()
+
+(* Queue a bare payload, as the pristine path sends it. A [Closed] marker
+   survives random loss. *)
+let transmit_plain conn ~size item =
+  let kind = match item with Closed -> `Closed | Data _ -> `Data in
+  match depart conn ~size ~kind with
+  | Some peer ->
+      Engine.post_at conn.c_net.eng ~time:conn.c_clock.last_arrival (fun () ->
+          deliver peer item)
+  | None -> ()
 
 let close conn =
   if not conn.c_closed_local then begin
@@ -670,7 +682,7 @@ let close conn =
       transmit conn ~size:0 (W_seq (seq, Closed));
       arm_retx conn
     end
-    else transmit conn ~size:0 (W_plain Closed)
+    else transmit_plain conn ~size:0 Closed
   end
 
 let is_open conn = not (conn.c_closed_local || conn.c_closed_remote)
@@ -694,8 +706,7 @@ let make_pair net ~host_a ~host_b =
       c_waiters = [];
       c_closed_local = false;
       c_closed_remote = false;
-      c_tx_free_at = now;
-      c_last_arrival = now;
+      c_clock = { tx_free_at = now; last_arrival = now };
       c_peer = None;
       c_owner_hooked = false;
       c_next_seq = 0;
@@ -713,7 +724,7 @@ let make_pair net ~host_a ~host_b =
 
 let connect net ~host ~to_host ~to_port =
   let eng = net.eng in
-  let latency, _ = link_params net ~src:host ~dst:to_host in
+  let latency = if host = to_host then net.cfg.local_latency else net.cfg.latency in
   let p = net.perturb in
   let sample () =
     if Perturb.touched p then Perturb.sample p ~src:host ~dst:to_host ~kind:`Data
@@ -785,7 +796,7 @@ let send conn ?(size = 64) v =
     true
   end
   else begin
-    transmit conn ~size (W_plain (Data v));
+    transmit_plain conn ~size (Data v);
     true
   end
 
@@ -818,10 +829,11 @@ let recv_timeout conn ~timeout =
 
 (* A forwarder registers a waker like the blocked [recv] of a process
    looping on [recv] then [f], and each wake-up posts one flush where
-   that process would have resumed, so the event order is the same. *)
+   that process would have resumed, so the event order is the same. The
+   flush runs as [Proc.guard] would for the owner: only a frozen owner
+   needs the closure that it buffers. *)
 let forward ?owner conn f =
   let eng = conn.c_net.eng in
-  let guarded k = match owner with None -> k | Some p -> fun () -> Proc.guard p k in
   let rec drain () =
     match Queue.take_opt conn.c_inbox with
     | Some item -> take item
@@ -837,7 +849,12 @@ let forward ?owner conn f =
     match owner with
     | Some p when not (Proc.is_alive p) -> false
     | Some _ | None ->
-        Engine.post eng (guarded (fun () -> take item));
+        Engine.post eng (fun () -> flush item);
         true
+  and flush item =
+    match owner with
+    | Some p when Proc.is_frozen p -> Proc.guard p (fun () -> take item)
+    | Some p when not (Proc.is_alive p) -> ()
+    | Some _ | None -> take item
   in
-  Engine.post eng (guarded drain)
+  Engine.post eng (match owner with None -> drain | Some p -> fun () -> Proc.guard p drain)

@@ -424,6 +424,57 @@ let test_plans_stream () =
   check (Alcotest.list plan_testable) "stream is deterministic" sampled
     (Explore.plans { stream_config with Explore.max_faults = 3; budget = 80 })
 
+(* The stream as it was defined before plan generation stopped at the
+   budget: every single fault, every ordered pair of them, then the
+   seeded sampler, truncated to the budget. *)
+let plans_by_full_grid (cfg : Explore.config) =
+  let plan faults = { Plan.n_machines = cfg.n_machines; faults } in
+  let faults =
+    List.concat_map
+      (fun machine ->
+        List.concat_map
+          (fun bucket ->
+            List.map
+              (fun kind -> Plan.align_service { Plan.machine; anchor = Plan.After bucket; kind })
+              cfg.kinds)
+          cfg.buckets)
+      cfg.targets
+  in
+  let singles = List.map (fun f -> plan [ f ]) faults in
+  let pairs =
+    List.concat_map (fun first -> List.map (fun second -> plan [ first; second ]) faults) faults
+  in
+  let grid = singles @ if cfg.max_faults >= 2 then pairs else [] in
+  let rest = cfg.budget - List.length grid in
+  let sampled =
+    if rest <= 0 || cfg.max_faults < 3 then []
+    else
+      let rng = Simkern.Rng.create (Int64.of_int cfg.sample_seed) in
+      List.init rest (fun i ->
+          plan
+            (List.init
+               (3 + (i mod (cfg.max_faults - 2)))
+               (fun _ ->
+                 Plan.align_service
+                   {
+                     Plan.machine = Simkern.Rng.choose rng cfg.targets;
+                     anchor = Plan.After (Simkern.Rng.choose rng cfg.buckets);
+                     kind = Simkern.Rng.choose rng cfg.kinds;
+                   })))
+  in
+  List.filteri (fun i _ -> i < cfg.budget) (grid @ sampled)
+
+let test_plans_bounded () =
+  List.iter
+    (fun (max_faults, budget) ->
+      let cfg = { stream_config with Explore.max_faults; budget } in
+      check (Alcotest.list plan_testable)
+        (Printf.sprintf "max_faults %d, budget %d" max_faults budget)
+        (plans_by_full_grid cfg) (Explore.plans cfg))
+    (List.concat_map
+       (fun m -> List.map (fun b -> (m, b)) [ 1; 5; 8; 9; 20; 71; 72; 73; 80; 200 ])
+       [ 2; 3 ])
+
 (* ------------------------------------------------------------------ *)
 (* Acceptance demo: the seeded dispatcher race *)
 
@@ -532,7 +583,11 @@ let () =
           Alcotest.test_case "coarsen" `Quick test_coarsen;
           Alcotest.test_case "coarsen already coarse" `Quick test_coarsen_already_coarse;
         ] );
-      ("stream", [ Alcotest.test_case "plans" `Quick test_plans_stream ]);
+      ( "stream",
+        [
+          Alcotest.test_case "plans" `Quick test_plans_stream;
+          Alcotest.test_case "plans stop at the budget" `Quick test_plans_bounded;
+        ] );
       ( "acceptance",
         [
           Alcotest.test_case "seeded defect found and shrunk" `Quick test_seeded_defect_found;

@@ -970,6 +970,144 @@ let test_mailbox_two_consumers () =
   check_int "both consumers woke" 2 (List.length !got)
 
 (* ------------------------------------------------------------------ *)
+(* Wake-up invariants *)
+
+(* A timed-out receive leaves its waker in the mailbox. A message sent
+   while the process waits again, asleep or on an ivar, must not wake
+   that later suspension. *)
+let test_proc_stale_waker () =
+  let got = ref (Some 0) and woke_at = ref 0.0 and left = ref 0 in
+  let read = ref None and others_left = ref 0 in
+  ignore
+    (run_sim (fun eng ->
+         let mb = Mailbox.create () and other = Mailbox.create () and iv = Ivar.create () in
+         ignore
+           (Proc.spawn eng (fun () ->
+                got := Mailbox.recv_timeout mb ~timeout:3.0;
+                Proc.sleep 10.0;
+                woke_at := Engine.now eng;
+                left := Mailbox.length mb;
+                ignore (Mailbox.recv_timeout other ~timeout:1.0);
+                let v = Ivar.read iv in
+                read := Some (v, Engine.now eng);
+                others_left := Mailbox.length other));
+         ignore
+           (Proc.spawn eng (fun () ->
+                Proc.sleep 5.0;
+                Mailbox.send mb 42;
+                Proc.sleep 10.0;
+                Mailbox.send other 99;
+                Proc.sleep 5.0;
+                Ivar.fill iv "late"))));
+  check_bool "timed out" true (!got = None);
+  check_int "message still queued" 1 !left;
+  check_float "sleep ran its full length" 13.0 !woke_at;
+  check_bool "ivar read waited for its fill" true (!read = Some ("late", 20.0));
+  check_int "second message still queued" 1 !others_left
+
+(* A kill between a wake-up and its resume takes effect at the next
+   suspension: the woken process still runs up to it. *)
+let test_proc_kill_after_wakeup () =
+  let got = ref None and exited_at = ref None in
+  ignore
+    (run_sim (fun eng ->
+         let mb = Mailbox.create () in
+         let p =
+           Proc.spawn eng (fun () ->
+               got := Some (Mailbox.recv mb);
+               Proc.sleep 1.0;
+               Alcotest.fail "unreachable")
+         in
+         Proc.on_exit p (fun r -> exited_at := Some (r, Engine.now eng));
+         ignore
+           (Proc.spawn eng (fun () ->
+                Proc.sleep 1.0;
+                Mailbox.send mb 7;
+                Proc.kill p))));
+  check_bool "resumed with the value" true (!got = Some 7);
+  check_bool "killed at the next suspension" true (!exited_at = Some (Proc.Exit_killed, 1.0))
+
+(* Kill overrides freeze for a parked process. *)
+let test_proc_kill_frozen_parked () =
+  let cleanup = ref false and exited_at = ref None in
+  ignore
+    (run_sim (fun eng ->
+         let p =
+           Proc.spawn eng (fun () ->
+               Fun.protect ~finally:(fun () -> cleanup := true) (fun () -> Proc.sleep 100.0))
+         in
+         Proc.on_exit p (fun r -> exited_at := Some (r, Engine.now eng));
+         ignore
+           (Proc.spawn eng (fun () ->
+                Proc.sleep 1.0;
+                Proc.freeze p;
+                Proc.sleep 1.0;
+                Proc.kill p))));
+  check_bool "killed at once" true (!exited_at = Some (Proc.Exit_killed, 2.0));
+  check_bool "finalizer ran" true !cleanup
+
+let test_proc_sleep_doomed () =
+  let exited_at = ref None in
+  let eng =
+    run_sim (fun eng ->
+        let p =
+          Proc.spawn eng (fun () ->
+              Proc.sleep 1.0;
+              Proc.kill (Proc.self ());
+              Proc.sleep 5.0;
+              Alcotest.fail "unreachable")
+        in
+        Proc.on_exit p (fun r -> exited_at := Some (r, Engine.now eng)))
+  in
+  check_bool "died at once" true (!exited_at = Some (Proc.Exit_killed, 1.0));
+  check_float "no timer posted" 1.0 (Engine.now eng)
+
+(* Allocation bounds of the wait and wake-up path, per operation, after a
+   warm-up: they fail if a suspension, a wake-up or a hand-off grows. *)
+let words_per_op ~ops loop =
+  loop ();
+  let before = Gc.minor_words () in
+  loop ();
+  (Gc.minor_words () -. before) /. float_of_int ops
+
+let test_mailbox_handoff_allocation () =
+  let rounds = 10_000 in
+  let loop () =
+    ignore
+      (run_sim (fun eng ->
+           let ping = Mailbox.create () and pong = Mailbox.create () in
+           ignore
+             (Proc.spawn eng (fun () ->
+                  for _ = 1 to rounds do
+                    Mailbox.send pong (Mailbox.recv ping)
+                  done));
+           ignore
+             (Proc.spawn eng (fun () ->
+                  for i = 1 to rounds do
+                    Mailbox.send ping i;
+                    ignore (Mailbox.recv pong)
+                  done))))
+  in
+  let words = words_per_op ~ops:(2 * rounds) loop in
+  check_bool (Printf.sprintf "at most 31 minor words per message (%.2f)" words) true
+    (words <= 31.0)
+
+let test_proc_sleep_allocation () =
+  let rounds = 10_000 in
+  let loop () =
+    ignore
+      (run_sim (fun eng ->
+           ignore
+             (Proc.spawn eng (fun () ->
+                  for _ = 1 to rounds do
+                    Proc.yield ()
+                  done))))
+  in
+  let words = words_per_op ~ops:rounds loop in
+  check_bool (Printf.sprintf "at most 20 minor words per sleep (%.2f)" words) true
+    (words <= 20.0)
+
+(* ------------------------------------------------------------------ *)
 (* Ivar *)
 
 let test_ivar_fill_read () =
@@ -1110,6 +1248,9 @@ let () =
           Alcotest.test_case "snapshot mixed queue" `Quick test_engine_snapshot_mixed;
           Alcotest.test_case "post after deadline" `Quick test_engine_post_after_deadline;
           Alcotest.test_case "post allocation" `Quick test_engine_post_allocation;
+          Alcotest.test_case "mailbox hand-off allocation" `Quick
+            test_mailbox_handoff_allocation;
+          Alcotest.test_case "sleep allocation" `Quick test_proc_sleep_allocation;
           Alcotest.test_case "nan rejected" `Quick test_engine_nan_rejected;
         ] );
       ( "regions",
@@ -1136,6 +1277,10 @@ let () =
             test_proc_freeze_running_takes_effect_at_suspension;
           Alcotest.test_case "double freeze" `Quick test_proc_double_freeze_single_unfreeze;
           Alcotest.test_case "sleep nan rejected" `Quick test_proc_sleep_nan_rejected;
+          Alcotest.test_case "stale waker" `Quick test_proc_stale_waker;
+          Alcotest.test_case "kill after wake-up" `Quick test_proc_kill_after_wakeup;
+          Alcotest.test_case "kill frozen parked" `Quick test_proc_kill_frozen_parked;
+          Alcotest.test_case "sleep when doomed" `Quick test_proc_sleep_doomed;
         ] );
       ( "mailbox",
         [

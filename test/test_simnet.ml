@@ -181,6 +181,35 @@ let test_recv_timeout () =
              | Error `Refused -> ())));
   check_bool "timed out" true (!got = None)
 
+(* A send on a pristine live link allocates its arrival closure and its
+   wire value: the bound fails if the send path grows. *)
+let test_send_allocation () =
+  let sends = 10_000 and words = ref 0.0 in
+  with_net (fun eng net ->
+      ignore
+        (Proc.spawn eng ~name:"server" (fun () ->
+             let listener = Net.listen net ~host:1 ~port:80 in
+             ignore (Net.accept listener);
+             Proc.sleep 500.0));
+      ignore
+        (Proc.spawn eng ~name:"client" (fun () ->
+             match Net.connect net ~host:0 ~to_host:1 ~to_port:80 with
+             | Ok conn ->
+                 let batch () =
+                   let before = Gc.minor_words () in
+                   for i = 1 to sends do
+                     ignore (Net.send conn i)
+                   done;
+                   let spent = Gc.minor_words () -. before in
+                   Proc.sleep 1.0;
+                   spent
+                 in
+                 ignore (batch ());
+                 words := batch () /. float_of_int sends
+             | Error `Refused -> Alcotest.fail "refused")));
+  check_bool (Printf.sprintf "at most 12 minor words per send (%.2f)" !words) true
+    (!words <= 12.0)
+
 let test_double_bind_rejected () =
   with_net (fun _eng net ->
       ignore (Net.listen net ~host:3 ~port:80);
@@ -355,6 +384,7 @@ let () =
           Alcotest.test_case "owner death closes" `Quick test_owner_death_closes;
           Alcotest.test_case "send after close" `Quick test_send_after_close_fails;
           Alcotest.test_case "recv timeout" `Quick test_recv_timeout;
+          Alcotest.test_case "send allocation" `Quick test_send_allocation;
           Alcotest.test_case "double bind rejected" `Quick test_double_bind_rejected;
           Alcotest.test_case "listener close frees port" `Quick test_listener_close_frees_port;
         ] );
