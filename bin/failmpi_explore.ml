@@ -55,8 +55,9 @@ let run protocol replicas ranks klass max_faults budget jobs seed targets bucket
     exit 1
   end;
   (* Past the explorer, a negative thaw is a scenario that does not
-     parse, a negative bucket a timer in the past, and a negative target
-     a fault that shoots nothing. *)
+     parse and a negative bucket a timer in the past. [Explore.plans]
+     refuses a target outside the compute hosts; a negative one is
+     caught here so that the message names the flag. *)
   let non_negative flag v =
     if v < 0 then begin
       prerr_endline (Printf.sprintf "failmpi_explore: --%s must be >= 0 (got %d)" flag v);

@@ -76,7 +76,6 @@ let net_profile ~loss ~latency ~jitter ~partition ~heal ~net_seed =
   else
     Some
       {
-        Simnet.Net.Perturb.default_profile with
         Simnet.Net.Perturb.base = { Simnet.Net.Perturb.loss; latency; jitter };
         partition;
         heal_at = heal;
@@ -132,8 +131,11 @@ let run scenario_file paper params ranks klass protocol replicas ckpt_servers
       prerr_endline "failmpi_run: --spares must be at least 0";
       exit 1
     end;
-    if ckpt_replicas < 1 then begin
-      prerr_endline "failmpi_run: --ckpt-replicas must be at least 1";
+    (* The storage plane keeps a primary copy and at most one mirror;
+       Run.execute refuses other factors too. *)
+    if ckpt_replicas < 1 || ckpt_replicas > 2 then begin
+      prerr_endline
+        (Printf.sprintf "failmpi_run: --ckpt-replicas must be 1 or 2 (got %d)" ckpt_replicas);
       exit 1
     end;
     if ckpt_servers < 1 then begin
@@ -317,8 +319,8 @@ let cmd =
       value & opt int 1
       & info [ "ckpt-replicas" ] ~docv:"N"
           ~doc:
-            "Checkpoint storage replication factor (rollback backends). 1 keeps the \
-             historical single-server plane; 2 mirrors every store to the rank's \
+            "Checkpoint storage replication factor (rollback backends), 1 or 2. 1 keeps \
+             the historical single-server plane; 2 mirrors every store to the rank's \
              mirror server before acking and restores fail over to it.")
   in
   let spares =

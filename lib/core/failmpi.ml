@@ -10,7 +10,6 @@ module Run = struct
     state_bytes : int;
     n_compute : int;
     cfg : Mpivcl.Config.t;
-    fci_config : Fci.Runtime.config;
     seed : int64;
     timeout : float;
     trace_level : Trace.level;
@@ -28,7 +27,6 @@ module Run = struct
       state_bytes;
       n_compute;
       cfg;
-      fci_config = Fci.Runtime.default_config;
       seed = 1L;
       timeout = 1500.0;
       trace_level = Trace.Full;
@@ -97,6 +95,11 @@ module Run = struct
            "Run.execute: n_compute (%d) cannot seat %d ranks — need at least one \
             compute host per rank"
            spec.n_compute n_ranks);
+    (* The storage plane keeps a primary copy and at most one mirror. *)
+    let ckpt_replicas = spec.cfg.Mpivcl.Config.ckpt_replicas in
+    if ckpt_replicas < 1 || ckpt_replicas > 2 then
+      invalid_arg
+        (Printf.sprintf "Run.execute: cfg.ckpt_replicas must be 1 or 2 (got %d)" ckpt_replicas);
     (match spec.regions with
     | Some r when r < 1 ->
         invalid_arg (Printf.sprintf "Run.execute: regions must be >= 1 (got %d)" r)
@@ -107,7 +110,7 @@ module Run = struct
       | None -> None
       | Some source -> (
           match Fail_lang.Compile.compile_source ~params:spec.params source with
-          | Ok plan -> Some (Fci.Runtime.create eng ~config:spec.fci_config plan)
+          | Ok plan -> Some (Fci.Runtime.create eng plan)
           | Error msg -> invalid_arg (Printf.sprintf "Run.execute: scenario error: %s" msg))
     in
     (* Capture each rank's final checksum after its last re-execution. *)

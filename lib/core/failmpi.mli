@@ -29,7 +29,6 @@ module Run : sig
     state_bytes : int;  (** per-rank checkpoint image size *)
     n_compute : int;  (** compute hosts incl. spares (paper: 53 for BT-49) *)
     cfg : Mpivcl.Config.t;
-    fci_config : Fci.Runtime.config;
     seed : int64;
     timeout : float;  (** experiment timeout (paper: 1500 s) *)
     trace_level : Simkern.Trace.level;
@@ -128,7 +127,8 @@ module Run : sig
   (** [execute ?expected_checksum spec] runs one experiment.
 
       @raise Invalid_argument on absurd inputs: [cfg.n_ranks <= 0],
-        [n_compute < cfg.n_ranks], or [regions = Some r] with [r < 1]. *)
+        [n_compute < cfg.n_ranks], [cfg.ckpt_replicas] other than 1 or 2,
+        or [regions = Some r] with [r < 1]. *)
   val execute : ?expected_checksum:int -> spec -> result
 
   (** {2 Checkpointed execution}

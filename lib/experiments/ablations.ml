@@ -29,7 +29,7 @@ let dispatcher_fix ?jobs ?(reps = 9) ?(n_ranks = 49) () =
     scenarios
   |> aggregate_campaign ?jobs
 
-let protocol_overhead ?jobs ?(n_ranks = 49) ?(intervals = [ 10.0; 30.0; 60.0 ]) () =
+let protocol_overhead ?jobs ?(n_ranks = 49) () =
   let n_machines = Harness.machines_for n_ranks in
   let klass = Workload.Bt_model.B in
   List.concat_map
@@ -50,10 +50,10 @@ let protocol_overhead ?jobs ?(n_ranks = 49) ?(intervals = [ 10.0; 30.0; 60.0 ]) 
             (fun ~seed ->
               Harness.run_bt ~cfg ~klass ~n_ranks ~n_machines ~scenario:None ~seed ()))
         [ Mpivcl.Config.Non_blocking; Mpivcl.Config.Blocking ])
-    intervals
+    [ 10.0; 30.0; 60.0 ]
   |> aggregate_campaign ?jobs
 
-let wave_interval ?jobs ?(reps = 4) ?(n_ranks = 49) ?(intervals = [ 10.0; 20.0; 30.0; 40.0 ]) () =
+let wave_interval ?jobs ?(reps = 4) ?(n_ranks = 49) () =
   let n_machines = Harness.machines_for n_ranks in
   let klass = Workload.Bt_model.B in
   let scenario = Some (Fail_lang.Paper_scenarios.frequency ~n_machines ~period:50) in
@@ -66,10 +66,10 @@ let wave_interval ?jobs ?(reps = 4) ?(n_ranks = 49) ?(intervals = [ 10.0; 20.0; 
         ~tag:(Printf.sprintf "ckpt every %2.0fs" interval)
         ~reps ~base_seed:800
         (fun ~seed -> Harness.run_bt ~cfg ~klass ~n_ranks ~n_machines ~scenario ~seed ()))
-    intervals
+    [ 10.0; 20.0; 30.0; 40.0 ]
   |> aggregate_campaign ?jobs
 
-let protocol_comparison ?jobs ?(reps = 4) ?(n_ranks = 49) ?(periods = [ 65; 50; 40; 30 ]) () =
+let protocol_comparison ?jobs ?(reps = 4) ?(n_ranks = 49) () =
   let n_machines = Harness.machines_for n_ranks in
   let klass = Workload.Bt_model.B in
   List.concat_map
@@ -92,7 +92,7 @@ let protocol_comparison ?jobs ?(reps = 4) ?(n_ranks = 49) ?(periods = [ 65; 50; 
           ( "V2 (msg logging)",
             { (Mpivcl.Config.default ~n_ranks) with Mpivcl.Config.protocol = Mpivcl.Config.Sender_logging } );
         ])
-    periods
+    [ 65; 50; 40; 30 ]
   |> aggregate_campaign ?jobs
 
 let render_protocol_comparison aggs =

@@ -28,8 +28,6 @@ type config = {
 val default_config : config
 val quick_config : config
 
-val case_name : case -> string
-
 (** [scenario_of config case] is the FAIL source of that grid cell
     ([None] for the baseline) — exposed for tests and qualitative runs. *)
 val scenario_of : config -> case -> string option

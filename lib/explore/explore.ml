@@ -57,7 +57,6 @@ type config = {
   max_faults : int;
   budget : int;
   sample_seed : int;
-  shrink_grid : int list;
   shrink_hangs : bool;
 }
 
@@ -70,9 +69,11 @@ let default_config ~n_machines ~targets ~buckets =
     max_faults = 2;
     budget = 200;
     sample_seed = 1;
-    shrink_grid = [ 60; 30; 15; 5; 1 ];
     shrink_hangs = false;
   }
+
+(* Time grids for [Shrink.coarsen], coarsest first. *)
+let coarsen_grid = [ 60; 30; 15; 5; 1 ]
 
 let plan cfg faults = { Plan.n_machines = cfg.n_machines; faults }
 
@@ -131,6 +132,15 @@ let plans cfg =
   if cfg.budget < 1 then invalid_arg "Explore.plans: budget must be >= 1";
   if cfg.targets = [] || cfg.buckets = [] || cfg.kinds = [] then
     invalid_arg "Explore.plans: targets, buckets and kinds must be non-empty";
+  (* The scenario deploys a controller on each compute host only, so a
+     fault aimed elsewhere would shoot nothing. *)
+  List.iter
+    (fun m ->
+      if m < 0 || m >= cfg.n_machines then
+        invalid_arg
+          (Printf.sprintf "Explore.plans: target %d is outside the compute hosts 0..%d" m
+             (cfg.n_machines - 1)))
+    cfg.targets;
   let singles = singles cfg in
   let n_singles = List.length singles in
   let n_pairs = if cfg.max_faults >= 2 then n_singles * n_singles else 0 in
@@ -216,7 +226,7 @@ let shrink_one cfg ~runner rc =
   let reproduces faults = faults <> [] && verdict_of (plan cfg faults) = rc.verdict in
   let min_faults, dd_probes = Shrink.ddmin ~test:reproduces rc.plan.Plan.faults in
   let coarse, co_probes =
-    Shrink.coarsen ~grid:cfg.shrink_grid
+    Shrink.coarsen ~grid:coarsen_grid
       ~test:(fun p -> verdict_of p = rc.verdict)
       (plan cfg min_faults)
   in

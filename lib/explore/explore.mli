@@ -54,15 +54,18 @@ type config = {
   max_faults : int;
   budget : int;  (** hard cap on the number of searched plans *)
   sample_seed : int;  (** seed of the >= 3-fault random sampler *)
-  shrink_grid : int list;  (** time grids for {!Shrink.coarsen}, coarsest first *)
   shrink_hangs : bool;  (** also minimize non-terminating plans (default false) *)
 }
 
-(** Kill-only defaults: [max_faults] 2, budget 200, grid 60/30/15/5/1. *)
+(** Kill-only defaults: [max_faults] 2, budget 200. Shrinking coarsens
+    fault times on the grids 60/30/15/5/1 s. *)
 val default_config : n_machines:int -> targets:int list -> buckets:int list -> config
 
 (** [plans config] is the deterministic search stream, truncated to
-    [config.budget]. Exposed for tests and coverage accounting. *)
+    [config.budget]. Exposed for tests and coverage accounting. Raises
+    [Invalid_argument] on a [max_faults] or [budget] below 1, an empty
+    [targets], [buckets] or [kinds], or a target outside the compute
+    hosts [0 .. n_machines - 1]. *)
 val plans : config -> Plan.t list
 
 type record = {

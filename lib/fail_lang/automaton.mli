@@ -81,11 +81,6 @@ val messages_received : t -> string list
 val pp : Format.formatter -> t -> unit
 val pp_trigger : Format.formatter -> Ast.trigger -> unit
 
-(** Compact one-line renderings, shared with runtime traces. *)
+(** [topo_sel_s sel] renders a compiled topology selector on one line
+    ([switch core\[v0\]], [pod 1]), for runtime traces. *)
 val topo_sel_s : ctopo_sel -> string
-
-val dest_s : cdest -> string
-
-(** [service_s svc] renders a compiled service selector ([ckpt\[v0\]],
-    [sched], [disp]); shared with runtime traces. *)
-val service_s : cservice -> string

@@ -9,13 +9,6 @@ type plan = {
   deployments : Ast.deployment list;
 }
 
-(** [compile_daemon d] compiles one daemon. [d] must have passed
-    {!Sema.check}; violations raise {!Loc.Error}. *)
-val compile_daemon : Ast.daemon -> Automaton.t
-
-(** [compile_program p] compiles all daemons of a checked program. *)
-val compile_program : Ast.program -> plan
-
 (** [compile_source ?params src] runs the whole pipeline on FAIL source
     text. *)
 val compile_source : ?params:(string * int) list -> string -> (plan, string) result

@@ -16,7 +16,6 @@ type criterion =
 type tool = { tool_name : string; reference : string; supports : criterion -> bool }
 
 val criteria : criterion list
-val criterion_name : criterion -> string
 
 val nftape : tool
 val loki : tool

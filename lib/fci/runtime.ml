@@ -2,24 +2,14 @@ open Simkern
 open Fail_lang
 module Perturb = Simnet.Net.Perturb
 
-type config = {
-  msg_latency : float;
-  heartbeat_period : float;
-  suspicion_timeout : float;
-  retry_rto : float;
-  retry_rto_max : float;
-  max_retries : int;
-}
-
-let default_config =
-  {
-    msg_latency = 0.11;
-    heartbeat_period = 2.0;
-    suspicion_timeout = 10.0;
-    retry_rto = 0.5;
-    retry_rto_max = 8.0;
-    max_retries = 6;
-  }
+(* Hardened control plane: the coordinator's probe period, the silence
+   after which a peer is suspected, and the retransmission backoff of a
+   control message and its retry budget. *)
+let heartbeat_period = 2.0
+let suspicion_timeout = 10.0
+let retry_rto = 0.5
+let retry_rto_max = 8.0
+let max_retries = 6
 
 type event =
   | Ev_msg of string * string  (* message name, sender instance id *)
@@ -55,7 +45,7 @@ type service = {
 
 type t = {
   eng : Engine.t;
-  cfg : config;
+  msg_latency : float;
   by_name : (string, instance) Hashtbl.t;
   groups : (string, instance array) Hashtbl.t;
   by_machine : (int, instance) Hashtbl.t;
@@ -473,14 +463,14 @@ and ensure_monitor t =
   | None ->
       if not t.stopped then
         t.hb_handle <-
-          Some (Engine.schedule t.eng ~delay:t.cfg.heartbeat_period (fun () -> hb_tick t))
+          Some (Engine.schedule t.eng ~delay:heartbeat_period (fun () -> hb_tick t))
 
 and hb_tick t =
   t.hb_handle <- None;
   if not t.stopped then begin
     (match t.net with Some p when Perturb.touched p -> probe_all t p | Some _ | None -> ());
     t.hb_handle <-
-      Some (Engine.schedule t.eng ~delay:t.cfg.heartbeat_period (fun () -> hb_tick t))
+      Some (Engine.schedule t.eng ~delay:heartbeat_period (fun () -> hb_tick t))
   end
 
 and probe_all t p =
@@ -488,7 +478,7 @@ and probe_all t p =
   | [] -> ()
   | root :: rest ->
       let threshold =
-        max 1 (int_of_float (Float.ceil (t.cfg.suspicion_timeout /. t.cfg.heartbeat_period)))
+        max 1 (int_of_float (Float.ceil (suspicion_timeout /. heartbeat_period)))
       in
       List.iter
         (fun inst ->
@@ -520,7 +510,7 @@ and send t inst msg dest ~sender =
         deliver_hardened t p inst target_inst msg
     | Some _ | None ->
         trace t inst "send" "%s -> %s" msg target_inst.id;
-        Engine.post t.eng ~delay:t.cfg.msg_latency (fun () ->
+        Engine.post t.eng ~delay:t.msg_latency (fun () ->
             dispatch t target_inst (Ev_msg (msg, inst.id)))
   in
   match dest with
@@ -574,7 +564,7 @@ and deliver_hardened t p inst target_inst msg =
     else begin
       (match Perturb.sample p ~src:inst.machine ~dst:target_inst.machine ~kind:`Data with
       | `Deliver extra ->
-          Engine.post t.eng ~delay:(t.cfg.msg_latency +. extra) (fun () ->
+          Engine.post t.eng ~delay:(t.msg_latency +. extra) (fun () ->
               if not (Hashtbl.mem t.seen key) then begin
                 Hashtbl.replace t.seen key ();
                 (* Ack travels the reverse link; losing it only provokes a
@@ -584,7 +574,7 @@ and deliver_hardened t p inst target_inst msg =
                      ~kind:`Data
                  with
                 | `Deliver ack_extra ->
-                    Engine.post t.eng ~delay:(t.cfg.msg_latency +. ack_extra) (fun () ->
+                    Engine.post t.eng ~delay:(t.msg_latency +. ack_extra) (fun () ->
                         match Hashtbl.find_opt t.retries seq with
                         | Some h ->
                             Engine.cancel h;
@@ -594,11 +584,8 @@ and deliver_hardened t p inst target_inst msg =
                 dispatch t target_inst (Ev_msg (msg, inst.id))
               end)
       | `Drop -> ());
-      if k < t.cfg.max_retries then begin
-        let delay =
-          Perturb.backoff ~rto_initial:t.cfg.retry_rto ~rto_max:t.cfg.retry_rto_max
-            ~attempt:k
-        in
+      if k < max_retries then begin
+        let delay = Perturb.backoff ~rto_initial:retry_rto ~rto_max:retry_rto_max ~attempt:k in
         let h =
           Engine.schedule t.eng ~delay (fun () ->
               Hashtbl.remove t.retries seq;
@@ -610,7 +597,7 @@ and deliver_hardened t p inst target_inst msg =
       end
       else begin
         trace t inst "give-up" "%s -> %s #%d after %d attempts" msg target_inst.id seq
-          t.cfg.max_retries;
+          max_retries;
         if not target_inst.suspected then begin
           target_inst.suspected <- true;
           trace t target_inst "suspect" "control message exhausted retries"
@@ -653,11 +640,11 @@ and dispatch t inst ev =
 (* ------------------------------------------------------------------ *)
 (* Deployment *)
 
-let create eng ?(config = default_config) (plan : Compile.plan) =
+let create eng ?(msg_latency = 0.11) (plan : Compile.plan) =
   let t =
     {
       eng;
-      cfg = config;
+      msg_latency;
       by_name = Hashtbl.create 64;
       groups = Hashtbl.create 8;
       by_machine = Hashtbl.create 64;
@@ -812,11 +799,6 @@ let net_faults t = t.net_fault_count
    Both leave timer generations, variables and every other part of the
    run untouched, which is what keeps a forked branch byte-identical to
    replaying that plan from t=0. *)
-
-let timer_handle t ~instance =
-  match Hashtbl.find_opt t.by_name instance with
-  | None -> None
-  | Some inst -> inst.timer_handle
 
 let retime_timer t ~instance ~time =
   match Hashtbl.find_opt t.by_name instance with

@@ -17,33 +17,14 @@ open Simkern
 
 type t
 
-type config = {
-  msg_latency : float;
-      (** one-way latency of daemon-to-daemon control messages, including
-          daemon processing time (default 0.11 s — the injection
-          control plane runs through debugger-instrumented daemons and is
-          much slower than the data plane) *)
-  heartbeat_period : float;
-      (** period of the coordinator's peer probes once the fabric is
-          perturbed (default 2 s) *)
-  suspicion_timeout : float;
-      (** how long a daemon must miss consecutive heartbeats before it is
-          suspected and quarantined (default 10 s) *)
-  retry_rto : float;
-      (** initial retransmission timeout of hardened control messages
-          (default 0.5 s) *)
-  retry_rto_max : float;  (** backoff cap (default 8 s) *)
-  max_retries : int;
-      (** retransmissions before giving up and suspecting the target
-          (default 6) *)
-}
-
-val default_config : config
-
-(** [create engine ?config plan] deploys every instance of the plan.
-    Raises [Invalid_argument] if the plan deploys two instances on the
-    same machine (one FAIL-MPI daemon per machine, as in the paper). *)
-val create : Engine.t -> ?config:config -> Fail_lang.Compile.plan -> t
+(** [create engine ?msg_latency plan] deploys every instance of the plan.
+    [msg_latency] is the one-way latency of daemon-to-daemon control
+    messages, daemon processing included (default 0.11 s: the injection
+    control plane runs through debugger-instrumented daemons and is much
+    slower than the data plane). Raises [Invalid_argument] if the plan
+    deploys two instances on the same machine (one FAIL-MPI daemon per
+    machine, as in the paper). *)
+val create : Engine.t -> ?msg_latency:float -> Fail_lang.Compile.plan -> t
 
 val engine : t -> Engine.t
 
@@ -108,10 +89,6 @@ val injected_faults : t -> int
     generations, variables and the rest of the run untouched — a forked
     branch stays byte-identical to replaying its plan from t=0. *)
 
-(** [timer_handle t ~instance] is the instance's armed node timer, if
-    any ([None] also for unknown instances). *)
-val timer_handle : t -> instance:string -> Simkern.Engine.handle option
-
 (** [retime_timer t ~instance ~time] re-aims the instance's armed timer
     at absolute [time], preserving its engine sequence number (see
     {!Simkern.Engine.retime}) so same-instant ties break as a
@@ -140,9 +117,9 @@ val suspected : t -> string list
     network's perturbation layer: scenario [partition]/[degrade]/[heal]
     actions act on it, inter-machine daemon messages are sampled against
     it (with sequence numbers, ack-cancelled exponential-backoff
-    retransmission and receiver-side dedup), and a heartbeat monitor
-    suspects — quarantines — daemons whose probes miss for longer than
-    [suspicion_timeout]. With no fabric attached, or an untouched one,
+    retransmission from 0.5 s up to 8 s, at most 6 times, and
+    receiver-side dedup), and a heartbeat monitor probing every 2 s
+    suspects — quarantines — daemons whose probes miss for 10 s. With no fabric attached, or an untouched one,
     message delivery is byte-identical to the historical runtime. *)
 val set_fabric : t -> Simnet.Net.Perturb.t -> unit
 

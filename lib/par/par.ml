@@ -44,8 +44,6 @@ module Pool = struct
     mutable workers : unit Domain.t list;
   }
 
-  let domains t = List.length t.workers
-
   (* Workers drain the queue until [stopping] is set AND the queue is
      empty, so a shutdown never drops submitted work. *)
   let worker t =

@@ -13,13 +13,10 @@
     environment variable, else [Domain.recommended_domain_count ()].
     Width 1 runs on the calling domain with no pool at all. *)
 
-(** Hard upper bound on the pool width ([FAILMPI_JOBS] and [--jobs] are
-    clamped to it; OCaml caps the number of live domains at ~128). *)
-val max_jobs : int
-
 (** [default_jobs ()] is the pool width used when [?jobs] is omitted:
     the {!set_default_jobs} override, else [FAILMPI_JOBS], else
-    [Domain.recommended_domain_count ()], clamped to [1 .. max_jobs]. *)
+    [Domain.recommended_domain_count ()], clamped to [1 .. 64] (OCaml
+    caps the number of live domains at ~128). *)
 val default_jobs : unit -> int
 
 (** [set_default_jobs n] overrides {!default_jobs} for the whole
@@ -36,24 +33,3 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     seeds [base_seed, base_seed+1, ...] ([reps] of them), results in
     seed order — the parallel form of the harness replication loop. *)
 val map_seeds : ?jobs:int -> reps:int -> base_seed:int -> (seed:int64 -> 'a) -> 'a list
-
-(** Explicit worker pool, for callers that want to amortise domain
-    spawns over several {!map}-shaped waves. {!map} creates and drains
-    one internally. *)
-module Pool : sig
-  type t
-
-  (** [create ~domains] spawns [domains] worker domains blocked on the
-      task queue. *)
-  val create : domains:int -> t
-
-  val domains : t -> int
-
-  (** [submit t job] enqueues [job]; some worker will run it. Raises
-      [Invalid_argument] after {!shutdown}. *)
-  val submit : t -> (unit -> unit) -> unit
-
-  (** [shutdown t] lets queued tasks drain, then joins every worker.
-      Idempotent. *)
-  val shutdown : t -> unit
-end

@@ -64,21 +64,10 @@ module Lane = struct
     clock.now <- l.time.now;
     f
 
-  type slice = { s_time : float; s_seqs : int array; s_thunks : (unit -> unit) array }
+  type slice = { s_seqs : int array; s_thunks : (unit -> unit) array }
 
   let slice l =
-    {
-      s_time = l.time.now;
-      s_seqs = Array.sub l.seqs l.head (length l);
-      s_thunks = Array.sub l.thunks l.head (length l);
-    }
-
-  let restore l s =
-    l.time.now <- s.s_time;
-    l.seqs <- Array.copy s.s_seqs;
-    l.thunks <- Array.copy s.s_thunks;
-    l.head <- 0;
-    l.tail <- Array.length s.s_seqs
+    { s_seqs = Array.sub l.seqs l.head (length l); s_thunks = Array.sub l.thunks l.head (length l) }
 
   let slice_length s = Array.length s.s_seqs
 end
@@ -331,70 +320,22 @@ let rec run_one t =
 let halt t = t.halted <- true
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot / restore
+(* Snapshot
 
-   A snapshot captures the engine's own bookkeeping: clock, counters,
-   RNG state, trace position, and a copy of the lane's and both heaps'
-   slots together with the state each handle event had at capture
-   (posted events are always pending). [restore] copies the slots back and rewinds the
-   scalars. Event thunks are shared, not copied — the engine cannot
-   rewind what a thunk's closure points at (process continuations,
-   protocol state), so restore is only sound when that external state is
-   itself back at the capture point: either the events are
-   self-contained, or the whole process was forked at the snapshot (the
-   explorer's scheme — fork gives copy-on-write of everything else, and
-   the snapshot contract documents exactly what the engine half
-   covers). *)
+   A snapshot copies the queue's slots: the lane's and both heaps'.
+   Event thunks are shared, not copied, so its footprint
+   ([snapshot_words]) includes what the queued closures reach. The
+   explorer measures it at each fork point; the fork itself carries the
+   state copy-on-write. *)
 
 type snapshot = {
-  snap_now : float;
-  snap_seq : int;
-  snap_pid : int;
-  snap_halted : bool;
-  snap_rng : Rng.t;
   snap_lane : Lane.slice;
   snap_posted : (unit -> unit) Heap.slice;
   snap_handles : handle Heap.slice;
-  snap_states : event_state array;  (* of [snap_handles], slot by slot *)
-  snap_trace : int;
 }
 
 let snapshot t =
-  let handles = Heap.slice t.handles in
-  {
-    snap_now = t.clock.now;
-    snap_seq = t.next_seq;
-    snap_pid = t.next_pid;
-    snap_halted = t.halted;
-    snap_rng = Rng.copy t.rng;
-    snap_lane = Lane.slice t.lane;
-    snap_posted = Heap.slice t.posted;
-    snap_handles = handles;
-    snap_states =
-      Array.init (Heap.slice_length handles) (fun i -> (Heap.slice_get handles i).state);
-    snap_trace = Trace.length t.trace;
-  }
-
-let restore t s =
-  Lane.restore t.lane s.snap_lane;
-  Heap.restore t.posted s.snap_posted;
-  Heap.restore t.handles s.snap_handles;
-  t.live <- Lane.length t.lane + Heap.slice_length s.snap_posted;
-  t.tombstones <- 0;
-  Array.iteri
-    (fun i st ->
-      (Heap.slice_get s.snap_handles i).state <- st;
-      match st with
-      | Pending -> t.live <- t.live + 1
-      | Cancelled -> t.tombstones <- t.tombstones + 1
-      | Done -> ())
-    s.snap_states;
-  t.clock.now <- s.snap_now;
-  t.next_seq <- s.snap_seq;
-  t.next_pid <- s.snap_pid;
-  t.halted <- s.snap_halted;
-  Rng.assign t.rng s.snap_rng;
-  Trace.truncate t.trace s.snap_trace
+  { snap_lane = Lane.slice t.lane; snap_posted = Heap.slice t.posted; snap_handles = Heap.slice t.handles }
 
 let snapshot_events s =
   Lane.slice_length s.snap_lane + Heap.slice_length s.snap_posted

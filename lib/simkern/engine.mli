@@ -121,27 +121,17 @@ val retime : handle -> time:float -> handle
 (** [halt t] stops a [run] in progress after the current event. *)
 val halt : t -> unit
 
-(** {2 Snapshot / restore}
+(** {2 Snapshot}
 
-    A {!snapshot} captures the engine's own bookkeeping — clock, seq and
-    pid counters, RNG state, trace position, and a copy of the queue's
-    slots with the capture-time state of every handle event. {!restore}
-    copies the queue back and rewinds the scalars. Event thunks are {e shared}, not copied: the engine cannot
-    rewind what a closure points at (process continuations, protocol
-    state), so restoring inside a live process is only sound when that
-    external state is itself back at the capture point — either the
-    events are self-contained, or the process was forked at the snapshot
-    and the child inherited everything else copy-on-write (the
-    explorer's scheme; see docs/EXPLORER.md). *)
+    A {!snapshot} copies the queue's slots. Event thunks are {e shared},
+    not copied, so it only measures what a fork point holds: the
+    explorer forks the whole process there and lets copy-on-write carry
+    the state (see docs/EXPLORER.md). *)
 
 type snapshot
 
-(** [snapshot t] captures the engine state (O(queued events)). *)
+(** [snapshot t] copies the queued events of [t] (O(queued events)). *)
 val snapshot : t -> snapshot
-
-(** [restore t s] rewinds [t] to [s]. May be applied any number of
-    times; the snapshot is not consumed. *)
-val restore : t -> snapshot -> unit
 
 (** [snapshot_events s] is the number of queued events captured. *)
 val snapshot_events : snapshot -> int

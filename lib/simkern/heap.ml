@@ -184,15 +184,4 @@ let slice h =
     s_data = Array.sub h.data 0 h.size;
   }
 
-let restore h s =
-  let n = Array.length s.s_data in
-  if n = 0 then clear h
-  else begin
-    h.times <- Float.Array.copy s.s_times;
-    h.seqs <- Array.copy s.s_seqs;
-    h.data <- Array.copy s.s_data;
-    h.size <- n
-  end
-
 let slice_length s = Array.length s.s_data
-let slice_get s i = s.s_data.(i)

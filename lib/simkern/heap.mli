@@ -65,18 +65,11 @@ val filter_in_place : 'a t -> keep:('a -> bool) -> unit
 (** {2 Slices}
 
     A slice is a copy of the heap's occupied slots, arrays in heap
-    order, so {!restore} rebuilds the same heap without re-sifting. *)
+    order. *)
 
 type 'a slice
 
 (** [slice h] copies the occupied slots of [h]. *)
 val slice : 'a t -> 'a slice
 
-(** [restore h s] replaces the contents of [h] with a copy of [s]. [s]
-    is not consumed. *)
-val restore : 'a t -> 'a slice -> unit
-
 val slice_length : 'a slice -> int
-
-(** [slice_get s i] is the payload of slot [i] of [s]. *)
-val slice_get : 'a slice -> int -> 'a

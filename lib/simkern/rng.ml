@@ -6,8 +6,6 @@ let create seed = { state = seed }
 
 let copy t = { state = t.state }
 
-let assign dst src = dst.state <- src.state
-
 (* splitmix64 step: advance by the golden gamma, then mix. *)
 let next_int64 t =
   t.state <- Int64.add t.state golden_gamma;

@@ -17,12 +17,6 @@ val split : t -> t
 (** [copy t] duplicates the generator state. *)
 val copy : t -> t
 
-(** [assign dst src] overwrites [dst]'s state with [src]'s, leaving
-    [src] untouched — the restore half of a {!copy}-based snapshot,
-    usable on a generator other components already hold a reference
-    to. *)
-val assign : t -> t -> unit
-
 (** [int64 t] returns the next raw 64-bit output. *)
 val int64 : t -> int64
 

@@ -62,16 +62,6 @@ let clear t =
   t.entries <- [||];
   t.n <- 0
 
-let truncate t n =
-  if n < 0 || n > t.n then
-    invalid_arg (Printf.sprintf "Trace.truncate: length %d out of range 0..%d" n t.n);
-  (* Drop the entries so details recorded after the cut are
-     collectable. *)
-  for i = n to t.n - 1 do
-    t.entries.(i) <- dummy_entry
-  done;
-  t.n <- n
-
 let pp_entry ppf e =
   Format.fprintf ppf "@[<h>%10.3f %-16s %-24s %s@]" e.time e.source e.event e.detail
 

@@ -86,12 +86,6 @@ val last_time : t -> event:string -> float option
 (** [clear t] drops all entries. *)
 val clear : t -> unit
 
-(** [truncate t n] drops every entry recorded after the first [n] —
-    the restore half of a snapshot that remembered [length t]. Raises
-    [Invalid_argument] if [n] is negative or beyond the current
-    length. *)
-val truncate : t -> int -> unit
-
 (** [pp ppf t] prints the trace, one entry per line. *)
 val pp : Format.formatter -> t -> unit
 

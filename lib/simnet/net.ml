@@ -1,26 +1,9 @@
 open Simkern
 
-type config = {
-  latency : float;
-  bandwidth : float;
-  local_latency : float;
-  local_bandwidth : float;
-}
-
-let default_config =
-  { latency = 1e-4; bandwidth = 1e8; local_latency = 5e-6; local_bandwidth = 1e9 }
-
-let check_config c =
-  let bad name v =
-    invalid_arg
-      (Printf.sprintf "Net.create: %s must be a positive number (got %g)" name v)
-  in
-  (* [not (v > 0.)] also rejects NaN, which would otherwise propagate into
-     arrival times and silently wedge the event queue. *)
-  if not (c.latency > 0.0) then bad "latency" c.latency;
-  if not (c.bandwidth > 0.0) then bad "bandwidth" c.bandwidth;
-  if not (c.local_latency > 0.0) then bad "local_latency" c.local_latency;
-  if not (c.local_bandwidth > 0.0) then bad "local_bandwidth" c.local_bandwidth
+let latency = 1e-4
+let bandwidth = 1e8
+let local_latency = 5e-6
+let local_bandwidth = 1e9
 
 module Perturb = struct
   type spec = { loss : float; latency : float; jitter : float }
@@ -41,23 +24,9 @@ module Perturb = struct
     partition : (int list * int list) option;
     heal_at : float option;
     seed : int64 option;
-    reliable : bool;
-    rto_initial : float;
-    rto_max : float;
-    max_attempts : int;
   }
 
-  let default_profile =
-    {
-      base = zero;
-      partition = None;
-      heal_at = None;
-      seed = None;
-      reliable = true;
-      rto_initial = 0.25;
-      rto_max = 4.0;
-      max_attempts = 8;
-    }
+  let default_profile = { base = zero; partition = None; heal_at = None; seed = None }
 
   let check_profile p =
     check_spec ~what:"Net.Perturb profile" p.base;
@@ -68,23 +37,16 @@ module Perturb = struct
     (match p.heal_at with
     | Some t when not (t >= 0.0) ->
         invalid_arg (Printf.sprintf "Net.Perturb profile: heal_at must be non-negative (got %g)" t)
-    | _ -> ());
-    if not (p.rto_initial > 0.0) then
-      invalid_arg
-        (Printf.sprintf "Net.Perturb profile: rto_initial must be positive (got %g)"
-           p.rto_initial);
-    if not (p.rto_max >= p.rto_initial) then
-      invalid_arg
-        (Printf.sprintf "Net.Perturb profile: rto_max (%g) must be >= rto_initial (%g)"
-           p.rto_max p.rto_initial);
-    if p.max_attempts < 1 then
-      invalid_arg
-        (Printf.sprintf "Net.Perturb profile: max_attempts must be >= 1 (got %d)"
-           p.max_attempts)
+    | _ -> ())
 
   let backoff ~rto_initial ~rto_max ~attempt =
     if attempt < 0 then invalid_arg "Net.Perturb.backoff: attempt must be >= 0";
     Float.min rto_max (rto_initial *. (2.0 ** float_of_int attempt))
+
+  (* The reliable transport's retransmission limits. *)
+  let rto_initial = 0.25
+  let rto_max = 4.0
+  let max_attempts = 8
 
   (* Perturbation state is kept O(active perturbations), never O(links):
      membership in a cut is a per-host byte map built once when
@@ -98,7 +60,7 @@ module Perturb = struct
      failure severs — deterministic routing makes that an arbitrary
      pair set, not a bipartition, so no byte map can express it.  The
      table is keyed on the sorted pair and never mutated after the rule
-     is installed, so snapshots may share it. *)
+     is installed. *)
   type cut =
     | Cut_sets of Bytes.t
     | Cut_isolate of Bytes.t
@@ -122,10 +84,6 @@ module Perturb = struct
     mutable p_cuts : cut list;
     mutable p_pair_rules : pair_rule list;
     mutable p_touched : bool;
-    mutable p_reliable : bool;
-    mutable p_rto_initial : float;
-    mutable p_rto_max : float;
-    mutable p_max_attempts : int;
     mutable p_dropped : int;
     mutable p_delayed : int;
     mutable p_retransmits : int;
@@ -143,10 +101,6 @@ module Perturb = struct
       p_cuts = [];
       p_pair_rules = [];
       p_touched = false;
-      p_reliable = default_profile.reliable;
-      p_rto_initial = default_profile.rto_initial;
-      p_rto_max = default_profile.rto_max;
-      p_max_attempts = default_profile.max_attempts;
       p_dropped = 0;
       p_delayed = 0;
       p_retransmits = 0;
@@ -198,10 +152,6 @@ module Perturb = struct
     ignore (rng p)
 
   let touched p = p.p_touched
-  let reliable p = p.p_touched && p.p_reliable
-  let rto_initial p = p.p_rto_initial
-  let rto_max p = p.p_rto_max
-  let max_attempts p = p.p_max_attempts
   let note_retransmits p n = p.p_retransmits <- p.p_retransmits + n
   let note_conn_timeout p = p.p_conn_timeouts <- p.p_conn_timeouts + 1
 
@@ -356,10 +306,6 @@ module Perturb = struct
   let apply p profile =
     check_profile profile;
     (match profile.seed with Some s -> p.p_seed <- Some s | None -> ());
-    p.p_reliable <- profile.reliable;
-    p.p_rto_initial <- profile.rto_initial;
-    p.p_rto_max <- profile.rto_max;
-    p.p_max_attempts <- profile.max_attempts;
     if profile.base <> zero then set_base p profile.base;
     (match profile.partition with Some (a, b) -> partition p a b | None -> ());
     match profile.heal_at with
@@ -367,67 +313,6 @@ module Perturb = struct
         touch p;
         Engine.post_at p.p_eng ~time:t (fun () -> heal p)
     | None -> ()
-
-  (* Snapshot: every mutable field. Cut byte maps and spec records
-     are immutable after construction, so sharing the lists is safe; the
-     RNG state is copied both ways so one snapshot restores any number
-     of times. *)
-  type snapshot = {
-    sn_rng : Rng.t option;
-    sn_seed : int64 option;
-    sn_base : spec;
-    sn_degraded : spec array;
-    sn_deg_hosts : int list;
-    sn_cuts : cut list;
-    sn_pair_rules : pair_rule list;
-    sn_touched : bool;
-    sn_reliable : bool;
-    sn_rto_initial : float;
-    sn_rto_max : float;
-    sn_max_attempts : int;
-    sn_dropped : int;
-    sn_delayed : int;
-    sn_retransmits : int;
-    sn_conn_timeouts : int;
-  }
-
-  let snapshot p =
-    {
-      sn_rng = Option.map Rng.copy p.p_rng;
-      sn_seed = p.p_seed;
-      sn_base = p.p_base;
-      sn_degraded = Array.copy p.p_degraded;
-      sn_deg_hosts = p.p_deg_hosts;
-      sn_cuts = p.p_cuts;
-      sn_pair_rules = p.p_pair_rules;
-      sn_touched = p.p_touched;
-      sn_reliable = p.p_reliable;
-      sn_rto_initial = p.p_rto_initial;
-      sn_rto_max = p.p_rto_max;
-      sn_max_attempts = p.p_max_attempts;
-      sn_dropped = p.p_dropped;
-      sn_delayed = p.p_delayed;
-      sn_retransmits = p.p_retransmits;
-      sn_conn_timeouts = p.p_conn_timeouts;
-    }
-
-  let restore p s =
-    p.p_rng <- Option.map Rng.copy s.sn_rng;
-    p.p_seed <- s.sn_seed;
-    p.p_base <- s.sn_base;
-    p.p_degraded <- Array.copy s.sn_degraded;
-    p.p_deg_hosts <- s.sn_deg_hosts;
-    p.p_cuts <- s.sn_cuts;
-    p.p_pair_rules <- s.sn_pair_rules;
-    p.p_touched <- s.sn_touched;
-    p.p_reliable <- s.sn_reliable;
-    p.p_rto_initial <- s.sn_rto_initial;
-    p.p_rto_max <- s.sn_rto_max;
-    p.p_max_attempts <- s.sn_max_attempts;
-    p.p_dropped <- s.sn_dropped;
-    p.p_delayed <- s.sn_delayed;
-    p.p_retransmits <- s.sn_retransmits;
-    p.p_conn_timeouts <- s.sn_conn_timeouts
 end
 
 type 'a recv_result = Data of 'a | Closed
@@ -443,7 +328,6 @@ type clock = { mutable tx_free_at : float; mutable last_arrival : float }
 
 type 'a t = {
   eng : Engine.t;
-  cfg : config;
   perturb : Perturb.t;
   listeners : (int * int, 'a listener) Hashtbl.t;
 }
@@ -475,34 +359,10 @@ and 'a conn = {
   mutable c_attempts : int;
 }
 
-let create eng ?(config = default_config) () =
-  check_config config;
-  { eng; cfg = config; perturb = Perturb.make eng; listeners = Hashtbl.create 64 }
+let create eng () = { eng; perturb = Perturb.make eng; listeners = Hashtbl.create 64 }
 
 let engine net = net.eng
-let config net = net.cfg
 let perturb net = net.perturb
-
-(* Socket-layer snapshot: the port-binding table plus the perturbation
-   layer. Listener mailboxes and per-connection buffers reach process
-   continuations, so the records are shared, not copied — same contract
-   as [Engine.snapshot]: sound when the rest of the process is itself
-   back at the capture point (self-contained state, or an OS fork). *)
-type 'a snapshot = {
-  ns_perturb : Perturb.snapshot;
-  ns_bindings : ((int * int) * 'a listener) list;
-}
-
-let snapshot net =
-  {
-    ns_perturb = Perturb.snapshot net.perturb;
-    ns_bindings = Hashtbl.fold (fun k l acc -> (k, l) :: acc) net.listeners [];
-  }
-
-let restore net s =
-  Perturb.restore net.perturb s.ns_perturb;
-  Hashtbl.reset net.listeners;
-  List.iter (fun (k, l) -> Hashtbl.replace net.listeners k l) s.ns_bindings
 
 let listen net ~host ~port =
   if Hashtbl.mem net.listeners (host, port) then
@@ -522,7 +382,7 @@ let close_listener l =
   end
 
 let reliable_on conn =
-  conn.c_local_host <> conn.c_peer_host && Perturb.reliable conn.c_net.perturb
+  conn.c_local_host <> conn.c_peer_host && Perturb.touched conn.c_net.perturb
 
 let cancel_retx conn =
   match conn.c_retx_timer with
@@ -547,7 +407,7 @@ let depart conn ~size ~kind =
       let now = Engine.now net.eng in
       let start = if now >= clock.tx_free_at then now else clock.tx_free_at in
       let tx_time =
-        float_of_int size /. if local then net.cfg.local_bandwidth else net.cfg.bandwidth
+        float_of_int size /. if local then local_bandwidth else bandwidth
       in
       clock.tx_free_at <- start +. tx_time;
       let fate =
@@ -558,7 +418,7 @@ let depart conn ~size ~kind =
       match fate with
       | `Drop -> None
       | `Deliver extra ->
-          let latency = if local then net.cfg.local_latency else net.cfg.latency in
+          let latency = if local then local_latency else latency in
           let arrival = start +. tx_time +. latency +. extra in
           if arrival > clock.last_arrival then clock.last_arrival <- arrival;
           peer)
@@ -613,9 +473,8 @@ and on_ack conn n =
 
 and arm_retx conn =
   if conn.c_retx_timer = None && conn.c_unacked <> [] then begin
-    let p = conn.c_net.perturb in
     let delay =
-      Perturb.backoff ~rto_initial:(Perturb.rto_initial p) ~rto_max:(Perturb.rto_max p)
+      Perturb.backoff ~rto_initial:Perturb.rto_initial ~rto_max:Perturb.rto_max
         ~attempt:conn.c_attempts
     in
     conn.c_retx_timer <- Some (Engine.schedule conn.c_net.eng ~delay (fun () -> retx_fire conn))
@@ -626,7 +485,7 @@ and retx_fire conn =
   if conn.c_unacked <> [] then begin
     let p = conn.c_net.perturb in
     conn.c_attempts <- conn.c_attempts + 1;
-    if conn.c_attempts > Perturb.max_attempts p then conn_timeout conn
+    if conn.c_attempts > Perturb.max_attempts then conn_timeout conn
     else begin
       Perturb.note_retransmits p (List.length conn.c_unacked);
       List.iter
@@ -648,7 +507,7 @@ and conn_timeout conn =
   deliver conn Closed;
   match conn.c_peer with
   | Some peer ->
-      Engine.post conn.c_net.eng ~delay:(Perturb.rto_max p) (fun () -> deliver peer Closed)
+      Engine.post conn.c_net.eng ~delay:Perturb.rto_max (fun () -> deliver peer Closed)
   | None -> ()
 
 (* Queue a wire message from [conn] to its peer. *)
@@ -724,7 +583,7 @@ let make_pair net ~host_a ~host_b =
 
 let connect net ~host ~to_host ~to_port =
   let eng = net.eng in
-  let latency = if host = to_host then net.cfg.local_latency else net.cfg.latency in
+  let latency = if host = to_host then local_latency else latency in
   let p = net.perturb in
   let sample () =
     if Perturb.touched p then Perturb.sample p ~src:host ~dst:to_host ~kind:`Data
@@ -754,7 +613,7 @@ let connect net ~host ~to_host ~to_port =
             | Some _ | None -> finish ~extra:0.0 (Error `Refused)));
     Ivar.read result
   in
-  let retrying = host <> to_host && Perturb.reliable p in
+  let retrying = host <> to_host && Perturb.touched p in
   let rec go attempt =
     match attempt_once () with
     | Ok conn ->
@@ -762,11 +621,11 @@ let connect net ~host ~to_host ~to_port =
         Ok conn
     | Error `Refused -> Error `Refused
     | Error `Lost ->
-        if retrying && attempt < Perturb.max_attempts p then begin
+        if retrying && attempt < Perturb.max_attempts then begin
           Perturb.note_retransmits p 1;
           Proc.sleep
-            (Perturb.backoff ~rto_initial:(Perturb.rto_initial p)
-               ~rto_max:(Perturb.rto_max p) ~attempt);
+            (Perturb.backoff ~rto_initial:Perturb.rto_initial ~rto_max:Perturb.rto_max
+               ~attempt);
           go (attempt + 1)
         end
         else begin

@@ -28,15 +28,18 @@ open Simkern
 
 type 'a t
 
-type config = {
-  latency : float;  (** one-way propagation delay between distinct hosts, s *)
-  bandwidth : float;  (** bytes per second between distinct hosts *)
-  local_latency : float;  (** one-way delay on same-host connections, s *)
-  local_bandwidth : float;  (** bytes per second on same-host connections *)
-}
+(** One-way propagation delay between distinct hosts: 100 us, as on
+    GigE. *)
+val latency : float
 
-(** GigE-like defaults: 100 us latency, 100 MB/s; local: 5 us, 1 GB/s. *)
-val default_config : config
+(** Bytes per second between distinct hosts: 100 MB/s. *)
+val bandwidth : float
+
+(** One-way delay on same-host connections: 5 us. *)
+val local_latency : float
+
+(** Bytes per second on same-host connections: 1 GB/s. *)
+val local_bandwidth : float
 
 (** Network perturbation: deterministic link faults drawn from the run
     seed. All state lives inside the owning network (and therefore inside
@@ -53,27 +56,23 @@ module Perturb : sig
 
   (** A launch-time perturbation profile ([failmpi_run --net-*]): [base]
       degrades every inter-host link, [partition] opens a bidirectional
-      cut between two host sets, [heal_at] schedules {!heal}, [seed]
-      overrides the lazily split perturbation RNG, [reliable] arms the
-      retransmitting transport (default [true]), and [rto_initial]/
-      [rto_max]/[max_attempts] bound its exponential backoff. *)
+      cut between two host sets, [heal_at] schedules {!heal}, and [seed]
+      overrides the lazily split perturbation RNG. Once any rule is
+      installed the retransmitting transport is armed, with an initial
+      retransmission timeout of 0.25 s doubled up to 4 s, and at most 8
+      attempts. *)
   type profile = {
     base : spec;
     partition : (int list * int list) option;
     heal_at : float option;
     seed : int64 option;
-    reliable : bool;
-    rto_initial : float;
-    rto_max : float;
-    max_attempts : int;
   }
 
-  (** No degradation, no partition, reliable transport armed with
-      [rto_initial = 0.25 s], [rto_max = 4 s], [max_attempts = 8]. *)
+  (** No degradation, no partition, no heal, no seed. *)
   val default_profile : profile
 
   (** Raise [Invalid_argument] on parameters outside their domain (loss
-      outside [\[0,1\]], negative delays, non-positive backoff). *)
+      outside [\[0,1\]], negative delays). *)
   val check_spec : ?what:string -> spec -> unit
 
   (** [check_profile p] also rejects empty partition sides and a NaN or
@@ -126,12 +125,9 @@ module Perturb : sig
       per-field max. O(1). *)
   val spec_for : t -> src:int -> dst:int -> spec
 
-  (** [apply t profile] installs a launch-time profile: backoff limits,
-      base degradation, partition and scheduled heal. *)
+  (** [apply t profile] installs a launch-time profile: seed, base
+      degradation, partition and scheduled heal. *)
   val apply : t -> profile -> unit
-
-  (** [set_base t spec] degrades every inter-host link. *)
-  val set_base : t -> spec -> unit
 
   (** [degrade t ~hosts spec] degrades every link touching one of
       [hosts]; the worse of base/endpoint specs applies per link. *)
@@ -166,44 +162,16 @@ module Perturb : sig
       The reliable transport stays armed so in-flight retransmissions
       drain over the healed links. *)
   val heal : t -> unit
-
-  (** {2 Snapshot / restore}
-
-      Captures every mutable field — RNG state, base/per-host specs,
-      cuts, counters. Restore is exact and reusable: the layer's
-      state is plain data, so this round-trips even inside a live
-      process. *)
-
-  type snapshot
-
-  val snapshot : t -> snapshot
-  val restore : t -> snapshot -> unit
 end
 
-(** [create eng ?config ()] builds a network. Raises [Invalid_argument]
-    if any latency or bandwidth in [config] is not a positive number. *)
-val create : Engine.t -> ?config:config -> unit -> 'a t
+(** [create eng ()] builds a network. *)
+val create : Engine.t -> unit -> 'a t
 
 val engine : 'a t -> Engine.t
-val config : 'a t -> config
 
 (** [perturb net] is the network's perturbation layer (dormant until a
     rule is installed). *)
 val perturb : 'a t -> Perturb.t
-
-(** {2 Snapshot / restore}
-
-    Captures the socket layer's port-binding table and the perturbation
-    layer. Listener mailboxes and per-connection buffers reach process
-    continuations and are shared, not copied — restoring inside a live
-    process is only sound when that state is itself back at the capture
-    point (the explorer instead forks the whole process and lets
-    copy-on-write carry it; see {!Simkern.Engine.snapshot}). *)
-
-type 'a snapshot
-
-val snapshot : 'a t -> 'a snapshot
-val restore : 'a t -> 'a snapshot -> unit
 
 type 'a listener
 type 'a conn

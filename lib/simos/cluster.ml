@@ -141,48 +141,3 @@ let kill_all t ~host:id =
 let task_count t ~host:id = (host t id).task_count
 
 let live_task_count t = t.live_total
-
-(* Snapshot: the slot arrays, free-list head and per-host list heads are
-   the cluster's whole mutable state. Restore copies them back into the
-   same [t] (exit hooks capture slot indices, not array references, so a
-   restored table re-validates them). The [Proc.t]s referenced by the
-   slots are shared, not copied — restore is sound when process state is
-   itself back at the capture point (self-contained tests, or an OS-level
-   fork that carried the whole heap; see Engine's snapshot contract). *)
-
-type snapshot = {
-  sn_slot_proc : Proc.t option array;
-  sn_slot_host : int array;
-  sn_slot_prev : int array;
-  sn_slot_next : int array;
-  sn_free_head : int;
-  sn_live_total : int;
-  sn_hosts : (int * int) array;  (* (head_slot, task_count) per host *)
-}
-
-let snapshot t =
-  {
-    sn_slot_proc = Array.copy t.slot_proc;
-    sn_slot_host = Array.copy t.slot_host;
-    sn_slot_prev = Array.copy t.slot_prev;
-    sn_slot_next = Array.copy t.slot_next;
-    sn_free_head = t.free_head;
-    sn_live_total = t.live_total;
-    sn_hosts = Array.map (fun h -> (h.head_slot, h.task_count)) t.machines;
-  }
-
-let restore t s =
-  if Array.length s.sn_hosts <> Array.length t.machines then
-    invalid_arg "Cluster.restore: snapshot from a different-size cluster";
-  t.slot_proc <- Array.copy s.sn_slot_proc;
-  t.slot_host <- Array.copy s.sn_slot_host;
-  t.slot_prev <- Array.copy s.sn_slot_prev;
-  t.slot_next <- Array.copy s.sn_slot_next;
-  t.free_head <- s.sn_free_head;
-  t.live_total <- s.sn_live_total;
-  Array.iteri
-    (fun i h ->
-      let head_slot, task_count = s.sn_hosts.(i) in
-      h.head_slot <- head_slot;
-      h.task_count <- task_count)
-    t.machines

@@ -57,22 +57,3 @@ val task_count : t -> host:int -> int
 
 (** [live_task_count t] is the total number of live tasks. O(1). *)
 val live_task_count : t -> int
-
-(** {2 Snapshot / restore}
-
-    Captures the whole of the cluster's mutable state: the flat slot
-    arrays, the free-list head and the per-host list heads and counters.
-    The referenced tasks are shared, not copied — restoring inside a
-    live process is only sound when process state is itself back at the
-    capture point (self-contained bookkeeping tests, or an OS-level fork
-    that carried the rest of the heap copy-on-write, which is how the
-    explorer uses it; see {!Simkern.Engine.snapshot}). *)
-
-type snapshot
-
-(** [snapshot t] captures the slot tables (O(slots)). *)
-val snapshot : t -> snapshot
-
-(** [restore t s] rewinds the tables. Reusable; raises
-    [Invalid_argument] if [s] came from a different-size cluster. *)
-val restore : t -> snapshot -> unit

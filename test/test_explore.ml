@@ -422,7 +422,12 @@ let test_plans_stream () =
   check_bool "sampled plans carry 3 faults" true
     (List.exists (fun p -> List.length p.Plan.faults = 3) sampled);
   check (Alcotest.list plan_testable) "stream is deterministic" sampled
-    (Explore.plans { stream_config with Explore.max_faults = 3; budget = 80 })
+    (Explore.plans { stream_config with Explore.max_faults = 3; budget = 80 });
+  (* A fault on a host with no controller shoots nothing, so the search
+     refuses it instead of reporting a clean run. *)
+  Alcotest.check_raises "target beyond the compute hosts"
+    (Invalid_argument "Explore.plans: target 8 is outside the compute hosts 0..7")
+    (fun () -> ignore (Explore.plans { stream_config with Explore.targets = [ 0; 8 ] }))
 
 (* The stream as it was defined before plan generation stopped at the
    budget: every single fault, every ordered pair of them, then the

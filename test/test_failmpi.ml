@@ -133,6 +133,15 @@ let test_run_validation () =
        "Run.execute: n_compute (3) cannot seat 4 ranks — need at least one compute \
         host per rank")
     (fun () -> ignore (Failmpi.Run.execute { spec with Failmpi.Run.n_compute = 3 }));
+  Alcotest.check_raises "three storage replicas"
+    (Invalid_argument "Run.execute: cfg.ckpt_replicas must be 1 or 2 (got 3)")
+    (fun () ->
+      ignore
+        (Failmpi.Run.execute
+           {
+             spec with
+             Failmpi.Run.cfg = { spec.Failmpi.Run.cfg with Mpivcl.Config.ckpt_replicas = 3 };
+           }));
   Alcotest.check_raises "zero regions"
     (Invalid_argument "Run.execute: regions must be >= 1 (got 0)")
     (fun () -> ignore (Failmpi.Run.execute { spec with Failmpi.Run.regions = Some 0 }))

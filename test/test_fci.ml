@@ -10,13 +10,13 @@ let check_int = check Alcotest.int
 let check_bool = check Alcotest.bool
 let check_string = check Alcotest.string
 
-let deploy ?config ?params eng src =
+let deploy ?msg_latency ?params eng src =
   match Compile.compile_source ?params src with
-  | Ok plan -> Fci.Runtime.create eng ?config plan
+  | Ok plan -> Fci.Runtime.create eng ?msg_latency plan
   | Error msg -> Alcotest.failf "compile failed: %s" msg
 
 (* Fast control plane for unit tests. *)
-let fast = { Fci.Runtime.default_config with msg_latency = 0.01 }
+let fast = 0.01
 
 let test_deploy_instances () =
   let eng = Engine.create () in
@@ -43,7 +43,7 @@ let test_timer_and_messages () =
   (* A sends ping to B after 2 s; B replies pong; A counts replies. *)
   let eng = Engine.create () in
   let rt =
-    deploy ~config:fast eng
+    deploy ~msg_latency:fast eng
       {|
 Daemon A {
   int pongs = 0;
@@ -69,7 +69,7 @@ let test_timer_cancelled_on_transition () =
   (* The node-1 timer must not fire after leaving node 1 via a message. *)
   let eng = Engine.create () in
   let rt =
-    deploy ~config:fast eng
+    deploy ~msg_latency:fast eng
       {|
 Daemon A {
   int fired = 0;
@@ -118,7 +118,7 @@ let fig4_src = "Daemon ADV2 {\n" ^
 let test_onload_transitions () =
   let eng = Engine.create () in
   let rt =
-    deploy ~config:fast eng
+    deploy ~msg_latency:fast eng
       (fig4_src ^ "Daemon P { node 1: } P1 : P on machine 9; G1[2] : ADV2 on machines 0 .. 1;")
   in
   let app = spawn_app eng () in
@@ -135,7 +135,7 @@ let test_crash_order_kills_and_acks () =
   (* Coordinator kills the registered app via G1[0]; expects ok ack. *)
   let eng = Engine.create () in
   let rt =
-    deploy ~config:fast eng
+    deploy ~msg_latency:fast eng
       ({|
 Daemon COORD {
   int acked = 0;
@@ -163,7 +163,7 @@ Daemon COORD {
 let test_crash_order_no_app_negative_ack () =
   let eng = Engine.create () in
   let rt =
-    deploy ~config:fast eng
+    deploy ~msg_latency:fast eng
       ({|
 Daemon COORD {
   int acked = 0;
@@ -185,7 +185,7 @@ Daemon COORD {
 let test_onexit_vs_onerror () =
   let eng = Engine.create () in
   let rt =
-    deploy ~config:fast eng
+    deploy ~msg_latency:fast eng
       {|
 Daemon W {
   int exits = 0;
@@ -215,7 +215,7 @@ let test_stop_continue () =
   (* Scenario stops the app at load, a timer resumes it 5 s later. *)
   let eng = Engine.create () in
   let rt =
-    deploy ~config:fast eng
+    deploy ~msg_latency:fast eng
       {|
 Daemon S {
   node 1:
@@ -244,7 +244,7 @@ let test_breakpoint_halt () =
   (* Fig. 10(b) node 4 pattern: halt just before a named function. *)
   let eng = Engine.create () in
   let rt =
-    deploy ~config:fast eng
+    deploy ~msg_latency:fast eng
       {|
 Daemon B {
   node 1:
@@ -274,7 +274,7 @@ G1[1] : B on machines 0 .. 0;
 let test_breakpoint_default_continue () =
   (* No matching before() transition: the call is transparent. *)
   let eng = Engine.create () in
-  let rt = deploy ~config:fast eng "Daemon B { node 1: onload -> goto 1; } G1[1] : B on machines 0 .. 0;" in
+  let rt = deploy ~msg_latency:fast eng "Daemon B { node 1: onload -> goto 1; } G1[1] : B on machines 0 .. 0;" in
   let reached = ref false in
   ignore
     (Proc.spawn eng ~name:"app" (fun () ->
@@ -287,7 +287,7 @@ let test_breakpoint_default_continue () =
 let test_register_unmonitored_machine () =
   (* Machine without an instance: no fault injection, app unaffected. *)
   let eng = Engine.create () in
-  let rt = deploy ~config:fast eng "Daemon B { node 1: } G1[1] : B on machines 0 .. 0;" in
+  let rt = deploy ~msg_latency:fast eng "Daemon B { node 1: } G1[1] : B on machines 0 .. 0;" in
   let done_ = ref false in
   ignore
     (Proc.spawn eng ~name:"app" (fun () ->
@@ -301,7 +301,7 @@ let test_register_unmonitored_machine () =
 let test_group_broadcast () =
   let eng = Engine.create () in
   let rt =
-    deploy ~config:fast eng
+    deploy ~msg_latency:fast eng
       {|
 Daemon C {
   node 1:
@@ -330,7 +330,7 @@ G1[3] : W on machines 0 .. 2;
 let test_fail_random_bounds () =
   let eng = Engine.create () in
   let rt =
-    deploy ~config:fast eng
+    deploy ~msg_latency:fast eng
       {|
 Daemon R {
   int bad = 0;
@@ -355,7 +355,7 @@ let test_app_var_watch_and_set () =
      threshold and write one back. *)
   let eng = Engine.create () in
   let rt =
-    deploy ~config:fast eng
+    deploy ~msg_latency:fast eng
       {|
 Daemon V {
   int seen = 0;
@@ -389,7 +389,7 @@ G1[1] : V on machines 0 .. 0;
 let test_epsilon_transitions () =
   let eng = Engine.create () in
   let rt =
-    deploy ~config:fast eng
+    deploy ~msg_latency:fast eng
       {|
 Daemon E {
   int x = 0;
@@ -410,7 +410,7 @@ G1[1] : E on machines 0 .. 0;
 let test_epsilon_loop_detected () =
   let eng = Engine.create () in
   try
-    ignore (deploy ~config:fast eng "Daemon E { node 1: 1 == 1 -> goto 1; } G1[1] : E on machines 0 .. 0;");
+    ignore (deploy ~msg_latency:fast eng "Daemon E { node 1: 1 == 1 -> goto 1; } G1[1] : E on machines 0 .. 0;");
     ignore (Engine.run ~until:1.0 eng);
     Alcotest.fail "expected epsilon-loop error"
   with Invalid_argument msg ->
@@ -425,7 +425,7 @@ let test_stale_lifecycle_hook_ignored () =
      not clear the new controlled target. *)
   let eng = Engine.create () in
   let rt =
-    deploy ~config:fast eng
+    deploy ~msg_latency:fast eng
       {|
 Daemon W {
   int errors = 0;
@@ -456,7 +456,7 @@ let test_out_of_range_send_dropped () =
      continues. *)
   let eng = Engine.create () in
   let rt =
-    deploy ~config:fast eng
+    deploy ~msg_latency:fast eng
       {|
 Daemon C {
   int after_ok = 0;
@@ -480,7 +480,7 @@ G1[2] : C on machines 0 .. 1;
 let test_halt_without_target_is_noop () =
   let eng = Engine.create () in
   let rt =
-    deploy ~config:fast eng
+    deploy ~msg_latency:fast eng
       "Daemon H { int done_ = 0; node 1: time t = 1; timer -> halt, done_ = 1, goto 2; node 2: }        G1[1] : H on machines 0 .. 0;"
   in
   ignore (Engine.run ~until:5.0 eng);
@@ -495,7 +495,7 @@ let test_register_overwrite () =
      note); crash orders then hit the newest process. *)
   let eng = Engine.create () in
   let rt =
-    deploy ~config:fast eng
+    deploy ~msg_latency:fast eng
       {|
 Daemon W {
   node 1:

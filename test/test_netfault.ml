@@ -59,13 +59,6 @@ let test_spec_validation () =
 
 let test_profile_validation () =
   Perturb.check_profile Perturb.default_profile;
-  expect_invalid "rto_initial 0" (fun () ->
-      Perturb.check_profile { Perturb.default_profile with Perturb.rto_initial = 0.0 });
-  expect_invalid "rto_max < rto_initial" (fun () ->
-      Perturb.check_profile
-        { Perturb.default_profile with Perturb.rto_initial = 2.0; rto_max = 1.0 });
-  expect_invalid "max_attempts 0" (fun () ->
-      Perturb.check_profile { Perturb.default_profile with Perturb.max_attempts = 0 });
   expect_invalid "bad base spec" (fun () ->
       Perturb.check_profile
         {
@@ -234,9 +227,9 @@ let test_unhealed_partition_is_net_hung () =
 (* ------------------------------------------------------------------ *)
 (* FCI control plane: net actions and timer drain *)
 
-let deploy ?config eng src =
+let deploy eng src =
   match Fail_lang.Compile.compile_source src with
-  | Ok plan -> Fci.Runtime.create eng ?config plan
+  | Ok plan -> Fci.Runtime.create eng plan
   | Error msg -> Alcotest.failf "compile failed: %s" msg
 
 let test_fci_net_actions_and_drain () =

@@ -72,7 +72,7 @@ let test_latency () =
                  | Net.Data () -> received_at := Engine.now eng
                  | Net.Closed -> ())
              | Error `Refused -> ())));
-  let lat = Net.default_config.Net.latency in
+  let lat = Net.latency in
   check_float "handshake one RTT" (1.0 +. (2.0 *. lat)) !connected_at;
   check_bool "message after accept" true (!received_at > !connected_at)
 
