@@ -3,9 +3,41 @@
    every backend — a 4-rank stencil under the fault-frequency scenario —
    so the records compare what each protocol costs the simulator. Only
    the cluster size differs (each backend's own default_machines). Each
-   run is checked against the stencil's reference checksum. *)
+   run is checked against the stencil's reference checksum.
+
+   Four ranks are too few for per-message bookkeeping over the ranks or
+   daemons to show, so each backend also runs once at the paper's scale:
+   a fault-free BT-49 class B run, the families-bt49 benchmark's spec at
+   seed 1. Its minor and promoted words are counted on this domain from
+   an empty minor heap, so they are the same on every pass. *)
 
 let replicas = 2
+
+let bt49 (module B : Failmpi.Backend.S) =
+  let n_ranks = 49 in
+  let cfg =
+    { (Mpivcl.Config.default ~n_ranks) with Mpivcl.Config.protocol = B.protocol ~replicas }
+  in
+  let prefix = B.name ^ "/bt49/" in
+  Gc.minor ();
+  let g0 = Gc.quick_stat () in
+  let r, wall_ms =
+    Fixture.timed (fun () ->
+        Experiments.Harness.run_bt ~cfg ~klass:Workload.Bt_model.B ~n_ranks
+          ~n_machines:(B.default_machines ~n_ranks ~replicas)
+          ~scenario:None ~seed:1L ())
+  in
+  let g1 = Gc.quick_stat () in
+  if r.Failmpi.Run.checksum_ok <> Some true then
+    Record.refuse "backends" "%s: the fault-free BT-49 run is %s without correct checksums"
+      B.name (Failmpi.Run.outcome_name r.Failmpi.Run.outcome);
+  [
+    Record.num ~layer:"simkern" (prefix ^ "minor_words") "words"
+      (g1.Gc.minor_words -. g0.Gc.minor_words);
+    Record.num ~layer:"simkern" (prefix ^ "promoted_words") "words"
+      (g1.Gc.promoted_words -. g0.Gc.promoted_words);
+    Record.num ~layer:"core" (prefix ^ "wall_ms") "ms" wall_ms;
+  ]
 
 let run ~smoke:_ =
   List.concat_map
@@ -20,5 +52,6 @@ let run ~smoke:_ =
       let r, wall_ms = Fixture.timed cycle in
       let test = Bechamel.Test.make ~name:B.name (Bechamel.Staged.stage cycle) in
       Fixture.fit_records ~layer:"core" B.name (Fixture.ols test)
-      @ Fixture.verdict B.name ~wall_ms r)
+      @ Fixture.verdict B.name ~wall_ms r
+      @ bt49 (module B))
     (Failmpi.Backend.all ())

@@ -237,7 +237,11 @@ let run scenario_file paper params ranks klass protocol replicas ckpt_servers
           Printf.sprintf " (%.1f s, %d survivors)" at survivors
       | Failmpi.Run.Aborted reason -> Printf.sprintf " (%s)" reason
       | Failmpi.Run.Ckpt_lost -> " (no complete checkpoint image on any replica)"
-      | Failmpi.Run.Non_terminating | Failmpi.Run.Buggy | Failmpi.Run.Net_hung -> "");
+      | Failmpi.Run.Non_terminating ->
+          (* only reached when the deadline passes with the backend
+             still running: say which deadline *)
+          Printf.sprintf " (still running at --timeout %g s)" timeout
+      | Failmpi.Run.Buggy | Failmpi.Run.Net_hung -> "");
     Printf.printf "protocol:         %s\n" (Mpivcl.Config.protocol_name protocol);
     Printf.printf "injected faults:  %d\n" r.Failmpi.Run.injected_faults;
     (* Every backend reports the same uniform counter set (plus its
@@ -335,7 +339,12 @@ let cmd =
   let timeout =
     Arg.(
       value & opt float 1500.0
-      & info [ "timeout" ] ~docv:"SECONDS" ~doc:"Experiment timeout (paper: 1500 s).")
+      & info [ "timeout" ] ~docv:"SECONDS"
+          ~doc:
+            "Simulated seconds after which a run still going is reported \
+             non-terminating. The default, 1500 s, is the paper's and is sized for \
+             its 49-rank class B figure; fewer ranks run longer (4 ranks of class B \
+             need about 2600 s).")
   in
   let fixed =
     Arg.(

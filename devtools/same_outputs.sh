@@ -58,6 +58,8 @@ outputs() {
     --param START=30 --param SWITCH=0 --param HEAL=20 --trace-csv rack-blackout.csv
   run fig5-replication "$bin/failmpi_run.exe" --paper fig5-frequency \
     --protocol replication --replicas 2 --seed 3 --trace-csv fig5-replication.csv
+  run fig5-ulfm "$bin/failmpi_run.exe" --paper fig5-frequency \
+    --protocol ulfm --seed 3 --trace-csv fig5-ulfm.csv
   run shrink-storm "$bin/failmpi_run.exe" --ranks 9 --protocol ulfm --spares 2 \
     --scenario scenarios/shrink_storm.fail \
     --param START=25 --param STEP=3 --param LAG=2 \

@@ -6,6 +6,7 @@ module Config = Mpivcl.Config
 module App = Mpivcl.App
 module Matching = Mpivcl.Matching
 module Daemon = Mpivcl.Daemon
+module Dedup = Mpivcl.Dedup
 
 type dev =
   | D_ctrl of Rmsg.t option
@@ -61,7 +62,7 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
           let n = cfg.Config.n_ranks in
           let peer_conns : (int * int, Rmsg.t Net.conn) Hashtbl.t = Hashtbl.create 32 in
           let matching : int Ivar.t Matching.t = Matching.create () in
-          let seen : (int * int, unit) Hashtbl.t = Hashtbl.create 256 in
+          let seen = Dedup.create () in
           let redelivery : Message.app_msg list ref = ref [] in
           let committed_state = ref (Array.make env.Renv.app.App.state_size 0) in
           let send_log = Send_log.create () in
@@ -166,7 +167,7 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
               img_buffer = buffer;
               img_redelivery = !redelivery;
               img_logged = [];
-              img_seen = Hashtbl.fold (fun key () acc -> key :: acc) seen [];
+              img_seen = Dedup.keys seen;
               img_received = consumed_bounds ();
               img_send_log;
               img_next_ssn;
@@ -175,7 +176,7 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
           in
           let install_image (img : Message.image) =
             committed_state := Array.copy img.Message.img_state;
-            List.iter (fun key -> Hashtbl.replace seen key ()) img.Message.img_seen;
+            Dedup.add_keys seen img.Message.img_seen;
             List.iter
               (fun (src, ssn) -> Hashtbl.replace received src ssn)
               img.Message.img_received;
@@ -260,11 +261,11 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
                 let src = m.Message.src in
                 let bound = Option.value ~default:0 (Hashtbl.find_opt received src) in
                 if ssn > bound then Hashtbl.replace received src ssn;
-                if Hashtbl.mem seen (src, m.Message.tag) then
+                if Dedup.mem seen ~src ~tag:m.Message.tag then
                   trace ~level:Trace.Full "duplicate-dropped" "%d->%d tag %d ssn %d" src
                     m.Message.dst m.Message.tag ssn
                 else begin
-                  Hashtbl.replace seen (src, m.Message.tag) ();
+                  Dedup.add seen ~src ~tag:m.Message.tag;
                   Daemon.deliver matching ~redelivery m
                 end;
                 loop ()

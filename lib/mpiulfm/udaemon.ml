@@ -93,15 +93,33 @@ let spawn (env : Uenv.t) ~id ~incarnation =
 
       (* ---------------- epoch state ---------------- *)
       let epoch = ref 0 in
+      (* [members] and [assign] keep the order the agreement and the mesh
+         iterate them in; [is_member] (by daemon id) and [host_of_rank]
+         (-1 for none) answer the per-message lookups. [set_members] and
+         [set_assign] change each list and its array together. *)
       let members = ref [] in
       let assign = ref [] in
+      let is_member = Array.make population false in
+      let host_of_rank = Array.make n (-1) in
+      let set_members ms =
+        members := ms;
+        Array.fill is_member 0 population false;
+        List.iter (fun p -> is_member.(p) <- true) ms
+      in
+      let set_assign a =
+        assign := a;
+        Array.fill host_of_rank 0 n (-1);
+        (* the first pair of a rank wins, as [List.assoc_opt] finds it *)
+        List.iter (fun (r, d) -> if host_of_rank.(r) < 0 then host_of_rank.(r) <- d) a
+      in
       let restart = ref 0 in
       let last_decision : Shrinkc.decision option ref = ref None in
 
       (* ---------------- failure detection ---------------- *)
       let peer_conns : (int, Umsg.t Net.conn) Hashtbl.t = Hashtbl.create 16 in
-      let last_seen : (int, float) Hashtbl.t = Hashtbl.create 16 in
-      let suspected_extra : (int, unit) Hashtbl.t = Hashtbl.create 8 in
+      (* by daemon id; [neg_infinity] = never heard, so suspected *)
+      let last_seen = Float.Array.make population neg_infinity in
+      let suspected_extra = Array.make population false in
       let torn = ref false in
       let revoked = ref false in
 
@@ -152,20 +170,13 @@ let spawn (env : Uenv.t) ~id ~incarnation =
       in
       let broadcast_peers msg = Hashtbl.iter (fun _ c -> ignore (Net.send c msg)) peer_conns in
 
-      let suspected_now () =
-        List.filter
-          (fun p ->
-            p <> id
-            && (Hashtbl.mem suspected_extra p
-               ||
-               match Hashtbl.find_opt last_seen p with
-               | Some t -> now () -. t > suspicion_timeout
-               | None -> true))
-          !members
+      let suspected p =
+        p <> id
+        && (suspected_extra.(p) || now () -. Float.Array.get last_seen p > suspicion_timeout)
       in
-      let agreement_needed () =
-        !started && (!torn || !revoked || suspected_now () <> [])
-      in
+      let suspected_now () = List.filter suspected !members in
+      let any_suspected () = List.exists suspected !members in
+      let agreement_needed () = !started && (!torn || !revoked || any_suspected ()) in
 
       (* ---------------- snapshot store ---------------- *)
       let store_snap rank iter state =
@@ -229,10 +240,11 @@ let spawn (env : Uenv.t) ~id ~incarnation =
         | None -> ()
       in
       let route_send (m : Message.app_msg) =
-        match List.assoc_opt m.Message.dst !assign with
-        | Some d when d = id -> deliver m
-        | Some d -> psend_sized d ~size:m.Message.bytes (Umsg.App { epoch = !epoch; msg = m })
-        | None -> ()
+        let dst = m.Message.dst in
+        let d = if dst >= 0 && dst < n then host_of_rank.(dst) else -1 in
+        if d = id then deliver m
+        else if d >= 0 then
+          psend_sized d ~size:m.Message.bytes (Umsg.App { epoch = !epoch; msg = m })
       in
       let spawn_rank r state =
         let e = !epoch in
@@ -411,10 +423,7 @@ let spawn (env : Uenv.t) ~id ~incarnation =
       let ensure_propose () =
         if !alive && agreement_needed () && !proposing = None && not !propose_armed
         then begin
-          let unsusp =
-            let sus = suspected_now () in
-            List.filter (fun p -> not (List.mem p sus)) !members
-          in
+          let unsusp = List.filter (fun p -> not (suspected p)) !members in
           let idx = Option.value ~default:0 (index_of id unsusp) in
           arm_propose (0.05 +. (0.3 *. float_of_int idx))
         end
@@ -444,15 +453,15 @@ let spawn (env : Uenv.t) ~id ~incarnation =
                     register_peer p conn
                 | Error `Refused ->
                     (* no listener: that daemon's host process is gone *)
-                    Hashtbl.replace suspected_extra p ())
+                    suspected_extra.(p) <- true)
             !members
       and register_peer p conn =
         (match Hashtbl.find_opt peer_conns p with
         | Some old when old != conn -> Net.close old
         | _ -> ());
         Hashtbl.replace peer_conns p conn;
-        Hashtbl.replace last_seen p (now ());
-        Hashtbl.remove suspected_extra p;
+        Float.Array.set last_seen p (now ());
+        suspected_extra.(p) <- false;
         forward conn (fun m -> E_peer (p, m));
         sync_resend p;
         Hashtbl.iter (fun r () -> if donor_of r = Some p then request_fetch r) pending_fetch;
@@ -460,8 +469,8 @@ let spawn (env : Uenv.t) ~id ~incarnation =
       and install (d : Shrinkc.decision) =
         let ballots_spent = !ballots_used in
         epoch := d.Shrinkc.d_epoch;
-        members := d.Shrinkc.d_members;
-        assign := d.Shrinkc.d_assign;
+        set_members d.Shrinkc.d_members;
+        set_assign d.Shrinkc.d_assign;
         restart := d.Shrinkc.d_restart;
         last_decision := Some d;
         proposing := None;
@@ -471,8 +480,8 @@ let spawn (env : Uenv.t) ~id ~incarnation =
         ballots_used := 0;
         torn := false;
         revoked := false;
-        Hashtbl.reset suspected_extra;
-        List.iter (fun p -> if p <> id then Hashtbl.replace last_seen p (now ())) !members;
+        Array.fill suspected_extra 0 population false;
+        List.iter (fun p -> if p <> id then Float.Array.set last_seen p (now ())) !members;
         let stale_keys =
           Hashtbl.fold
             (fun ((e, _, _) as k) _ acc -> if e < !epoch then k :: acc else acc)
@@ -485,7 +494,7 @@ let spawn (env : Uenv.t) ~id ~incarnation =
         sync_stage := `Idle;
         sync_value := 0;
         Hashtbl.reset pending_fetch;
-        if not (List.mem id !members) then fence ()
+        if not is_member.(id) then fence ()
         else begin
           trace "epoch-install" "epoch %d: %d members, restart iteration %d%s" !epoch
             (List.length !members) !restart
@@ -509,10 +518,8 @@ let spawn (env : Uenv.t) ~id ~incarnation =
           dsend report;
           List.iter
             (fun (r, _) ->
-              match List.assoc_opt r !assign with
-              | Some dst when dst = id && not (holds_snap r !restart) ->
-                  Hashtbl.replace pending_fetch r ()
-              | _ -> ())
+              if host_of_rank.(r) = id && not (holds_snap r !restart) then
+                Hashtbl.replace pending_fetch r ())
             d.Shrinkc.d_donors;
           Hashtbl.iter (fun r () -> request_fetch r) pending_fetch;
           let ready_now, later = List.partition (fun (e, _) -> e = !epoch) !future in
@@ -591,8 +598,7 @@ let spawn (env : Uenv.t) ~id ~incarnation =
             (Printf.sprintf "agreement exhausted after %d ballots at epoch %d"
                max_ballots !epoch)
         else begin
-          let sus = suspected_now () in
-          let proposed = List.filter (fun p -> not (List.mem p sus)) !members in
+          let proposed = List.filter (fun p -> not (suspected p)) !members in
           let b = Shrinkc.ballot ~population ~attempt:!attempt ~id in
           let bs =
             {
@@ -647,7 +653,7 @@ let spawn (env : Uenv.t) ~id ~incarnation =
           ensure_mesh ();
           ensure_dconn ();
           if agreement_needed () then begin
-            if suspected_now () <> [] || !torn then raise_revoke ();
+            if any_suspected () || !torn then raise_revoke ();
             ensure_propose ()
           end;
           maybe_sync ()
@@ -656,10 +662,10 @@ let spawn (env : Uenv.t) ~id ~incarnation =
         arm_tick ()
       in
       let handle_peer_msg p (msg : Umsg.t) =
-        Hashtbl.replace last_seen p (now ());
-        Hashtbl.remove suspected_extra p;
+        Float.Array.set last_seen p (now ());
+        suspected_extra.(p) <- false;
         (* a peer we no longer consider a member is fenced: tell it *)
-        (if !started && not (List.mem p !members) then
+        (if !started && not is_member.(p) then
            match !last_decision with
            | Some d when not (List.mem p d.Shrinkc.d_members) ->
                psend p (Umsg.Stale { decision = d })
@@ -824,10 +830,10 @@ let spawn (env : Uenv.t) ~id ~incarnation =
           | E_ctrl (Some (Umsg.Start { ids })) ->
               if not !started then begin
                 started := true;
-                members := List.sort_uniq Int.compare ids;
-                assign := List.init n (fun r -> (r, r));
+                set_members (List.sort_uniq Int.compare ids);
+                set_assign (List.init n (fun r -> (r, r)));
                 List.iter
-                  (fun p -> if p <> id then Hashtbl.replace last_seen p (now ()))
+                  (fun p -> if p <> id then Float.Array.set last_seen p (now ()))
                   !members;
                 trace ~level:Trace.Full "start" "";
                 ensure_mesh ();
@@ -844,7 +850,7 @@ let spawn (env : Uenv.t) ~id ~incarnation =
               (match Hashtbl.find_opt peer_conns p with
               | Some _ ->
                   Hashtbl.remove peer_conns p;
-                  if !started && List.mem p !members then begin
+                  if !started && is_member.(p) then begin
                     trace ~level:Trace.Full "peer-lost" "daemon %d" p;
                     torn := true;
                     raise_revoke ();
@@ -866,7 +872,7 @@ let spawn (env : Uenv.t) ~id ~incarnation =
                     in
                     List.iter
                       (fun p ->
-                        if p <> id && not (heard p) then Hashtbl.replace suspected_extra p ())
+                        if p <> id && not (heard p) then suspected_extra.(p) <- true)
                       bs.bs_proposed;
                     trace ~level:Trace.Full "ballot-timeout" "b%d" bs.bs_ballot;
                     proposing := None;

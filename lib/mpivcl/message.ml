@@ -7,7 +7,7 @@ type image = {
   img_buffer : app_msg list;
   img_redelivery : app_msg list;
   img_logged : app_msg list;
-  img_seen : (int * int) list;
+  img_seen : int list;
   img_received : (int * int) list;
   img_send_log : (int * (int * app_msg) list) list;
   img_next_ssn : (int * int) list;

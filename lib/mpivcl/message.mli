@@ -20,7 +20,9 @@ type image = {
       (** messages delivered to the application since its last state
           commit — re-served on re-execution of the partial iteration *)
   img_logged : app_msg list;  (** channel-state (in-transit) messages, in arrival order *)
-  img_seen : (int * int) list;  (** (src, tag) duplicate-suppression set at the cut *)
+  img_seen : int list;
+      (** the duplicate-suppression set at the cut, as {!Dedup.keys}
+          packs it *)
   img_received : (int * int) list;
       (** sender-based logging only: per-sender highest received ssn —
           the resend bound after a restart *)

@@ -72,7 +72,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
           let rank_hosts = ref [||] in
           let peer_conns : (int, Message.t Net.conn) Hashtbl.t = Hashtbl.create 16 in
           let matching : int Ivar.t Matching.t = Matching.create () in
-          let seen : (int * int, unit) Hashtbl.t = Hashtbl.create 256 in
+          let seen = Dedup.create () in
           let redelivery : Message.app_msg list ref = ref [] in
           let committed_state = ref [||] in
           (* sender-based logging state *)
@@ -94,7 +94,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
           | Some img ->
               committed_state := Array.copy img.Message.img_state;
               local_wave := img.Message.img_wave;
-              List.iter (fun key -> Hashtbl.replace seen key ()) img.Message.img_seen;
+              Dedup.add_keys seen img.Message.img_seen;
               List.iter (fun (src, ssn) -> Hashtbl.replace received src ssn)
                 img.Message.img_received;
               List.iter
@@ -180,7 +180,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                     img_buffer = buffer;
                     img_redelivery = !redelivery;
                     img_logged = [];
-                    img_seen = Hashtbl.fold (fun key () acc -> key :: acc) seen [];
+                    img_seen = Dedup.keys seen;
                     img_received = consumed_bounds ();
                     img_send_log =
                       Hashtbl.fold (fun dst entries acc -> (dst, entries) :: acc) send_log [];
@@ -292,10 +292,10 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                 let src = m.Message.src in
                 let bound = Option.value ~default:0 (Hashtbl.find_opt received src) in
                 if ssn > bound then Hashtbl.replace received src ssn;
-                if Hashtbl.mem seen (src, m.Message.tag) then
+                if Dedup.mem seen ~src ~tag:m.Message.tag then
                   trace "duplicate-dropped" "%d->%d tag %d" src m.Message.dst m.Message.tag
                 else begin
-                  Hashtbl.replace seen (src, m.Message.tag) ();
+                  Dedup.add seen ~src ~tag:m.Message.tag;
                   Daemon.deliver matching ~redelivery m
                 end;
                 loop ()

@@ -26,7 +26,7 @@ type ckpt = {
   ck_state : int array;
   ck_buffer : Message.app_msg list;
   ck_redelivery : Message.app_msg list;
-  ck_seen : (int * int) list;
+  ck_seen : int list;
 }
 
 let spawn (env : Env.t) ~rank ~host ~incarnation =
@@ -110,7 +110,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
           (* unexpected messages and parked receive requests from the
              computation process *)
           let matching : int Ivar.t Matching.t = Matching.create () in
-          let seen : (int * int, unit) Hashtbl.t = Hashtbl.create 256 in
+          let seen = Dedup.create () in
           let redelivery : Message.app_msg list ref = ref [] in
           let committed_state = ref [||] in
           let last_completed_wave = ref 0 in
@@ -126,9 +126,9 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
           | Some img ->
               committed_state := Array.copy img.Message.img_state;
               last_completed_wave := img.Message.img_wave;
-              List.iter (fun key -> Hashtbl.replace seen key ()) img.Message.img_seen;
+              Dedup.add_keys seen img.Message.img_seen;
               List.iter
-                (fun (m : Message.app_msg) -> Hashtbl.replace seen (m.src, m.tag) ())
+                (fun (m : Message.app_msg) -> Dedup.add seen ~src:m.src ~tag:m.tag)
                 img.Message.img_logged;
               Matching.restore matching
                 (img.Message.img_redelivery @ img.Message.img_buffer @ img.Message.img_logged));
@@ -230,7 +230,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                 ck_state = Array.copy !committed_state;
                 ck_buffer = Matching.buffered matching;
                 ck_redelivery = !redelivery;
-                ck_seen = Hashtbl.fold (fun key () acc -> key :: acc) seen [];
+                ck_seen = Dedup.keys seen;
               }
             in
             ckpt := Some c;
@@ -371,11 +371,11 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                 trace ~level:Trace.Full "peer-lost" "%d" peer;
                 loop ()
             | D_peer (_, Some (Message.App m)) ->
-                (if Hashtbl.mem seen (m.Message.src, m.Message.tag) then
+                (if Dedup.mem seen ~src:m.Message.src ~tag:m.Message.tag then
                    trace "duplicate-dropped" "%d->%d tag %d" m.Message.src m.Message.dst
                      m.Message.tag
                  else begin
-                   Hashtbl.replace seen (m.Message.src, m.Message.tag) ();
+                   Dedup.add seen ~src:m.Message.src ~tag:m.Message.tag;
                    (match !ckpt with
                    | Some c when IntSet.mem m.Message.src c.ck_channels ->
                        c.ck_logged <- m :: c.ck_logged

@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = seed }
 
-let copy t = { state = t.state }
-
 (* splitmix64 step: advance by the golden gamma, then mix. *)
 let next_int64 t =
   t.state <- Int64.add t.state golden_gamma;

@@ -14,9 +14,6 @@ val create : int64 -> t
     subsequent outputs of [t]. *)
 val split : t -> t
 
-(** [copy t] duplicates the generator state. *)
-val copy : t -> t
-
 (** [int64 t] returns the next raw 64-bit output. *)
 val int64 : t -> int64
 

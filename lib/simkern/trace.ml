@@ -58,10 +58,6 @@ let last t ~event =
 
 let last_time t ~event = Option.map (fun e -> e.time) (last t ~event)
 
-let clear t =
-  t.entries <- [||];
-  t.n <- 0
-
 let pp_entry ppf e =
   Format.fprintf ppf "@[<h>%10.3f %-16s %-24s %s@]" e.time e.source e.event e.detail
 

@@ -83,9 +83,6 @@ val last : t -> event:string -> entry option
     kind, if any. *)
 val last_time : t -> event:string -> float option
 
-(** [clear t] drops all entries. *)
-val clear : t -> unit
-
 (** [pp ppf t] prints the trace, one entry per line. *)
 val pp : Format.formatter -> t -> unit
 

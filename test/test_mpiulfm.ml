@@ -12,7 +12,8 @@
    - agreement: a fixed-seed sweep under kills, a partition and message
      loss never produces two different decisions for one epoch (the
      dispatcher's split-brain cross-check stays silent) and never a
-     wrong answer;
+     wrong answer, and a member stopped past the suspicion timeout is
+     fenced when it continues;
    - determinism: a faulty run is a pure function of its seed, byte
      identical whether replicated on 1 or 4 domains. *)
 
@@ -242,6 +243,76 @@ let test_agreement_never_splits () =
            (Failmpi.Run.trace_events r)))
     [ 1L; 2L; 3L; 4L; 5L; 6L ]
 
+(* freeze_thaw.fail's NODE daemon with a 30 s thaw, and one freeze of
+   machine 1 at 20 s: longer than the suspicion timeout, so the others
+   shrink without it while it is stopped. *)
+let freeze_past_timeout =
+  {|
+Daemon FREEZER {
+  node 1:
+    time t = 20;
+    timer -> !freeze(G1[1]), goto 2;
+  node 2:
+}
+
+Daemon NODE {
+  node idle:
+    onload -> continue, goto live;
+    ?freeze -> goto idle;
+  node live:
+    onexit -> goto idle;
+    onerror -> goto idle;
+    onload -> continue, goto live;
+    ?freeze -> stop, goto frozen;
+  node frozen:
+    time thaw = 30;
+    timer -> continue, goto live;
+    onexit -> goto idle;
+    onerror -> goto idle;
+}
+
+P1 : FREEZER on machine 4;
+G1[4] : NODE on machines 0 .. 3;
+|}
+
+(* A member that comes back after the survivors shrank without it is no
+   longer a member: its queued traffic reaches the survivors through the
+   non-member path, which answers it Stale, and it fences itself off on
+   the decision. The run finishes degraded on the other three with every
+   checksum correct. *)
+let test_thawed_member_is_fenced () =
+  let n_ranks = 4 in
+  let r =
+    Experiments.Harness.run_bt
+      ~cfg:
+        {
+          (Mpivcl.Config.default ~n_ranks) with
+          Mpivcl.Config.protocol = Mpivcl.Config.Ulfm { spares = 0 };
+        }
+      ~klass:Workload.Bt_model.A ~n_ranks
+      ~n_machines:(Experiments.Harness.machines_for n_ranks)
+      ~scenario:(Some freeze_past_timeout) ~seed:1L ()
+  in
+  (match r.Failmpi.Run.outcome with
+  | Failmpi.Run.Degraded { survivors; _ } -> check_int "survivors" 3 survivors
+  | o -> Alcotest.failf "expected degraded, got %s" (Failmpi.Run.outcome_name o));
+  check_bool "every checksum correct" true (r.Failmpi.Run.checksum_ok = Some true);
+  let entries event = Simkern.Trace.find_all r.Failmpi.Run.trace ~event in
+  check (Alcotest.list Alcotest.string) "epoch 1 installed by the other three"
+    [ "udaemon-0"; "udaemon-2"; "udaemon-3" ]
+    (List.sort compare
+       (List.filter_map
+          (fun (e : Simkern.Trace.entry) ->
+            if String.starts_with ~prefix:"epoch 1: 3 members" e.Simkern.Trace.detail then
+              Some e.Simkern.Trace.source
+            else None)
+          (entries "epoch-install")));
+  match entries "fenced" with
+  | [ e ] ->
+      check Alcotest.string "fenced daemon" "udaemon-1" e.Simkern.Trace.source;
+      check_bool "fenced once thawed" true (e.Simkern.Trace.time >= 50.0)
+  | es -> Alcotest.failf "expected one fenced daemon, got %d" (List.length es)
+
 (* A faulty shrink run is a pure function of its seed: replicating the
    same seeds over 1 and 4 domains yields byte-identical outcomes,
    shrink counters and checksums. *)
@@ -288,5 +359,6 @@ let () =
             test_spare_promotion_preserves_checksum;
           Alcotest.test_case "agreement never splits" `Quick test_agreement_never_splits;
           Alcotest.test_case "jobs 1 = jobs 4" `Quick test_jobs_deterministic;
+          Alcotest.test_case "thawed member is fenced" `Quick test_thawed_member_is_fenced;
         ] );
     ]

@@ -1,7 +1,7 @@
 (* Integration tests for the MPICH-Vcl substrate: failure-free runs,
    rollback-recovery correctness (checksum-validated), checkpoint server
-   behaviour, the dispatcher recovery bug and its fix, and the blocking
-   protocol variant. *)
+   behaviour, the dispatcher recovery bug and its fix, the blocking
+   protocol variant and the daemons' duplicate-suppression set. *)
 
 open Simkern
 open Simos
@@ -681,6 +681,56 @@ let test_matching_scales () =
   check_bool "queue drained" true (Matching.buffered q = []);
   if per_op > 64.0 then Alcotest.failf "%.1f minor words per operation (bound 64)" per_op
 
+(* ------------------------------------------------------------------ *)
+(* Dedup: the packed duplicate-suppression set *)
+
+let test_dedup_keys_distinct () =
+  let srcs = [ 0; 1; 48; (1 lsl 20) - 1 ] and tags = [ -2; -1; 0; 3; 803; 1 lsl 30 ] in
+  let keys =
+    List.concat_map (fun src -> List.map (fun tag -> Dedup.key ~src ~tag) tags) srcs
+  in
+  check_int "one key per pair" (List.length srcs * List.length tags)
+    (List.length (List.sort_uniq Int.compare keys))
+
+let test_dedup_src_range () =
+  List.iter
+    (fun src ->
+      match Dedup.key ~src ~tag:0 with
+      | _ -> Alcotest.failf "src %d was accepted" src
+      | exception Invalid_argument _ -> ())
+    [ -1; 1 lsl 20 ]
+
+(* An image carries the packed keys; a daemon restored from it must drop
+   exactly the messages the imaged daemon would have dropped. *)
+let test_dedup_image_round_trip () =
+  let t = Dedup.create () in
+  List.iter
+    (fun (src, tag) -> Dedup.add t ~src ~tag)
+    [ (0, -2); (0, 3); (1, -1); (48, 803); (3, 1 lsl 30); (1, -1) ];
+  let restored = Dedup.create () in
+  Dedup.add_keys restored (Dedup.keys t);
+  check_int "duplicates stored once" 5 (List.length (Dedup.keys restored));
+  for src = 0 to 49 do
+    List.iter
+      (fun tag ->
+        if Dedup.mem t ~src ~tag <> Dedup.mem restored ~src ~tag then
+          Alcotest.failf "(%d, %d) suppressed on one side only" src tag)
+      [ -2; -1; 0; 3; 803; 1 lsl 30 ]
+  done
+
+(* A tuple-keyed table cost 3 minor words per lookup for the key alone. *)
+let test_dedup_no_allocation () =
+  let t = Dedup.create () in
+  Dedup.add t ~src:7 ~tag:803;
+  let ops = 1000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to ops / 2 do
+    if not (Dedup.mem t ~src:7 ~tag:803) then Alcotest.fail "present key not found";
+    Dedup.add t ~src:7 ~tag:803
+  done;
+  let per_op = (Gc.minor_words () -. before) /. float_of_int ops in
+  if per_op >= 1.0 then Alcotest.failf "%.2f minor words per operation (bound 1)" per_op
+
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
@@ -737,5 +787,12 @@ let () =
         ] );
       ("local-disk", [ Alcotest.test_case "retention" `Quick test_local_disk_retention ]);
       ("matching", [ Alcotest.test_case "O(1) per operation" `Quick test_matching_scales ]);
+      ( "dedup",
+        [
+          Alcotest.test_case "keys are distinct" `Quick test_dedup_keys_distinct;
+          Alcotest.test_case "src out of range" `Quick test_dedup_src_range;
+          Alcotest.test_case "image keys suppress the same" `Quick test_dedup_image_round_trip;
+          Alcotest.test_case "present key allocates nothing" `Quick test_dedup_no_allocation;
+        ] );
       ("properties", qsuite);
     ]
