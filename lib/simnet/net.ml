@@ -64,13 +64,13 @@ module Perturb = struct
   type cut =
     | Cut_sets of Bytes.t
     | Cut_isolate of Bytes.t
-    | Cut_pairs of (int * int, unit) Hashtbl.t
+    | Cut_pairs of (int, unit) Hashtbl.t
 
   (* Pair-level degradation (e.g. every intra-pod link of a fat tree):
      one immutable rule per [degrade_pairs] call, folded into [spec_for]
      by per-field max like host degradations — O(active pair rules) per
      message, zero when none are installed. *)
-  type pair_rule = { pr_pairs : (int * int, unit) Hashtbl.t; pr_spec : spec }
+  type pair_rule = { pr_pairs : (int, unit) Hashtbl.t; pr_spec : spec }
 
   type stats = { dropped : int; delayed : int; retransmits : int; conn_timeouts : int }
 
@@ -208,11 +208,15 @@ module Perturb = struct
     touch p;
     p.p_cuts <- Cut_isolate (member_map [ (hosts, 1) ]) :: p.p_cuts
 
+  (* An unordered host pair as one int, so a per-message lookup builds
+     no tuple; injective for hosts below 2^31. *)
+  let pair_key a b = (min a b lsl 31) lor max a b
+
   let pair_table ~what pairs =
     if pairs = [] then invalid_arg (what ^ ": empty pair set");
     let tbl = Hashtbl.create (max 16 (List.length pairs)) in
     List.iter
-      (fun (a, b) -> if a <> b && a >= 0 && b >= 0 then Hashtbl.replace tbl (min a b, max a b) ())
+      (fun (a, b) -> if a <> b && a >= 0 && b >= 0 then Hashtbl.replace tbl (pair_key a b) ())
       pairs;
     tbl
 
@@ -244,7 +248,7 @@ module Perturb = struct
         let sa = member_bits m a and sb = member_bits m b in
         (sa land 1 <> 0 && sb land 2 <> 0) || (sa land 2 <> 0 && sb land 1 <> 0)
     | Cut_isolate m -> member_bits m a <> member_bits m b
-    | Cut_pairs tbl -> Hashtbl.mem tbl (min a b, max a b)
+    | Cut_pairs tbl -> Hashtbl.mem tbl (pair_key a b)
 
   let cut p ~src ~dst = src <> dst && List.exists (fun c -> crosses_cut c src dst) p.p_cuts
 
@@ -266,7 +270,7 @@ module Perturb = struct
     match p.p_pair_rules with
     | [] -> acc
     | rules ->
-        let key = (min src dst, max src dst) in
+        let key = pair_key src dst in
         List.fold_left
           (fun acc r ->
             if Hashtbl.mem r.pr_pairs key then
