@@ -1,7 +1,9 @@
 (* The one writer of the BENCH_<suite>.json files.
 
    A file is a header — the commit of the checkout, the core count,
-   the OCaml version and whether the run was a --smoke run — followed
+   the OCaml version, whether the run was a --smoke run and the GC
+   policy the runs were sized by (Failmpi.Gc_policy's per-host factor,
+   floor and cap, and any s= override in OCAMLRUNPARAM) — followed
    by flat records {suite, metric, value, unit, layer}. A metric is a
    path that carries the suite's parameters, such as
    "loss_curve/ulfm/0.05/net_dropped"; a layer names the library the
@@ -69,6 +71,10 @@ let write header ~suite records =
     (json_string header.commit)
     (Domain.recommended_domain_count ())
     (json_string Sys.ocaml_version) header.smoke;
+  Printf.fprintf oc
+    "  \"gc_policy\": { \"words_per_host\": %d, \"floor_words\": %d, \"cap_words\": %d, \"override\": %s },\n"
+    Failmpi.Gc_policy.words_per_host Failmpi.Gc_policy.floor_words Failmpi.Gc_policy.cap_words
+    (json_value (opt (fun s -> Str s) (Failmpi.Gc_policy.override ())));
   let record r =
     Printf.sprintf
       "    { \"suite\": %s, \"metric\": %s, \"value\": %s, \"unit\": %s, \"layer\": %s }"

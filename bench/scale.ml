@@ -2,11 +2,17 @@
 
    One fixed-seed, fault-free stencil run per cluster size on the
    hosts-vs-wallclock curve 256 -> 16384 (256 -> 1024 with --smoke),
-   timed once, with its minor and promoted words and the minor words per
-   application message. The suite refuses to write its file if a run did
-   not complete or its rank checksums differ from
-   [Workload.Stencil.reference_checksum], so the curve doubles as a
-   large-scale correctness check. *)
+   timed once, with its minor and promoted words, the minor words per
+   application message, the minor heap the run got from
+   [Failmpi.Gc_policy], the share of its minor words that were promoted
+   and the process's peak resident set so far. The curve ascends and the
+   suite runs last, so from the point where a run outgrows the suites
+   before it, that running peak is the point's own. The suite refuses to
+   write its file if a run did not complete, if its rank checksums
+   differ from [Workload.Stencil.reference_checksum] (so the curve
+   doubles as a large-scale correctness check), or if a run of
+   [gated_hosts] hosts or more promotes more than [max_promoted_share]
+   of its minor words: the failure of a lost or broken GC policy. *)
 
 let hosts_curve = [ 256; 512; 1024; 2048; 4096; 8192; 16384 ]
 
@@ -57,6 +63,24 @@ let spec_for ~hosts =
 let app_messages ~n_ranks =
   (4 * n_ranks * params.Workload.Stencil.iterations) + (2 * (n_ranks - 1))
 
+(* The runtime's default minor heap promotes about 43% of a 1024-host
+   run's minor words and 65% of an 8192-host run's; with the policy
+   every point of the curve stays under 36%. *)
+let gated_hosts = 512
+let max_promoted_share = 0.40
+
+(* The peak resident set of this process, in kB: VmHWM in
+   /proc/self/status, or None where there is no such file. *)
+let vm_hwm_kb () =
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | exception Sys_error _ -> None
+  | status ->
+      String.split_on_char '\n' status
+      |> List.find_map (fun line ->
+             match String.split_on_char ':' line with
+             | [ "VmHWM"; v ] -> Scanf.sscanf_opt (String.trim v) "%d kB" Fun.id
+             | _ -> None)
+
 let run ~smoke =
   List.concat_map
     (fun hosts ->
@@ -77,14 +101,23 @@ let run ~smoke =
         Record.refuse "scale" "%d hosts: rank checksums differ from the fault-free reference" hosts;
       let path m = Printf.sprintf "hosts/%d/%s" hosts m in
       let minor_words = g1.Gc.minor_words -. g0.Gc.minor_words in
+      let promoted_words = g1.Gc.promoted_words -. g0.Gc.promoted_words in
+      let promoted_share = promoted_words /. minor_words in
+      if hosts >= gated_hosts && promoted_share > max_promoted_share then
+        Record.refuse "scale" "%d hosts: %.1f%% of the minor words were promoted (at most %.0f%%)"
+          hosts (100.0 *. promoted_share) (100.0 *. max_promoted_share);
       [
         Record.int ~layer:"core" (path "ranks") "count" n_ranks;
         Record.num ~layer:"core" (path "wall_ms") "ms" wall_ms;
         Record.num ~layer:"core" (path "sim_time_s") "s" sim_time;
         Record.num ~layer:"simkern" (path "minor_words") "words" minor_words;
-        Record.num ~layer:"simkern" (path "promoted_words") "words"
-          (g1.Gc.promoted_words -. g0.Gc.promoted_words);
+        Record.num ~layer:"simkern" (path "promoted_words") "words" promoted_words;
         Record.num ~layer:"simkern" (path "minor_words_per_message") "words"
           (minor_words /. float_of_int (app_messages ~n_ranks));
+        Record.int ~layer:"simkern" (path "minor_heap_words") "words"
+          (Gc.get ()).Gc.minor_heap_size;
+        Record.num ~layer:"simkern" (path "promoted_share") "ratio" promoted_share;
+        Record.make ~layer:"core" (path "vm_hwm_kb") "kB"
+          (Record.opt (fun kb -> Record.Num (float_of_int kb)) (vm_hwm_kb ()));
       ])
     (List.filter (fun h -> h <= if smoke then 1024 else max_int) hosts_curve)

@@ -1,5 +1,36 @@
 module Backend = Backend
 
+module Gc_policy = struct
+  let floor_words = 262_144
+  let words_per_host = 512
+  let cap_words = 8_388_608
+
+  let minor_heap_words ~n_compute =
+    Int.min cap_words (Int.max floor_words (words_per_host * n_compute))
+
+  (* The runtime reads OCAMLRUNPARAM, or CAMLRUNPARAM when OCAMLRUNPARAM
+     is unset, and takes every comma-separated entry that starts with
+     's' as the minor heap size. *)
+  let override () =
+    let param =
+      match Sys.getenv_opt "OCAMLRUNPARAM" with
+      | Some _ as p -> p
+      | None -> Sys.getenv_opt "CAMLRUNPARAM"
+    in
+    match param with
+    | None -> None
+    | Some p ->
+        List.rev (String.split_on_char ',' p)
+        |> List.find_opt (fun e -> String.length e > 0 && e.[0] = 's')
+
+  let apply ~n_compute =
+    if override () = None then begin
+      let words = minor_heap_words ~n_compute in
+      let g = Gc.get () in
+      if g.Gc.minor_heap_size <> words then Gc.set { g with Gc.minor_heap_size = words }
+    end
+end
+
 module Run = struct
   open Simkern
 
@@ -104,6 +135,7 @@ module Run = struct
     | Some r when r < 1 ->
         invalid_arg (Printf.sprintf "Run.execute: regions must be >= 1 (got %d)" r)
     | Some _ | None -> ());
+    Gc_policy.apply ~n_compute:spec.n_compute;
     let eng = Engine.create ~seed:spec.seed ~trace_level:spec.trace_level () in
     let fci =
       match spec.scenario with

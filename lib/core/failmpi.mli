@@ -21,6 +21,41 @@
 
 module Backend = Backend
 
+(** The minor heap a run gets, decided once per run from its number of
+    compute hosts and applied by {!Run.prepare} to the calling domain.
+
+    With the runtime's default 256k-word minor heap, the share of minor
+    words that survive to the major heap grows with the deployment (26%
+    at 256 hosts, 65% at 8192): a large run's daemons keep more data
+    alive than one minor heap's worth of allocation. The policy gives
+    large runs a minor heap proportional to their host count and leaves
+    runs of up to 512 compute hosts on the default.
+
+    [Gc.set]'s [minor_heap_size] changes only the calling domain, and a
+    new domain starts at the runtime's default, so the policy is applied
+    per run: a [Par] worker domain running a large experiment gets it
+    too. An [s=] entry in [OCAMLRUNPARAM] (or [CAMLRUNPARAM] when
+    [OCAMLRUNPARAM] is unset) is the user's own choice and wins: the
+    policy then sets nothing. *)
+module Gc_policy : sig
+  val floor_words : int
+  (** 262,144: the runtime's default minor heap, in words *)
+
+  val words_per_host : int
+  (** 512 words of minor heap per compute host above the floor *)
+
+  val cap_words : int
+  (** 8,388,608 words (64 MiB on 64-bit) at most *)
+
+  (** [minor_heap_words ~n_compute] is
+      [clamp floor_words (words_per_host * n_compute) cap_words]. *)
+  val minor_heap_words : n_compute:int -> int
+
+  (** [override ()] is the [s=] entry of the runtime's parameter string,
+      when the environment has one. *)
+  val override : unit -> string option
+end
+
 module Run : sig
   type spec = {
     scenario : string option;  (** FAIL source; [None] = no fault injection *)
@@ -147,7 +182,10 @@ module Run : sig
   type checkpoint
 
   (** [prepare ?expected_checksum spec] validates and launches without
-      running any event. Raises like {!execute}. *)
+      running any event. Before the launch it sets the calling domain's
+      minor heap to [Gc_policy.minor_heap_words ~n_compute:spec.n_compute],
+      unless {!Gc_policy.override} is set or the size is already that.
+      Raises like {!execute}. *)
   val prepare : ?expected_checksum:int -> spec -> checkpoint
 
   val checkpoint_engine : checkpoint -> Simkern.Engine.t

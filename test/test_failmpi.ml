@@ -522,6 +522,90 @@ let test_delay_scenario_compiles () =
   | Ok _ -> ()
   | Error msg -> Alcotest.failf "delay scenario: %s" msg
 
+(* ---------- the per-run GC policy ---------- *)
+
+let policy_words = Failmpi.Gc_policy.minor_heap_words
+
+let test_gc_policy_sizing () =
+  List.iter
+    (fun n -> check_int (Printf.sprintf "floor at %d hosts" n) 262_144 (policy_words ~n_compute:n))
+    [ 1; 4; 53; 101; 256; 511; 512 ];
+  List.iter
+    (fun n -> check_int (Printf.sprintf "512 x %d hosts" n) (512 * n) (policy_words ~n_compute:n))
+    [ 513; 1018; 4090; 8186; 16_378 ];
+  List.iter
+    (fun n -> check_int (Printf.sprintf "cap at %d hosts" n) 8_388_608 (policy_words ~n_compute:n))
+    [ 16_384; 16_385; 100_000 ];
+  let rec monotone n prev =
+    n > 40_000
+    ||
+    let w = policy_words ~n_compute:n in
+    w >= prev && monotone (n + 7) w
+  in
+  check_bool "monotone" true (monotone 1 0)
+
+let minor_heap_size () = (Gc.get ()).Gc.minor_heap_size
+
+(* Runs [f] with OCAMLRUNPARAM set to [value] and the calling domain's
+   minor heap restored afterwards. An empty OCAMLRUNPARAM has no s=
+   entry and hides CAMLRUNPARAM, so the policy tests do not depend on
+   the environment they are run in. *)
+let with_runparam ?(value = "") f =
+  let saved_env = Sys.getenv_opt "OCAMLRUNPARAM" in
+  let saved_size = minor_heap_size () in
+  Unix.putenv "OCAMLRUNPARAM" value;
+  Fun.protect f ~finally:(fun () ->
+      Unix.putenv "OCAMLRUNPARAM" (Option.value saved_env ~default:"");
+      if minor_heap_size () <> saved_size then
+        Gc.set { (Gc.get ()) with Gc.minor_heap_size = saved_size })
+
+(* A 1024-host deployment of the scale bench's stencil: 1018 compute
+   hosts seat 31 x 31 ranks. *)
+let stencil_1024 () =
+  let n_ranks = 31 * 31 in
+  let cfg = { (Mpivcl.Config.default ~n_ranks) with Mpivcl.Config.lazy_peer_mesh = true } in
+  {
+    (Failmpi.Run.default_spec ~app:(Workload.Stencil.app small_params ~n_ranks) ~cfg
+       ~n_compute:1018 ~state_bytes:100_000)
+    with
+    Failmpi.Run.trace_level = Simkern.Trace.Summary;
+  }
+
+let test_gc_policy_small_run () =
+  with_runparam (fun () ->
+      let before = minor_heap_size () in
+      ignore (Failmpi.Run.prepare (small_spec ()));
+      check_int "4-rank prepare leaves the minor heap" before (minor_heap_size ()))
+
+let test_gc_policy_large_run () =
+  with_runparam (fun () ->
+      ignore (Failmpi.Run.prepare (stencil_1024 ()));
+      check_int "1024-host prepare sizes the minor heap" (policy_words ~n_compute:1018)
+        (minor_heap_size ()))
+
+let test_gc_policy_override () =
+  with_runparam ~value:"s=300k" (fun () ->
+      let before = minor_heap_size () in
+      check (Alcotest.option Alcotest.string) "override read" (Some "s=300k")
+        (Failmpi.Gc_policy.override ());
+      ignore (Failmpi.Run.prepare (stencil_1024 ()));
+      check_int "s= wins over the policy" before (minor_heap_size ()))
+
+let test_gc_policy_par_workers () =
+  with_runparam (fun () ->
+      let before = minor_heap_size () in
+      let sizes =
+        Par.map ~jobs:2
+          (fun spec ->
+            ignore (Failmpi.Run.prepare spec);
+            minor_heap_size ())
+          [ stencil_1024 (); stencil_1024 () ]
+      in
+      check (Alcotest.list Alcotest.int) "each worker domain sized by the policy"
+        [ policy_words ~n_compute:1018; policy_words ~n_compute:1018 ]
+        sizes;
+      check_int "main domain unchanged" before (minor_heap_size ()))
+
 let () =
   Alcotest.run "failmpi"
     [
@@ -568,5 +652,13 @@ let () =
           Alcotest.test_case "ckpt sniper lost vs mirrored" `Quick test_ckpt_sniper_verdicts;
           Alcotest.test_case "quorum loss aborted vs non-terminating" `Quick
             test_quorum_loss_verdicts;
+        ] );
+      ( "gc-policy",
+        [
+          Alcotest.test_case "sizing" `Quick test_gc_policy_sizing;
+          Alcotest.test_case "small run unchanged" `Quick test_gc_policy_small_run;
+          Alcotest.test_case "1024-host prepare" `Quick test_gc_policy_large_run;
+          Alcotest.test_case "s= override wins" `Quick test_gc_policy_override;
+          Alcotest.test_case "par worker domains" `Quick test_gc_policy_par_workers;
         ] );
     ]
