@@ -5,9 +5,10 @@
    timed once, with its minor and promoted words, the minor words per
    application message, the minor heap the run got from
    [Failmpi.Gc_policy], the share of its minor words that were promoted
-   and the process's peak resident set so far. The curve ascends and the
-   suite runs last, so from the point where a run outgrows the suites
-   before it, that running peak is the point's own. The suite refuses to
+   and the process's peak resident set so far. That peak includes what
+   earlier points and suites left resident, so it compares between runs
+   of the same suite list only: a point's own resident set needs a
+   process that runs nothing else. The suite refuses to
    write its file if a run did not complete, if its rank checksums
    differ from [Workload.Stencil.reference_checksum] (so the curve
    doubles as a large-scale correctness check), or if a run of
