@@ -1,33 +1,22 @@
-(** One ulfm daemon: failure detector, agreement participant and rank
-    host, all in a single event loop per cluster host.
+(** One ulfm daemon: failure detector, rank host and the adapter that
+    runs {!Agree}, the survivor agreement, in a single event loop per
+    cluster host.
 
-    Unlike the rollback families there is no recovery wave and no
-    relaunch. Every daemon heartbeats its peers over a full mesh; a
-    silent peer (suspicion timeout), a torn peer connection or a
-    received [Revoke] raises a revocation into whatever is running —
-    hosted ranks are killed mid-collective, exactly like ULFM's
-    [MPI_ERR_PROC_FAILED] surfacing inside [MPI_Allreduce]. The unsuspected
-    members then agree on the next epoch (two-phase, ballot-ordered,
-    requiring a {e majority of the epoch being superseded} so a
-    partitioned minority can never install a second survivor set — it
-    blocks, retries, and aborts cleanly once the ballot budget runs
-    out). The decision is the full next communicator: members, dense
-    rank assignment (spares promoted first, leftovers adopted), the
-    uniform restart iteration and the snapshot donors. Installation
-    fetches missing snapshots, re-knits a recursive-doubling sync
-    collective over the survivors, and restarts the daemon's assigned
-    ranks; a daemon outside the decided member set fences itself off and
-    exits.
+    A silent peer (suspicion timeout), a torn peer connection or a
+    received [Revoke] revokes whatever is running, like ULFM's
+    [MPI_ERR_PROC_FAILED] inside [MPI_Allreduce]. The daemon feeds
+    {!Agree} its agreement messages, timers and suspicions and performs
+    the returned actions in order. Installing an epoch fetches missing
+    snapshots, re-knits a recursive-doubling sync collective and
+    restarts the assigned ranks; a daemon outside the members fences
+    itself off. Each commit is backed up to the next member around the
+    ring, so the restart point survives one failure between commits.
 
-    Committed application state is kept as in-memory snapshots: each
-    commit is stored locally and backed up to the next member around the
-    ring, so the agreed restart point survives any single failure
-    between commits.
-
-    Trace events: [daemon-start], [start], [revoke], [ballot],
-    [quorum-lost], [ballot-timeout], [decide], [epoch-install],
-    [fenced], [peer-lost], [fetch-failed], [sync-complete],
-    [sync-mismatch], [apps-started], [rank-done], [restart-unavailable],
-    [abort], [daemon-exit], [protocol-error]. *)
+    Trace events, all recorded under [udaemon-N], those {!Agree} asks
+    for included: [daemon-start], [start], [revoke], [ballot],
+    [quorum-lost], [ballot-timeout], [decide], [epoch-install], [fenced],
+    [peer-lost], [fetch-failed], [sync-complete], [sync-mismatch],
+    [apps-started], [rank-done], [restart-unavailable], [abort],
+    [daemon-exit], [protocol-error]. *)
 
 val spawn : Uenv.t -> id:int -> incarnation:int -> Simkern.Proc.t
