@@ -27,11 +27,12 @@ type ballot = {
 
 (* [promised] and [accepted] are by instance, the epoch being decided;
    only instances above the installed epoch are kept. [used] counts the
-   ballots started for the installed epoch. *)
+   ballots started for the installed epoch, [told] the ex-members
+   already answered [Stale] at it. *)
 type t = {
   id : int; population : int; n_ranks : int;
   started : bool; epoch : int; members : int list; assign : (int * int) list;
-  decision : Shrinkc.decision option; revoked : bool;
+  decision : Shrinkc.decision option; revoked : bool; told : int list;
   promised : (int * int) list; accepted : (int * (int * Shrinkc.decision)) list;
   attempt : int; used : int; inflight : ballot option;
   propose_token : int; propose_armed : bool; ballot_token : int;
@@ -39,8 +40,8 @@ type t = {
 
 let create ~id ~population ~n_ranks =
   { id; population; n_ranks; started = false; epoch = 0; members = []; assign = [];
-    decision = None; revoked = false; promised = []; accepted = []; attempt = 0; used = 0;
-    inflight = None; propose_token = 0; propose_armed = false; ballot_token = 0 }
+    decision = None; revoked = false; told = []; promised = []; accepted = []; attempt = 0;
+    used = 0; inflight = None; propose_token = 0; propose_armed = false; ballot_token = 0 }
 
 let started t = t.started
 let epoch t = t.epoch
@@ -59,9 +60,14 @@ let trace ?(level = Simkern.Trace.Summary) out event fmt =
 let send_all t ps msg out =
   List.fold_left (fun out p -> if p <> t.id then Send (p, msg) :: out else out) out ps
 
-(* the answer to a peer behind the installed epoch *)
+(* The answer to a peer behind the installed epoch; an ex-member gets it
+   once per epoch, as it fences itself on the first. *)
 let stale t p out =
-  match t.decision with Some d -> Send (p, Umsg.Stale { decision = d }) :: out | None -> out
+  match t.decision with
+  | Some d when List.mem p d.d_members -> (t, Send (p, Umsg.Stale { decision = d }) :: out)
+  | Some d when not (List.mem p t.told) ->
+      ({ t with told = p :: t.told }, Send (p, Umsg.Stale { decision = d }) :: out)
+  | _ -> (t, out)
 
 let needed t v = t.started && (v.torn || t.revoked || v.suspects <> [])
 let unsuspected t v = List.filter (fun p -> not (List.mem p v.suspects)) t.members
@@ -96,8 +102,8 @@ let raise_revoke t v out =
 let install t (d : Shrinkc.decision) out =
   let above l = List.filter (fun (inst, _) -> inst > d.d_epoch) l in
   ( { t with epoch = d.d_epoch; members = d.d_members; assign = d.d_assign; decision = Some d;
-      revoked = false; promised = above t.promised; accepted = above t.accepted; used = 0;
-      inflight = None; propose_token = t.propose_token + 1; propose_armed = false;
+      revoked = false; told = []; promised = above t.promised; accepted = above t.accepted;
+      used = 0; inflight = None; propose_token = t.propose_token + 1; propose_armed = false;
       ballot_token = t.ballot_token + 1 },
     Install { decision = d; ballots = t.used } :: out )
 
@@ -144,9 +150,8 @@ let check_phase1 t out =
         check_phase2 t out
       end
       else begin
-        (* a quorum of the superseded epoch is unreachable: we must not
-           shrink (split-brain risk); retry after a beat in case the
-           partition heals, abort when the ballot budget runs out *)
+        (* no quorum of the superseded epoch is reachable: shrinking could
+           split the brain, so retry later and abort when out of ballots *)
         let out =
           trace out "quorum-lost" "only %d of %d members reachable (quorum %d)"
             (List.length bs.proposed) (List.length t.members) (Shrinkc.quorum t.members)
@@ -183,11 +188,11 @@ let start_ballot t v out =
 
 let receive t v p (msg : Umsg.t) out =
   match msg with
-  | Probe { epoch = pe; _ } -> (t, if pe < t.epoch then stale t p out else out)
+  | Probe { epoch = pe; _ } -> if pe < t.epoch then stale t p out else (t, out)
   | Revoke { epoch = re; _ } ->
       if re = t.epoch then ensure_propose { t with revoked = true } v out else (t, out)
   | Prepare { id = from; ballot = b; epoch = pe } ->
-      if pe < t.epoch then (t, stale t p out)
+      if pe < t.epoch then stale t p out
       else
         let t = if pe = t.epoch then { t with revoked = true } else t in
         vote t out ~from ~b (pe + 1) (fun t ->
@@ -207,7 +212,7 @@ let receive t v p (msg : Umsg.t) out =
       | _ -> (t, out))
   | Accept { id = from; ballot = b; decision } ->
       let inst = decision.d_epoch in
-      if inst <= t.epoch then (t, stale t p out)
+      if inst <= t.epoch then stale t p out
       else
         vote t out ~from ~b inst (fun t ->
             ( { t with accepted = set inst (b, decision) t.accepted },
@@ -231,7 +236,7 @@ let step t input =
     | Message (v, p, msg) -> receive t v p msg []
     | Outsider p -> (
         match t.decision with
-        | Some d when not (List.mem p d.d_members) -> (t, stale t p [])
+        | Some d when not (List.mem p d.d_members) -> stale t p []
         | _ -> (t, []))
     | Timeout (v, Propose tok) ->
         let t = { t with propose_armed = false } in

@@ -32,7 +32,7 @@ type input =
   | Message of view * int * Umsg.t
       (** a peer message the daemon does not handle itself: an agreement
           message or [Probe]; any other is traced as [protocol-error] *)
-  | Outsider of int  (** any message from a peer outside the members *)
+  | Outsider of int  (** a message from a non-member: [Stale] once per epoch *)
   | Timeout of view * timer
   | Check of view  (** the detector's periodic check *)
   | Torn of view  (** a member link tore or a snapshot fetch failed *)

@@ -323,7 +323,7 @@ let spawn (env : Uenv.t) ~id ~incarnation =
         | None -> ()
       in
 
-      (* ---------------- epoch installation ---------------- *)
+      (* ---------------- epoch installation and the agreement ---------------- *)
       let stop_task () =
         kill_apps ();
         Option.iter Proc.kill !acceptor;
@@ -404,8 +404,6 @@ let spawn (env : Uenv.t) ~id ~incarnation =
           maybe_sync ()
         end
       in
-
-      (* ---------------- agreement ---------------- *)
       let perform = function
         | Agree.Send (p, msg) -> psend p msg
         | Agree.Broadcast msg -> broadcast_peers msg

@@ -117,6 +117,25 @@ let test_stale_timer () =
   let _, acts = A.step t (A.Timeout (view ~torn:true [], A.Ballot tok)) in
   check_int "the live timer still fires" 1 (List.length (traces "ballot-timeout" acts))
 
+let test_stale_once () =
+  (* daemon 1 was left out of epoch 1 and keeps talking: one Stale per
+     decided epoch, not one per message *)
+  let decide e members =
+    S.next ~n_ranks:3 ~prev_assign:[ (0, 0); (1, 1); (2, 2) ] ~members ~avail:[] ~epoch:e
+  in
+  let stales t =
+    List.fold_left
+      (fun (t, k) _ ->
+        let t, acts = A.step t (A.Outsider 1) in
+        (t, k + List.length (List.filter (function 1, U.Stale _ -> true | _ -> false) (sends acts))))
+      (t, 0) (List.init 20 Fun.id)
+  in
+  let t, _ = A.step (daemon ~n:3 0) (A.Message (view [], 2, U.Decide { decision = decide 1 [ 0; 2 ] })) in
+  let t, k = stales t in
+  check_int "one Stale for 20 messages at epoch 1" 1 k;
+  let t, _ = A.step t (A.Message (view [], 2, U.Decide { decision = decide 2 [ 0; 2 ] })) in
+  check_int "one more at epoch 2" 1 (snd (stales t))
+
 (* ------------------------------------------------------------------ *)
 (* The model checker *)
 
@@ -443,6 +462,7 @@ let () =
           Alcotest.test_case "reject raises the next ballot" `Quick test_reject_raises_ballot;
           Alcotest.test_case "ballot budget aborts" `Quick test_ballot_budget;
           Alcotest.test_case "stale timer tokens" `Quick test_stale_timer;
+          Alcotest.test_case "one Stale per ex-member and epoch" `Quick test_stale_once;
         ] );
       ( "checker",
         [
