@@ -249,9 +249,9 @@ let all =
     ( "replica-split-staggered",
       replica_split ~n_machines:22 ~n_ranks:9 ~rank:4 ~start:50 ~gap:40 );
     (* §6 shape for 9 ranks on 13 machines: first kill at t=25, second
-       1 s after the 10th cumulative registration — i.e. 1 s after the
-       first daemon of the recovery wave re-registers. A file version
-       lives in scenarios/double_strike.fail. *)
+       1 s after the 10th cumulative load. It hits rank 2's old-wave
+       daemon while it stops, so every dispatcher completes; the file
+       version, scenarios/double_strike.fail, names the racing ones. *)
     ( "double-strike",
       double_strike ~n_machines:13 ~first:1 ~second:2 ~start:25 ~nth:10 ~gap:1 );
     (* Network fault cascade for 9 ranks on 13 machines: degrade the

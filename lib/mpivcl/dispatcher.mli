@@ -1,28 +1,10 @@
 (** Dispatcher: starts the MPI application, detects failures, drives
-    recovery waves.
-
-    Failure detection follows §3: "a failure is assumed after any
-    unexpected socket closure". Recovery terminates every daemon of the
-    current execution wave, then relaunches each rank {e eagerly} as soon
-    as its old daemon is confirmed dead — failed ranks move to a spare
-    host, others restart in place and reuse their local checkpoint.
-
-    Two variants, selected by [Config.dispatcher_buggy]:
-    - the {b historical} dispatcher the paper evaluated: if it detects the
-      failure of a daemon that already registered in the {e new} wave
-      while the recovery is still incomplete, it misaccounts the closure
-      as an old-wave termination and forgets to relaunch that rank — the
-      application freezes (the bug located in §5.3);
-    - the {b corrected} dispatcher: such failures re-enter the relaunch
-      path once the previous wave is fully stopped.
-
-    Orthogonally, [Config.vcl_seeded_race] plants a §6-style defect used
-    by [lib/explore]'s acceptance demo: once a recovery wave is under
-    way, losing a rank that already rejoined the new wave {e before} the
-    wave reaches steady state forgets that rank and wedges the run. It
-    needs two well-placed faults to trigger and is off by default. *)
-
-
+    recovery waves. It is the adapter of {!Recovery}, which makes every
+    decision: it feeds it each hello, message and closure of a daemon
+    connection and each exit of a launched daemon, and performs the
+    actions it returns, in order. [Config.dispatcher_buggy] and
+    [Config.vcl_seeded_race] select the historical §5.3 race and the
+    explorer's seeded defect (see {!Recovery}). *)
 
 type t
 
@@ -40,19 +22,11 @@ val outcome : t -> outcome
 (** [peek_outcome t] is [None] while the application is still running. *)
 val peek_outcome : t -> outcome option
 
-(** Number of recovery waves started so far. *)
+(** Read from {!Recovery}: the recovery waves started so far, and
+    whether the historical race ({!Recovery.confused}) or the seeded one
+    ({!Recovery.race_lost}) froze the run, or a lost checkpoint ended it
+    ({!Recovery.ckpt_lost}, the [Ckpt_lost] verdict). *)
 val recoveries : t -> int
-
-(** [confused t] is true once the buggy dispatcher has corrupted its
-    bookkeeping (the run will freeze). *)
 val confused : t -> bool
-
-(** [race_lost t] is true once the seeded [Config.vcl_seeded_race]
-    defect has dropped a rank mid-recovery (the run will freeze). *)
 val race_lost : t -> bool
-
-(** [ckpt_lost t] is true once a restarting rank reported that no
-    checkpoint storage replica was reachable: recovery was needed and no
-    complete image survives. The dispatcher ends the run immediately
-    (the [Ckpt_lost] verdict) instead of relaunching forever. *)
 val ckpt_lost : t -> bool

@@ -162,10 +162,10 @@ type sys = {
   decided : (int * S.decision) list;
 }
 
-exception Violation of string
+exception Violation = Mc.Violation
 
 (* a transition that would start more ballots than the bound allows *)
-exception Pruned
+exception Pruned = Mc.Pruned
 
 let rec set k v = function
   | (k', _) :: rest when k' = k -> (k, v) :: rest
@@ -386,52 +386,18 @@ let initial n =
 
 let key sys = Digest.string (Marshal.to_string sys [ Marshal.No_sharing ])
 
-type result = { states : int; decisions : int; counterexample : string list option }
-
-(* Breadth first from the initial state, [depth] transitions deep, so
-   the first violation found is at the smallest depth any has. [seen]
-   keeps the first transition into each state; a counterexample is that
-   chain of transitions, relabelled by replaying it. *)
 let explore ~n ~depth ~max_faults ~max_ballots =
   decides := 0;
-  let init = initial n in
-  let seen : (Digest.t, (Digest.t * tr) option) Hashtbl.t = Hashtbl.create 65536 in
-  Hashtbl.replace seen (key init) None;
-  let rec chain k acc =
-    match Hashtbl.find seen k with None -> acc | Some (parent, t) -> chain parent (t :: acc)
-  in
-  let replay trs =
-    List.rev
-      (snd
-         (List.fold_left
-            (fun (sys, ls) t -> (apply ~max_ballots n sys t, label (t, sys) :: ls))
-            (init, []) trs))
-  in
-  let rec level d frontier =
-    if d = depth || frontier = [] then None
-    else begin
-      let next = ref [] in
-      let expand (k, sys) =
-        List.find_map
-          (fun t ->
-            match apply ~max_ballots n sys t with
-            | exception Pruned -> None
-            | exception Violation v -> Some (replay (chain k []) @ [ label (t, sys); "=> " ^ v ])
-            | sys' ->
-                let k' = key sys' in
-                if not (Hashtbl.mem seen k') then begin
-                  Hashtbl.replace seen k' (Some (k, t));
-                  next := (k', sys') :: !next
-                end;
-                None)
-          (enabled ~max_faults sys)
-      in
-      let found = List.find_map expand frontier in
-      match found with Some _ -> found | None -> level (d + 1) (List.rev !next)
-    end
-  in
-  let counterexample = level 0 [ (key init, init) ] in
-  { states = Hashtbl.length seen; decisions = !decides; counterexample }
+  let module C = Mc.Make (struct
+    type state = sys
+    type transition = tr
+
+    let enabled = enabled ~max_faults
+    let apply = apply ~max_ballots n
+    let label t sys = label (t, sys)
+    let key = key
+  end) in
+  C.explore ~depth (initial n)
 
 let summary = ref []
 
@@ -441,16 +407,12 @@ let checker ~n ~depth ~max_faults ~max_ballots () =
     Printf.sprintf
       "agree checker: %d daemons, depth %d, at most %d fault(s) and %d ballot(s): %d states, %d \
        decisions"
-      n depth max_faults max_ballots r.states r.decisions
+      n depth max_faults max_ballots r.Mc.states !decides
   in
   summary := line :: !summary;
-  (match r.counterexample with
-  | Some steps ->
-      Alcotest.failf "%s\nshortest counterexample:\n%s" line
-        (String.concat "\n" (List.mapi (fun i s -> Printf.sprintf "  %d. %s" (i + 1) s) steps))
-  | None -> ());
-  check_bool "states explored" true (r.states > 1);
-  check_bool "decisions reached" true (r.decisions > 0)
+  Option.iter (Alcotest.failf "%s\nshortest counterexample:\n%s" line) (Mc.steps r);
+  check_bool "states explored" true (r.Mc.states > 1);
+  check_bool "decisions reached" true (!decides > 0)
 
 let () =
   Alcotest.run ~and_exit:false "agree"
