@@ -8,7 +8,7 @@ type view = { torn : bool; suspects : int list; avail : (int * int list) list La
 type timer = Propose of int | Ballot of int
 
 type input =
-  | Start of int list | Message of view * int * Umsg.t | Outsider of int
+  | Start of int list | Message of view * int * Umsg.t | Outsider of int | Heartbeat of int * int
   | Timeout of view * timer | Check of view | Torn of view
 
 type action =
@@ -27,12 +27,12 @@ type ballot = {
 
 (* [promised] and [accepted] are by instance, the epoch being decided;
    only instances above the installed epoch are kept. [used] counts the
-   ballots started for the installed epoch, [told] the ex-members
-   already answered [Stale] at it. *)
+   ballots started for the installed epoch, [told] the peers already
+   answered [Stale] at it, [probed] the peers sent a [Probe]. *)
 type t = {
   id : int; population : int; n_ranks : int;
   started : bool; epoch : int; members : int list; assign : (int * int) list;
-  decision : Shrinkc.decision option; revoked : bool; told : int list;
+  decision : Shrinkc.decision option; revoked : bool; told : int list; probed : int list;
   promised : (int * int) list; accepted : (int * (int * Shrinkc.decision)) list;
   attempt : int; used : int; inflight : ballot option;
   propose_token : int; propose_armed : bool; ballot_token : int;
@@ -40,7 +40,8 @@ type t = {
 
 let create ~id ~population ~n_ranks =
   { id; population; n_ranks; started = false; epoch = 0; members = []; assign = [];
-    decision = None; revoked = false; told = []; promised = []; accepted = []; attempt = 0;
+    decision = None; revoked = false; told = []; probed = []; promised = []; accepted = [];
+    attempt = 0;
     used = 0; inflight = None; propose_token = 0; propose_armed = false; ballot_token = 0 }
 
 let started t = t.started
@@ -60,11 +61,10 @@ let trace ?(level = Simkern.Trace.Summary) out event fmt =
 let send_all t ps msg out =
   List.fold_left (fun out p -> if p <> t.id then Send (p, msg) :: out else out) out ps
 
-(* The answer to a peer behind the installed epoch; an ex-member gets it
-   once per epoch, as it fences itself on the first. *)
+(* The answer to a peer behind the installed epoch, once per peer and
+   epoch: a member catches up and an ex-member fences itself on it. *)
 let stale t p out =
   match t.decision with
-  | Some d when List.mem p d.d_members -> (t, Send (p, Umsg.Stale { decision = d }) :: out)
   | Some d when not (List.mem p t.told) ->
       ({ t with told = p :: t.told }, Send (p, Umsg.Stale { decision = d }) :: out)
   | _ -> (t, out)
@@ -102,7 +102,8 @@ let raise_revoke t v out =
 let install t (d : Shrinkc.decision) out =
   let above l = List.filter (fun (inst, _) -> inst > d.d_epoch) l in
   ( { t with epoch = d.d_epoch; members = d.d_members; assign = d.d_assign; decision = Some d;
-      revoked = false; told = []; promised = above t.promised; accepted = above t.accepted;
+      revoked = false; told = []; probed = []; promised = above t.promised;
+      accepted = above t.accepted;
       used = 0; inflight = None; propose_token = t.propose_token + 1; propose_armed = false;
       ballot_token = t.ballot_token + 1 },
     Install { decision = d; ballots = t.used } :: out )
@@ -238,6 +239,10 @@ let step t input =
         match t.decision with
         | Some d when not (List.mem p d.d_members) -> stale t p []
         | _ -> (t, []))
+    | Heartbeat (p, pe) ->
+        if pe > t.epoch && not (List.mem p t.probed) then
+          ({ t with probed = p :: t.probed }, [ Send (p, Umsg.Probe { id = t.id; epoch = t.epoch }) ])
+        else (t, [])
     | Timeout (v, Propose tok) ->
         let t = { t with propose_armed = false } in
         if tok = t.propose_token && needed t v && t.inflight = None then start_ballot t v []

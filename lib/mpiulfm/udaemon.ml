@@ -462,8 +462,7 @@ let spawn (env : Uenv.t) ~id ~incarnation =
         if Agree.started !ag && not is_member.(p) then step (Agree.Outsider p);
         match msg with
         | Umsg.Peer_hello _ -> ()
-        | Umsg.Heartbeat { epoch = he; _ } ->
-            if he > epoch () then psend p (Umsg.Probe { id; epoch = epoch () })
+        | Umsg.Heartbeat { epoch = he; _ } -> step (Agree.Heartbeat (p, he))
         | Umsg.Backup { rank; iter; state } -> store_snap rank iter state
         | Umsg.Fetch { id = from; rank; iter } -> (
             match Hashtbl.find_opt snaps rank with

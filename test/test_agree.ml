@@ -2,19 +2,23 @@
    machine, driven with no engine:
 
    - step: one input sequence per case (a sole survivor, a lost quorum,
-     a rejected ballot, the ballot budget, stale timer tokens);
+     a rejected ballot, the ballot budget, stale timer tokens, one
+     Stale and one Probe per peer and epoch);
    - checker: every run of 3 and of 4 daemons over a model network,
      breadth first to a fixed depth with a visited-state set. A run
      interleaves deliveries (FIFO per link), timer firings at any time,
-     a crash at any point, messages lost to it and spurious suspicions;
-     crashes and suspicions share a fault budget, and runs that would
-     start more ballots than a ballot budget are cut. Every transition
-     is checked for agreement (no two installs of one epoch differ in
-     members, assignment or restart), validity (a decided membership is
-     a subset of the superseded epoch's members, and its ballot's
-     [Accept]s carried it) and quorum (the deciding ballot collected
-     grants and accepts from a quorum of the superseded members). A
-     violation fails the case with the shortest run that reaches it. *)
+     a crash at any point, messages lost to it, spurious suspicions and
+     heartbeats from a peer at a later epoch; crashes and suspicions
+     share a fault budget, and runs that would start more ballots than
+     a ballot budget are cut. Every transition is checked for agreement
+     (no two installs of one epoch differ in members, assignment or
+     restart), validity (a decided membership is a subset of the
+     superseded epoch's members, and its ballot's [Accept]s carried
+     it), quorum (the deciding ballot collected grants and accepts from
+     a quorum of the superseded members) and bounded notices (at most
+     one [Stale] and one [Probe] per ordered pair of daemons and
+     sender's epoch). Mc runs the search; a violation fails the case
+     with the shortest run that reaches it. *)
 
 module A = Mpiulfm.Agree
 module S = Mpiulfm.Shrinkc
@@ -136,6 +140,23 @@ let test_stale_once () =
   let t, _ = A.step t (A.Message (view [], 2, U.Decide { decision = decide 2 [ 0; 2 ] })) in
   check_int "one more at epoch 2" 1 (snd (stales t))
 
+let test_probe_once () =
+  (* daemon 1 is ahead and heartbeats: one Probe per epoch, not one per
+     heartbeat *)
+  let probes t epoch =
+    List.fold_left
+      (fun (t, k) _ ->
+        let t, acts = A.step t (A.Heartbeat (1, epoch)) in
+        (t, k + List.length (List.filter (function 1, U.Probe _ -> true | _ -> false) (sends acts))))
+      (t, 0) (List.init 20 Fun.id)
+  in
+  let t, k = probes (daemon ~n:3 0) 1 in
+  check_int "one Probe for 20 heartbeats at epoch 0" 1 k;
+  let d1 = S.next ~n_ranks:3 ~prev_assign:[ (0, 0); (1, 1); (2, 2) ] ~members:[ 0; 1; 2 ] ~avail:[] ~epoch:1 in
+  let t, _ = A.step t (A.Message (view [], 1, U.Stale { decision = d1 })) in
+  check_int "none once caught up" 0 (snd (probes t 1));
+  check_int "one more at epoch 1" 1 (snd (probes t 2))
+
 (* ------------------------------------------------------------------ *)
 (* The model checker *)
 
@@ -150,7 +171,8 @@ type node = {
    states marshal to equal strings. [votes] are the (ballot, phase,
    voter) grants (1) and accepts (2) delivered to the ballot's proposer;
    [proposals] the decision each ballot's [Accept]s carried; [decided]
-   the first install of each epoch. *)
+   the first install of each epoch; [notices] the (kind, sender,
+   receiver, sender's epoch) of every [Stale] (0) and [Probe] (1) sent. *)
 type sys = {
   nodes : node array;
   links : ((int * int) * U.t list) list; (* non-empty FIFO queues *)
@@ -160,6 +182,7 @@ type sys = {
   votes : (int * int * int) list;
   proposals : (int * S.decision) list;
   decided : (int * S.decision) list;
+  notices : (int * int * int * int) list;
 }
 
 exception Violation = Mc.Violation
@@ -260,6 +283,14 @@ let run ~max_ballots n sys i input =
   let send p m =
     if !sys.nodes.(p).up then sys := { !sys with links = enqueue !sys.links i p m }
   in
+  let notice kind p e =
+    if List.mem (kind, i, p, e) !sys.notices then
+      raise
+        (Violation
+           (Printf.sprintf "%d sent %d a second %s at epoch %d" i p
+              (if kind = 0 then "Stale" else "Probe") e));
+    sys := { !sys with notices = sorted_add (kind, i, p, e) !sys.notices }
+  in
   List.iter
     (function
       | A.Send (p, m) ->
@@ -270,6 +301,8 @@ let run ~max_ballots n sys i input =
                   raise (Violation (Printf.sprintf "ballot %d proposed two decisions" ballot))
               | Some _ -> ()
               | None -> sys := { !sys with proposals = set ballot decision !sys.proposals })
+          | U.Stale { decision } -> notice 0 p decision.S.d_epoch
+          | U.Probe { epoch; _ } -> notice 1 p epoch
           | _ -> ());
           send p m
       | A.Broadcast m ->
@@ -316,6 +349,7 @@ type tr =
   | Fire of int * A.timer
   | Crash of int
   | Suspects of int * int
+  | Beat of int * int (* a heartbeat from a peer ahead: (peer, reader) *)
 
 let label = function
   | Deliver (s, d), sys -> Printf.sprintf "%d delivers %s to %d" s (msg_str (fst (pop sys.links (s, d)))) d
@@ -325,6 +359,7 @@ let label = function
   | Fire (i, A.Ballot k), _ -> Printf.sprintf "ballot timer %d of %d fires" k i
   | Crash i, _ -> Printf.sprintf "%d crashes" i
   | Suspects (i, p), _ -> Printf.sprintf "%d suspects %d" i p
+  | Beat (p, i), sys -> Printf.sprintf "%d reads a heartbeat of %d at epoch %d" i p (A.epoch sys.nodes.(p).ag)
 
 (* Every transition [sys] enables. A crash or a suspicion spends one of
    [max_faults]; at most one daemon crashes. *)
@@ -340,6 +375,9 @@ let enabled ~max_faults sys =
     (fun i nd ->
       if nd.up then begin
         List.iter (fun tm -> out := Fire (i, tm) :: !out) nd.timers;
+        Array.iteri
+          (fun p np -> if np.up && A.epoch np.ag > A.epoch nd.ag then out := Beat (p, i) :: !out)
+          sys.nodes;
         if sys.faults < max_faults then begin
           if sys.crashes < 1 then out := Crash i :: !out;
           List.iter
@@ -349,6 +387,13 @@ let enabled ~max_faults sys =
       end)
     sys.nodes;
   List.rev !out
+
+(* as Udaemon does: a non-member's message first asks for Stale *)
+let outsider ~max_ballots n sys src dst =
+  let ag = sys.nodes.(dst).ag in
+  if A.started ag && not (List.mem src (A.members ag)) then
+    run ~max_ballots n sys dst (A.Outsider src)
+  else sys
 
 let apply ~max_ballots n sys = function
   | Deliver (src, dst) ->
@@ -361,13 +406,7 @@ let apply ~max_ballots n sys = function
         | _ -> sys.votes
       in
       let sys = { sys with links; votes } in
-      let nd = sys.nodes.(dst) in
-      (* as Udaemon does: a non-member's message first asks for Stale *)
-      let sys =
-        if A.started nd.ag && not (List.mem src (A.members nd.ag)) then
-          run ~max_ballots n sys dst (A.Outsider src)
-        else sys
-      in
+      let sys = outsider ~max_ballots n sys src dst in
       let nd = sys.nodes.(dst) in
       if nd.up then run ~max_ballots n sys dst (A.Message (view_of nd, src, m)) else sys
   | Lose (src, dst) -> { sys with links = snd (pop sys.links (src, dst)) }
@@ -378,11 +417,15 @@ let apply ~max_ballots n sys = function
   | Suspects (i, p) ->
       let sys = with_node sys i (fun nd -> { nd with suspects = sorted_add p nd.suspects }) in
       run ~max_ballots n { sys with faults = sys.faults + 1 } i (A.Check (view_of sys.nodes.(i)))
+  | Beat (p, i) ->
+      let sys = outsider ~max_ballots n sys p i in
+      if sys.nodes.(i).up then run ~max_ballots n sys i (A.Heartbeat (p, A.epoch sys.nodes.(p).ag))
+      else sys
 
 let initial n =
   let node i = { ag = daemon ~n i; up = true; suspects = []; timers = [] } in
   { nodes = Array.init n node; links = []; crashes = 0; faults = 0; ballots = 0; votes = [];
-    proposals = []; decided = [] }
+    proposals = []; decided = []; notices = [] }
 
 let key sys = Digest.string (Marshal.to_string sys [ Marshal.No_sharing ])
 
@@ -425,6 +468,7 @@ let () =
           Alcotest.test_case "ballot budget aborts" `Quick test_ballot_budget;
           Alcotest.test_case "stale timer tokens" `Quick test_stale_timer;
           Alcotest.test_case "one Stale per ex-member and epoch" `Quick test_stale_once;
+          Alcotest.test_case "one Probe per peer and epoch" `Quick test_probe_once;
         ] );
       ( "checker",
         [
