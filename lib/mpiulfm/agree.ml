@@ -39,9 +39,8 @@ type t = {
 }
 
 let create ~id ~population ~n_ranks =
-  { id; population; n_ranks; started = false; epoch = 0; members = []; assign = [];
+  { id; population; n_ranks; started = false; epoch = 0; members = []; assign = []; attempt = 0;
     decision = None; revoked = false; told = []; probed = []; promised = []; accepted = [];
-    attempt = 0;
     used = 0; inflight = None; propose_token = 0; propose_armed = false; ballot_token = 0 }
 
 let started t = t.started
@@ -103,9 +102,8 @@ let install t (d : Shrinkc.decision) out =
   let above l = List.filter (fun (inst, _) -> inst > d.d_epoch) l in
   ( { t with epoch = d.d_epoch; members = d.d_members; assign = d.d_assign; decision = Some d;
       revoked = false; told = []; probed = []; promised = above t.promised;
-      accepted = above t.accepted;
-      used = 0; inflight = None; propose_token = t.propose_token + 1; propose_armed = false;
-      ballot_token = t.ballot_token + 1 },
+      accepted = above t.accepted; used = 0; inflight = None; propose_token = t.propose_token + 1;
+      propose_armed = false; ballot_token = t.ballot_token + 1 },
     Install { decision = d; ballots = t.used } :: out )
 
 (* Promise ballot [b] for instance [inst] and answer [from] with what
@@ -241,7 +239,7 @@ let step t input =
         | _ -> (t, []))
     | Heartbeat (p, pe) ->
         if pe > t.epoch && not (List.mem p t.probed) then
-          ({ t with probed = p :: t.probed }, [ Send (p, Umsg.Probe { id = t.id; epoch = t.epoch }) ])
+          ({ t with probed = p :: t.probed }, [ Send (p, Probe { id = t.id; epoch = t.epoch }) ])
         else (t, [])
     | Timeout (v, Propose tok) ->
         let t = { t with propose_armed = false } in

@@ -33,9 +33,7 @@ type input =
       (** a peer message the daemon does not handle itself: an agreement
           message or [Probe]; any other is traced as [protocol-error] *)
   | Outsider of int  (** a message from a non-member: [Stale] once per epoch *)
-  | Heartbeat of int * int
-      (** a peer's heartbeat at its epoch: one [Probe] per peer and epoch
-          while the peer is ahead *)
+  | Heartbeat of int * int  (** a peer's heartbeat and its epoch: [Probe] once per epoch *)
   | Timeout of view * timer
   | Check of view  (** the detector's periodic check *)
   | Torn of view  (** a member link tore or a snapshot fetch failed *)

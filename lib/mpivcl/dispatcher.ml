@@ -7,12 +7,11 @@ type t = { result : outcome Ivar.t; mutable state : Recovery.t }
 let spawn (env : Env.t) ~host ~initial_hosts ~spare_limit =
   let eng = env.Env.eng and cfg = env.Env.cfg in
   let restarts_all = Config.restarts_all_ranks cfg in
-  let t =
-    { result = Ivar.create ();
-      state =
-        Recovery.create ~n:cfg.Config.n_ranks ~initial_hosts ~spare_limit ~restarts_all
-          ~buggy:cfg.Config.dispatcher_buggy ~seeded_race:cfg.Config.vcl_seeded_race }
+  let state =
+    Recovery.create ~n:cfg.Config.n_ranks ~initial_hosts ~spare_limit ~restarts_all
+      ~buggy:cfg.Config.dispatcher_buggy ~seeded_race:cfg.Config.vcl_seeded_race
   in
+  let t = { result = Ivar.create (); state } in
   (* Each input comes with the connection of a hello, if it is one. *)
   let events : (Recovery.input * Message.t Net.conn option) Mailbox.t = Mailbox.create () in
   let conns = Array.make cfg.Config.n_ranks None in

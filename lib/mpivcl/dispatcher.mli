@@ -1,10 +1,7 @@
 (** Dispatcher: starts the MPI application, detects failures, drives
     recovery waves. It is the adapter of {!Recovery}, which makes every
-    decision: it feeds it each hello, message and closure of a daemon
-    connection and each exit of a launched daemon, and performs the
-    actions it returns, in order. [Config.dispatcher_buggy] and
-    [Config.vcl_seeded_race] select the historical §5.3 race and the
-    explorer's seeded defect (see {!Recovery}). *)
+    decision from [Config.dispatcher_buggy], [Config.vcl_seeded_race]
+    and what the daemons' connections and launches report. *)
 
 type t
 

@@ -33,13 +33,12 @@ type t = {
 let create ~n ~initial_hosts ~spare_limit ~restarts_all ~buggy ~seeded_race =
   let used = Array.make spare_limit false in
   Array.iter (fun h -> if h < spare_limit then used.(h) <- true) initial_hosts;
-  let rank r = { host = initial_hosts.(r); inc = -1; st = Launching; finished = false } in
-  { n; restarts_all; buggy; seeded_race;
-    ranks = IM.of_seq (Seq.init n (fun r -> (r, rank r)));
+  let rank r = { host = initial_hosts.(r); inc = 0; st = Launching; finished = false } in
+  { n; restarts_all; buggy; seeded_race; ranks = IM.of_seq (Seq.init n (fun r -> (r, rank r)));
     ready = 0; stopping = 0; finished = 0;
     spares = List.filter (fun h -> not used.(h)) (List.init spare_limit Fun.id);
-    steady = false; completed = false; recoveries = 0;
-    confused = false; race_lost = false; ckpt_lost = false }
+    steady = false; completed = false; recoveries = 0; confused = false; race_lost = false;
+    ckpt_lost = false }
 
 let recoveries t = t.recoveries
 let confused t = t.confused
@@ -74,28 +73,30 @@ let launch t r out =
   let inc = ri.inc + 1 in
   (set t r { ri with inc; st = Launching }, Launch { rank = r; host = ri.host; inc } :: out)
 
-let move_to_spare t r out =
-  match t.spares with
-  | [] -> (t, trace ~level:Full out "no-spare" "rank %d restarts in place" r)
-  | spare :: rest ->
-      let ri = get t r in
-      ( set { t with spares = rest @ [ ri.host ] } r { ri with host = spare },
-        trace ~level:Full out "reallocate" "rank %d: host %d -> %d" r ri.host spare )
-
 let relaunch t r out =
-  let t, out = move_to_spare t r out in
+  let t, out =
+    match t.spares with
+    | [] -> (t, trace ~level:Full out "no-spare" "rank %d restarts in place" r)
+    | spare :: rest ->
+        let ri = get t r in
+        ( set { t with spares = rest @ [ ri.host ] } r { ri with host = spare },
+          trace ~level:Full out "reallocate" "rank %d: host %d -> %d" r ri.host spare )
+  in
   launch t r out
 
 let begin_recovery t ~failed out =
   let t = { t with recoveries = t.recoveries + 1; steady = false } in
   let out = trace out "recovery-start" "#%d triggered by rank %d" t.recoveries failed in
-  IM.fold
-    (fun r ri (t, out) ->
-      match ri.st with
-      | (Computing | Ready | Registered) when r <> failed ->
-          (set_state t r Stopping, Send (r, Message.Terminate) :: out)
-      | _ -> (t, out))
-    t.ranks (t, out)
+  let t, out =
+    IM.fold
+      (fun r ri (t, out) ->
+        match ri.st with
+        | (Computing | Ready | Registered) when r <> failed ->
+            (set_state t r Stopping, Send (r, Message.Terminate) :: out)
+        | _ -> (t, out))
+      t.ranks (t, out)
+  in
+  relaunch t failed out
 
 let maybe_start t out =
   if t.ready = t.n then
@@ -115,9 +116,7 @@ let closed t r ri out =
       launch t r (trace ~level:Full out "old-wave-stopped" "rank %d" r)
   | Computing when t.steady ->
       let out = trace out "failure-detected" "rank %d" r in
-      if t.restarts_all then
-        let t, out = begin_recovery t ~failed:r out in
-        relaunch t r out
+      if t.restarts_all then begin_recovery t ~failed:r out
       else relaunch { t with recoveries = t.recoveries + 1 } r out
   | (Registered | Ready | Computing) when t.buggy && t.stopping > 0 ->
       (* §5.3: the closure is counted as an old-wave termination, so the
@@ -137,7 +136,8 @@ let closed t r ri out =
 let current t r inc = (not t.completed) && inc = (get t r).inc
 
 let input t = function
-  | Boot -> List.fold_left (fun (t, out) r -> launch t r out) (t, []) (List.init t.n Fun.id)
+  | Boot ->
+      (t, IM.fold (fun rank { host; _ } out -> Launch { rank; host; inc = 0 } :: out) t.ranks [])
   | Hello (r, inc) ->
       if current t r inc && (get t r).st = Launching then
         (set_state t r Registered, [ Accept (r, inc) ])
@@ -160,9 +160,8 @@ let input t = function
       else (t, [])
   | Ckpt_lost (r, inc) when current t r inc ->
       (* relaunching would loop: a lost checkpoint ends the run *)
-      let t = set_state { t with ckpt_lost = true } r Forgotten in
       let out = trace [] "ckpt-lost" "rank %d: no complete checkpoint image survives" r in
-      let t, out = finish t out in
+      let t, out = finish (set_state { t with ckpt_lost = true } r Forgotten) out in
       (t, Aborted "checkpoint storage lost" :: out)
   | Unexpected (r, inc, msg) when current t r inc ->
       (t, trace [] "protocol-error" "%s" (Format.asprintf "from rank %d: %a" r Message.pp msg))

@@ -35,13 +35,8 @@
 type t
 
 val create :
-  n:int ->
-  initial_hosts:int array ->
-  spare_limit:int ->
-  restarts_all:bool ->
-  buggy:bool ->
-  seeded_race:bool ->
-  t
+  n:int -> initial_hosts:int array -> spare_limit:int -> restarts_all:bool -> buggy:bool ->
+  seeded_race:bool -> t
 (** Rank [r] first runs on [initial_hosts.(r)]; the other hosts below
     [spare_limit] are spares. *)
 
@@ -60,9 +55,9 @@ type input =
 
 type action =
   | Send of int * Message.t  (** on the rank's registered connection, if any *)
-  | Accept of int * int  (** keep the [Hello]'s connection as the rank's *)
+  | Accept of int * int  (** keep the [Hello]'s connection; trace [rank-registered] *)
   | Refuse  (** close the [Hello]'s connection *)
-  | Launch of { rank : int; host : int; inc : int }
+  | Launch of { rank : int; host : int; inc : int }  (** trace [launch], then ssh *)
   | Trace of { level : Simkern.Trace.level; event : string; detail : string }
   | Completed
   | Aborted of string
