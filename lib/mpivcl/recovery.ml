@@ -21,10 +21,10 @@ type action =
   | Trace of { level : Simkern.Trace.level; event : string; detail : string }
   | Completed | Aborted of string
 
-(* [steady]: between a [Start] and the next recovery. [spares] is a
-   FIFO: a host given up goes to its back. *)
+(* [ranks] is filled at [Boot]. [steady]: from a [Start] to the next
+   recovery. [spares] is a FIFO: a host given up goes to its back. *)
 type t = {
-  n : int; restarts_all : bool; buggy : bool; seeded_race : bool;
+  n : int; restarts_all : bool; buggy : bool; seeded_race : bool; initial : int array;
   ranks : rank IM.t; ready : int; stopping : int; finished : int; spares : int list;
   steady : bool; completed : bool; recoveries : int;
   confused : bool; race_lost : bool; ckpt_lost : bool;
@@ -33,12 +33,10 @@ type t = {
 let create ~n ~initial_hosts ~spare_limit ~restarts_all ~buggy ~seeded_race =
   let used = Array.make spare_limit false in
   Array.iter (fun h -> if h < spare_limit then used.(h) <- true) initial_hosts;
-  let rank r = { host = initial_hosts.(r); inc = 0; st = Launching; finished = false } in
-  { n; restarts_all; buggy; seeded_race; ranks = IM.of_seq (Seq.init n (fun r -> (r, rank r)));
-    ready = 0; stopping = 0; finished = 0;
+  { n; restarts_all; buggy; seeded_race; initial = initial_hosts; ranks = IM.empty;
+    ready = 0; stopping = 0; finished = 0; ckpt_lost = false;
     spares = List.filter (fun h -> not used.(h)) (List.init spare_limit Fun.id);
-    steady = false; completed = false; recoveries = 0; confused = false; race_lost = false;
-    ckpt_lost = false }
+    steady = false; completed = false; recoveries = 0; confused = false; race_lost = false }
 
 let recoveries t = t.recoveries
 let confused t = t.confused
@@ -137,6 +135,8 @@ let current t r inc = (not t.completed) && inc = (get t r).inc
 
 let input t = function
   | Boot ->
+      let rank r = { host = t.initial.(r); inc = 0; st = Launching; finished = false } in
+      let t = { t with ranks = IM.of_seq (Seq.init t.n (fun r -> (r, rank r))) } in
       (t, IM.fold (fun rank { host; _ } out -> Launch { rank; host; inc = 0 } :: out) t.ranks [])
   | Hello (r, inc) ->
       if current t r inc && (get t r).st = Launching then

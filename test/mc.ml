@@ -67,6 +67,5 @@ end
 
 (* the counterexample of [r], numbered, one step a line *)
 let steps r =
-  Option.map
-    (fun steps -> String.concat "\n" (List.mapi (fun i s -> Printf.sprintf "  %d. %s" (i + 1) s) steps))
-    r.counterexample
+  let line i s = Printf.sprintf "  %d. %s" (i + 1) s in
+  Option.map (fun steps -> String.concat "\n" (List.mapi line steps)) r.counterexample

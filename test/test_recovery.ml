@@ -5,12 +5,15 @@
      failure, a stale incarnation, a spawn death);
    - checker: every run of 2 and of 3 ranks over a model of the daemons
      (Mc's breadth-first search, to exhaustion). Each launched
-     incarnation may say hello, then ready, then rank-done once started,
-     and closes when it obeys Terminate; one may report its checkpoint
-     lost instead of ready, and then exits. Up to two incarnations are
-     killed, before or after their hello. What a daemon sends on its
-     connection reaches the machine in order; its exit reaches it at any
-     time. Until the run finishes, every transition is checked for:
+     incarnation may say hello, then ready, then rank-done once started
+     (ranks first say it in rank order), and closes when it obeys
+     Terminate; rank 0 may report its checkpoint lost instead of ready.
+     Up to two incarnations are killed: before their hello, just after
+     it (hello and closure still in flight), or later. What a daemon
+     sends on its connection reaches the machine as it is sent, since a
+     later read is the same run as a later send; its exit travels apart
+     and reaches the machine at any later point. Until the run
+     finishes, every transition is checked for:
      - liveness of the bookkeeping: every rank has a live incarnation or
        one whose closure or exit the machine has still to read (so a
        launch is pending);
@@ -44,14 +47,17 @@ let events actions =
 let sends actions =
   List.filter_map
     (function
-      | R.Send (r, M.Start { resume; _ }) -> Some (Printf.sprintf "start%s %d" (if resume then "*" else "") r)
+      | R.Send (r, M.Start { resume; _ }) ->
+          Some (Printf.sprintf "start%s %d" (if resume then "*" else "") r)
       | R.Send (r, M.Terminate) -> Some (Printf.sprintf "terminate %d" r)
       | R.Send (r, _) -> Some (Printf.sprintf "other %d" r)
       | _ -> None)
     actions
 
 let launches actions =
-  List.filter_map (function R.Launch { rank; host; inc } -> Some (rank, host, inc) | _ -> None) actions
+  List.filter_map
+    (function R.Launch { rank; host; inc } -> Some (rank, host, inc) | _ -> None)
+    actions
 
 let strings = Alcotest.(list string)
 let triples = Alcotest.(list (triple int int int))
@@ -193,7 +199,8 @@ let feed ~restarts_all n sys ?hello input =
               | Some p when p.ready_read -> ()
               | _ ->
                   raise
-                    (Mc.Violation (Printf.sprintf "Start sent to rank %d, whose Ready was not read" r)));
+                    (Mc.Violation
+                       (Printf.sprintf "Start sent to rank %d, whose Ready was not read" r)));
               started := r :: !started;
               sys := update !sys r i (fun p -> { p with started = true })
           | _ -> ())
@@ -203,7 +210,8 @@ let feed ~restarts_all n sys ?hello input =
       | R.Refuse ->
           (* the daemon exits once its dispatcher connection is closed *)
           Option.iter
-            (fun (r, i) -> sys := update !sys r i (fun p -> if p.alive then die { p with queue = [] } else p))
+            (fun (r, i) ->
+              sys := update !sys r i (fun p -> if p.alive then die { p with queue = [] } else p))
             hello
       | R.Launch { rank; inc; _ } ->
           !sys.conns.(rank) <- -1;
@@ -222,9 +230,11 @@ let apply ~restarts_all n sys t =
   let set r i f = update sys r i f in
   let sys =
     match t with
-    | Hello (r, i) -> read ~sys:(set r i (fun p -> { p with phase = Said_hello })) r i (R.Hello (r, i))
+    | Hello (r, i) ->
+        read ~sys:(set r i (fun p -> { p with phase = Said_hello })) r i (R.Hello (r, i))
     | Ready (r, i) ->
-        read ~sys:(set r i (fun p -> { p with phase = Said_ready; ready_read = true })) r i (R.Ready (r, i))
+        let sys = set r i (fun p -> { p with phase = Said_ready; ready_read = true }) in
+        read ~sys r i (R.Ready (r, i))
     | Finish (r, i) ->
         let sys = { sys with done_upto = max sys.done_upto (r + 1) } in
         read ~sys:(update sys r i (fun p -> { p with phase = Said_done })) r i (R.Rank_done (r, i))
@@ -240,13 +250,16 @@ let apply ~restarts_all n sys t =
     | Read (r, i) ->
         let input = List.hd (Option.get (find sys r i)).queue in
         read ~sys:(set r i (fun p -> { p with queue = List.tl p.queue })) r i input
-    | Exit (r, i) -> read ~sys:(set r i (fun p -> { p with exiting = false })) r i (R.Spawn_died (r, i))
+    | Exit (r, i) ->
+        read ~sys:(set r i (fun p -> { p with exiting = false })) r i (R.Spawn_died (r, i))
   in
   if not sys.finished then
     for r = 0 to n - 1 do
       let mine = List.filter (fun p -> p.rank = r) sys.procs in
       if mine = [] then
-        raise (Mc.Violation (Printf.sprintf "rank %d is lost: no live incarnation and no launch pending" r));
+        raise
+          (Mc.Violation
+             (Printf.sprintf "rank %d is lost: no live incarnation and no launch pending" r));
       if List.length (List.filter (fun p -> p.alive && p.accepted) mine) > 1 then
         raise (Mc.Violation (Printf.sprintf "rank %d has two live registered incarnations" r))
     done;
@@ -268,7 +281,8 @@ let enabled sys =
                  [
                    (match p.phase with
                    | Spawned -> [ Hello (r, i) ]
-                   | Said_hello -> Ready (r, i) :: (if r = 0 && not sys.lost then [ Lose (r, i) ] else [])
+                   | Said_hello when r = 0 && not sys.lost -> [ Ready (r, i); Lose (r, i) ]
+                   | Said_hello -> [ Ready (r, i) ]
                    | Said_ready when p.started && r <= sys.done_upto -> [ Finish (r, i) ]
                    | Said_ready | Said_done -> []);
                    (if p.terminated then [ Obey (r, i) ] else []);
@@ -288,7 +302,8 @@ let label t sys =
     | Hello (r, i) -> (Printf.sprintf "%d.%d says hello" r i, Some (R.Hello (r, i)))
     | Ready (r, i) -> (Printf.sprintf "%d.%d says ready" r i, Some (R.Ready (r, i)))
     | Finish (r, i) -> (Printf.sprintf "%d.%d says rank-done" r i, Some (R.Rank_done (r, i)))
-    | Lose (r, i) -> (Printf.sprintf "%d.%d reports its checkpoint lost" r i, Some (R.Ckpt_lost (r, i)))
+    | Lose (r, i) ->
+        (Printf.sprintf "%d.%d reports its checkpoint lost" r i, Some (R.Ckpt_lost (r, i)))
     | Obey (r, i) -> (Printf.sprintf "%d.%d obeys Terminate" r i, Some (R.Closed (r, i)))
     | Kill (r, i) ->
         ( Printf.sprintf "%d.%d is killed" r i,
@@ -370,7 +385,9 @@ let checker ~variant ~n ~restarts_all () =
 let double_strike ~buggy =
   let src =
     let ic = open_in_bin "../scenarios/double_strike.fail" in
-    Fun.protect ~finally:(fun () -> close_in ic) (fun () -> really_input_string ic (in_channel_length ic))
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
   in
   let klass = Workload.Bt_model.B and n_ranks = 9 in
   let cfg = { (Mpivcl.Config.default ~n_ranks) with Mpivcl.Config.dispatcher_buggy = buggy } in
@@ -415,7 +432,8 @@ let () =
                   `Quick (checker ~variant ~n ~restarts_all))
               [ "corrected"; "historical"; "seeded" ])
           [ (2, true); (2, false); (3, true); (3, false) ] );
-      ("replay", [ Alcotest.test_case "double strike: buggy, then completed" `Quick test_double_strike ]);
+      ( "replay",
+        [ Alcotest.test_case "double strike: buggy, then completed" `Quick test_double_strike ] );
     ];
   print_newline ();
   List.iter print_endline (List.rev !summary)
