@@ -7,7 +7,8 @@
      (Mc's breadth-first search, to exhaustion). Each launched
      incarnation may say hello, then ready, then rank-done once started
      (ranks first say it in rank order), and closes when it obeys
-     Terminate; rank 0 may report its checkpoint lost instead of ready.
+     Terminate; one of them may report its checkpoint lost instead of
+     ready.
      Up to two incarnations are killed: before their hello, just after
      it (hello and closure still in flight), or later. What a daemon
      sends on its connection reaches the machine as it is sent, since a
@@ -131,7 +132,7 @@ type sys = {
   procs : proc list;
   conns : int array;
   kills : int;
-  lost : bool; (* a checkpoint loss was reported *)
+  lost : bool; (* a checkpoint loss was reported: at most one per run *)
   done_upto : int; (* ranks below it said rank-done *)
   finished : bool;
 }
@@ -281,7 +282,7 @@ let enabled sys =
                  [
                    (match p.phase with
                    | Spawned -> [ Hello (r, i) ]
-                   | Said_hello when r = 0 && not sys.lost -> [ Ready (r, i); Lose (r, i) ]
+                   | Said_hello when not sys.lost -> [ Ready (r, i); Lose (r, i) ]
                    | Said_hello -> [ Ready (r, i) ]
                    | Said_ready when p.started && r <= sys.done_upto -> [ Finish (r, i) ]
                    | Said_ready | Said_done -> []);
