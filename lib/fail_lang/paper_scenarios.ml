@@ -248,12 +248,14 @@ let all =
     ("replica-split", replica_split ~n_machines:22 ~n_ranks:9 ~rank:4 ~start:50 ~gap:0);
     ( "replica-split-staggered",
       replica_split ~n_machines:22 ~n_ranks:9 ~rank:4 ~start:50 ~gap:40 );
-    (* §6 shape for 9 ranks on 13 machines: first kill at t=25, second
-       1 s after the 10th cumulative load. It hits rank 2's old-wave
-       daemon while it stops, so every dispatcher completes; the file
-       version, scenarios/double_strike.fail, names the racing ones. *)
+    (* §6 shape for 9 ranks on 13 machines: kill rank 0 at t=25, then
+       its relaunched daemon on the first spare (machine 9) 1 s after the
+       10th cumulative load, while old-wave daemons still stop. This is
+       the Recovery checker's counterexample: the historical dispatcher
+       forgets rank 0 (buggy), the corrected one completes. Same plan as
+       scenarios/double_strike.fail with FIRST=0 SECOND=9. *)
     ( "double-strike",
-      double_strike ~n_machines:13 ~first:1 ~second:2 ~start:25 ~nth:10 ~gap:1 );
+      double_strike ~n_machines:13 ~first:0 ~second:9 ~start:25 ~nth:10 ~gap:1 );
     (* Network fault cascade for 9 ranks on 13 machines: degrade the
        victim's links at t=20 (10% loss, +2 ms), cut it off 10 s later,
        kill another rank mid-outage, heal 8 s after the kill — early

@@ -79,14 +79,14 @@ let test_double_strike_file () =
       Plan.n_machines = 13;
       faults =
         [
-          { Plan.machine = 1; anchor = Plan.After 25; kind = Plan.Kill };
-          { Plan.machine = 2; anchor = Plan.On_reload { nth = 10; delay = 1 }; kind = Plan.Kill };
+          { Plan.machine = 0; anchor = Plan.After 25; kind = Plan.Kill };
+          { Plan.machine = 9; anchor = Plan.On_reload { nth = 10; delay = 1 }; kind = Plan.Kill };
         ];
     }
   in
   let from_file =
     parse_back
-      ~params:[ ("START", 25); ("GAP", 1); ("FIRST", 1); ("SECOND", 2); ("NTH", 10) ]
+      ~params:[ ("START", 25); ("GAP", 1); ("FIRST", 0); ("SECOND", 9); ("NTH", 10) ]
       (read_scenario "double_strike.fail")
   in
   check plan_testable "double_strike.fail" expected from_file;
