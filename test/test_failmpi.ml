@@ -250,21 +250,26 @@ let test_machines_for () =
     (Invalid_argument "Harness.machines_for: n_ranks must be positive (got -3)")
     (fun () -> ignore (Experiments.Harness.machines_for (-3)))
 
+(* [replicate] may run its seeds on several worker domains, so the order
+   of the calls is not fixed; each result carries its seed, and the
+   results must come back in seed order, one call per seed. *)
 let test_replicate_seeds () =
-  let seeds = ref [] in
-  let _ =
+  let calls = Atomic.make 0 in
+  let results =
     Experiments.Harness.replicate ~reps:3 ~base_seed:10 (fun ~seed ->
-        seeds := seed :: !seeds;
+        Atomic.incr calls;
         {
           Failmpi.Run.outcome = Failmpi.Run.Completed 1.0;
-          injected_faults = 0;
+          injected_faults = Int64.to_int seed;
           metrics = Failmpi.Backend.Metrics.zero;
           checksums = [];
           checksum_ok = None;
           trace = Simkern.Trace.create ();
         })
   in
-  check_bool "sequential seeds" true (List.rev !seeds = [ 10L; 11L; 12L ])
+  check_bool "sequential seeds" true
+    (List.map (fun r -> r.Failmpi.Run.injected_faults) results = [ 10; 11; 12 ]);
+  check_int "one call per seed" 3 (Atomic.get calls)
 
 let test_trace_analysis () =
   let scenario = Fail_lang.Paper_scenarios.frequency ~n_machines:8 ~period:15 in

@@ -225,6 +225,221 @@ let test_listener_close_frees_port () =
       ignore (Net.listen net ~host:3 ~port:80))
 
 (* ------------------------------------------------------------------ *)
+(* Forwarded endpoints *)
+
+(* A live link between hosts 0 and 1, set up by two holder processes
+   that stay alive (their deaths would close the ends). Returns the
+   client and server ends, idle, at t = 1. *)
+let linked eng net =
+  let client = ref None and server = ref None in
+  ignore
+    (Proc.spawn eng ~name:"server" (fun () ->
+         let l = Net.listen net ~host:1 ~port:80 in
+         server := Net.accept l;
+         Proc.sleep 1e6));
+  ignore
+    (Proc.spawn eng ~name:"client" (fun () ->
+         match Net.connect net ~host:0 ~to_host:1 ~to_port:80 with
+         | Ok c ->
+             client := Some c;
+             Proc.sleep 1e6
+         | Error `Refused -> Alcotest.fail "refused"));
+  ignore (Engine.run ~until:1.0 eng);
+  (Option.get !client, Option.get !server)
+
+(* What a forwarder hands over, newest first. *)
+let recorder () =
+  let log = ref [] in
+  (log, fun m -> log := m :: !log)
+
+let handed log = List.rev !log
+let check_handed msg expected log = check (Alcotest.list (Alcotest.option Alcotest.int)) msg expected (handed log)
+
+let settle eng = ignore (Engine.run ~until:(Engine.now eng +. 1.0) eng)
+
+(* Three same-instant arrivals at an idle forwarder post one flush,
+   which hands over all three in order. *)
+let test_forward_order_one_flush () =
+  let eng = Engine.create () in
+  let net = Net.create eng () in
+  let a, b = linked eng net in
+  let log, f = recorder () in
+  Net.forward b f;
+  settle eng;
+  let idle = Engine.pending eng in
+  List.iter (fun v -> ignore (Net.send a ~size:0 v)) [ 1; 2; 3 ];
+  check_int "three arrivals queued" (idle + 3) (Engine.pending eng);
+  for _ = 1 to 3 do
+    ignore (Engine.run_one eng)
+  done;
+  check_handed "nothing before the flush" [] log;
+  check_int "one flush for three arrivals" (idle + 1) (Engine.pending eng);
+  ignore (Engine.run_one eng);
+  check_handed "the flush hands over all three" [ Some 1; Some 2; Some 3 ] log;
+  check_int "idle again" idle (Engine.pending eng);
+  ignore (Net.send a 4);
+  settle eng;
+  check_handed "the next wake-up" [ Some 1; Some 2; Some 3; Some 4 ] log
+
+let test_forward_buffered_first () =
+  let eng = Engine.create () in
+  let net = Net.create eng () in
+  let a, b = linked eng net in
+  ignore (Net.send a 1);
+  ignore (Net.send a 2);
+  settle eng;
+  let log, f = recorder () in
+  Net.forward b f;
+  ignore (Net.send a 3);
+  settle eng;
+  check_handed "buffered items first" [ Some 1; Some 2; Some 3 ] log
+
+let test_forward_closed_once () =
+  let eng = Engine.create () in
+  let net = Net.create eng () in
+  let a, b = linked eng net in
+  let log, f = recorder () in
+  Net.forward b f;
+  ignore (Net.send a 1);
+  Net.close a;
+  settle eng;
+  check_handed "data, then None" [ Some 1; None ] log;
+  Net.close b;
+  check_bool "send after close refused" false (Net.send a 2);
+  settle eng;
+  check_handed "None only once" [ Some 1; None ] log;
+  (* A closure already buffered before [forward] also ends it once. *)
+  let eng = Engine.create () in
+  let net = Net.create eng () in
+  let a, b = linked eng net in
+  ignore (Net.send a 7);
+  Net.close a;
+  settle eng;
+  let log, f = recorder () in
+  Net.forward b f;
+  settle eng;
+  check_handed "buffered data and closure" [ Some 7; None ] log
+
+(* A local close while the forwarder is idle ends it at the next flush;
+   a message that arrives in between is never handed over. *)
+let test_forward_local_close_idle () =
+  let eng = Engine.create () in
+  let net = Net.create eng () in
+  let a, b = linked eng net in
+  let log, f = recorder () in
+  Net.forward b f;
+  settle eng;
+  let arrival = Engine.now eng +. Net.latency in
+  Engine.post_at eng ~time:arrival (fun () -> Net.close b);
+  ignore (Net.send a ~size:0 1);
+  settle eng;
+  check_handed "only the closure" [ None ] log
+
+let test_forward_frozen_owner () =
+  let eng = Engine.create () in
+  let net = Net.create eng () in
+  let a, b = linked eng net in
+  let owner = Proc.spawn eng ~name:"owner" (fun () -> Proc.sleep 1e6) in
+  let log = ref [] in
+  Net.forward ~owner b (fun m -> log := (m, Engine.now eng) :: !log);
+  settle eng;
+  Proc.freeze owner;
+  ignore (Net.send a 1);
+  ignore (Net.send a 2);
+  settle eng;
+  check_int "held while frozen" 0 (List.length !log);
+  let thawed_at = Engine.now eng in
+  Proc.unfreeze owner;
+  settle eng;
+  check (Alcotest.list (Alcotest.option Alcotest.int)) "handed over after the thaw"
+    [ Some 1; Some 2 ] (List.rev_map fst !log);
+  check_bool "at the thaw" true (List.for_all (fun (_, t) -> t = thawed_at) !log)
+
+let test_forward_dead_owner () =
+  let eng = Engine.create () in
+  let net = Net.create eng () in
+  let a, b = linked eng net in
+  let owner = Proc.spawn eng ~name:"owner" (fun () -> Proc.sleep 1e6) in
+  let log, f = recorder () in
+  Net.forward ~owner b f;
+  ignore (Net.send a 1);
+  settle eng;
+  Proc.kill owner;
+  settle eng;
+  ignore (Net.send a 2);
+  settle eng;
+  check_bool "the link itself stays open" true (Net.is_open b);
+  Net.close a;
+  settle eng;
+  check_handed "nothing after the owner died" [ Some 1 ] log
+
+(* Live words per endpoint of [n] forwarded pairs, each end adopted by
+   one of two processes, once every forwarder is idle. The array cell and
+   [Some] box that keep an end reachable here are not counted. *)
+let endpoint_words () =
+  let n = 500 in
+  let eng = Engine.create () in
+  let net = Net.create eng () in
+  let ends = Array.make (2 * n) None in
+  let keep i = function
+    | Some c ->
+        Net.forward c ignore;
+        ends.(i) <- Some c
+    | None -> Alcotest.fail "no connection"
+  in
+  ignore
+    (Proc.spawn eng ~name:"server" (fun () ->
+         let l = Net.listen net ~host:1 ~port:80 in
+         for i = 0 to n - 1 do
+           keep ((2 * i) + 1) (Net.accept l)
+         done;
+         Proc.sleep 1e6));
+  ignore
+    (Proc.spawn eng ~name:"client" (fun () ->
+         Proc.sleep 1.0;
+         for i = 0 to n - 1 do
+           keep (2 * i) (Result.to_option (Net.connect net ~host:0 ~to_host:1 ~to_port:80))
+         done;
+         Proc.sleep 1e6));
+  ignore (Engine.run ~until:0.5 eng);
+  Gc.full_major ();
+  let before = (Gc.stat ()).Gc.live_words in
+  ignore (Engine.run ~until:100.0 eng);
+  Gc.full_major ();
+  let after = (Gc.stat ()).Gc.live_words in
+  check_bool "every end kept" true (Array.for_all Option.is_some ends);
+  (float_of_int (after - before) /. float_of_int (2 * n)) -. 2.0
+
+let test_endpoint_footprint () =
+  let words = endpoint_words () in
+  check_bool (Printf.sprintf "at most 51 live words per endpoint (%.2f)" words) true
+    (words <= 51.0)
+
+(* Minor words per message of a loop of send, forwarded delivery and a
+   1 ms sleep. *)
+let test_forward_allocation () =
+  let eng = Engine.create () in
+  let net = Net.create eng () in
+  let a, b = linked eng net in
+  Net.forward b ignore;
+  let messages = 10_000 and words = ref 0.0 in
+  ignore
+    (Proc.spawn eng ~name:"sender" (fun () ->
+         let batch () =
+           let before = Gc.minor_words () in
+           for i = 1 to messages do
+             ignore (Net.send a i);
+             Proc.sleep 0.001
+           done;
+           Gc.minor_words () -. before
+         in
+         ignore (batch ());
+         words := batch () /. float_of_int messages));
+  ignore (Engine.run ~until:100.0 eng);
+  check_bool (Printf.sprintf "at most 40 minor words per forwarded message (%.2f)" !words) true
+    (!words <= 40.0)
+
+(* ------------------------------------------------------------------ *)
 (* Cluster (simos) *)
 
 let test_cluster_tasks () =
@@ -387,6 +602,18 @@ let () =
           Alcotest.test_case "send allocation" `Quick test_send_allocation;
           Alcotest.test_case "double bind rejected" `Quick test_double_bind_rejected;
           Alcotest.test_case "listener close frees port" `Quick test_listener_close_frees_port;
+        ] );
+      ( "forward",
+        [
+          Alcotest.test_case "arrival order, one flush per wake-up" `Quick
+            test_forward_order_one_flush;
+          Alcotest.test_case "buffered items first" `Quick test_forward_buffered_first;
+          Alcotest.test_case "closed once" `Quick test_forward_closed_once;
+          Alcotest.test_case "local close while idle" `Quick test_forward_local_close_idle;
+          Alcotest.test_case "frozen owner" `Quick test_forward_frozen_owner;
+          Alcotest.test_case "dead owner" `Quick test_forward_dead_owner;
+          Alcotest.test_case "endpoint footprint" `Quick test_endpoint_footprint;
+          Alcotest.test_case "forwarded message allocation" `Quick test_forward_allocation;
         ] );
       ( "cluster",
         [
