@@ -330,10 +330,21 @@ type 'a wire = W_seq of int * 'a recv_result | W_ack of int
    fields are stored unboxed and updating them allocates nothing. *)
 type clock = { mutable tx_free_at : float; mutable last_arrival : float }
 
+(* The reliable transport's state of one endpoint. Made on first use,
+   which only a perturbed inter-host link reaches. *)
+type 'a reliable = {
+  mutable next_seq : int;
+  mutable expect : int;
+  mutable unacked : (int * int * 'a recv_result) list;  (* seq, size, payload *)
+  mutable retx_timer : Engine.handle option;
+  mutable attempts : int;
+}
+
 type 'a t = {
   eng : Engine.t;
   perturb : Perturb.t;
   listeners : (int * int, 'a listener) Hashtbl.t;
+  no_inbox : 'a recv_result Queue.t;  (* always empty; see [c_inbox] *)
 }
 
 and 'a listener = {
@@ -344,26 +355,28 @@ and 'a listener = {
   mutable l_open : bool;
 }
 
+(* One end of a connection. An endpoint holds only what it uses: the
+   inbox is [c_net.no_inbox] until an item has to be buffered, and the
+   reliable-transport state is made when the transport first runs. A
+   forwarded endpoint keeps its forwarder here rather than in closures:
+   the handler, the owner, and whether it waits for an arrival. *)
 and 'a conn = {
   c_net : 'a t;
   c_local_host : int;
-  c_peer_host : int;
-  c_inbox : 'a recv_result Queue.t;
+  c_peer : 'a conn;
+  c_clock : clock;
+  mutable c_inbox : 'a recv_result Queue.t;
   mutable c_waiters : ('a recv_result -> bool) list;  (* oldest first *)
   mutable c_closed_local : bool;
   mutable c_closed_remote : bool;
-  c_clock : clock;
-  mutable c_peer : 'a conn option;
-  mutable c_owner_hooked : bool;
-  (* Reliable-transport state (unused while the network is pristine). *)
-  mutable c_next_seq : int;
-  mutable c_expect : int;
-  mutable c_unacked : (int * int * 'a recv_result) list;  (* seq, size, payload *)
-  mutable c_retx_timer : Engine.handle option;
-  mutable c_attempts : int;
+  mutable c_reliable : 'a reliable option;
+  mutable c_handler : 'a option -> unit;  (* [unforwarded] until [forward] *)
+  mutable c_owner : Proc.t option;
+  mutable c_idle : bool;  (* the forwarder waits for an arrival *)
 }
 
-let create eng () = { eng; perturb = Perturb.make eng; listeners = Hashtbl.create 64 }
+let create eng () =
+  { eng; perturb = Perturb.make eng; listeners = Hashtbl.create 64; no_inbox = Queue.create () }
 
 let engine net = net.eng
 let perturb net = net.perturb
@@ -385,117 +398,172 @@ let close_listener l =
     Mailbox.send l.l_pending None
   end
 
-let reliable_on conn =
-  conn.c_local_host <> conn.c_peer_host && Perturb.touched conn.c_net.perturb
+let peer_host conn = conn.c_peer.c_local_host
 
-let cancel_retx conn =
-  match conn.c_retx_timer with
+let reliable_on conn =
+  conn.c_local_host <> peer_host conn && Perturb.touched conn.c_net.perturb
+
+let reliable conn =
+  match conn.c_reliable with
+  | Some r -> r
+  | None ->
+      let r = { next_seq = 0; expect = 0; unacked = []; retx_timer = None; attempts = 0 } in
+      conn.c_reliable <- Some r;
+      r
+
+let cancel_retx r =
+  match r.retx_timer with
   | Some h ->
       Engine.cancel h;
-      conn.c_retx_timer <- None
+      r.retx_timer <- None
   | None -> ()
+
+let buffer conn item =
+  if conn.c_inbox == conn.c_net.no_inbox then conn.c_inbox <- Queue.create ();
+  Queue.push item conn.c_inbox
+
+(* The forwarder behaves as a process looping on [recv] then the
+   handler: [drain] is that loop, and an arrival that finds it idle
+   posts one [flush] where the process would have resumed, so the event
+   order is the same. The flush runs as [Proc.guard] would for the
+   owner: only a frozen owner needs the closure that it buffers. *)
+let unforwarded (_ : _ option) = ()
+
+let rec drain conn =
+  match Queue.take_opt conn.c_inbox with
+  | Some item -> take conn item
+  | None ->
+      if conn.c_closed_remote || conn.c_closed_local then conn.c_handler None
+      else conn.c_idle <- true
+
+and take conn = function
+  | Data m ->
+      conn.c_handler (Some m);
+      drain conn
+  | Closed -> conn.c_handler None
+
+let flush conn item =
+  match conn.c_owner with
+  | Some p when Proc.is_frozen p -> Proc.guard p (fun () -> take conn item)
+  | Some p when not (Proc.is_alive p) -> ()
+  | Some _ | None -> take conn item
+
+(* Hand [item] to the idle forwarder. [false] once its owner has
+   exited: the forwarder then never waits again. *)
+let wake conn item =
+  conn.c_idle <- false;
+  match conn.c_owner with
+  | Some p when not (Proc.is_alive p) -> false
+  | Some _ | None ->
+      Engine.post conn.c_net.eng (fun () -> flush conn item);
+      true
+
+(* Every blocked receive, and an idle forwarder, observes the closure. *)
+let wake_all_closed conn =
+  let waiters = conn.c_waiters in
+  conn.c_waiters <- [];
+  List.iter (fun waker -> ignore (waker Closed)) waiters;
+  if conn.c_idle then ignore (wake conn Closed)
 
 (* Reserve the link for a wire message from [conn] to its peer, honouring
    per-direction serialization (a single NIC transmits one message at a
    time). When the network is perturbed the message is sampled for
    loss/partition/extra latency; arrivals stay FIFO per direction
-   (degraded TCP, not UDP). Returns the peer, or [None] if the message is
-   lost; its arrival time is then [c_clock.last_arrival]. No time is ever
+   (degraded TCP, not UDP). Returns [false] if the message is lost;
+   otherwise its arrival time is [c_clock.last_arrival]. No time is ever
    NaN, so the inline comparisons give what [Float.max] would. *)
 let depart conn ~size ~kind =
-  match conn.c_peer with
-  | None -> None
-  | Some _ as peer -> (
-      let net = conn.c_net and clock = conn.c_clock in
-      let local = conn.c_local_host = conn.c_peer_host in
-      let now = Engine.now net.eng in
-      let start = if now >= clock.tx_free_at then now else clock.tx_free_at in
-      let tx_time =
-        float_of_int size /. if local then local_bandwidth else bandwidth
-      in
-      clock.tx_free_at <- start +. tx_time;
-      let fate =
-        if Perturb.touched net.perturb then
-          Perturb.sample net.perturb ~src:conn.c_local_host ~dst:conn.c_peer_host ~kind
-        else `Deliver 0.0
-      in
-      match fate with
-      | `Drop -> None
-      | `Deliver extra ->
-          let latency = if local then local_latency else latency in
-          let arrival = start +. tx_time +. latency +. extra in
-          if arrival > clock.last_arrival then clock.last_arrival <- arrival;
-          peer)
+  let net = conn.c_net and clock = conn.c_clock in
+  let peer_host = peer_host conn in
+  let local = conn.c_local_host = peer_host in
+  let now = Engine.now net.eng in
+  let start = if now >= clock.tx_free_at then now else clock.tx_free_at in
+  let tx_time = float_of_int size /. if local then local_bandwidth else bandwidth in
+  clock.tx_free_at <- start +. tx_time;
+  let fate =
+    if Perturb.touched net.perturb then
+      Perturb.sample net.perturb ~src:conn.c_local_host ~dst:peer_host ~kind
+    else `Deliver 0.0
+  in
+  match fate with
+  | `Drop -> false
+  | `Deliver extra ->
+      let latency = if local then local_latency else latency in
+      let arrival = start +. tx_time +. latency +. extra in
+      if arrival > clock.last_arrival then clock.last_arrival <- arrival;
+      true
+
+let rec offer conn item = function
+  | [] ->
+      conn.c_waiters <- [];
+      buffer conn item
+  | waker :: rest -> if waker item then conn.c_waiters <- rest else offer conn item rest
 
 (* Deliver an item at the receiving endpoint, queue wire messages,
    acknowledge and retransmit. All of these run as engine events. *)
-let rec deliver conn item =
+let deliver conn item =
   if not conn.c_closed_remote then begin
     match item with
     | Closed ->
         conn.c_closed_remote <- true;
         (* Whatever we still had in flight can never be acknowledged. *)
-        conn.c_unacked <- [];
-        cancel_retx conn;
-        let waiters = conn.c_waiters in
-        conn.c_waiters <- [];
-        List.iter (fun waker -> ignore (waker Closed)) waiters
-    | Data _ -> offer conn item conn.c_waiters
+        (match conn.c_reliable with
+        | Some r ->
+            r.unacked <- [];
+            cancel_retx r
+        | None -> ());
+        wake_all_closed conn
+    | Data _ -> if not (conn.c_idle && wake conn item) then offer conn item conn.c_waiters
   end
 
-and offer conn item = function
-  | [] ->
-      conn.c_waiters <- [];
-      Queue.push item conn.c_inbox
-  | waker :: rest -> if waker item then conn.c_waiters <- rest else offer conn item rest
-
-and arrive conn w =
+let rec arrive conn w =
   match w with
   | W_ack n -> on_ack conn n
   | W_seq (seq, item) ->
       (* Endpoints whose owner died (or that closed locally) stay silent:
          the peer must discover the failure by closure or timeout, never
          from a ghost acknowledgement. *)
-      if (not conn.c_closed_remote) && not conn.c_closed_local then
-        if seq = conn.c_expect then begin
-          conn.c_expect <- seq + 1;
-          send_ack conn;
+      if (not conn.c_closed_remote) && not conn.c_closed_local then begin
+        let r = reliable conn in
+        if seq = r.expect then begin
+          r.expect <- seq + 1;
+          send_ack conn r;
           deliver conn item
         end
         else
           (* Duplicate or gap (go-back-N): re-advertise the cumulative ack
              and let the sender retransmit in order. *)
-          send_ack conn
+          send_ack conn r
+      end
 
-and send_ack conn = transmit conn ~size:0 (W_ack conn.c_expect)
+and send_ack conn r = transmit conn ~size:0 (W_ack r.expect)
 
 and on_ack conn n =
-  let before = conn.c_unacked in
-  conn.c_unacked <- List.filter (fun (s, _, _) -> s >= n) conn.c_unacked;
-  if List.compare_lengths conn.c_unacked before < 0 then conn.c_attempts <- 0;
-  if conn.c_unacked = [] then cancel_retx conn
+  let r = reliable conn in
+  let before = r.unacked in
+  r.unacked <- List.filter (fun (s, _, _) -> s >= n) r.unacked;
+  if List.compare_lengths r.unacked before < 0 then r.attempts <- 0;
+  if r.unacked = [] then cancel_retx r
 
-and arm_retx conn =
-  if conn.c_retx_timer = None && conn.c_unacked <> [] then begin
+and arm_retx conn r =
+  if r.retx_timer = None && r.unacked <> [] then begin
     let delay =
       Perturb.backoff ~rto_initial:Perturb.rto_initial ~rto_max:Perturb.rto_max
-        ~attempt:conn.c_attempts
+        ~attempt:r.attempts
     in
-    conn.c_retx_timer <- Some (Engine.schedule conn.c_net.eng ~delay (fun () -> retx_fire conn))
+    r.retx_timer <- Some (Engine.schedule conn.c_net.eng ~delay (fun () -> retx_fire conn))
   end
 
 and retx_fire conn =
-  conn.c_retx_timer <- None;
-  if conn.c_unacked <> [] then begin
-    let p = conn.c_net.perturb in
-    conn.c_attempts <- conn.c_attempts + 1;
-    if conn.c_attempts > Perturb.max_attempts then conn_timeout conn
+  let r = reliable conn in
+  r.retx_timer <- None;
+  if r.unacked <> [] then begin
+    r.attempts <- r.attempts + 1;
+    if r.attempts > Perturb.max_attempts then conn_timeout conn r
     else begin
-      Perturb.note_retransmits p (List.length conn.c_unacked);
-      List.iter
-        (fun (seq, size, item) -> transmit conn ~size (W_seq (seq, item)))
-        conn.c_unacked;
-      arm_retx conn
+      Perturb.note_retransmits conn.c_net.perturb (List.length r.unacked);
+      List.iter (fun (seq, size, item) -> transmit conn ~size (W_seq (seq, item))) r.unacked;
+      arm_retx conn r
     end
   end
 
@@ -503,86 +571,90 @@ and retx_fire conn =
    way TCP does on ETIMEDOUT. The local side observes [Closed] now; the
    peer's own keepalive gives up one rto_max later (it cannot be told over
    the dead link). *)
-and conn_timeout conn =
-  let p = conn.c_net.perturb in
-  Perturb.note_conn_timeout p;
-  conn.c_unacked <- [];
+and conn_timeout conn r =
+  Perturb.note_conn_timeout conn.c_net.perturb;
+  r.unacked <- [];
   conn.c_closed_local <- true;
   deliver conn Closed;
-  match conn.c_peer with
-  | Some peer ->
-      Engine.post conn.c_net.eng ~delay:Perturb.rto_max (fun () -> deliver peer Closed)
-  | None -> ()
+  let peer = conn.c_peer in
+  Engine.post conn.c_net.eng ~delay:Perturb.rto_max (fun () -> deliver peer Closed)
 
 (* Queue a wire message from [conn] to its peer. *)
 and transmit conn ~size w =
-  match depart conn ~size ~kind:`Data with
-  | Some peer ->
-      Engine.post_at conn.c_net.eng ~time:conn.c_clock.last_arrival (fun () -> arrive peer w)
-  | None -> ()
+  if depart conn ~size ~kind:`Data then begin
+    let peer = conn.c_peer in
+    Engine.post_at conn.c_net.eng ~time:conn.c_clock.last_arrival (fun () -> arrive peer w)
+  end
 
 (* Queue a bare payload, as the pristine path sends it. A [Closed] marker
    survives random loss. *)
 let transmit_plain conn ~size item =
   let kind = match item with Closed -> `Closed | Data _ -> `Data in
-  match depart conn ~size ~kind with
-  | Some peer ->
-      Engine.post_at conn.c_net.eng ~time:conn.c_clock.last_arrival (fun () ->
-          deliver peer item)
-  | None -> ()
+  if depart conn ~size ~kind then begin
+    let peer = conn.c_peer in
+    Engine.post_at conn.c_net.eng ~time:conn.c_clock.last_arrival (fun () ->
+        deliver peer item)
+  end
+
+(* Send [item] under the reliable transport. *)
+let transmit_reliable conn ~size item =
+  let r = reliable conn in
+  let seq = r.next_seq in
+  r.next_seq <- seq + 1;
+  r.unacked <- r.unacked @ [ (seq, size, item) ];
+  transmit conn ~size (W_seq (seq, item));
+  arm_retx conn r
 
 let close conn =
   if not conn.c_closed_local then begin
     conn.c_closed_local <- true;
     (* Local blocked receives observe the closure immediately. *)
-    let waiters = conn.c_waiters in
-    conn.c_waiters <- [];
-    List.iter (fun waker -> ignore (waker Closed)) waiters;
-    if reliable_on conn && not conn.c_closed_remote then begin
-      let seq = conn.c_next_seq in
-      conn.c_next_seq <- seq + 1;
-      conn.c_unacked <- conn.c_unacked @ [ (seq, 0, Closed) ];
-      transmit conn ~size:0 (W_seq (seq, Closed));
-      arm_retx conn
-    end
+    wake_all_closed conn;
+    if reliable_on conn && not conn.c_closed_remote then transmit_reliable conn ~size:0 Closed
     else transmit_plain conn ~size:0 Closed
   end
 
 let is_open conn = not (conn.c_closed_local || conn.c_closed_remote)
 
 (* The calling process owns the endpoint: its death closes the socket,
-   which is exactly how the paper's dispatcher detects failures. *)
-let adopt conn =
-  if not conn.c_owner_hooked then begin
-    conn.c_owner_hooked <- true;
-    Proc.on_exit (Proc.self ()) (fun _ -> close conn)
-  end
+   which is exactly how the paper's dispatcher detects failures. Each
+   endpoint is adopted once, by the process that connected or accepted
+   it. *)
+let adopt conn = Proc.on_exit (Proc.self ()) (fun _ -> close conn)
 
 let make_pair net ~host_a ~host_b =
   let now = Engine.now net.eng in
-  let fresh local peer_h =
+  let rec a =
     {
       c_net = net;
-      c_local_host = local;
-      c_peer_host = peer_h;
-      c_inbox = Queue.create ();
+      c_local_host = host_a;
+      c_peer = b;
+      c_clock = { tx_free_at = now; last_arrival = now };
+      c_inbox = net.no_inbox;
       c_waiters = [];
       c_closed_local = false;
       c_closed_remote = false;
+      c_reliable = None;
+      c_handler = unforwarded;
+      c_owner = None;
+      c_idle = false;
+    }
+  and b =
+    {
+      c_net = net;
+      c_local_host = host_b;
+      c_peer = a;
       c_clock = { tx_free_at = now; last_arrival = now };
-      c_peer = None;
-      c_owner_hooked = false;
-      c_next_seq = 0;
-      c_expect = 0;
-      c_unacked = [];
-      c_retx_timer = None;
-      c_attempts = 0;
+      c_inbox = net.no_inbox;
+      c_waiters = [];
+      c_closed_local = false;
+      c_closed_remote = false;
+      c_reliable = None;
+      c_handler = unforwarded;
+      c_owner = None;
+      c_idle = false;
     }
   in
-  let a = fresh host_a host_b in
-  let b = fresh host_b host_a in
-  a.c_peer <- Some b;
-  b.c_peer <- Some a;
   (a, b)
 
 let connect net ~host ~to_host ~to_port =
@@ -650,16 +722,9 @@ let accept l =
 
 let send conn ?(size = 64) v =
   if conn.c_closed_local || conn.c_closed_remote then false
-  else if reliable_on conn then begin
-    let seq = conn.c_next_seq in
-    conn.c_next_seq <- seq + 1;
-    conn.c_unacked <- conn.c_unacked @ [ (seq, size, Data v) ];
-    transmit conn ~size (W_seq (seq, Data v));
-    arm_retx conn;
-    true
-  end
   else begin
-    transmit_plain conn ~size (Data v);
+    if reliable_on conn then transmit_reliable conn ~size (Data v)
+    else transmit_plain conn ~size (Data v);
     true
   end
 
@@ -690,34 +755,11 @@ let recv_timeout conn ~timeout =
                 ];
             timer := Some (Engine.schedule eng ~delay:timeout (fun () -> ignore (waker None))))
 
-(* A forwarder registers a waker like the blocked [recv] of a process
-   looping on [recv] then [f], and each wake-up posts one flush where
-   that process would have resumed, so the event order is the same. The
-   flush runs as [Proc.guard] would for the owner: only a frozen owner
-   needs the closure that it buffers. *)
 let forward ?owner conn f =
-  let eng = conn.c_net.eng in
-  let rec drain () =
-    match Queue.take_opt conn.c_inbox with
-    | Some item -> take item
-    | None ->
-        if conn.c_closed_remote || conn.c_closed_local then f None
-        else conn.c_waiters <- conn.c_waiters @ [ wake ]
-  and take = function
-    | Data m ->
-        f (Some m);
-        drain ()
-    | Closed -> f None
-  and wake item =
-    match owner with
-    | Some p when not (Proc.is_alive p) -> false
-    | Some _ | None ->
-        Engine.post eng (fun () -> flush item);
-        true
-  and flush item =
-    match owner with
-    | Some p when Proc.is_frozen p -> Proc.guard p (fun () -> take item)
-    | Some p when not (Proc.is_alive p) -> ()
-    | Some _ | None -> take item
-  in
-  Engine.post eng (match owner with None -> drain | Some p -> fun () -> Proc.guard p drain)
+  if conn.c_handler != unforwarded then invalid_arg "Net.forward: connection already forwarded";
+  conn.c_handler <- f;
+  conn.c_owner <- owner;
+  Engine.post conn.c_net.eng
+    (match owner with
+    | None -> fun () -> drain conn
+    | Some p -> fun () -> Proc.guard p (fun () -> drain conn))

@@ -231,5 +231,6 @@ val is_open : 'a conn -> bool
     - with [owner], flushes run under {!Simkern.Proc.guard}: held, with
       the messages left on [conn], while [owner] is frozen, and dropped
       once it has exited.
-    [conn] must have no other reader. *)
+    [conn] must have no other reader. Raises [Invalid_argument] if
+    [conn] is already forwarded. *)
 val forward : ?owner:Proc.t -> 'a conn -> ('a option -> unit) -> unit

@@ -373,9 +373,27 @@ let test_forward_dead_owner () =
   settle eng;
   check_handed "nothing after the owner died" [ Some 1 ] log
 
+(* An endpoint has one forwarder: a second [forward] is refused, and the
+   first keeps handing over. *)
+let test_forward_twice () =
+  let eng = Engine.create () in
+  let net = Net.create eng () in
+  let a, b = linked eng net in
+  let log, f = recorder () in
+  Net.forward b f;
+  Alcotest.check_raises "second forward"
+    (Invalid_argument "Net.forward: connection already forwarded") (fun () ->
+      Net.forward b ignore);
+  ignore (Net.send a 1);
+  settle eng;
+  check_handed "the first forwarder" [ Some 1 ] log
+
 (* Live words per endpoint of [n] forwarded pairs, each end adopted by
    one of two processes, once every forwarder is idle. The array cell and
-   [Some] box that keep an end reachable here are not counted. *)
+   [Some] box that keep an end reachable here are not counted. The
+   endpoint record, its clock and the exit hook of [adopt] take 23; with
+   the forwarder's state in closures, an eagerly made inbox and
+   reliable-transport fields in every endpoint it was 51. *)
 let endpoint_words () =
   let n = 500 in
   let eng = Engine.create () in
@@ -412,11 +430,12 @@ let endpoint_words () =
 
 let test_endpoint_footprint () =
   let words = endpoint_words () in
-  check_bool (Printf.sprintf "at most 51 live words per endpoint (%.2f)" words) true
-    (words <= 51.0)
+  check_bool (Printf.sprintf "at most 24 live words per endpoint (%.2f)" words) true
+    (words <= 24.0)
 
 (* Minor words per message of a loop of send, forwarded delivery and a
-   1 ms sleep. *)
+   1 ms sleep: 37, where a forwarder that re-registered a waker closure
+   in the waiter list took 40. *)
 let test_forward_allocation () =
   let eng = Engine.create () in
   let net = Net.create eng () in
@@ -436,8 +455,8 @@ let test_forward_allocation () =
          ignore (batch ());
          words := batch () /. float_of_int messages));
   ignore (Engine.run ~until:100.0 eng);
-  check_bool (Printf.sprintf "at most 40 minor words per forwarded message (%.2f)" !words) true
-    (!words <= 40.0)
+  check_bool (Printf.sprintf "at most 37 minor words per forwarded message (%.2f)" !words) true
+    (!words <= 37.0)
 
 (* ------------------------------------------------------------------ *)
 (* Cluster (simos) *)
@@ -612,6 +631,7 @@ let () =
           Alcotest.test_case "local close while idle" `Quick test_forward_local_close_idle;
           Alcotest.test_case "frozen owner" `Quick test_forward_frozen_owner;
           Alcotest.test_case "dead owner" `Quick test_forward_dead_owner;
+          Alcotest.test_case "second forward refused" `Quick test_forward_twice;
           Alcotest.test_case "endpoint footprint" `Quick test_endpoint_footprint;
           Alcotest.test_case "forwarded message allocation" `Quick test_forward_allocation;
         ] );
