@@ -58,6 +58,19 @@ let timed f =
   let r = f () in
   (r, (Unix.gettimeofday () -. t0) *. 1e3)
 
+(* [words ()] starts counting this domain's allocation and returns the
+   function that stops it: the minor and the promoted words in between.
+   [Gc.minor_words] is exact to the word; [Gc.quick_stat]'s counters
+   move only when a minor collection ends, so each promoted-words read
+   comes after a [Gc.minor]. *)
+let words () =
+  Gc.minor ();
+  let p0 = (Gc.quick_stat ()).Gc.promoted_words and m0 = Gc.minor_words () in
+  fun () ->
+    let m1 = Gc.minor_words () in
+    Gc.minor ();
+    (m1 -. m0, (Gc.quick_stat ()).Gc.promoted_words -. p0)
+
 type sample = { wall_ms : float; words : float; obs : observation list }
 
 (* [reps] runs at seeds 1..reps: the mean wall milliseconds and minor

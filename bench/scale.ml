@@ -2,14 +2,17 @@
 
    One fixed-seed, fault-free stencil run per cluster size on the
    hosts-vs-wallclock curve 256 -> 16384 (256 -> 1024 with --smoke),
-   timed once, with its minor and promoted words, the minor words per
-   application message, the minor heap the run got from
-   [Failmpi.Gc_policy], the share of its minor words that were promoted
-   and the process's peak resident set so far. That peak includes what
+   timed once, with its minor and promoted words (exact, see
+   [Fixture.words]), the minor words per application message, the minor
+   heap the run got from [Failmpi.Gc_policy], the share of its minor
+   words that were promoted and the process's peak resident set so far.
+   A second, untimed run of the same spec counts what the run holds: its
+   live words per rank after a full major collection at [census_at], in
+   the last iteration. That peak includes what
    earlier points and suites left resident, so it compares between runs
    of the same suite list only: a point's own resident set needs a
    process that runs nothing else. The suite refuses to
-   write its file if a run did not complete, if its rank checksums
+   write its file if either run did not complete, if its rank checksums
    differ from [Workload.Stencil.reference_checksum] (so the curve
    doubles as a large-scale correctness check), or if a run of
    [gated_hosts] hosts or more promotes more than [max_promoted_share]
@@ -82,27 +85,53 @@ let vm_hwm_kb () =
              | [ "VmHWM"; v ] -> Scanf.sscanf_opt (String.trim v) "%d kB" Fun.id
              | _ -> None)
 
+(* The simulated instant of the census: in the last of the stencil's
+   iterations, which end at 5.80 s at every point of the curve. *)
+let census_at = 5.5
+
+let live_words () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words
+
+(* The run's simulated time, once it completed with the fault-free
+   checksums. *)
+let checked ~hosts ~n_ranks (r : Failmpi.Run.result) =
+  let sim_time =
+    match r.Failmpi.Run.outcome with
+    | Failmpi.Run.Completed t -> t
+    | o ->
+        Record.refuse "scale" "%d hosts: did not complete (%s)" hosts
+          (Failmpi.Run.outcome_name o)
+  in
+  let reference = Workload.Stencil.reference_checksum params ~n_ranks in
+  if r.Failmpi.Run.checksums <> List.init n_ranks (fun rank -> (rank, reference)) then
+    Record.refuse "scale" "%d hosts: rank checksums differ from the fault-free reference" hosts;
+  sim_time
+
+(* The live words a run of [spec] adds to the process at [census_at]. *)
+let census ~hosts ~n_ranks spec =
+  let before = live_words () in
+  let cp = Failmpi.Run.prepare spec in
+  let at = ref None in
+  Simkern.Engine.post_at (Failmpi.Run.checkpoint_engine cp) ~time:census_at (fun () ->
+      at := Some (live_words ()));
+  ignore (checked ~hosts ~n_ranks (Failmpi.Run.resume_from cp));
+  match !at with
+  | Some live -> live - before
+  | None -> Record.refuse "scale" "%d hosts: the run ended before %g s" hosts census_at
+
 let run ~smoke =
   List.concat_map
     (fun hosts ->
       Printf.printf "scale: %d hosts...\n%!" hosts;
       let n_ranks, spec = spec_for ~hosts in
-      let g0 = Gc.quick_stat () in
+      let words = Fixture.words () in
       let r, wall_ms = Fixture.timed (fun () -> Failmpi.Run.execute spec) in
-      let g1 = Gc.quick_stat () in
-      let sim_time =
-        match r.Failmpi.Run.outcome with
-        | Failmpi.Run.Completed t -> t
-        | o ->
-            Record.refuse "scale" "%d hosts: did not complete (%s)" hosts
-              (Failmpi.Run.outcome_name o)
-      in
-      let reference = Workload.Stencil.reference_checksum params ~n_ranks in
-      if r.Failmpi.Run.checksums <> List.init n_ranks (fun rank -> (rank, reference)) then
-        Record.refuse "scale" "%d hosts: rank checksums differ from the fault-free reference" hosts;
+      let minor_words, promoted_words = words () in
+      let sim_time = checked ~hosts ~n_ranks r in
+      let hwm_kb = vm_hwm_kb () in
+      let live = census ~hosts ~n_ranks spec in
       let path m = Printf.sprintf "hosts/%d/%s" hosts m in
-      let minor_words = g1.Gc.minor_words -. g0.Gc.minor_words in
-      let promoted_words = g1.Gc.promoted_words -. g0.Gc.promoted_words in
       let promoted_share = promoted_words /. minor_words in
       if hosts >= gated_hosts && promoted_share > max_promoted_share then
         Record.refuse "scale" "%d hosts: %.1f%% of the minor words were promoted (at most %.0f%%)"
@@ -119,6 +148,8 @@ let run ~smoke =
           (Gc.get ()).Gc.minor_heap_size;
         Record.num ~layer:"simkern" (path "promoted_share") "ratio" promoted_share;
         Record.make ~layer:"core" (path "vm_hwm_kb") "kB"
-          (Record.opt (fun kb -> Record.Num (float_of_int kb)) (vm_hwm_kb ()));
+          (Record.opt (fun kb -> Record.Num (float_of_int kb)) hwm_kb);
+        Record.num ~layer:"core" (path "live_words_per_rank") "words"
+          (float_of_int live /. float_of_int n_ranks);
       ])
     (List.filter (fun h -> h <= if smoke then 1024 else max_int) hosts_curve)
