@@ -358,8 +358,8 @@ and 'a listener = {
 (* One end of a connection. An endpoint holds only what it uses: the
    inbox is [c_net.no_inbox] until an item has to be buffered, and the
    reliable-transport state is made when the transport first runs. A
-   forwarded endpoint keeps its forwarder here rather than in closures:
-   the handler, the owner, and whether it waits for an arrival. *)
+   forwarder is three fields of the endpoint it forwards: the handler,
+   the owner, and whether it waits for an arrival. *)
 and 'a conn = {
   c_net : 'a t;
   c_local_host : int;

@@ -252,8 +252,8 @@ let recorder () =
   let log = ref [] in
   (log, fun m -> log := m :: !log)
 
-let handed log = List.rev !log
-let check_handed msg expected log = check (Alcotest.list (Alcotest.option Alcotest.int)) msg expected (handed log)
+let check_handed msg expected log =
+  check (Alcotest.list (Alcotest.option Alcotest.int)) msg expected (List.rev !log)
 
 let settle eng = ignore (Engine.run ~until:(Engine.now eng +. 1.0) eng)
 
@@ -301,6 +301,7 @@ let test_forward_closed_once () =
   let log, f = recorder () in
   Net.forward b f;
   ignore (Net.send a 1);
+  settle eng;
   Net.close a;
   settle eng;
   check_handed "data, then None" [ Some 1; None ] log;
@@ -366,8 +367,10 @@ let test_forward_dead_owner () =
   settle eng;
   Proc.kill owner;
   settle eng;
+  let idle = Engine.pending eng in
   ignore (Net.send a 2);
-  settle eng;
+  ignore (Engine.run_one eng);
+  check_int "an arrival posts no flush" idle (Engine.pending eng);
   check_bool "the link itself stays open" true (Net.is_open b);
   Net.close a;
   settle eng;
@@ -390,10 +393,8 @@ let test_forward_twice () =
 
 (* Live words per endpoint of [n] forwarded pairs, each end adopted by
    one of two processes, once every forwarder is idle. The array cell and
-   [Some] box that keep an end reachable here are not counted. The
-   endpoint record, its clock and the exit hook of [adopt] take 23; with
-   the forwarder's state in closures, an eagerly made inbox and
-   reliable-transport fields in every endpoint it was 51. *)
+   [Some] box that keep an end reachable here are not counted: what is
+   left is the endpoint record, its clock and the exit hook of [adopt]. *)
 let endpoint_words () =
   let n = 500 in
   let eng = Engine.create () in
@@ -434,8 +435,7 @@ let test_endpoint_footprint () =
     (words <= 24.0)
 
 (* Minor words per message of a loop of send, forwarded delivery and a
-   1 ms sleep: 37, where a forwarder that re-registered a waker closure
-   in the waiter list took 40. *)
+   1 ms sleep. *)
 let test_forward_allocation () =
   let eng = Engine.create () in
   let net = Net.create eng () in
