@@ -6,12 +6,12 @@
    [Fixture.words]), the minor words per application message, the minor
    heap the run got from [Failmpi.Gc_policy], the share of its minor
    words that were promoted and the process's peak resident set so far.
-   A second, untimed run of the same spec counts what the run holds: its
-   live words per rank after a full major collection at [census_at], in
-   the last iteration. That peak includes what
-   earlier points and suites left resident, so it compares between runs
-   of the same suite list only: a point's own resident set needs a
-   process that runs nothing else. The suite refuses to
+   That peak includes what earlier points and suites left resident, so
+   it compares between runs of the same suite list only: a point's own
+   resident set needs a process that runs nothing else. A second,
+   untimed run of the same spec counts what the run holds: its live
+   words per rank after a full major collection at [census_at], in the
+   last iteration. The suite refuses to
    write its file if either run did not complete, if its rank checksums
    differ from [Workload.Stencil.reference_checksum] (so the curve
    doubles as a large-scale correctness check), or if a run of
