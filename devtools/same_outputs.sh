@@ -7,15 +7,15 @@
 # this working tree, and runs on each, from an output directory of its
 # own:
 #   - the failmpi_run lines of CI, each with --trace-csv;
-#   - failmpi_experiments {shrink,ckptfault,netfault,topo} --quick
-#     --jobs 2 --csv;
+#   - failmpi_experiments all --quick --jobs 2 --csv, which runs every
+#     experiment (the CI campaigns among them);
 #   - the explorer reports of CI (--json).
 # Every command's stdout, stderr and exit status are kept. Wall-clock
 # lines are dropped, then the two output directories are compared file
 # by file. Exits 0 when every output is byte-identical, 1 on any
 # difference (the differing files are listed), 2 on a usage or build
 # error. WORKDIR defaults to a fresh temporary directory and is kept for
-# inspection. Takes a few minutes on two cores.
+# inspection. Takes about a minute on two cores.
 set -eu
 
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
@@ -70,10 +70,7 @@ outputs() {
       --param SERVER=0 --param START=32 --param RANK=3 --param GAP=6 \
       --trace-csv sniper-$replicas.csv
   done
-  for campaign in shrink ckptfault netfault topo; do
-    run $campaign "$bin/failmpi_experiments.exe" $campaign --quick --jobs 2 \
-      --csv ${campaign}_csv
-  done
+  run all "$bin/failmpi_experiments.exe" all --quick --jobs 2 --csv all_csv
   run explore "$bin/failmpi_explore.exe" --max-faults 1 --budget 50 --jobs 2 \
     --json explore_report.json
   for mode in fork no-fork; do
