@@ -8,214 +8,14 @@
      failmpi_experiments all --jobs 8 *)
 
 open Cmdliner
+module Experiment = Experiments.Experiment
 
 let with_timer f =
   let t0 = Unix.gettimeofday () in
-  let r = f () in
-  Printf.printf "[%.1f s wall clock]\n\n%!" (Unix.gettimeofday () -. t0);
-  r
-
-(* When --csv DIR is given, every figure also lands as DIR/<name>.csv. *)
-let csv_dir : string option ref = ref None
-
-let emit_csv name aggs =
-  match !csv_dir with
-  | None -> ()
-  | Some dir ->
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-      let path = Filename.concat dir (name ^ ".csv") in
-      let oc = open_out path in
-      output_string oc (Experiments.Harness.aggs_csv aggs);
-      close_out oc;
-      Printf.printf "(data written to %s)\n" path
-
-let table1 () =
-  print_endline "Table (2.1): comparison of distributed fault-injection tools";
-  print_newline ();
-  print_string (Fail_lang.Tool_comparison.render ());
-  print_newline ()
-
-let fig5 ~quick () =
-  let config =
-    if quick then Experiments.Fig_frequency.quick_config
-    else Experiments.Fig_frequency.default_config
-  in
-  let aggs = Experiments.Fig_frequency.run ~config () in
-  emit_csv "fig5" aggs;
-  print_string (Experiments.Fig_frequency.render aggs);
-  print_newline ();
-  print_endline Experiments.Fig_frequency.paper_note;
-  print_newline ()
-
-let fig6 ~quick () =
-  let config =
-    if quick then Experiments.Fig_scale.quick_config else Experiments.Fig_scale.default_config
-  in
-  let aggs = Experiments.Fig_scale.run ~config () in
-  emit_csv "fig6" aggs;
-  print_string (Experiments.Fig_scale.render aggs);
-  print_newline ();
-  print_endline Experiments.Fig_scale.paper_note;
-  print_newline ()
-
-let fig7 ~quick () =
-  let config =
-    if quick then Experiments.Fig_simultaneous.quick_config
-    else Experiments.Fig_simultaneous.default_config
-  in
-  let aggs = Experiments.Fig_simultaneous.run ~config () in
-  emit_csv "fig7" aggs;
-  print_string (Experiments.Fig_simultaneous.render aggs);
-  print_newline ();
-  print_endline Experiments.Fig_simultaneous.paper_note;
-  print_newline ()
-
-let fig9 ~quick () =
-  let config =
-    if quick then Experiments.Fig_synchronized.quick_config
-    else Experiments.Fig_synchronized.default_config
-  in
-  let aggs = Experiments.Fig_synchronized.run ~config () in
-  emit_csv "fig9" aggs;
-  print_string (Experiments.Fig_synchronized.render aggs);
-  print_newline ();
-  print_endline Experiments.Fig_synchronized.paper_note;
-  print_newline ()
-
-let fig11 ~quick () =
-  let config =
-    if quick then Experiments.Fig_state_sync.quick_config
-    else Experiments.Fig_state_sync.default_config
-  in
-  let aggs = Experiments.Fig_state_sync.run ~config () in
-  emit_csv "fig11" aggs;
-  print_string (Experiments.Fig_state_sync.render aggs);
-  print_newline ();
-  print_endline Experiments.Fig_state_sync.paper_note;
-  print_newline ()
-
-let ablations ~quick () =
-  let reps = if quick then 2 else 6 in
-  let n_ranks = if quick then 25 else 49 in
-  print_string
-    (Experiments.Ablations.render_dispatcher_fix
-       (Experiments.Ablations.dispatcher_fix ~reps ~n_ranks ()));
-  print_newline ();
-  print_string
-    (Experiments.Ablations.render_protocol_overhead
-       (Experiments.Ablations.protocol_overhead ~n_ranks ()));
-  print_newline ();
-  print_string
-    (Experiments.Ablations.render_wave_interval
-       (Experiments.Ablations.wave_interval ~reps:(if quick then 2 else 4) ~n_ranks ()));
-  print_newline ();
-  print_string
-    (Experiments.Ablations.render_protocol_comparison
-       (Experiments.Ablations.protocol_comparison ~reps:(if quick then 2 else 4) ~n_ranks ()));
-  print_newline ()
-
-let families ~quick () =
-  let config =
-    if quick then Experiments.Protocol_families.quick_config
-    else Experiments.Protocol_families.default_config
-  in
-  let rows = Experiments.Protocol_families.run ~config () in
-  emit_csv "families" (Experiments.Protocol_families.aggs rows);
-  print_string (Experiments.Protocol_families.render rows);
-  print_newline ();
-  print_endline Experiments.Protocol_families.paper_note;
-  print_newline ()
-
-let netfault ~quick () =
-  let config =
-    if quick then Experiments.Fig_netfault.quick_config
-    else Experiments.Fig_netfault.default_config
-  in
-  let rows = Experiments.Fig_netfault.run ~config () in
-  emit_csv "netfault" (Experiments.Fig_netfault.aggs rows);
-  print_string (Experiments.Fig_netfault.render rows);
-  print_newline ();
-  print_endline Experiments.Fig_netfault.paper_note;
-  print_newline ()
-
-let topo ~quick () =
-  let config =
-    if quick then Experiments.Fig_topo.quick_config
-    else Experiments.Fig_topo.default_config
-  in
-  let rows = Experiments.Fig_topo.run ~config () in
-  emit_csv "topo" (Experiments.Fig_topo.aggs rows);
-  print_string (Experiments.Fig_topo.render rows);
-  print_newline ();
-  print_endline Experiments.Fig_topo.paper_note;
-  print_newline ()
-
-let shrink ~quick () =
-  let config =
-    if quick then Experiments.Fig_shrink.quick_config
-    else Experiments.Fig_shrink.default_config
-  in
-  let rows = Experiments.Fig_shrink.run ~config () in
-  emit_csv "shrink" (Experiments.Fig_shrink.aggs rows);
-  print_string (Experiments.Fig_shrink.render rows);
-  print_newline ();
-  print_endline Experiments.Fig_shrink.paper_note;
-  print_newline ()
-
-let scale ~quick () =
-  let config =
-    if quick then Experiments.Fig_scale.big_quick_config
-    else Experiments.Fig_scale.big_default_config
-  in
-  let aggs = Experiments.Fig_scale.run_big ~config () in
-  emit_csv "scale" aggs;
-  print_string (Experiments.Fig_scale.render_big aggs);
-  print_newline ();
-  print_endline Experiments.Fig_scale.big_paper_note;
-  print_newline ()
-
-let ckptfault ~quick () =
-  let config =
-    if quick then Experiments.Fig_ckptfault.quick_config
-    else Experiments.Fig_ckptfault.default_config
-  in
-  let rows = Experiments.Fig_ckptfault.run ~config () in
-  emit_csv "ckptfault" (Experiments.Fig_ckptfault.aggs rows);
-  print_string (Experiments.Fig_ckptfault.render rows);
-  print_newline ();
-  print_endline Experiments.Fig_ckptfault.paper_note;
-  print_newline ()
-
-let delay ~quick () =
-  let rows =
-    Experiments.Delay_experiment.run
-      ?delays:(if quick then Some [ 0; 10; 20 ] else None)
-      ~reps:(if quick then 1 else 3)
-      ()
-  in
-  print_string (Experiments.Delay_experiment.render rows);
-  print_newline ()
-
-let experiments =
-  [
-    ("table1", fun ~quick () -> ignore quick; table1 ());
-    ("fig5", fig5);
-    ("fig6", fig6);
-    ("fig7", fig7);
-    ("fig9", fig9);
-    ("fig11", fig11);
-    ("ablations", ablations);
-    ("families", families);
-    ("netfault", netfault);
-    ("topo", topo);
-    ("shrink", shrink);
-    ("scale", scale);
-    ("ckptfault", ckptfault);
-    ("delay", delay);
-  ]
+  f ();
+  Printf.printf "[%.1f s wall clock]\n\n%!" (Unix.gettimeofday () -. t0)
 
 let run exp_name quick csv jobs =
-  csv_dir := csv;
   (match jobs with
   | Some n when n <= 0 ->
       prerr_endline
@@ -224,17 +24,17 @@ let run exp_name quick csv jobs =
   | Some n -> Par.set_default_jobs n
   | None -> ());
   let todo =
-    if exp_name = "all" then List.map snd experiments
+    if exp_name = "all" then Experiment.all
     else
-      match List.assoc_opt exp_name experiments with
-      | Some f -> [ f ]
+      match List.find_opt (fun e -> e.Experiment.name = exp_name) Experiment.all with
+      | Some e -> [ e ]
       | None ->
           prerr_endline
             (Printf.sprintf "unknown experiment %s (available: all, %s)" exp_name
-               (String.concat ", " (List.map fst experiments)));
+               (String.concat ", " Experiment.names));
           exit 1
   in
-  List.iter (fun f -> with_timer (fun () -> f ~quick ())) todo;
+  List.iter (fun e -> with_timer (fun () -> Experiment.run ~quick ~csv e)) todo;
   0
 
 let cmd =
@@ -242,9 +42,7 @@ let cmd =
     Arg.(
       value & pos 0 string "all"
       & info [] ~docv:"EXPERIMENT"
-          ~doc:
-            "One of: all, table1, fig5, fig6, fig7, fig9, fig11, ablations, families, \
-             netfault, topo, shrink, scale, ckptfault, delay.")
+          ~doc:("One of: all, " ^ String.concat ", " Experiment.names ^ "."))
   in
   let quick =
     Arg.(value & flag & info [ "quick" ] ~doc:"Reduced repetitions and sizes (smoke mode).")

@@ -8,20 +8,27 @@
    percentage of non-terminating runs. Watch the execution time grow and
    the runs stop terminating as faults come faster than checkpoints. *)
 
+module Harness = Experiments.Harness
+
 let () =
-  let config =
-    {
-      Experiments.Fig_frequency.klass = Workload.Bt_model.A;
-      n_ranks = 25;
-      n_machines = 29;
-      periods = [ None; Some 60; Some 50; Some 40; Some 35; Some 30 ];
-      reps = 3;
-      base_seed = 42;
-    }
+  let n_machines = 29 in
+  let aggs =
+    List.map
+      (fun period ->
+        let scenario =
+          Option.map (fun period -> Fail_lang.Paper_scenarios.frequency ~n_machines ~period) period
+        in
+        Harness.cell
+          ~tag:(match period with None -> "no faults" | Some p -> Printf.sprintf "every %d sec" p)
+          ~reps:3 ~base_seed:42
+          (fun ~seed ->
+            Harness.run_bt ~klass:Workload.Bt_model.A ~n_ranks:25 ~n_machines ~scenario ~seed ()))
+      [ None; Some 60; Some 50; Some 40; Some 35; Some 30 ]
+    |> Harness.campaign
+    |> List.map (fun (label, results) -> Harness.aggregate ~label results)
   in
-  let aggs = Experiments.Fig_frequency.run ~config () in
   print_string
-    (Experiments.Harness.render_table ~title:"Fault frequency on BT-25 class A (3 runs each)"
+    (Harness.render_table ~title:"Fault frequency on BT-25 class A (3 runs each)"
        aggs);
   print_newline ();
   print_endline

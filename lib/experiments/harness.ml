@@ -159,25 +159,58 @@ let aggregate ~label results =
     mean_counters = mean_counters results;
   }
 
-let render_table ~title aggs =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (title ^ "\n");
-  Buffer.add_string buf (String.make (String.length title) '-' ^ "\n");
-  Buffer.add_string buf
-    (Printf.sprintf "%-22s %6s %10s %8s %9s %6s %8s %8s %8s %7s\n" "configuration" "runs"
-       "time(s)" "stddev" "faults" "%degr" "%nonterm" "%buggy" "%nethung" "chk");
-  List.iter
-    (fun a ->
-      Buffer.add_string buf
-        (Printf.sprintf "%-22s %6d %10s %8s %9.1f %6.0f %8.0f %8.0f %8.0f %7s\n" a.label
-           a.runs
-           (match a.mean_time with Some t -> Printf.sprintf "%.0f" t | None -> "-")
-           (match a.stddev_time with Some s -> Printf.sprintf "%.0f" s | None -> "-")
-           a.mean_faults a.pct_degraded a.pct_non_terminating a.pct_buggy a.pct_net_hung
-           (if a.checksum_failures = 0 then "ok"
-            else Printf.sprintf "%d BAD" a.checksum_failures)))
-    aggs;
-  Buffer.contents buf
+type column = { head : string; width : int; value : agg -> string }
+
+let render ~title ~columns aggs =
+  let line cells =
+    List.mapi
+      (fun i (c, text) ->
+        if i = 0 then Printf.sprintf "%-*s" c.width text else Printf.sprintf "%*s" c.width text)
+      (List.combine columns cells)
+    |> String.concat " "
+  in
+  String.concat "\n"
+    ((title :: String.make (String.length title) '-' :: line (List.map (fun c -> c.head) columns)
+     :: List.map (fun a -> line (List.map (fun c -> c.value a) columns)) aggs)
+    @ [ "" ])
+
+let label width = { head = "configuration"; width; value = (fun a -> a.label) }
+let num head width digits f = { head; width; value = (fun a -> Printf.sprintf "%.*f" digits (f a)) }
+
+let opt head width digits f =
+  {
+    head;
+    width;
+    value = (fun a -> match f a with Some v -> Printf.sprintf "%.*f" digits v | None -> "-");
+  }
+
+let time width = opt "time(s)" width 0 (fun a -> a.mean_time)
+let runs width = { head = "runs"; width; value = (fun a -> string_of_int a.runs) }
+
+let chk width =
+  {
+    head = "chk";
+    width;
+    value =
+      (fun a ->
+        if a.checksum_failures = 0 then "ok" else Printf.sprintf "%d BAD" a.checksum_failures);
+  }
+
+let standard =
+  [
+    label 22;
+    runs 6;
+    time 10;
+    opt "stddev" 8 0 (fun a -> a.stddev_time);
+    num "faults" 9 1 (fun a -> a.mean_faults);
+    num "%degr" 6 0 (fun a -> a.pct_degraded);
+    num "%nonterm" 8 0 (fun a -> a.pct_non_terminating);
+    num "%buggy" 8 0 (fun a -> a.pct_buggy);
+    num "%nethung" 8 0 (fun a -> a.pct_net_hung);
+    chk 7;
+  ]
+
+let render_table ~title aggs = render ~title ~columns:standard aggs
 
 (* The counter columns are the sorted union of every backend counter any
    aggregate reported, so a five-backend campaign produces one rectangular

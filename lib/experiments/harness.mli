@@ -54,8 +54,14 @@ val replicate :
   Failmpi.Run.result list
 
 (** One configuration of a campaign: [reps] runs seeded
-    [base_seed, base_seed+1, ...], tagged for regrouping. *)
-type 'a cell
+    [base_seed, base_seed+1, ...], tagged for regrouping. A cell is a
+    closure: building one runs nothing. *)
+type 'a cell = {
+  tag : 'a;
+  reps : int;
+  base_seed : int;
+  runner : seed:int64 -> Failmpi.Run.result;
+}
 
 val cell :
   tag:'a ->
@@ -78,8 +84,39 @@ val aggregate : label:string -> Failmpi.Run.result list -> agg
     (0.0 when the backends reported no such counter). *)
 val counter : agg -> string -> float
 
-(** [render_table ~title aggs] prints the paper-style rows: label, mean
-    execution time of terminated runs, %% non-terminating, %% buggy. *)
+(** One column of a rendered table: its header, its minimum width and
+    the text of one aggregate's cell. *)
+type column = { head : string; width : int; value : agg -> string }
+
+(** [render ~title ~columns aggs] prints the title, its underline, the
+    header row and one row per aggregate. The first column is
+    left-aligned, the others right-aligned, one space apart. *)
+val render : title:string -> columns:column list -> agg list -> string
+
+(** The configuration (label) column, [width] wide. *)
+val label : int -> column
+
+(** [num head width digits f] prints [f agg] with [digits] decimals. *)
+val num : string -> int -> int -> (agg -> float) -> column
+
+(** [opt head width digits f] is {!num} for a value that may be
+    missing, printed ["-"]. *)
+val opt : string -> int -> int -> (agg -> float option) -> column
+
+(** [time width]: the mean time of terminated runs, ["-"] if none. *)
+val time : int -> column
+
+val runs : int -> column
+
+(** [chk width]: ["ok"], or ["N BAD"] for N checksum failures. *)
+val chk : int -> column
+
+(** The paper's table: label, runs, mean and stddev of the execution
+    time of terminated runs, faults, %% degraded, %% non-terminating,
+    %% buggy, %% net-hung and the checksum verdict. *)
+val standard : column list
+
+(** [render_table ~title aggs] is [render ~title ~columns:standard aggs]. *)
 val render_table : title:string -> agg list -> string
 
 (** [aggs_csv aggs] renders aggregates as CSV for external plotting. The

@@ -17,7 +17,7 @@
     The paper's conclusion motivates exactly this comparison: FAIL-MPI
     makes it possible to "evaluate many different implementations at
     large scales and compare them fairly under the same failure
-    scenarios" — see {!Experiments.Ablations}. *)
+    scenarios" — see the [ablations] entry of {!Experiments.Experiment}. *)
 
 open Simkern
 

@@ -76,7 +76,7 @@ let test_v2_survives_overwhelming_faults () =
   (* Same fault rate as [test_overwhelming_faults_non_terminating], but
      under sender-based message logging: only the failed rank restarts
      from its own recent checkpoint, so the run completes — the
-     cross-protocol contrast of Ablations.protocol_comparison. *)
+     cross-protocol contrast of the last ablation table. *)
   let scenario = Fail_lang.Paper_scenarios.frequency ~n_machines:8 ~period:6 in
   let spec = small_spec ~scenario ~timeout:600.0 () in
   let spec =
@@ -499,14 +499,10 @@ let test_ckpt_sniper_verdicts () =
    agreement gives up cleanly; coordinated rollback keeps detecting and
    recovering until the timeout. *)
 let test_quorum_loss_verdicts () =
-  let config = Experiments.Fig_shrink.quick_config in
-  let scenario = Experiments.Fig_shrink.scenario_of config Experiments.Fig_shrink.Quorum_loss in
   let run protocol seed =
-    let cfg =
-      { (Mpivcl.Config.default ~n_ranks:config.n_ranks) with Mpivcl.Config.protocol }
-    in
-    (Experiments.Harness.run_bt ~cfg ~klass:config.klass ~n_ranks:config.n_ranks
-       ~n_machines:config.n_machines ~scenario ~seed ())
+    let cfg = { (Mpivcl.Config.default ~n_ranks:9) with Mpivcl.Config.protocol } in
+    (Experiments.Harness.run_bt ~cfg ~klass:Workload.Bt_model.A ~n_ranks:9 ~n_machines:22
+       ~scenario:(Some Experiments.Experiment.quorum_loss) ~seed ())
       .Failmpi.Run.outcome
   in
   List.iter
@@ -522,7 +518,7 @@ let test_quorum_loss_verdicts () =
     [ 2100L; 2101L ]
 
 let test_delay_scenario_compiles () =
-  let src = Experiments.Delay_experiment.scenario ~n_machines:10 ~delay:7 in
+  let src = Experiments.Experiment.delay_scenario ~delay:7 in
   match Fail_lang.Compile.compile_source src with
   | Ok _ -> ()
   | Error msg -> Alcotest.failf "delay scenario: %s" msg
