@@ -162,16 +162,24 @@ let aggregate ~label results =
 type column = { head : string; width : int; value : agg -> string }
 
 let render ~title ~columns aggs =
+  let rows = List.map (fun a -> List.map (fun c -> c.value a) columns) aggs in
+  (* A cell longer than its column widens the column, so one long label
+     does not push the rest of its row out of line. *)
+  let widths =
+    List.fold_left
+      (List.map2 (fun w text -> max w (String.length text)))
+      (List.map (fun c -> c.width) columns)
+      rows
+  in
   let line cells =
     List.mapi
-      (fun i (c, text) ->
-        if i = 0 then Printf.sprintf "%-*s" c.width text else Printf.sprintf "%*s" c.width text)
-      (List.combine columns cells)
+      (fun i (w, text) -> if i = 0 then Printf.sprintf "%-*s" w text else Printf.sprintf "%*s" w text)
+      (List.combine widths cells)
     |> String.concat " "
   in
   String.concat "\n"
     ((title :: String.make (String.length title) '-' :: line (List.map (fun c -> c.head) columns)
-     :: List.map (fun a -> line (List.map (fun c -> c.value a) columns)) aggs)
+     :: List.map line rows)
     @ [ "" ])
 
 let label width = { head = "configuration"; width; value = (fun a -> a.label) }

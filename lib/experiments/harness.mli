@@ -90,7 +90,8 @@ type column = { head : string; width : int; value : agg -> string }
 
 (** [render ~title ~columns aggs] prints the title, its underline, the
     header row and one row per aggregate. The first column is
-    left-aligned, the others right-aligned, one space apart. *)
+    left-aligned, the others right-aligned, one space apart; a column is
+    as wide as its longest cell if that is wider than its [width]. *)
 val render : title:string -> columns:column list -> agg list -> string
 
 (** The configuration (label) column, [width] wide. *)
