@@ -30,7 +30,8 @@ let run exp_name quick csv jobs =
       | Some e -> [ e ]
       | None ->
           prerr_endline
-            (Printf.sprintf "unknown experiment %s (available: all, %s)" exp_name
+            (Printf.sprintf "failmpi_experiments: unknown experiment %s (available: all, %s)"
+               exp_name
                (String.concat ", " Experiment.names));
           exit 1
   in
