@@ -517,6 +517,83 @@ let test_quorum_loss_verdicts () =
         (run Mpivcl.Config.Non_blocking seed))
     [ 2100L; 2101L ]
 
+(* Every experiment's full and quick grids, listed without running a
+   simulation: per size, the number of tables, cells and runs and the
+   first cell's base seed (the sizes of the figure modules and CLI
+   presets that the experiment table replaced). *)
+let test_experiment_grids () =
+  let module E = Experiments.Experiment in
+  let cli =
+    [
+      "table1"; "fig5"; "fig6"; "fig7"; "fig9"; "fig11"; "ablations"; "families"; "netfault";
+      "topo"; "shrink"; "scale"; "ckptfault"; "delay";
+    ]
+  in
+  check Alcotest.(list string) "CLI order" cli E.names;
+  check_int "unique names" (List.length cli) (List.length (List.sort_uniq compare E.names));
+  let shape e ~quick =
+    let tables = e.E.tables ~quick in
+    let cells = List.concat_map (fun t -> t.E.cells) tables in
+    ( List.length tables,
+      List.length cells,
+      List.fold_left (fun n c -> n + c.Experiments.Harness.reps) 0 cells,
+      match cells with [] -> None | c :: _ -> Some c.Experiments.Harness.base_seed )
+  in
+  let shape_t = Alcotest.(pair (pair int int) (pair int (option int))) in
+  let pinned =
+    (* name, full (tables, cells, runs, first seed), quick (the same) *)
+    [
+      ("table1", (0, 0, 0, None), (0, 0, 0, None));
+      ("fig5", (1, 7, 42, Some 100), (1, 3, 6, Some 100));
+      ("fig6", (1, 8, 40, Some 200), (1, 4, 8, Some 200));
+      ("fig7", (1, 5, 30, Some 300), (1, 2, 6, Some 300));
+      ("fig9", (1, 8, 32, Some 400), (1, 4, 10, Some 400));
+      ("fig11", (1, 8, 32, Some 500), (1, 4, 10, Some 500));
+      ("ablations", (4, 26, 100, Some 1000), (4, 26, 52, Some 1000));
+      ("families", (1, 15, 45, Some 1300), (1, 10, 20, Some 1300));
+      ("netfault", (1, 20, 60, Some 1700), (1, 10, 20, Some 1700));
+      ("topo", (1, 4, 12, Some 1900), (1, 4, 8, Some 1900));
+      ("shrink", (1, 20, 60, Some 2100), (1, 10, 20, Some 2100));
+      ("scale", (1, 12, 12, Some 700), (1, 12, 12, Some 700));
+      ("ckptfault", (1, 24, 72, Some 2100), (1, 24, 24, Some 2100));
+      ("delay", (1, 6, 18, Some 900), (1, 3, 3, Some 900));
+    ]
+  in
+  check Alcotest.(list string) "every experiment pinned" E.names (List.map (fun (n, _, _) -> n) pinned);
+  List.iter2
+    (fun e (name, full, quick) ->
+      let pin (t, c, r, s) = ((t, c), (r, s)) in
+      check shape_t (name ^ " full") (pin full) (pin (shape e ~quick:false));
+      check shape_t (name ^ " quick") (pin quick) (pin (shape e ~quick:true)))
+    E.all pinned
+
+(* A label longer than its column widens the column instead of pushing
+   the rest of its row out of line. *)
+let test_render_widens () =
+  let agg label =
+    Experiments.Harness.aggregate ~label
+      [
+        {
+          Failmpi.Run.outcome = Failmpi.Run.Completed 123.0;
+          injected_faults = 0;
+          metrics = Failmpi.Backend.Metrics.zero;
+          checksums = [];
+          checksum_ok = Some true;
+          trace = Simkern.Trace.create ();
+        };
+      ]
+  in
+  let long = "BT 64 sender-logging (no faults)" in
+  let table = Experiments.Harness.render_table ~title:"T" [ agg "short"; agg long ] in
+  match String.split_on_char '\n' table with
+  | _ :: _ :: header :: short :: long_row :: _ ->
+      List.iter
+        (fun row -> check_int "row width" (String.length header) (String.length row))
+        [ short; long_row ];
+      check_bool "label fits" true
+        (String.sub long_row 0 (String.length long + 1) = long ^ " ")
+  | _ -> Alcotest.fail "table has too few lines"
+
 let test_delay_scenario_compiles () =
   let src = Experiments.Experiment.delay_scenario ~delay:7 in
   match Fail_lang.Compile.compile_source src with
@@ -632,6 +709,8 @@ let () =
           Alcotest.test_case "stats" `Quick test_stats;
           Alcotest.test_case "aggregate" `Quick test_aggregate;
           Alcotest.test_case "render table" `Quick test_render_table;
+          Alcotest.test_case "render widens long labels" `Quick test_render_widens;
+          Alcotest.test_case "experiment grids" `Quick test_experiment_grids;
           Alcotest.test_case "machines_for" `Quick test_machines_for;
           Alcotest.test_case "replicate seeds" `Quick test_replicate_seeds;
           Alcotest.test_case "delay scenario compiles" `Quick test_delay_scenario_compiles;
