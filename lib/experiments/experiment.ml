@@ -330,7 +330,9 @@ let topo ~quick =
    split-brain; backends without a give-up path wedge. *)
 let quorum_loss =
   S.source ~n_machines:22
-    (List.mapi (fun i machine -> at machine (if i = 0 then 30 else 1) S.Partition) [ 3; 4; 5; 6; 7; 8 ])
+    (List.mapi
+       (fun i machine -> at machine (if i = 0 then 30 else 1) S.Partition)
+       [ 3; 4; 5; 6; 7; 8 ])
 
 (* Recovery time vs answer quality. Fault targets stay below rank 9: on
    every layout they hit a rollback daemon, a slot-0 replica or a ulfm

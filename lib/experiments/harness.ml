@@ -173,7 +173,8 @@ let render ~title ~columns aggs =
   in
   let line cells =
     List.mapi
-      (fun i (w, text) -> if i = 0 then Printf.sprintf "%-*s" w text else Printf.sprintf "%*s" w text)
+      (fun i (w, text) ->
+        if i = 0 then Printf.sprintf "%-*s" w text else Printf.sprintf "%*s" w text)
       (List.combine widths cells)
     |> String.concat " "
   in

@@ -559,7 +559,10 @@ let test_experiment_grids () =
       ("delay", (1, 6, 18, Some 900), (1, 3, 3, Some 900));
     ]
   in
-  check Alcotest.(list string) "every experiment pinned" E.names (List.map (fun (n, _, _) -> n) pinned);
+  check
+    Alcotest.(list string)
+    "every experiment pinned" E.names
+    (List.map (fun (n, _, _) -> n) pinned);
   List.iter2
     (fun e (name, full, quick) ->
       let pin (t, c, r, s) = ((t, c), (r, s)) in
