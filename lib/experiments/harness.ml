@@ -33,7 +33,7 @@ type 'a cell = {
 
 let cell ~tag ~reps ~base_seed runner = { tag; reps; base_seed; runner }
 
-(* All experiment modules funnel through here: the (cell x seed) grid is
+(* Every experiment table funnels through here: the (cell x seed) grid is
    flattened into one job list so the pool stays saturated even when a
    single configuration has fewer repetitions than domains. Each job is
    a pure function of its seed, so the parallel result list is

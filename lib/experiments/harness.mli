@@ -72,7 +72,7 @@ val cell :
 
 (** [campaign ?jobs cells] runs every (cell, seed) job of the campaign
     through one domain pool — the single parallelism chokepoint used by
-    all experiment modules — and regroups results per cell, in cell
+    every experiment table — and regroups results per cell, in cell
     order, seeds in order. Parallel and sequential execution produce
     identical results. *)
 val campaign : ?jobs:int -> 'a cell list -> ('a * Failmpi.Run.result list) list
