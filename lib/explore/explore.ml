@@ -331,29 +331,23 @@ let run_spec ?jobs ?(fork = true) ?(measure = false) ?corpus cfg ~spec =
         fresh @ Corpus.mutants c ~count:(cfg.budget - List.length fresh)
   in
   let runner = runner_of_spec spec in
-  let forking = fork && Prefix.supported in
   let records, stats =
-    if not forking then
+    if not fork then
       (Par.map ?jobs (fun p -> record_of ~plan:p (runner p)) searched, Prefix.zero_stats)
     else begin
       let tagged = List.mapi (fun i p -> (i, p)) searched in
       let forked, replayed = List.partition (fun (_, p) -> Prefix.forkable p) tagged in
       let results = Array.make (List.length searched) None in
       let place (i, rc) = results.(i) <- Some rc in
-      let stats =
-        match forked with
-        | [] -> Prefix.zero_stats
-        | _ ->
-            let jobs_n = match jobs with Some j -> j | None -> Par.default_jobs () in
-            let out, stats =
-              Prefix.run ~jobs:jobs_n ~measure
-                ~prepare:(fun p -> Run.prepare (plan_spec spec p))
-                ~summarize:(fun plan r -> record_of ~plan r)
-                forked
-            in
-            List.iter place out;
-            stats
+      let out, stats =
+        Prefix.run
+          ~jobs:(match jobs with Some j -> j | None -> Par.default_jobs ())
+          ~measure
+          ~prepare:(fun p -> Run.prepare (plan_spec spec p))
+          ~summarize:(fun plan r -> record_of ~plan r)
+          forked
       in
+      List.iter place out;
       List.iter (fun (i, p) -> place (i, record_of ~plan:p (runner p))) replayed;
       ( Array.to_list results
         |> List.map (function
@@ -367,7 +361,7 @@ let run_spec ?jobs ?(fork = true) ?(measure = false) ?corpus cfg ~spec =
   | Some c ->
       List.iter (fun rc -> Corpus.note c ~plan_key:(Plan.key rc.plan) ~sig_hash:rc.sig_hash) records;
       Corpus.save c);
-  (finish_report ?jobs:(if forking then Some 1 else jobs) cfg ~runner records, stats)
+  (finish_report ?jobs:(if fork then Some 1 else jobs) cfg ~runner records, stats)
 
 (* ---- rendering ---------------------------------------------------- *)
 

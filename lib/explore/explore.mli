@@ -108,22 +108,21 @@ val run : ?jobs:int -> config -> runner:(Plan.t -> Run.result) -> report
 val runner_of_spec : Run.spec -> Plan.t -> Run.result
 
 (** [run_spec ?jobs ?fork ?measure config ~spec] is {!run} with the
-    standard runner, routed through the {!Prefix} fork scheduler when
-    [fork] (default [true], and supported): plans sharing a fault
-    prefix execute that prefix once and fork at each divergence point,
-    so big campaigns cost a fraction of replaying every plan — with a
-    byte-identical report (any [?jobs]).  Plans the scheduler cannot
-    drive (reload anchors) replay as usual; [fork:false] replays
-    everything.  [measure] sizes engine snapshots at every pause
-    (bench instrumentation).  The returned stats are {!Prefix.zero_stats}
-    whenever the fork path was skipped.
+    standard runner, routed through the {!Prefix} scheduler when [fork]
+    (default [true]): plans sharing a fault prefix execute that prefix
+    once up to each divergence point, so big campaigns cost a fraction
+    of replaying every plan — with a byte-identical report (any
+    [?jobs]).  Plans the scheduler cannot drive (reload anchors) replay
+    as usual; [fork:false] replays everything.  [measure] sizes engine
+    snapshots at every pause (bench instrumentation).  The returned
+    stats are {!Prefix.zero_stats} whenever the fork path was skipped.
 
-    In fork mode [?jobs] throttles the forked branch processes, and
-    everything else (leftover replays, shrinking) runs sequentially:
-    the OCaml runtime permanently refuses [Unix.fork] in a process
-    that ever created a domain, so fork mode spawns none — which also
-    means it only works before anything else in the process has
-    (e.g. a prior [fork:false] campaign).
+    In fork mode [?jobs] is the number of forked worker processes (none
+    at 1), and everything else (leftover replays, shrinking) runs
+    sequentially: the OCaml runtime permanently refuses [Unix.fork] in
+    a process that ever created a domain, so fork mode spawns none —
+    which also means that above [~jobs:1] it only works before anything
+    else in the process has (e.g. a prior [fork:false] campaign).
 
     [?corpus] names a {!Corpus} directory (created on first save):
     already-tried plans are skipped on resume and the freed budget

@@ -1,4 +1,4 @@
-(* Prefix-sharing fork scheduler.
+(* Prefix-sharing explorer scheduler.
 
    Plans whose faults are all [After]-anchored form a trie keyed by the
    full fault tuple: every plan is a path from the root, and two plans
@@ -8,34 +8,32 @@
    when fault k fires) and nothing before a fault's own timer depends on
    anything downstream of it.
 
-   One OS process walks the trie.  At each node it advances the
-   simulation to a breakpoint just before the pending scenario timer
-   fires ([Run.advance ~stop_before]), then [Unix.fork]s once per
-   sibling branch: the child inherits the paused simulation through the
-   kernel's copy-on-write heap — no state is serialized — re-aims the
-   timer at its branch's delay ([Runtime.retime_timer], preserving the
-   engine sequence number so same-instant ties break exactly as a
-   from-scratch run's would), re-points the daemons at its branch's
-   automaton ([Runtime.swap_plan]), and recurses.  Leaves run to the
-   terminal stop and classify with the ordinary [Run.resume_from].
+   The walk advances the simulation to a breakpoint just before the
+   pending scenario timer fires ([Run.advance ~stop_before]).  One
+   branch continues inline: it re-aims the timer at its delay
+   ([Runtime.retime_timer], preserving the engine sequence number so
+   same-instant ties break exactly as a from-scratch run's would),
+   re-points the daemons at its automaton ([Runtime.swap_plan]) and
+   recurses.  Every other sibling branch, and the plans that end on the
+   fault about to fire, become a job: a fresh [prepare] of its
+   representative plan, replayed to its pause along its trie path,
+   then walked the same way.  Re-simulating a short shared prefix costs
+   less than forking a process per branch did (docs/EXPLORER.md).
 
-   Results ride home as marshaled [(plan index, summary)] pairs over a
-   pipe per child; the root reassembles them by index, so reports are
-   byte-identical to replaying every plan from t = 0, at any [~jobs].
-
-   Concurrency is throttled by a token pipe holding [jobs] bytes: every
-   process that is actively simulating holds exactly one token, acquired
-   as a child's first act and released before it blocks on collecting
-   its own children or writing its payload.  Token holders always make
-   progress, so the scheme cannot deadlock, and at most [jobs]
-   simulations burn CPU at once no matter how bushy the trie is. *)
+   Jobs run on [jobs] worker processes forked once, after the trie is
+   built.  The caller feeds each a job over a command pipe and reads
+   back the [(plan index, summary)] pairs, spawned jobs and stats in
+   lockstep — one job out, one reply back — so no pipe ever holds two
+   frames.  At [jobs = 1] the queue runs in the caller and nothing
+   forks.  Results are reassembled by index, so reports are
+   byte-identical to replaying every plan from t = 0, at any [~jobs]. *)
 
 module Run = Failmpi.Run
 module Runtime = Fci.Runtime
 module Engine = Simkern.Engine
 
 type stats = {
-  forks : int;  (* processes forked (total runs = forks + 1) *)
+  forks : int;  (* worker processes forked: [jobs], or 0 at jobs 1 *)
   pauses : int;  (* breakpoints taken (prefix states shared onward) *)
   fork_wall_s : float;  (* parent-side wall clock spent inside fork() *)
   snapshot_events_max : int;  (* measured only under [~measure:true] *)
@@ -43,13 +41,7 @@ type stats = {
 }
 
 let zero_stats =
-  {
-    forks = 0;
-    pauses = 0;
-    fork_wall_s = 0.0;
-    snapshot_events_max = 0;
-    snapshot_words_max = 0;
-  }
+  { forks = 0; pauses = 0; fork_wall_s = 0.0; snapshot_events_max = 0; snapshot_words_max = 0 }
 
 let merge_stats a b =
   {
@@ -59,8 +51,6 @@ let merge_stats a b =
     snapshot_events_max = max a.snapshot_events_max b.snapshot_events_max;
     snapshot_words_max = max a.snapshot_words_max b.snapshot_words_max;
   }
-
-let supported = not Sys.win32
 
 (* Reload-anchored faults wait on registration counts, not timers —
    there is no pending timer to pause before, so those plans replay
@@ -75,38 +65,33 @@ let forkable (p : Plan.t) =
 (* ---- fault-tuple trie --------------------------------------------- *)
 
 type node = {
-  nd_fault : Plan.fault;
+  nd_fault : Plan.fault;  (* meaningless at the root *)
+  nd_depth : int;  (* faults from the root to here, this one included *)
   mutable nd_leaves : int list;  (* plan indices ending here, input order *)
   mutable nd_children : node list;  (* input order *)
 }
 
 let build tagged =
-  let root =
-    {
-      nd_fault = { Plan.machine = 0; anchor = Plan.After 0; kind = Plan.Kill };
-      nd_leaves = [];
-      nd_children = [];
-    }
-  in
+  let make depth f = { nd_fault = f; nd_depth = depth; nd_leaves = []; nd_children = [] } in
+  let root = make 0 { Plan.machine = 0; anchor = Plan.After 0; kind = Plan.Kill } in
   List.iter
     (fun (idx, (p : Plan.t)) ->
       let rec insert nd = function
-        | [] -> assert false
+        | [] -> nd.nd_leaves <- nd.nd_leaves @ [ idx ]
         | f :: rest ->
             let child =
               match List.find_opt (fun c -> c.nd_fault = f) nd.nd_children with
               | Some c -> c
               | None ->
-                  let c = { nd_fault = f; nd_leaves = []; nd_children = [] } in
+                  let c = make (nd.nd_depth + 1) f in
                   nd.nd_children <- nd.nd_children @ [ c ];
                   c
             in
-            if rest = [] then child.nd_leaves <- child.nd_leaves @ [ idx ]
-            else insert child rest
+            insert child rest
       in
       insert root p.Plan.faults)
     tagged;
-  root.nd_children
+  root
 
 (* The branch representative: the plan whose automaton is installed
    while a subtree's shared prefix executes.  Any plan under the branch
@@ -119,120 +104,34 @@ let rec rep_index nd =
 let rec all_indices nd =
   nd.nd_leaves @ List.concat_map all_indices nd.nd_children
 
-let delay_of nd =
-  match nd.nd_fault.Plan.anchor with
+let delay_of (f : Plan.fault) =
+  match f.Plan.anchor with
   | Plan.After d -> d
   | Plan.On_reload _ -> assert false (* filtered by [forkable] *)
 
 let group_by_delay children =
-  let delays = List.sort_uniq Int.compare (List.map delay_of children) in
-  List.map (fun d -> (d, List.filter (fun c -> delay_of c = d) children)) delays
+  let delay c = delay_of c.nd_fault in
+  let delays = List.sort_uniq Int.compare (List.map delay children) in
+  List.map (fun d -> (d, List.filter (fun c -> delay c = d) children)) delays
 
-(* ---- process plumbing --------------------------------------------- *)
+(* ---- the walk ----------------------------------------------------- *)
 
-let rec retry f =
-  try f () with Unix.Unix_error (Unix.EINTR, _, _) -> retry f
-
-let write_byte fd =
-  let rec go () = if retry (fun () -> Unix.write_substring fd "t" 0 1) = 0 then go () in
-  go ()
-
-let read_byte fd =
-  let b = Bytes.create 1 in
-  if retry (fun () -> Unix.read fd b 0 1) = 0 then
-    failwith "Prefix: token pipe closed"
-
-let write_all fd b =
-  let len = Bytes.length b in
-  let rec go off =
-    if off < len then go (off + retry (fun () -> Unix.write fd b off (len - off)))
-  in
-  go 0
-
-type 'a payload = P_ok of (int * 'a) list * stats | P_err of string
+(* A job is a trie node, named by a plan through it and the node's
+   depth.  With that plan installed it pauses before the node's fault
+   and walks on: the whole trie at depth 0, only the plans that end on
+   the fault when the plan does, the node's subtree otherwise. *)
+type job = int * int
 
 type 'a ctx = {
   plan_of : (int, Plan.t) Hashtbl.t;
+  root : node;
+  prepare : Plan.t -> Run.checkpoint;
   summarize : Plan.t -> Run.result -> 'a;
   measure : bool;
-  sem_r : Unix.file_descr;
-  sem_w : Unix.file_descr;
-  mutable children : (int * Unix.file_descr) list;  (* (pid, read end), reverse fork order *)
   mutable emitted : (int * 'a) list;
+  mutable spawned : job list;
   mutable st : stats;
-  mutable failed : string option;
 }
-
-let acquire ctx = read_byte ctx.sem_r
-let release ctx = write_byte ctx.sem_w
-let emit ctx i rc = ctx.emitted <- (i, rc) :: ctx.emitted
-
-let fail ctx msg = if ctx.failed = None then ctx.failed <- Some msg
-
-(* Drain every forked child: payloads merge into [ctx.emitted]/[ctx.st],
-   the first error (or silent death) is kept.  Always reaps, so no
-   zombies survive an error path.  Payloads are read through a channel,
-   whose buffer lives outside the OCaml heap: a fresh 64 KiB read chunk
-   per child was garbage that set the main process's peak heap. *)
-let collect ctx =
-  List.iter
-    (fun (pid, fd) ->
-      let ic = Unix.in_channel_of_descr fd in
-      let payload = try Some (Marshal.from_channel ic : _ payload) with End_of_file -> None in
-      close_in ic;
-      ignore (retry (fun () -> Unix.waitpid [] pid));
-      match payload with
-      | None -> fail ctx "Prefix: forked child died without reporting"
-      | Some (P_ok (results, st)) ->
-          ctx.emitted <- results @ ctx.emitted;
-          ctx.st <- merge_stats ctx.st st
-      | Some (P_err msg) -> fail ctx msg)
-    (List.rev ctx.children);
-  ctx.children <- []
-
-(* Simulation over: give the token back, gather the children, report. *)
-let finish_process ctx =
-  release ctx;
-  collect ctx;
-  match ctx.failed with
-  | Some msg -> P_err msg
-  | None -> P_ok (ctx.emitted, ctx.st)
-
-let send_payload fd p =
-  write_all fd (Marshal.to_bytes p []);
-  Unix.close fd
-
-(* Fork one branch runner.  The child sheds the parent's bookkeeping
-   (its siblings' pipes belong to the parent), waits for a token, runs
-   [body] on the copy-on-write image of the paused simulation, and
-   ships its results up its own pipe. *)
-let fork_child ctx body =
-  let r, w = retry (fun () -> Unix.pipe ()) in
-  let t0 = Unix.gettimeofday () in
-  match Unix.fork () with
-  | 0 ->
-      Unix.close r;
-      List.iter (fun (_, fd) -> Unix.close fd) ctx.children;
-      ctx.children <- [];
-      ctx.emitted <- [];
-      ctx.st <- zero_stats;
-      ctx.failed <- None;
-      acquire ctx;
-      (try body () with e -> fail ctx (Printexc.to_string e));
-      let payload = finish_process ctx in
-      (try send_payload w payload with _ -> ());
-      Unix._exit 0
-  | pid ->
-      ctx.st <-
-        {
-          ctx.st with
-          forks = ctx.st.forks + 1;
-          fork_wall_s = ctx.st.fork_wall_s +. (Unix.gettimeofday () -. t0);
-        };
-      Unix.close w;
-      ctx.children <- (pid, r) :: ctx.children
-
-(* ---- the walk ----------------------------------------------------- *)
 
 let compile_plan (p : Plan.t) =
   match Fail_lang.Compile.compile_source ~params:[] (Plan.to_scenario p) with
@@ -246,83 +145,75 @@ let fci_of cp =
 
 let swap_to cp plan = Runtime.swap_plan (fci_of cp) (compile_plan plan)
 
-let rep_plan ctx nd = Hashtbl.find ctx.plan_of (rep_index nd)
+let plan ctx i = Hashtbl.find ctx.plan_of i
+let rep_plan ctx nd = plan ctx (rep_index nd)
+let now cp = Engine.now (Run.checkpoint_engine cp)
+let spawn ctx job = ctx.spawned <- job :: ctx.spawned
+let spawn_branch ctx nd = spawn ctx (rep_index nd, nd.nd_depth)
+
+let pop ctx =
+  match ctx.spawned with
+  | job :: rest ->
+      ctx.spawned <- rest;
+      Some job
+  | [] -> None
+
+(* Re-aim the pending scenario timer [delay] seconds after [t_base] and
+   run up to it. *)
+let advance_to cp ~t_base delay =
+  let tm =
+    Runtime.retime_timer (fci_of cp) ~instance:"P1" ~time:(t_base +. float_of_int delay)
+  in
+  Run.advance cp ~stop_before:tm
 
 (* Classify once, record for every plan that shares the terminal state
    (identical leaves, or branches whose fault the run never reached). *)
 let finish ctx cp idxs =
   let r = Run.resume_from cp in
-  List.iter (fun i -> emit ctx i (ctx.summarize (Hashtbl.find ctx.plan_of i) r)) idxs
+  List.iter (fun i -> ctx.emitted <- (i, ctx.summarize (plan ctx i) r) :: ctx.emitted) idxs
 
 let note_pause ctx cp =
   ctx.st <- { ctx.st with pauses = ctx.st.pauses + 1 };
   if ctx.measure then begin
     let s = Engine.snapshot (Run.checkpoint_engine cp) in
-    ctx.st <-
-      {
-        ctx.st with
-        snapshot_events_max = max ctx.st.snapshot_events_max (Engine.snapshot_events s);
-        snapshot_words_max = max ctx.st.snapshot_words_max (Engine.snapshot_words s);
-      }
+    let snapshot_events_max = Engine.snapshot_events s in
+    let snapshot_words_max = Engine.snapshot_words s in
+    ctx.st <- merge_stats ctx.st { zero_stats with snapshot_events_max; snapshot_words_max }
   end
 
 (* Precondition: the simulation is paused just before [nd]'s fault
    timer fires and the installed plan is [rep_plan ctx nd]. *)
 let rec at_pause ctx cp nd =
+  (* Plans that END on this fault diverge from the continuing ones at
+     this very step (their automaton goes to [done]): a job of their
+     own, unless nothing continues. *)
+  if nd.nd_children <> [] && nd.nd_leaves <> [] then spawn ctx (List.hd nd.nd_leaves, nd.nd_depth);
+  Run.step cp;
   match nd.nd_children with
-  | [] ->
-      (* Terminal fault of the representative itself. *)
-      Run.step cp;
-      finish ctx cp nd.nd_leaves
-  | children ->
-      (* Plans that END on this fault diverge from the continuing ones
-         at this very step (their automaton goes to [done]), so they
-         fork before the fault fires. *)
-      (match nd.nd_leaves with
-      | [] -> ()
-      | leaves ->
-          let leaf_plan = Hashtbl.find ctx.plan_of (List.hd leaves) in
-          fork_child ctx (fun () ->
-              swap_to cp leaf_plan;
-              Run.step cp;
-              finish ctx cp leaves));
-      Run.step cp;
-      drive ctx cp ~t_base:(Engine.now (Run.checkpoint_engine cp)) children
+  | [] -> finish ctx cp nd.nd_leaves
+  | children -> drive ctx cp ~t_base:(now cp) children
 
-(* Precondition: [nd]'s fault just fired at [t_base] and the scenario
-   timer for the next fault is armed.  Children are visited in delay
-   order: the shared prefix keeps executing in this process, pausing at
-   each distinct next-fault time and forking that delay group's
-   branches off the paused image; the last branch continues inline. *)
+(* Precondition: the simulation is at [t_base], where [nd]'s fault just
+   fired (or the run started), and the scenario timer for the next fault
+   is armed.  Children are visited in delay order: the shared prefix
+   keeps executing here, pausing at each distinct next-fault time and
+   spawning a job per branch of that delay group; the last branch
+   continues inline. *)
 and drive ctx cp ~t_base children =
-  let branch b () =
-    swap_to cp (rep_plan ctx b);
-    at_pause ctx cp b
-  in
   let rec go = function
     | [] -> ()
-    | (d, branches) :: rest ->
-        let tm =
-          Runtime.retime_timer (fci_of cp) ~instance:"P1"
-            ~time:(t_base +. float_of_int d)
-        in
-        (match Run.advance cp ~stop_before:tm with
-        | `Paused ->
+    | (d, branches) :: rest -> (
+        match advance_to cp ~t_base d with
+        | `Paused -> (
             note_pause ctx cp;
-            if rest = [] then begin
-              let rec fire = function
-                | [] -> assert false
-                | [ b ] -> branch b ()
-                | b :: more ->
-                    fork_child ctx (branch b);
-                    fire more
-              in
-              fire branches
-            end
-            else begin
-              List.iter (fun b -> fork_child ctx (branch b)) branches;
-              go rest
-            end
+            match (rest, List.rev branches) with
+            | [], last :: others ->
+                List.iter (spawn_branch ctx) others;
+                swap_to cp (rep_plan ctx last);
+                at_pause ctx cp last
+            | _ ->
+                List.iter (spawn_branch ctx) branches;
+                go rest)
         | `Finished ->
             (* Terminal stop before the earliest remaining fault time:
                every plan still hanging off this prefix would have seen
@@ -332,36 +223,154 @@ and drive ctx cp ~t_base children =
   in
   go (group_by_delay children)
 
+(* From a fresh launch, fire every fault but the last of [faults] and
+   pause before that one: the state the walk was in when it spawned the
+   job. *)
+let replay cp faults =
+  let rec go t_base = function
+    | [] -> ()
+    | f :: rest -> (
+        match advance_to cp ~t_base (delay_of f) with
+        | `Finished -> failwith "Prefix: a job's replay finished before its pause"
+        | `Paused when rest = [] -> ()
+        | `Paused ->
+            Run.step cp;
+            go (now cp) rest)
+  in
+  go 0.0 faults
+
+let run_job ctx ((i, depth) : job) =
+  let p = plan ctx i in
+  let faults = List.filteri (fun k _ -> k < depth) p.Plan.faults in
+  let child nd f = List.find (fun c -> c.nd_fault = f) nd.nd_children in
+  let nd = List.fold_left child ctx.root faults in
+  let cp = ctx.prepare p in
+  replay cp faults;
+  if depth = 0 then drive ctx cp ~t_base:0.0 nd.nd_children
+  else if depth < List.length p.Plan.faults then at_pause ctx cp nd
+  else begin
+    Run.step cp;
+    finish ctx cp nd.nd_leaves
+  end
+
+(* ---- the worker pool ---------------------------------------------- *)
+
+let rec retry f =
+  try f () with Unix.Unix_error (Unix.EINTR, _, _) -> retry f
+
+type 'a reply = Done of (int * 'a) list * job list * stats | Failed of string
+
+type worker = { pid : int; cmd : out_channel; reply : in_channel; mutable busy : bool }
+
+let send oc v =
+  Marshal.to_channel oc v [];
+  flush oc
+
+(* A worker's whole life: one reply per job until its command pipe
+   reaches EOF.  It never returns into the caller's code. *)
+let serve ctx cmd_r reply_w =
+  let ic = Unix.in_channel_of_descr cmd_r and oc = Unix.out_channel_of_descr reply_w in
+  let rec loop () =
+    let job : job = Marshal.from_channel ic in
+    let ctx = { ctx with emitted = []; spawned = []; st = zero_stats } in
+    send oc
+      (try
+         run_job ctx job;
+         Done (ctx.emitted, ctx.spawned, ctx.st)
+       with e -> Failed (Printexc.to_string e));
+    loop ()
+  in
+  (try loop () with _ -> (* [End_of_file]: the campaign is over *) ());
+  Unix._exit 0
+
+(* Close every command pipe (idle workers exit on the EOF), kill the
+   rest when the campaign failed, and reap them all. *)
+let stop ~kill workers =
+  List.iter
+    (fun w ->
+      close_out_noerr w.cmd;
+      if kill then (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
+      close_in_noerr w.reply;
+      ignore (retry (fun () -> Unix.waitpid [] w.pid)))
+    workers
+
+let fork_worker ctx others =
+  let cmd_r, cmd_w = Unix.pipe () in
+  let reply_r, reply_w = Unix.pipe () in
+  let t0 = Unix.gettimeofday () in
+  match Unix.fork () with
+  | exception e ->
+      List.iter Unix.close [ cmd_r; cmd_w; reply_r; reply_w ];
+      raise e
+  | 0 ->
+      (* An earlier worker's command pipe, held open here, would never
+         reach EOF. *)
+      List.iter (fun w -> close_out_noerr w.cmd) others;
+      List.iter (fun w -> close_in_noerr w.reply) others;
+      Unix.close cmd_w;
+      Unix.close reply_r;
+      serve ctx cmd_r reply_w
+  | pid ->
+      let fork_wall_s = Unix.gettimeofday () -. t0 in
+      ctx.st <- merge_stats ctx.st { zero_stats with forks = 1; fork_wall_s };
+      Unix.close cmd_r;
+      Unix.close reply_w;
+      let cmd = Unix.out_channel_of_descr cmd_w and reply = Unix.in_channel_of_descr reply_r in
+      { pid; cmd; reply; busy = false }
+
+(* Feed idle workers from the queue until it is empty and every worker
+   is idle again. *)
+let rec schedule ctx workers =
+  let start w job =
+    w.busy <- true;
+    send w.cmd job
+  in
+  List.iter (fun w -> if not w.busy then Option.iter (start w) (pop ctx)) workers;
+  match List.filter (fun w -> w.busy) workers with
+  | [] -> ()
+  | busy ->
+      let fd w = Unix.descr_of_in_channel w.reply in
+      let ready, _, _ = retry (fun () -> Unix.select (List.map fd busy) [] [] (-1.0)) in
+      List.iter
+        (fun w ->
+          if List.mem (fd w) ready then begin
+            match (Marshal.from_channel w.reply : _ reply) with
+            | Done (out, jobs, st) ->
+                w.busy <- false;
+                ctx.emitted <- List.rev_append out ctx.emitted;
+                ctx.spawned <- jobs @ ctx.spawned;
+                ctx.st <- merge_stats ctx.st st
+            | Failed msg -> failwith msg
+            | exception (End_of_file | Failure _) ->
+                failwith "Prefix: a worker died without reporting"
+          end)
+        busy;
+      schedule ctx workers
+
 let run ~jobs ~measure ~prepare ~summarize tagged =
   let plan_of = Hashtbl.create 64 in
   List.iter (fun (i, p) -> Hashtbl.replace plan_of i p) tagged;
-  match build tagged with
-  | [] -> ([], zero_stats)
-  | first :: _ as roots ->
-      let sem_r, sem_w = Unix.pipe () in
-      for _ = 1 to max 1 jobs do
-        write_byte sem_w
-      done;
-      let ctx =
-        {
-          plan_of;
-          summarize;
-          measure;
-          sem_r;
-          sem_w;
-          children = [];
-          emitted = [];
-          st = zero_stats;
-          failed = None;
-        }
-      in
-      let cp = prepare (Hashtbl.find plan_of (rep_index first)) in
-      acquire ctx;
-      (try drive ctx cp ~t_base:0.0 roots
-       with e -> fail ctx (Printexc.to_string e));
-      let payload = finish_process ctx in
-      Unix.close sem_r;
-      Unix.close sem_w;
-      (match payload with
-      | P_err msg -> failwith msg
-      | P_ok (results, st) -> (results, st))
+  let root = build tagged in
+  if root.nd_children = [] then ([], zero_stats)
+  else begin
+    let ctx = { plan_of; root; prepare; summarize; measure; emitted = []; spawned = []; st = zero_stats } in
+    let guard f = try f () with e -> failwith (Printexc.to_string e) in
+    let rec drain () = Option.iter (fun job -> run_job ctx job; drain ()) (pop ctx) in
+    (* The whole-trie job runs here: until it has spawned jobs, a worker
+       would have nothing to do. *)
+    guard (fun () -> run_job ctx (rep_index root, 0));
+    if jobs <= 1 || Sys.win32 || ctx.spawned = [] then guard drain
+    else begin
+      let workers = ref [] in
+      (try
+         for _ = 1 to jobs do
+           workers := fork_worker ctx !workers :: !workers
+         done;
+         schedule ctx !workers
+       with e ->
+         stop ~kill:true !workers;
+         raise (match e with Failure _ -> e | e -> Failure (Printexc.to_string e)));
+      stop ~kill:false !workers
+    end;
+    (ctx.emitted, ctx.st)
+  end

@@ -1,17 +1,18 @@
-(** Prefix-sharing fork scheduler for the explorer.
+(** Prefix-sharing scheduler for the explorer.
 
     Plans whose faults are all [After]-anchored share their fault-free
     (and common-fault) simulation prefix: the scheduler arranges them in
-    a trie over fault tuples, executes each shared prefix once, and
-    [Unix.fork]s at the pause just before each divergence point — the
-    kernel's copy-on-write pages stand in for state serialization.
+    a trie over fault tuples and walks it, continuing one branch inline
+    at each divergence point and queueing the others as jobs that
+    replay their prefix from t = 0.  Jobs run on [jobs] worker processes
+    forked once per campaign, or in the calling process at [jobs = 1].
     Verdicts, signatures and reports are byte-identical to replaying
     every plan from t = 0, at any [~jobs] (see docs/EXPLORER.md). *)
 
 type stats = {
-  forks : int;  (** processes forked; total simulations = forks + 1 *)
+  forks : int;  (** worker processes forked: [jobs], or 0 at [jobs = 1] *)
   pauses : int;  (** breakpoints where a prefix state was shared onward *)
-  fork_wall_s : float;  (** parent-side wall clock spent inside fork() *)
+  fork_wall_s : float;  (** caller-side wall clock spent inside fork() *)
   snapshot_events_max : int;
       (** largest engine snapshot observed at a pause (pending events);
           0 unless [~measure:true] *)
@@ -19,10 +20,6 @@ type stats = {
 }
 
 val zero_stats : stats
-
-(** [false] on platforms without [Unix.fork] (Windows); callers fall
-    back to replaying every plan. *)
-val supported : bool
 
 (** A plan the scheduler can drive: at least one fault and every anchor
     a timer ([After]).  Reload-anchored plans wait on registration
@@ -32,13 +29,14 @@ val forkable : Plan.t -> bool
 (** [run ~jobs ~measure ~prepare ~summarize plans] drives every
     [(index, plan)] through the trie walk and returns the summaries
     tagged with their indices (order unspecified) plus the walk's
-    statistics.  [prepare] launches a checkpoint for a plan (the spec
-    with the plan's scenario installed); [summarize] runs in the forked
-    child and must return marshal-safe plain data — no closures.
-    [measure] additionally sizes an engine snapshot at every pause
-    (bench instrumentation; costs a heap walk per pause).
+    statistics.  [prepare] launches a checkpoint for a plan (the spec with the plan's
+    scenario installed); [summarize] runs in a worker and must return
+    marshal-safe plain data — no closures.  [measure] additionally sizes
+    an engine snapshot at every pause (bench instrumentation; costs a
+    heap walk per pause).
 
-    Raises [Failure] if any branch process dies or reports an error. *)
+    Raises [Failure] if a job raises or a worker dies; every worker is
+    reaped first, whether [run] returns or raises. *)
 val run :
   jobs:int ->
   measure:bool ->
