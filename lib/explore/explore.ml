@@ -293,13 +293,6 @@ let plan_spec (spec : Run.spec) (p : Plan.t) =
 
 let runner_of_spec (spec : Run.spec) (p : Plan.t) = Run.execute (plan_spec spec p)
 
-(* Fork mode must never spawn a domain: the OCaml runtime permanently
-   refuses [Unix.fork] in any process that ever created one.  So the
-   fork path parallelizes through forked branch processes only, and
-   everything around it (leftover replays, shrinking) runs with
-   [~jobs:1] — [Par.map ~jobs:1] is a plain [List.map] — which keeps
-   the process fork-capable for further campaigns (corpus resume, the
-   bench's repeated runs). *)
 let corpus_space cfg =
   {
     Corpus.n_machines = cfg.n_machines;
@@ -310,6 +303,13 @@ let corpus_space cfg =
     sample_seed = cfg.sample_seed;
   }
 
+(* Fork mode must never spawn a domain: the OCaml runtime permanently
+   refuses [Unix.fork] in any process that ever created one.  So the
+   fork path parallelizes through its forked worker processes only, and
+   everything around it (leftover replays, shrinking) runs with
+   [~jobs:1] — [Par.map ~jobs:1] is a plain [List.map] — which keeps
+   the process fork-capable for further campaigns (corpus resume, the
+   bench's repeated runs). *)
 let run_spec ?jobs ?(fork = true) ?(measure = false) ?corpus cfg ~spec =
   let base = plans cfg in
   let corpus =
@@ -337,8 +337,6 @@ let run_spec ?jobs ?(fork = true) ?(measure = false) ?corpus cfg ~spec =
     else begin
       let tagged = List.mapi (fun i p -> (i, p)) searched in
       let forked, replayed = List.partition (fun (_, p) -> Prefix.forkable p) tagged in
-      let results = Array.make (List.length searched) None in
-      let place (i, rc) = results.(i) <- Some rc in
       let out, stats =
         Prefix.run
           ~jobs:(match jobs with Some j -> j | None -> Par.default_jobs ())
@@ -347,13 +345,11 @@ let run_spec ?jobs ?(fork = true) ?(measure = false) ?corpus cfg ~spec =
           ~summarize:(fun plan r -> record_of ~plan r)
           forked
       in
-      List.iter place out;
-      List.iter (fun (i, p) -> place (i, record_of ~plan:p (runner p))) replayed;
-      ( Array.to_list results
-        |> List.map (function
-             | Some rc -> rc
-             | None -> failwith "Explore.run_spec: plan lost by the scheduler"),
-        stats )
+      let replays = List.map (fun (i, p) -> (i, record_of ~plan:p (runner p))) replayed in
+      let results = List.sort (fun (i, _) (j, _) -> Int.compare i j) (out @ replays) in
+      if List.map fst results <> List.map fst tagged then
+        failwith "Explore.run_spec: plan lost by the scheduler";
+      (List.map snd results, stats)
     end
   in
   (match corpus with

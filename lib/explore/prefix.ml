@@ -1,39 +1,31 @@
 (* Prefix-sharing explorer scheduler.
 
    Plans whose faults are all [After]-anchored form a trie keyed by the
-   full fault tuple: every plan is a path from the root, and two plans
-   sharing their first k faults share their first k trie edges — and
-   therefore their entire simulation prefix, because a generated
-   scenario's PLAN daemon is a pure timer chain (fault k+1's timer arms
-   when fault k fires) and nothing before a fault's own timer depends on
-   anything downstream of it.
+   full fault tuple.  Two plans sharing their first k faults share their
+   whole simulation up to fault k+1: a generated scenario's PLAN daemon
+   is a pure timer chain (fault k+1's timer arms when fault k fires),
+   and nothing before a fault's timer depends on anything after it.
 
-   The walk advances the simulation to a breakpoint just before the
-   pending scenario timer fires ([Run.advance ~stop_before]).  One
-   branch continues inline: it re-aims the timer at its delay
-   ([Runtime.retime_timer], preserving the engine sequence number so
-   same-instant ties break exactly as a from-scratch run's would),
-   re-points the daemons at its automaton ([Runtime.swap_plan]) and
-   recurses.  Every other sibling branch, and the plans that end on the
-   fault about to fire, become a job: a fresh [prepare] of its
-   representative plan, replayed to its pause along its trie path,
-   then walked the same way.  Re-simulating a short shared prefix costs
-   less than forking a process per branch did (docs/EXPLORER.md).
-
-   Jobs run on [jobs] worker processes forked once, after the trie is
-   built.  The caller feeds each a job over a command pipe and reads
-   back the [(plan index, summary)] pairs, spawned jobs and stats in
-   lockstep — one job out, one reply back — so no pipe ever holds two
-   frames.  At [jobs = 1] the queue runs in the caller and nothing
-   forks.  Results are reassembled by index, so reports are
-   byte-identical to replaying every plan from t = 0, at any [~jobs]. *)
+   The walk pauses the simulation just before the pending scenario
+   timer fires ([Run.advance ~stop_before]).  One branch continues
+   inline: it re-aims the timer at its delay ([Runtime.retime_timer]
+   keeps the engine sequence number, so same-instant ties break as in a
+   from-scratch run), installs its automaton ([Runtime.swap_plan]) and
+   recurses.  Each other branch, and the plans that end on the fault
+   about to fire, becomes a job: a fresh [prepare] of its representative
+   plan, replayed to the pause along its trie path, then walked the same
+   way.  Jobs run on [jobs] worker processes forked once per campaign,
+   fed in lockstep over a command and a reply pipe each, so no pipe
+   ever holds two frames; at [jobs = 1] they run in the caller.  Results
+   are reassembled by index, so reports are byte-identical to replaying
+   every plan from t = 0, at any [~jobs] (docs/EXPLORER.md). *)
 
 module Run = Failmpi.Run
 module Runtime = Fci.Runtime
 module Engine = Simkern.Engine
 
 type stats = {
-  forks : int;  (* worker processes forked: [jobs], or 0 at jobs 1 *)
+  forks : int;  (* worker processes forked: at most [jobs], none at 1 *)
   pauses : int;  (* breakpoints taken (prefix states shared onward) *)
   fork_wall_s : float;  (* parent-side wall clock spent inside fork() *)
   snapshot_events_max : int;  (* measured only under [~measure:true] *)

@@ -10,7 +10,7 @@
     every plan from t = 0, at any [~jobs] (see docs/EXPLORER.md). *)
 
 type stats = {
-  forks : int;  (** worker processes forked: [jobs], or 0 at [jobs = 1] *)
+  forks : int;  (** worker processes forked: at most [jobs], none at 1 *)
   pauses : int;  (** breakpoints where a prefix state was shared onward *)
   fork_wall_s : float;  (** caller-side wall clock spent inside fork() *)
   snapshot_events_max : int;
