@@ -63,13 +63,17 @@ type node = {
   mutable nd_children : node list;  (* input order *)
 }
 
+(* Plans whose scenario texts are equal run once: every index goes into
+   the first one's leaf.  Codegen ignores a heal's machine, for one, so
+   heal@0+25 and heal@3+25 are the same run. *)
 let build tagged =
   let make depth f = { nd_fault = f; nd_depth = depth; nd_leaves = []; nd_children = [] } in
   let root = make 0 { Plan.machine = 0; anchor = Plan.After 0; kind = Plan.Kill } in
+  let leaf_of = Hashtbl.create 64 in
   List.iter
     (fun (idx, (p : Plan.t)) ->
       let rec insert nd = function
-        | [] -> nd.nd_leaves <- nd.nd_leaves @ [ idx ]
+        | [] -> nd
         | f :: rest ->
             let child =
               match List.find_opt (fun c -> c.nd_fault = f) nd.nd_children with
@@ -81,7 +85,12 @@ let build tagged =
             in
             insert child rest
       in
-      insert root p.Plan.faults)
+      let src = Plan.to_scenario p in
+      let leaf =
+        match Hashtbl.find_opt leaf_of src with Some nd -> nd | None -> insert root p.Plan.faults
+      in
+      Hashtbl.replace leaf_of src leaf;
+      leaf.nd_leaves <- leaf.nd_leaves @ [ idx ])
     tagged;
   root
 

@@ -29,7 +29,8 @@ val forkable : Plan.t -> bool
 (** [run ~jobs ~measure ~prepare ~summarize plans] drives every
     [(index, plan)] through the trie walk and returns the summaries
     tagged with their indices (order unspecified) plus the walk's
-    statistics.  [prepare] launches a checkpoint for a plan (the spec with the plan's
+    statistics.  Plans whose scenario texts are equal run once.
+    [prepare] launches a checkpoint for a plan (the spec with the plan's
     scenario installed); [summarize] runs in a worker and must return
     marshal-safe plain data — no closures.  [measure] additionally sizes
     an engine snapshot at every pause (bench instrumentation; costs a
