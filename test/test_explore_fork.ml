@@ -6,6 +6,9 @@
      retimed earlier and then later across pauses;
    - --jobs invariance: fork at jobs 1 and 4 and replay at jobs 1 and 4
      all render the same JSON;
+   - the worker pool's edges: a job that raises and a worker that dies
+     both fail the campaign with every worker reaped, forks stay within
+     --jobs, and plans with equal scenario text run once;
    - shrink-oracle memoization (probes_saved) on a real witness;
    - corpus save -> resume round-trip, plus the exact refusal messages
      for non-corpus directories and incompatible configurations;
@@ -160,6 +163,71 @@ let corpus_cfg budget = { demo_config with Explore.budget }
 let corpus_r1 = fst (Explore.run_spec ~jobs:1 ~fork:true ~corpus:corpus_dir (corpus_cfg 20) ~spec:(demo_spec ()))
 let corpus_r2 = fst (Explore.run_spec ~jobs:1 ~fork:true ~corpus:corpus_dir (corpus_cfg 40) ~spec:(demo_spec ()))
 
+(* Pool edges: [Prefix.run] driven directly on the demo campaign's
+   first plans.  A first pass notes which plans a worker summarized (the
+   caller runs the whole-trie job itself), and the failing passes aim at
+   the first of those, so the failure happens inside the pool. *)
+
+let pool_plans = List.mapi (fun i p -> (i, p)) (List.filteri (fun i _ -> i < 24) (Explore.plans demo_config))
+
+let prepare_demo (p : Plan.t) =
+  Failmpi.Run.prepare
+    {
+      (demo_spec ()) with
+      Failmpi.Run.scenario = Some (Plan.to_scenario p);
+      params = [];
+      trace_level = Simkern.Trace.Summary;
+    }
+
+let caller = Unix.getpid ()
+
+let in_worker_keys =
+  let out, _ =
+    Explore.Prefix.run ~jobs:4 ~measure:false ~prepare:prepare_demo
+      ~summarize:(fun p _ -> (Plan.key p, Unix.getpid () <> caller))
+      pool_plans
+  in
+  List.filter_map (fun (_, (k, w)) -> if w then Some k else None) out
+
+(* [Ok] or the [Failure] message, and whether any child (live or zombie)
+   is left afterwards. *)
+let pool_failure act =
+  let victim = List.hd in_worker_keys in
+  let summarize p r =
+    if Unix.getpid () <> caller && Plan.key p = victim then act ();
+    Explore.verdict_name (Explore.verdict_of_outcome r.Failmpi.Run.outcome)
+  in
+  let outcome =
+    match Explore.Prefix.run ~jobs:4 ~measure:false ~prepare:prepare_demo ~summarize pool_plans with
+    | _ -> Ok ()
+    | exception Failure msg -> Error msg
+  in
+  let child_left =
+    match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+    | _ -> true
+    | exception Unix.Unix_error (Unix.ECHILD, _, _) -> false
+  in
+  (outcome, child_left)
+
+let raised = pool_failure (fun () -> failwith "summarize refused")
+let died = pool_failure (fun () -> Unix._exit 3)
+
+(* Codegen ignores a heal's machine: these two plans are one run. *)
+let heal_prepares, heal_out =
+  let count = ref 0 in
+  let heal machine =
+    { Plan.n_machines = 8; faults = [ { Plan.machine; anchor = Plan.After 12; kind = Plan.Heal } ] }
+  in
+  let out, _ =
+    Explore.Prefix.run ~jobs:1 ~measure:false
+      ~prepare:(fun p ->
+        incr count;
+        prepare_demo p)
+      ~summarize:(fun p r -> (Plan.key p, Explore.signature r))
+      [ (0, heal 0); (1, heal 3) ]
+  in
+  (!count, List.sort compare out)
+
 (* ------------------------------------------------------------------ *)
 (* Phase 2 — replays; jobs 4 spawns domains, so forks are done. *)
 
@@ -210,6 +278,40 @@ let test_cli_default_fork_equals_replay () =
   check_int "full campaign ran" 40 (List.length cli_forked.Explore.records);
   check_str "fork = replay, byte for byte" (Explore.to_json cli_replayed)
     (Explore.to_json cli_forked)
+
+(* ------------------------------------------------------------------ *)
+(* Worker pool *)
+
+let test_pool_bounds () =
+  check_int "jobs 4 forks four workers" 4 (snd fork_j4).Explore.Prefix.forks;
+  check_int "jobs 1 forks none" 0 (snd fork_j1).Explore.Prefix.forks;
+  check_str "jobs 1 fork = replay" (json replay_j1) (json fork_j1);
+  check_bool "workers summarized plans" true (in_worker_keys <> []);
+  check_bool "the caller summarized plans" true
+    (List.length in_worker_keys < List.length pool_plans)
+
+let test_pool_failures () =
+  List.iter
+    (fun (what, (outcome, child_left)) ->
+      (match outcome with
+      | Ok () -> Alcotest.failf "%s: the campaign did not fail" what
+      | Error msg -> check_bool (what ^ ": Failure names the cause") true (msg <> ""));
+      check_bool (what ^ ": no child left") false child_left)
+    [ ("summarize raised", raised); ("worker died", died) ];
+  match (fst raised, fst died) with
+  | Error raised, Error died ->
+      check_str "job error" "Failure(\"summarize refused\")" raised;
+      check_str "dead worker" "Prefix: a worker died without reporting" died
+  | _ -> ()
+
+let test_scenario_dedup () =
+  check_int "one launch for two heal-only plans" 1 heal_prepares;
+  match heal_out with
+  | [ (0, (k0, s0)); (1, (k1, s1)) ] ->
+      check_str "first key" "heal@0+12" k0;
+      check_str "second key" "heal@3+12" k1;
+      check_str "one run, one signature" s0 s1
+  | _ -> Alcotest.fail "expected one summary per plan"
 
 (* ------------------------------------------------------------------ *)
 (* Shrink memo *)
@@ -363,6 +465,12 @@ let () =
           Alcotest.test_case "all backends fork = replay" `Quick test_backends_fork_equals_replay;
           Alcotest.test_case "CLI default campaign fork = replay" `Quick
             test_cli_default_fork_equals_replay;
+        ] );
+      ( "pool",
+        [
+          Alcotest.test_case "forks within --jobs" `Quick test_pool_bounds;
+          Alcotest.test_case "failures reap every worker" `Quick test_pool_failures;
+          Alcotest.test_case "equal scenarios run once" `Quick test_scenario_dedup;
         ] );
       ("memo", [ Alcotest.test_case "shrink probes memoized" `Quick test_shrink_memo ]);
       ( "corpus",
