@@ -23,6 +23,15 @@ let run exp_name quick csv jobs =
       exit 1
   | Some n -> Par.set_default_jobs n
   | None -> ());
+  (match csv with
+  | Some dir ->
+      let parent = Filename.dirname dir in
+      if not (Sys.file_exists parent && Sys.is_directory parent) then begin
+        prerr_endline
+          (Printf.sprintf "failmpi_experiments: --csv parent directory %s does not exist" parent);
+        exit 1
+      end
+  | None -> ());
   let todo =
     if exp_name = "all" then Experiment.all
     else

@@ -67,15 +67,18 @@ let run protocol replicas ranks klass max_faults budget jobs seed targets bucket
   Option.iter (non_negative "freeze") freeze;
   List.iter (non_negative "buckets") buckets;
   Option.iter (List.iter (non_negative "targets")) targets;
-  (match corpus with
-  | Some dir ->
-      let parent = Filename.dirname dir in
-      if not (Sys.file_exists parent && Sys.is_directory parent) then begin
-        prerr_endline
-          (Printf.sprintf "failmpi_explore: --corpus parent directory %s does not exist" parent);
-        exit 1
-      end
-  | None -> ());
+  (* Output paths are checked before the campaign, not after it. *)
+  let parent_exists flag path =
+    let parent = Filename.dirname path in
+    if not (Sys.file_exists parent && Sys.is_directory parent) then begin
+      prerr_endline
+        (Printf.sprintf "failmpi_explore: --%s parent directory %s does not exist" flag parent);
+      exit 1
+    end
+  in
+  Option.iter (parent_exists "corpus") corpus;
+  Option.iter (parent_exists "json") json_file;
+  Option.iter (parent_exists "emit") emit_dir;
   let klass =
     match Workload.Bt_model.klass_of_string klass with
     | Some k -> k

@@ -109,6 +109,15 @@ let run scenario_file paper params ranks klass protocol replicas ckpt_servers
       prerr_endline (Printf.sprintf "failmpi_run: --timeout must be > 0 (got %g)" timeout);
       exit 1
     end;
+    (match trace_csv with
+    | Some path ->
+        let parent = Filename.dirname path in
+        if not (Sys.file_exists parent && Sys.is_directory parent) then begin
+          prerr_endline
+            (Printf.sprintf "failmpi_run: --trace-csv parent directory %s does not exist" parent);
+          exit 1
+        end
+    | None -> ());
     (match net with
     | Some profile -> (
         try Simnet.Net.Perturb.check_profile profile
