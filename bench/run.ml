@@ -4,8 +4,9 @@
 
    Runs the named suites, or all of them, and writes BENCH_<suite>.json
    for each into the current directory (see record.ml for the format).
-   --smoke bounds the two long suites for CI: explore runs 60 plans
-   instead of 500 and scale stops at 1024 hosts. A suite that refuses
+   --smoke bounds the two long suites for CI: explore's three campaigns
+   run 60, 40 and 30 plans instead of 500, 200 and 120, and scale stops
+   at 1024 hosts. A suite that refuses
    its result — a check that two runs must agree failed — exits 1 with
    its message and writes no file.
 

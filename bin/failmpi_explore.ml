@@ -222,7 +222,8 @@ let cmd =
       & opt (some int) None
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "Fan runs out over $(docv) domains (reports are bit-identical at any width). \
+            "Fan runs out over $(docv) worker processes in fork mode (none at 1) or \
+             $(docv) domains with --no-fork; reports are bit-identical at any width. \
              Defaults to FAILMPI_JOBS, or the number of cores.")
   in
   let seed =
@@ -312,8 +313,8 @@ let cmd =
             ( true,
               info [ "fork" ]
                 ~doc:
-                  "Prefix-sharing fork scheduler (the default): plans sharing a fault prefix \
-                   execute it once and fork at each divergence point, with a report \
+                  "Prefix-sharing scheduler (the default): plans sharing a fault prefix \
+                   execute it once up to each divergence point, with a report \
                    byte-identical to replaying every plan." );
             ( false,
               info [ "no-fork" ]

@@ -174,10 +174,10 @@ module Run : sig
       stop and classifies exactly as {!execute} does — [execute spec]
       {e is} [resume_from (prepare spec)]. Between the two, the
       explorer's prefix-sharing scheduler interposes {!advance} pauses
-      at scenario-timer breakpoints, {!step}s over single events, and
-      OS-level [fork()]s of the whole process — the checkpoint value
-      itself carries no copied state, the fork's copy-on-write heap
-      does (see docs/EXPLORER.md). *)
+      at scenario-timer breakpoints and {!step}s over single events; a
+      branch that does not continue inline re-simulates its prefix
+      from a fresh {!prepare}, since the checkpoint value carries no
+      copied state (see docs/EXPLORER.md). *)
 
   type checkpoint
 

@@ -325,8 +325,8 @@ let halt t = t.halted <- true
    A snapshot copies the queue's slots: the lane's and both heaps'.
    Event thunks are shared, not copied, so its footprint
    ([snapshot_words]) includes what the queued closures reach. The
-   explorer measures it at each fork point; the fork itself carries the
-   state copy-on-write. *)
+   explorer measures it at each pause; nothing restores it, a job
+   re-simulates its prefix instead. *)
 
 type snapshot = {
   snap_lane : Lane.slice;

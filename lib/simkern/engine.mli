@@ -124,9 +124,9 @@ val halt : t -> unit
 (** {2 Snapshot}
 
     A {!snapshot} copies the queue's slots. Event thunks are {e shared},
-    not copied, so it only measures what a fork point holds: the
-    explorer forks the whole process there and lets copy-on-write carry
-    the state (see docs/EXPLORER.md). *)
+    not copied, so it only measures what a pause holds: nothing
+    restores it, and the explorer's jobs re-simulate their prefix from
+    t = 0 instead (see docs/EXPLORER.md). *)
 
 type snapshot
 
