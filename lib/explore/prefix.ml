@@ -304,8 +304,7 @@ let fork_worker ctx others =
       List.iter Unix.close [ cmd_r; cmd_w; reply_r; reply_w ];
       raise e
   | 0 ->
-      (* An earlier worker's command pipe, held open here, would never
-         reach EOF. *)
+      (* Held open here, an earlier worker's pipes would keep its EOF away. *)
       List.iter (fun w -> close_out_noerr w.cmd) others;
       List.iter (fun w -> close_in_noerr w.reply) others;
       Unix.close cmd_w;
@@ -354,9 +353,10 @@ let run ~jobs ~measure ~prepare ~summarize tagged =
   let root = build tagged in
   if root.nd_children = [] then ([], zero_stats)
   else begin
-    let ctx = { plan_of; root; prepare; summarize; measure; emitted = []; spawned = []; st = zero_stats } in
+    let st = zero_stats in
+    let ctx = { plan_of; root; prepare; summarize; measure; emitted = []; spawned = []; st } in
     let guard f = try f () with e -> failwith (Printexc.to_string e) in
-    let rec drain () = Option.iter (fun job -> run_job ctx job; drain ()) (pop ctx) in
+    let drain () = while ctx.spawned <> [] do Option.iter (run_job ctx) (pop ctx) done in
     (* The whole-trie job runs here: until it has spawned jobs, a worker
        would have nothing to do. *)
     guard (fun () -> run_job ctx (rep_index root, 0));
