@@ -2,9 +2,9 @@
 
    Each shape runs twice with the same seed: once through the
    prefix-sharing scheduler (fork mode), once replaying every plan from
-   t = 0. The figure of merit is plans per CPU-hour ([Unix.times],
-   children included, so the scheduler's worker processes are charged
-   to fork mode). The two reports must be byte-identical — coverage,
+   t = 0. Both run on the same pool of worker processes. The figure of
+   merit is plans per CPU-hour ([Unix.times], children included, so the
+   workers are charged to the mode that forked them). The two reports must be byte-identical — coverage,
    records and witnesses — and the suite refuses to write its file
    otherwise, making every speedup double as an end-to-end equivalence
    check. The shapes:
@@ -20,10 +20,10 @@
      100 s, so a branch's shared prefix is most of its run: the shape
      where replaying each job's prefix costs the scheduler most.
 
-   Every fork-mode campaign runs before the first replay, and the driver
-   runs this suite before any other: the OCaml runtime refuses
-   [Unix.fork] in a process that ever created a domain, and the replay
-   campaigns' [Par.map] creates them. *)
+   Neither mode creates a domain, so their order inside the suite does
+   not matter. The driver still runs this suite before any other: the
+   OCaml runtime refuses [Unix.fork] in a process that ever created a
+   domain, and later suites' [Par.map] creates them. *)
 
 (* The test_explore demo deployment: a 60-iteration stencil under the
    non-blocking vcl protocol, fast and deterministic. *)
@@ -88,9 +88,8 @@ let shapes ~smoke =
     ("prefix-heavy", bt9_campaign ~buckets:[ 300; 200; 100 ] ~budget:(if smoke then 30 else 120));
   ]
 
-(* Process + reaped-children CPU seconds: the scheduler reaps its
-   workers before returning, so their time rolls up; domain workers are
-   threads of this process and count directly. *)
+(* Process + reaped-children CPU seconds: the pool reaps its workers
+   before returning, so their time rolls up. *)
 let cpu_s () =
   let t = Unix.times () in
   t.Unix.tms_utime +. t.Unix.tms_stime +. t.Unix.tms_cutime +. t.Unix.tms_cstime
@@ -139,8 +138,6 @@ let run ~smoke =
           (if f = 0 then 0.0 else stats.Explore.Prefix.fork_wall_s /. float_of_int f *. 1e3);
         Record.int ~layer:"simkern" (path "fork/snapshot_events_max") "count"
           stats.Explore.Prefix.snapshot_events_max;
-        Record.int ~layer:"simkern" (path "fork/snapshot_bytes_max") "bytes"
-          (stats.Explore.Prefix.snapshot_words_max * (Sys.word_size / 8));
         Record.num ~layer:"explore" (path "speedup_plans_per_cpu_hour") "x"
           (per_hour fork_cpu /. Float.max (per_hour replay_cpu) 1e-6);
       ]

@@ -222,9 +222,9 @@ let cmd =
       & opt (some int) None
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "Fan runs out over $(docv) worker processes in fork mode (none at 1) or \
-             $(docv) domains with --no-fork; reports are bit-identical at any width. \
-             Defaults to FAILMPI_JOBS, or the number of cores.")
+            "Fan runs out over $(docv) worker processes (at most 64, none at 1), with \
+             or without --fork; reports are bit-identical at any width. Defaults to \
+             FAILMPI_JOBS, or the number of cores.")
   in
   let seed =
     Arg.(

@@ -241,10 +241,9 @@ let shrink_one cfg ~runner rc =
     scenario = Plan.to_scenario coarse;
   }
 
-(* Coverage + witness shrinking over already-classified records; shared
-   by the replay ([run]) and fork ([run_spec]) front ends so both build
-   the same report from the same records. *)
-let finish_report ?jobs cfg ~runner records =
+(* Coverage + witness shrinking over already-classified records.
+   Shrinking runs in the calling process: it creates no worker. *)
+let finish_report cfg ~runner records =
   let coverage = coverage_of records in
   (* One witness per distinct failing signature, first hit in input
      order wins — equivalent wedges shrink once, not once per plan. *)
@@ -269,29 +268,19 @@ let finish_report ?jobs cfg ~runner records =
         end)
       records
   in
-  let minimized = Par.map ?jobs (shrink_one cfg ~runner) to_shrink in
+  let minimized = List.map (shrink_one cfg ~runner) to_shrink in
   { config = cfg; records; coverage; minimized }
 
-let run ?jobs cfg ~runner =
-  let searched = plans cfg in
-  let records =
-    Par.map ?jobs (fun p -> record_of ~plan:p (runner p)) searched
-  in
-  finish_report ?jobs cfg ~runner records
-
-let plan_spec (spec : Run.spec) (p : Plan.t) =
-  if p.Plan.n_machines <> spec.Run.n_compute then
+(* [spec] running the scenario [src] of a plan over [n_machines]. *)
+let scenario_spec (spec : Run.spec) ~n_machines src =
+  if n_machines <> spec.Run.n_compute then
     invalid_arg
       (Printf.sprintf "Explore.runner_of_spec: plan covers %d machines, spec has %d"
-         p.Plan.n_machines spec.Run.n_compute);
-  {
-    spec with
-    Run.scenario = Some (Plan.to_scenario p);
-    params = [];
-    trace_level = Simkern.Trace.Summary;
-  }
+         n_machines spec.Run.n_compute);
+  { spec with Run.scenario = Some src; params = []; trace_level = Simkern.Trace.Summary }
 
-let runner_of_spec (spec : Run.spec) (p : Plan.t) = Run.execute (plan_spec spec p)
+let runner_of_spec (spec : Run.spec) (p : Plan.t) =
+  Run.execute (scenario_spec spec ~n_machines:p.Plan.n_machines (Plan.to_scenario p))
 
 let corpus_space cfg =
   {
@@ -303,13 +292,6 @@ let corpus_space cfg =
     sample_seed = cfg.sample_seed;
   }
 
-(* Fork mode must never spawn a domain: the OCaml runtime permanently
-   refuses [Unix.fork] in any process that ever created one.  So the
-   fork path parallelizes through its forked worker processes only, and
-   everything around it (leftover replays, shrinking) runs with
-   [~jobs:1] — [Par.map ~jobs:1] is a plain [List.map] — which keeps
-   the process fork-capable for further campaigns (corpus resume, the
-   bench's repeated runs). *)
 let run_spec ?jobs ?(fork = true) ?(measure = false) ?corpus cfg ~spec =
   let base = plans cfg in
   let corpus =
@@ -330,34 +312,21 @@ let run_spec ?jobs ?(fork = true) ?(measure = false) ?corpus cfg ~spec =
         let fresh = List.filter (fun p -> not (Corpus.tried c (Plan.key p))) base in
         fresh @ Corpus.mutants c ~count:(cfg.budget - List.length fresh)
   in
-  let runner = runner_of_spec spec in
-  let records, stats =
-    if not fork then
-      (Par.map ?jobs (fun p -> record_of ~plan:p (runner p)) searched, Prefix.zero_stats)
-    else begin
-      let tagged = List.mapi (fun i p -> (i, p)) searched in
-      let forked, replayed = List.partition (fun (_, p) -> Prefix.forkable p) tagged in
-      let out, stats =
-        Prefix.run
-          ~jobs:(match jobs with Some j -> j | None -> Par.default_jobs ())
-          ~measure
-          ~prepare:(fun p -> Run.prepare (plan_spec spec p))
-          ~summarize:(fun plan r -> record_of ~plan r)
-          forked
-      in
-      let replays = List.map (fun (i, p) -> (i, record_of ~plan:p (runner p))) replayed in
-      let results = List.sort (fun (i, _) (j, _) -> Int.compare i j) (out @ replays) in
-      if List.map fst results <> List.map fst tagged then
-        failwith "Explore.run_spec: plan lost by the scheduler";
-      (List.map snd results, stats)
-    end
+  let out, stats =
+    Prefix.run
+      ~jobs:(match jobs with Some j -> j | None -> Par.default_jobs ())
+      ~fork ~measure
+      ~prepare:(fun src -> Run.prepare (scenario_spec spec ~n_machines:cfg.n_machines src))
+      ~summarize:(fun plan r -> record_of ~plan r)
+      (List.mapi (fun i p -> (i, p)) searched)
   in
+  let records = List.map snd out in
   (match corpus with
   | None -> ()
   | Some c ->
       List.iter (fun rc -> Corpus.note c ~plan_key:(Plan.key rc.plan) ~sig_hash:rc.sig_hash) records;
       Corpus.save c);
-  (finish_report ?jobs:(if fork then Some 1 else jobs) cfg ~runner records, stats)
+  (finish_report cfg ~runner:(runner_of_spec spec) records, stats)
 
 (* ---- rendering ---------------------------------------------------- *)
 

@@ -15,8 +15,9 @@
     - a seeded random sampler for 3 .. [max_faults] simultaneous
       faults;
     the stream is truncated to [budget] plans, runs fan out over
-    {!Par.map}, and reports are assembled in input order — the same
-    configuration yields byte-identical reports at any [?jobs]. *)
+    {!Prefix}'s worker processes, and reports are assembled in input
+    order — the same configuration yields byte-identical reports at any
+    [?jobs]. *)
 
 module Plan = Plan
 module Shrink = Shrink
@@ -95,11 +96,6 @@ type report = {
   minimized : minimized list;  (** one per distinct failing signature *)
 }
 
-(** [run ?jobs config ~runner] searches, classifies and shrinks.
-    [runner] executes one plan deterministically; it must be pure (the
-    shrinker replays it). *)
-val run : ?jobs:int -> config -> runner:(Plan.t -> Run.result) -> report
-
 (** [runner_of_spec spec] is the standard runner: [spec] with the
     plan's scenario substituted and the trace level forced to
     [Summary] (signatures hash milestones only). Raises
@@ -107,22 +103,17 @@ val run : ?jobs:int -> config -> runner:(Plan.t -> Run.result) -> report
     [n_machines]. *)
 val runner_of_spec : Run.spec -> Plan.t -> Run.result
 
-(** [run_spec ?jobs ?fork ?measure config ~spec] is {!run} with the
-    standard runner, routed through the {!Prefix} scheduler when [fork]
-    (default [true]): plans sharing a fault prefix execute that prefix
-    once up to each divergence point, so big campaigns cost a fraction
-    of replaying every plan — with a byte-identical report (any
-    [?jobs]).  Plans the scheduler cannot drive (reload anchors) replay
-    as usual; [fork:false] replays everything.  [measure] sizes engine
-    snapshots at every pause (bench instrumentation).  The returned
-    stats are {!Prefix.zero_stats} whenever the fork path was skipped.
-
-    In fork mode [?jobs] is the number of forked worker processes (none
-    at 1), and everything else (leftover replays, shrinking) runs
-    sequentially: the OCaml runtime permanently refuses [Unix.fork] in
-    a process that ever created a domain, so fork mode spawns none —
-    which also means that above [~jobs:1] it only works before anything
-    else in the process has (e.g. a prior [fork:false] campaign).
+(** [run_spec ?jobs ?fork ?measure config ~spec] searches, classifies
+    and shrinks with the standard runner.  Every plan runs as a job on
+    {!Prefix}'s pool of [?jobs] worker processes (at most 64, none at
+    1; default {!Par.default_jobs}).  With [fork] (default [true]),
+    plans sharing a fault prefix execute that prefix once up to each
+    divergence point, so big campaigns cost a fraction of replaying
+    every plan — with a byte-identical report (any [?jobs]).  Plans the
+    scheduler cannot drive (reload anchors) replay as usual;
+    [fork:false] replays everything.  Shrinking runs in the calling
+    process.  [measure] reads the engine's queue size at every pause
+    (bench instrumentation).  The campaign creates no domain.
 
     [?corpus] names a {!Corpus} directory (created on first save):
     already-tried plans are skipped on resume and the freed budget

@@ -1,4 +1,13 @@
-(* Prefix-sharing explorer scheduler.
+(* The explorer's worker pool and prefix-sharing scheduler.
+
+   Every record of a campaign is computed by a job, and every job runs
+   on one pool: [jobs] worker processes (at most 64) forked once per
+   campaign, fed in lockstep over a command and a reply pipe each, so no
+   pipe ever holds two frames; at [jobs = 1] the jobs run in the caller.
+   A job either replays one plan from t = 0 ([prepare], then
+   [Run.resume_from]: [Run.execute]) or walks part of the trie below.
+   Results are reassembled by index, so reports are byte-identical to
+   replaying every plan, at any [~jobs] (docs/EXPLORER.md).
 
    Plans whose faults are all [After]-anchored form a trie keyed by the
    full fault tuple.  Two plans sharing their first k faults share their
@@ -14,26 +23,20 @@
    recurses.  Each other branch, and the plans that end on the fault
    about to fire, becomes a job: a fresh [prepare] of its representative
    plan, replayed to the pause along its trie path, then walked the same
-   way.  Jobs run on [jobs] worker processes forked once per campaign,
-   fed in lockstep over a command and a reply pipe each, so no pipe
-   ever holds two frames; at [jobs = 1] they run in the caller.  Results
-   are reassembled by index, so reports are byte-identical to replaying
-   every plan from t = 0, at any [~jobs] (docs/EXPLORER.md). *)
+   way. *)
 
 module Run = Failmpi.Run
 module Runtime = Fci.Runtime
 module Engine = Simkern.Engine
 
 type stats = {
-  forks : int;  (* worker processes forked: at most [jobs], none at 1 *)
+  forks : int;  (* worker processes forked: at most [min jobs 64], none at 1 *)
   pauses : int;  (* breakpoints taken (prefix states shared onward) *)
   fork_wall_s : float;  (* parent-side wall clock spent inside fork() *)
-  snapshot_events_max : int;  (* measured only under [~measure:true] *)
-  snapshot_words_max : int;
+  snapshot_events_max : int;  (* queue size at a pause, under [~measure:true] *)
 }
 
-let zero_stats =
-  { forks = 0; pauses = 0; fork_wall_s = 0.0; snapshot_events_max = 0; snapshot_words_max = 0 }
+let zero_stats = { forks = 0; pauses = 0; fork_wall_s = 0.0; snapshot_events_max = 0 }
 
 let merge_stats a b =
   {
@@ -41,12 +44,11 @@ let merge_stats a b =
     pauses = a.pauses + b.pauses;
     fork_wall_s = a.fork_wall_s +. b.fork_wall_s;
     snapshot_events_max = max a.snapshot_events_max b.snapshot_events_max;
-    snapshot_words_max = max a.snapshot_words_max b.snapshot_words_max;
   }
 
 (* Reload-anchored faults wait on registration counts, not timers —
    there is no pending timer to pause before, so those plans replay
-   from scratch instead. *)
+   from scratch instead, as every plan does without [~fork]. *)
 let forkable (p : Plan.t) =
   p.Plan.faults <> []
   && List.for_all
@@ -66,7 +68,7 @@ type node = {
 (* Plans whose scenario texts are equal run once: every index goes into
    the first one's leaf.  Codegen ignores a heal's machine, for one, so
    heal@0+25 and heal@3+25 are the same run. *)
-let build tagged =
+let build plan_of tagged =
   let make depth f = { nd_fault = f; nd_depth = depth; nd_leaves = []; nd_children = [] } in
   let root = make 0 { Plan.machine = 0; anchor = Plan.After 0; kind = Plan.Kill } in
   let leaf_of = Hashtbl.create 64 in
@@ -85,7 +87,7 @@ let build tagged =
             in
             insert child rest
       in
-      let src = Plan.to_scenario p in
+      let src = snd (Hashtbl.find plan_of idx) in
       let leaf =
         match Hashtbl.find_opt leaf_of src with Some nd -> nd | None -> insert root p.Plan.faults
       in
@@ -108,7 +110,7 @@ let rec all_indices nd =
 let delay_of (f : Plan.fault) =
   match f.Plan.anchor with
   | Plan.After d -> d
-  | Plan.On_reload _ -> assert false (* filtered by [forkable] *)
+  | Plan.On_reload _ -> assert false (* never in the trie: not [forkable] *)
 
 let group_by_delay children =
   let delay c = delay_of c.nd_fault in
@@ -117,16 +119,17 @@ let group_by_delay children =
 
 (* ---- the walk ----------------------------------------------------- *)
 
-(* A job is a trie node, named by a plan through it and the node's
-   depth.  With that plan installed it pauses before the node's fault
-   and walks on: the whole trie at depth 0, only the plans that end on
-   the fault when the plan does, the node's subtree otherwise. *)
-type job = int * int
+(* A job replays one plan from scratch, or walks a trie node named by a
+   plan through it and the node's depth.  With that plan installed a
+   walk pauses before the node's fault and goes on: the whole trie at
+   depth 0, only the plans that end on the fault when the plan does,
+   the node's subtree otherwise. *)
+type job = Replay of int | Walk of int * int
 
 type 'a ctx = {
-  plan_of : (int, Plan.t) Hashtbl.t;
+  plan_of : (int, Plan.t * string) Hashtbl.t;  (* each plan with its scenario text *)
   root : node;
-  prepare : Plan.t -> Run.checkpoint;
+  prepare : string -> Run.checkpoint;
   summarize : Plan.t -> Run.result -> 'a;
   measure : bool;
   mutable emitted : (int * 'a) list;
@@ -134,23 +137,22 @@ type 'a ctx = {
   mutable st : stats;
 }
 
-let compile_plan (p : Plan.t) =
-  match Fail_lang.Compile.compile_source ~params:[] (Plan.to_scenario p) with
-  | Ok cp -> cp
-  | Error msg -> failwith ("Prefix: plan failed to recompile: " ^ msg)
+let plan ctx i = fst (Hashtbl.find ctx.plan_of i)
+let scenario ctx i = snd (Hashtbl.find ctx.plan_of i)
 
 let fci_of cp =
   match Run.checkpoint_fci cp with
   | Some rt -> rt
   | None -> assert false (* every searched plan carries a scenario *)
 
-let swap_to cp plan = Runtime.swap_plan (fci_of cp) (compile_plan plan)
+let swap_to ctx cp i =
+  match Fail_lang.Compile.compile_source ~params:[] (scenario ctx i) with
+  | Ok plan -> Runtime.swap_plan (fci_of cp) plan
+  | Error msg -> failwith ("Prefix: plan failed to recompile: " ^ msg)
 
-let plan ctx i = Hashtbl.find ctx.plan_of i
-let rep_plan ctx nd = plan ctx (rep_index nd)
 let now cp = Engine.now (Run.checkpoint_engine cp)
 let spawn ctx job = ctx.spawned <- job :: ctx.spawned
-let spawn_branch ctx nd = spawn ctx (rep_index nd, nd.nd_depth)
+let spawn_branch ctx nd = spawn ctx (Walk (rep_index nd, nd.nd_depth))
 
 let pop ctx =
   match ctx.spawned with
@@ -174,21 +176,17 @@ let finish ctx cp idxs =
   List.iter (fun i -> ctx.emitted <- (i, ctx.summarize (plan ctx i) r) :: ctx.emitted) idxs
 
 let note_pause ctx cp =
-  ctx.st <- { ctx.st with pauses = ctx.st.pauses + 1 };
-  if ctx.measure then begin
-    let s = Engine.snapshot (Run.checkpoint_engine cp) in
-    let snapshot_events_max = Engine.snapshot_events s in
-    let snapshot_words_max = Engine.snapshot_words s in
-    ctx.st <- merge_stats ctx.st { zero_stats with snapshot_events_max; snapshot_words_max }
-  end
+  let queued = if ctx.measure then Engine.queue_size (Run.checkpoint_engine cp) else 0 in
+  ctx.st <- merge_stats ctx.st { zero_stats with pauses = 1; snapshot_events_max = queued }
 
 (* Precondition: the simulation is paused just before [nd]'s fault
-   timer fires and the installed plan is [rep_plan ctx nd]. *)
+   timer fires and the installed plan is [rep_index nd]'s. *)
 let rec at_pause ctx cp nd =
   (* Plans that END on this fault diverge from the continuing ones at
      this very step (their automaton goes to [done]): a job of their
      own, unless nothing continues. *)
-  if nd.nd_children <> [] && nd.nd_leaves <> [] then spawn ctx (List.hd nd.nd_leaves, nd.nd_depth);
+  if nd.nd_children <> [] && nd.nd_leaves <> [] then
+    spawn ctx (Walk (List.hd nd.nd_leaves, nd.nd_depth));
   Run.step cp;
   match nd.nd_children with
   | [] -> finish ctx cp nd.nd_leaves
@@ -210,7 +208,7 @@ and drive ctx cp ~t_base children =
             match (rest, List.rev branches) with
             | [], last :: others ->
                 List.iter (spawn_branch ctx) others;
-                swap_to cp (rep_plan ctx last);
+                swap_to ctx cp (rep_index last);
                 at_pause ctx cp last
             | _ ->
                 List.iter (spawn_branch ctx) branches;
@@ -240,19 +238,21 @@ let replay cp faults =
   in
   go 0.0 faults
 
-let run_job ctx ((i, depth) : job) =
-  let p = plan ctx i in
-  let faults = List.filteri (fun k _ -> k < depth) p.Plan.faults in
-  let child nd f = List.find (fun c -> c.nd_fault = f) nd.nd_children in
-  let nd = List.fold_left child ctx.root faults in
-  let cp = ctx.prepare p in
-  replay cp faults;
-  if depth = 0 then drive ctx cp ~t_base:0.0 nd.nd_children
-  else if depth < List.length p.Plan.faults then at_pause ctx cp nd
-  else begin
-    Run.step cp;
-    finish ctx cp nd.nd_leaves
-  end
+let run_job ctx = function
+  | Replay i -> finish ctx (ctx.prepare (scenario ctx i)) [ i ]
+  | Walk (i, depth) ->
+      let p = plan ctx i in
+      let faults = List.filteri (fun k _ -> k < depth) p.Plan.faults in
+      let child nd f = List.find (fun c -> c.nd_fault = f) nd.nd_children in
+      let nd = List.fold_left child ctx.root faults in
+      let cp = ctx.prepare (scenario ctx i) in
+      replay cp faults;
+      if depth = 0 then drive ctx cp ~t_base:0.0 nd.nd_children
+      else if depth < List.length p.Plan.faults then at_pause ctx cp nd
+      else begin
+        Run.step cp;
+        finish ctx cp nd.nd_leaves
+      end
 
 (* ---- the worker pool ---------------------------------------------- *)
 
@@ -347,31 +347,35 @@ let rec schedule ctx workers =
         busy;
       schedule ctx workers
 
-let run ~jobs ~measure ~prepare ~summarize tagged =
+(* [Par.map]'s bound on the pool width. *)
+let max_jobs = 64
+
+let run ~jobs ~fork ~measure ~prepare ~summarize tagged =
   let plan_of = Hashtbl.create 64 in
-  List.iter (fun (i, p) -> Hashtbl.replace plan_of i p) tagged;
-  let root = build tagged in
-  if root.nd_children = [] then ([], zero_stats)
+  List.iter (fun (i, p) -> Hashtbl.replace plan_of i (p, Plan.to_scenario p)) tagged;
+  let walked, replayed =
+    if fork then List.partition (fun (_, p) -> forkable p) tagged else ([], tagged)
+  in
+  let root = build plan_of walked in
+  let spawned = List.map (fun (i, _) -> Replay i) replayed in
+  let ctx = { plan_of; root; prepare; summarize; measure; emitted = []; spawned; st = zero_stats } in
+  let guard f = try f () with e -> failwith (Printexc.to_string e) in
+  let drain () = while ctx.spawned <> [] do Option.iter (run_job ctx) (pop ctx) done in
+  (* The whole-trie job runs here: until it has spawned jobs, a worker
+     would have nothing to do. *)
+  if root.nd_children <> [] then guard (fun () -> run_job ctx (Walk (rep_index root, 0)));
+  let jobs = min max_jobs jobs in
+  if jobs <= 1 || Sys.win32 || ctx.spawned = [] then guard drain
   else begin
-    let st = zero_stats in
-    let ctx = { plan_of; root; prepare; summarize; measure; emitted = []; spawned = []; st } in
-    let guard f = try f () with e -> failwith (Printexc.to_string e) in
-    let drain () = while ctx.spawned <> [] do Option.iter (run_job ctx) (pop ctx) done in
-    (* The whole-trie job runs here: until it has spawned jobs, a worker
-       would have nothing to do. *)
-    guard (fun () -> run_job ctx (rep_index root, 0));
-    if jobs <= 1 || Sys.win32 || ctx.spawned = [] then guard drain
-    else begin
-      let workers = ref [] in
-      (try
-         for _ = 1 to jobs do
-           workers := fork_worker ctx !workers :: !workers
-         done;
-         schedule ctx !workers
-       with e ->
-         stop ~kill:true !workers;
-         raise (match e with Failure _ -> e | e -> Failure (Printexc.to_string e)));
-      stop ~kill:false !workers
-    end;
-    (ctx.emitted, ctx.st)
-  end
+    let workers = ref [] in
+    (try
+       for _ = 1 to jobs do
+         workers := fork_worker ctx !workers :: !workers
+       done;
+       schedule ctx !workers
+     with e ->
+       stop ~kill:true !workers;
+       raise (match e with Failure _ -> e | e -> Failure (Printexc.to_string e)));
+    stop ~kill:false !workers
+  end;
+  (List.sort (fun (i, _) (j, _) -> Int.compare i j) ctx.emitted, ctx.st)

@@ -1,47 +1,43 @@
-(** Prefix-sharing scheduler for the explorer.
+(** The explorer's worker pool and prefix-sharing scheduler.
 
-    Plans whose faults are all [After]-anchored share their fault-free
-    (and common-fault) simulation prefix: the scheduler arranges them in
-    a trie over fault tuples and walks it, continuing one branch inline
-    at each divergence point and queueing the others as jobs that
-    replay their prefix from t = 0.  Jobs run on [jobs] worker processes
-    forked once per campaign, or in the calling process at [jobs = 1].
-    Verdicts, signatures and reports are byte-identical to replaying
-    every plan from t = 0, at any [~jobs] (see docs/EXPLORER.md). *)
+    Every record of a campaign is computed by a job on one pool: [jobs]
+    worker processes (at most 64) forked once per campaign, or the
+    calling process at [jobs = 1].  A job replays one plan from t = 0,
+    or walks a trie of plans over fault tuples: plans whose faults are
+    all [After]-anchored share their fault-free (and common-fault)
+    simulation prefix, one branch continues inline at each divergence
+    point and the others become jobs that replay their prefix from
+    t = 0.  Verdicts, signatures and reports are byte-identical to
+    replaying every plan from t = 0, at any [~jobs] (see
+    docs/EXPLORER.md). *)
 
 type stats = {
-  forks : int;  (** worker processes forked: at most [jobs], none at 1 *)
+  forks : int;  (** worker processes forked: at most [min jobs 64], none at 1 *)
   pauses : int;  (** breakpoints where a prefix state was shared onward *)
   fork_wall_s : float;  (** caller-side wall clock spent inside fork() *)
   snapshot_events_max : int;
-      (** largest engine snapshot observed at a pause (pending events);
-          0 unless [~measure:true] *)
-  snapshot_words_max : int;  (** same, in heap words; 0 unless measured *)
+      (** largest engine queue ({!Simkern.Engine.queue_size}) at a
+          pause; 0 unless [~measure:true] *)
 }
 
-val zero_stats : stats
-
-(** A plan the scheduler can drive: at least one fault and every anchor
-    a timer ([After]).  Reload-anchored plans wait on registration
-    counts, not timers, and replay from scratch instead. *)
-val forkable : Plan.t -> bool
-
-(** [run ~jobs ~measure ~prepare ~summarize plans] drives every
-    [(index, plan)] through the trie walk and returns the summaries
-    tagged with their indices (order unspecified) plus the walk's
-    statistics.  Plans whose scenario texts are equal run once.
-    [prepare] launches a checkpoint for a plan (the spec with the plan's
-    scenario installed); [summarize] runs in a worker and must return
-    marshal-safe plain data — no closures.  [measure] additionally sizes
-    an engine snapshot at every pause (bench instrumentation; costs a
-    heap walk per pause).
+(** [run ~jobs ~fork ~measure ~prepare ~summarize plans] computes a
+    summary for every [(index, plan)] and returns them in index order,
+    tagged with their indices, plus the campaign's statistics.  With
+    [fork], plans whose faults are all [After]-anchored go through the
+    trie walk (plans whose scenario texts are equal run once) and the
+    rest replay; without it every plan replays.  [prepare] launches a
+    checkpoint from a plan's scenario text (rendered once per plan);
+    [summarize] may run in a worker and must return marshal-safe plain
+    data — no closures.  [measure] additionally reads the engine's
+    queue size at every pause (bench instrumentation).
 
     Raises [Failure] if a job raises or a worker dies; every worker is
     reaped first, whether [run] returns or raises. *)
 val run :
   jobs:int ->
+  fork:bool ->
   measure:bool ->
-  prepare:(Plan.t -> Failmpi.Run.checkpoint) ->
+  prepare:(string -> Failmpi.Run.checkpoint) ->
   summarize:(Plan.t -> Failmpi.Run.result -> 'a) ->
   (int * Plan.t) list ->
   (int * 'a) list * stats

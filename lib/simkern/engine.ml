@@ -63,13 +63,6 @@ module Lane = struct
     end;
     clock.now <- l.time.now;
     f
-
-  type slice = { s_seqs : int array; s_thunks : (unit -> unit) array }
-
-  let slice l =
-    { s_seqs = Array.sub l.seqs l.head (length l); s_thunks = Array.sub l.thunks l.head (length l) }
-
-  let slice_length s = Array.length s.s_seqs
 end
 
 type handle = {
@@ -297,7 +290,7 @@ let run ?(until = infinity) ?stop_before t =
             match stop_before with
             | Some h when Heap.min t.handles == h && h.state = Pending ->
                 (* The breakpoint event stays queued: the caller can retime
-                   it, fork the process, or step over it with [run_one]. *)
+                   it or step over it with [run_one]. *)
                 `Breakpoint
             | Some _ | None ->
                 ignore (step_handle t);
@@ -318,27 +311,3 @@ let rec run_one t =
     | Handles -> step_handle t || run_one t
 
 let halt t = t.halted <- true
-
-(* ------------------------------------------------------------------ *)
-(* Snapshot
-
-   A snapshot copies the queue's slots: the lane's and both heaps'.
-   Event thunks are shared, not copied, so its footprint
-   ([snapshot_words]) includes what the queued closures reach. The
-   explorer measures it at each pause; nothing restores it, a job
-   re-simulates its prefix instead. *)
-
-type snapshot = {
-  snap_lane : Lane.slice;
-  snap_posted : (unit -> unit) Heap.slice;
-  snap_handles : handle Heap.slice;
-}
-
-let snapshot t =
-  { snap_lane = Lane.slice t.lane; snap_posted = Heap.slice t.posted; snap_handles = Heap.slice t.handles }
-
-let snapshot_events s =
-  Lane.slice_length s.snap_lane + Heap.slice_length s.snap_posted
-  + Heap.slice_length s.snap_handles
-
-let snapshot_words s = Obj.reachable_words (Obj.repr s)

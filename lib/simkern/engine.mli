@@ -86,15 +86,16 @@ val cancel : handle -> unit
 val pending : t -> int
 
 (** [queue_size t] is the raw event-queue size, including
-    not-yet-compacted tombstones (diagnostics / tests). *)
+    not-yet-compacted tombstones (diagnostics: the explorer's
+    [~measure] reads it at each pause). *)
 val queue_size : t -> int
 
 (** [run ?until ?stop_before t] executes events in order until the queue
     is empty, the engine is halted, the next event lies beyond [until]
     (the clock is then advanced to [until]), or the next live event is
     exactly [stop_before] — the breakpoint event is left queued, so the
-    caller can {!retime} it, fork the process, or execute it with
-    {!run_one}. Returns the reason the loop ended. *)
+    caller can {!retime} it or execute it with {!run_one}. Returns the
+    reason the loop ended. *)
 val run :
   ?until:float ->
   ?stop_before:handle ->
@@ -120,23 +121,3 @@ val retime : handle -> time:float -> handle
 
 (** [halt t] stops a [run] in progress after the current event. *)
 val halt : t -> unit
-
-(** {2 Snapshot}
-
-    A {!snapshot} copies the queue's slots. Event thunks are {e shared},
-    not copied, so it only measures what a pause holds: nothing
-    restores it, and the explorer's jobs re-simulate their prefix from
-    t = 0 instead (see docs/EXPLORER.md). *)
-
-type snapshot
-
-(** [snapshot t] copies the queued events of [t] (O(queued events)). *)
-val snapshot : t -> snapshot
-
-(** [snapshot_events s] is the number of queued events captured. *)
-val snapshot_events : snapshot -> int
-
-(** [snapshot_words s] is the heap footprint of the snapshot in words,
-    including what the captured events' closures reach (bench
-    diagnostics). *)
-val snapshot_words : snapshot -> int

@@ -174,14 +174,3 @@ let filter_in_place h ~keep =
     for i = (h.size - 2) / 4 downto 0 do
       sift_down h ~src:i ~hole:i
     done
-
-type 'a slice = { s_times : Float.Array.t; s_seqs : int array; s_data : 'a array }
-
-let slice h =
-  {
-    s_times = Float.Array.sub h.times 0 h.size;
-    s_seqs = Array.sub h.seqs 0 h.size;
-    s_data = Array.sub h.data 0 h.size;
-  }
-
-let slice_length s = Array.length s.s_data

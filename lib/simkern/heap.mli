@@ -61,15 +61,3 @@ val clear : 'a t -> unit
     pop order of the survivors is unchanged. Used by the engine to
     compact cancelled-event tombstones. *)
 val filter_in_place : 'a t -> keep:('a -> bool) -> unit
-
-(** {2 Slices}
-
-    A slice is a copy of the heap's occupied slots, arrays in heap
-    order. *)
-
-type 'a slice
-
-(** [slice h] copies the occupied slots of [h]. *)
-val slice : 'a t -> 'a slice
-
-val slice_length : 'a slice -> int

@@ -510,7 +510,7 @@ let demo_spec ~seeded =
   }
 
 let search ~seeded ~jobs =
-  Explore.run ~jobs stream_config ~runner:(Explore.runner_of_spec (demo_spec ~seeded))
+  fst (Explore.run_spec ~jobs ~fork:false stream_config ~spec:(demo_spec ~seeded))
 
 let seeded_j4 = lazy (search ~seeded:true ~jobs:4)
 let seeded_j1 = lazy (search ~seeded:true ~jobs:1)

@@ -8,17 +8,12 @@
      all render the same JSON;
    - the worker pool's edges: a job that raises and a worker that dies
      both fail the campaign with every worker reaped, forks stay within
-     --jobs, and plans with equal scenario text run once;
+     --jobs and within 64, plans with equal scenario text run once, and
+     a fork campaign still forks after a replay campaign at jobs 4;
    - shrink-oracle memoization (probes_saved) on a real witness;
    - corpus save -> resume round-trip, plus the exact refusal messages
      for non-corpus directories and incompatible configurations;
-   - Plan.of_key as the inverse of Plan.key, with its error messages.
-
-   Process structure: the OCaml runtime permanently refuses [Unix.fork]
-   once the process has ever created a domain, so every fork campaign
-   below runs eagerly at module initialization, before the first
-   replay at jobs > 1 spawns [Par.map] workers.  The Alcotest cases
-   only compare the precomputed results. *)
+   - Plan.of_key as the inverse of Plan.key, with its error messages. *)
 
 let check = Alcotest.check
 let check_int = check Alcotest.int
@@ -131,7 +126,7 @@ let cli_default_spec () =
     } )
 
 (* ------------------------------------------------------------------ *)
-(* Phase 1 — every fork campaign, before any domain exists. *)
+(* Fork campaigns *)
 
 let fork_j1 = Explore.run_spec ~jobs:1 ~fork:true demo_config ~spec:(demo_spec ())
 let fork_j4 = Explore.run_spec ~jobs:4 ~fork:true demo_config ~spec:(demo_spec ())
@@ -147,7 +142,7 @@ let cli_forked =
   let spec, cfg = cli_default_spec () in
   fst (Explore.run_spec ~jobs:2 ~fork:true cfg ~spec)
 
-(* Corpus round-trip (fork mode, so it also belongs to phase 1). *)
+(* Corpus round-trip *)
 
 let rec rm_rf path =
   if Sys.file_exists path then
@@ -170,11 +165,11 @@ let corpus_r2 = fst (Explore.run_spec ~jobs:1 ~fork:true ~corpus:corpus_dir (cor
 
 let pool_plans = List.mapi (fun i p -> (i, p)) (List.filteri (fun i _ -> i < 24) (Explore.plans demo_config))
 
-let prepare_demo (p : Plan.t) =
+let prepare_demo src =
   Failmpi.Run.prepare
     {
       (demo_spec ()) with
-      Failmpi.Run.scenario = Some (Plan.to_scenario p);
+      Failmpi.Run.scenario = Some src;
       params = [];
       trace_level = Simkern.Trace.Summary;
     }
@@ -183,7 +178,7 @@ let caller = Unix.getpid ()
 
 let in_worker_keys =
   let out, _ =
-    Explore.Prefix.run ~jobs:4 ~measure:false ~prepare:prepare_demo
+    Explore.Prefix.run ~jobs:4 ~fork:true ~measure:false ~prepare:prepare_demo
       ~summarize:(fun p _ -> (Plan.key p, Unix.getpid () <> caller))
       pool_plans
   in
@@ -198,7 +193,10 @@ let pool_failure act =
     Explore.verdict_name (Explore.verdict_of_outcome r.Failmpi.Run.outcome)
   in
   let outcome =
-    match Explore.Prefix.run ~jobs:4 ~measure:false ~prepare:prepare_demo ~summarize pool_plans with
+    match
+      Explore.Prefix.run ~jobs:4 ~fork:true ~measure:false ~prepare:prepare_demo ~summarize
+        pool_plans
+    with
     | _ -> Ok ()
     | exception Failure msg -> Error msg
   in
@@ -219,7 +217,7 @@ let heal_prepares, heal_out =
     { Plan.n_machines = 8; faults = [ { Plan.machine; anchor = Plan.After 12; kind = Plan.Heal } ] }
   in
   let out, _ =
-    Explore.Prefix.run ~jobs:1 ~measure:false
+    Explore.Prefix.run ~jobs:1 ~fork:true ~measure:false
       ~prepare:(fun p ->
         incr count;
         prepare_demo p)
@@ -229,7 +227,7 @@ let heal_prepares, heal_out =
   (!count, List.sort compare out)
 
 (* ------------------------------------------------------------------ *)
-(* Phase 2 — replays; jobs 4 spawns domains, so forks are done. *)
+(* Replays *)
 
 let replay_j1 = Explore.run_spec ~jobs:1 ~fork:false demo_config ~spec:(demo_spec ())
 let replay_j4 = Explore.run_spec ~jobs:4 ~fork:false demo_config ~spec:(demo_spec ())
@@ -303,6 +301,26 @@ let test_pool_failures () =
       check_str "job error" "Failure(\"summarize refused\")" raised;
       check_str "dead worker" "Prefix: a worker died without reporting" died
   | _ -> ()
+
+(* A replay campaign creates no domain, so a fork campaign after it in
+   the same process still forks its workers. *)
+let test_replay_then_fork () =
+  let replayed = Explore.run_spec ~jobs:4 ~fork:false demo_config ~spec:(demo_spec ()) in
+  let forked = Explore.run_spec ~jobs:2 ~fork:true demo_config ~spec:(demo_spec ()) in
+  check_int "no-fork jobs 4 forks four workers" 4 (snd replayed).Explore.Prefix.forks;
+  check_int "fork jobs 2 forks two workers" 2 (snd forked).Explore.Prefix.forks;
+  check_str "no-fork jobs 4 = fork jobs 2" (json replayed) (json forked)
+
+(* A width above [Par.map]'s bound forks at most 64 workers, in both
+   modes. *)
+let test_width_bound () =
+  let cfg = { demo_config with Explore.budget = 3 } in
+  let at_65 fork = Explore.run_spec ~jobs:65 ~fork cfg ~spec:(demo_spec ()) in
+  let forked = at_65 true and replayed = at_65 false in
+  List.iter
+    (fun (what, (_, stats)) -> check_bool (what ^ ": forks <= 64") true (stats.Explore.Prefix.forks <= 64))
+    [ ("fork", forked); ("no-fork", replayed) ];
+  check_str "fork = no-fork at width 65" (json replayed) (json forked)
 
 let test_scenario_dedup () =
   check_int "one launch for two heal-only plans" 1 heal_prepares;
@@ -471,6 +489,8 @@ let () =
           Alcotest.test_case "forks within --jobs" `Quick test_pool_bounds;
           Alcotest.test_case "failures reap every worker" `Quick test_pool_failures;
           Alcotest.test_case "equal scenarios run once" `Quick test_scenario_dedup;
+          Alcotest.test_case "replay then fork" `Quick test_replay_then_fork;
+          Alcotest.test_case "width 65 forks at most 64" `Quick test_width_bound;
         ] );
       ("memo", [ Alcotest.test_case "shrink probes memoized" `Quick test_shrink_memo ]);
       ( "corpus",
