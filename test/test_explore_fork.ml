@@ -303,13 +303,13 @@ let test_pool_failures () =
   | _ -> ()
 
 (* A replay campaign creates no domain, so a fork campaign after it in
-   the same process still forks its workers. *)
+   the same process still forks its workers: [replay_j4] ran at module
+   initialization, before this case. *)
 let test_replay_then_fork () =
-  let replayed = Explore.run_spec ~jobs:4 ~fork:false demo_config ~spec:(demo_spec ()) in
   let forked = Explore.run_spec ~jobs:2 ~fork:true demo_config ~spec:(demo_spec ()) in
-  check_int "no-fork jobs 4 forks four workers" 4 (snd replayed).Explore.Prefix.forks;
+  check_int "no-fork jobs 4 forks four workers" 4 (snd replay_j4).Explore.Prefix.forks;
   check_int "fork jobs 2 forks two workers" 2 (snd forked).Explore.Prefix.forks;
-  check_str "no-fork jobs 4 = fork jobs 2" (json replayed) (json forked)
+  check_str "no-fork jobs 4 = fork jobs 2" (json replay_j4) (json forked)
 
 (* A width above [Par.map]'s bound forks at most 64 workers, in both
    modes. *)
