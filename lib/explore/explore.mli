@@ -110,7 +110,9 @@ val runner_of_spec : Run.spec -> Plan.t -> Run.result
     plans sharing a fault prefix execute that prefix once up to each
     divergence point, so big campaigns cost a fraction of replaying
     every plan — with a byte-identical report (any [?jobs]).  Plans the
-    scheduler cannot drive (reload anchors) replay as usual;
+    scheduler cannot drive (reload anchors, or a service freeze before
+    the last fault, whose thaw arms the next fault's timer) replay as
+    usual;
     [fork:false] replays everything.  Shrinking runs in the calling
     process.  [measure] reads the engine's queue size at every pause
     (bench instrumentation).  The campaign creates no domain.

@@ -1,7 +1,8 @@
 (* The explorer's worker pool and prefix-sharing scheduler.
 
    Every record of a campaign is computed by a job, and every job runs
-   on one pool: [jobs] worker processes (at most 64) forked once per
+   on one pool: up to [jobs] worker processes (at most 64), each forked
+   when a queued job finds no idle worker and kept for the rest of the
    campaign, fed in lockstep over a command and a reply pipe each, so no
    pipe ever holds two frames; at [jobs = 1] the jobs run in the caller.
    A job either replays one plan from t = 0 ([prepare], then
@@ -9,11 +10,15 @@
    Results are reassembled by index, so reports are byte-identical to
    replaying every plan, at any [~jobs] (docs/EXPLORER.md).
 
-   Plans whose faults are all [After]-anchored form a trie keyed by the
-   full fault tuple.  Two plans sharing their first k faults share their
-   whole simulation up to fault k+1: a generated scenario's PLAN daemon
-   is a pure timer chain (fault k+1's timer arms when fault k fires),
-   and nothing before a fault's timer depends on anything after it.
+   Plans whose faults are all [After]-anchored, with no service freeze
+   before the last one, form a trie keyed by the full fault tuple.  Two
+   plans sharing their first k faults share their whole simulation up to
+   fault k+1: a generated scenario's PLAN daemon is then a pure timer
+   chain (fault k+1's timer arms when fault k fires), and nothing before
+   a fault's timer depends on anything after it.  A service freeze
+   breaks the chain: its thaw is a PLAN node of its own, so the next
+   fault's timer arms at the thaw, and the walk would re-aim the thaw's
+   timer instead.
 
    The walk pauses the simulation just before the pending scenario
    timer fires ([Run.advance ~stop_before]).  One branch continues
@@ -47,14 +52,19 @@ let merge_stats a b =
   }
 
 (* Reload-anchored faults wait on registration counts, not timers —
-   there is no pending timer to pause before, so those plans replay
-   from scratch instead, as every plan does without [~fork]. *)
+   there is no pending timer to pause before — and a service freeze
+   before the last fault moves that fault's timer behind its thaw (see
+   above): those plans replay from scratch instead, as every plan does
+   without [~fork]. *)
 let forkable (p : Plan.t) =
-  p.Plan.faults <> []
-  && List.for_all
-       (fun (f : Plan.fault) ->
-         match f.Plan.anchor with Plan.After _ -> true | Plan.On_reload _ -> false)
-       p.Plan.faults
+  let rec timed = function
+    | [] -> true
+    | { Plan.anchor = Plan.On_reload _; _ } :: _ -> false
+    | [ _ ] -> true
+    | { Plan.kind = Plan.Service_freeze _; _ } :: _ -> false
+    | _ :: rest -> timed rest
+  in
+  p.Plan.faults <> [] && timed p.Plan.faults
 
 (* ---- fault-tuple trie --------------------------------------------- *)
 
@@ -319,14 +329,29 @@ let fork_worker ctx others =
       { pid; cmd; reply; busy = false }
 
 (* Feed idle workers from the queue until it is empty and every worker
-   is idle again. *)
-let rec schedule ctx workers =
-  let start w job =
-    w.busy <- true;
-    send w.cmd job
+   is idle again.  A job that finds no idle worker forks one, up to
+   [width]; [workers] holds every worker forked so far. *)
+let rec schedule ctx ~width workers =
+  let rec feed () =
+    let idle = List.find_opt (fun w -> not w.busy) !workers in
+    if Option.is_some idle || List.length !workers < width then
+      match pop ctx with
+      | None -> ()
+      | Some job ->
+          let w =
+            match idle with
+            | Some w -> w
+            | None ->
+                let w = fork_worker ctx !workers in
+                workers := w :: !workers;
+                w
+          in
+          w.busy <- true;
+          send w.cmd job;
+          feed ()
   in
-  List.iter (fun w -> if not w.busy then Option.iter (start w) (pop ctx)) workers;
-  match List.filter (fun w -> w.busy) workers with
+  feed ();
+  match List.filter (fun w -> w.busy) !workers with
   | [] -> ()
   | busy ->
       let fd w = Unix.descr_of_in_channel w.reply in
@@ -345,7 +370,7 @@ let rec schedule ctx workers =
                 failwith "Prefix: a worker died without reporting"
           end)
         busy;
-      schedule ctx workers
+      schedule ctx ~width workers
 
 (* [Par.map]'s bound on the pool width. *)
 let max_jobs = 64
@@ -368,11 +393,7 @@ let run ~jobs ~fork ~measure ~prepare ~summarize tagged =
   if jobs <= 1 || Sys.win32 || ctx.spawned = [] then guard drain
   else begin
     let workers = ref [] in
-    (try
-       for _ = 1 to jobs do
-         workers := fork_worker ctx !workers :: !workers
-       done;
-       schedule ctx !workers
+    (try schedule ctx ~width:jobs workers
      with e ->
        stop ~kill:true !workers;
        raise (match e with Failure _ -> e | e -> Failure (Printexc.to_string e)));

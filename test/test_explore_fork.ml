@@ -1,14 +1,15 @@
 (* Tests for the prefix-sharing fork scheduler and the coverage corpus:
 
    - fork-vs-replay byte-identical reports across all five protocol
-     backends, on a >= 3-fault sampled configuration, and on the CLI's
+     backends, on a >= 3-fault sampled configuration, on the CLI's
      default 9-rank explorer campaign, whose scenario timers are
-     retimed earlier and then later across pauses;
+     retimed earlier and then later across pauses, and on a campaign of
+     service faults whose freezes come before other faults;
    - --jobs invariance: fork at jobs 1 and 4 and replay at jobs 1 and 4
      all render the same JSON;
    - the worker pool's edges: a job that raises and a worker that dies
      both fail the campaign with every worker reaped, forks stay within
-     --jobs and within 64, plans with equal scenario text run once, and
+     --jobs and within the jobs there are, plans with equal scenario text run once, and
      a fork campaign still forks after a replay campaign at jobs 4;
    - shrink-oracle memoization (probes_saved) on a real witness;
    - corpus save -> resume round-trip, plus the exact refusal messages
@@ -272,6 +273,27 @@ let test_backends_fork_equals_replay () =
       check_str (name ^ ": fork = replay") (Explore.to_json replayed) (Explore.to_json forked))
     backend_forked backend_replayed
 
+(* failmpi_explore --services --targets 0 --buckets 25,3 --max-faults 2
+   --budget 110: a service freeze's thaw arms the next fault's timer, so
+   pairs that start with one replay in fork mode too. *)
+let services_fork, services_replay =
+  let spec, cfg = cli_default_spec () in
+  let cfg =
+    {
+      (Explore.default_config ~n_machines:cfg.Explore.n_machines ~targets:[ 0 ] ~buckets:[ 25; 3 ])
+      with
+      Explore.budget = 110;
+      kinds = Fail_lang.Fault.explorer_kinds ~freeze:None ~net:false ~services:true ~topo:false;
+    }
+  in
+  let spec = { spec with Failmpi.Run.seed = 1L } in
+  (fst (Explore.run_spec ~jobs:1 ~fork:true cfg ~spec), fst (Explore.run_spec ~jobs:2 ~fork:false cfg ~spec))
+
+let test_services_fork_equals_replay () =
+  check_int "full campaign ran" 110 (List.length services_fork.Explore.records);
+  check_str "fork = replay, byte for byte" (Explore.to_json services_replay)
+    (Explore.to_json services_fork)
+
 let test_cli_default_fork_equals_replay () =
   check_int "full campaign ran" 40 (List.length cli_forked.Explore.records);
   check_str "fork = replay, byte for byte" (Explore.to_json cli_replayed)
@@ -311,14 +333,15 @@ let test_replay_then_fork () =
   check_int "fork jobs 2 forks two workers" 2 (snd forked).Explore.Prefix.forks;
   check_str "no-fork jobs 4 = fork jobs 2" (json replay_j4) (json forked)
 
-(* A width above [Par.map]'s bound forks at most 64 workers, in both
-   modes. *)
+(* A width above [Par.map]'s bound forks no worker that gets no job, in
+   both modes: the campaign has 3 plans. *)
 let test_width_bound () =
   let cfg = { demo_config with Explore.budget = 3 } in
   let at_65 fork = Explore.run_spec ~jobs:65 ~fork cfg ~spec:(demo_spec ()) in
   let forked = at_65 true and replayed = at_65 false in
   List.iter
-    (fun (what, (_, stats)) -> check_bool (what ^ ": forks <= 64") true (stats.Explore.Prefix.forks <= 64))
+    (fun (what, (_, stats)) ->
+      check_bool (what ^ ": forks <= 3") true (stats.Explore.Prefix.forks <= 3))
     [ ("fork", forked); ("no-fork", replayed) ];
   check_str "fork = no-fork at width 65" (json replayed) (json forked)
 
@@ -483,6 +506,8 @@ let () =
           Alcotest.test_case "all backends fork = replay" `Quick test_backends_fork_equals_replay;
           Alcotest.test_case "CLI default campaign fork = replay" `Quick
             test_cli_default_fork_equals_replay;
+          Alcotest.test_case "service freeze campaign fork = replay" `Quick
+            test_services_fork_equals_replay;
         ] );
       ( "pool",
         [
