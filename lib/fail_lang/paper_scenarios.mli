@@ -15,9 +15,6 @@
     - [nocrash]: coordinator tells a controller to let its process run
       (Figure 10). *)
 
-(** Figure 4: generic controller [ADV2] for every MPI computing node. *)
-val adv2_controller : string
-
 (** Figure 5(a): coordinator injecting one fault every [period] seconds on
     a uniformly chosen node. Used for the fault-frequency (Fig. 5) and
     scale (Fig. 6) experiments. *)
@@ -54,38 +51,6 @@ val replica_split :
     lives in [scenarios/double_strike.fail]. *)
 val double_strike :
   n_machines:int -> first:int -> second:int -> start:int -> nth:int -> gap:int -> string
-
-(** Network fault cascade, in the explorer's fault-plan form
-    ({!Codegen.Scenario}): degrade the [victim] machine's links at
-    [start] seconds ([loss] permille message loss, [latency] ms extra
-    delay), partition it off [wave] seconds later, kill the process on
-    machine [target] [gap] seconds into the outage, then [heal] the
-    fabric [heal] seconds after the kill. With the reliable transport
-    armed the run completes if the heal lands before connect retries
-    exhaust; otherwise it verdicts net-hung. A parameterized file
-    version lives in [scenarios/partition_wave.fail]. *)
-val partition_wave :
-  n_machines:int ->
-  victim:int ->
-  target:int ->
-  loss:int ->
-  latency:int ->
-  start:int ->
-  wave:int ->
-  gap:int ->
-  heal:int ->
-  string
-
-(** Rack blackout, in the explorer's fault-plan form
-    ({!Codegen.Scenario}): kill aggregation switch [switch] of the
-    fabric the run declares ({!Mpivcl.Config.topology}) at [start]
-    seconds, then [heal] seconds later restore it. No host is severed —
-    aggregation switches carry no hosts — but every host pair routed
-    through the switch is cut at once; the reliable transport
-    retransmits into the hole until the heal lands. Without a declared
-    topology the kill is a traced no-op. A parameterized file version
-    lives in [scenarios/rack_blackout.fail]. *)
-val rack_blackout : n_machines:int -> switch:int -> start:int -> heal:int -> string
 
 (** Shrink storm, in the explorer's fault-plan form
     ({!Codegen.Scenario}): kill the [targets] machines one by one —

@@ -1,18 +1,11 @@
 (** Pretty-printer for FAIL programs.
 
-    [Parser.parse (Format.asprintf "%a" Pp.pp_program p)] yields a program
+    [Parser.parse (Pp.program_to_string p)] yields a program
     equal to [p] up to locations — the round-trip property checked by the
     test suite. *)
 
 val pp_expr : Format.formatter -> Ast.expr -> unit
-val pp_cond : Format.formatter -> Ast.cond -> unit
-val pp_guard : Format.formatter -> Ast.guard -> unit
-val pp_dest : Format.formatter -> Ast.dest -> unit
 val pp_action : Format.formatter -> Ast.action -> unit
-val pp_transition : Format.formatter -> Ast.transition -> unit
-val pp_node : Format.formatter -> Ast.node -> unit
-val pp_daemon : Format.formatter -> Ast.daemon -> unit
 val pp_deployment : Format.formatter -> Ast.deployment -> unit
-val pp_program : Format.formatter -> Ast.program -> unit
 
 val program_to_string : Ast.program -> string

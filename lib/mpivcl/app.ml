@@ -29,4 +29,3 @@ let allreduce_sum ctx ~tag_base v =
     ctx.recv ~src:0 ~tag:(tag_base + ctx.size + ctx.rank)
   end
 
-let barrier ctx ~tag_base = ignore (allreduce_sum ctx ~tag_base 0)

@@ -43,6 +43,3 @@ type t = {
 (** [allreduce_sum ctx ~tag_base v] sums [v] across ranks (flat gather to
     rank 0 + broadcast; [tag_base .. tag_base + 2*size) must be unused). *)
 val allreduce_sum : ctx -> tag_base:int -> int -> int
-
-(** [barrier ctx ~tag_base] synchronises all ranks. *)
-val barrier : ctx -> tag_base:int -> unit

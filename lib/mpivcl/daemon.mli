@@ -21,22 +21,8 @@ open Simos
 
     Simulated seconds, calibrated like {!Config.default}. *)
 
-(** Daemon/dispatcher argument exchange before [localMPI_setCommand]. *)
-val handshake_delay : float
-
-(** Reload of a checkpoint image from local disk. *)
-val local_restore_time : float
-
 (** Daemon-side setup after an image is loaded. *)
 val restart_settle : float
-
-(** Restore-time connection attempts per storage replica before the
-    daemon moves down the failover ladder. *)
-val fetch_retries : int
-
-(** Initial retry backoff for restore fetches, doubled per attempt
-    (exponential, jitter-free to stay deterministic). *)
-val fetch_backoff : float
 
 (** {2 Start-up} *)
 
@@ -58,7 +44,7 @@ val register :
     a daemon the dispatcher has not seen yet. *)
 val startup_delay : Config.t -> Rng.t -> unit
 
-(** [handshake fci ~host] sleeps {!handshake_delay}, then crosses the
+(** [handshake fci ~host] sleeps the handshake delay, then crosses the
     [localMPI_setCommand] breakpoint of machine [host]. *)
 val handshake : Fci.Runtime.t option -> host:int -> unit
 
@@ -126,7 +112,7 @@ val serve :
 (** [restore env ~source ~host ~rank ~incarnation] fetches the rank's last
     committed image. Incarnation 0 starts fresh without asking. Otherwise
     the fetch walks the failover ladder: each replica in turn, with
-    {!fetch_retries} attempts and exponential backoff. A live server that
+    a fixed number of attempts and exponential backoff. A live server that
     holds nothing is an authoritative fresh start ([`Image None]).
     [`Lost] means no replica was reachable. A failover is traced
     [fetch-failover] under [source]. *)

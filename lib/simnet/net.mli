@@ -35,12 +35,6 @@ val latency : float
 (** Bytes per second between distinct hosts: 100 MB/s. *)
 val bandwidth : float
 
-(** One-way delay on same-host connections: 5 us. *)
-val local_latency : float
-
-(** Bytes per second on same-host connections: 1 GB/s. *)
-val local_bandwidth : float
-
 (** Network perturbation: deterministic link faults drawn from the run
     seed. All state lives inside the owning network (and therefore inside
     one run's engine), so campaigns stay reproducible at any [--jobs]. *)
