@@ -603,6 +603,26 @@ let test_delay_scenario_compiles () =
   | Ok _ -> ()
   | Error msg -> Alcotest.failf "delay scenario: %s" msg
 
+(* The quick delay grid restarts vcl ranks from waves whose channel
+   logs hold in-transit messages: a wave that logs nothing leaves its
+   10 s and 20 s cells non-terminating. *)
+let test_delay_cells_complete () =
+  let module E = Experiments.Experiment in
+  let delay = List.find (fun e -> e.E.name = "delay") E.all in
+  List.iter
+    (fun table ->
+      List.iter
+        (fun (label, results) ->
+          List.iter
+            (fun r ->
+              match r.Failmpi.Run.outcome with
+              | Failmpi.Run.Completed _ ->
+                  check_bool (label ^ ": checksums") true (r.Failmpi.Run.checksum_ok = Some true)
+              | o -> Alcotest.failf "%s: %s" label (Failmpi.Run.outcome_name o))
+            results)
+        (Experiments.Harness.campaign ~jobs:1 table.E.cells))
+    (delay.E.tables ~quick:true)
+
 (* ---------- the per-run GC policy ---------- *)
 
 let policy_words = Failmpi.Gc_policy.minor_heap_words
@@ -717,6 +737,7 @@ let () =
           Alcotest.test_case "machines_for" `Quick test_machines_for;
           Alcotest.test_case "replicate seeds" `Quick test_replicate_seeds;
           Alcotest.test_case "delay scenario compiles" `Quick test_delay_scenario_compiles;
+          Alcotest.test_case "quick delay cells complete" `Quick test_delay_cells_complete;
           Alcotest.test_case "trace analysis" `Quick test_trace_analysis;
           Alcotest.test_case "trace analysis confusion" `Quick test_trace_analysis_confusion;
           Alcotest.test_case "events csv" `Quick test_events_csv;
