@@ -8,39 +8,11 @@
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let parse_param s =
-  match String.index_opt s '=' with
-  | Some i -> (
-      let name = String.sub s 0 i in
-      let value = String.sub s (i + 1) (String.length s - i - 1) in
-      match int_of_string_opt value with
-      | Some v -> Ok (name, v)
-      | None -> Error (`Msg (Printf.sprintf "parameter %s: %s is not an integer" name value)))
-  | None -> Error (`Msg (Printf.sprintf "expected NAME=INT, got %s" s))
-
-let param_conv = Arg.conv (parse_param, fun ppf (n, v) -> Format.fprintf ppf "%s=%d" n v)
-
 let run file paper params dump dot =
-  let source =
-    match (file, paper) with
-    | Some path, None -> Ok (read_file path)
-    | None, Some name -> (
-        match List.assoc_opt name Fail_lang.Paper_scenarios.all with
-        | Some src -> Ok src
-        | None ->
-            Error
-              (Printf.sprintf "unknown paper scenario %s (available: %s)" name
-                 (String.concat ", " (List.map fst Fail_lang.Paper_scenarios.all))))
-    | Some _, Some _ -> Error "give either FILE or --paper, not both"
-    | None, None -> Error "give a FILE or --paper NAME"
-  in
-  match source with
+  match
+    Result.bind (Cli.scenario_source ~file_flag:"FILE" file paper)
+      (Option.to_result ~none:"give a FILE or --paper NAME")
+  with
   | Error msg ->
       prerr_endline ("failc: " ^ msg);
       1
@@ -75,11 +47,6 @@ let cmd =
       & opt (some string) None
       & info [ "paper" ] ~docv:"NAME" ~doc:"Use a built-in paper scenario instead of a file.")
   in
-  let params =
-    Arg.(
-      value & opt_all param_conv []
-      & info [ "param"; "p" ] ~docv:"NAME=INT" ~doc:"Scenario parameter (repeatable).")
-  in
   let dump = Arg.(value & flag & info [ "dump" ] ~doc:"Print the compiled automata.") in
   let dot =
     Arg.(
@@ -89,6 +56,6 @@ let cmd =
   in
   Cmd.v
     (Cmd.info "failc" ~doc:"Compile and inspect FAIL fault-injection scenarios")
-    Term.(const run $ file $ paper $ params $ dump $ dot)
+    Term.(const run $ file $ paper $ Cli.params $ dump $ dot)
 
 let () = exit (Cmd.eval' cmd)

@@ -16,36 +16,24 @@ let with_timer f =
   Printf.printf "[%.1f s wall clock]\n\n%!" (Unix.gettimeofday () -. t0)
 
 let run exp_name quick csv jobs =
-  (match jobs with
-  | Some n when n <= 0 ->
-      prerr_endline
-        (Printf.sprintf "failmpi_experiments: --jobs must be >= 1 (got %d)" n);
-      exit 1
-  | Some n -> Par.set_default_jobs n
-  | None -> ());
-  (match csv with
-  | Some dir ->
-      let parent = Filename.dirname dir in
-      if not (Sys.file_exists parent && Sys.is_directory parent) then begin
-        prerr_endline
-          (Printf.sprintf "failmpi_experiments: --csv parent directory %s does not exist" parent);
-        exit 1
-      end
-  | None -> ());
   let todo =
-    if exp_name = "all" then Experiment.all
+    if exp_name = "all" then Ok Experiment.all
     else
       match List.find_opt (fun e -> e.Experiment.name = exp_name) Experiment.all with
-      | Some e -> [ e ]
+      | Some e -> Ok [ e ]
       | None ->
-          prerr_endline
-            (Printf.sprintf "failmpi_experiments: unknown experiment %s (available: all, %s)"
-               exp_name
-               (String.concat ", " Experiment.names));
-          exit 1
+          Error
+            (Printf.sprintf "unknown experiment %s (available: all, %s)" exp_name
+               (String.concat ", " Experiment.names))
   in
-  List.iter (fun e -> with_timer (fun () -> Experiment.run ~quick ~csv e)) todo;
-  0
+  match Result.bind (Cli.all [ Cli.jobs jobs; Cli.output "--csv" csv ]) (fun () -> todo) with
+  | Error msg ->
+      prerr_endline ("failmpi_experiments: " ^ msg);
+      1
+  | Ok todo ->
+      Option.iter Par.set_default_jobs jobs;
+      List.iter (fun e -> with_timer (fun () -> Experiment.run ~quick ~csv e)) todo;
+      0
 
 let cmd =
   let exp_name =
