@@ -13,6 +13,7 @@ let ( let* ) = Result.bind
 let need ok fmt = Printf.ksprintf (fun msg -> if ok then Ok () else Error msg) fmt
 let all checks = List.fold_left (fun acc c -> Result.bind acc (fun () -> c)) (Ok ()) checks
 let at_least flag lo v = need (v >= lo) "%s must be >= %d (got %d)" flag lo v
+let within flag lo hi v = need (v >= lo && v <= hi) "%s must be within %d..%d (got %d)" flag lo hi v
 let seconds flag v = need (Float.is_finite v && v >= 0.0) "%s must be finite and >= 0 (got %g)" flag v
 let delays flag vs = all (List.map (at_least flag 0) vs)
 let jobs = function Some n -> at_least "--jobs" 1 n | None -> Ok ()
@@ -183,6 +184,22 @@ let hosts flag ~n_machines hs =
            (n_machines - 1) h)
        hs)
 
+(* Every machine a scenario deploys a FAIL daemon on must exist: a
+   daemon on a missing machine controls nothing, and its faults go
+   nowhere. *)
+let scenario_fits ~total_hosts (plan : Fail_lang.Compile.plan) =
+  all
+    (List.map
+       (fun dep ->
+         let lo, hi =
+           match dep with
+           | Fail_lang.Ast.Dep_singleton { machine; _ } -> (machine, machine)
+           | Dep_group { mach_lo; mach_hi; _ } -> (mach_lo, mach_hi)
+         in
+         need (lo >= 0 && hi < total_hosts) "--scenario must deploy on hosts 0..%d (got machine %d)"
+           (total_hosts - 1) (if lo < 0 then lo else hi))
+       plan.deployments)
+
 let topology_fits ~n_machines = function
   | Some (flag, spec) ->
       let* () = Result.map_error (Printf.sprintf "%s: %s" flag) (Simtopo.Topo.validate spec) in
@@ -263,15 +280,6 @@ let check t ~also =
        ]
       @ also)
   in
-  (* Same compilation Run.execute performs: an unbound parameter or bad
-     syntax is a CLI error too. *)
-  let* () =
-    match t.scenario with
-    | Some src ->
-        Result.map_error (( ^ ) "scenario error: ")
-          (Result.map ignore (Fail_lang.Compile.compile_source ~params:t.params src))
-    | None -> Ok ()
-  in
   let cfg =
     {
       (Mpivcl.Config.default ~n_ranks:t.ranks) with
@@ -283,6 +291,19 @@ let check t ~also =
       net = t.net;
       topology = Option.map snd t.topology;
     }
+  in
+  (* Same compilation Run.execute performs: an unbound parameter or bad
+     syntax is a CLI error too. *)
+  let* () =
+    match t.scenario with
+    | Some src ->
+        let* plan =
+          Result.map_error (( ^ ) "scenario error: ")
+            (Fail_lang.Compile.compile_source ~params:t.params src)
+        in
+        let layout = Simos.Layout.make ~n_compute:n_machines ~n_services:(B.service_hosts cfg) in
+        scenario_fits ~total_hosts:layout.total_hosts plan
+    | None -> Ok ()
   in
   let spec =
     Experiments.Harness.bt_spec ~cfg ~klass ~n_ranks:t.ranks ~n_machines ~scenario:t.scenario ()

@@ -34,7 +34,7 @@ let run (d : Cli.t) max_faults budget jobs targets buckets freeze shrink_hangs n
       { d with Cli.targets = Option.value targets ~default:[] }
       ~also:
         [
-          Cli.jobs jobs;
+          Option.fold ~none:(Ok ()) ~some:(Cli.within "--jobs" 1 Explore.Prefix.max_jobs) jobs;
           Cli.at_least "--max-faults" 1 max_faults;
           Cli.at_least "--budget" 1 budget;
           Cli.delays "--buckets" buckets;

@@ -29,6 +29,7 @@ module Rollback (P : ROLLBACK_SPEC) : Intf.S = struct
   (* The paper's allocation: one host per rank plus four spares
      (53 machines for BT-49); services live beyond the compute range. *)
   let default_machines ~n_ranks ~replicas:_ = n_ranks + 4
+  let service_hosts = Deploy.service_hosts
 
   let launch eng ?fci ~cfg ~app ~state_bytes ~n_compute () =
     if cfg.Config.protocol <> P.proto then
@@ -120,6 +121,7 @@ module Replication : Intf.S = struct
      --ranks 4 --replicas 2 matches scenarios/replica_split.fail's
      machines 0..9). *)
   let default_machines ~n_ranks ~replicas = (replicas * n_ranks) + 2
+  let service_hosts _ = Mpirep.Deploy.service_hosts
   let launch = Mpirep.Deploy.launch
   let await h = ignore (Mpirep.Rdispatcher.outcome h.Mpirep.Deploy.rdispatcher)
 
@@ -164,6 +166,7 @@ module Ulfm : Intf.S = struct
   (* One host per daemon; the paper-style four extra hosts double as the
      warm-spare pool when [--spares] asks for one. *)
   let default_machines ~n_ranks ~replicas:_ = n_ranks + 4
+  let service_hosts _ = Mpiulfm.Deploy.service_hosts
   let launch = Mpiulfm.Deploy.launch
   let await h = ignore (Mpiulfm.Udispatcher.outcome h.Mpiulfm.Deploy.udispatcher)
 

@@ -55,6 +55,10 @@ module type S = sig
       spares) for CLI runs, mirroring the paper's 53-for-49 style. *)
   val default_machines : n_ranks:int -> replicas:int -> int
 
+  (** Service hosts the deployment places after the FAIL coordinator
+      host; with [n_compute] they size {!Simos.Layout.make}. *)
+  val service_hosts : Mpivcl.Config.t -> int
+
   (** Deploy the protocol runtime. Returns immediately; progress happens
       as the engine runs. Raises [Invalid_argument] if [cfg.protocol] is
       not one this backend runs or the cluster is too small. *)

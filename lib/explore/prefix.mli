@@ -21,6 +21,9 @@ type stats = {
           pause; 0 unless [~measure:true] *)
 }
 
+(** The widest pool: [run] clamps [jobs] to it. *)
+val max_jobs : int
+
 (** [run ~jobs ~fork ~measure ~prepare ~summarize plans] computes a
     summary for every [(index, plan)] and returns them in index order,
     tagged with their indices, plus the campaign's statistics.  With

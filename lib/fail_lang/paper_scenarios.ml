@@ -243,11 +243,11 @@ let all =
     ("fig7-simultaneous", simultaneous ~n_machines:53 ~period:50 ~count:3);
     ("fig8-synchronized", synchronized ~n_machines:53 ~period:50);
     ("fig10-state-synchronized", state_synchronized ~n_machines:53 ~period:50);
-    (* Replication-backend scenarios: 9 ranks at degree 2 on 22 machines
-       (18 replicas + 4 spares). *)
-    ("replica-split", replica_split ~n_machines:22 ~n_ranks:9 ~rank:4 ~start:50 ~gap:0);
+    (* Replication-backend scenarios: 9 ranks at degree 2 on 20 machines
+       (18 replicas + 2 spares, the CLI's allocation). *)
+    ("replica-split", replica_split ~n_machines:20 ~n_ranks:9 ~rank:4 ~start:50 ~gap:0);
     ( "replica-split-staggered",
-      replica_split ~n_machines:22 ~n_ranks:9 ~rank:4 ~start:50 ~gap:40 );
+      replica_split ~n_machines:20 ~n_ranks:9 ~rank:4 ~start:50 ~gap:40 );
     (* §6 shape for 9 ranks on 13 machines: kill rank 0 at t=25, then
        its relaunched daemon on the first spare (machine 9) 1 s after the
        10th cumulative load, while old-wave daemons still stop. This is

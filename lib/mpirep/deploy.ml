@@ -4,6 +4,8 @@ module Config = Mpivcl.Config
 
 type handle = { env : Renv.t; rdispatcher : Rdispatcher.t }
 
+let service_hosts = 1
+
 let launch eng ?fci ~cfg ~app ~state_bytes ~n_compute () =
   let degree =
     match Config.replication_degree cfg with
@@ -19,7 +21,7 @@ let launch eng ?fci ~cfg ~app ~state_bytes ~n_compute () =
          (degree * n_ranks) degree n_ranks n_compute);
   (* One service host: the failover dispatcher. No checkpoint scheduler
      and no checkpoint servers exist in this family. *)
-  let base = Layout.make ~n_compute ~n_services:1 in
+  let base = Layout.make ~n_compute ~n_services:service_hosts in
   let dispatcher_host = Layout.service base 0 in
   let cluster, net = Mpivcl.Dispatch.fabric eng ?fci cfg base in
   let env =

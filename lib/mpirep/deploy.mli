@@ -11,6 +11,9 @@
 
 type handle = { env : Renv.t; rdispatcher : Rdispatcher.t }
 
+(** One service host: the dispatcher. *)
+val service_hosts : int
+
 (** Requires [cfg.protocol = Replication { degree }] with
     [degree * n_ranks <= n_compute]; raises [Invalid_argument]
     otherwise. *)

@@ -61,7 +61,7 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
           (* ---------------- protocol state ---------------- *)
           let n = cfg.Config.n_ranks in
           let peer_conns : (int * int, Rmsg.t Net.conn) Hashtbl.t = Hashtbl.create 32 in
-          let matching : int Ivar.t Matching.t = Matching.create () in
+          let matching : int Proc.slot Matching.t = Matching.create () in
           let seen = Dedup.create () in
           let redelivery : Message.app_msg list ref = ref [] in
           let committed_state = ref (Array.make env.Renv.app.App.state_size 0) in

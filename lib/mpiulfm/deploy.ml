@@ -4,6 +4,8 @@ module Config = Mpivcl.Config
 
 type handle = { env : Uenv.t; udispatcher : Udispatcher.t }
 
+let service_hosts = 1
+
 let launch eng ?fci ~cfg ~app ~state_bytes ~n_compute () =
   let spares =
     match Config.ulfm_spares cfg with
@@ -22,7 +24,7 @@ let launch eng ?fci ~cfg ~app ~state_bytes ~n_compute () =
   (* One service host: the ulfm dispatcher. No checkpoint servers — state
      survives in the daemons themselves (buddy backups), and failed hosts
      are never reused. *)
-  let base = Layout.make ~n_compute ~n_services:1 in
+  let base = Layout.make ~n_compute ~n_services:service_hosts in
   let dispatcher_host = Layout.service base 0 in
   let cluster, net = Mpivcl.Dispatch.fabric eng ?fci cfg base in
   let env =

@@ -11,6 +11,9 @@
 
 type handle = { env : Uenv.t; udispatcher : Udispatcher.t }
 
+(** One service host: the dispatcher. *)
+val service_hosts : int
+
 (** Requires [cfg.protocol = Ulfm { spares }] with
     [n_ranks + spares <= n_compute]; raises [Invalid_argument]
     otherwise. *)

@@ -94,7 +94,7 @@ let spawn (env : Uenv.t) ~id ~incarnation =
       let apps_spawned = ref false in
 
       (* ---------------- application plumbing ---------------- *)
-      let matching : int Ivar.t Matching.t = Matching.create () in
+      let matching : int Proc.slot Matching.t = Matching.create () in
       let future : (int * Message.app_msg) list ref = ref [] in
       let done_ranks : (int, unit) Hashtbl.t = Hashtbl.create 8 in
       let last_report : Umsg.t option ref = ref None in
@@ -169,12 +169,12 @@ let spawn (env : Uenv.t) ~id ~incarnation =
       in
       let deliver (m : Message.app_msg) =
         match Matching.deliver matching m with
-        | Some reply -> Ivar.fill reply m.Message.data
+        | Some reply -> ignore (Proc.fill reply m.Message.data)
         | None -> ()
       in
       let serve_recv dst src tag reply =
         match Matching.serve matching ~dst ~src ~tag reply with
-        | Some m -> Ivar.fill reply m.Message.data
+        | Some m -> ignore (Proc.fill reply m.Message.data)
         | None -> ()
       in
       let route_send (m : Message.app_msg) =

@@ -44,12 +44,13 @@ let accept cluster ~host ~name listener classify events =
 
 type app_request =
   | A_send of Message.app_msg
-  | A_recv of { src : int; tag : int; reply : int Ivar.t }
+  | A_recv of { src : int; tag : int; reply : int Proc.slot }
   | A_commit of int array
   | A_finalize
 
 let app_ctx rng ~rank ~size ~state ~set_app_var post =
   let salt = Rng.int64 rng in
+  let reply = Proc.slot () in
   {
     App.rank;
     size;
@@ -59,9 +60,8 @@ let app_ctx rng ~rank ~size ~state ~set_app_var post =
         post (A_send { Message.src = rank; dst; tag; data; bytes }));
     recv =
       (fun ~src ~tag ->
-        let reply = Ivar.create () in
         post (A_recv { src; tag; reply });
-        Ivar.read reply);
+        Proc.await reply);
     commit = (fun () -> post (A_commit (Array.copy state)));
     finalize = (fun () -> post A_finalize);
     set_app_var;
@@ -78,14 +78,14 @@ let deliver matching ~redelivery (m : Message.app_msg) =
   match Matching.deliver matching m with
   | Some reply ->
       redelivery := m :: !redelivery;
-      Ivar.fill reply m.data
+      ignore (Proc.fill reply m.data)
   | None -> ()
 
 let serve matching ~redelivery ~dst ~src ~tag reply =
   match Matching.serve matching ~dst ~src ~tag reply with
   | Some (m : Message.app_msg) ->
       redelivery := m :: !redelivery;
-      Ivar.fill reply m.data
+      ignore (Proc.fill reply m.data)
   | None -> ()
 
 let fetch_from (env : Env.t) ~host ~rank to_host =

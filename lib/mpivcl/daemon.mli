@@ -69,7 +69,9 @@ val accept :
 (** What the computation process asks of its daemon. *)
 type app_request =
   | A_send of Message.app_msg
-  | A_recv of { src : int; tag : int; reply : int Ivar.t }
+  | A_recv of { src : int; tag : int; reply : int Proc.slot }
+      (** [reply] is the context's one slot, in which the process awaits
+          the answer; a receive allocates no reply handle of its own *)
   | A_commit of int array  (** a copy of the state at the commit *)
   | A_finalize
 
@@ -90,18 +92,18 @@ val app_ctx :
     on [redelivery], the messages consumed since the last commit, which a
     restart from that commit delivers again. *)
 val deliver :
-  int Ivar.t Matching.t -> redelivery:Message.app_msg list ref -> Message.app_msg -> unit
+  int Proc.slot Matching.t -> redelivery:Message.app_msg list ref -> Message.app_msg -> unit
 
 (** [serve matching ~redelivery ~dst ~src ~tag reply] matches a receive
     the computation process posts, recording a consumed message in
     [redelivery] as {!deliver} does. *)
 val serve :
-  int Ivar.t Matching.t ->
+  int Proc.slot Matching.t ->
   redelivery:Message.app_msg list ref ->
   dst:int ->
   src:int ->
   tag:int ->
-  int Ivar.t ->
+  int Proc.slot ->
   unit
 
 (** {2 Checkpoint storage}

@@ -8,10 +8,12 @@ type handle = {
   servers : Ckpt_server.t list;
 }
 
+(* Dispatcher and scheduler first, then the checkpoint servers. *)
+let service_hosts (cfg : Config.t) = 2 + cfg.n_ckpt_servers
+
 let launch eng ?fci ~cfg ~app ~state_bytes ~n_compute () =
   let n_servers = cfg.Config.n_ckpt_servers in
-  (* Dispatcher and scheduler first, then the checkpoint servers. *)
-  let base = Layout.make ~n_compute ~n_services:(2 + n_servers) in
+  let base = Layout.make ~n_compute ~n_services:(service_hosts cfg) in
   let dispatcher_host = Layout.service base 0 and scheduler_host = Layout.service base 1 in
   let server_hosts = List.init n_servers (fun i -> Layout.service base (2 + i)) in
   if cfg.Config.n_ranks > n_compute then

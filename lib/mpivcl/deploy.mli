@@ -18,6 +18,10 @@ type handle = {
   servers : Ckpt_server.t list;
 }
 
+(** [service_hosts cfg] is the number of service hosts: dispatcher,
+    scheduler and [cfg.n_ckpt_servers] checkpoint servers. *)
+val service_hosts : Config.t -> int
+
 (** [launch engine ?fci ~cfg ~app ~state_bytes ~n_compute ()] creates the
     cluster and network, starts the services and the dispatcher (which
     launches the ranks). Returns immediately; progress happens as the

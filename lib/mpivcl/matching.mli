@@ -9,8 +9,13 @@
     arrival-ordered list gives: the oldest pending counterpart with the
     same envelope wins.
 
+    An envelope is packed into one [int]: [dst] and [src] must lie in
+    [\[0, 2^20)] and [tag] in [\[0, 2^22)]. Every operation given an
+    envelope outside that range raises [Invalid_argument].
+
     ['r] is the caller's reply handle for a parked receive (the daemons
-    use an [int Ivar.t]); the queue only stores and returns it. *)
+    use the computation process's [int Proc.slot]); the queue only
+    stores and returns it. *)
 
 type 'r t
 

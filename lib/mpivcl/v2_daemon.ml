@@ -71,7 +71,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
           let lazy_mesh = cfg.Config.lazy_peer_mesh in
           let rank_hosts = ref [||] in
           let peer_conns : (int, Message.t Net.conn) Hashtbl.t = Hashtbl.create 16 in
-          let matching : int Ivar.t Matching.t = Matching.create () in
+          let matching : int Proc.slot Matching.t = Matching.create () in
           let seen = Dedup.create () in
           let redelivery : Message.app_msg list ref = ref [] in
           let committed_state = ref [||] in

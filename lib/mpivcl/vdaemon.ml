@@ -109,7 +109,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
           let peer_conns : (int, Message.t Net.conn) Hashtbl.t = Hashtbl.create 16 in
           (* unexpected messages and parked receive requests from the
              computation process *)
-          let matching : int Ivar.t Matching.t = Matching.create () in
+          let matching : int Proc.slot Matching.t = Matching.create () in
           let seen = Dedup.create () in
           let redelivery : Message.app_msg list ref = ref [] in
           let committed_state = ref [||] in

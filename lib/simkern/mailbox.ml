@@ -1,9 +1,14 @@
+(* A lone reader waits in [slot]; a reader that finds the slot taken or
+   waiters queued, and every timed reader, queues a waker in [waiters].
+   The slot's waiter is thus always the oldest, and [send] offers to it
+   first. *)
 type 'a t = {
   messages : 'a Queue.t;
+  slot : 'a Proc.slot;
   mutable waiters : ('a -> bool) list;  (* oldest first *)
 }
 
-let create () = { messages = Queue.create (); waiters = [] }
+let create () = { messages = Queue.create (); slot = Proc.slot (); waiters = [] }
 
 (* Offer to waiters in arrival order; a waiter returns false if its
    process died or was already woken, in which case the message goes to
@@ -14,12 +19,12 @@ let rec offer mb v = function
       Queue.push v mb.messages
   | waker :: rest -> if waker v then mb.waiters <- rest else offer mb v rest
 
-let send mb v = offer mb v mb.waiters
+let send mb v = if not (Proc.fill mb.slot v) then offer mb v mb.waiters
 
 let recv mb =
-  match Queue.take_opt mb.messages with
-  | Some v -> v
-  | None -> Proc.suspend (fun waker -> mb.waiters <- mb.waiters @ [ waker ])
+  if not (Queue.is_empty mb.messages) then Queue.pop mb.messages
+  else if List.is_empty mb.waiters && not (Proc.awaited mb.slot) then Proc.await mb.slot
+  else Proc.suspend (fun waker -> mb.waiters <- mb.waiters @ [ waker ])
 
 let recv_timeout mb ~timeout =
   match Queue.take_opt mb.messages with

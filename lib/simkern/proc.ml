@@ -5,15 +5,27 @@ type exit_reason = Exit_normal | Exit_killed | Exit_crashed of exn
 type state = Embryo | Running | Waiting | Exited of exit_reason
 
 (* Where a process stands in its current suspension: parked on [k] (asleep
-   if its timer ends it), woken with [v] and waiting for its [step] event
-   to resume, or neither. *)
+   if its timer ends it) or in a slot, woken with [v] and waiting for its
+   [step] event to resume, or neither. *)
 type parked =
   | Unparked : parked
   | Parked : ('a, unit) Effect.Deep.continuation -> parked
   | Asleep : (unit, unit) Effect.Deep.continuation -> parked
+  | In_slot : 'a slot -> parked
   | Woken : ('a, unit) Effect.Deep.continuation * 'a -> parked
 
-type t = {
+(* A wait point reused by every wait: [await] and [in_slot] are built once,
+   and [callback] is the handler's answer to [await], cached for [waiter],
+   so a wait allocates only its continuation and [Some k]. *)
+and 'a slot = {
+  mutable k : ('a, unit) Effect.Deep.continuation option;
+  mutable waiter : t option;
+  await : 'a Effect.t;
+  in_slot : parked;
+  mutable callback : (('a, unit) Effect.Deep.continuation -> unit) option;
+}
+
+and t = {
   pid : int;
   name : string;
   engine : Engine.t;
@@ -28,6 +40,7 @@ type t = {
 }
 
 type _ Effect.t += Suspend : (('a -> bool) -> unit) -> 'a Effect.t
+type _ Effect.t += Await : 'a slot -> 'a Effect.t
 type _ Effect.t += Sleep : float -> unit Effect.t
 type _ Effect.t += Self : t Effect.t
 
@@ -74,7 +87,7 @@ let resume p =
             p.parked <- Unparked;
             p.state <- Running;
             Effect.Deep.continue k v
-        | Parked _ | Asleep _ | Unparked -> ())
+        | Parked _ | Asleep _ | In_slot _ | Unparked -> ())
 
 (* The waker of the suspension that parked [p] as [slot]: it accepts [v]
    only while [slot] is still [p]'s, so it is stale once [p] woke, died or
@@ -94,11 +107,29 @@ let tick p =
   | Asleep k ->
       p.parked <- Woken (k, ());
       Engine.post p.engine p.step
-  | Parked _ | Woken _ | Unparked -> ()
+  | Parked _ | In_slot _ | Woken _ | Unparked -> ()
 
 let park p parked =
   p.state <- Waiting;
   p.parked <- parked
+
+(* The slot's callback for [p], built when [p] first waits in it. *)
+let slot_callback p s =
+  match s.waiter with
+  | Some q when q == p -> s.callback
+  | Some _ | None ->
+      let cb =
+        Some
+          (fun k ->
+            if p.doomed then Effect.Deep.discontinue k Killed
+            else begin
+              s.k <- Some k;
+              park p s.in_slot
+            end)
+      in
+      s.waiter <- Some p;
+      s.callback <- cb;
+      cb
 
 let handler p =
   let open Effect.Deep in
@@ -122,6 +153,7 @@ let handler p =
                   park p slot;
                   register (fun v -> wake p slot k v)
                 end)
+        | Await s -> slot_callback p s
         | Sleep dt ->
             Some
               (fun (k : (a, unit) continuation) ->
@@ -179,10 +211,13 @@ let kill p =
       match (p.parked, p.state) with
       | Parked k, _ -> cancel p k
       | Asleep k, _ -> cancel p k
+      | In_slot ({ k = Some k; _ } as s), _ ->
+          s.k <- None;
+          cancel p k
       | Unparked, Embryo ->
           (* Not started yet: nothing to unwind. *)
           finish p Exit_killed
-      | Woken _, _ | Unparked, (Running | Waiting | Exited _) -> ())
+      | In_slot _, _ | Woken _, _ | Unparked, (Running | Waiting | Exited _) -> ())
 
 let freeze p = if is_alive p then p.frozen <- true
 
@@ -202,6 +237,25 @@ let on_exit p hook =
 let self () = Effect.perform Self
 
 let suspend register = Effect.perform (Suspend register)
+
+let slot () =
+  let rec s = { k = None; waiter = None; await = Await s; in_slot = In_slot s; callback = None } in
+  s
+
+let await s = Effect.perform s.await
+
+let awaited s = match s.waiter with Some p -> p.parked == s.in_slot | None -> false
+
+(* A waker for whichever wait [s] holds: stale unless its waiter is
+   parked in [s]. *)
+let fill s v =
+  match (s.waiter, s.k) with
+  | Some p, Some k when p.parked == s.in_slot ->
+      s.k <- None;
+      p.parked <- Woken (k, v);
+      Engine.post p.engine p.step;
+      true
+  | _ -> false
 
 let sleep dt =
   if Float.is_nan dt then invalid_arg "Proc.sleep: duration is NaN";

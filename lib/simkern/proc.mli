@@ -1,7 +1,7 @@
 (** Simulated processes.
 
     A process is an OCaml 5 fiber driven by the engine's event loop. Inside
-    a process, blocking operations ([sleep], [suspend], and everything in
+    a process, blocking operations ([sleep], [suspend], [await], and everything in
     {!Mailbox} / {!Ivar}) are implemented with effects, so process code is
     written in direct style — exactly like the MPI programs and daemons it
     models.
@@ -92,8 +92,37 @@ val yield : unit -> unit
     it returns [false] once stale (the process was woken or killed, or
     has suspended again since), letting callers re-route the value. A
     kill between a wake-up and the resume it posts takes effect at the
-    process's next suspension. *)
+    process's next suspension. Each suspension allocates its waker; a
+    wait with one source uses a {!slot} instead. *)
 val suspend : (('a -> bool) -> unit) -> 'a
+
+(** {2 Wait slots}
+
+    A slot is a wait point that its owner allocates once and reuses for
+    every wait, so that a wait allocates only the runtime's continuation.
+    At most one process waits in a slot at a time; {!fill} plays the
+    waker's part for whichever wait the slot holds. *)
+
+type 'a slot
+
+(** [slot ()] is a fresh slot with no waiter. May be called anywhere. *)
+val slot : unit -> 'a slot
+
+(** [await s] blocks the calling process in [s] until [fill s v], and
+    returns [v]. Kill, freeze and doom act as on {!suspend}. The caller
+    must ensure that no other process is waiting in [s] ({!awaited}). *)
+val await : 'a slot -> 'a
+
+(** [awaited s] is true while a process is blocked in [s], not yet
+    filled. *)
+val awaited : 'a slot -> bool
+
+(** [fill s v] wakes the process blocked in [s] with [v], exactly as a
+    waker would, and returns [true]; it returns [false] when no process
+    is blocked in [s] (the last waiter was filled, killed or has exited),
+    and [v] is then the caller's to re-route. May be called from any
+    context. *)
+val fill : 'a slot -> 'a -> bool
 
 (** [join p] blocks until [p] exits and returns its exit reason. Returns
     immediately if [p] already exited. *)

@@ -19,6 +19,16 @@ type expect =
   | Err of string  (** the first stderr line starts with this *)
   | Out of string list  (** stdout holds each of these lines *)
 
+(* A scenario whose controller sits on machine 500, written for the
+   table's one row that needs it and removed at exit. *)
+let far_scenario =
+  let path = Filename.temp_file "far" ".fail" in
+  at_exit (fun () -> Sys.remove path);
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc
+        "Daemon IDLE {\n  node 1:\n    onload -> continue, goto 1;\n}\nP1 : IDLE on machine 500;\n");
+  path
+
 let rows =
   let run = "failmpi_run" and explore = "failmpi_explore" and exps = "failmpi_experiments" in
   let missing exe flag =
@@ -96,6 +106,15 @@ let rows =
       [ "--timeout"; "inf" ],
       1,
       Err "failmpi_explore: --timeout must be finite and > 0 (got inf)" );
+    (* 9 ranks on vcl: 13 compute hosts, the coordinator and 5 service hosts. *)
+    ( run,
+      [ "--ranks"; "9"; "--scenario"; far_scenario ],
+      1,
+      Err "failmpi_run: --scenario must deploy on hosts 0..18 (got machine 500)" );
+    ( explore,
+      [ "--jobs"; "65"; "--budget"; "4" ],
+      1,
+      Err "failmpi_explore: --jobs must be within 1..64 (got 65)" );
     (* Syntax stays Cmdliner's: exit 124. *)
     (run, [ "--ranks"; "x" ], 124, Err "failmpi_run: option '--ranks'");
     (* A trace output records every event, local checkpoints included. *)
@@ -294,6 +313,72 @@ let test_base_spec () =
       check_int "compute hosts" 8 spec.Failmpi.Run.n_compute;
       check_int "ranks" 4 spec.Failmpi.Run.cfg.Mpivcl.Config.n_ranks
 
+(* Every shipped scenario deploys inside the deployment its header (or,
+   for a paper scenario, its comment in Paper_scenarios) names. *)
+let test_scenarios_fit () =
+  let deployment ?(protocol = "vcl") ?(replicas = 2) ?(spares = 0) ranks =
+    { base with Cli.protocol; replicas; spares; ranks; klass = "B" }
+  in
+  let file name params d =
+    match Cli.read_file ("../scenarios/" ^ name) with
+    | Ok src -> (name, { d with Cli.scenario = Some src; params })
+    | Error msg -> Alcotest.failf "%s: %s" name msg
+  in
+  let paper name d =
+    (name, { d with Cli.scenario = Some (List.assoc name Fail_lang.Paper_scenarios.all) })
+  in
+  let nine = deployment 9 and pair = deployment ~protocol:"replication" 4 in
+  let files =
+    [
+      file "cascade.fail" [ ("START", 20) ] nine;
+      file "ckpt_sniper.fail"
+        [ ("SERVER", 0); ("START", 32); ("RANK", 3); ("GAP", 6) ]
+        { nine with Cli.ckpt_replicas = 2 };
+      file "double_strike.fail"
+        [ ("START", 25); ("GAP", 1); ("FIRST", 0); ("SECOND", 9); ("NTH", 10) ]
+        nine;
+      file "freeze_thaw.fail" [ ("PERIOD", 25) ] nine;
+      file "partition_wave.fail"
+        [
+          ("START", 20); ("WAVE", 10); ("GAP", 5); ("HEAL", 8); ("VICTIM", 2); ("TARGET", 5);
+          ("LOSS", 100); ("LAT", 2);
+        ]
+        nine;
+      file "rack_blackout.fail"
+        [ ("START", 30); ("SWITCH", 0); ("HEAL", 20) ]
+        { pair with Cli.topology = Some ("--topology", Simtopo.Topo.Fat_tree { k = 4 }) };
+      file "random_crash.fail" [ ("PERIOD", 30) ] nine;
+      file "replica_split.fail" [ ("START", 20); ("GAP", 0); ("FIRST", 2); ("SECOND", 6) ] pair;
+      file "shrink_storm.fail"
+        [ ("START", 25); ("STEP", 3); ("LAG", 2); ("K1", 1); ("K2", 5); ("K3", 7); ("VICTIM", 2) ]
+        (deployment ~protocol:"ulfm" ~spares:2 9);
+      file "wave_sniper.fail" [ ("DELAY", 10) ] nine;
+    ]
+  and papers =
+    List.map
+      (fun name -> paper name (deployment 49))
+      [ "fig5-frequency"; "fig7-simultaneous"; "fig8-synchronized"; "fig10-state-synchronized" ]
+    @ List.map
+        (fun name -> paper name (deployment ~protocol:"replication" 9))
+        [ "replica-split"; "replica-split-staggered" ]
+    @ List.map (fun name -> paper name nine) [ "double-strike"; "partition-wave"; "ckpt-sniper" ]
+    @ [ paper "shrink-storm" (deployment ~protocol:"ulfm" 9); paper "rack-blackout" pair ]
+  in
+  let names cases = List.sort compare (List.map fst cases) in
+  Alcotest.(check (list string))
+    "every scenario file" (names files)
+    (List.sort compare
+       (List.filter (fun f -> Filename.check_suffix f ".fail") (Array.to_list (Sys.readdir "../scenarios"))));
+  Alcotest.(check (list string))
+    "every paper scenario" (names papers)
+    (List.sort compare (List.map fst Fail_lang.Paper_scenarios.all));
+  List.iter
+    (fun (name, t) ->
+      match Cli.check t ~also:[] with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "%s refused: %s" name msg)
+    (files @ papers)
+
 let () =
   Alcotest.run "cli"
     [
@@ -302,6 +387,7 @@ let () =
         [
           Alcotest.test_case "base deployment" `Quick test_base_spec;
           Alcotest.test_case "each flag alone" `Quick test_each_flag_alone;
+          Alcotest.test_case "shipped scenarios fit" `Quick test_scenarios_fit;
           QCheck_alcotest.to_alcotest prop_never_raises;
         ] );
     ]

@@ -623,6 +623,34 @@ let test_delay_cells_complete () =
         (Experiments.Harness.campaign ~jobs:1 table.E.cells))
     (delay.E.tables ~quick:true)
 
+(* The 10 s delay cell, traced: some vcl daemon restarts from a wave
+   whose channel log it saw hold in-transit messages, so the restart
+   restores a non-empty log. *)
+let test_delay_restores_channel_log () =
+  let r =
+    Experiments.Harness.run_bt ~cfg:(Mpivcl.Config.default ~n_ranks:49)
+      ~trace_level:Simkern.Trace.Full ~klass:Workload.Bt_model.B ~n_ranks:49 ~n_machines:53
+      ~scenario:(Some (Experiments.Experiment.delay_scenario ~delay:10))
+      ~seed:900L ()
+  in
+  let logged = Hashtbl.create 64 and restored = ref [] in
+  List.iter
+    (fun (e : Simkern.Trace.entry) ->
+      match e.event with
+      | "local-checkpoint" ->
+          Scanf.sscanf e.detail "wave %d (%d logged)" (fun wave n ->
+              Hashtbl.replace logged (e.source, wave) n)
+      | "restored" when e.detail <> "fresh" ->
+          Scanf.sscanf e.detail "wave %d" (fun wave ->
+              match Hashtbl.find_opt logged (e.source, wave) with
+              | Some n when n > 0 -> restored := (e.source, wave, n) :: !restored
+              | Some _ | None -> ())
+      | _ -> ())
+    (Simkern.Trace.entries r.Failmpi.Run.trace);
+  if !restored = [] then Alcotest.fail "no restart restored a wave that logged a message";
+  check_bool "completed" true
+    (match r.Failmpi.Run.outcome with Failmpi.Run.Completed _ -> true | _ -> false)
+
 (* ---------- the per-run GC policy ---------- *)
 
 let policy_words = Failmpi.Gc_policy.minor_heap_words
@@ -738,6 +766,8 @@ let () =
           Alcotest.test_case "replicate seeds" `Quick test_replicate_seeds;
           Alcotest.test_case "delay scenario compiles" `Quick test_delay_scenario_compiles;
           Alcotest.test_case "quick delay cells complete" `Quick test_delay_cells_complete;
+          Alcotest.test_case "delay restart restores a channel log" `Quick
+            test_delay_restores_channel_log;
           Alcotest.test_case "trace analysis" `Quick test_trace_analysis;
           Alcotest.test_case "trace analysis confusion" `Quick test_trace_analysis_confusion;
           Alcotest.test_case "events csv" `Quick test_events_csv;

@@ -681,6 +681,31 @@ let test_matching_scales () =
   check_bool "queue drained" true (Matching.buffered q = []);
   if per_op > 64.0 then Alcotest.failf "%.1f minor words per operation (bound 64)" per_op
 
+(* The envelope is packed into one int; a field that does not fit is
+   refused by name, and the largest fields that fit match. *)
+let test_matching_envelope_range () =
+  let q = Matching.create () in
+  let refused what f =
+    match f () with
+    | _ -> Alcotest.failf "%s was accepted" what
+    | exception Invalid_argument msg -> msg
+  in
+  check Alcotest.string "tag too large" "Matching: tag 4194304 outside [0, 2^22)"
+    (refused "tag 2^22" (fun () -> Matching.serve q ~dst:0 ~src:0 ~tag:(1 lsl 22) ()));
+  check Alcotest.string "negative src" "Matching: src -1 outside [0, 2^20)"
+    (refused "src -1" (fun () ->
+         Matching.deliver q { Message.src = -1; dst = 0; tag = 0; data = 0; bytes = 0 }));
+  check Alcotest.string "dst too large" "Matching: dst 1048576 outside [0, 2^20)"
+    (refused "dst 2^20" (fun () ->
+         Matching.deliver q { Message.src = 0; dst = 1 lsl 20; tag = 0; data = 0; bytes = 0 }));
+  let top = (1 lsl 20) - 1 and top_tag = (1 lsl 22) - 1 in
+  let m = { Message.src = top; dst = top; tag = top_tag; data = 1; bytes = 0 } in
+  check_bool "largest envelope buffered" true (Matching.deliver q m = None);
+  check_bool "a neighbour does not match" true
+    (Matching.serve q ~dst:top ~src:top ~tag:(top_tag - 1) () = None);
+  check_bool "largest envelope served" true
+    (Matching.serve q ~dst:top ~src:top ~tag:top_tag () = Some m)
+
 (* ------------------------------------------------------------------ *)
 (* Dedup: the packed duplicate-suppression set *)
 
@@ -786,7 +811,11 @@ let () =
             test_respawned_server_resyncs_shard;
         ] );
       ("local-disk", [ Alcotest.test_case "retention" `Quick test_local_disk_retention ]);
-      ("matching", [ Alcotest.test_case "O(1) per operation" `Quick test_matching_scales ]);
+      ( "matching",
+        [
+          Alcotest.test_case "O(1) per operation" `Quick test_matching_scales;
+          Alcotest.test_case "envelope range" `Quick test_matching_envelope_range;
+        ] );
       ( "dedup",
         [
           Alcotest.test_case "keys are distinct" `Quick test_dedup_keys_distinct;

@@ -1017,6 +1017,108 @@ let test_proc_sleep_doomed () =
   check_bool "died at once" true (!exited_at = Some (Proc.Exit_killed, 1.0));
   check_float "no timer posted" 1.0 (Engine.now eng)
 
+(* ------------------------------------------------------------------ *)
+(* Wait slots *)
+
+(* A kill discontinues a slot waiter at once, leaves the slot stale, and
+   a mailbox whose slot waiter died hands its next message to the next
+   reader. *)
+let test_slot_killed_waiter () =
+  let finalized = ref [] and late_fill = ref None and got = ref None in
+  ignore
+    (run_sim (fun eng ->
+         let s = Proc.slot () and mb = Mailbox.create () in
+         let waiter name wait =
+           Proc.spawn eng ~name (fun () ->
+               Fun.protect
+                 ~finally:(fun () -> finalized := (name, Engine.now eng) :: !finalized)
+                 wait)
+         in
+         let in_slot = waiter "in-slot" (fun () -> ignore (Proc.await s)) in
+         let reader = waiter "reader" (fun () -> ignore (Mailbox.recv mb)) in
+         ignore
+           (Proc.spawn eng (fun () ->
+                Proc.sleep 2.0;
+                Proc.kill in_slot;
+                Proc.kill reader;
+                Proc.sleep 1.0;
+                late_fill := Some (Proc.fill s 5);
+                Mailbox.send mb 7;
+                ignore (Proc.spawn eng (fun () -> got := Some (Mailbox.recv mb)))))));
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string (Alcotest.float 1e-9)))
+    "finalizers ran at the kill" [ ("in-slot", 2.0); ("reader", 2.0) ] (List.rev !finalized);
+  check_bool "a later fill is refused" true (!late_fill = Some false);
+  check_bool "the next reader got the next message" true (!got = Some 7)
+
+let test_slot_frozen_waiter () =
+  let filled = ref None and resumed = ref None in
+  ignore
+    (run_sim (fun eng ->
+         let s = Proc.slot () in
+         let p =
+           Proc.spawn eng (fun () ->
+               let v = Proc.await s in
+               resumed := Some (v, Engine.now eng))
+         in
+         ignore
+           (Proc.spawn eng (fun () ->
+                Proc.sleep 1.0;
+                Proc.freeze p;
+                Proc.sleep 1.0;
+                filled := Some (Proc.fill s 9);
+                Proc.sleep 3.0;
+                Proc.unfreeze p))));
+  check_bool "the fill was accepted" true (!filled = Some true);
+  check_bool "resumed only at unfreeze" true (!resumed = Some (9, 5.0))
+
+(* The first reader waits in the mailbox's slot, the second in its
+   waker list; sends go oldest waiter first. *)
+let test_slot_then_list_order () =
+  let got = ref [] in
+  ignore
+    (run_sim (fun eng ->
+         let mb = Mailbox.create () in
+         List.iter
+           (fun name ->
+             ignore
+               (Proc.spawn eng (fun () ->
+                    let v = Mailbox.recv mb in
+                    got := (name, v) :: !got)))
+           [ "slot"; "list" ];
+         ignore
+           (Proc.spawn eng (fun () ->
+                Proc.sleep 1.0;
+                Mailbox.send mb "x";
+                Mailbox.send mb "y"))));
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
+    "oldest waiter first" [ ("slot", "x"); ("list", "y") ] (List.rev !got)
+
+(* The computation process posts its receive before it waits, so a
+   process doomed before [recv] still reaches its daemon. *)
+let test_app_ctx_doomed_recv_posts () =
+  let posted = ref [] and exited = ref None in
+  ignore
+    (run_sim (fun eng ->
+         let ctx =
+           Mpivcl.Daemon.app_ctx (Rng.create 1L) ~rank:0 ~size:2 ~state:[| 0 |]
+             ~set_app_var:(fun _ _ -> ())
+             (fun req -> posted := req :: !posted)
+         in
+         let p =
+           Proc.spawn eng (fun () ->
+               Proc.kill (Proc.self ());
+               ignore (ctx.Mpivcl.App.recv ~src:1 ~tag:3);
+               Alcotest.fail "unreachable")
+         in
+         Proc.on_exit p (fun r -> exited := Some (r, Engine.now eng))));
+  (match !posted with
+  | [ Mpivcl.Daemon.A_recv { src = 1; tag = 3; reply } ] ->
+      check_bool "its slot is stale" false (Proc.fill reply 0)
+  | _ -> Alcotest.fail "expected exactly one A_recv");
+  check_bool "killed at the receive" true (!exited = Some (Proc.Exit_killed, 0.0))
+
 (* Allocation bounds of the wait and wake-up path, per operation, after a
    warm-up: they fail if a suspension, a wake-up or a hand-off grows. *)
 let words_per_op ~ops loop =
@@ -1044,8 +1146,8 @@ let test_mailbox_handoff_allocation () =
                   done))))
   in
   let words = words_per_op ~ops:(2 * rounds) loop in
-  check_bool (Printf.sprintf "at most 31 minor words per message (%.2f)" words) true
-    (words <= 31.0)
+  check_bool (Printf.sprintf "at most 8 minor words per message (%.2f)" words) true
+    (words <= 8.0)
 
 let test_proc_sleep_allocation () =
   let rounds = 10_000 in
@@ -1061,6 +1163,36 @@ let test_proc_sleep_allocation () =
   let words = words_per_op ~ops:rounds loop in
   check_bool (Printf.sprintf "at most 20 minor words per sleep (%.2f)" words) true
     (words <= 20.0)
+
+(* One receive round trip between a computation process and a daemon
+   that answers every [A_recv] at once. *)
+let test_mpi_recv_allocation () =
+  let rounds = 10_000 in
+  let loop () =
+    ignore
+      (run_sim (fun eng ->
+           let requests = Mailbox.create () in
+           let ctx =
+             Mpivcl.Daemon.app_ctx (Rng.create 1L) ~rank:0 ~size:2 ~state:[| 0 |]
+               ~set_app_var:(fun _ _ -> ())
+               (Mailbox.send requests)
+           in
+           ignore
+             (Proc.spawn eng (fun () ->
+                  for _ = 1 to rounds do
+                    match Mailbox.recv requests with
+                    | Mpivcl.Daemon.A_recv { tag; reply; _ } -> ignore (Proc.fill reply tag)
+                    | A_send _ | A_commit _ | A_finalize -> ()
+                  done));
+           ignore
+             (Proc.spawn eng (fun () ->
+                  for i = 1 to rounds do
+                    ignore (ctx.Mpivcl.App.recv ~src:1 ~tag:i)
+                  done))))
+  in
+  let words = words_per_op ~ops:rounds loop in
+  check_bool (Printf.sprintf "at most 19 minor words per receive (%.2f)" words) true
+    (words <= 19.0)
 
 (* ------------------------------------------------------------------ *)
 (* Ivar *)
@@ -1205,6 +1337,7 @@ let () =
           Alcotest.test_case "mailbox hand-off allocation" `Quick
             test_mailbox_handoff_allocation;
           Alcotest.test_case "sleep allocation" `Quick test_proc_sleep_allocation;
+          Alcotest.test_case "MPI receive allocation" `Quick test_mpi_recv_allocation;
           Alcotest.test_case "nan rejected" `Quick test_engine_nan_rejected;
         ] );
       ( "regions",
@@ -1235,6 +1368,9 @@ let () =
           Alcotest.test_case "kill after wake-up" `Quick test_proc_kill_after_wakeup;
           Alcotest.test_case "kill frozen parked" `Quick test_proc_kill_frozen_parked;
           Alcotest.test_case "sleep when doomed" `Quick test_proc_sleep_doomed;
+          Alcotest.test_case "slot waiter killed" `Quick test_slot_killed_waiter;
+          Alcotest.test_case "slot waiter frozen" `Quick test_slot_frozen_waiter;
+          Alcotest.test_case "doomed receive posts" `Quick test_app_ctx_doomed_recv_posts;
         ] );
       ( "mailbox",
         [
@@ -1244,6 +1380,7 @@ let () =
           Alcotest.test_case "timeout delivers" `Quick test_mailbox_timeout_delivers;
           Alcotest.test_case "killed waiter not lost" `Quick test_mailbox_killed_waiter_not_lost;
           Alcotest.test_case "two consumers" `Quick test_mailbox_two_consumers;
+          Alcotest.test_case "slot waiter then list waiter" `Quick test_slot_then_list_order;
         ] );
       ( "ivar",
         [
