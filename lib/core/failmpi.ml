@@ -82,12 +82,8 @@ module Run = struct
     trace : Trace.t;
   }
 
-  let metrics r = r.metrics
   let recoveries r = r.metrics.Backend.Metrics.recoveries
   let committed_waves r = r.metrics.Backend.Metrics.committed_waves
-  let confused r = r.metrics.Backend.Metrics.confused
-  let failovers r = r.metrics.Backend.Metrics.failovers
-  let respawns r = r.metrics.Backend.Metrics.respawns
 
   let outcome_name = function
     | Completed _ -> "completed"

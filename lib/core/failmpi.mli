@@ -132,8 +132,6 @@ module Run : sig
     trace : Simkern.Trace.t;
   }
 
-  val metrics : result -> Backend.Metrics.t
-
   (** Shorthands into {!result.metrics}. *)
 
   val recoveries : result -> int
@@ -141,15 +139,6 @@ module Run : sig
 
   val committed_waves : result -> int
   (** global checkpoints committed *)
-
-  val confused : result -> bool
-  (** the dispatcher hit the §5.3 bookkeeping race *)
-
-  val failovers : result -> int
-  (** replica failures absorbed with zero rollback *)
-
-  val respawns : result -> int
-  (** replicas respawned via state transfer *)
 
   val outcome_name : outcome -> string
 

@@ -13,13 +13,3 @@ let stddev = function
       Some (sqrt var)
 
 let percent ~total n = if total = 0 then 0.0 else 100.0 *. float_of_int n /. float_of_int total
-
-let quantile q xs =
-  match List.sort Float.compare xs with
-  | [] -> None
-  | sorted ->
-      let n = List.length sorted in
-      let pos = q *. float_of_int (n - 1) in
-      let lo = int_of_float (Float.floor pos) and hi = int_of_float (Float.ceil pos) in
-      let a = List.nth sorted lo and b = List.nth sorted hi in
-      Some (a +. ((b -. a) *. (pos -. Float.of_int lo)))

@@ -5,6 +5,3 @@ val stddev : float list -> float option
 
 (** [percent ~total n] is [100 * n / total] (0 if [total = 0]). *)
 val percent : total:int -> int -> float
-
-(** [quantile q xs] (0 <= q <= 1) by linear interpolation. *)
-val quantile : float -> float list -> float option

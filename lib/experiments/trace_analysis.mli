@@ -33,9 +33,6 @@ type summary = {
 
 val summarize : Trace.t -> summary
 
-(** [recovery_durations s] returns the closed episodes' durations. *)
-val recovery_durations : summary -> float list
-
 (** [pp ppf s] prints a human-readable report. *)
 val pp : Format.formatter -> summary -> unit
 

@@ -6,9 +6,6 @@ type fault = injection
 
 type t = { n_machines : int; faults : fault list }
 
-let equal a b = a = b
-let compare = Stdlib.compare
-
 let align_service = Fault.align
 
 let fault_key f =
@@ -69,13 +66,3 @@ let of_key ~n_machines s =
 
 let to_scenario p = S.source ~n_machines:p.n_machines p.faults
 
-let of_scenario ?params src =
-  match Fail_lang.Parser.parse_result src with
-  | Error e -> Error e
-  | Ok ast -> (
-      match Fail_lang.Sema.check_result ?params ast with
-      | Error e -> Error e
-      | Ok checked ->
-          Result.map
-            (fun (n_machines, faults) -> { n_machines; faults })
-            (S.injections_of_program checked))

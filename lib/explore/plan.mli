@@ -16,8 +16,6 @@ type fault = injection
 
 type t = { n_machines : int; faults : fault list }
 
-val equal : t -> t -> bool
-val compare : t -> t -> int
 
 (** [align_service f] restores the codegen invariant for service faults
     ({!Fail_lang.Fault.align}): [machine] mirrors the ckpt replica index
@@ -42,8 +40,3 @@ val of_key : n_machines:int -> string -> (t, string) result
 
 (** [to_scenario p] renders the plan as FAIL source (no parameters). *)
 val to_scenario : t -> string
-
-(** [of_scenario ?params src] parses FAIL source of the generated shape
-    back into a plan (parameterized files need their [params], exactly
-    like [failmpi_run --param]). *)
-val of_scenario : ?params:(string * int) list -> string -> (t, string) result

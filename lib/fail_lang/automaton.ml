@@ -65,30 +65,6 @@ let node_index t id =
   in
   find 0
 
-let fold_actions f acc t =
-  Array.fold_left
-    (fun acc node ->
-      List.fold_left
-        (fun acc tr -> List.fold_left f acc tr.actions)
-        acc node.transitions)
-    acc t.nodes
-
-let messages_sent t =
-  fold_actions
-    (fun acc -> function C_send (m, _) -> m :: acc | _ -> acc)
-    [] t
-  |> List.sort_uniq String.compare
-
-let messages_received t =
-  Array.fold_left
-    (fun acc node ->
-      List.fold_left
-        (fun acc tr ->
-          match tr.trigger with Some (Ast.T_recv m) -> m :: acc | Some _ | None -> acc)
-        acc node.transitions)
-    [] t.nodes
-  |> List.sort_uniq String.compare
-
 let rec pp_cexpr ppf = function
   | C_int n -> Format.pp_print_int ppf n
   | C_var slot -> Format.fprintf ppf "v%d" slot

@@ -67,16 +67,9 @@ type t = {
 }
 
 val var_count : t -> int
-val node_count : t -> int
 
 (** [node_index t id] finds a node by its source id. *)
 val node_index : t -> string -> int option
-
-(** [messages_sent t] / [messages_received t] are the sorted message
-    vocabularies, for linking diagnostics. *)
-val messages_sent : t -> string list
-
-val messages_received : t -> string list
 
 val pp : Format.formatter -> t -> unit
 val pp_trigger : Format.formatter -> Ast.trigger -> unit

@@ -283,122 +283,4 @@ module Scenario = struct
     }
 
   let source ~n_machines injections = Pp.program_to_string (program ~n_machines injections)
-
-  (* ---- parse-back ------------------------------------------------- *)
-
-  let injections_of_program (p : Ast.program) =
-    let ( let* ) = Result.bind in
-    let* group =
-      match
-        List.filter_map
-          (function Ast.Dep_group { count; mach_lo; _ } -> Some (count, mach_lo) | _ -> None)
-          p.Ast.deployments
-      with
-      | [ (count, 0) ] -> Ok count
-      | [ (_, lo) ] -> Error (Printf.sprintf "controller group starts at machine %d, not 0" lo)
-      | _ -> Error "expected exactly one controller group deployment"
-    in
-    let* plan_name =
-      match
-        List.filter_map
-          (function Ast.Dep_singleton { daemon; _ } -> Some daemon | _ -> None)
-          p.Ast.deployments
-      with
-      | [ name ] -> Ok name
-      | _ -> Error "expected exactly one coordinator deployment"
-    in
-    let* plan =
-      match List.find_opt (fun d -> String.equal d.Ast.d_name plan_name) p.Ast.daemons with
-      | Some d -> Ok d
-      | None -> Error (Printf.sprintf "coordinator daemon %s not found" plan_name)
-    in
-    (* Structural walk over the coordinator's nodes, in declaration
-       order: a reload-wait node carries the [nth] threshold of the fire
-       node that follows it; any other shape is rejected.  A fire node's
-       leading timer action is inverted by [Fault.of_inject]. *)
-    let fire_of_node node =
-      match node.Ast.n_timer with
-      | None -> None
-      | Some (_, delay_e) ->
-          List.find_map
-            (fun t ->
-              match (t.Ast.guard.Ast.trigger, t.Ast.actions) with
-              | Some Ast.T_timer, action :: _ -> (
-                  match (Fault.of_inject action, Fault.const delay_e) with
-                  | Some injected, Some delay -> Some (injected, delay)
-                  | _ -> None)
-              | _ -> None)
-            node.Ast.n_transitions
-    in
-    let wait_of_node node =
-      if Option.is_some node.Ast.n_timer then None
-      else
-        List.find_map
-          (fun t ->
-            match (t.Ast.guard.Ast.trigger, t.Ast.guard.Ast.conds, t.Ast.actions) with
-            | Some (Ast.T_recv _), [ (Ast.Ge, _, nth_e) ], actions
-              when List.exists (function Ast.A_goto _ -> true | _ -> false) actions ->
-                Option.map (fun k -> k + 1) (Fault.const nth_e)
-            | _ -> None)
-          node.Ast.n_transitions
-    in
-    let is_terminal node =
-      Option.is_none node.Ast.n_timer
-      && List.for_all
-           (fun t ->
-             match t.Ast.guard.Ast.trigger with Some (Ast.T_recv _) -> true | _ -> false)
-           node.Ast.n_transitions
-    in
-    (* A service thaw node: timer whose expiry resumes the service. *)
-    let thaw_of_node node =
-      match node.Ast.n_timer with
-      | None -> None
-      | Some (_, delay_e) ->
-          if
-            List.exists
-              (fun t ->
-                match (t.Ast.guard.Ast.trigger, t.Ast.actions) with
-                | Some Ast.T_timer, Ast.A_continue (Some _) :: _ -> true
-                | _ -> false)
-              node.Ast.n_transitions
-          then Fault.const delay_e
-          else None
-    in
-    let* injections =
-      let rec walk pending acc = function
-        | [] -> (
-            match pending with
-            | None -> Ok (List.rev acc)
-            | Some _ -> Error "reload-wait node not followed by a fault node")
-        | node :: rest -> (
-            match fire_of_node node with
-            | Some (injected, delay) -> (
-                let anchor =
-                  match pending with
-                  | Some nth -> On_reload { nth; delay }
-                  | None -> After delay
-                in
-                match injected with
-                | Fault.Injected (machine, kind) ->
-                    walk None ({ machine; anchor; kind } :: acc) rest
-                | Fault.Until_thaw (machine, kind_of_thaw) -> (
-                    (* Consume the paired thaw node that follows. *)
-                    match Option.bind (List.nth_opt rest 0) thaw_of_node with
-                    | Some thaw ->
-                        walk None
-                          ({ machine; anchor; kind = kind_of_thaw thaw } :: acc)
-                          (List.tl rest)
-                    | None -> Error "service stop not followed by a thaw node"))
-            | None -> (
-                match wait_of_node node with
-                | Some nth ->
-                    if Option.is_some pending then Error "two consecutive reload-wait nodes"
-                    else walk (Some nth) acc rest
-                | None ->
-                    if is_terminal node then walk pending acc rest
-                    else Error (Printf.sprintf "unrecognized coordinator node %s" node.Ast.n_id)))
-      in
-      walk None [] plan.Ast.d_nodes
-    in
-    Ok (group, injections)
 end

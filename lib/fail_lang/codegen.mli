@@ -31,25 +31,16 @@ val to_dot : Automaton.t -> string
       launches count), then fire [delay] seconds later — the Figure 8
       "synchronize on the recovery wave" idiom.
 
-    [source] pretty-prints via {!Pp}, so the emitted text parses back
-    ({!injections_of_program} is its structural inverse), can be saved
-    as a [.fail] file and replayed with [failmpi_run]. *)
+    [source] pretty-prints via {!Pp}; the text compiles, can be saved as
+    a [.fail] file and replayed with [failmpi_run]. It is not read back:
+    a plan's identity is its key ([Explore.Plan.key]), and two plans may
+    render the same text (every [Heal] reads [heal]). *)
 module Scenario : sig
   (** Kinds, anchors and injections, re-exported from {!Fault}. *)
   include module type of struct
     include Fault.Types
   end
 
-  (** [program ~n_machines injections] builds the scenario AST (already
-      in checked form: no parameters, no bare group destinations). *)
-  val program : n_machines:int -> injection list -> Ast.program
-
   (** [source ~n_machines injections] is the scenario as FAIL source. *)
   val source : n_machines:int -> injection list -> string
-
-  (** [injections_of_program p] recovers [(n_machines, injections)] from
-      a (checked) program of the generated shape — including hand-written
-      files like [scenarios/double_strike.fail] after parameter
-      substitution. *)
-  val injections_of_program : Ast.program -> (int * injection list, string) result
 end

@@ -145,57 +145,6 @@ let inject ~group ~machine kind =
       let sel = Some (sel_of_service service) in
       (Ast.A_stop sel, Some (thaw, Ast.A_continue sel))
 
-type injected = Injected of int * kind | Until_thaw of int * (int -> kind)
-
-let rec const = function
-  | Ast.Int n -> Some n
-  | Ast.Binop (op, a, b) -> (
-      match (const a, const b) with
-      | Some a, Some b -> (
-          match op with
-          | Ast.Add -> Some (a + b)
-          | Ast.Sub -> Some (a - b)
-          | Ast.Mul -> Some (a * b)
-          | Ast.Div -> if b = 0 then None else Some (a / b)
-          | Ast.Mod -> if b = 0 then None else Some (a mod b))
-      | _ -> None)
-  | Ast.Var _ | Ast.App_var _ | Ast.Random _ -> None
-
-let of_inject action =
-  let ( let* ) = Option.bind in
-  let at e kind = Option.map (fun machine -> Injected (machine, kind)) (const e) in
-  let dims loss latency =
-    let dim = function None -> Some 0 | Some e -> const e in
-    let* loss = dim loss in
-    Option.map (fun latency -> (loss, latency)) (dim latency)
-  in
-  let service = function
-    | Ast.Svc_ckpt e -> Option.map (fun i -> S_ckpt i) (const e)
-    | Ast.Svc_sched -> Some S_sched
-    | Ast.Svc_disp -> Some S_disp
-  in
-  (* The machine [align] gives a service fault. *)
-  let service_machine = function S_ckpt i -> i | S_sched | S_disp -> 0 in
-  match action with
-  | Ast.A_send (msg, Ast.D_indexed (_, e)) -> (
-      match of_tag msg with Some ((Kill | Freeze _) as kind) -> at e kind | Some _ | None -> None)
-  | Ast.A_partition (Ast.D_indexed (_, e), None) -> at e Partition
-  | Ast.A_partition (Ast.D_topo (Ast.Sel_switch (tier, e)), None) -> at e (Switch_kill { tier })
-  | Ast.A_degrade { Ast.deg_target = Ast.D_indexed (_, e); deg_loss; deg_latency; _ } ->
-      let* loss, latency = dims deg_loss deg_latency in
-      at e (Degrade { loss; latency })
-  | Ast.A_degrade { Ast.deg_target = Ast.D_topo (Ast.Sel_pod e); deg_loss; deg_latency; _ } ->
-      let* loss, latency = dims deg_loss deg_latency in
-      at e (Pod_degrade { loss; latency })
-  | Ast.A_heal -> Some (Injected (0, Heal))
-  | Ast.A_halt (Some sel) ->
-      let* service = service sel in
-      Some (Injected (service_machine service, Service_kill { service }))
-  | Ast.A_stop (Some sel) ->
-      let* service = service sel in
-      Some (Until_thaw (service_machine service, fun thaw -> Service_freeze { service; thaw }))
-  | _ -> None
-
 (* ---- explorer axes ----------------------------------------------- *)
 
 let explorer_kinds ~freeze ~net ~services ~topo =

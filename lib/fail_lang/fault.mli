@@ -3,7 +3,7 @@
     A fault kind is a FAIL scenario fragment that the coordinator of
     {!Codegen.Scenario} fires at one target.  [fault.ml] holds all that
     identifies a kind: its plan-key tag and parser, its report name, its
-    coordinator actions and their inverse, its controller message and
+    coordinator actions, its controller message and
     thaw, the canonical machine of a service fault, and the
     [failmpi_explore] flag that adds it to a search.  Adding a kind means
     adding a constructor and following the compiler's exhaustiveness
@@ -76,19 +76,6 @@ val align : injection -> injection
     coordinator undoes itself, the delay and action of the thaw node
     that follows the fire node. *)
 val inject : group:string -> machine:int -> kind -> Ast.action * (int * Ast.action) option
-
-type injected =
-  | Injected of int * kind  (** machine and kind *)
-  | Until_thaw of int * (int -> kind)
-      (** machine, and the kind given the delay of the thaw node that
-          must follow *)
-
-(** [of_inject a] is the structural inverse of {!inject}'s action, also
-    for hand-written scenarios once their parameters are substituted. *)
-val of_inject : Ast.action -> injected option
-
-(** [const e] folds an integer expression without variables. *)
-val const : Ast.expr -> int option
 
 (** [explorer_kinds ~freeze ~net ~services ~topo] is the kind list of a
     [failmpi_explore] search: [Kill], then the kinds of each axis its

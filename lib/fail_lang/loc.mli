@@ -3,7 +3,6 @@
 type t = { line : int; col : int }
 
 val dummy : t
-val pp : Format.formatter -> t -> unit
 
 (** Raised by the lexer, parser and semantic analysis on malformed input. *)
 exception Error of t * string

@@ -169,6 +169,12 @@ G1[%d] : ADV2 on machines 0 .. %d;
     rank start second gap start rank gap second adv2_controller n_machines n_machines
     (n_machines - 1)
 
+(* §6 shape, in the explorer's fault-plan form ({!Codegen.Scenario}):
+    kill machine [first] at [start] seconds, then kill machine [second]
+    [gap] seconds after the [nth] cumulative daemon registration —
+    with [nth] = initial launches + 1, that is [gap] seconds into the
+    recovery wave the first kill triggered. A parameterized file version
+    lives in [scenarios/double_strike.fail]. *)
 let double_strike ~n_machines ~first ~second ~start ~nth ~gap =
   Codegen.Scenario.source ~n_machines
     [
@@ -222,6 +228,17 @@ let shrink_storm ~n_machines ~targets ~start ~step ~victim ~lag =
         };
       ])
 
+(* Checkpoint sniper, in the explorer's fault-plan form
+    ({!Codegen.Scenario}): kill checkpoint server [server] (a service
+    fault — [halt service ckpt\[server\]]) at [start] seconds, timed to
+    land inside a wave's store window so the in-flight image is torn on
+    that server's disk, then kill the process on machine [rank] [gap]
+    seconds later while the server is still respawning. With mirroring
+    on ([ckpt_replicas >= 2]) the restarted rank fails over to the
+    mirror and recovery completes; with a single replica the restart
+    finds no complete image and the run ends in the Ckpt_lost verdict
+    instead of hanging. A parameterized file version lives in
+    [scenarios/ckpt_sniper.fail]. *)
 let ckpt_sniper ~n_machines ~server ~start ~rank ~gap =
   Codegen.Scenario.source ~n_machines
     [

@@ -43,15 +43,6 @@ val state_synchronized : n_machines:int -> period:int -> string
 val replica_split :
   n_machines:int -> n_ranks:int -> rank:int -> start:int -> gap:int -> string
 
-(** §6 shape, in the explorer's fault-plan form ({!Codegen.Scenario}):
-    kill machine [first] at [start] seconds, then kill machine [second]
-    [gap] seconds after the [nth] cumulative daemon registration —
-    with [nth] = initial launches + 1, that is [gap] seconds into the
-    recovery wave the first kill triggered. A parameterized file version
-    lives in [scenarios/double_strike.fail]. *)
-val double_strike :
-  n_machines:int -> first:int -> second:int -> start:int -> nth:int -> gap:int -> string
-
 (** Shrink storm, in the explorer's fault-plan form
     ({!Codegen.Scenario}): kill the [targets] machines one by one —
     the first at [start] seconds, each following kill [step] seconds
@@ -70,20 +61,6 @@ val shrink_storm :
   victim:int ->
   lag:int ->
   string
-
-(** Checkpoint sniper, in the explorer's fault-plan form
-    ({!Codegen.Scenario}): kill checkpoint server [server] (a service
-    fault — [halt service ckpt\[server\]]) at [start] seconds, timed to
-    land inside a wave's store window so the in-flight image is torn on
-    that server's disk, then kill the process on machine [rank] [gap]
-    seconds later while the server is still respawning. With mirroring
-    on ([ckpt_replicas >= 2]) the restarted rank fails over to the
-    mirror and recovery completes; with a single replica the restart
-    finds no complete image and the run ends in the Ckpt_lost verdict
-    instead of hanging. A parameterized file version lives in
-    [scenarios/ckpt_sniper.fail]. *)
-val ckpt_sniper :
-  n_machines:int -> server:int -> start:int -> rank:int -> gap:int -> string
 
 (** All scenarios with representative parameters, for tests and demos. *)
 val all : (string * string) list

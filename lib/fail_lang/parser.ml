@@ -479,11 +479,6 @@ let parse src =
   loop ();
   { daemons = List.rev !daemons; deployments = List.rev !deployments }
 
-let parse_result src =
-  match parse src with
-  | program -> Ok program
-  | exception Loc.Error (loc, msg) -> Error (Loc.error_to_string loc msg)
-
 let parse_expr src =
   let toks = Array.of_list (Lexer.tokenize src) in
   let st = { toks; idx = 0 } in

@@ -32,8 +32,5 @@
 (** [parse src] parses a full program. Raises {!Loc.Error}. *)
 val parse : string -> Ast.program
 
-(** [parse_result src] is [parse] with errors as a result. *)
-val parse_result : string -> (Ast.program, string) result
-
 (** [parse_expr src] parses a single expression (for tests and the CLI). *)
 val parse_expr : string -> Ast.expr

@@ -238,8 +238,3 @@ let check ?(params = []) program =
   in
   let daemons = List.map (check_daemon deps ~params) program.daemons in
   { program with daemons }
-
-let check_result ?params program =
-  match check ?params program with
-  | p -> Ok p
-  | exception Loc.Error (loc, msg) -> Error (Loc.error_to_string loc msg)

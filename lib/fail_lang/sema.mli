@@ -17,5 +17,3 @@
 (** [check ?params p] returns the resolved program. Raises {!Loc.Error}. *)
 val check : ?params:(string * int) list -> Ast.program -> Ast.program
 
-(** [check_result ?params p] is [check] with errors as a result. *)
-val check_result : ?params:(string * int) list -> Ast.program -> (Ast.program, string) result

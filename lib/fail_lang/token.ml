@@ -122,4 +122,3 @@ let to_string = function
   | DOTDOT -> "'..'"
   | EOF -> "end of input"
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -63,5 +63,4 @@ type t =
 
 type located = { tok : t; loc : Loc.t }
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

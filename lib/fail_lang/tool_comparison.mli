@@ -20,7 +20,6 @@ val criteria : criterion list
 val nftape : tool
 val loki : tool
 val fail_fci : tool
-val tools : tool list
 
 (** [render ()] prints the table in the paper's layout. *)
 val render : unit -> string

@@ -27,8 +27,6 @@ let of_procs ~name ~main ~children =
     subscribe_var = (fun _ -> ());
   }
 
-let of_proc p = of_procs ~name:(Proc.name p) ~main:p ~children:ignore
-
 type vars = {
   table : (string, int) Hashtbl.t;
   mutable subscribers : (string -> unit) list;

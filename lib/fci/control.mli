@@ -20,10 +20,6 @@ type target = {
   subscribe_var : (string -> unit) -> unit;  (** notify on every variable write *)
 }
 
-(** [of_proc p] builds a target controlling just [p], with no program
-    variables (reads yield [None]). Used by the attach-by-pid path. *)
-val of_proc : Proc.t -> target
-
 (** [of_procs ~name ~main ~children] builds a target for a whole MPI
     task: [kill], [freeze] and [unfreeze] act on every process [children]
     yields, then on [main] (the paper halts the whole task: computation
@@ -44,8 +40,6 @@ val make_vars : unit -> vars
 
 (** [set_var vars name v] writes a variable, notifying subscribers. *)
 val set_var : vars -> string -> int -> unit
-
-val get_var : vars -> string -> int option
 
 (** [with_vars target vars] returns a copy of [target] whose variable
     operations are backed by [vars]. *)

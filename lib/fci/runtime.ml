@@ -58,12 +58,9 @@ type t = {
   seen : (string, unit) Hashtbl.t;  (* "<sender>#<seq>" dedup *)
   retries : (int, Engine.handle) Hashtbl.t;  (* seq -> armed retry *)
   mutable hb_handle : Engine.handle option;  (* heartbeat monitor tick *)
-  mutable net_fault_count : int;
   mutable stopped : bool;
   services : (string, service) Hashtbl.t;
 }
-
-let engine t = t.eng
 
 let trace ?level t inst event fmt =
   Engine.record ?level t.eng ~source:("fci:" ^ inst.id) ~event fmt
@@ -295,14 +292,12 @@ and exec_actions t inst actions ~sender =
                   let mb = machines_of_dest t inst b_dest ~sender in
                   if ma <> [] && mb <> [] then begin
                     Perturb.partition p ma mb;
-                    t.net_fault_count <- t.net_fault_count + 1;
                     trace t inst "partition" "%s | %s" (machines_s ma) (machines_s mb);
                     ensure_monitor t
                   end
               | None ->
                   if ma <> [] then begin
                     Perturb.isolate p ma;
-                    t.net_fault_count <- t.net_fault_count + 1;
                     trace t inst "partition" "isolate %s" (machines_s ma);
                     ensure_monitor t
                   end))
@@ -338,7 +333,6 @@ and exec_actions t inst actions ~sender =
                 let latency = Float.max 0.0 (float_of_int (dim latency_e) /. 1000.0) in
                 let jitter = Float.max 0.0 (float_of_int (dim jitter_e) /. 1000.0) in
                 Perturb.degrade p ~hosts { Perturb.loss; latency; jitter };
-                t.net_fault_count <- t.net_fault_count + 1;
                 trace t inst "degrade" "%s loss=%.3f latency=%.3fs jitter=%.3fs" (machines_s hosts)
                   loss latency jitter;
                 ensure_monitor t
@@ -423,7 +417,6 @@ and kill_component t p inst sel =
       else begin
         if severed <> [] then Perturb.isolate p severed;
         if crossing <> [] then Perturb.cut_pairs p crossing;
-        t.net_fault_count <- t.net_fault_count + 1;
         trace t inst "partition" "kill %s: %d hosts severed, %d pairs cut"
           (Simtopo.Topo.component_name comp) (List.length severed) (List.length crossing);
         ensure_monitor t
@@ -444,7 +437,6 @@ and degrade_component t p inst sel spec =
         trace t inst "net-error" "%s carries no host pair" (Simtopo.Topo.component_name comp)
       else begin
         Perturb.degrade_pairs p ~pairs spec;
-        t.net_fault_count <- t.net_fault_count + 1;
         trace t inst "degrade" "%s: %d pairs loss=%.3f latency=%.3fs jitter=%.3fs"
           (Simtopo.Topo.component_name comp) (List.length pairs) spec.Perturb.loss
           spec.Perturb.latency spec.Perturb.jitter;
@@ -657,7 +649,6 @@ let create eng ?(msg_latency = 0.11) (plan : Compile.plan) =
       seen = Hashtbl.create 64;
       retries = Hashtbl.create 16;
       hb_handle = None;
-      net_fault_count = 0;
       stopped = false;
       services = Hashtbl.create 8;
     }
@@ -743,8 +734,6 @@ let register t ~machine (target : Control.target) =
           | Some _ | None -> ());
       dispatch t inst Ev_onload
 
-let attach t ~machine proc = register t ~machine (Control.of_proc proc)
-
 let register_service t ~name ~kill ~freeze ~unfreeze =
   Hashtbl.replace t.services name
     { svc_kill = kill; svc_freeze = freeze; svc_unfreeze = unfreeze }
@@ -786,7 +775,6 @@ let read_var t ~instance name =
       find 0
 
 let injected_faults t = t.fault_count
-let net_faults t = t.net_fault_count
 
 (* ------------------------------------------------------------------ *)
 (* Fork-point surgery (the explorer's prefix-sharing scheduler)
@@ -849,9 +837,6 @@ let swap_plan t (plan : Compile.plan) =
             swap_instance ~id:(Printf.sprintf "%s[%d]" inst i) ~daemon
           done)
     plan.Compile.deployments
-
-let suspected t =
-  List.filter_map (fun inst -> if inst.suspected then Some inst.id else None) t.all
 
 (* ------------------------------------------------------------------ *)
 (* Fabric attachment and teardown *)

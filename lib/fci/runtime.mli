@@ -10,7 +10,7 @@
     The application side is the paper's §4 integration scheme for
     self-deploying applications: instead of being launched by the
     injection middleware, a process {!register}s itself with the FAIL-MPI
-    daemon of its machine (or is {!attach}ed by pid). A machine without a
+    daemon of its machine. A machine without a
     deployed instance gets no fault injection. *)
 
 open Simkern
@@ -26,8 +26,6 @@ type t
     machine, as in the paper). *)
 val create : Engine.t -> ?msg_latency:float -> Fail_lang.Compile.plan -> t
 
-val engine : t -> Engine.t
-
 (** {2 Application integration} *)
 
 (** [register t ~machine target] declares that an application process
@@ -35,10 +33,6 @@ val engine : t -> Engine.t
     The instance takes [target] as its controlled process until it exits.
     No-op if the machine has no instance. *)
 val register : t -> machine:int -> Control.target -> unit
-
-(** [attach t ~machine proc] is {!register} with a bare process (the
-    attach-to-running-pid feature). *)
-val attach : t -> machine:int -> Proc.t -> unit
 
 (** [register_service t ~name ~kill ~freeze ~unfreeze] declares an
     infrastructure service (checkpoint server ["ckpt\[i\]"], checkpoint
@@ -103,13 +97,6 @@ val retime_timer : t -> instance:string -> time:float -> Simkern.Engine.handle
     both plans share the executed fault prefix). Raises
     [Invalid_argument] otherwise. *)
 val swap_plan : t -> Fail_lang.Compile.plan -> unit
-
-(** [net_faults t] counts [partition]/[degrade] actions executed so far
-    ([heal] is not a fault). *)
-val net_faults : t -> int
-
-(** [suspected t] lists the ids of currently quarantined instances. *)
-val suspected : t -> string list
 
 (** {2 Network fabric} *)
 

@@ -37,8 +37,6 @@ let create ~n_ranks ~degree ~host_of =
   }
 
 let get t ~rank ~slot = t.table.(rank).(slot)
-let n_ranks t = t.n_ranks
-let degree t = t.degree
 
 let live_slots t ~rank =
   Array.to_list t.table.(rank)

@@ -22,8 +22,6 @@ type 'conn t
 
 val create : n_ranks:int -> degree:int -> host_of:(rank:int -> slot:int -> int) -> 'conn t
 val get : 'conn t -> rank:int -> slot:int -> 'conn replica
-val n_ranks : 'conn t -> int
-val degree : 'conn t -> int
 
 (** Replicas of [rank] that are computing with a live control link. *)
 val live_slots : 'conn t -> rank:int -> 'conn replica list

@@ -355,8 +355,6 @@ let spawn eng cluster net ~host ~bandwidth ?(jitter = 0.0) ?(index = 0) ?server_
 let committed_wave t ~rank =
   Option.map (fun (i : Message.image) -> i.Message.img_wave) (Hashtbl.find_opt t.committed_tbl rank)
 
-let committed t ~rank = Hashtbl.find_opt t.committed_tbl rank
-
 let pending_torn t ~rank =
   match Hashtbl.find_opt t.pending rank with
   | Some slot -> not slot.s_complete

@@ -58,9 +58,6 @@ val spawn :
     [rank], if any (tests/analysis). *)
 val committed_wave : t -> rank:int -> int option
 
-(** [committed t ~rank] returns the committed image (tests/analysis). *)
-val committed : t -> rank:int -> Message.image option
-
 (** [pending_torn t ~rank] is true while [rank]'s in-progress slot holds
     a torn (prepared but unsealed) image (tests). *)
 val pending_torn : t -> rank:int -> bool

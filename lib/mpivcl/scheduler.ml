@@ -205,4 +205,3 @@ let spawn eng cluster net ~host ~n_ranks ~wave_interval ~server_hosts =
   t
 
 let committed_count t = t.committed_count
-let halt t = Cluster.kill_all t.cluster ~host:t.host

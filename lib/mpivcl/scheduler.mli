@@ -32,4 +32,3 @@ val spawn :
 (** [committed_count t] counts committed waves (analysis). *)
 val committed_count : t -> int
 
-val halt : t -> unit

@@ -87,7 +87,6 @@ and t = {
   mutable next_seq : int;
   mutable next_pid : int;
   mutable halted : bool;
-  mutable live : int;  (* scheduled, not yet executed or cancelled *)
   mutable tombstones : int;  (* cancelled events still sitting in [handles] *)
   rng : Rng.t;
   trace : Trace.t;
@@ -102,7 +101,6 @@ let create ?(seed = 1L) ?trace_level () =
     next_seq = 0;
     next_pid = 0;
     halted = false;
-    live = 0;
     tombstones = 0;
     rng = Rng.create seed;
     trace = Trace.create ?level:trace_level ();
@@ -139,28 +137,19 @@ let next_seq t =
 
 let post_at t ~time f =
   check_time t ~fn:"Engine.post_at" time;
-  Heap.push t.posted ~time ~seq:(next_seq t) f;
-  t.live <- t.live + 1
+  Heap.push t.posted ~time ~seq:(next_seq t) f
 
 let post t ?(delay = 0.0) f =
   check_delay ~fn:"Engine.post" delay;
   if delay = 0.0 && Lane.accepts t.lane t.clock then Lane.push t.lane t.clock ~seq:(next_seq t) f
-  else Heap.push_after t.posted t.clock ~delay ~seq:(next_seq t) f;
-  t.live <- t.live + 1
-
-let push_handle t ~time f =
-  let h = { time; seq = next_seq t; thunk = f; state = Pending; owner = t } in
-  Heap.push t.handles ~time ~seq:h.seq h;
-  t.live <- t.live + 1;
-  h
-
-let schedule_at t ~time f =
-  check_time t ~fn:"Engine.schedule_at" time;
-  push_handle t ~time f
+  else Heap.push_after t.posted t.clock ~delay ~seq:(next_seq t) f
 
 let schedule t ?(delay = 0.0) f =
   check_delay ~fn:"Engine.schedule" delay;
-  push_handle t ~time:(t.clock.now +. delay) f
+  let time = t.clock.now +. delay in
+  let h = { time; seq = next_seq t; thunk = f; state = Pending; owner = t } in
+  Heap.push t.handles ~time ~seq:h.seq h;
+  h
 
 (* Long runs cancel many timeouts (every satisfied [recv_timeout] leaves
    one behind); tombstones degrade push/pop, so once they are the
@@ -179,7 +168,6 @@ let cancel h =
   | Pending ->
       h.state <- Cancelled;
       let t = h.owner in
-      t.live <- t.live - 1;
       t.tombstones <- t.tombstones + 1;
       let size = queue_size t in
       if size >= compact_threshold && t.tombstones > size / 2 then compact t
@@ -206,7 +194,9 @@ let retime h ~time =
     h'
   end
 
-let pending t = t.live
+(* Only [handles] holds tombstones, and each counts in [tombstones]
+   until it is popped or compacted away. *)
+let pending t = queue_size t - t.tombstones
 
 type source = Lane | Posted | Handles
 
@@ -235,13 +225,11 @@ let is_empty t = Lane.is_empty t.lane && Heap.is_empty t.posted && Heap.is_empty
 (* Pop and execute the next event of the lane. *)
 let step_lane t =
   let f = Lane.pop_into t.lane t.clock in
-  t.live <- t.live - 1;
   f ()
 
 (* Pop and execute the next posted event. *)
 let step_posted t =
   let f = Heap.pop_into t.posted t.clock in
-  t.live <- t.live - 1;
   f ()
 
 (* Pop the next handle event and execute it unless it is a tombstone;
@@ -256,7 +244,6 @@ let step_handle t =
   | Done -> false
   | Pending ->
       h.state <- Done;
-      t.live <- t.live - 1;
       t.clock.now <- h.time;
       h.thunk ();
       true

@@ -51,13 +51,12 @@ val fresh_pid : t -> int
       arrivals, process resumptions, fire-and-forget timers. An event
       posted with no delay joins a FIFO of the current instant, which
       costs O(1) instead of a heap push and pop.
-    - {!schedule} / {!schedule_at} return a {!handle}, at the cost of
-      one record per event. Use them only when the caller keeps the
-      handle, to {!cancel} or {!retime} the event or to pause before it
+    - {!schedule} returns a {!handle}, at the cost of one record per
+      event. Use it only when the caller keeps the handle, to {!cancel} or {!retime} the event or to pause before it
       ([run ~stop_before]).
 
     Every entry point raises [Invalid_argument] on a NaN delay or time
-    (["Engine.post: delay is NaN"], ["Engine.schedule_at: time is NaN"],
+    (["Engine.post: delay is NaN"], ["Engine.post_at: time is NaN"],
     and so on), on a negative delay, and on a time in the past. *)
 
 (** [post t ?delay f] queues [f] to run at [now t +. delay] (default
@@ -71,10 +70,6 @@ val post_at : t -> time:float -> (unit -> unit) -> unit
 (** [schedule t ?delay f] is {!post} returning a handle on the event. *)
 val schedule : t -> ?delay:float -> (unit -> unit) -> handle
 
-(** [schedule_at t ~time f] is {!post_at} returning a handle on the
-    event. *)
-val schedule_at : t -> time:float -> (unit -> unit) -> handle
-
 (** [cancel h] prevents the event from running if it has not run yet.
     Cancelled events become queue tombstones; once they outnumber the
     live half of a non-trivial queue the engine compacts them away, so
@@ -82,7 +77,7 @@ val schedule_at : t -> time:float -> (unit -> unit) -> handle
 val cancel : handle -> unit
 
 (** [pending t] is the number of not-yet-executed, not-cancelled
-    scheduled events. O(1). *)
+    events: {!queue_size} less the tombstones. O(1). *)
 val pending : t -> int
 
 (** [queue_size t] is the raw event-queue size, including

@@ -53,9 +53,6 @@ val pop : 'a t -> 'a
 
 val pop_into : 'a t -> clock -> 'a
 
-(** [clear h] removes every entry. *)
-val clear : 'a t -> unit
-
 (** [filter_in_place h ~keep] drops every entry whose payload fails
     [keep] and restores the heap invariant in O(n) (Floyd heapify). The
     pop order of the survivors is unchanged. Used by the engine to

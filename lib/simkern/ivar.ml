@@ -4,15 +4,12 @@ type 'a t = { mutable state : 'a state }
 
 let create () = { state = Empty [] }
 
-let try_fill iv v =
+let fill iv v =
   match iv.state with
-  | Filled _ -> false
+  | Filled _ -> invalid_arg "Ivar.fill: already filled"
   | Empty waiters ->
       iv.state <- Filled v;
-      List.iter (fun waker -> ignore (waker v)) (List.rev waiters);
-      true
-
-let fill iv v = if not (try_fill iv v) then invalid_arg "Ivar.fill: already filled"
+      List.iter (fun waker -> ignore (waker v)) (List.rev waiters)
 
 let read iv =
   match iv.state with

@@ -12,9 +12,6 @@ val create : unit -> 'a t
     filled. *)
 val fill : 'a t -> 'a -> unit
 
-(** [try_fill iv v] sets the value if empty; returns whether it did. *)
-val try_fill : 'a t -> 'a -> bool
-
 (** [read iv] blocks until the ivar is filled, then returns the value. *)
 val read : 'a t -> 'a
 

@@ -46,9 +46,6 @@ type _ Effect.t += Self : t Effect.t
 
 let pid p = p.pid
 let name p = p.name
-let engine p = p.engine
-
-let state p = p.state
 
 let is_alive p = match p.state with Exited _ -> false | Embryo | Running | Waiting -> true
 
@@ -263,8 +260,3 @@ let sleep dt =
   Effect.perform (Sleep dt)
 
 let yield () = sleep 0.0
-
-let join other =
-  match other.state with
-  | Exited reason -> reason
-  | Embryo | Running | Waiting -> suspend (fun waker -> on_exit other (fun r -> ignore (waker r)))

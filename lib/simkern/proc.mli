@@ -30,20 +30,12 @@ type exit_reason =
   | Exit_killed  (** the process was [kill]ed *)
   | Exit_crashed of exn  (** the body raised *)
 
-type state =
-  | Embryo  (** spawned, first step not yet executed *)
-  | Running  (** executing or scheduled to resume *)
-  | Waiting  (** blocked on a suspension *)
-  | Exited of exit_reason
-
 (** [spawn engine ?name body] creates a process whose first step runs
     at the current instant (after already-scheduled events). *)
 val spawn : Engine.t -> ?name:string -> (unit -> unit) -> t
 
 val pid : t -> int
 val name : t -> string
-val engine : t -> Engine.t
-val state : t -> state
 
 (** [is_alive p] is true unless [p] has exited. *)
 val is_alive : t -> bool
@@ -93,7 +85,9 @@ val yield : unit -> unit
     has suspended again since), letting callers re-route the value. A
     kill between a wake-up and the resume it posts takes effect at the
     process's next suspension. Each suspension allocates its waker; a
-    wait with one source uses a {!slot} instead. *)
+    wait with one source uses a {!slot} instead. Callers are the waits
+    with several readers or a timer: {!Ivar.read}, [Simnet.Net.recv] and
+    [Simnet.Net.recv_timeout]. *)
 val suspend : (('a -> bool) -> unit) -> 'a
 
 (** {2 Wait slots}
@@ -123,7 +117,3 @@ val awaited : 'a slot -> bool
     and [v] is then the caller's to re-route. May be called from any
     context. *)
 val fill : 'a slot -> 'a -> bool
-
-(** [join p] blocks until [p] exits and returns its exit reason. Returns
-    immediately if [p] already exited. *)
-val join : t -> exit_reason

@@ -32,21 +32,6 @@ let float t bound =
   let bits = Int64.shift_right_logical (next_int64 t) 11 in
   Int64.to_float bits /. 9007199254740992.0 *. bound
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
-
-let exponential t ~mean =
-  let u = float t 1.0 in
-  let u = if u <= 0.0 then 1e-12 else u in
-  -.mean *. log u
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
 let choose t l =
   match l with
   | [] -> invalid_arg "Rng.choose: empty list"

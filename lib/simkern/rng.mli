@@ -28,15 +28,6 @@ val int_in_range : t -> lo:int -> hi:int -> int
 (** [float t bound] returns a uniform float in [\[0, bound)]. *)
 val float : t -> float -> float
 
-(** [bool t] returns a uniform boolean. *)
-val bool : t -> bool
-
-(** [exponential t ~mean] draws from an exponential distribution. *)
-val exponential : t -> mean:float -> float
-
-(** [shuffle t a] shuffles [a] in place (Fisher–Yates). *)
-val shuffle : t -> 'a array -> unit
-
 (** [choose t l] picks a uniform element of [l]. Raises
     [Invalid_argument] on the empty list. *)
 val choose : t -> 'a list -> 'a

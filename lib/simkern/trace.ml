@@ -34,30 +34,6 @@ let events t = List.init t.n (fun i -> (t.entries.(i).source, t.entries.(i).even
 
 let length t = t.n
 
-let count t ~event =
-  let c = ref 0 in
-  for i = 0 to t.n - 1 do
-    if String.equal t.entries.(i).event event then incr c
-  done;
-  !c
-
-let find_all t ~event =
-  let acc = ref [] in
-  for i = t.n - 1 downto 0 do
-    if String.equal t.entries.(i).event event then acc := t.entries.(i) :: !acc
-  done;
-  !acc
-
-let last t ~event =
-  let rec scan i =
-    if i < 0 then None
-    else if String.equal t.entries.(i).event event then Some t.entries.(i)
-    else scan (i - 1)
-  in
-  scan (t.n - 1)
-
-let last_time t ~event = Option.map (fun e -> e.time) (last t ~event)
-
 let pp_entry ppf e =
   Format.fprintf ppf "@[<h>%10.3f %-16s %-24s %s@]" e.time e.source e.event e.detail
 

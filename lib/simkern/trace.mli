@@ -70,19 +70,6 @@ val events : t -> (string * string) list
 (** [length t] is the number of entries. *)
 val length : t -> int
 
-(** [count t ~event] counts entries of the given kind. *)
-val count : t -> event:string -> int
-
-(** [find_all t ~event] returns entries of the given kind, oldest first. *)
-val find_all : t -> event:string -> entry list
-
-(** [last t ~event] returns the most recent entry of the given kind. *)
-val last : t -> event:string -> entry option
-
-(** [last_time t ~event] is the time of the most recent entry of the given
-    kind, if any. *)
-val last_time : t -> event:string -> float option
-
 (** [pp ppf t] prints the trace, one entry per line. *)
 val pp : Format.formatter -> t -> unit
 

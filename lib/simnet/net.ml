@@ -378,7 +378,6 @@ and 'a conn = {
 let create eng () =
   { eng; perturb = Perturb.make eng; listeners = Hashtbl.create 64; no_inbox = Queue.create () }
 
-let engine net = net.eng
 let perturb net = net.perturb
 
 let listen net ~host ~port =

@@ -28,13 +28,6 @@ open Simkern
 
 type 'a t
 
-(** One-way propagation delay between distinct hosts: 100 us, as on
-    GigE. *)
-val latency : float
-
-(** Bytes per second between distinct hosts: 100 MB/s. *)
-val bandwidth : float
-
 (** Network perturbation: deterministic link faults drawn from the run
     seed. All state lives inside the owning network (and therefore inside
     one run's engine), so campaigns stay reproducible at any [--jobs]. *)
@@ -160,8 +153,6 @@ end
 
 (** [create eng ()] builds a network. *)
 val create : Engine.t -> unit -> 'a t
-
-val engine : 'a t -> Engine.t
 
 (** [perturb net] is the network's perturbation layer (dormant until a
     rule is installed). *)

@@ -19,7 +19,6 @@ type t = {
   t_core : int;
 }
 
-let spec t = t.t_spec
 let hosts t = t.t_hosts
 let switches t = t.t_edge + t.t_agg + t.t_core
 let pod_count t = t.t_pods
@@ -46,12 +45,6 @@ let links t =
       axis x (y * z) + axis y (x * z) + axis z (x * y)
 
 let tier_name = function Edge -> "edge" | Agg -> "agg" | Core -> "core"
-
-let tier_of_name = function
-  | "edge" -> Some Edge
-  | "agg" -> Some Agg
-  | "core" -> Some Core
-  | _ -> None
 
 let component_name = function
   | Switch (tier, i) -> Printf.sprintf "switch %s[%d]" (tier_name tier) i

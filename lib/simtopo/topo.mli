@@ -34,7 +34,6 @@ type component =
 
 type t
 
-val spec : t -> spec
 val hosts : t -> int
 
 (** Total switch count across all tiers. *)
@@ -48,8 +47,6 @@ val switch_count : t -> tier -> int
 val pod_of_host : t -> int -> int option
 val rack_of_host : t -> int -> int option
 
-val tier_name : tier -> string
-val tier_of_name : string -> tier option
 val component_name : component -> string
 
 (** [validate spec] checks the arity/dimension constraints and returns

@@ -43,7 +43,3 @@ let state_bytes klass ~n_ranks =
   int_of_float ((data_bytes klass /. float_of_int n_ranks) +. process_overhead_bytes)
 
 let reference_checksum klass ~n_ranks = Stencil.reference_checksum (params klass ~n_ranks) ~n_ranks
-
-let ideal_runtime klass ~n_ranks =
-  let p = params klass ~n_ranks in
-  float_of_int p.Stencil.iterations *. p.Stencil.compute_time

@@ -31,7 +31,3 @@ val state_bytes : klass -> n_ranks:int -> int
 
 (** [reference_checksum klass ~n_ranks] — see {!Stencil.reference_checksum}. *)
 val reference_checksum : klass -> n_ranks:int -> int
-
-(** [ideal_runtime klass ~n_ranks] is the communication-free lower bound
-    (iterations x per-iteration compute), for sanity checks. *)
-val ideal_runtime : klass -> n_ranks:int -> float

@@ -314,11 +314,11 @@ let test_metrics_not_cross_wired () =
   let _, vcl_proto, vcl_cases = List.nth goldens 0 in
   let r = run_golden ~protocol:vcl_proto (List.hd vcl_cases) in
   check_bool "vcl recovered" true (Failmpi.Run.recoveries r >= 1);
-  check_int "vcl no failovers" 0 (Failmpi.Run.failovers r);
-  check_int "vcl no respawns" 0 (Failmpi.Run.respawns r);
+  check_int "vcl no failovers" 0 r.Failmpi.Run.metrics.Failmpi.Backend.Metrics.failovers;
+  check_int "vcl no respawns" 0 r.Failmpi.Run.metrics.Failmpi.Backend.Metrics.respawns;
   let _, rep_proto, rep_cases = List.nth goldens 3 in
   let r = run_golden ~protocol:rep_proto (List.hd rep_cases) in
-  check_bool "replication failed over" true (Failmpi.Run.failovers r >= 1);
+  check_bool "replication failed over" true (r.Failmpi.Run.metrics.Failmpi.Backend.Metrics.failovers >= 1);
   check_int "replication no recovery waves" 0 (Failmpi.Run.recoveries r);
   check_int "replication no checkpoint waves" 0 (Failmpi.Run.committed_waves r);
   check_bool "replication reports exhaustion counter" true
@@ -515,7 +515,7 @@ let test_control_surface protocol () =
     launch (match protocol with Mpivcl.Config.Replication _ -> 10 | _ -> 8)
   in
   let task name =
-    match Simos.Cluster.find_task cluster ~host:1 ~name with
+    match Observe.find_task cluster ~host:1 ~name with
     | Some p -> p
     | None -> Alcotest.failf "no live %s on host 1 at %.1f" name (Simkern.Engine.now eng)
   in
@@ -682,16 +682,12 @@ let test_census (name, protocol, _) () =
         Mpivcl.Deploy.cluster (Mpivcl.Deploy.launch eng ~cfg ~app ~state_bytes ~n_compute ())
   in
   ignore (Simkern.Engine.run ~until:10.0 eng);
-  let names =
-    List.concat_map
-      (fun (h : Simos.Cluster.host) ->
-        List.map Simkern.Proc.name (Simos.Cluster.tasks cluster ~host:h.Simos.Cluster.host_id))
-      (Simos.Cluster.hosts cluster)
-  in
+  let tasks = Observe.all_tasks cluster in
+  let names = List.map Simkern.Proc.name tasks in
   check (Alcotest.list Alcotest.string) (name ^ " link readers") []
     (List.filter link_reader names);
   check_int (name ^ " live tasks") (List.assoc name census_pins)
-    (Simos.Cluster.live_task_count cluster)
+    (List.length tasks)
 
 let () =
   Alcotest.run "backend"

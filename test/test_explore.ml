@@ -17,17 +17,33 @@ module Shrink = Explore.Shrink
 let plan_testable =
   Alcotest.testable
     (fun ppf p -> Format.fprintf ppf "%d machines: %s" p.Plan.n_machines (Plan.key p))
-    Plan.equal
+    ( = )
 
 let vname = Explore.verdict_name
 
-let parse_back ?params src =
-  match Plan.of_scenario ?params src with
-  | Ok p -> p
-  | Error e -> Alcotest.failf "of_scenario failed: %s" e
+(* What the explorer relies on in a plan's scenario text: it compiles
+   (every [Run.prepare] compiles it), and it is what the printer makes
+   of its own parse, so a saved witness reads as it was written. *)
+let compiled ?params what src =
+  match Fail_lang.Compile.compile_source ?params src with
+  | Ok plan -> plan
+  | Error e -> Alcotest.failf "%s does not compile: %s" what e
+
+let check_scenario p =
+  let src = Plan.to_scenario p in
+  ignore (compiled (Plan.key p) src);
+  check_str "scenario text re-prints" src
+    (Fail_lang.Pp.program_to_string (Fail_lang.Parser.parse src))
+
+(* A scenario compiles to the same automata and deployments as a plan's
+   generated text. *)
+let check_same_scenario what ?params src p =
+  check_str what
+    (Fail_lang.Codegen.dump (compiled "generated source" (Plan.to_scenario p)))
+    (Fail_lang.Codegen.dump (compiled what ?params src))
 
 (* ------------------------------------------------------------------ *)
-(* Plan <-> scenario round-trips *)
+(* Plan -> scenario *)
 
 let sample_plans =
   [
@@ -55,10 +71,7 @@ let sample_plans =
     };
   ]
 
-let test_plan_roundtrip () =
-  List.iter
-    (fun p -> check plan_testable (Plan.key p) p (parse_back (Plan.to_scenario p)))
-    sample_plans
+let test_plan_roundtrip () = List.iter check_scenario sample_plans
 
 let test_plan_key () =
   check_str "key shape" "kill@2+20;kill@7@reload5+2" (Plan.key (List.nth sample_plans 2));
@@ -84,23 +97,18 @@ let test_double_strike_file () =
         ];
     }
   in
-  let from_file =
-    parse_back
-      ~params:[ ("START", 25); ("GAP", 1); ("FIRST", 0); ("SECOND", 9); ("NTH", 10) ]
-      (read_scenario "double_strike.fail")
-  in
-  check plan_testable "double_strike.fail" expected from_file;
+  check_same_scenario "double_strike.fail"
+    ~params:[ ("START", 25); ("GAP", 1); ("FIRST", 0); ("SECOND", 9); ("NTH", 10) ]
+    (read_scenario "double_strike.fail") expected;
   let registered =
     match List.assoc_opt "double-strike" Fail_lang.Paper_scenarios.all with
     | Some src -> src
     | None -> Alcotest.fail "double-strike not registered in Paper_scenarios.all"
   in
-  check plan_testable "paper scenario" expected (parse_back registered);
-  check plan_testable "generated source" expected (parse_back (Plan.to_scenario expected))
+  check_str "paper scenario" (Plan.to_scenario expected) registered
 
-(* Service faults: key shape, key round-trip and scenario round-trip.
-   The ckpt replica index lives in the fault's [machine] and is
-   mirrored into the selector on parse-back. *)
+(* Service faults: key shape, key round-trip and scenario text. The ckpt
+   replica index lives in the fault's [machine]. *)
 let test_service_plan_roundtrip () =
   let p =
     {
@@ -130,7 +138,7 @@ let test_service_plan_roundtrip () =
   (match Plan.of_key ~n_machines:13 (Plan.key p) with
   | Ok q -> check plan_testable "key round-trip" p q
   | Error e -> Alcotest.failf "of_key failed: %s" e);
-  check plan_testable "scenario round-trip" p (parse_back (Plan.to_scenario p))
+  check_scenario p
 
 (* [align_service] restores the codegen invariant when machine and kind
    were drawn independently (the sampler and corpus mutator do this). *)
@@ -175,19 +183,15 @@ let test_ckpt_sniper_file () =
         ];
     }
   in
-  let from_file =
-    parse_back
-      ~params:[ ("SERVER", 0); ("START", 32); ("RANK", 3); ("GAP", 6) ]
-      (read_scenario "ckpt_sniper.fail")
-  in
-  check plan_testable "ckpt_sniper.fail" expected from_file;
+  check_same_scenario "ckpt_sniper.fail"
+    ~params:[ ("SERVER", 0); ("START", 32); ("RANK", 3); ("GAP", 6) ]
+    (read_scenario "ckpt_sniper.fail") expected;
   let registered =
     match List.assoc_opt "ckpt-sniper" Fail_lang.Paper_scenarios.all with
     | Some src -> src
     | None -> Alcotest.fail "ckpt-sniper not registered in Paper_scenarios.all"
   in
-  check plan_testable "paper scenario" expected (parse_back registered);
-  check plan_testable "generated source" expected (parse_back (Plan.to_scenario expected))
+  check_str "paper scenario" (Plan.to_scenario expected) registered
 
 (* Every fault kind, all three services, all three tiers, both anchors
    and non-zero parameters in one plan.  The four outputs below are the
@@ -295,7 +299,7 @@ let test_vocabulary_pin () =
   (match Plan.of_key ~n_machines:13 (Plan.key p) with
   | Ok q -> check plan_testable "key round-trip" p q
   | Error e -> Alcotest.failf "of_key failed: %s" e);
-  check plan_testable "scenario round-trip" p (parse_back (Plan.to_scenario p))
+  check_scenario p
 
 (* Random aligned plans over every kind and both anchors.  Service
    faults go through [align_service] (the ckpt index is the machine;
@@ -342,15 +346,14 @@ let arb_plan = QCheck.make ~print:Plan.key gen_plan
 let prop_key_roundtrip =
   QCheck.Test.make ~name:"of_key inverts key on every kind" ~count:300 arb_plan (fun p ->
       match Plan.of_key ~n_machines:p.Plan.n_machines (Plan.key p) with
-      | Ok q -> Plan.equal p q
+      | Ok q -> p = q
       | Error e -> QCheck.Test.fail_reportf "of_key failed: %s" e)
 
-let prop_scenario_roundtrip =
-  QCheck.Test.make ~name:"of_scenario inverts to_scenario on every kind" ~count:300 arb_plan
-    (fun p ->
-      match Plan.of_scenario (Plan.to_scenario p) with
-      | Ok q -> Plan.equal p q
-      | Error e -> QCheck.Test.fail_reportf "of_scenario failed: %s" e)
+let prop_scenario_compiles =
+  QCheck.Test.make ~name:"to_scenario compiles on every kind" ~count:300 arb_plan (fun p ->
+      match Fail_lang.Compile.compile_source (Plan.to_scenario p) with
+      | Ok _ -> true
+      | Error e -> QCheck.Test.fail_reportf "%s does not compile: %s" (Plan.key p) e)
 
 (* ------------------------------------------------------------------ *)
 (* Shrinker on synthetic oracles *)
@@ -541,9 +544,9 @@ let test_seeded_defect_found () =
 let test_witness_replays () =
   let rp = Lazy.force seeded_j4 in
   let m = List.hd rp.Explore.minimized in
-  (* The emitted FAIL source parses back to exactly the minimized plan... *)
-  check plan_testable "emitted scenario round-trips" m.Explore.min_plan
-    (parse_back m.Explore.scenario);
+  (* The emitted FAIL source is the minimized plan's... *)
+  check_str "emitted scenario is the plan's" (Plan.to_scenario m.Explore.min_plan)
+    m.Explore.scenario;
   (* ...replays with the same classification with the defect present... *)
   let replay = Explore.runner_of_spec (demo_spec ~seeded:true) m.Explore.min_plan in
   check_str "replay reproduces the verdict" (vname Explore.Buggy)
@@ -579,7 +582,7 @@ let () =
         ]
         @ List.map
             (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 18 |]))
-            [ prop_key_roundtrip; prop_scenario_roundtrip ] );
+            [ prop_key_roundtrip; prop_scenario_compiles ] );
       ( "shrink",
         [
           Alcotest.test_case "ddmin singleton" `Quick test_ddmin_singleton;

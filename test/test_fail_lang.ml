@@ -118,12 +118,12 @@ let test_parse_timer_always () =
   check_bool "timer" true (n.Ast.n_timer <> None)
 
 let test_parse_two_timers_rejected () =
-  match Parser.parse_result "Daemon D { node 1: time a = 1; time b = 2; }" with
+  match Compile.compile_source "Daemon D { node 1: time a = 1; time b = 2; }" with
   | Error msg -> check_bool "mentions timer" true (String.length msg > 0)
   | Ok _ -> Alcotest.fail "expected error"
 
 let test_parse_two_triggers_rejected () =
-  match Parser.parse_result "Daemon D { node 1: onload && onexit -> goto 1; }" with
+  match Compile.compile_source "Daemon D { node 1: onload && onexit -> goto 1; }" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected error"
 
@@ -240,13 +240,13 @@ let test_parse_service_actions () =
 
 let test_parse_degrade_bad_field () =
   match
-    Parser.parse_result "Daemon D { node 1: timer -> degrade G1[0] speed = 2; time t = 1; }"
+    Compile.compile_source "Daemon D { node 1: timer -> degrade G1[0] speed = 2; time t = 1; }"
   with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected unknown-field error"
 
 let test_parse_error_location () =
-  match Parser.parse_result "Daemon D {\n node 1:\n onload -> ;\n}" with
+  match Compile.compile_source "Daemon D {\n node 1:\n onload -> ;\n}" with
   | Error msg -> check_bool "line 3 reported" true (String.length msg > 0 && String.sub msg 0 6 = "line 3")
   | Ok _ -> Alcotest.fail "expected error"
 
@@ -322,8 +322,8 @@ let test_roundtrip_topo_dests () =
   in
   check_string "compound pod index parenthesized" "partition pod (N + 1)" printed
 
-(* Codegen.Scenario: [injections_of_program] is the inverse of [source]
-   for every fault kind, including the network ones. *)
+(* Codegen.Scenario: the source of every fault kind, the network ones
+   included, survives parse -> print -> parse and compiles. *)
 let test_scenario_injection_roundtrip () =
   let open Codegen.Scenario in
   let plans =
@@ -360,12 +360,10 @@ let test_scenario_injection_roundtrip () =
   List.iter
     (fun injections ->
       let src = source ~n_machines:13 injections in
-      let p = Parser.parse src in
-      match injections_of_program p with
-      | Ok (n_machines, got) ->
-          check_bool "machine count survives round-trip" true (n_machines = 13);
-          check_bool "injections survive round-trip" true (got = injections)
-      | Error e -> Alcotest.failf "injections_of_program failed: %s\n%s" e src)
+      roundtrip src;
+      match Compile.compile_source src with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "generated scenario does not compile: %s\n%s" e src)
     plans
 
 (* Every scenario file we ship must survive parse -> print -> parse.
@@ -554,9 +552,10 @@ let prop_program_pipeline =
     (QCheck.make ~print:Pp.program_to_string gen_program)
     (fun program ->
       let printed = Pp.program_to_string program in
-      match Parser.parse_result printed with
-      | Error msg -> QCheck.Test.fail_reportf "re-parse failed: %s\n%s" msg printed
-      | Ok reparsed ->
+      match Parser.parse printed with
+      | exception Loc.Error (loc, msg) ->
+          QCheck.Test.fail_reportf "re-parse failed: %s\n%s" (Loc.error_to_string loc msg) printed
+      | reparsed ->
           (* Compare after semantic analysis: the parser leaves bare group
              destinations as instances until Sema classifies them. *)
           if
@@ -577,13 +576,13 @@ let prop_lexer_total =
   QCheck.Test.make ~name:"lexer/parser never crash on garbage" ~count:500
     QCheck.(string_gen_of_size (Gen.int_range 0 60) Gen.printable)
     (fun src ->
-      match Parser.parse_result src with Ok _ -> true | Error _ -> true)
+      match Compile.compile_source src with Ok _ -> true | Error _ -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Sema *)
 
 let check_err ?params src expected_fragment =
-  match Sema.check_result ?params (Parser.parse src) with
+  match Compile.compile_source ?params src with
   | Error msg ->
       let re = Str.regexp_string expected_fragment in
       check_bool
@@ -664,7 +663,7 @@ let test_compile_slots () =
   in
   let a = Option.get (Compile.automaton plan "D") in
   check_int "4 slots" 4 (Automaton.var_count a);
-  check_int "2 nodes" 2 (Automaton.node_count a);
+  check_int "2 nodes" 2 (Array.length a.Automaton.nodes);
   check_bool "node lookup" true (Automaton.node_index a "2" = Some 1)
 
 let test_compile_goto_indices () =
@@ -683,8 +682,13 @@ let test_compile_messages () =
       ()
   in
   let a = Option.get (Compile.automaton plan "D") in
-  check_bool "sent" true (Automaton.messages_sent a = [ "crash" ]);
-  check_bool "received" true (Automaton.messages_received a = [ "no"; "ok" ])
+  match a.Automaton.nodes.(0).Automaton.transitions with
+  | [ ok; no ] ->
+      check_bool "receives ok" true (ok.Automaton.trigger = Some (Ast.T_recv "ok"));
+      check_bool "sends crash" true
+        (match ok.Automaton.actions with Automaton.C_send ("crash", _) :: _ -> true | _ -> false);
+      check_bool "receives no" true (no.Automaton.trigger = Some (Ast.T_recv "no"))
+  | _ -> Alcotest.fail "expected two transitions"
 
 let test_compile_paper_scenarios () =
   List.iter

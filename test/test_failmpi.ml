@@ -52,7 +52,7 @@ let test_state_sync_is_buggy () =
   let scenario = Fail_lang.Paper_scenarios.state_synchronized ~n_machines:8 ~period:15 in
   let r = Failmpi.Run.execute (small_spec ~scenario ()) in
   check_bool "buggy" true (r.Failmpi.Run.outcome = Failmpi.Run.Buggy);
-  check_bool "confused" true (Failmpi.Run.confused r);
+  check_bool "confused" true r.Failmpi.Run.metrics.Failmpi.Backend.Metrics.confused;
   check_int "two faults" 2 r.Failmpi.Run.injected_faults
 
 let test_state_sync_fixed_dispatcher_survives () =
@@ -62,7 +62,7 @@ let test_state_sync_fixed_dispatcher_survives () =
   in
   check_bool "completed" true
     (match r.Failmpi.Run.outcome with Failmpi.Run.Completed _ -> true | _ -> false);
-  check_bool "not confused" false (Failmpi.Run.confused r);
+  check_bool "not confused" false r.Failmpi.Run.metrics.Failmpi.Backend.Metrics.confused;
   check_bool "checksums ok" true (r.Failmpi.Run.checksum_ok = Some true)
 
 let test_overwhelming_faults_non_terminating () =
@@ -174,8 +174,7 @@ let test_stats () =
   | None -> Alcotest.fail "stddev");
   check_bool "stddev singleton" true (Experiments.Stats.stddev [ 1.0 ] = None);
   check (Alcotest.float 1e-9) "percent" 25.0 (Experiments.Stats.percent ~total:8 2);
-  check (Alcotest.float 1e-9) "percent zero total" 0.0 (Experiments.Stats.percent ~total:0 5);
-  check_bool "median" true (Experiments.Stats.quantile 0.5 [ 1.0; 2.0; 3.0 ] = Some 2.0)
+  check (Alcotest.float 1e-9) "percent zero total" 0.0 (Experiments.Stats.percent ~total:0 5)
 
 let test_aggregate () =
   let mk outcome =
@@ -284,7 +283,12 @@ let test_trace_analysis () =
        (fun rec_ -> rec_.Experiments.Trace_analysis.rec_end <> None)
        s.Experiments.Trace_analysis.recoveries);
   check_bool "durations positive" true
-    (List.for_all (fun d -> d > 0.0) (Experiments.Trace_analysis.recovery_durations s));
+    (List.for_all
+       (fun r ->
+         match r.Experiments.Trace_analysis.rec_end with
+         | Some e -> e > r.Experiments.Trace_analysis.rec_start
+         | None -> false)
+       s.Experiments.Trace_analysis.recoveries);
   check_bool "no confusion" true (s.Experiments.Trace_analysis.confusion_time = None);
   let report = Format.asprintf "%a" Experiments.Trace_analysis.pp s in
   check_bool "report mentions faults" true

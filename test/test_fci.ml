@@ -10,6 +10,9 @@ let check_int = check Alcotest.int
 let check_bool = check Alcotest.bool
 let check_string = check Alcotest.string
 
+(* A target controlling just [p], with no program variables. *)
+let target_of p = Fci.Control.of_procs ~name:(Proc.name p) ~main:p ~children:ignore
+
 let deploy ?msg_latency ?params eng src =
   match Compile.compile_source ?params src with
   | Ok plan -> Fci.Runtime.create eng ?msg_latency plan
@@ -122,7 +125,7 @@ let test_onload_transitions () =
       (fig4_src ^ "Daemon P { node 1: } P1 : P on machine 9; G1[2] : ADV2 on machines 0 .. 1;")
   in
   let app = spawn_app eng () in
-  Engine.schedule eng ~delay:1.0 (fun () -> Fci.Runtime.register rt ~machine:0 (Fci.Control.of_proc app))
+  Engine.schedule eng ~delay:1.0 (fun () -> Fci.Runtime.register rt ~machine:0 (target_of app))
   |> ignore;
   ignore (Engine.run ~until:5.0 eng);
   match Fci.Runtime.find_instance rt "G1[0]" with
@@ -153,7 +156,7 @@ Daemon COORD {
   let app = spawn_app eng () in
   let reason = ref None in
   Proc.on_exit app (fun r -> reason := Some r);
-  Engine.schedule eng (fun () -> Fci.Runtime.register rt ~machine:0 (Fci.Control.of_proc app))
+  Engine.schedule eng (fun () -> Fci.Runtime.register rt ~machine:0 (target_of app))
   |> ignore;
   ignore (Engine.run ~until:10.0 eng);
   check_bool "app killed" true (!reason = Some Proc.Exit_killed);
@@ -201,11 +204,11 @@ G1[1] : W on machines 0 .. 0;
   in
   (* First app exits normally, second crashes, third is killed. *)
   let app1 = spawn_app eng ~steps:2 () in
-  Engine.schedule eng (fun () -> Fci.Runtime.attach rt ~machine:0 app1) |> ignore;
+  Engine.schedule eng (fun () -> Fci.Runtime.register rt ~machine:0 (target_of app1)) |> ignore;
   let app2 = Proc.spawn eng ~name:"crasher" (fun () -> Proc.sleep 5.0; failwith "boom") in
-  Engine.schedule eng ~delay:4.0 (fun () -> Fci.Runtime.attach rt ~machine:0 app2) |> ignore;
+  Engine.schedule eng ~delay:4.0 (fun () -> Fci.Runtime.register rt ~machine:0 (target_of app2)) |> ignore;
   let app3 = spawn_app eng ~name:"victim" () in
-  Engine.schedule eng ~delay:7.0 (fun () -> Fci.Runtime.attach rt ~machine:0 app3) |> ignore;
+  Engine.schedule eng ~delay:7.0 (fun () -> Fci.Runtime.register rt ~machine:0 (target_of app3)) |> ignore;
   Engine.schedule eng ~delay:8.0 (fun () -> Proc.kill app3) |> ignore;
   ignore (Engine.run ~until:20.0 eng);
   check_bool "one normal exit" true (Fci.Runtime.read_var rt ~instance:"G1[0]" "exits" = Some 1);
@@ -234,7 +237,7 @@ G1[1] : S on machines 0 .. 0;
       ~on_step:(fun i -> if i = 1 then first_step_at := Engine.now eng)
       ()
   in
-  Engine.schedule eng (fun () -> Fci.Runtime.attach rt ~machine:0 app) |> ignore;
+  Engine.schedule eng (fun () -> Fci.Runtime.register rt ~machine:0 (target_of app)) |> ignore;
   ignore (Engine.run ~until:30.0 eng);
   (* Without the stop the first step lands at t=1; frozen until ~5. *)
   check_bool "first step delayed past 5s"
@@ -260,7 +263,7 @@ G1[1] : B on machines 0 .. 0;
   let rt_ref = rt in
   let app =
     Proc.spawn eng ~name:"app" (fun () ->
-        Fci.Runtime.register rt_ref ~machine:0 (Fci.Control.of_proc (Proc.self ()));
+        Fci.Runtime.register rt_ref ~machine:0 (target_of (Proc.self ()));
         Proc.sleep 1.0;
         Fci.Runtime.breakpoint rt_ref ~machine:0 `Before "setCommand";
         reached := true)
@@ -278,7 +281,7 @@ let test_breakpoint_default_continue () =
   let reached = ref false in
   ignore
     (Proc.spawn eng ~name:"app" (fun () ->
-         Fci.Runtime.register rt ~machine:0 (Fci.Control.of_proc (Proc.self ()));
+         Fci.Runtime.register rt ~machine:0 (target_of (Proc.self ()));
          Fci.Runtime.breakpoint rt ~machine:0 `Before "anything";
          reached := true));
   ignore (Engine.run ~until:5.0 eng);
@@ -291,7 +294,7 @@ let test_register_unmonitored_machine () =
   let done_ = ref false in
   ignore
     (Proc.spawn eng ~name:"app" (fun () ->
-         Fci.Runtime.register rt ~machine:5 (Fci.Control.of_proc (Proc.self ()));
+         Fci.Runtime.register rt ~machine:5 (target_of (Proc.self ()));
          Fci.Runtime.breakpoint rt ~machine:5 `Before "f";
          Proc.sleep 1.0;
          done_ := true));
@@ -373,7 +376,7 @@ G1[1] : V on machines 0 .. 0;
   ignore
     (Proc.spawn eng ~name:"app" (fun () ->
          let target =
-           Fci.Control.with_vars (Fci.Control.of_proc (Proc.self ())) vars
+           Fci.Control.with_vars (target_of (Proc.self ())) vars
          in
          Fci.Runtime.register rt ~machine:0 target;
          for i = 1 to 5 do
@@ -381,7 +384,7 @@ G1[1] : V on machines 0 .. 0;
            Fci.Control.set_var vars "progress" i
          done;
          Proc.sleep 1.0;
-         boost_seen := Option.value ~default:0 (Fci.Control.get_var vars "boost")));
+         boost_seen := Option.value ~default:0 (target.Fci.Control.read_var "boost")));
   ignore (Engine.run ~until:20.0 eng);
   check_bool "threshold captured" true (Fci.Runtime.read_var rt ~instance:"G1[0]" "seen" = Some 3);
   check_int "injector wrote app var" 7 !boost_seen
@@ -437,9 +440,9 @@ G1[1] : W on machines 0 .. 0;
 |}
   in
   let old_app = spawn_app eng ~name:"old" () in
-  Engine.schedule eng (fun () -> Fci.Runtime.attach rt ~machine:0 old_app) |> ignore;
+  Engine.schedule eng (fun () -> Fci.Runtime.register rt ~machine:0 (target_of old_app)) |> ignore;
   let new_app = spawn_app eng ~name:"new" () in
-  Engine.schedule eng ~delay:2.0 (fun () -> Fci.Runtime.attach rt ~machine:0 new_app) |> ignore;
+  Engine.schedule eng ~delay:2.0 (fun () -> Fci.Runtime.register rt ~machine:0 (target_of new_app)) |> ignore;
   Engine.schedule eng ~delay:3.0 (fun () -> Proc.kill old_app) |> ignore;
   ignore (Engine.run ~until:10.0 eng);
   (match Fci.Runtime.find_instance rt "G1[0]" with
@@ -475,7 +478,7 @@ G1[2] : C on machines 0 .. 1;
   ignore (Engine.run ~until:10.0 eng);
   check_bool "continued past bad send" true (Fci.Runtime.read_var rt ~instance:"P1" "after_ok" = Some 1);
   check_bool "send-error traced" true
-    (Simkern.Trace.count (Engine.trace eng) ~event:"send-error" >= 1)
+    (Observe.count (Engine.trace eng) ~event:"send-error" >= 1)
 
 let test_halt_without_target_is_noop () =
   let eng = Engine.create () in
@@ -488,7 +491,7 @@ let test_halt_without_target_is_noop () =
     (Fci.Runtime.read_var rt ~instance:"G1[0]" "done_" = Some 1);
   check_int "nothing injected" 0 (Fci.Runtime.injected_faults rt);
   check_bool "halt-no-target traced" true
-    (Simkern.Trace.count (Engine.trace eng) ~event:"halt-no-target" = 1)
+    (Observe.count (Engine.trace eng) ~event:"halt-no-target" = 1)
 
 let test_register_overwrite () =
   (* A second registration replaces the controlled target (with a trace
@@ -515,14 +518,14 @@ G1[1] : W on machines 0 .. 0;
   in
   let first = spawn_app eng ~name:"first" () in
   let second = spawn_app eng ~name:"second" () in
-  Engine.schedule eng (fun () -> Fci.Runtime.attach rt ~machine:0 first) |> ignore;
-  Engine.schedule eng ~delay:1.0 (fun () -> Fci.Runtime.attach rt ~machine:0 second) |> ignore;
+  Engine.schedule eng (fun () -> Fci.Runtime.register rt ~machine:0 (target_of first)) |> ignore;
+  Engine.schedule eng ~delay:1.0 (fun () -> Fci.Runtime.register rt ~machine:0 (target_of second)) |> ignore;
   let first_dead = ref false and second_dead = ref false in
   Proc.on_exit first (fun r -> if r = Proc.Exit_killed then first_dead := true);
   Proc.on_exit second (fun r -> if r = Proc.Exit_killed then second_dead := true);
   ignore (Engine.run ~until:10.0 eng);
   check_bool "overwrite traced" true
-    (Simkern.Trace.count (Engine.trace eng) ~event:"register-overwrite" = 1);
+    (Observe.count (Engine.trace eng) ~event:"register-overwrite" = 1);
   check_bool "newest killed" true !second_dead;
   check_bool "oldest untouched" false !first_dead
 

@@ -7,7 +7,6 @@
    integration run here reaches. *)
 
 open Simkern
-open Simos
 
 let check = Alcotest.check
 let check_int = check Alcotest.int
@@ -78,19 +77,16 @@ let kill_replica run rank slot =
   let cluster = Mpirep.Deploy.cluster run.handle in
   let killed = ref 0 in
   List.iter
-    (fun (h : Cluster.host) ->
-      List.iter
-        (fun p ->
-          let name = Proc.name p in
-          if
-            String.equal name (Printf.sprintf "rdaemon-%d.%d" rank slot)
-            || String.equal name (Printf.sprintf "rmpi-%d.%d" rank slot)
-          then begin
-            Proc.kill p;
-            incr killed
-          end)
-        (Cluster.tasks cluster ~host:h.Cluster.host_id))
-    (Cluster.hosts cluster);
+    (fun p ->
+      let name = Proc.name p in
+      if
+        String.equal name (Printf.sprintf "rdaemon-%d.%d" rank slot)
+        || String.equal name (Printf.sprintf "rmpi-%d.%d" rank slot)
+      then begin
+        Proc.kill p;
+        incr killed
+      end)
+    (Observe.all_tasks cluster);
   !killed
 
 let at run t f = Engine.schedule run.eng ~delay:t f |> ignore
@@ -145,10 +141,10 @@ let test_single_failover_no_rollback () =
   check_bool "failover observed" true (Mpirep.Rdispatcher.failovers (dispatcher run) >= 1);
   check_bool "respawned" true (Mpirep.Rdispatcher.respawns (dispatcher run) >= 1);
   let t = trace run in
-  check_bool "failover traced" true (Trace.count t ~event:"replica-failover" >= 1);
-  check_bool "respawn traced" true (Trace.count t ~event:"replica-respawn" >= 1);
-  check_int "no recovery waves" 0 (Trace.count t ~event:"recovery-start");
-  check_int "no rollbacks" 0 (Trace.count t ~event:"recovery-complete")
+  check_bool "failover traced" true (Observe.count t ~event:"replica-failover" >= 1);
+  check_bool "respawn traced" true (Observe.count t ~event:"replica-respawn" >= 1);
+  check_int "no recovery waves" 0 (Observe.count t ~event:"recovery-start");
+  check_int "no rollbacks" 0 (Observe.count t ~event:"recovery-complete")
 
 let test_duplicate_suppression () =
   (* Sibling replicas multicast the same (src, tag) payloads, and the
@@ -160,7 +156,7 @@ let test_duplicate_suppression () =
   assert_completed run;
   assert_checksums run;
   check_bool "duplicates dropped" true
-    (Trace.count (trace run) ~event:"duplicate-dropped" >= 1)
+    (Observe.count (trace run) ~event:"duplicate-dropped" >= 1)
 
 let test_exhaustion_direct () =
   (* Kill both replicas of rank 1 faster than the respawn latency
@@ -177,7 +173,7 @@ let test_exhaustion_direct () =
   | None -> Alcotest.fail "dispatcher should have aborted");
   check_bool "exhausted" true (Mpirep.Rdispatcher.exhausted (dispatcher run));
   check_bool "exhaustion traced" true
-    (Trace.count (trace run) ~event:"replication-exhausted" >= 1)
+    (Observe.count (trace run) ~event:"replication-exhausted" >= 1)
 
 let test_replica_split_scenario_is_buggy () =
   (* End-to-end through the FAIL pipeline: the replica-split scenario
@@ -202,7 +198,7 @@ let test_replica_split_scenario_is_buggy () =
   check_bool "buggy" true (r.Failmpi.Run.outcome = Failmpi.Run.Buggy);
   check_int "two faults" 2 r.Failmpi.Run.injected_faults;
   check_bool "exhaustion traced" true
-    (Trace.count r.Failmpi.Run.trace ~event:"replication-exhausted" >= 1)
+    (Observe.count r.Failmpi.Run.trace ~event:"replication-exhausted" >= 1)
 
 let test_replica_split_staggered_completes () =
   (* Same scenario with a gap beyond the respawn latency (~0.4 s under
@@ -228,7 +224,7 @@ let test_replica_split_staggered_completes () =
   check_bool "completed" true
     (match r.Failmpi.Run.outcome with Failmpi.Run.Completed _ -> true | _ -> false);
   check_bool "checksums ok" true (r.Failmpi.Run.checksum_ok = Some true);
-  check_bool "two failovers" true ((Failmpi.Run.failovers r) >= 2);
+  check_bool "two failovers" true (r.Failmpi.Run.metrics.Failmpi.Backend.Metrics.failovers >= 2);
   check_int "no recovery waves" 0 (Failmpi.Run.recoveries r)
 
 let test_determinism_same_seed_same_trace () =

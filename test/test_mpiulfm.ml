@@ -297,7 +297,7 @@ let test_thawed_member_is_fenced () =
   | Failmpi.Run.Degraded { survivors; _ } -> check_int "survivors" 3 survivors
   | o -> Alcotest.failf "expected degraded, got %s" (Failmpi.Run.outcome_name o));
   check_bool "every checksum correct" true (r.Failmpi.Run.checksum_ok = Some true);
-  let entries event = Simkern.Trace.find_all r.Failmpi.Run.trace ~event in
+  let entries event = Observe.find_all r.Failmpi.Run.trace ~event in
   check (Alcotest.list Alcotest.string) "epoch 1 installed by the other three"
     [ "udaemon-0"; "udaemon-2"; "udaemon-3" ]
     (List.sort compare

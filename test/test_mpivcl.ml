@@ -78,19 +78,16 @@ let kill_rank run rank =
   let cluster = Deploy.cluster run.handle in
   let killed = ref 0 in
   List.iter
-    (fun (h : Cluster.host) ->
-      List.iter
-        (fun p ->
-          let name = Proc.name p in
-          if
-            String.equal name (Printf.sprintf "vdaemon-%d" rank)
-            || String.equal name (Printf.sprintf "mpi-%d" rank)
-          then begin
-            Proc.kill p;
-            incr killed
-          end)
-        (Cluster.tasks cluster ~host:h.Cluster.host_id))
-    (Cluster.hosts cluster);
+    (fun p ->
+      let name = Proc.name p in
+      if
+        String.equal name (Printf.sprintf "vdaemon-%d" rank)
+        || String.equal name (Printf.sprintf "mpi-%d" rank)
+      then begin
+        Proc.kill p;
+        incr killed
+      end)
+    (Observe.all_tasks cluster);
   !killed
 
 (* ------------------------------------------------------------------ *)
@@ -166,7 +163,7 @@ let test_fault_on_spare_rank_moves () =
   assert_completed run;
   (* The failed rank must have been reallocated to a spare host. *)
   let trace = Engine.trace run.eng in
-  check_bool "reallocated" true (Trace.count trace ~event:"reallocate" >= 1)
+  check_bool "reallocated" true (Observe.count trace ~event:"reallocate" >= 1)
 
 let test_blocking_protocol () =
   let cfg = { (test_cfg ~n_ranks:4) with Config.protocol = Config.Blocking } in
@@ -226,7 +223,7 @@ let test_v2_failure_free () =
   (* Independent checkpoints happened. *)
   let trace = Engine.trace run.eng in
   check_bool "independent checkpoints" true
-    (Trace.count trace ~event:"checkpoint-committed" >= 4)
+    (Observe.count trace ~event:"checkpoint-committed" >= 4)
 
 let test_v2_single_fault_restarts_only_failed () =
   let run = setup ~cfg:(v2_cfg ~n_ranks:4) () in
@@ -235,11 +232,11 @@ let test_v2_single_fault_restarts_only_failed () =
   assert_completed run;
   assert_checksums run;
   let trace = Engine.trace run.eng in
-  check_int "no termination orders" 0 (Trace.count trace ~event:"terminate-order");
-  check_int "no global recovery" 0 (Trace.count trace ~event:"recovery-start");
+  check_int "no termination orders" 0 (Observe.count trace ~event:"terminate-order");
+  check_int "no global recovery" 0 (Observe.count trace ~event:"recovery-start");
   check_bool "failed rank resumed individually" true
-    (Trace.count trace ~event:"rank-resumed" >= 1);
-  check_bool "log resend happened" true (Trace.count trace ~event:"resend" >= 1)
+    (Observe.count trace ~event:"rank-resumed" >= 1);
+  check_bool "log resend happened" true (Observe.count trace ~event:"resend" >= 1)
 
 let test_v2_fault_before_first_checkpoint () =
   let cfg = { (v2_cfg ~n_ranks:4) with Config.wave_interval = 1000.0 } in

@@ -232,6 +232,12 @@ let deploy eng src =
   | Ok plan -> Fci.Runtime.create eng plan
   | Error msg -> Alcotest.failf "compile failed: %s" msg
 
+(* Network faults the FCI interpreter executed: each traces one
+   [partition] or [degrade] entry ([heal] is not a fault). *)
+let net_faults eng =
+  let trace = Engine.trace eng in
+  Observe.count trace ~event:"partition" + Observe.count trace ~event:"degrade"
+
 let test_fci_net_actions_and_drain () =
   let eng = Engine.create () in
   let net : unit Simnet.Net.t = Simnet.Net.create eng () in
@@ -262,7 +268,7 @@ G1[2] : NODE on machines 0 .. 1;
   (* The heartbeat monitor keeps the engine busy while the fabric is
      perturbed, so run to a deadline rather than quiescence. *)
   check_bool "deadline" true (Engine.run ~until:30.0 eng = `Deadline);
-  check_int "degrade and partition counted" 2 (Fci.Runtime.net_faults rt);
+  check_int "degrade and partition counted" 2 (net_faults eng);
   check_bool "fabric touched" true (Perturb.touched p);
   Fci.Runtime.shutdown rt;
   check_bool "drained" true (Engine.run eng = `Quiescent);
@@ -292,7 +298,7 @@ let test_fci_switch_kill () =
   Fci.Runtime.set_topology rt
     (Simtopo.Topo.for_cluster (Simtopo.Topo.Fat_tree { k = 4 }) ~n_compute:16);
   check_bool "deadline" true (Engine.run ~until:10.0 eng = `Deadline);
-  check_int "component fault counted" 1 (Fci.Runtime.net_faults rt);
+  check_int "component fault counted" 1 (net_faults eng);
   (* edge switch 0 takes rack 0 (hosts 0 and 1) off the fabric: every
      pair touching them is cut, everything else stays open *)
   check_bool "severed to remote" true (Perturb.cut p ~src:0 ~dst:5);
@@ -311,7 +317,7 @@ let test_fci_topo_kill_without_topology_is_noop () =
   let rt = deploy eng topo_kill_src in
   Fci.Runtime.set_fabric rt p;
   ignore (Engine.run ~until:10.0 eng);
-  check_int "no fault counted" 0 (Fci.Runtime.net_faults rt);
+  check_int "no fault counted" 0 (net_faults eng);
   check_bool "fabric untouched" false (Perturb.touched p);
   Fci.Runtime.shutdown rt;
   check_bool "drained" true (Engine.run eng = `Quiescent)

@@ -405,7 +405,7 @@ let test_double_strike () =
   let historical = double_strike ~buggy:true in
   check_bool "historical: buggy" true (historical.Failmpi.Run.outcome = Failmpi.Run.Buggy);
   check_int "historical: rank 0 forgotten" 1
-    (Simkern.Trace.count historical.Failmpi.Run.trace ~event:"dispatcher-confused");
+    (Observe.count historical.Failmpi.Run.trace ~event:"dispatcher-confused");
   let corrected = double_strike ~buggy:false in
   (match corrected.Failmpi.Run.outcome with
   | Failmpi.Run.Completed _ -> ()

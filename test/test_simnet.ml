@@ -10,6 +10,9 @@ let check_int = check Alcotest.int
 let check_bool = check Alcotest.bool
 let check_float msg = check (Alcotest.float 1e-6) msg
 
+(* One-way propagation delay between distinct hosts (100 us). *)
+let latency = 1e-4
+
 let with_net f =
   let eng = Engine.create () in
   let net = Net.create eng () in
@@ -72,7 +75,7 @@ let test_latency () =
                  | Net.Data () -> received_at := Engine.now eng
                  | Net.Closed -> ())
              | Error `Refused -> ())));
-  let lat = Net.latency in
+  let lat = latency in
   check_float "handshake one RTT" (1.0 +. (2.0 *. lat)) !connected_at;
   check_bool "message after accept" true (!received_at > !connected_at)
 
@@ -330,7 +333,7 @@ let test_forward_local_close_idle () =
   let log, f = recorder () in
   Net.forward b f;
   settle eng;
-  let arrival = Engine.now eng +. Net.latency in
+  let arrival = Engine.now eng +. latency in
   Engine.post_at eng ~time:arrival (fun () -> Net.close b);
   ignore (Net.send a ~size:0 1);
   settle eng;
@@ -468,10 +471,10 @@ let test_cluster_tasks () =
   ignore (Engine.run ~until:5.0 eng);
   check_int "one task" 1 (List.length (Simos.Cluster.tasks cluster ~host:2));
   check_bool "find by name" true
-    (match Simos.Cluster.find_task cluster ~host:2 ~name:"worker" with
+    (match Observe.find_task cluster ~host:2 ~name:"worker" with
     | Some q -> Proc.pid q = Proc.pid p
     | None -> false);
-  check_int "live count" 1 (Simos.Cluster.live_task_count cluster);
+  check_int "live count" 1 (List.length (Observe.all_tasks cluster));
   ignore (Engine.run ~until:20.0 eng);
   check_int "task gone after exit" 0 (List.length (Simos.Cluster.tasks cluster ~host:2))
 
@@ -491,11 +494,11 @@ let test_cluster_bad_host () =
   let eng = Engine.create () in
   let cluster = Simos.Cluster.create eng ~size:2 in
   Alcotest.check_raises "unknown host" (Invalid_argument "Cluster.host: unknown host 9")
-    (fun () -> ignore (Simos.Cluster.host cluster 9))
+    (fun () -> ignore (Simos.Cluster.tasks cluster ~host:9))
 
 let test_cluster_counters_o1 () =
-  (* task_count / live_task_count are maintained counters, and they stay
-     consistent through spawn, exit and kill_all. *)
+  (* Per-host and total task counts stay consistent through spawn, exit
+     and kill_all. *)
   let eng = Engine.create () in
   let cluster = Simos.Cluster.create eng ~size:3 in
   for i = 1 to 4 do
@@ -511,16 +514,16 @@ let test_cluster_counters_o1 () =
          (fun () -> Proc.sleep 100.0))
   done;
   ignore (Engine.run ~until:0.5 eng);
-  check_int "host 0 count" 4 (Simos.Cluster.task_count cluster ~host:0);
-  check_int "host 2 count" 3 (Simos.Cluster.task_count cluster ~host:2);
-  check_int "live total" 7 (Simos.Cluster.live_task_count cluster);
+  check_int "host 0 count" 4 (List.length (Simos.Cluster.tasks cluster ~host:0));
+  check_int "host 2 count" 3 (List.length (Simos.Cluster.tasks cluster ~host:2));
+  check_int "live total" 7 (List.length (Observe.all_tasks cluster));
   ignore (Engine.run ~until:5.0 eng);
-  check_int "short tasks exited" 0 (Simos.Cluster.task_count cluster ~host:0);
-  check_int "live total after exits" 3 (Simos.Cluster.live_task_count cluster);
+  check_int "short tasks exited" 0 (List.length (Simos.Cluster.tasks cluster ~host:0));
+  check_int "live total after exits" 3 (List.length (Observe.all_tasks cluster));
   Simos.Cluster.kill_all cluster ~host:2;
   ignore (Engine.run ~until:10.0 eng);
-  check_int "host 2 emptied" 0 (Simos.Cluster.task_count cluster ~host:2);
-  check_int "all gone" 0 (Simos.Cluster.live_task_count cluster)
+  check_int "host 2 emptied" 0 (List.length (Simos.Cluster.tasks cluster ~host:2));
+  check_int "all gone" 0 (List.length (Observe.all_tasks cluster))
 
 let test_cluster_slot_reuse () =
   (* Slots freed by exits are recycled: churn far beyond the initial
@@ -538,9 +541,9 @@ let test_cluster_slot_reuse () =
     |> ignore
   done;
   ignore (Engine.run ~until:100.0 eng);
-  check_int "all recycled" 0 (Simos.Cluster.live_task_count cluster);
-  check_int "host 0 empty" 0 (Simos.Cluster.task_count cluster ~host:0);
-  check_int "host 1 empty" 0 (Simos.Cluster.task_count cluster ~host:1)
+  check_int "all recycled" 0 (List.length (Observe.all_tasks cluster));
+  check_int "host 0 empty" 0 (List.length (Simos.Cluster.tasks cluster ~host:0));
+  check_int "host 1 empty" 0 (List.length (Simos.Cluster.tasks cluster ~host:1))
 
 let test_cluster_tasks_order () =
   (* [tasks] lists most-recently-spawned first — the order protocol code

@@ -69,8 +69,14 @@ let test_bt_image_shrinks () =
   check_bool "image smaller at 64 ranks" true
     (Bt_model.state_bytes Bt_model.B ~n_ranks:64 < Bt_model.state_bytes Bt_model.B ~n_ranks:25)
 
+(* The communication-free lower bound of a run: iterations x per-rank
+   compute. *)
+let ideal_runtime klass ~n_ranks =
+  let p = Bt_model.params klass ~n_ranks in
+  float_of_int p.Stencil.iterations *. p.Stencil.compute_time
+
 let test_bt_classes_ordered () =
-  let t k = Bt_model.ideal_runtime k ~n_ranks:49 in
+  let t k = ideal_runtime k ~n_ranks:49 in
   check_bool "A < B < C" true (t Bt_model.A < t Bt_model.B && t Bt_model.B < t Bt_model.C)
 
 let test_bt_class_parse () =
@@ -82,7 +88,7 @@ let test_bt_class_parse () =
 let test_bt_calibration_ballpark () =
   (* The paper's failure-free BT-49 class B is ~210 s; the ideal runtime
      (without communication) must be just under that. *)
-  let t = Bt_model.ideal_runtime Bt_model.B ~n_ranks:49 in
+  let t = ideal_runtime Bt_model.B ~n_ranks:49 in
   check_bool "BT-49/B near 210 s" true (t > 180.0 && t < 230.0)
 
 (* ------------------------------------------------------------------ *)
