@@ -55,18 +55,27 @@ let spawn (env : Uenv.t) ~host =
   let events : ev Mailbox.t = Mailbox.create () in
   let conns : Umsg.t Net.conn option array = Array.make population None in
   let incs = Array.make population 0 in
+  let daemons : Proc.t option array = Array.make population None in
   let ready = Array.make population false in
   let dead = Array.make population false in
   let rank_done = Array.make n false in
   let reported_epochs : (int, int list * int) Hashtbl.t = Hashtbl.create 8 in
   let started = ref false in
   let finished = ref false in
+  (* A relaunch first ends the incarnation it replaces, as a real
+     dispatcher's ssh would: a daemon cut off from the dispatcher still
+     holds its port, and its successor on the same host could not bind
+     it. The old daemon's death report carries a stale incarnation. *)
   let launch ~id =
+    Option.iter Proc.kill daemons.(id);
     incs.(id) <- incs.(id) + 1;
     let inc = incs.(id) in
     trace ~level:Trace.Full t "launch" "daemon %d on host %d (inc %d)" id id inc;
     Mpivcl.Dispatch.ssh cluster ~host ~name:(Printf.sprintf "ssh-udaemon%d" id) cfg ~inc
-      (fun () -> Udaemon.spawn env ~id ~incarnation:inc)
+      (fun () ->
+        let p = Udaemon.spawn env ~id ~incarnation:inc in
+        daemons.(id) <- Some p;
+        p)
       (E_spawn_died (id, inc)) events
   in
   let broadcast msg =

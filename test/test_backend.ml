@@ -391,7 +391,12 @@ let startup_pins =
       Mpivcl.Config.Replication { degree = 2 },
       [ "spawn-failed"; "spawn-retry" ],
       "d3f3bbac4df5706fffc29d0eea31efcd" );
-    ("ulfm", Mpivcl.Config.Ulfm { spares = 1 }, [ "spawn-retry" ], "c8b78e03f8b1ccb8e0c93b076220f44d");
+    (* the cut daemon is relaunched once, after its old incarnation is
+       ended, and the run completes *)
+    ( "ulfm",
+      Mpivcl.Config.Ulfm { spares = 1 },
+      [ "spawn-retry"; "app-completed" ],
+      "99b9a1fbc7f267f6ba4b32f6b2a4e419" );
   ]
 
 let test_startup_trace (name, protocol, events, digest) () =
