@@ -6,13 +6,16 @@
    for each into the current directory (see record.ml for the format).
    --smoke bounds the two long suites for CI: explore's three campaigns
    run 60, 40 and 30 plans instead of 500, 200 and 120, and scale stops
-   at 1024 hosts. A suite that refuses
-   its result — a check that two runs must agree failed — exits 1 with
-   its message and writes no file.
+   at 1024 hosts.
 
-   The order below is fixed, whatever the command line says. explore
-   comes first: the OCaml runtime refuses [Unix.fork] in a process that
-   has ever created a domain, and campaign and topo create domains. *)
+   Suites run in the order below, whatever the command line says, each
+   in a forked process of its own, so no suite is measured on a heap or
+   runtime state that another left behind (and explore's workers can
+   fork: the runtime refuses [Unix.fork] once a process has created a
+   domain, as campaign and topo do). The driver itself creates no
+   domain. A suite that refuses its result — a check that two runs must
+   agree failed — names it, writes no file and exits 1; the driver then
+   exits 1, as it does when a suite's process crashes. *)
 
 let suites =
   [
@@ -41,5 +44,18 @@ let () =
   let header = Record.header ~smoke in
   List.iter
     (fun (suite, run) ->
-      if names = [] || List.mem suite names then Record.write header ~suite (run ~smoke))
+      if names = [] || List.mem suite names then begin
+        flush_all ();
+        match Unix.fork () with
+        | 0 ->
+            Record.write header ~suite (run ~smoke);
+            exit 0
+        | pid -> (
+            match snd (Unix.waitpid [] pid) with
+            | Unix.WEXITED 0 -> ()
+            | Unix.WEXITED _ -> exit 1
+            | Unix.WSIGNALED _ | Unix.WSTOPPED _ ->
+                Printf.eprintf "bench: suite %s was killed by a signal\n" suite;
+                exit 1)
+      end)
     suites
