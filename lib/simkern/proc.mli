@@ -94,7 +94,8 @@ val suspend : (('a -> bool) -> unit) -> 'a
 
     A slot is a wait point that its owner allocates once and reuses for
     every wait, so that a wait allocates only the runtime's continuation.
-    At most one process waits in a slot at a time; {!fill} plays the
+    Each {!Mailbox} waits in one, which is why a mailbox has a single
+    reader. At most one process waits in a slot at a time; {!fill} plays the
     waker's part for whichever wait the slot holds. *)
 
 type 'a slot
