@@ -14,14 +14,14 @@
    Prints each export that no unit outside test/ uses, saying whether a
    test uses it. Exits 1 when one of them is not in
    devtools/unused_exports.allow, or when an allowlist entry names an
-   export that is used after all or no longer exists; 0 otherwise.
+   export that is used after all or no longer exists; 2 when the build
+   tree is missing or an entry gives no reason; 0 otherwise.
 
-   An allowlist line is [Lib.Module.name reason]; the reason is
-   required. Blank lines and lines starting with '#' are skipped. *)
+   An allowlist line is [Lib.Module.name reason]. Blank lines and lines
+   starting with '#' are skipped. *)
 
 let build_root = "_build/default"
 let allow_file = "devtools/unused_exports.allow"
-let lib_dirs = [ "lib" ]
 let user_dirs = [ "lib"; "bin"; "bench"; "examples"; "devtools"; "test" ]
 
 let rec files_under dir ext =
@@ -38,27 +38,9 @@ let under_build dirs ext =
   List.concat_map (fun d -> files_under (Filename.concat build_root d) ext) dirs
 
 (* "Simkern__Mailbox" -> "Simkern.Mailbox" *)
-let display_unit modname =
-  let b = Buffer.create (String.length modname) in
-  let n = String.length modname in
-  let i = ref 0 in
-  while !i < n do
-    if !i + 1 < n && modname.[!i] = '_' && modname.[!i + 1] = '_' then begin
-      Buffer.add_char b '.';
-      i := !i + 2
-    end
-    else begin
-      Buffer.add_char b modname.[!i];
-      incr i
-    end
-  done;
-  Buffer.contents b
+let display_unit modname = Str.global_replace (Str.regexp_string "__") "." modname
 
-type export = {
-  name : string;
-  unit : string;
-  loc : string;
-}
+type export = { name : string; loc : string }
 
 let exports_of_signature ~unit sg =
   let found = ref [] in
@@ -70,7 +52,7 @@ let exports_of_signature ~unit sg =
             let pos = vd.val_loc.loc_start in
             let loc = Printf.sprintf "%s:%d" pos.pos_fname pos.pos_lnum in
             found :=
-              (vd.val_val.val_uid, { name = prefix ^ vd.val_name.txt; unit; loc })
+              (vd.val_val.val_uid, { name = prefix ^ vd.val_name.txt; loc })
               :: !found
         | Tsig_module { md_name = { txt = Some m; _ }; md_type; _ } ->
             module_type (prefix ^ m ^ ".") md_type
@@ -121,7 +103,7 @@ let () =
     exit 2
   end;
   let exports =
-    under_build lib_dirs ".cmti"
+    under_build [ "lib" ] ".cmti"
     |> List.concat_map (fun path ->
            let cmt = Cmt_format.read_cmt path in
            match cmt.cmt_annots with

@@ -55,7 +55,6 @@ type t = {
 }
 
 let var_count t = Array.length t.var_names
-let node_count t = Array.length t.nodes
 
 let node_index t id =
   let rec find i =
@@ -133,7 +132,7 @@ let pp_trigger ppf = function
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>automaton %s: %d vars, %d nodes@," t.name (var_count t)
-    (node_count t);
+    (Array.length t.nodes);
   Array.iteri
     (fun i node ->
       Format.fprintf ppf "@[<v 2>node #%d (%s):" i node.node_id;

@@ -742,7 +742,9 @@ let recv_timeout conn ~timeout =
       else
         let eng = conn.c_net.eng in
         Proc.suspend (fun waker ->
-            (* Cancel the timer once data wins; see Mailbox.recv_timeout. *)
+            (* Cancel the timer once data wins, so a satisfied timeout
+               becomes a heap tombstone (compacted) instead of a live
+               no-op event that keeps the queue busy until it fires. *)
             let timer = ref None in
             conn.c_waiters <-
               conn.c_waiters
